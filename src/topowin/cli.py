@@ -12,22 +12,25 @@ import sys
 from pathlib import Path
 
 from . import io
-from .classify import (
-    KnnConfig,
-    evaluate,
-    predict_all,
-    render_report_table,
-    render_sweep_table,
-    sweep_k,
-)
-from .distance import WassersteinConfig, distance_matrix
+from .classify import render_report_table, render_sweep_table, sweep_k
 from .errors import DataError, NumericalError
-from .ingest import apply_standardizer, fit_standardizer, load_csv, split_series
-from .persistence import rips_persistence_dim0, rips_persistence_dim1
-from .pipeline import PipelineConfig, default_runs_root, describe_run, run
+from .ingest import load_csv
+from .pipeline import (
+    PipelineConfig,
+    build_clouds,
+    classify_windows,
+    compute_diagrams,
+    compute_distances,
+    cut_windows,
+    default_runs_root,
+    describe_run,
+    read_diagrams,
+    run,
+    standardize,
+    write_distances,
+    write_report,
+)
 from .plot import write_diagram_plot
-from .pointcloud import AugmentConfig, augment, resolve_anchors, resolve_offset
-from .windowing import make_windows
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -110,12 +113,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_dict(args) -> dict:
-    payload: dict = {}
-    if args.config is not None:
-        payload = dict(io.read_json(args.config))
-        payload.setdefault("run_id", Path(args.config).stem)
+def _config(args) -> tuple[PipelineConfig, str | None]:
+    """The pipeline config from ``--config`` with the flags applied over it,
+    and the data path (``--data`` or the config's ``data``)."""
+    if args.config is None:
+        raise ValueError(f"{args.command} needs --config")
+    payload = dict(io.read_json(args.config))
+    payload.setdefault("run_id", Path(args.config).stem)
     overrides = {
+        "data": getattr(args, "data", None),
         "window": args.window,
         "stride": args.stride,
         "label_rule": args.label_rule,
@@ -126,11 +132,14 @@ def _config_dict(args) -> dict:
         "p": args.p,
         "k": args.k,
         "seed": args.seed,
+        "train_split": getattr(args, "train_split", None),
+        "test_split": getattr(args, "test_split", None),
+        "tie_break": getattr(args, "tie_break", None),
     }
     for key, value in overrides.items():
         if value is not None:
             payload[key] = value
-    return payload
+    return PipelineConfig.from_dict(payload), payload.get("data")
 
 
 def _out_dir(args) -> Path:
@@ -146,12 +155,11 @@ def _require(value, flag: str):
 
 
 def _cmd_ingest(args) -> int:
-    cfg = PipelineConfig.from_dict(_config_dict(args))
-    data = _require(args.data if args.data is not None else _config_dict(args).get("data"), "--data")
+    cfg, data = _config(args)
+    data = _require(data, "--data")
     out = _out_dir(args)
     series = load_csv(Path(data), cfg.schema)
-    params = fit_standardizer(series, cfg.splits, cfg.standardize_mode, cfg.train_split)
-    standardized = apply_standardizer(series, params)
+    standardized, params = standardize(series, cfg)
     io.write_series_csv(series, out / "series.csv")
     io.write_series_csv(standardized, out / "standardized.csv")
     io.write_params_json(params, out / "params.json")
@@ -160,148 +168,63 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_windows(args) -> int:
-    cfg = PipelineConfig.from_dict(_config_dict(args))
+    cfg, _ = _config(args)
     series_path = _require(args.series, "--series")
     out = _out_dir(args)
     series = io.read_series_csv(series_path)
-    parts = split_series(series, cfg.splits)
-    windows = {name: make_windows(sub, cfg.window) for name, sub in parts.items()}
+    windows = cut_windows(series, cfg)
     io.write_windows_csv(windows, series.channel_names, out / "windows.csv")
     counts = ", ".join(f"{name}: {len(wins)}" for name, wins in windows.items())
     print(f"wrote {out / 'windows.csv'} ({counts})")
     return EXIT_OK
 
 
-def _stage_defaults(args) -> dict:
-    payload = _config_dict(args)
-    payload.setdefault("run_id", "cli")
-    payload.setdefault("schema", {"timestamp": "timestamp", "features": ["x"], "label": "label"})
-    payload.setdefault("splits", [["train", 0, 2], ["test", 2, 4]])
-    payload.setdefault("window", 2)
-    return payload
-
-
 def _cmd_diagrams(args) -> int:
-    payload = _stage_defaults(args)
+    cfg, _ = _config(args)
     out = _out_dir(args)
-    windows = io.read_windows_csv(_require(args.windows, "--windows"))
-    dims = {w.points.shape[1] for wins in windows.values() for w in wins}
-    if len(dims) != 1:
-        raise DataError(f"windows file mixes dimensions {sorted(dims)}")
-    d = dims.pop()
-    offset = resolve_offset(payload.get("offset", "auto"), d)
-    anchors = resolve_anchors(payload.get("anchors", "origin"), d)
-    aug_cfg = AugmentConfig(offset=offset, anchors=anchors)
-    clouds = {name: [augment(w, aug_cfg) for w in wins] for name, wins in windows.items()}
-    dimension = int(payload.get("dimension", 0))
-    essential = payload.get("essential_policy", "dropped")
-    maxscale = payload.get("maxscale")
-    diagrams = {}
-    for name, cs in clouds.items():
-        if dimension == 0:
-            diagrams[name] = [rips_persistence_dim0(c, essential, maxscale) for c in cs]
-        else:
-            if maxscale is None:
-                raise ValueError("dimension 1 needs --maxscale")
-            diagrams[name] = [rips_persistence_dim1(c, maxscale) for c in cs]
+    clouds = build_clouds(io.read_windows_csv(_require(args.windows, "--windows")), cfg)
     io.write_clouds_csv(clouds, out / "clouds.csv")
-    io.write_diagrams_csv(diagrams, out / "diagrams.csv")
-    print(f"wrote {out / 'diagrams.csv'} (dimension {dimension})")
+    io.write_diagrams_csv(compute_diagrams(clouds, cfg), out / "diagrams.csv")
+    print(f"wrote {out / 'diagrams.csv'} (dimension {cfg.dimension})")
     return EXIT_OK
 
 
-def _split_names(args, payload) -> tuple[str, str]:
-    train = args.train_split or payload.get("train_split", "train")
-    test = args.test_split or payload.get("test_split", "test")
-    return train, test
-
-
 def _cmd_distmat(args) -> int:
-    payload = _stage_defaults(args)
+    cfg, _ = _config(args)
     out = _out_dir(args)
     windows = io.read_windows_csv(_require(args.windows, "--windows"))
-    train_name, test_name = _split_names(args, payload)
-    counts = {name: len(wins) for name, wins in windows.items()}
-    dimension = int(payload.get("dimension", 0))
-    essential = payload.get("essential_policy", "dropped")
-    diagrams = io.read_diagrams_csv(_require(args.diagrams, "--diagrams"), counts, dimension, essential)
-    for name in (train_name, test_name):
-        if name not in diagrams:
-            raise DataError(f"no split named '{name}' in diagrams file")
-    w_cfg = WassersteinConfig(p=float(payload.get("p", 1.0)), dimension=dimension)
-    matrix = distance_matrix(diagrams[test_name], diagrams[train_name], w_cfg, workers=args.workers)
-    io.write_distmat_csv(matrix, out / "distmat.csv")
-    io.write_json(
-        out / "distmat.json",
-        {
-            "p": w_cfg.p,
-            "dimension": dimension,
-            "train_split": train_name,
-            "test_split": test_name,
-            "train_hash": io.diagram_set_hash({train_name: diagrams[train_name]}),
-            "test_hash": io.diagram_set_hash({test_name: diagrams[test_name]}),
-        },
-    )
+    diagrams = read_diagrams(_require(args.diagrams, "--diagrams"), windows, cfg)
+    matrix = compute_distances(diagrams, cfg, workers=args.workers)
+    write_distances(matrix, diagrams, cfg, out / "distmat.csv")
     print(f"wrote {out / 'distmat.csv'} ({len(matrix.row_ids)} x {len(matrix.col_ids)})")
     return EXIT_OK
 
 
-def _labels_for(args, payload) -> tuple[list[int], list[int]]:
-    windows = io.read_windows_csv(_require(args.windows, "--windows"))
-    train_name, test_name = _split_names(args, payload)
-    return (
-        io.window_labels(windows, train_name),
-        io.window_labels(windows, test_name),
-    )
-
-
 def _cmd_classify(args) -> int:
-    payload = _stage_defaults(args)
+    cfg, _ = _config(args)
     out = _out_dir(args)
     matrix = io.read_distmat_csv(_require(args.matrix, "--matrix"))
-    train_labels, test_labels = _labels_for(args, payload)
-    knn_cfg = KnnConfig(
-        k=int(_require(payload.get("k"), "--k")),
-        tie_break=args.tie_break or payload.get("tie_break", "nearest_neighbor_label"),
-    )
-    report = evaluate(predict_all(matrix, train_labels, knn_cfg), test_labels)
-    io.write_report_json(report, out / "report.json")
-    table = render_report_table(report)
-    (out / "report.txt").write_text(table + "\n", encoding="utf-8")
-    print(table)
+    windows = io.read_windows_csv(_require(args.windows, "--windows"))
+    print(write_report(classify_windows(matrix, windows, cfg), out))
     return EXIT_OK
 
 
 def _cmd_sweep_k(args) -> int:
-    payload = _stage_defaults(args)
+    cfg, _ = _config(args)
     out = _out_dir(args)
     matrix = io.read_distmat_csv(_require(args.matrix, "--matrix"))
-    train_labels, test_labels = _labels_for(args, payload)
+    windows = io.read_windows_csv(_require(args.windows, "--windows"))
     ks = [int(v) for v in _require(args.ks, "--ks").split(",") if v.strip()]
-    entries = sweep_k(
-        matrix,
-        train_labels,
-        test_labels,
-        ks,
-        payload.get("tie_break", "nearest_neighbor_label"),
-    )
-    rows = [
-        [e.k, repr(float(e.accuracy)), "" if e.sensitivity is None else repr(float(e.sensitivity)),
-         "" if e.specificity is None else repr(float(e.specificity))]
-        for e in entries
-    ]
-    io._write_csv(out / "sweep.csv", ["k", "accuracy", "sensitivity", "specificity"], rows)
-    table = render_sweep_table(entries)
-    print(table)
+    train_labels = io.window_labels(windows, cfg.train_split)
+    test_labels = io.window_labels(windows, cfg.test_split)
+    entries = sweep_k(matrix, train_labels, test_labels, ks, cfg.tie_break)
+    io.write_sweep_csv(entries, out / "sweep.csv")
+    print(render_sweep_table(entries))
     return EXIT_OK
 
 
 def _cmd_run(args) -> int:
-    payload = _config_dict(args)
-    if not payload:
-        raise ValueError("run needs --config")
-    data = args.data if args.data is not None else payload.get("data")
-    cfg = PipelineConfig.from_dict(payload)
+    cfg, data = _config(args)
     report = run(
         cfg,
         Path(_require(data, "--data")),
@@ -320,34 +243,22 @@ def _cmd_run(args) -> int:
 def _cmd_plot_diagram(args) -> int:
     out = _out_dir(args)
     path = _require(args.diagram, "--diagram")
-    header, rows = io._read_csv(Path(path))
-    if header[:3] == ["dim", "birth", "death"]:
-        selected = [(int(r[0]), float(r[1]), float(r[2])) for r in rows]
-        suffix = ""
-    elif header == ["split", "window", "dim", "birth", "death"]:
-        keys = sorted({(r[0], int(r[1])) for r in rows})
+    keyed, points = io.read_diagram_points(path)
+    suffix = ""
+    if keyed:
+        keys = sorted({p[:2] for p in points})
         split = args.split or (keys[0][0] if keys else None)
-        candidates = [k for k in keys if k[0] == split]
-        if args.index is not None:
-            candidates = [k for k in candidates if k[1] == args.index]
+        candidates = [k for k in keys if k[0] == split and args.index in (None, k[1])]
         if len(candidates) > 1:
             raise ValueError(
                 f"file holds {len(candidates)} windows for split '{split}'; pick one with --index"
             )
-        if not candidates and args.index is not None:
-            selected = []
+        if candidates:
+            suffix = f"-{candidates[0][0]}-{candidates[0][1]}"
+        elif args.index is not None:
             suffix = f"-{split}-{args.index}"
-        else:
-            key = candidates[0] if candidates else None
-            selected = (
-                [(int(r[2]), float(r[3]), float(r[4])) for r in rows if (r[0], int(r[1])) == key]
-                if key
-                else []
-            )
-            suffix = f"-{key[0]}-{key[1]}" if key else ""
-    else:
-        raise DataError(f"{path}: not a diagram file (header {header})")
-    selected.sort(key=lambda r: (r[0], r[2], r[1]))
+        points = [p[2:] for p in points if candidates and p[:2] == candidates[0]]
+    selected = sorted(points, key=lambda r: (r[0], r[2], r[1]))
     svg = out / f"diagram{suffix}.svg"
     twin = out / f"diagram{suffix}.csv"
     write_diagram_plot(selected, svg, twin)

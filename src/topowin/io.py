@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .classify import EvaluationReport
+from .classify import EvaluationReport, KSweepEntry
 from .distance import DistanceMatrix
 from .errors import DataError
 from .ingest import StandardizationParams, TimeSeries
@@ -56,7 +56,14 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        return header, [row for row in reader if row]
+        rows = []
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}: line {reader.line_num} has {len(row)} fields, the header {len(header)}"
+                )
+            rows.append(row)
+        return header, rows
 
 
 def write_json(path: Path, payload) -> None:
@@ -256,6 +263,17 @@ def read_diagrams_csv(
     return out
 
 
+def read_diagram_points(path: Path) -> tuple[bool, list[tuple]]:
+    """Points of a single diagram file, ``(False, [(dim, birth, death), ...])``,
+    or of a long-format one, ``(True, [(split, window, dim, birth, death), ...])``."""
+    header, rows = _read_csv(Path(path))
+    if header[:3] == ["dim", "birth", "death"]:
+        return False, [(int(r[0]), float(r[1]), float(r[2])) for r in rows]
+    if header == ["split", "window", "dim", "birth", "death"]:
+        return True, [(r[0], int(r[1]), int(r[2]), float(r[3]), float(r[4])) for r in rows]
+    raise DataError(f"{path}: not a diagram file (header {header})")
+
+
 def diagram_set_hash(diagrams_by_split: Mapping[str, Sequence[PersistenceDiagram]]) -> str:
     lines = []
     for split in sorted(diagrams_by_split):
@@ -306,6 +324,14 @@ def report_to_dict(report: EvaluationReport) -> dict:
         "specificity": None if report.specificity is None else float(report.specificity),
         "per_class": per_class,
     }
+
+
+def write_sweep_csv(entries: Sequence[KSweepEntry], path: Path) -> None:
+    def metric(value) -> str:
+        return "" if value is None else repr(float(value))
+
+    rows = ([e.k, metric(e.accuracy), metric(e.sensitivity), metric(e.specificity)] for e in entries)
+    _write_csv(path, ["k", "accuracy", "sensitivity", "specificity"], rows)
 
 
 def write_report_json(report: EvaluationReport, path: Path) -> None:

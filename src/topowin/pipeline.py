@@ -1,6 +1,9 @@
 """End-to-end run: series -> windows -> augmented clouds -> diagrams ->
 distance matrix -> k-NN report, with content-addressed caching per stage.
 
+Each stage is one module-level function of its upstream values and the
+``PipelineConfig``; ``run`` and the CLI stage commands both call them.
+
 Each stage's cache key hashes the previous stage's key plus the parameters
 that stage depends on, so changing (say) only k reuses everything up to
 the distance matrix and recomputes only the classification.  Artifacts
@@ -23,6 +26,8 @@ from .errors import DataError, NumericalError
 from .ingest import (
     CsvSchema,
     SplitSpec,
+    StandardizationParams,
+    TimeSeries,
     apply_standardizer,
     fit_standardizer,
     load_csv,
@@ -149,7 +154,7 @@ class StageArtifact:
     stage: str
     key: str
     path: Path
-    status: str  # "computed" or "cached"
+    status: str  # "computed", "cached" or "skipped"
     duration_s: float
 
     def to_dict(self) -> dict:
@@ -169,42 +174,173 @@ def default_runs_root(out: str | Path | None = None) -> Path:
     return Path(env) if env else Path("runs")
 
 
+# --- stages -----------------------------------------------------------------
+# Each stage is one function of its upstream values and the config, called by
+# ``run`` and by the CLI stage commands alike.
+
+
+def standardize(series: TimeSeries, cfg: PipelineConfig) -> tuple[TimeSeries, StandardizationParams]:
+    params = fit_standardizer(series, cfg.splits, cfg.standardize_mode, cfg.train_split)
+    return apply_standardizer(series, params), params
+
+
+def cut_windows(standardized: TimeSeries, cfg: PipelineConfig) -> dict:
+    parts = split_series(standardized, cfg.splits)
+    return {name: make_windows(sub, cfg.window) for name, sub in parts.items()}
+
+
+def _augment_config(cfg: PipelineConfig) -> AugmentConfig:
+    """Offset and anchors resolved for the config's channel count."""
+    d = len(cfg.schema.features)
+    return AugmentConfig(resolve_offset(cfg.offset, d), resolve_anchors(cfg.anchors, d))
+
+
+def build_clouds(windows_by_split: dict, cfg: PipelineConfig) -> dict:
+    aug_cfg = _augment_config(cfg)
+    return {name: [augment(w, aug_cfg) for w in wins] for name, wins in windows_by_split.items()}
+
+
+def compute_diagrams(clouds_by_split: dict, cfg: PipelineConfig) -> dict:
+    def diagram(cloud):
+        if cfg.dimension == 0:
+            return rips_persistence_dim0(cloud, cfg.essential_policy, cfg.maxscale)
+        return rips_persistence_dim1(cloud, cfg.maxscale)
+
+    return {name: [diagram(c) for c in clouds] for name, clouds in clouds_by_split.items()}
+
+
+def read_diagrams(path: Path, windows_by_split: dict, cfg: PipelineConfig) -> dict:
+    """Diagrams from a diagrams CSV; windows without points get empty
+    diagrams, so the window counts come from ``windows_by_split``."""
+    counts = {name: len(wins) for name, wins in windows_by_split.items()}
+    policy = cfg.essential_policy if cfg.dimension == 0 else "capped"
+    return io.read_diagrams_csv(path, counts, cfg.dimension, policy)
+
+
+def compute_distances(diagrams_by_split: dict, cfg: PipelineConfig, workers: int = 1) -> DistanceMatrix:
+    for name in (cfg.train_split, cfg.test_split):
+        if name not in diagrams_by_split:
+            raise DataError(f"no split named '{name}' in diagrams")
+    return distance_matrix(
+        diagrams_by_split[cfg.test_split],
+        diagrams_by_split[cfg.train_split],
+        WassersteinConfig(p=cfg.p, dimension=cfg.dimension),
+        workers=workers,
+    )
+
+
+def write_distances(matrix: DistanceMatrix, diagrams_by_split: dict, cfg: PipelineConfig, path: Path):
+    """The matrix CSV plus its JSON sidecar (same name, ``.json``), which
+    records the config and content hashes of the diagrams it compares."""
+    io.write_distmat_csv(matrix, path)
+    train, test = cfg.train_split, cfg.test_split
+    io.write_json(
+        path.with_suffix(".json"),
+        {
+            "p": cfg.p,
+            "dimension": cfg.dimension,
+            "train_split": train,
+            "test_split": test,
+            "train_hash": io.diagram_set_hash({train: diagrams_by_split[train]}),
+            "test_hash": io.diagram_set_hash({test: diagrams_by_split[test]}),
+        },
+    )
+
+
+def classify_windows(
+    matrix: DistanceMatrix, windows_by_split: dict, cfg: PipelineConfig
+) -> EvaluationReport:
+    train_labels = io.window_labels(windows_by_split, cfg.train_split)
+    test_labels = io.window_labels(windows_by_split, cfg.test_split)
+    predictions = predict_all(matrix, train_labels, KnnConfig(k=cfg.k, tie_break=cfg.tie_break))
+    return evaluate(predictions, test_labels)
+
+
+def write_report(report: EvaluationReport, directory: Path) -> str:
+    """Write ``report.json`` and ``report.txt`` into ``directory``; returns the table."""
+    io.write_report_json(report, directory / "report.json")
+    table = render_report_table(report)
+    (directory / "report.txt").write_text(table + "\n", encoding="utf-8")
+    return table
+
+
+# --- cached run ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Stage:
+    params: dict  # what the stage key hashes besides the upstream stage's key
+    filename: str
+    inputs: tuple[str, ...]  # stages whose values ``compute`` and ``write`` take
+    compute: Callable  # (*inputs) -> value
+    write: Callable  # (value, path, *inputs)
+    read: Callable  # (path, *read_inputs) -> value
+    read_inputs: tuple[str, ...] = ()
+
+
 class _StageRunner:
-    def __init__(self, run_dir: Path, use_cache: bool) -> None:
+    """Resolves stage values on demand.  A stage with a readable cached
+    artifact is read; any other stage is computed from its inputs, which are
+    resolved the same way first.  A stage nothing asks for is never touched.
+
+    ``stages`` lists the stages in pipeline order: each key chains the one
+    before it, so all keys are known before any stage runs."""
+
+    def __init__(self, run_dir: Path, use_cache: bool, stages: dict[str, _Stage]) -> None:
         self.run_dir = run_dir
         self.use_cache = use_cache
-        self.artifacts: list[StageArtifact] = []
+        self.stages = stages
+        self.keys: dict[str, str] = {}
+        parent = None
+        for stage, spec in stages.items():
+            self.keys[stage] = parent = io.stage_key(stage, parent, spec.params)
+        self.values: dict[str, object] = {}
+        self.artifacts: dict[str, StageArtifact] = {}
 
-    def run(self, stage: str, key: str, filename: str, compute: Callable, write: Callable, read: Callable):
-        path = self.run_dir / stage / f"{key}.{filename}"
-        started = time.perf_counter()
+    def path(self, stage: str) -> Path:
+        return self.run_dir / stage / f"{self.keys[stage]}.{self.stages[stage].filename}"
+
+    def get(self, stage: str):
+        if stage in self.values:
+            return self.values[stage]
+        spec, path = self.stages[stage], self.path(stage)
+        spent = 0.0
+        # Inputs are resolved before a stage's clock starts and outside its
+        # error prefix, so each stage times and names only its own work.
         if self.use_cache and path.exists():
+            args = [self.get(s) for s in spec.read_inputs]
+            started = time.perf_counter()
             try:
-                value = read(path)
-                status = "cached"
-            except DataError:
-                value = None
-                status = "computed"
-        else:
-            value = None
-            status = "computed"
-        if status == "computed":
-            try:
-                value = compute()
-            except (DataError, NumericalError, ValueError) as exc:
-                raise type(exc)(f"stage '{stage}': {exc}") from exc
-            path.parent.mkdir(parents=True, exist_ok=True)
-            write(value, path)
-        self.artifacts.append(
-            StageArtifact(
-                stage=stage,
-                key=key,
-                path=path,
-                status=status,
-                duration_s=round(time.perf_counter() - started, 6),
-            )
-        )
+                return self._done(stage, spec.read(path, *args), "cached", started)
+            except (DataError, ValueError):
+                # A truncated or corrupt artifact is a cache miss.
+                spent = time.perf_counter() - started
+        args = [self.get(s) for s in spec.inputs]
+        started = time.perf_counter() - spent
+        try:
+            value = spec.compute(*args)
+        except (DataError, NumericalError, ValueError) as exc:
+            raise type(exc)(f"stage '{stage}': {exc}") from exc
+        path.parent.mkdir(parents=True, exist_ok=True)
+        spec.write(value, path, *args)
+        return self._done(stage, value, "computed", started)
+
+    def _done(self, stage: str, value, status: str, started: float):
+        self.values[stage] = value
+        duration = round(time.perf_counter() - started, 6)
+        key, path = self.keys[stage], self.path(stage)
+        self.artifacts[stage] = StageArtifact(stage, key, path, status, duration)
         return value
+
+    def provenance(self) -> list[StageArtifact]:
+        """Every stage in pipeline order.  One that was neither read nor
+        computed is ``cached`` if its artifact exists, else ``skipped``."""
+        out = []
+        for stage in self.stages:
+            key, path = self.keys[stage], self.path(stage)
+            status = "cached" if path.exists() else "skipped"
+            out.append(self.artifacts.get(stage) or StageArtifact(stage, key, path, status, 0.0))
+        return out
 
 
 def run(
@@ -214,184 +350,102 @@ def run(
     use_cache: bool = True,
     workers: int = 1,
 ) -> EvaluationReport:
-    """Execute every stage in order and return the evaluation report.
+    """Run the pipeline and return the evaluation report.
 
-    Re-running with unchanged config and data reuses each stage's cached
-    artifact; ``use_cache=False`` recomputes and rewrites everything.
+    Every stage key is computed up front from the data hash and the config.
+    A stage is then read from its cached artifact when one exists, and read
+    only if a stage that has to compute needs it, so a fully cached run reads
+    just the report.  ``use_cache=False`` recomputes and rewrites everything.
     """
     data = Path(data)
     if not data.exists():
         raise DataError(f"stage 'ingest': no such data file: {data}")
-    root = default_runs_root(runs_root)
-    run_dir = root / cfg.run_id
-    runner = _StageRunner(run_dir, use_cache)
+    run_dir = default_runs_root(runs_root) / cfg.run_id
     data_hash = io.sha256_file(data)
     cfg_dict = cfg.to_dict()
+    aug_cfg = _augment_config(cfg)
 
-    k_ingest = io.stage_key("ingest", None, {"data": data_hash, "schema": cfg_dict["schema"]})
-    series = runner.run(
-        "ingest",
-        k_ingest,
-        "series.csv",
-        lambda: load_csv(data, cfg.schema),
-        lambda value, path: io.write_series_csv(value, path),
-        io.read_series_csv,
-    )
+    def write_standardized(value, path, _series):
+        io.write_series_csv(value[0], path)
+        io.write_params_json(value[1], path.with_suffix(".params.json"))
 
-    k_std = io.stage_key(
-        "standardize",
-        k_ingest,
-        {"splits": cfg_dict["splits"], "mode": cfg.standardize_mode, "train": cfg.train_split},
-    )
-
-    def _standardize():
-        params = fit_standardizer(series, cfg.splits, cfg.standardize_mode, cfg.train_split)
-        return apply_standardizer(series, params), params
-
-    def _write_std(value, path):
-        std, params = value
-        io.write_series_csv(std, path)
-        io.write_params_json(params, path.with_suffix(".params.json"))
-
-    def _read_std(path):
+    def read_standardized(path):
         return io.read_series_csv(path), io.read_params_json(path.with_suffix(".params.json"))
 
-    standardized, _params = runner.run(
-        "standardize", k_std, "standardized.csv", _standardize, _write_std, _read_std
-    )
-
-    k_windows = io.stage_key(
-        "windows",
-        k_std,
-        {"w": cfg.window.w, "s": cfg.window.s, "rule": cfg.window.label_rule},
-    )
-
-    def _windows():
-        parts = split_series(standardized, cfg.splits)
-        return {name: make_windows(sub, cfg.window) for name, sub in parts.items()}
-
-    windows_by_split = runner.run(
-        "windows",
-        k_windows,
-        "windows.csv",
-        _windows,
-        lambda value, path: io.write_windows_csv(value, standardized.channel_names, path),
-        io.read_windows_csv,
-    )
-
-    d = standardized.dimension
-    offset = resolve_offset(cfg.offset, d)
-    anchors = resolve_anchors(cfg.anchors, d)
-    aug_cfg = AugmentConfig(offset=offset, anchors=anchors)
-    k_clouds = io.stage_key(
-        "clouds",
-        k_windows,
-        {"offset": [repr(v) for v in offset], "anchors": [[repr(v) for v in a] for a in anchors]},
-    )
-
-    def _clouds():
-        return {
-            name: [augment(w, aug_cfg) for w in wins] for name, wins in windows_by_split.items()
-        }
-
-    clouds_by_split = runner.run(
-        "clouds",
-        k_clouds,
-        "clouds.csv",
-        _clouds,
-        lambda value, path: io.write_clouds_csv(value, path),
-        io.read_clouds_csv,
-    )
-
-    k_diagrams = io.stage_key(
-        "diagrams",
-        k_clouds,
+    runner = _StageRunner(
+        run_dir,
+        use_cache,
         {
-            "dimension": cfg.dimension,
-            "essential_policy": cfg.essential_policy,
-            "maxscale": None if cfg.maxscale is None else repr(float(cfg.maxscale)),
+            "ingest": _Stage(
+                {"data": data_hash, "schema": cfg_dict["schema"]},
+                "series.csv",
+                (),
+                lambda: load_csv(data, cfg.schema),
+                io.write_series_csv,
+                io.read_series_csv,
+            ),
+            "standardize": _Stage(
+                {"splits": cfg_dict["splits"], "mode": cfg.standardize_mode, "train": cfg.train_split},
+                "standardized.csv",
+                ("ingest",),
+                lambda series: standardize(series, cfg),
+                write_standardized,
+                read_standardized,
+            ),
+            "windows": _Stage(
+                {"w": cfg.window.w, "s": cfg.window.s, "rule": cfg.window.label_rule},
+                "windows.csv",
+                ("standardize",),
+                lambda std: cut_windows(std[0], cfg),
+                lambda wins, path, std: io.write_windows_csv(wins, std[0].channel_names, path),
+                io.read_windows_csv,
+            ),
+            "clouds": _Stage(
+                {
+                    "offset": [repr(v) for v in aug_cfg.offset],
+                    "anchors": [[repr(v) for v in a] for a in aug_cfg.anchors],
+                },
+                "clouds.csv",
+                ("windows",),
+                lambda wins: build_clouds(wins, cfg),
+                lambda clouds, path, _wins: io.write_clouds_csv(clouds, path),
+                io.read_clouds_csv,
+            ),
+            "diagrams": _Stage(
+                {
+                    "dimension": cfg.dimension,
+                    "essential_policy": cfg.essential_policy,
+                    "maxscale": None if cfg.maxscale is None else repr(float(cfg.maxscale)),
+                },
+                "diagrams.csv",
+                ("clouds",),
+                lambda clouds: compute_diagrams(clouds, cfg),
+                lambda diagrams, path, _clouds: io.write_diagrams_csv(diagrams, path),
+                lambda path, wins: read_diagrams(path, wins, cfg),
+                read_inputs=("windows",),
+            ),
+            "distances": _Stage(
+                {"p": repr(float(cfg.p)), "train": cfg.train_split, "test": cfg.test_split},
+                "distmat.csv",
+                ("diagrams",),
+                lambda diagrams: compute_distances(diagrams, cfg, workers),
+                lambda matrix, path, diagrams: write_distances(matrix, diagrams, cfg, path),
+                io.read_distmat_csv,
+            ),
+            "classify": _Stage(
+                {"k": cfg.k, "tie_break": cfg.tie_break},
+                "report.json",
+                ("distances", "windows"),
+                lambda matrix, wins: classify_windows(matrix, wins, cfg),
+                lambda report, path, _matrix, _wins: io.write_report_json(report, path),
+                io.read_report_json,
+            ),
         },
     )
-
-    def _diagrams():
-        out = {}
-        for name, clouds in clouds_by_split.items():
-            if cfg.dimension == 0:
-                out[name] = [
-                    rips_persistence_dim0(c, cfg.essential_policy, cfg.maxscale) for c in clouds
-                ]
-            else:
-                out[name] = [rips_persistence_dim1(c, cfg.maxscale) for c in clouds]
-        return out
-
-    window_counts = {name: len(wins) for name, wins in windows_by_split.items()}
-    diagram_policy = cfg.essential_policy if cfg.dimension == 0 else "capped"
-    diagrams_by_split = runner.run(
-        "diagrams",
-        k_diagrams,
-        "diagrams.csv",
-        _diagrams,
-        lambda value, path: io.write_diagrams_csv(value, path),
-        lambda path: io.read_diagrams_csv(path, window_counts, cfg.dimension, diagram_policy),
-    )
-
-    k_dist = io.stage_key(
-        "distances",
-        k_diagrams,
-        {"p": repr(float(cfg.p)), "train": cfg.train_split, "test": cfg.test_split},
-    )
-    w_cfg = WassersteinConfig(p=cfg.p, dimension=cfg.dimension)
-
-    def _distances():
-        return distance_matrix(
-            diagrams_by_split[cfg.test_split],
-            diagrams_by_split[cfg.train_split],
-            w_cfg,
-            workers=workers,
-        )
-
-    def _write_dist(matrix, path):
-        io.write_distmat_csv(matrix, path)
-        io.write_json(
-            path.with_suffix(".json"),
-            {
-                "p": cfg.p,
-                "dimension": cfg.dimension,
-                "train_split": cfg.train_split,
-                "test_split": cfg.test_split,
-                "train_hash": io.diagram_set_hash({cfg.train_split: diagrams_by_split[cfg.train_split]}),
-                "test_hash": io.diagram_set_hash({cfg.test_split: diagrams_by_split[cfg.test_split]}),
-            },
-        )
-
-    matrix = runner.run(
-        "distances", k_dist, "distmat.csv", _distances, _write_dist, io.read_distmat_csv
-    )
-
-    k_classify = io.stage_key(
-        "classify", k_dist, {"k": cfg.k, "tie_break": cfg.tie_break}
-    )
-    knn_cfg = KnnConfig(k=cfg.k, tie_break=cfg.tie_break)
-    train_labels = [w.label for w in windows_by_split[cfg.train_split]]
-    test_labels = [w.label for w in windows_by_split[cfg.test_split]]
-
-    def _classify():
-        predictions = predict_all(matrix, train_labels, knn_cfg)
-        return evaluate(predictions, test_labels)
-
-    report = runner.run(
-        "classify",
-        k_classify,
-        "report.json",
-        _classify,
-        lambda value, path: io.write_report_json(value, path),
-        io.read_report_json,
-    )
+    report = runner.get("classify")
 
     # Stable convenience copies of the final report.
-    io.write_report_json(report, run_dir / "report.json")
-    (run_dir / "report.txt").write_text(render_report_table(report) + "\n", encoding="utf-8")
-
+    write_report(report, run_dir)
     io.write_json(
         run_dir / PROVENANCE_FILE,
         {
@@ -400,7 +454,7 @@ def run(
             "data": str(data),
             "data_sha256": data_hash,
             "seed": cfg.seed,
-            "stages": [a.to_dict() for a in runner.artifacts],
+            "stages": [a.to_dict() for a in runner.provenance()],
             "report": str(run_dir / "report.json"),
         },
     )

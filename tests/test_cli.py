@@ -35,6 +35,11 @@ class TestUsage:
         assert main(["run"]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["diagrams", "distmat", "classify", "sweep-k"])
+    def test_stage_command_without_config(self, command, tmp_path, capsys):
+        assert main([command, "--windows", str(tmp_path / "windows.csv"), "--out", str(tmp_path / "o")]) == 1
+        assert "--config" in capsys.readouterr().err
+
 
 class TestStageCommands:
     def test_ingest_windows_diagrams_distmat_classify(self, tmp_path, config_path, synth_csv, capsys):
@@ -120,6 +125,43 @@ class TestStageCommands:
         code = main(["ingest", "--config", str(config_path), "--data", str(data), "--out", str(tmp_path / "o")])
         assert code == 3
         assert "numerical error" in capsys.readouterr().err
+
+
+class TestStagesMatchRun:
+    @pytest.mark.parametrize(
+        "extra", [{}, {"dimension": 1, "maxscale": 8.0, "k": 3}], ids=["dim0", "dim1"]
+    )
+    def test_stage_outputs_equal_run_artifacts(self, tmp_path, synth_csv, extra):
+        payload = synthetic_config_dict("match", synth_csv, n_windows=30)
+        payload.update(extra)
+        config = tmp_path / "match.json"
+        write_json(config, payload)
+        root, out = tmp_path / "runs", tmp_path / "stages"
+        assert main(["run", "--config", str(config), "--out", str(root)]) == 0
+        for command, *argv in (
+            ["ingest", "--data", synth_csv],
+            ["windows", "--series", out / "standardized.csv"],
+            ["diagrams", "--windows", out / "windows.csv"],
+            ["distmat", "--diagrams", out / "diagrams.csv", "--windows", out / "windows.csv"],
+            ["classify", "--matrix", out / "distmat.csv", "--windows", out / "windows.csv"],
+        ):
+            argv = [command, "--config", str(config), "--out", str(out), *map(str, argv)]
+            assert main(argv) == 0
+        run_dir = root / "match"
+        for name, pattern in {
+            "series.csv": "ingest/*.series.csv",
+            "standardized.csv": "standardize/*.standardized.csv",
+            "params.json": "standardize/*.params.json",
+            "windows.csv": "windows/*.windows.csv",
+            "clouds.csv": "clouds/*.clouds.csv",
+            "diagrams.csv": "diagrams/*.diagrams.csv",
+            "distmat.csv": "distances/*.distmat.csv",
+            "distmat.json": "distances/*.distmat.json",
+            "report.json": "report.json",
+            "report.txt": "report.txt",
+        }.items():
+            (artifact,) = run_dir.glob(pattern)
+            assert (out / name).read_bytes() == artifact.read_bytes(), name
 
 
 class TestRunCommand:

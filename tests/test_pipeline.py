@@ -1,8 +1,33 @@
+import dataclasses
+import shutil
+
 import pytest
 
-from topowin import DataError, PipelineConfig, describe_run, run
+from topowin import DataError, PipelineConfig, describe_run, io, run
+from topowin.cli import main
 from topowin.pipeline import default_runs_root
-from conftest import synthetic_config_dict
+from conftest import synthetic_config_dict, synthetic_two_class_series
+
+STAGES = ("ingest", "standardize", "windows", "clouds", "diagrams", "distances", "classify")
+# Artifact kind: (stage that writes it, file name suffix).
+ARTIFACTS = {
+    "series": ("ingest", "series.csv"),
+    "standardized": ("standardize", "standardized.csv"),
+    "params": ("standardize", "params.json"),
+    "windows": ("windows", "windows.csv"),
+    "clouds": ("clouds", "clouds.csv"),
+    "diagrams": ("diagrams", "diagrams.csv"),
+    "distmat": ("distances", "distmat.csv"),
+    "report": ("classify", "report.json"),
+}
+UPSTREAM_READERS = (
+    "read_series_csv",
+    "read_params_json",
+    "read_windows_csv",
+    "read_clouds_csv",
+    "read_diagrams_csv",
+    "read_distmat_csv",
+)
 
 
 def config_for(synth_csv, run_id="synth", **extra):
@@ -134,3 +159,127 @@ class TestRunsRoot:
     def test_explicit_out_wins(self, monkeypatch, tmp_path):
         monkeypatch.setenv("TOPOWIN_CACHE_DIR", str(tmp_path / "cache"))
         assert default_runs_root(tmp_path / "explicit") == tmp_path / "explicit"
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """(config, data, runs root) of a finished run on 30 synthetic windows."""
+    base = tmp_path_factory.mktemp("small")
+    data = base / "synthetic.csv"
+    io.write_series_csv(synthetic_two_class_series(), data)
+    cfg = PipelineConfig.from_dict(synthetic_config_dict("small", data, n_windows=30))
+    run(cfg, data, runs_root=base / "runs")
+    return cfg, data, base / "runs"
+
+
+@pytest.fixture
+def warm(small_run, tmp_path):
+    """A private copy of ``small_run``'s cache."""
+    cfg, data, source = small_run
+    shutil.copytree(source, tmp_path / "runs")
+    return cfg, data, tmp_path / "runs"
+
+
+def artifact(run_dir, kind):
+    stage, suffix = ARTIFACTS[kind]
+    (path,) = (run_dir / stage).glob(f"*.{suffix}")
+    return path
+
+
+def truncate(path):
+    """Cut the file to two thirds of its bytes.  A CSV is cut just before a
+    field separator, so its last row comes out short; a cut at a line
+    boundary (or inside a row's last field) still reads as a well-formed
+    file, and only a content hash of the artifact can catch it."""
+    data = path.read_bytes()
+    cut = len(data) * 2 // 3
+    if path.suffix == ".csv":
+        cut = data.rindex(b",", 0, cut)
+    path.write_bytes(data[:cut])
+
+
+def statuses(cfg, root):
+    return {s["stage"]: s["status"] for s in describe_run(cfg.run_id, root)["stages"]}
+
+
+class TestCacheReads:
+    def test_fully_cached_rerun_reads_only_the_report(self, warm, monkeypatch):
+        cfg, data, root = warm
+        expected = (root / cfg.run_id / "report.json").read_bytes()
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a fully cached run read an upstream artifact")
+
+        for name in UPSTREAM_READERS:
+            monkeypatch.setattr(io, name, unexpected)
+        run(cfg, data, runs_root=root)
+        assert (root / cfg.run_id / "report.json").read_bytes() == expected
+        assert list(statuses(cfg, root).values()) == ["cached"] * 7
+
+    def test_changing_k_reads_only_matrix_and_windows(self, warm, monkeypatch):
+        cfg, data, root = warm
+        called = []
+
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                called.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in [n for n in vars(io) if n.startswith("read_")]:
+            monkeypatch.setattr(io, name, recording(name, getattr(io, name)))
+        run(dataclasses.replace(cfg, k=3), data, runs_root=root)
+        assert sorted(set(called)) == ["read_distmat_csv", "read_windows_csv"]
+        status = statuses(cfg, root)
+        assert status["classify"] == "computed"
+        assert all(status[stage] == "cached" for stage in STAGES[:-1])
+
+    def test_unread_stage_without_artifact_is_skipped(self, warm):
+        cfg, data, root = warm
+        shutil.rmtree(root / cfg.run_id / "clouds")
+        run(cfg, data, runs_root=root)
+        assert statuses(cfg, root)["clouds"] == "skipped"
+
+    def test_failure_is_prefixed_once(self, synth_csv, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("", encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            run(config_for(synth_csv), empty, runs_root=tmp_path / "runs")
+        assert str(info.value).count("stage '") == 1
+
+
+class TestTruncatedArtifacts:
+    @pytest.mark.parametrize("kind", ARTIFACTS)
+    def test_truncated_artifact_is_a_cache_miss(self, kind, warm):
+        cfg, data, root = warm
+        run_dir = root / cfg.run_id
+        stage = ARTIFACTS[kind][0]
+        path = artifact(run_dir, kind)
+        original = path.read_bytes()
+        report = (run_dir / "report.json").read_bytes()
+        truncate(path)
+        for downstream in STAGES[STAGES.index(stage) + 1 :]:
+            shutil.rmtree(run_dir / downstream)
+        (run_dir / "report.json").unlink()
+        run(cfg, data, runs_root=root)
+        assert (run_dir / "report.json").read_bytes() == report
+        assert path.read_bytes() == original
+        assert statuses(cfg, root)[stage] == "computed"
+
+    def test_stage_command_rejects_truncated_input(self, warm, tmp_path, capsys):
+        cfg, data, root = warm
+        run_dir = root / cfg.run_id
+        config = tmp_path / "small.json"
+        io.write_json(config, cfg.to_dict())
+        diagrams = artifact(run_dir, "diagrams")
+        truncate(diagrams)
+        code = main([
+            "distmat",
+            "--config", str(config),
+            "--diagrams", str(diagrams),
+            "--windows", str(artifact(run_dir, "windows")),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
