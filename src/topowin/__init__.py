@@ -25,10 +25,8 @@ from .ingest import (
     split_series,
 )
 from .persistence import (
-    FiltrationEdge,
     PersistenceDiagram,
     diagram_to_rows,
-    pairwise_edges,
     rips_persistence_dim0,
     rips_persistence_dim1,
 )
@@ -52,7 +50,6 @@ __all__ = [
     "DataError",
     "DistanceMatrix",
     "EvaluationReport",
-    "FiltrationEdge",
     "KSweepEntry",
     "KnnConfig",
     "LabeledWindow",
@@ -77,7 +74,6 @@ __all__ = [
     "knn_predict",
     "load_csv",
     "make_windows",
-    "pairwise_edges",
     "predict_all",
     "resolve_anchors",
     "resolve_offset",

@@ -118,6 +118,8 @@ def _config(args) -> tuple[PipelineConfig, str | None]:
     and the data path (``--data`` or the config's ``data``)."""
     if args.config is None:
         raise ValueError(f"{args.command} needs --config")
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     payload = dict(io.read_json(args.config))
     payload.setdefault("run_id", Path(args.config).stem)
     overrides = {
@@ -126,7 +128,7 @@ def _config(args) -> tuple[PipelineConfig, str | None]:
         "stride": args.stride,
         "label_rule": args.label_rule,
         "offset": args.offset,
-        "anchors": args.anchor,
+        "anchors": args.anchor[0] if args.anchor in (["origin"], ["none"]) else args.anchor,
         "dimension": args.dimension,
         "maxscale": args.maxscale,
         "p": args.p,

@@ -118,9 +118,11 @@ def distance_matrix(
     """All test-to-train diagram distances; train-train and test-test pairs
     are never computed.
 
-    With ``workers > 1`` the rows are computed in a process pool; entries
-    are independent, so the result is identical to the sequential order.
+    With ``workers > 1`` the rows are computed in a process pool, one process
+    per row at most; entries are independent, so the order does not matter.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if not test or not train:
         raise DataError("distance matrix needs nonempty test and train diagram sets")
     for diag in (*test, *train):
@@ -128,7 +130,8 @@ def distance_matrix(
             raise DataError(
                 f"diagram of dimension {diag.dim} in a dimension-{cfg.dimension} matrix"
             )
-    if workers > 1 and len(test) > 1:
+    workers = min(workers, len(test))
+    if workers > 1:
         with Pool(processes=workers, initializer=_pool_init, initargs=(tuple(train), cfg)) as pool:
             rows = pool.map(_pool_row, test, chunksize=max(1, len(test) // (workers * 4)))
     else:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -39,9 +41,22 @@ def stage_key(stage: str, parent: str | None, params) -> str:
     return sha256_bytes(payload.encode("utf-8"))[:16]
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+@contextmanager
+def _replacing(path: Path):
+    """Text handle on a temp file that replaces ``path`` unless the block raises."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    with _replacing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -66,9 +81,13 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
         return header, rows
 
 
+def write_text(path: Path, text: str) -> None:
+    with _replacing(path) as fh:
+        fh.write(text)
+
+
 def write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def read_json(path: Path):

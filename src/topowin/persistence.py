@@ -1,9 +1,9 @@
 """Vietoris-Rips persistence diagrams of small Euclidean point clouds.
 
-Dimension 0 comes from the single-linkage merge structure: sort pairwise
-distances ascending and run union-find; every merge at edge length L
-emits a (0, L) pair.  This is exactly the output of full boundary-matrix
-reduction restricted to dimension 0, at a fraction of the cost.
+Dimension 0: the finite deaths (births are 0) are the edge lengths of a
+Euclidean minimum spanning tree, grown by Prim's algorithm over the distance
+matrix.  All such trees share one multiset of edge lengths, each an entry
+of that matrix, so the sorted deaths are exact whichever way ties break.
 
 Dimension 1 builds the complex up to 2-simplices below a scale cap and
 runs the standard column reduction over Z/2, with simplices ordered by
@@ -16,19 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DataError, NumericalError
 
 ESSENTIAL_POLICIES = ("dropped", "capped")
-
-
-class FiltrationEdge(NamedTuple):
-    i: int
-    j: int
-    length: float
 
 
 @dataclass(frozen=True)
@@ -69,12 +62,10 @@ def cloud_points(cloud) -> np.ndarray:
     return pts
 
 
-def pairwise_edges(points: np.ndarray) -> list[FiltrationEdge]:
-    """All i < j pairs with their Euclidean lengths."""
-    n = points.shape[0]
-    diffs = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt((diffs * diffs).sum(axis=2))
-    return [FiltrationEdge(i, j, float(dist[i, j])) for i in range(n) for j in range(i + 1, n)]
+def _distance_matrix(pts: np.ndarray) -> np.ndarray:
+    """(n, n) Euclidean distances; symmetric entry for entry."""
+    diffs = pts[:, None, :] - pts[None, :, :]
+    return np.sqrt((diffs * diffs).sum(axis=2))
 
 
 def rips_persistence_dim0(
@@ -84,9 +75,9 @@ def rips_persistence_dim0(
 ) -> PersistenceDiagram:
     """Dimension-0 diagram of a point cloud under the Rips filtration.
 
-    Returns n - 1 pairs (0, L), one per merge, sorted by death.  The one
-    class that never dies is dropped by default; with ``essential_policy=
-    "capped"`` it is reported as (0, maxscale) instead.
+    Returns n - 1 pairs (0, L), one per minimum-spanning-tree edge, sorted
+    by death.  The one class that never dies is dropped by default; with
+    ``essential_policy="capped"`` it is reported as (0, maxscale) instead.
     """
     pts = cloud_points(cloud)
     n = pts.shape[0]
@@ -94,27 +85,21 @@ def rips_persistence_dim0(
         raise DataError("dimension-0 persistence needs at least one point")
     if essential_policy not in ESSENTIAL_POLICIES:
         raise ValueError(f"essential policy must be one of {ESSENTIAL_POLICIES}")
-    if essential_policy == "capped":
-        if maxscale is None or maxscale <= 0:
-            raise NumericalError("capped essential policy needs maxscale > 0")
+    if essential_policy == "capped" and (maxscale is None or maxscale <= 0):
+        raise NumericalError("capped essential policy needs maxscale > 0")
 
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    deaths: list[float] = []
-    for edge in sorted(pairwise_edges(pts), key=lambda e: (e.length, e.i, e.j)):
-        ri, rj = find(edge.i), find(edge.j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-            deaths.append(edge.length)
-            if len(deaths) == n - 1:
-                break
-    pairs = [(0.0, d) for d in sorted(deaths)]
+    dist = _distance_matrix(pts)
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[0] = True  # the tree starts at vertex 0
+    to_tree = dist[0].copy()  # each vertex's distance to the tree
+    deaths = np.empty(n - 1)
+    for step in range(n - 1):
+        outside = np.flatnonzero(~in_tree)
+        v = outside[np.argmin(to_tree[outside])]
+        deaths[step] = to_tree[v]
+        in_tree[v] = True
+        np.minimum(to_tree, dist[v], out=to_tree)
+    pairs = [(0.0, d) for d in np.sort(deaths).tolist()]
     if essential_policy == "capped":
         pairs.append((0.0, float(maxscale)))
     return PersistenceDiagram(dim=0, pairs=tuple(pairs), essential_policy=essential_policy)
@@ -126,8 +111,7 @@ def _simplices_up_to_triangles(
     """(filtration value, dimension, vertices) for all simplices of dim <= 2
     with diameter <= maxscale, in reduction order."""
     n = pts.shape[0]
-    diffs = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diffs * diffs).sum(axis=2))
+    dist = _distance_matrix(pts)
     simplices: list[tuple[float, int, tuple[int, ...]]] = [(0.0, 0, (i,)) for i in range(n)]
     for i, j in combinations(range(n), 2):
         ell = float(dist[i, j])
@@ -158,10 +142,8 @@ def rips_persistence_dim1(cloud, maxscale: float) -> PersistenceDiagram:
     simplices = _simplices_up_to_triangles(pts, float(maxscale))
     index_of = {verts: idx for idx, (_, _, verts) in enumerate(simplices)}
 
-    reduced: dict[int, int] = {}  # column index -> reduced column bitmask
-    low_to_col: dict[int, int] = {}  # pivot row -> column index
-    positive_edges: set[int] = set()
-    killed_edges: set[int] = set()
+    reduced: dict[int, int] = {}  # pivot row -> reduced column bitmask
+    positive_edges: set[int] = set()  # edges that open a cycle not yet filled
     pairs: list[tuple[float, float]] = []
 
     for j, (filt, dim, verts) in enumerate(simplices):
@@ -171,26 +153,23 @@ def rips_persistence_dim1(cloud, maxscale: float) -> PersistenceDiagram:
         for face in combinations(verts, dim):
             col ^= 1 << index_of[face]
         while col:
-            low = col.bit_length() - 1
-            other = low_to_col.get(low)
+            other = reduced.get(col.bit_length() - 1)
             if other is None:
                 break
-            col ^= reduced[other]
+            col ^= other
         if col == 0:
             if dim == 1:
                 positive_edges.add(j)
             continue
         low = col.bit_length() - 1
-        reduced[j] = col
-        low_to_col[low] = j
-        if dim == 2:
-            birth_filt, birth_dim, _ = simplices[low]
-            if birth_dim == 1:
-                killed_edges.add(low)
-                if filt > birth_filt:
-                    pairs.append((birth_filt, filt))
+        reduced[low] = col
+        if dim == 2:  # a triangle's column holds edges only, so its pivot is an edge
+            birth_filt = simplices[low][0]
+            positive_edges.discard(low)
+            if filt > birth_filt:
+                pairs.append((birth_filt, filt))
 
-    for j in sorted(positive_edges - killed_edges):
+    for j in sorted(positive_edges):
         birth = simplices[j][0]
         if maxscale > birth:
             pairs.append((birth, float(maxscale)))

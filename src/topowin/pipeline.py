@@ -100,7 +100,7 @@ class PipelineConfig:
             "standardize": self.standardize_mode,
             "offset": list(self.offset) if not isinstance(self.offset, str) else self.offset,
             "anchors": (
-                [list(a) for a in self.anchors]
+                [a if isinstance(a, str) else list(a) for a in self.anchors]
                 if not isinstance(self.anchors, str)
                 else self.anchors
             ),
@@ -260,7 +260,7 @@ def write_report(report: EvaluationReport, directory: Path) -> str:
     """Write ``report.json`` and ``report.txt`` into ``directory``; returns the table."""
     io.write_report_json(report, directory / "report.json")
     table = render_report_table(report)
-    (directory / "report.txt").write_text(table + "\n", encoding="utf-8")
+    io.write_text(directory / "report.txt", table + "\n")
     return table
 
 

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from topowin import describe_run
 from topowin.cli import main
 from topowin.io import read_json, write_json
 from conftest import synthetic_config_dict
@@ -39,6 +40,42 @@ class TestUsage:
     def test_stage_command_without_config(self, command, tmp_path, capsys):
         assert main([command, "--windows", str(tmp_path / "windows.csv"), "--out", str(tmp_path / "o")]) == 1
         assert "--config" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one(self, workers, tmp_path, config_path, capsys):
+        argv = ["run", "--config", str(config_path), "--out", str(tmp_path / "runs"), "--workers", workers]
+        assert main(argv) == 1
+        assert "--workers" in capsys.readouterr().err
+
+
+class TestAnchorFlag:
+    @staticmethod
+    def artifacts(root):
+        """Every file of a run except its provenance (which holds timings)."""
+        return {
+            str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*"))
+            if p.is_file() and p.name != "provenance.json"
+        }
+
+    @pytest.mark.parametrize("keyword", ["origin", "none"])
+    def test_keyword_equals_config_string(self, keyword, tmp_path, synth_csv):
+        flagged = synthetic_config_dict("anchor", synth_csv, n_windows=30)
+        flagged["anchors"] = [[1.0, 1.0, 1.0]]
+        write_json(tmp_path / "flagged.json", flagged)
+        write_json(tmp_path / "configured.json", dict(flagged, anchors=keyword))
+        by_flag, by_config = tmp_path / "by-flag", tmp_path / "by-config"
+        argv = ["run", "--config", str(tmp_path / "flagged.json"), "--out", str(by_flag)]
+        assert main([*argv, "--anchor", keyword]) == 0
+        assert main(["run", "--config", str(tmp_path / "configured.json"), "--out", str(by_config)]) == 0
+        assert self.artifacts(by_flag) == self.artifacts(by_config)
+        assert describe_run("anchor", by_flag)["config"] == describe_run("anchor", by_config)["config"]
+
+    def test_keyword_mixed_with_vectors(self, tmp_path, config_path, capsys):
+        argv = ["run", "--config", str(config_path), "--out", str(tmp_path / "runs")]
+        assert main([*argv, "--anchor", "origin", "--anchor", "1,2,3"]) == 1
+        assert "usage error" in capsys.readouterr().err
 
 
 class TestStageCommands:

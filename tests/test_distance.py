@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topowin import distance as distance_module
 from topowin import (
     DataError,
     DistanceMatrix,
@@ -164,6 +165,40 @@ class TestDistanceMatrix:
         seq = distance_matrix(test, train, workers=1)
         par = distance_matrix(test, train, workers=2)
         assert np.array_equal(seq.values, par.values)
+
+    def test_workers_below_one_rejected(self):
+        d = diag0((0.0, 1.0))
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers"):
+                distance_matrix([d], [d], workers=workers)
+
+    def test_pool_has_at_most_one_process_per_row(self, monkeypatch):
+        started = []
+
+        class InlinePool:
+            """Records the requested size and maps in this process."""
+
+            def __init__(self, processes, initializer, initargs):
+                started.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(distance_module, "Pool", InlinePool)
+        monkeypatch.setattr(distance_module, "_POOL_STATE", {})
+        rng = np.random.default_rng(10)
+        test = [random_diagram(rng) for _ in range(3)]
+        train = [random_diagram(rng) for _ in range(4)]
+        matrix = distance_matrix(test, train, workers=5000)
+        assert started == [3]
+        assert np.array_equal(matrix.values, distance_matrix(test, train).values)
 
     def test_matrix_invariants_enforced(self):
         with pytest.raises(ValueError):

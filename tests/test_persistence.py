@@ -8,7 +8,6 @@ from topowin import (
     NumericalError,
     PersistenceDiagram,
     diagram_to_rows,
-    pairwise_edges,
     rips_persistence_dim0,
     rips_persistence_dim1,
 )
@@ -73,6 +72,13 @@ class TestDim0:
             want = dim0_deaths_by_component_counting(pts)
             assert len(got) == len(want)
             np.testing.assert_allclose(got, want, atol=1e-9)
+        # Integer grids have exact ties and duplicate points, and every
+        # squared distance is an exact integer, so the deaths match exactly.
+        for _ in range(60):
+            n = int(rng.integers(1, 12))
+            d = int(rng.integers(1, 6))
+            pts = rng.integers(-2, 3, size=(n, d)).astype(float)
+            assert list(rips_persistence_dim0(pts).deaths()) == dim0_deaths_by_component_counting(pts)
 
     def test_capped_essential_policy_appends_cap(self):
         diag = rips_persistence_dim0(col(0.0, 1.0), essential_policy="capped", maxscale=5.0)
@@ -158,10 +164,6 @@ class TestDim1:
 
 
 class TestHelpers:
-    def test_pairwise_edges(self):
-        edges = pairwise_edges(np.array([[0.0], [3.0], [4.0]]))
-        assert {(e.i, e.j, e.length) for e in edges} == {(0, 1, 3.0), (0, 2, 4.0), (1, 2, 1.0)}
-
     def test_diagram_to_rows_sorted_and_lossless(self):
         diag = PersistenceDiagram(dim=0, pairs=((0.0, 2.0), (0.0, 1.0)))
         assert diagram_to_rows(diag) == [(0, 0.0, 1.0), (0, 0.0, 2.0)]

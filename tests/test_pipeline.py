@@ -1,9 +1,12 @@
 import dataclasses
+import json
 import shutil
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from topowin import DataError, PipelineConfig, describe_run, io, run
+from topowin import DataError, PipelineConfig, describe_run, io, resolve_anchors, resolve_offset, run
 from topowin.cli import main
 from topowin.pipeline import default_runs_root
 from conftest import synthetic_config_dict, synthetic_two_class_series
@@ -41,6 +44,23 @@ class TestConfig:
         cfg = config_for(synth_csv)
         again = PipelineConfig.from_dict(cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"anchors": "origin"},
+            {"anchors": "none"},
+            {"anchors": [[1.0, 2.0, 3.0], [0.5, 0.0, -1.0]]},
+            {"anchors": ["1,2,3"]},
+            {"anchors": "1,2,3"},
+            {"offset": "0,1,2"},
+        ],
+    )
+    def test_round_trip_keeps_offset_and_anchors(self, synth_csv, spec):
+        cfg = config_for(synth_csv, **spec)
+        again = PipelineConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+        np.testing.assert_array_equal(resolve_offset(again.offset, 3), resolve_offset(cfg.offset, 3))
+        np.testing.assert_array_equal(resolve_anchors(again.anchors, 3), resolve_anchors(cfg.anchors, 3))
 
     def test_dimension_one_needs_maxscale(self, synth_csv):
         with pytest.raises(ValueError, match="maxscale"):
@@ -283,3 +303,27 @@ class TestTruncatedArtifacts:
         ])
         assert code == 2
         assert "data error" in capsys.readouterr().err
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_the_old_artifact(self, warm):
+        cfg, data, root = warm
+        run_dir = root / cfg.run_id
+
+        def files():
+            return {p: p.read_bytes() for p in sorted(run_dir.rglob("*")) if p.is_file()}
+
+        before = files()
+        path = artifact(run_dir, "distmat")
+        matrix = io.read_distmat_csv(path)
+        # Rows past the second cannot be read, so the writer raises partway.
+        broken = SimpleNamespace(row_ids=matrix.row_ids, col_ids=matrix.col_ids, values=matrix.values[:2])
+        with pytest.raises(IndexError):
+            io.write_distmat_csv(broken, path)
+        assert files() == before  # old bytes, and no temp file left behind
+        run(cfg, data, runs_root=root)
+        provenance = run_dir / "provenance.json"
+        after = files()
+        assert {p: b for p, b in after.items() if p != provenance} == {
+            p: b for p, b in before.items() if p != provenance
+        }
