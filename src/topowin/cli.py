@@ -69,7 +69,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--k", type=int, default=None, help="number of neighbors")
         p.add_argument("--seed", type=int, default=None, help="recorded in provenance")
         p.add_argument("--no-cache", action="store_true", help="recompute every stage")
-        p.add_argument("--workers", type=int, default=1, help="processes for the distance stage")
+        p.add_argument("--workers", type=int, default=1, help="processes for Hungarian-path rows")
         return p
 
     p = add("ingest", "load, validate and standardize a CSV series")

@@ -98,11 +98,15 @@ class PipelineConfig:
             "stride": self.window.s,
             "label_rule": self.window.label_rule,
             "standardize": self.standardize_mode,
-            "offset": list(self.offset) if not isinstance(self.offset, str) else self.offset,
+            "offset": (
+                self.offset
+                if self.offset is None or isinstance(self.offset, str)
+                else list(self.offset)
+            ),
             "anchors": (
-                [a if isinstance(a, str) else list(a) for a in self.anchors]
-                if not isinstance(self.anchors, str)
-                else self.anchors
+                self.anchors
+                if self.anchors is None or isinstance(self.anchors, str)
+                else [a if isinstance(a, str) else list(a) for a in self.anchors]
             ),
             "dimension": self.dimension,
             "essential_policy": self.essential_policy,
@@ -357,6 +361,8 @@ def run(
     only if a stage that has to compute needs it, so a fully cached run reads
     just the report.  ``use_cache=False`` recomputes and rewrites everything.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     data = Path(data)
     if not data.exists():
         raise DataError(f"stage 'ingest': no such data file: {data}")
@@ -425,7 +431,14 @@ def run(
                 read_inputs=("windows",),
             ),
             "distances": _Stage(
-                {"p": repr(float(cfg.p)), "train": cfg.train_split, "test": cfg.test_split},
+                {
+                    "p": repr(float(cfg.p)),
+                    "train": cfg.train_split,
+                    "test": cfg.test_split,
+                    # 2: zero-birth diagrams use the exact 1-D dynamic program,
+                    # whose entries may differ from the Hungarian method's by an ulp.
+                    "version": 2,
+                },
                 "distmat.csv",
                 ("diagrams",),
                 lambda diagrams: compute_distances(diagrams, cfg, workers),

@@ -225,6 +225,18 @@ class TestRunCommand:
 
         assert describe_run("cli-synth", root)["config"]["k"] == 3
 
+    def test_null_offset_and_anchors(self, tmp_path, synth_csv):
+        reports = []
+        for name, fields in (("null", {"offset": None, "anchors": None}), ("named", {"anchors": "none"})):
+            payload = synthetic_config_dict(name, synth_csv, n_windows=30)
+            payload.update(fields)
+            path = tmp_path / f"{name}.json"
+            write_json(path, payload)
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / "runs")]) == 0
+            reports.append((tmp_path / "runs" / name / "report.json").read_bytes())
+        assert describe_run("null", tmp_path / "runs")["config"]["anchors"] is None
+        assert reports[0] == reports[1]
+
 
 class TestPlotDiagram:
     def test_plain_diagram_file(self, tmp_path, capsys):

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topowin import distance as distance_module
+from topowin.assignment import min_cost_assignment
+from topowin.distance import _matching_cost_matrix
 from topowin import (
     DataError,
     DistanceMatrix,
@@ -205,3 +207,75 @@ class TestDistanceMatrix:
             DistanceMatrix(row_ids=(0,), col_ids=(0,), values=np.array([[-1.0]]))
         with pytest.raises(ValueError):
             DistanceMatrix(row_ids=(0,), col_ids=(0, 1), values=np.zeros((1, 1)))
+
+
+def zero_birth(*deaths, policy="dropped"):
+    return PersistenceDiagram(dim=0, pairs=tuple((0.0, d) for d in deaths), essential_policy=policy)
+
+
+def random_zero_birth(rng, low, high, grid=False):
+    n = int(rng.integers(low, high + 1))
+    deaths = rng.integers(0, 9, size=n) / 2.0 if grid else rng.uniform(0.0, 3.0, size=n)
+    return zero_birth(*sorted(float(d) for d in deaths))
+
+
+def hungarian_distance(d1, d2, p):
+    _, total = min_cost_assignment(_matching_cost_matrix(d1.pairs, d2.pairs, p))
+    return max(total, 0.0) ** (1.0 / p)
+
+
+class TestZeroBirthDP:
+    """Diagrams born at 0 take the 1-D dynamic program, not the Hungarian method."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_matches_enumeration_oracle(self, p):
+        rng = np.random.default_rng(int(p * 10))
+        cfg = WassersteinConfig(p=p)
+        pairs = [
+            (zero_birth(), zero_birth(1.5)),
+            (zero_birth(0.5, 0.5, 2.0), zero_birth()),
+            (zero_birth(1.0, 1.0, 1.5), zero_birth(1.0, 1.5, 1.5, 4.0)),
+            (zero_birth(0.5, 2.0, policy="capped"), zero_birth(1.0, 3.0, policy="capped")),
+        ]
+        for _ in range(60):
+            grid = bool(rng.integers(0, 2))
+            pairs.append((random_zero_birth(rng, 0, 5, grid), random_zero_birth(rng, 0, 4, grid)))
+        for d1, d2 in pairs:
+            want = wasserstein_by_enumeration(d1.pairs, d2.pairs, p=p)
+            assert wasserstein(d1, d2, cfg) == pytest.approx(want, rel=1e-12, abs=1e-15)
+            assert wasserstein(d2, d1, cfg) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    def test_matches_hungarian_on_larger_diagrams(self):
+        rng = np.random.default_rng(2017)
+        for n in range(1200):
+            p = (1.0, 1.5, 2.0)[n % 3]
+            d1 = random_zero_birth(rng, 8, 12, grid=n % 2 == 0)
+            d2 = random_zero_birth(rng, 8, 12, grid=n % 2 == 0)
+            want = hungarian_distance(d1, d2, p)
+            assert wasserstein(d1, d2, WassersteinConfig(p=p)) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_matrix_equals_pairwise(self, p):
+        rng = np.random.default_rng(int(p * 100))
+        cfg = WassersteinConfig(p=p)
+        test = [random_zero_birth(rng, 0, 9) for _ in range(4)] + [zero_birth()]
+        train = [random_zero_birth(rng, 0, 12, grid=j % 2 == 0) for j in range(40)] + [zero_birth()]
+        matrix = distance_matrix(test, train, cfg)
+        want = [[wasserstein(t, tr, cfg) for tr in train] for t in test]
+        assert np.array_equal(matrix.values, np.array(want))
+
+    def test_no_pool_started(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs.get("processes"))
+                raise AssertionError("zero-birth diagrams started a pool")
+
+        monkeypatch.setattr(distance_module, "Pool", RecordingPool)
+        rng = np.random.default_rng(12)
+        test = [random_zero_birth(rng, 0, 6) for _ in range(5)]
+        train = [random_zero_birth(rng, 0, 6) for _ in range(9)]
+        parallel = distance_matrix(test, train, workers=2)
+        assert started == []
+        assert np.array_equal(parallel.values, distance_matrix(test, train, workers=1).values)

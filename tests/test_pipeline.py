@@ -62,6 +62,13 @@ class TestConfig:
         np.testing.assert_array_equal(resolve_offset(again.offset, 3), resolve_offset(cfg.offset, 3))
         np.testing.assert_array_equal(resolve_anchors(again.anchors, 3), resolve_anchors(cfg.anchors, 3))
 
+    @pytest.mark.parametrize("spec", [{"anchors": None}, {"offset": None}, {"anchors": None, "offset": None}])
+    def test_round_trip_keeps_null_offset_and_anchors(self, synth_csv, spec):
+        cfg = config_for(synth_csv, **spec)
+        payload = json.loads(json.dumps(cfg.to_dict()))
+        assert {name: payload[name] for name in spec} == spec
+        assert PipelineConfig.from_dict(payload) == cfg
+
     def test_dimension_one_needs_maxscale(self, synth_csv):
         with pytest.raises(ValueError, match="maxscale"):
             config_for(synth_csv, dimension=1)
@@ -327,3 +334,42 @@ class TestAtomicWrites:
         assert {p: b for p, b in after.items() if p != provenance} == {
             p: b for p, b in before.items() if p != provenance
         }
+
+
+class TestRunArguments:
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected_on_a_cached_run(self, warm, workers, monkeypatch):
+        cfg, data, root = warm
+        before = {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a stage was resolved")
+
+        monkeypatch.setattr(io, "read_report_json", unexpected)
+        with pytest.raises(ValueError, match="workers"):
+            run(cfg, data, runs_root=root, workers=workers)
+        assert {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()} == before
+
+
+class TestDistanceCacheVersion:
+    def test_artifact_under_the_unversioned_key_is_recomputed(self, warm):
+        cfg, data, root = warm
+        run_dir = root / cfg.run_id
+        keys = {s["stage"]: s["key"] for s in describe_run(cfg.run_id, root)["stages"]}
+        # The distances key of a cache written before the stage had a version entry.
+        old_params = {"p": repr(float(cfg.p)), "train": cfg.train_split, "test": cfg.test_split}
+        old_key = io.stage_key("distances", keys["diagrams"], old_params)
+        assert old_key != keys["distances"]
+        current = artifact(run_dir, "distmat")
+        original = current.read_bytes()
+        report = (run_dir / "report.json").read_bytes()
+        matrix = io.read_distmat_csv(current)
+        stale = SimpleNamespace(row_ids=matrix.row_ids, col_ids=matrix.col_ids, values=matrix.values[:, ::-1])
+        stale_path = run_dir / "distances" / f"{old_key}.distmat.csv"
+        io.write_distmat_csv(stale, stale_path)
+        current.unlink()
+        shutil.rmtree(run_dir / "classify")
+        run(cfg, data, runs_root=root)
+        assert statuses(cfg, root)["distances"] == "computed"
+        assert current.read_bytes() == original
+        assert (run_dir / "report.json").read_bytes() == report
