@@ -9,6 +9,7 @@ per-channel zero-mean/unit-variance transform with population variance.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -237,7 +238,7 @@ def load_csv(path: str | Path, schema: CsvSchema) -> TimeSeries:
             except ValueError as exc:
                 bad.append((lineno, str(exc)))
                 continue
-            if not all(np.isfinite(feats)) or not np.isfinite(ts):
+            if not all(map(math.isfinite, feats)) or not math.isfinite(ts):
                 bad.append((lineno, "non-finite value"))
                 continue
             timestamps.append(ts)

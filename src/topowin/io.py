@@ -2,7 +2,8 @@
 
 Every writer is deterministic: floats are serialized with ``repr`` (exact
 round-trip), JSON keys are sorted, CSV rows follow a fixed order.  Reading
-then rewriting an artifact reproduces it byte for byte.
+then rewriting an artifact reproduces it byte for byte.  CSV lines are
+built from ``tolist`` floats; ``csv`` formats only header rows and split names.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
+from io import StringIO
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -55,11 +57,11 @@ def _replacing(path: Path):
         raise
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with _replacing(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _csv_line(cells: Sequence) -> str:
+    """One row as ``csv.writer(lineterminator="\n")`` writes it, newline included."""
+    buf = StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
 
 
 def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -99,14 +101,10 @@ def read_json(path: Path):
 # --- series ---------------------------------------------------------------
 
 def write_series_csv(series: TimeSeries, path: Path) -> None:
-    header = ["timestamp", *series.channel_names, "label"]
-    rows = (
-        [repr(float(series.timestamps[i]))]
-        + [repr(float(v)) for v in series.values[i]]
-        + [int(series.labels[i])]
-        for i in range(series.length)
-    )
-    _write_csv(path, header, rows)
+    lines = [_csv_line(["timestamp", *series.channel_names, "label"])]
+    rows = zip(series.timestamps.tolist(), series.values.tolist(), series.labels.tolist())
+    lines += (f"{t!r},{','.join(map(repr, values))},{label}\n" for t, values, label in rows)
+    write_text(path, "".join(lines))
 
 
 def read_series_csv(path: Path) -> TimeSeries:
@@ -152,17 +150,15 @@ def write_windows_csv(
     channel_names: Sequence[str],
     path: Path,
 ) -> None:
-    header = ["split", "window", "point", "label", "t_first", "t_last", *channel_names]
-    rows = []
-    for split in windows_by_split:
-        for win in windows_by_split[split]:
+    lines = [_csv_line(["split", "window", "point", "label", "t_first", "t_last", *channel_names])]
+    for split, windows in windows_by_split.items():
+        lead = _csv_line([split, ""])[:-1]  # the split cell and its comma
+        for win in windows:
             t0, t1 = win.time_range
-            for p, point in enumerate(win.points):
-                rows.append(
-                    [split, win.index, p, win.label, repr(float(t0)), repr(float(t1))]
-                    + [repr(float(v)) for v in point]
-                )
-    _write_csv(path, header, rows)
+            head, tail = f"{lead}{win.index},", f",{win.label},{float(t0)!r},{float(t1)!r},"
+            for p, point in enumerate(np.asarray(win.points, dtype=float).tolist()):
+                lines.append(f"{head}{p}{tail}{','.join(map(repr, point))}\n")
+    write_text(path, "".join(lines))
 
 
 def read_windows_csv(path: Path) -> dict[str, list[LabeledWindow]]:
@@ -208,13 +204,13 @@ def window_labels(windows_by_split: Mapping[str, Sequence[LabeledWindow]], split
 def write_clouds_csv(clouds_by_split: Mapping[str, Sequence[AugmentedCloud]], path: Path) -> None:
     dims = {c.points.shape[1] for clouds in clouds_by_split.values() for c in clouds}
     d = dims.pop() if dims else 0
-    header = ["split", "window", "point", *[f"x{i}" for i in range(d)]]
-    rows = []
-    for split in clouds_by_split:
-        for cloud in clouds_by_split[split]:
-            for p, point in enumerate(cloud.points):
-                rows.append([split, cloud.source_window, p] + [repr(float(v)) for v in point])
-    _write_csv(path, header, rows)
+    lines = [_csv_line(["split", "window", "point", *[f"x{i}" for i in range(d)]])]
+    for split, clouds in clouds_by_split.items():
+        lead = _csv_line([split, ""])[:-1]
+        for cloud in clouds:
+            for p, point in enumerate(cloud.points.tolist()):
+                lines.append(f"{lead}{cloud.source_window},{p},{','.join(map(repr, point))}\n")
+    write_text(path, "".join(lines))
 
 
 def read_clouds_csv(path: Path) -> dict[str, list[AugmentedCloud]]:
@@ -243,13 +239,12 @@ def read_clouds_csv(path: Path) -> dict[str, list[AugmentedCloud]]:
 def write_diagrams_csv(
     diagrams_by_split: Mapping[str, Sequence[PersistenceDiagram]], path: Path
 ) -> None:
-    header = ["split", "window", "dim", "birth", "death"]
-    rows = []
-    for split in diagrams_by_split:
-        for index, diag in enumerate(diagrams_by_split[split]):
-            for b, d in diag.pairs:
-                rows.append([split, index, diag.dim, repr(b), repr(d)])
-    _write_csv(path, header, rows)
+    lines = [_csv_line(["split", "window", "dim", "birth", "death"])]
+    for split, diagrams in diagrams_by_split.items():
+        lead = _csv_line([split, ""])[:-1]
+        for index, diag in enumerate(diagrams):
+            lines.extend(f"{lead}{index},{diag.dim},{b!r},{d!r}\n" for b, d in diag.pairs)
+    write_text(path, "".join(lines))
 
 
 def read_diagrams_csv(
@@ -305,12 +300,11 @@ def diagram_set_hash(diagrams_by_split: Mapping[str, Sequence[PersistenceDiagram
 # --- distance matrix --------------------------------------------------------
 
 def write_distmat_csv(matrix: DistanceMatrix, path: Path) -> None:
-    header = ["window", *[str(c) for c in matrix.col_ids]]
-    rows = (
-        [str(rid)] + [repr(float(v)) for v in matrix.values[i]]
-        for i, rid in enumerate(matrix.row_ids)
-    )
-    _write_csv(path, header, rows)
+    lines = [_csv_line(["window", *matrix.col_ids])]
+    values = matrix.values.tolist()
+    # Indexed, not zipped: more row ids than value rows is an error, not a short file.
+    lines += (f"{rid},{','.join(map(repr, values[i]))}\n" for i, rid in enumerate(matrix.row_ids))
+    write_text(path, "".join(lines))
 
 
 def read_distmat_csv(path: Path) -> DistanceMatrix:
@@ -349,8 +343,9 @@ def write_sweep_csv(entries: Sequence[KSweepEntry], path: Path) -> None:
     def metric(value) -> str:
         return "" if value is None else repr(float(value))
 
-    rows = ([e.k, metric(e.accuracy), metric(e.sensitivity), metric(e.specificity)] for e in entries)
-    _write_csv(path, ["k", "accuracy", "sensitivity", "specificity"], rows)
+    lines = [_csv_line(["k", "accuracy", "sensitivity", "specificity"])]
+    lines += (f"{e.k},{metric(e.accuracy)},{metric(e.sensitivity)},{metric(e.specificity)}\n" for e in entries)
+    write_text(path, "".join(lines))
 
 
 def write_report_json(report: EvaluationReport, path: Path) -> None:

@@ -121,6 +121,9 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PipelineConfig":
+        for field in ("window", "stride", "dimension", "p", "k", "seed"):
+            if field in payload and payload[field] is None:
+                raise ValueError(f"config field '{field}' must be a number, got null")
         schema = CsvSchema(
             timestamp=payload["schema"]["timestamp"],
             features=tuple(payload["schema"]["features"]),

@@ -237,6 +237,16 @@ class TestRunCommand:
         assert describe_run("null", tmp_path / "runs")["config"]["anchors"] is None
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("field", ["window", "stride", "k", "p", "dimension", "seed"])
+    def test_null_number_field_is_a_usage_error(self, tmp_path, synth_csv, field, capsys):
+        payload = synthetic_config_dict("null-field", synth_csv, n_windows=30)
+        payload[field] = None
+        path = tmp_path / "null-field.json"
+        write_json(path, payload)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "runs")]) == 1
+        assert f"config field '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
 
 class TestPlotDiagram:
     def test_plain_diagram_file(self, tmp_path, capsys):

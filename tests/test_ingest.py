@@ -95,6 +95,26 @@ class TestLoadCsv:
         series = load_csv(write(tmp_path, "t;a;b;y\n0;1;2;0\n1;3;4;1\n"), schema)
         assert series.length == 2
 
+    def test_non_finite_cells_listed_in_file_order(self, tmp_path):
+        text = (
+            "t,a,b,y\n"
+            "0,1.0,2.0,0\n"
+            "1,inf,2.0,0\n"
+            "2,1.0,-inf,1\n"
+            "3,nan,2.0,0\n"
+            "nan,1.0,2.0,0\n"
+            "5,abc,2.0,0\n"
+            "6,1.0,2.0,1\n"
+        )
+        path = write(tmp_path, text)
+        with pytest.raises(DataError) as info:
+            load_csv(path, SCHEMA2)
+        assert str(info.value) == (
+            f"{path}: 5 malformed row(s): line 3: non-finite value; line 4: non-finite value; "
+            "line 5: non-finite value; line 6: non-finite value; "
+            "line 7: could not convert string to float: 'abc'"
+        )
+
 
 class TestSplitSpec:
     def test_named_lookup_and_partition(self):

@@ -1,0 +1,237 @@
+"""Byte contract of the CSV artifact writers.
+
+The writers format lines themselves; these tests pin their output to what
+``csv.writer(lineterminator="\\n")`` writes for the same cells (floats as
+``repr``), including cells that need quoting, and check that every artifact
+reads back to the values written.
+"""
+
+import csv
+import io as stdio
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from topowin import io
+from topowin.classify import KSweepEntry
+from topowin.distance import DistanceMatrix
+from topowin.ingest import TimeSeries
+from topowin.persistence import PersistenceDiagram
+from topowin.pointcloud import AugmentedCloud
+from topowin.windowing import LabeledWindow
+
+# Values whose shortest round-trip form is easy to get wrong: a signed zero,
+# the smallest subnormal, the switch to exponent notation at 1e16 and 1e-5,
+# a sum that is not 0.3, and the largest finite double.
+SPECIAL = (-0.0, 5e-324, 1e-05, 0.1 + 0.2, 1e16, 1.7976931348623157e308)
+QUOTED_SPLIT = ' odd, "split"'
+SPLITS = (QUOTED_SPLIT, "test")
+
+
+def csv_bytes(rows) -> bytes:
+    buf = stdio.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def float_cells(path, first):
+    """The cells from column ``first`` on of every data row, as written."""
+    with path.open(encoding="utf-8", newline="") as fh:
+        return [cell for row in list(csv.reader(fh))[1:] for cell in row[first:]]
+
+
+def series():
+    values = np.array([SPECIAL, SPECIAL[::-1]]).T  # (6, 2)
+    return TimeSeries(
+        timestamps=np.array(SPECIAL),
+        values=values,
+        labels=np.array([0, 1, 0, 1, 1, 0]),
+        channel_names=("a,1", "b"),
+    )
+
+
+def windows():
+    points = np.array(SPECIAL).reshape(3, 2)
+    return {
+        split: [
+            LabeledWindow(index=i, points=points * (-1) ** i, label=i % 2, time_range=(SPECIAL[i], SPECIAL[-1]))
+            for i in range(2)
+        ]
+        for split in SPLITS
+    }
+
+
+def clouds():
+    points = np.array(SPECIAL).reshape(2, 3)
+    return {split: [AugmentedCloud(points=points, source_window=i) for i in (0, 3)] for split in SPLITS}
+
+
+def diagrams():
+    pairs = ((-0.0, 5e-324), (1e-05, 0.1 + 0.2), (0.0, 1e16), (0.0, 1.7976931348623157e308))
+    return {
+        split: [
+            PersistenceDiagram(dim=0, pairs=pairs),
+            PersistenceDiagram(dim=0, pairs=()),
+            PersistenceDiagram(dim=0, pairs=pairs[1:3]),
+        ]
+        for split in SPLITS
+    }
+
+
+def distmat():
+    return DistanceMatrix(row_ids=(4, 7), col_ids=(0, 1, 2), values=np.array(SPECIAL).reshape(2, 3))
+
+
+class TestBytesMatchCsvWriter:
+    def test_series(self, tmp_path):
+        s = series()
+        io.write_series_csv(s, tmp_path / "s.csv")
+        expected = [["timestamp", *s.channel_names, "label"]] + [
+            [repr(float(s.timestamps[i]))] + [repr(float(v)) for v in s.values[i]] + [int(s.labels[i])]
+            for i in range(s.length)
+        ]
+        assert (tmp_path / "s.csv").read_bytes() == csv_bytes(expected)
+        assert b'"a,1"' in (tmp_path / "s.csv").read_bytes()
+
+    def test_windows(self, tmp_path):
+        wins = windows()
+        io.write_windows_csv(wins, ("a,1", "b"), tmp_path / "w.csv")
+        expected = [["split", "window", "point", "label", "t_first", "t_last", "a,1", "b"]]
+        for split, ws in wins.items():
+            for win in ws:
+                t0, t1 = win.time_range
+                for p, point in enumerate(win.points):
+                    expected.append(
+                        [split, win.index, p, win.label, repr(float(t0)), repr(float(t1))]
+                        + [repr(float(v)) for v in point]
+                    )
+        assert (tmp_path / "w.csv").read_bytes() == csv_bytes(expected)
+
+    def test_clouds(self, tmp_path):
+        cl = clouds()
+        io.write_clouds_csv(cl, tmp_path / "c.csv")
+        expected = [["split", "window", "point", "x0", "x1", "x2"]]
+        for split, cs in cl.items():
+            for cloud in cs:
+                for p, point in enumerate(cloud.points):
+                    expected.append([split, cloud.source_window, p] + [repr(float(v)) for v in point])
+        assert (tmp_path / "c.csv").read_bytes() == csv_bytes(expected)
+
+    def test_diagrams(self, tmp_path):
+        diags = diagrams()
+        io.write_diagrams_csv(diags, tmp_path / "d.csv")
+        expected = [["split", "window", "dim", "birth", "death"]]
+        for split, ds in diags.items():
+            for index, diag in enumerate(ds):
+                expected += [[split, index, diag.dim, repr(b), repr(d)] for b, d in diag.pairs]
+        assert (tmp_path / "d.csv").read_bytes() == csv_bytes(expected)
+
+    def test_distmat(self, tmp_path):
+        m = distmat()
+        io.write_distmat_csv(m, tmp_path / "m.csv")
+        expected = [["window", "0", "1", "2"]] + [
+            [str(rid)] + [repr(float(v)) for v in m.values[i]] for i, rid in enumerate(m.row_ids)
+        ]
+        assert (tmp_path / "m.csv").read_bytes() == csv_bytes(expected)
+
+    def test_sweep(self, tmp_path):
+        entries = [KSweepEntry(1, Fraction(1, 3), None, Fraction(2, 3)), KSweepEntry(5, Fraction(1), Fraction(0), None)]
+        io.write_sweep_csv(entries, tmp_path / "k.csv")
+        expected = [["k", "accuracy", "sensitivity", "specificity"]] + [
+            [e.k] + ["" if v is None else repr(float(v)) for v in (e.accuracy, e.sensitivity, e.specificity)]
+            for e in entries
+        ]
+        assert (tmp_path / "k.csv").read_bytes() == csv_bytes(expected)
+
+    def test_empty_split_name(self, tmp_path):
+        # A lone empty cell is quoted by csv; inside a row it is not.
+        wins = {"": windows()["test"]}
+        io.write_windows_csv(wins, ("a", "b"), tmp_path / "w.csv")
+        assert (tmp_path / "w.csv").read_text(encoding="utf-8").splitlines()[1].startswith(",0,0,")
+
+
+class TestReadBack:
+    def test_series(self, tmp_path):
+        s = series()
+        io.write_series_csv(s, tmp_path / "s.csv")
+        again = io.read_series_csv(tmp_path / "s.csv")
+        assert again.channel_names == s.channel_names
+        assert again.timestamps.tolist() == s.timestamps.tolist()
+        assert again.values.tolist() == s.values.tolist()
+        assert again.labels.tolist() == s.labels.tolist()
+        assert math.copysign(1.0, again.timestamps[0]) == -1.0
+
+    def test_windows(self, tmp_path):
+        wins = windows()
+        io.write_windows_csv(wins, ("a,1", "b"), tmp_path / "w.csv")
+        again = io.read_windows_csv(tmp_path / "w.csv")
+        assert list(again) == list(wins)
+        for split in wins:
+            for got, want in zip(again[split], wins[split], strict=True):
+                assert (got.index, got.label, got.time_range) == (want.index, want.label, want.time_range)
+                assert got.points.tolist() == want.points.tolist()
+
+    def test_clouds(self, tmp_path):
+        cl = clouds()
+        io.write_clouds_csv(cl, tmp_path / "c.csv")
+        again = io.read_clouds_csv(tmp_path / "c.csv")
+        assert list(again) == list(cl)
+        for split in cl:
+            for got, want in zip(again[split], cl[split], strict=True):
+                assert got.source_window == want.source_window
+                assert got.points.tolist() == want.points.tolist()
+
+    def test_diagrams(self, tmp_path):
+        diags = diagrams()
+        io.write_diagrams_csv(diags, tmp_path / "d.csv")
+        again = io.read_diagrams_csv(tmp_path / "d.csv", {s: len(d) for s, d in diags.items()}, 0, "dropped")
+        assert again == diags
+
+    def test_distmat(self, tmp_path):
+        m = distmat()
+        io.write_distmat_csv(m, tmp_path / "m.csv")
+        again = io.read_distmat_csv(tmp_path / "m.csv")
+        assert (again.row_ids, again.col_ids) == (m.row_ids, m.col_ids)
+        assert again.values.tolist() == m.values.tolist()
+
+
+class TestSpecialFloats:
+    """Every writer puts each special value down exactly as ``repr`` writes it."""
+
+    WANT = [repr(v) for v in SPECIAL]
+
+    def test_series(self, tmp_path):
+        io.write_series_csv(series(), tmp_path / "s.csv")
+        with (tmp_path / "s.csv").open(encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [r[0] for r in rows] == self.WANT
+        assert [r[1] for r in rows] == self.WANT
+        assert [r[2] for r in rows] == self.WANT[::-1]
+
+    def test_windows(self, tmp_path):
+        io.write_windows_csv({"test": windows()["test"][:1]}, ("a", "b"), tmp_path / "w.csv")
+        with (tmp_path / "w.csv").open(encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [c for r in rows for c in r[6:]] == self.WANT
+        assert {(r[4], r[5]) for r in rows} == {(self.WANT[0], self.WANT[-1])}
+
+    def test_clouds(self, tmp_path):
+        io.write_clouds_csv({"test": clouds()["test"][:1]}, tmp_path / "c.csv")
+        assert float_cells(tmp_path / "c.csv", 3) == self.WANT
+
+    def test_diagrams(self, tmp_path):
+        io.write_diagrams_csv({"test": diagrams()["test"][:1]}, tmp_path / "d.csv")
+        assert float_cells(tmp_path / "d.csv", 3) == [
+            "-0.0", "5e-324", "1e-05", "0.30000000000000004", "0.0", "1e+16", "0.0", "1.7976931348623157e+308"
+        ]
+
+    def test_distmat(self, tmp_path):
+        io.write_distmat_csv(distmat(), tmp_path / "m.csv")
+        assert float_cells(tmp_path / "m.csv", 1) == self.WANT
+
+    def test_sweep(self, tmp_path):
+        entries = [KSweepEntry(1, SPECIAL[0], SPECIAL[1], SPECIAL[2]), KSweepEntry(2, *SPECIAL[3:])]
+        io.write_sweep_csv(entries, tmp_path / "k.csv")
+        assert float_cells(tmp_path / "k.csv", 1) == self.WANT
+

@@ -69,6 +69,13 @@ class TestConfig:
         assert {name: payload[name] for name in spec} == spec
         assert PipelineConfig.from_dict(payload) == cfg
 
+    @pytest.mark.parametrize("field", ["window", "stride", "k", "p", "dimension", "seed"])
+    def test_null_number_field_names_the_field(self, synth_csv, field):
+        payload = synthetic_config_dict("synth", synth_csv)
+        payload[field] = None
+        with pytest.raises(ValueError, match=f"config field '{field}' must be a number, got null"):
+            PipelineConfig.from_dict(payload)
+
     def test_dimension_one_needs_maxscale(self, synth_csv):
         with pytest.raises(ValueError, match="maxscale"):
             config_for(synth_csv, dimension=1)
