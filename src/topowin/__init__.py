@@ -28,6 +28,7 @@ from .persistence import (
     PersistenceDiagram,
     diagram_to_rows,
     rips_persistence_dim0,
+    rips_persistence_dim0_batch,
     rips_persistence_dim1,
 )
 from .pipeline import PipelineConfig, StageArtifact, describe_run, run
@@ -78,6 +79,7 @@ __all__ = [
     "resolve_anchors",
     "resolve_offset",
     "rips_persistence_dim0",
+    "rips_persistence_dim0_batch",
     "rips_persistence_dim1",
     "round_half_up",
     "run",

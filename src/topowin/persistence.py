@@ -4,6 +4,10 @@ Dimension 0: the finite deaths (births are 0) are the edge lengths of a
 Euclidean minimum spanning tree, grown by Prim's algorithm over the distance
 matrix.  All such trees share one multiset of edge lengths, each an entry
 of that matrix, so the sorted deaths are exact whichever way ties break.
+``rips_persistence_dim0_batch`` grows the trees of all clouds of one shape
+in a single pass over a (clouds, n, n) distance tensor, chunked to bound
+its temporaries; the one-cloud ``rips_persistence_dim0`` is that pass on a
+list of one.
 
 Dimension 1 builds the complex up to 2-simplices below a scale cap and
 runs the standard column reduction over Z/2, with simplices ordered by
@@ -62,10 +66,90 @@ def cloud_points(cloud) -> np.ndarray:
     return pts
 
 
+# Floats in one chunk's (clouds, n, n, d) difference tensor.  The squared
+# differences are a second temporary of the same size, so a chunk of the
+# batched dimension-0 pass holds about 1 MiB of temporaries, whatever the
+# window length.
+_CHUNK_FLOATS = 1 << 16
+
+
 def _distance_matrix(pts: np.ndarray) -> np.ndarray:
-    """(n, n) Euclidean distances; symmetric entry for entry."""
-    diffs = pts[:, None, :] - pts[None, :, :]
-    return np.sqrt((diffs * diffs).sum(axis=2))
+    """(..., n, n) Euclidean distances of (..., n, d) points; symmetric entry
+    for entry, and each cloud's entries are the same with or without a
+    leading batch axis."""
+    diffs = pts[..., :, None, :] - pts[..., None, :, :]
+    return np.sqrt((diffs * diffs).sum(axis=-1))
+
+
+def _chunk_clouds(n: int, d: int) -> int:
+    """Clouds of n points in d dimensions per chunk of the batched pass."""
+    return max(1, _CHUNK_FLOATS // max(1, n * n * d))
+
+
+def _mst_deaths(pts: np.ndarray) -> np.ndarray:
+    """(C, n - 1) sorted minimum-spanning-tree edge lengths of C clouds of
+    n points each, by one Prim pass over all of them.
+
+    Every tree starts at vertex 0.  ``to_tree`` holds each vertex's distance
+    to its cloud's tree, and ``inf`` for a vertex in the tree, so each step
+    is one row-wise argmin.  The distance rows of all clouds are stacked
+    into one (C * n, n) table and addressed by flat index, which costs less
+    per step than fancy indexing when C is small."""
+    dist = _distance_matrix(pts)
+    c, n = dist.shape[:2]
+    dist = dist.reshape(c * n, n)
+    first = np.arange(0, c * n, n)  # flat index of each cloud's vertex 0
+    in_tree = np.full((c, n), -np.inf)  # +inf in the tree, -inf outside
+    in_tree[:, 0] = np.inf
+    to_tree = np.maximum(dist[::n], in_tree)
+    deaths = np.empty((n - 1, c))
+    for step in range(n - 1):
+        v = to_tree.argmin(axis=1)
+        v += first
+        to_tree.take(v, out=deaths[step])
+        np.minimum(to_tree, dist.take(v, axis=0), out=to_tree)
+        in_tree.put(v, np.inf)
+        np.maximum(to_tree, in_tree, out=to_tree)
+    deaths.sort(axis=0)
+    return deaths.T
+
+
+def rips_persistence_dim0_batch(
+    clouds,
+    essential_policy: str = "dropped",
+    maxscale: float | None = None,
+) -> list[PersistenceDiagram]:
+    """Dimension-0 diagrams of many point clouds under the Rips filtration,
+    in input order.
+
+    Each diagram has n - 1 pairs (0, L), one per minimum-spanning-tree edge,
+    sorted by death.  The one class that never dies is dropped by default;
+    with ``essential_policy="capped"`` it is reported as (0, maxscale)
+    instead.  Clouds of one shape run one Prim pass together, in chunks of
+    ``_chunk_clouds(n, d)``.
+    """
+    points = [cloud_points(c) for c in clouds]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, pts in enumerate(points):
+        if pts.shape[0] < 1:
+            raise DataError("dimension-0 persistence needs at least one point")
+        groups.setdefault(pts.shape, []).append(i)
+    if essential_policy not in ESSENTIAL_POLICIES:
+        raise ValueError(f"essential policy must be one of {ESSENTIAL_POLICIES}")
+    if essential_policy == "capped" and (maxscale is None or maxscale <= 0):
+        raise NumericalError("capped essential policy needs maxscale > 0")
+
+    essential = [(0.0, float(maxscale))] if essential_policy == "capped" else []
+    diagrams: list[PersistenceDiagram | None] = [None] * len(points)
+    for (n, d), members in groups.items():
+        step = _chunk_clouds(n, d)
+        for start in range(0, len(members), step):
+            part = members[start : start + step]
+            deaths = _mst_deaths(np.array([points[i] for i in part])).tolist()
+            for i, row in zip(part, deaths):
+                pairs = tuple([(0.0, x) for x in row] + essential)
+                diagrams[i] = PersistenceDiagram(dim=0, pairs=pairs, essential_policy=essential_policy)
+    return diagrams
 
 
 def rips_persistence_dim0(
@@ -73,36 +157,9 @@ def rips_persistence_dim0(
     essential_policy: str = "dropped",
     maxscale: float | None = None,
 ) -> PersistenceDiagram:
-    """Dimension-0 diagram of a point cloud under the Rips filtration.
-
-    Returns n - 1 pairs (0, L), one per minimum-spanning-tree edge, sorted
-    by death.  The one class that never dies is dropped by default; with
-    ``essential_policy="capped"`` it is reported as (0, maxscale) instead.
-    """
-    pts = cloud_points(cloud)
-    n = pts.shape[0]
-    if n < 1:
-        raise DataError("dimension-0 persistence needs at least one point")
-    if essential_policy not in ESSENTIAL_POLICIES:
-        raise ValueError(f"essential policy must be one of {ESSENTIAL_POLICIES}")
-    if essential_policy == "capped" and (maxscale is None or maxscale <= 0):
-        raise NumericalError("capped essential policy needs maxscale > 0")
-
-    dist = _distance_matrix(pts)
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True  # the tree starts at vertex 0
-    to_tree = dist[0].copy()  # each vertex's distance to the tree
-    deaths = np.empty(n - 1)
-    for step in range(n - 1):
-        outside = np.flatnonzero(~in_tree)
-        v = outside[np.argmin(to_tree[outside])]
-        deaths[step] = to_tree[v]
-        in_tree[v] = True
-        np.minimum(to_tree, dist[v], out=to_tree)
-    pairs = [(0.0, d) for d in np.sort(deaths).tolist()]
-    if essential_policy == "capped":
-        pairs.append((0.0, float(maxscale)))
-    return PersistenceDiagram(dim=0, pairs=tuple(pairs), essential_policy=essential_policy)
+    """Dimension-0 diagram of one point cloud: the one-cloud call of
+    ``rips_persistence_dim0_batch``."""
+    return rips_persistence_dim0_batch([cloud], essential_policy, maxscale)[0]
 
 
 def _simplices_up_to_triangles(

@@ -33,7 +33,10 @@ from .ingest import (
     load_csv,
     split_series,
 )
-from .persistence import rips_persistence_dim0, rips_persistence_dim1
+# rips_persistence_dim0 is not called here: dimension 0 runs one batched
+# pass per split.  It stays importable from this module, where tracers look
+# the layer functions up by name.
+from .persistence import rips_persistence_dim0, rips_persistence_dim0_batch, rips_persistence_dim1
 from .pointcloud import AugmentConfig, augment, resolve_anchors, resolve_offset
 from .windowing import WindowConfig, make_windows
 
@@ -121,39 +124,56 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PipelineConfig":
-        for field in ("window", "stride", "dimension", "p", "k", "seed"):
-            if field in payload and payload[field] is None:
-                raise ValueError(f"config field '{field}' must be a number, got null")
-        schema = CsvSchema(
-            timestamp=payload["schema"]["timestamp"],
-            features=tuple(payload["schema"]["features"]),
-            label=payload["schema"]["label"],
-            delimiter=payload["schema"].get("delimiter", ","),
+        def number(field, convert, default):
+            return _field(field, payload.get(field, default), convert, "a number")
+
+        schema = _field(
+            "schema",
+            payload["schema"],
+            lambda s: (s["timestamp"], tuple(s["features"]), s["label"], s.get("delimiter", ",")),
+            "an object with timestamp, features and label",
         )
-        splits = SplitSpec(tuple((r[0], int(r[1]), int(r[2])) for r in payload["splits"]))
+        splits = _field(
+            "splits",
+            payload["splits"],
+            lambda rows: tuple((r[0], int(r[1]), int(r[2])) for r in rows),
+            "a list of [name, start, stop]",
+        )
         window = WindowConfig(
-            w=int(payload["window"]),
-            s=int(payload.get("stride", payload["window"])),
+            w=number("window", int, payload["window"]),
+            s=number("stride", int, payload["window"]),
             label_rule=payload.get("label_rule", "any_positive"),
         )
         return cls(
             run_id=payload["run_id"],
-            schema=schema,
-            splits=splits,
+            schema=CsvSchema(*schema),
+            splits=SplitSpec(splits),
             window=window,
             standardize_mode=payload.get("standardize", "fit_on_combined"),
             offset=payload.get("offset", "auto"),
             anchors=payload.get("anchors", "origin"),
-            dimension=int(payload.get("dimension", 0)),
+            dimension=number("dimension", int, 0),
             essential_policy=payload.get("essential_policy", "dropped"),
             maxscale=payload.get("maxscale"),
-            p=float(payload.get("p", 1.0)),
-            k=int(payload.get("k", 1)),
+            p=number("p", float, 1.0),
+            k=number("k", int, 1),
             tie_break=payload.get("tie_break", "nearest_neighbor_label"),
             train_split=payload.get("train_split", "train"),
             test_split=payload.get("test_split", "test"),
-            seed=int(payload.get("seed", 0)),
+            seed=number("seed", int, 0),
         )
+
+
+def _field(name: str, value, parse: Callable, expected: str):
+    """``parse(value)`` for config field ``name``; a null or ill-typed value
+    raises ``ValueError`` naming the field.  A missing key inside the value
+    still raises ``KeyError``, as a missing field does."""
+    if value is None:
+        raise ValueError(f"config field '{name}' must be {expected}, got null")
+    try:
+        return parse(value)
+    except (TypeError, ValueError, AttributeError, IndexError):
+        raise ValueError(f"config field '{name}' must be {expected}, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -208,12 +228,15 @@ def build_clouds(windows_by_split: dict, cfg: PipelineConfig) -> dict:
 
 
 def compute_diagrams(clouds_by_split: dict, cfg: PipelineConfig) -> dict:
-    def diagram(cloud):
-        if cfg.dimension == 0:
-            return rips_persistence_dim0(cloud, cfg.essential_policy, cfg.maxscale)
-        return rips_persistence_dim1(cloud, cfg.maxscale)
-
-    return {name: [diagram(c) for c in clouds] for name, clouds in clouds_by_split.items()}
+    if cfg.dimension == 0:
+        return {
+            name: rips_persistence_dim0_batch(clouds, cfg.essential_policy, cfg.maxscale)
+            for name, clouds in clouds_by_split.items()
+        }
+    return {
+        name: [rips_persistence_dim1(c, cfg.maxscale) for c in clouds]
+        for name, clouds in clouds_by_split.items()
+    }
 
 
 def read_diagrams(path: Path, windows_by_split: dict, cfg: PipelineConfig) -> dict:

@@ -2,7 +2,9 @@
 
 None of these share code paths with the package: dimension-0 diagrams come
 from counting connected components of the threshold graph at every
-candidate scale, dimension-1 diagrams from persistent Betti numbers
+candidate scale, or from a plain one-cloud Prim loop over the package's
+distance expression (exact to the last bit, so batched code can be held to
+equality on any input), dimension-1 diagrams from persistent Betti numbers
 computed with dense GF(2) rank arithmetic, Wasserstein distances from full
 enumeration of augmented matchings, and assignments from permutation
 enumeration.
@@ -53,6 +55,25 @@ def dim0_deaths_by_component_counting(points: np.ndarray) -> list[float]:
         deaths.extend([eps] * (prev - cur))
         prev = cur
     return deaths
+
+
+def dim0_deaths_by_prim_loop(points: np.ndarray) -> list[float]:
+    """Sorted minimum-spanning-tree edge lengths of one cloud, grown one
+    vertex at a time.  The distance entries use the same expression as the
+    package, so the deaths agree bit for bit, not just to a tolerance."""
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
+    diffs = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt((diffs * diffs).sum(axis=2))
+    in_tree = [True] + [False] * (n - 1)
+    to_tree = dist[0].tolist()
+    deaths = []
+    for _ in range(n - 1):
+        v = min((u for u in range(n) if not in_tree[u]), key=lambda u: to_tree[u])
+        deaths.append(to_tree[v])
+        in_tree[v] = True
+        to_tree = [min(a, b) for a, b in zip(to_tree, dist[v].tolist())]
+    return sorted(deaths)
 
 
 # --- GF(2) linear algebra -----------------------------------------------------

@@ -247,6 +247,18 @@ class TestRunCommand:
         assert f"config field '{field}'" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize(
+        "field, value", [("k", [5]), ("k", {"a": 1}), ("p", [1]), ("splits", None), ("schema", None)]
+    )
+    def test_ill_typed_field_is_a_usage_error(self, tmp_path, synth_csv, field, value, capsys):
+        payload = synthetic_config_dict("bad-field", synth_csv, n_windows=30)
+        payload[field] = value
+        path = tmp_path / "bad-field.json"
+        write_json(path, payload)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "runs")]) == 1
+        assert f"config field '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
 
 class TestPlotDiagram:
     def test_plain_diagram_file(self, tmp_path, capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topowin import (
     DataError,
@@ -9,9 +11,15 @@ from topowin import (
     PersistenceDiagram,
     diagram_to_rows,
     rips_persistence_dim0,
+    rips_persistence_dim0_batch,
     rips_persistence_dim1,
 )
-from oracles import dim0_deaths_by_component_counting, dim1_pairs_by_persistent_betti
+from topowin.persistence import _CHUNK_FLOATS, _chunk_clouds
+from oracles import (
+    dim0_deaths_by_component_counting,
+    dim0_deaths_by_prim_loop,
+    dim1_pairs_by_persistent_betti,
+)
 
 
 def col(*values):
@@ -114,6 +122,121 @@ class TestDim0:
             a = np.array(rips_persistence_dim0(pts).deaths())
             b = np.array(rips_persistence_dim0(moved).deaths())
             assert np.max(np.abs(a - b)) <= 2 * delta + 1e-12
+
+
+def random_cloud(rng, n, d):
+    """Integer grids (exact ties, duplicate points) one time in three,
+    else floats over a few orders of magnitude."""
+    if rng.integers(3) == 0:
+        return rng.integers(-2, 3, size=(n, d)).astype(float)
+    return rng.normal(size=(n, d)) * 10 ** rng.uniform(-3, 3)
+
+
+def batch_deaths(clouds, **policy):
+    return [diag.deaths() for diag in rips_persistence_dim0_batch(clouds, **policy)]
+
+
+class TestDim0Batch:
+    def test_integer_grids_match_component_counting_oracle(self):
+        rng = np.random.default_rng(2024)
+        clouds = [
+            rng.integers(-2, 3, size=(int(rng.integers(1, 15)), int(rng.integers(1, 7)))).astype(float)
+            for _ in range(300)
+        ]
+        got = batch_deaths(clouds)
+        assert [list(g) for g in got] == [dim0_deaths_by_component_counting(c) for c in clouds]
+
+    @pytest.mark.parametrize(
+        "policy", [{}, {"essential_policy": "capped", "maxscale": 3.0}], ids=["dropped", "capped"]
+    )
+    def test_mixed_shapes_match_per_cloud_calls(self, policy):
+        # d beyond 8 takes numpy's pairwise summation path for the squared
+        # differences; the batch axis must not change any entry.
+        rng = np.random.default_rng(8)
+        clouds = [random_cloud(rng, n, d) for n in (1, 2, 11, 15) for d in range(1, 13) for _ in range(3)]
+        clouds = [clouds[i] for i in rng.permutation(len(clouds))]
+        batched = rips_persistence_dim0_batch(clouds, **policy)
+        assert batched == [rips_persistence_dim0(c, **policy) for c in clouds]
+        cap = [policy["maxscale"]] if policy else []
+        assert [list(diag.deaths()) for diag in batched] == [dim0_deaths_by_prim_loop(c) + cap for c in clouds]
+
+    def test_chunk_boundaries(self):
+        n, d = 15, 12
+        chunk = _chunk_clouds(n, d)
+        assert 1 < chunk < 100
+        rng = np.random.default_rng(31)
+        for count in (chunk, chunk + 1, 2 * chunk + 1):
+            clouds = [random_cloud(rng, n, d) for _ in range(count)]
+            assert [list(g) for g in batch_deaths(clouds)] == [dim0_deaths_by_prim_loop(c) for c in clouds]
+
+    def test_chunk_temporaries_stay_small_for_any_window(self):
+        # Each chunk's (clouds, n, n, d) difference tensor holds at most
+        # _CHUNK_FLOATS floats, unless a single cloud is already larger.
+        assert _CHUNK_FLOATS * 8 <= 1 << 19
+        for n in range(1, 200, 7):
+            for d in range(1, 13):
+                chunk = _chunk_clouds(n, d)
+                assert chunk >= 1
+                assert chunk == 1 or chunk * n * n * d <= _CHUNK_FLOATS
+
+    def test_empty_list(self):
+        assert rips_persistence_dim0_batch([]) == []
+
+    def test_accepts_augmented_clouds_in_input_order(self):
+        from topowin import AugmentConfig, WindowConfig, augment, make_windows
+        from conftest import synthetic_two_class_series
+
+        wins = make_windows(synthetic_two_class_series(), WindowConfig(10, 10))[:20]
+        clouds = [augment(w, AugmentConfig.defaults(3)) for w in wins]
+        assert rips_persistence_dim0_batch(clouds) == [rips_persistence_dim0(c.points) for c in clouds]
+
+    @pytest.mark.parametrize("bad_at", [0, 2])
+    def test_empty_cloud_rejected_anywhere(self, bad_at):
+        clouds = [col(0.0, 1.0), col(2.0), col(3.0, 4.0, 5.0)]
+        clouds.insert(bad_at, np.zeros((0, 1)))
+        with pytest.raises(DataError, match="at least one point"):
+            rips_persistence_dim0_batch(clouds)
+
+    @pytest.mark.parametrize("bad_at", [0, 2])
+    def test_non_2d_cloud_rejected_anywhere(self, bad_at):
+        clouds = [col(0.0, 1.0), col(2.0), col(3.0, 4.0, 5.0)]
+        clouds.insert(bad_at, np.zeros(3))
+        with pytest.raises(DataError, match="point array"):
+            rips_persistence_dim0_batch(clouds)
+
+    @pytest.mark.parametrize(
+        "policy, error",
+        [
+            ({"essential_policy": "ignored"}, ValueError),
+            ({"essential_policy": "capped"}, NumericalError),
+            ({"essential_policy": "capped", "maxscale": 0.0}, NumericalError),
+            ({"essential_policy": "capped", "maxscale": -1.0}, NumericalError),
+        ],
+    )
+    def test_policy_errors_match_per_cloud_calls(self, policy, error):
+        clouds = [col(0.0, 1.0), np.zeros((3, 2)), col(5.0)]
+        with pytest.raises(error):
+            rips_persistence_dim0_batch(clouds, **policy)
+        for cloud in clouds:
+            with pytest.raises(error):
+                rips_persistence_dim0(cloud, **policy)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 9), st.integers(1, 10), st.booleans(), st.integers(0, 2**32 - 1)),
+            max_size=12,
+        )
+    )
+    def test_batch_equals_per_cloud_calls(self, specs):
+        clouds = []
+        for n, d, grid, seed in specs:
+            rng = np.random.default_rng(seed)
+            pts = rng.integers(-2, 3, size=(n, d)) if grid else rng.normal(size=(n, d))
+            clouds.append(pts.astype(float))
+        batched = rips_persistence_dim0_batch(clouds)
+        assert batched == [rips_persistence_dim0(c) for c in clouds]
+        assert [list(diag.deaths()) for diag in batched] == [dim0_deaths_by_prim_loop(c) for c in clouds]
 
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])

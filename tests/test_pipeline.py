@@ -6,9 +6,20 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from topowin import DataError, PipelineConfig, describe_run, io, resolve_anchors, resolve_offset, run
+import topowin.pipeline
+from topowin import (
+    DataError,
+    PipelineConfig,
+    describe_run,
+    io,
+    load_csv,
+    resolve_anchors,
+    resolve_offset,
+    rips_persistence_dim0,
+    run,
+)
 from topowin.cli import main
-from topowin.pipeline import default_runs_root
+from topowin.pipeline import build_clouds, cut_windows, default_runs_root, standardize
 from conftest import synthetic_config_dict, synthetic_two_class_series
 
 STAGES = ("ingest", "standardize", "windows", "clouds", "diagrams", "distances", "classify")
@@ -74,6 +85,15 @@ class TestConfig:
         payload = synthetic_config_dict("synth", synth_csv)
         payload[field] = None
         with pytest.raises(ValueError, match=f"config field '{field}' must be a number, got null"):
+            PipelineConfig.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "field, value", [("k", [5]), ("k", {"a": 1}), ("p", [1]), ("splits", None), ("schema", None)]
+    )
+    def test_ill_typed_field_names_the_field(self, synth_csv, field, value):
+        payload = synthetic_config_dict("synth", synth_csv)
+        payload[field] = value
+        with pytest.raises(ValueError, match=f"config field '{field}' must be"):
             PipelineConfig.from_dict(payload)
 
     def test_dimension_one_needs_maxscale(self, synth_csv):
@@ -380,3 +400,73 @@ class TestDistanceCacheVersion:
         assert statuses(cfg, root)["distances"] == "computed"
         assert current.read_bytes() == original
         assert (run_dir / "report.json").read_bytes() == report
+
+
+def clouds_of(cfg, data):
+    """The augmented clouds of every split, from the stage functions."""
+    standardized, _ = standardize(load_csv(data, cfg.schema), cfg)
+    return build_clouds(cut_windows(standardized, cfg), cfg)
+
+
+def counting(monkeypatch, name):
+    """Replace ``topowin.pipeline.<name>`` with a wrapper that counts calls."""
+    calls = []
+    original = getattr(topowin.pipeline, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(topowin.pipeline, name, wrapper)
+    return calls
+
+
+class TestDiagramsStage:
+    @pytest.mark.parametrize(
+        "extra", [{}, {"essential_policy": "capped", "maxscale": 3.0}], ids=["dropped", "capped"]
+    )
+    def test_dim0_is_one_batched_call_per_split(self, synth_csv, tmp_path, monkeypatch, extra):
+        payload = synthetic_config_dict("batched", synth_csv, n_windows=30)
+        payload.update(extra)
+        cfg = PipelineConfig.from_dict(payload)
+        clouds = clouds_of(cfg, synth_csv)
+        expected = tmp_path / "expected.csv"
+        io.write_diagrams_csv(
+            {
+                name: [rips_persistence_dim0(c, cfg.essential_policy, cfg.maxscale) for c in split]
+                for name, split in clouds.items()
+            },
+            expected,
+        )
+
+        def per_cloud(*args, **kwargs):
+            raise AssertionError("per-cloud dimension-0 call")
+
+        monkeypatch.setattr(topowin.pipeline, "rips_persistence_dim0", per_cloud)
+        calls = counting(monkeypatch, "rips_persistence_dim0_batch")
+        root = tmp_path / "runs"
+        run(cfg, synth_csv, runs_root=root)
+        assert len(calls) == len(clouds)
+        (written,) = (root / "batched" / "diagrams").glob("*.diagrams.csv")
+        assert written.read_bytes() == expected.read_bytes()
+
+        config, out = tmp_path / "batched.json", tmp_path / "stages"
+        io.write_json(config, payload)
+        for command, *argv in (
+            ["ingest", "--data", synth_csv],
+            ["windows", "--series", out / "standardized.csv"],
+            ["diagrams", "--windows", out / "windows.csv"],
+        ):
+            assert main([command, "--config", str(config), "--out", str(out), *map(str, argv)]) == 0
+        assert len(calls) == 2 * len(clouds)
+        assert (out / "diagrams.csv").read_bytes() == expected.read_bytes()
+
+    def test_dim1_is_one_call_per_cloud(self, synth_csv, tmp_path, monkeypatch):
+        payload = synthetic_config_dict("per-cloud", synth_csv, n_windows=30)
+        payload.update(dimension=1, maxscale=8.0, k=3)
+        cfg = PipelineConfig.from_dict(payload)
+        calls = counting(monkeypatch, "rips_persistence_dim1")
+        batched = counting(monkeypatch, "rips_persistence_dim0_batch")
+        run(cfg, synth_csv, runs_root=tmp_path / "runs")
+        assert len(calls) == sum(len(split) for split in clouds_of(cfg, synth_csv).values())
+        assert batched == []
