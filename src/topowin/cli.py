@@ -14,7 +14,7 @@ from pathlib import Path
 from . import io
 from .classify import render_report_table, render_sweep_table, sweep_k
 from .errors import DataError, NumericalError
-from .ingest import load_csv
+from .ingest import apply_standardizer, load_csv
 from .pipeline import (
     PipelineConfig,
     build_clouds,
@@ -68,8 +68,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--p", type=float, default=None, help="Wasserstein exponent")
         p.add_argument("--k", type=int, default=None, help="number of neighbors")
         p.add_argument("--seed", type=int, default=None, help="recorded in provenance")
-        p.add_argument("--no-cache", action="store_true", help="recompute every stage")
-        p.add_argument("--workers", type=int, default=1, help="processes for Hungarian-path rows")
         return p
 
     p = add("ingest", "load, validate and standardize a CSV series")
@@ -86,6 +84,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--windows", type=Path, help="windows CSV (window counts and labels)")
     p.add_argument("--train-split", default=None)
     p.add_argument("--test-split", default=None)
+    p.add_argument("--workers", type=int, default=1, help="processes for Hungarian-path rows")
 
     p = add("classify", "k-NN prediction and evaluation report")
     p.add_argument("--matrix", type=Path, help="distance matrix CSV")
@@ -104,8 +103,11 @@ def _build_parser() -> _Parser:
     p = add("run", "full cached pipeline: data CSV to evaluation report")
     p.add_argument("--data", type=Path, help="input CSV (overrides config)")
     p.add_argument("--describe", action="store_true", help="print provenance of the finished run")
+    p.add_argument("--no-cache", action="store_true", help="recompute every stage")
+    p.add_argument("--workers", type=int, default=1, help="processes for Hungarian-path rows")
 
-    p = add("plot-diagram", "SVG scatter of a diagram file plus a CSV twin")
+    p = sub.add_parser("plot-diagram", help="SVG scatter of a diagram file plus a CSV twin")
+    p.add_argument("--out", type=Path, default=None, help="output directory")
     p.add_argument("--diagram", type=Path, help="diagram CSV (dim,birth,death[, keyed by window])")
     p.add_argument("--split", default=None, help="split to select in a long-format file")
     p.add_argument("--index", type=int, default=None, help="window to select in a long-format file")
@@ -118,7 +120,7 @@ def _config(args) -> tuple[PipelineConfig, str | None]:
     and the data path (``--data`` or the config's ``data``)."""
     if args.config is None:
         raise ValueError(f"{args.command} needs --config")
-    if args.workers < 1:
+    if getattr(args, "workers", 1) < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     payload = dict(io.read_json(args.config))
     payload.setdefault("run_id", Path(args.config).stem)
@@ -161,9 +163,9 @@ def _cmd_ingest(args) -> int:
     data = _require(data, "--data")
     out = _out_dir(args)
     series = load_csv(Path(data), cfg.schema)
-    standardized, params = standardize(series, cfg)
+    params = standardize(series, cfg)
     io.write_series_csv(series, out / "series.csv")
-    io.write_series_csv(standardized, out / "standardized.csv")
+    io.write_series_csv(apply_standardizer(series, params), out / "standardized.csv")
     io.write_params_json(params, out / "params.json")
     print(f"wrote {out / 'standardized.csv'} ({series.length} rows, d={series.dimension})")
     return EXIT_OK

@@ -13,6 +13,7 @@ record for the latest run is written next to them.
 
 from __future__ import annotations
 
+import operator
 import os
 import time
 from dataclasses import dataclass
@@ -139,6 +140,9 @@ class PipelineConfig:
             lambda rows: tuple((r[0], int(r[1]), int(r[2])) for r in rows),
             "a list of [name, start, stop]",
         )
+        maxscale = payload.get("maxscale")
+        if maxscale is not None:  # unary plus takes only numbers, and keeps an int an int
+            maxscale = _field("maxscale", maxscale, operator.pos, "a number or null")
         window = WindowConfig(
             w=number("window", int, payload["window"]),
             s=number("stride", int, payload["window"]),
@@ -154,7 +158,7 @@ class PipelineConfig:
             anchors=payload.get("anchors", "origin"),
             dimension=number("dimension", int, 0),
             essential_policy=payload.get("essential_policy", "dropped"),
-            maxscale=payload.get("maxscale"),
+            maxscale=maxscale,
             p=number("p", float, 1.0),
             k=number("k", int, 1),
             tie_break=payload.get("tie_break", "nearest_neighbor_label"),
@@ -206,9 +210,8 @@ def default_runs_root(out: str | Path | None = None) -> Path:
 # ``run`` and by the CLI stage commands alike.
 
 
-def standardize(series: TimeSeries, cfg: PipelineConfig) -> tuple[TimeSeries, StandardizationParams]:
-    params = fit_standardizer(series, cfg.splits, cfg.standardize_mode, cfg.train_split)
-    return apply_standardizer(series, params), params
+def standardize(series: TimeSeries, cfg: PipelineConfig) -> StandardizationParams:
+    return fit_standardizer(series, cfg.splits, cfg.standardize_mode, cfg.train_split)
 
 
 def cut_windows(standardized: TimeSeries, cfg: PipelineConfig) -> dict:
@@ -397,13 +400,6 @@ def run(
     cfg_dict = cfg.to_dict()
     aug_cfg = _augment_config(cfg)
 
-    def write_standardized(value, path, _series):
-        io.write_series_csv(value[0], path)
-        io.write_params_json(value[1], path.with_suffix(".params.json"))
-
-    def read_standardized(path):
-        return io.read_series_csv(path), io.read_params_json(path.with_suffix(".params.json"))
-
     runner = _StageRunner(
         run_dir,
         use_cache,
@@ -418,18 +414,18 @@ def run(
             ),
             "standardize": _Stage(
                 {"splits": cfg_dict["splits"], "mode": cfg.standardize_mode, "train": cfg.train_split},
-                "standardized.csv",
+                "params.json",
                 ("ingest",),
                 lambda series: standardize(series, cfg),
-                write_standardized,
-                read_standardized,
+                lambda params, path, _series: io.write_params_json(params, path),
+                io.read_params_json,
             ),
             "windows": _Stage(
                 {"w": cfg.window.w, "s": cfg.window.s, "rule": cfg.window.label_rule},
                 "windows.csv",
-                ("standardize",),
-                lambda std: cut_windows(std[0], cfg),
-                lambda wins, path, std: io.write_windows_csv(wins, std[0].channel_names, path),
+                ("ingest", "standardize"),
+                lambda series, params: cut_windows(apply_standardizer(series, params), cfg),
+                lambda wins, path, series, _params: io.write_windows_csv(wins, series.channel_names, path),
                 io.read_windows_csv,
             ),
             "clouds": _Stage(

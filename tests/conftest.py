@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from topowin import CsvSchema, TimeSeries
+from topowin import CsvSchema, PipelineConfig, TimeSeries, run
 from topowin.io import write_series_csv
 
 
@@ -84,3 +84,14 @@ def synth_csv(tmp_path):
     path = tmp_path / "synthetic.csv"
     write_series_csv(series, path)
     return path
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """(config, data, runs root) of a finished run on 30 synthetic windows."""
+    base = tmp_path_factory.mktemp("small")
+    data = base / "synthetic.csv"
+    write_series_csv(synthetic_two_class_series(), data)
+    cfg = PipelineConfig.from_dict(synthetic_config_dict("small", data, n_windows=30))
+    run(cfg, data, runs_root=base / "runs")
+    return cfg, data, base / "runs"

@@ -1,0 +1,40 @@
+"""The benchmark's trace hooks and artifact microbenchmarks still fit the program.
+
+``perfbench/run.py --trace 1`` wraps pipeline functions by name and reads a
+finished run's artifacts by stage and suffix; a rename or a layout change
+breaks it without failing any other test.
+"""
+
+from pathlib import Path
+
+import pytest
+
+import topowin.pipeline
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+
+
+def test_tracer_resolves_every_traced_name(perfbench):
+    import tracing
+
+    original = topowin.pipeline.fit_standardizer
+    uninstall = tracing.Tracer().install()
+    try:
+        assert topowin.pipeline.fit_standardizer is not original
+    finally:
+        uninstall()
+    assert topowin.pipeline.fit_standardizer is original
+
+
+def test_micro_artifacts_reads_every_artifact_kind(perfbench, small_run, tmp_path):
+    import micro
+
+    cfg, _, root = small_run
+    metrics = micro.artifacts(root / cfg.run_id, tmp_path, {"train": 18, "test": 12}, 0)
+    kinds = ("series", "params", "windows", "clouds", "diagrams", "distmat", "report")
+    assert {f"io.{op}.{kind}_s.n" for op in ("read", "write") for kind in kinds} <= set(metrics)

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from topowin import describe_run
+from topowin import apply_standardizer, describe_run, io
 from topowin.cli import main
 from topowin.io import read_json, write_json
 from conftest import synthetic_config_dict
@@ -47,6 +47,32 @@ class TestUsage:
         argv = ["run", "--config", str(config_path), "--out", str(tmp_path / "runs"), "--workers", workers]
         assert main(argv) == 1
         assert "--workers" in capsys.readouterr().err
+
+
+# Each command accepts only the flags it uses.
+CONFIG_FLAGS = [
+    ["--config", "c.json"], ["-w", "5"], ["-s", "5"], ["--label-rule", "majority"], ["--offset", "auto"],
+    ["--anchor", "origin"], ["--dimension", "0"], ["--maxscale", "1"], ["--p", "1"], ["--k", "0"], ["--seed", "1"],
+]
+REMOVED_FLAGS = [
+    *[(command, ["--no-cache"]) for command in ("ingest", "windows", "diagrams", "distmat", "classify", "sweep-k")],
+    *[(command, ["--workers", "2"]) for command in ("ingest", "windows", "diagrams", "classify", "sweep-k")],
+    *[("plot-diagram", flag) for flag in [*CONFIG_FLAGS, ["--no-cache"], ["--workers", "2"]]],
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag", REMOVED_FLAGS, ids=[f"{command}{flag[0]}" for command, flag in REMOVED_FLAGS]
+)
+def test_flag_the_command_does_not_use_is_a_usage_error(command, flag, tmp_path, capsys):
+    diagram = tmp_path / "diag.csv"
+    diagram.write_text("dim,birth,death\n0,0.0,1.0\n", encoding="utf-8")
+    argv = [command, *flag, "--out", str(tmp_path / "out")]
+    if command == "plot-diagram":
+        argv += ["--diagram", str(diagram)]
+    assert main(argv) == 1
+    assert f"usage error: unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestAnchorFlag:
@@ -187,7 +213,6 @@ class TestStagesMatchRun:
         run_dir = root / "match"
         for name, pattern in {
             "series.csv": "ingest/*.series.csv",
-            "standardized.csv": "standardize/*.standardized.csv",
             "params.json": "standardize/*.params.json",
             "windows.csv": "windows/*.windows.csv",
             "clouds.csv": "clouds/*.clouds.csv",
@@ -199,6 +224,13 @@ class TestStagesMatchRun:
         }.items():
             (artifact,) = run_dir.glob(pattern)
             assert (out / name).read_bytes() == artifact.read_bytes(), name
+        # The run caches the parameters, not the standardized series.
+        (series,) = run_dir.glob("ingest/*.series.csv")
+        (params,) = run_dir.glob("standardize/*.params.json")
+        io.write_series_csv(
+            apply_standardizer(io.read_series_csv(series), io.read_params_json(params)), tmp_path / "expected.csv"
+        )
+        assert (out / "standardized.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 class TestRunCommand:
@@ -248,7 +280,17 @@ class TestRunCommand:
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize(
-        "field, value", [("k", [5]), ("k", {"a": 1}), ("p", [1]), ("splits", None), ("schema", None)]
+        "field, value",
+        [
+            ("k", [5]),
+            ("k", {"a": 1}),
+            ("p", [1]),
+            ("splits", None),
+            ("schema", None),
+            ("maxscale", [1]),
+            ("maxscale", "3"),
+            ("maxscale", {"a": 1}),
+        ],
     )
     def test_ill_typed_field_is_a_usage_error(self, tmp_path, synth_csv, field, value, capsys):
         payload = synthetic_config_dict("bad-field", synth_csv, n_windows=30)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import shutil
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ import topowin.pipeline
 from topowin import (
     DataError,
     PipelineConfig,
+    apply_standardizer,
     describe_run,
     io,
     load_csv,
@@ -20,13 +22,12 @@ from topowin import (
 )
 from topowin.cli import main
 from topowin.pipeline import build_clouds, cut_windows, default_runs_root, standardize
-from conftest import synthetic_config_dict, synthetic_two_class_series
+from conftest import synthetic_config_dict
 
 STAGES = ("ingest", "standardize", "windows", "clouds", "diagrams", "distances", "classify")
 # Artifact kind: (stage that writes it, file name suffix).
 ARTIFACTS = {
     "series": ("ingest", "series.csv"),
-    "standardized": ("standardize", "standardized.csv"),
     "params": ("standardize", "params.json"),
     "windows": ("windows", "windows.csv"),
     "clouds": ("clouds", "clouds.csv"),
@@ -88,13 +89,27 @@ class TestConfig:
             PipelineConfig.from_dict(payload)
 
     @pytest.mark.parametrize(
-        "field, value", [("k", [5]), ("k", {"a": 1}), ("p", [1]), ("splits", None), ("schema", None)]
+        "field, value",
+        [
+            ("k", [5]),
+            ("k", {"a": 1}),
+            ("p", [1]),
+            ("splits", None),
+            ("schema", None),
+            ("maxscale", [1]),
+            ("maxscale", "3"),
+            ("maxscale", {"a": 1}),
+        ],
     )
     def test_ill_typed_field_names_the_field(self, synth_csv, field, value):
         payload = synthetic_config_dict("synth", synth_csv)
         payload[field] = value
         with pytest.raises(ValueError, match=f"config field '{field}' must be"):
             PipelineConfig.from_dict(payload)
+
+    @pytest.mark.parametrize("maxscale", [3, 2.5])
+    def test_maxscale_is_stored_as_given(self, synth_csv, maxscale):
+        assert json.dumps(config_for(synth_csv, maxscale=maxscale).to_dict()["maxscale"]) == json.dumps(maxscale)
 
     def test_dimension_one_needs_maxscale(self, synth_csv):
         with pytest.raises(ValueError, match="maxscale"):
@@ -215,17 +230,6 @@ class TestRunsRoot:
         assert default_runs_root(tmp_path / "explicit") == tmp_path / "explicit"
 
 
-@pytest.fixture(scope="module")
-def small_run(tmp_path_factory):
-    """(config, data, runs root) of a finished run on 30 synthetic windows."""
-    base = tmp_path_factory.mktemp("small")
-    data = base / "synthetic.csv"
-    io.write_series_csv(synthetic_two_class_series(), data)
-    cfg = PipelineConfig.from_dict(synthetic_config_dict("small", data, n_windows=30))
-    run(cfg, data, runs_root=base / "runs")
-    return cfg, data, base / "runs"
-
-
 @pytest.fixture
 def warm(small_run, tmp_path):
     """A private copy of ``small_run``'s cache."""
@@ -256,6 +260,22 @@ def statuses(cfg, root):
     return {s["stage"]: s["status"] for s in describe_run(cfg.run_id, root)["stages"]}
 
 
+def recording_reads(monkeypatch):
+    """Wrap every ``io.read_*``; the returned list collects (reader, directory of the file read)."""
+    called = []
+
+    def recording(name, fn):
+        def wrapper(path, *args, **kwargs):
+            called.append((name, Path(path).parent.name))
+            return fn(path, *args, **kwargs)
+
+        return wrapper
+
+    for name in [n for n in vars(io) if n.startswith("read_")]:
+        monkeypatch.setattr(io, name, recording(name, getattr(io, name)))
+    return called
+
+
 class TestCacheReads:
     def test_fully_cached_rerun_reads_only_the_report(self, warm, monkeypatch):
         cfg, data, root = warm
@@ -272,22 +292,34 @@ class TestCacheReads:
 
     def test_changing_k_reads_only_matrix_and_windows(self, warm, monkeypatch):
         cfg, data, root = warm
-        called = []
-
-        def recording(name, fn):
-            def wrapper(*args, **kwargs):
-                called.append(name)
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        for name in [n for n in vars(io) if n.startswith("read_")]:
-            monkeypatch.setattr(io, name, recording(name, getattr(io, name)))
+        called = recording_reads(monkeypatch)
         run(dataclasses.replace(cfg, k=3), data, runs_root=root)
-        assert sorted(set(called)) == ["read_distmat_csv", "read_windows_csv"]
+        assert sorted(set(called)) == [("read_distmat_csv", "distances"), ("read_windows_csv", "windows")]
         status = statuses(cfg, root)
         assert status["classify"] == "computed"
         assert all(status[stage] == "cached" for stage in STAGES[:-1])
+
+    def test_standardize_artifact_is_the_params(self, small_run):
+        cfg, _, root = small_run
+        keys = {s["stage"]: s["key"] for s in describe_run(cfg.run_id, root)["stages"]}
+        assert [p.name for p in (root / cfg.run_id / "standardize").iterdir()] == [f"{keys['standardize']}.params.json"]
+
+    def test_changing_window_reads_series_and_params(self, warm, monkeypatch, tmp_path):
+        cfg, data, root = warm
+        cfg = dataclasses.replace(cfg, window=dataclasses.replace(cfg.window, w=5))
+        called = recording_reads(monkeypatch)
+        run(cfg, data, runs_root=root)
+        # read_params_json parses through read_json.
+        assert sorted(set(called)) == [
+            ("read_json", "standardize"),
+            ("read_params_json", "standardize"),
+            ("read_series_csv", "ingest"),
+        ]
+        status = statuses(cfg, root)
+        assert (status["ingest"], status["standardize"], status["windows"]) == ("cached", "cached", "computed")
+        rerun = Path(describe_run(cfg.run_id, root)["stages"][2]["path"])
+        run(cfg, data, runs_root=tmp_path / "fresh")
+        assert rerun.read_bytes() == artifact(tmp_path / "fresh" / cfg.run_id, "windows").read_bytes()
 
     def test_unread_stage_without_artifact_is_skipped(self, warm):
         cfg, data, root = warm
@@ -404,8 +436,8 @@ class TestDistanceCacheVersion:
 
 def clouds_of(cfg, data):
     """The augmented clouds of every split, from the stage functions."""
-    standardized, _ = standardize(load_csv(data, cfg.schema), cfg)
-    return build_clouds(cut_windows(standardized, cfg), cfg)
+    series = load_csv(data, cfg.schema)
+    return build_clouds(cut_windows(apply_standardizer(series, standardize(series, cfg)), cfg), cfg)
 
 
 def counting(monkeypatch, name):
