@@ -84,7 +84,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--windows", type=Path, help="windows CSV (window counts and labels)")
     p.add_argument("--train-split", default=None)
     p.add_argument("--test-split", default=None)
-    p.add_argument("--workers", type=int, default=1, help="processes for Hungarian-path rows")
+    p.add_argument("--workers", type=int, default=1, help="accepted (>= 1) for compatibility; has no effect")
 
     p = add("classify", "k-NN prediction and evaluation report")
     p.add_argument("--matrix", type=Path, help="distance matrix CSV")
@@ -104,7 +104,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", type=Path, help="input CSV (overrides config)")
     p.add_argument("--describe", action="store_true", help="print provenance of the finished run")
     p.add_argument("--no-cache", action="store_true", help="recompute every stage")
-    p.add_argument("--workers", type=int, default=1, help="processes for Hungarian-path rows")
+    p.add_argument("--workers", type=int, default=1, help="accepted (>= 1) for compatibility; has no effect")
 
     p = sub.add_parser("plot-diagram", help="SVG scatter of a diagram file plus a CSV twin")
     p.add_argument("--out", type=Path, default=None, help="output directory")
@@ -198,7 +198,7 @@ def _cmd_distmat(args) -> int:
     out = _out_dir(args)
     windows = io.read_windows_csv(_require(args.windows, "--windows"))
     diagrams = read_diagrams(_require(args.diagrams, "--diagrams"), windows, cfg)
-    matrix = compute_distances(diagrams, cfg, workers=args.workers)
+    matrix = compute_distances(diagrams, cfg)
     write_distances(matrix, diagrams, cfg, out / "distmat.csv")
     print(f"wrote {out / 'distmat.csv'} ({len(matrix.row_ids)} x {len(matrix.col_ids)})")
     return EXIT_OK

@@ -1,11 +1,17 @@
 """p-Wasserstein distance between persistence diagrams, and the
 test x train distance matrix used for nearest-neighbor classification.
 
-Diagrams of unequal size are compared by augmenting each side with the
-diagonal projections of the other side's points: matching a point to the
-diagonal costs its L-infinity distance to the diagonal, (death - birth)/2,
-and diagonal-to-diagonal matches are free.  The optimal matching over the
-augmented sets is solved exactly with the Hungarian method.
+Matching a point to the diagonal costs its L-infinity distance to the
+diagonal, (death - birth)/2, and every point is either matched to a point
+of the other diagram or sent to the diagonal.  With ``a`` the smaller
+diagram (m points) and ``b`` the other (k points), the optimal matching is
+one exact min-cost assignment (Hungarian method) on an m x (k + m) matrix:
+column j < k matches ``b_j`` at cost c(a_i, b_j)^p - delta(b_j)^p, and the
+last m columns are interchangeable diagonal slots at cost delta(a_i)^p.
+Its optimum plus sum_j delta(b_j)^p is the optimum over the usual square
+(m + k) x (m + k) diagonal-augmented matrix, whose diagonal-to-diagonal
+cells are free.  The distance re-sums the chosen matching's own
+nonnegative terms, so identical diagrams give exactly 0.
 
 When every point of both diagrams is born at 0 (all of dimension 0),
 matching deaths x and y costs |x - y| and sending x to the diagonal costs
@@ -17,7 +23,6 @@ dynamic program; one test diagram runs against all train diagrams at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from multiprocessing import Pool
 from typing import Sequence
 
 import numpy as np
@@ -39,31 +44,27 @@ class WassersteinConfig:
             raise ValueError(f"dimension must be >= 0, got {self.dimension}")
 
 
-def _matching_cost_matrix(
-    a: Sequence[tuple[float, float]], b: Sequence[tuple[float, float]], p: float
-) -> list[list[float]]:
-    """Square cost matrix over (points of a + diagonal slots) x
-    (points of b + diagonal slots), costs raised to the p-th power."""
+def _matching_cost(a: Sequence[tuple[float, float]], b: Sequence[tuple[float, float]], p: float) -> float:
+    """Sum of the p-th-power costs of an optimal matching between the point
+    lists ``a`` and ``b``, through the m x (k + m) assignment of the module
+    docstring."""
+    if len(a) > len(b):
+        a, b = b, a
     m, k = len(a), len(b)
-    size = m + k
     diag_a = [(d - bi) / 2.0 for bi, d in a]
     diag_b = [(d - bi) / 2.0 for bi, d in b]
     if p != 1.0:
         diag_a = [c**p for c in diag_a]
         diag_b = [c**p for c in diag_b]
-    cost = [[0.0] * size for _ in range(size)]
-    for i, (b1, d1) in enumerate(a):
-        row = cost[i]
-        for j, (b2, d2) in enumerate(b):
-            c = max(abs(b1 - b2), abs(d1 - d2))
-            row[j] = c if p == 1.0 else c**p
-        for j in range(k, size):
-            row[j] = diag_a[i]
-    for i in range(m, size):
-        row = cost[i]
-        for j in range(k):
-            row[j] = diag_b[j]
-    return cost
+    match = []
+    for b1, d1 in a:
+        row = [max(abs(b1 - b2), abs(d1 - d2)) for b2, d2 in b]
+        match.append(row if p == 1.0 else [c**p for c in row])
+    cost = [[c - c_b for c, c_b in zip(row, diag_b)] + [c_a] * m for row, c_a in zip(match, diag_a)]
+    assignment, _ = min_cost_assignment(cost)
+    matched = {j for j in assignment if j < k}
+    total = sum(match[i][j] if j < k else diag_a[i] for i, j in enumerate(assignment))
+    return total + sum(c for j, c in enumerate(diag_b) if j not in matched)
 
 
 def _zero_birth(diag: PersistenceDiagram) -> bool:
@@ -122,10 +123,7 @@ def wasserstein(
         return 0.0
     if _zero_birth(d1) and _zero_birth(d2):
         return float(_zero_birth_distances(_sorted_deaths(d1), _deaths_table([d2]), cfg.p)[0])
-    cost = _matching_cost_matrix(d1.pairs, d2.pairs, cfg.p)
-    _, total = min_cost_assignment(cost)
-    if total < 0.0:  # guard against float round-off on all-zero matchings
-        total = 0.0
+    total = _matching_cost(d1.pairs, d2.pairs, cfg.p)
     return total if cfg.p == 1.0 else total ** (1.0 / cfg.p)
 
 
@@ -149,35 +147,18 @@ class DistanceMatrix:
             raise ValueError("distance entries must be finite and nonnegative")
 
 
-_POOL_STATE: dict = {}
-
-
-def _pool_init(train: tuple, cfg: WassersteinConfig) -> None:
-    _POOL_STATE["train"] = train
-    _POOL_STATE["cfg"] = cfg
-
-
-def _pool_row(diag: PersistenceDiagram) -> list[float]:
-    cfg = _POOL_STATE["cfg"]
-    return [wasserstein(diag, t, cfg) for t in _POOL_STATE["train"]]
-
-
 def distance_matrix(
     test: Sequence[PersistenceDiagram],
     train: Sequence[PersistenceDiagram],
     cfg: WassersteinConfig = WassersteinConfig(),
-    workers: int = 1,
 ) -> DistanceMatrix:
     """All test-to-train diagram distances; train-train and test-test pairs
     are never computed.
 
-    When every diagram is born at 0, each row is one batched dynamic program
-    and no pool is started.  Otherwise, with ``workers > 1``, the rows are
-    computed in a process pool, one process per row at most; entries are
-    independent, so the order does not matter.
+    When every diagram is born at 0, each row is one batched dynamic
+    program.  Otherwise each entry is one m x (k + m) assignment, computed
+    in this process; no process pool is started.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if not test or not train:
         raise DataError("distance matrix needs nonempty test and train diagram sets")
     for diag in (*test, *train):
@@ -185,13 +166,9 @@ def distance_matrix(
             raise DataError(
                 f"diagram of dimension {diag.dim} in a dimension-{cfg.dimension} matrix"
             )
-    workers = min(workers, len(test))
     if all(_zero_birth(d) for d in (*test, *train)):
         table = _deaths_table(train)
         rows = [_zero_birth_distances(_sorted_deaths(t), table, cfg.p) for t in test]
-    elif workers > 1:
-        with Pool(processes=workers, initializer=_pool_init, initargs=(tuple(train), cfg)) as pool:
-            rows = pool.map(_pool_row, test, chunksize=max(1, len(test) // (workers * 4)))
     else:
         rows = [[wasserstein(t, tr, cfg) for tr in train] for t in test]
     return DistanceMatrix(

@@ -13,7 +13,6 @@ record for the latest run is written next to them.
 
 from __future__ import annotations
 
-import operator
 import os
 import time
 from dataclasses import dataclass
@@ -125,8 +124,13 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PipelineConfig":
-        def number(field, convert, default):
-            return _field(field, payload.get(field, default), convert, "a number")
+        def number(field, parse, default, expected="a number"):
+            value = payload.get(field, default)
+            # A null reads "must be a number, got null" for every number field.
+            return _field(field, value, parse, "a number" if value is None else expected)
+
+        def integer(field, default):
+            return number(field, _integer, default, "an integer")
 
         schema = _field(
             "schema",
@@ -137,15 +141,15 @@ class PipelineConfig:
         splits = _field(
             "splits",
             payload["splits"],
-            lambda rows: tuple((r[0], int(r[1]), int(r[2])) for r in rows),
-            "a list of [name, start, stop]",
+            lambda rows: tuple((r[0], _integer(r[1]), _integer(r[2])) for r in rows),
+            "a list of [name, start, stop] with integer bounds",
         )
         maxscale = payload.get("maxscale")
-        if maxscale is not None:  # unary plus takes only numbers, and keeps an int an int
-            maxscale = _field("maxscale", maxscale, operator.pos, "a number or null")
+        if maxscale is not None:
+            maxscale = _field("maxscale", maxscale, _number, "a number or null")
         window = WindowConfig(
-            w=number("window", int, payload["window"]),
-            s=number("stride", int, payload["window"]),
+            w=integer("window", payload["window"]),
+            s=integer("stride", payload["window"]),
             label_rule=payload.get("label_rule", "any_positive"),
         )
         return cls(
@@ -156,16 +160,30 @@ class PipelineConfig:
             standardize_mode=payload.get("standardize", "fit_on_combined"),
             offset=payload.get("offset", "auto"),
             anchors=payload.get("anchors", "origin"),
-            dimension=number("dimension", int, 0),
+            dimension=integer("dimension", 0),
             essential_policy=payload.get("essential_policy", "dropped"),
             maxscale=maxscale,
-            p=number("p", float, 1.0),
-            k=number("k", int, 1),
+            p=number("p", lambda v: float(_number(v)), 1.0),
+            k=integer("k", 1),
             tie_break=payload.get("tie_break", "nearest_neighbor_label"),
             train_split=payload.get("train_split", "train"),
             test_split=payload.get("test_split", "test"),
-            seed=number("seed", int, 0),
+            seed=integer("seed", 0),
         )
+
+
+def _number(value):
+    """``value`` itself if it is a JSON number; an int stays an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(value)
+    return value
+
+
+def _integer(value):
+    """``value`` itself if it is a JSON integer: no bool, float or str."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(value)
+    return value
 
 
 def _field(name: str, value, parse: Callable, expected: str):
@@ -250,7 +268,7 @@ def read_diagrams(path: Path, windows_by_split: dict, cfg: PipelineConfig) -> di
     return io.read_diagrams_csv(path, counts, cfg.dimension, policy)
 
 
-def compute_distances(diagrams_by_split: dict, cfg: PipelineConfig, workers: int = 1) -> DistanceMatrix:
+def compute_distances(diagrams_by_split: dict, cfg: PipelineConfig) -> DistanceMatrix:
     for name in (cfg.train_split, cfg.test_split):
         if name not in diagrams_by_split:
             raise DataError(f"no split named '{name}' in diagrams")
@@ -258,7 +276,6 @@ def compute_distances(diagrams_by_split: dict, cfg: PipelineConfig, workers: int
         diagrams_by_split[cfg.test_split],
         diagrams_by_split[cfg.train_split],
         WassersteinConfig(p=cfg.p, dimension=cfg.dimension),
-        workers=workers,
     )
 
 
@@ -389,6 +406,8 @@ def run(
     A stage is then read from its cached artifact when one exists, and read
     only if a stage that has to compute needs it, so a fully cached run reads
     just the report.  ``use_cache=False`` recomputes and rewrites everything.
+    ``workers`` is checked (>= 1) and otherwise unused: every stage runs in
+    this process.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -457,13 +476,14 @@ def run(
                     "p": repr(float(cfg.p)),
                     "train": cfg.train_split,
                     "test": cfg.test_split,
-                    # 2: zero-birth diagrams use the exact 1-D dynamic program,
-                    # whose entries may differ from the Hungarian method's by an ulp.
-                    "version": 2,
+                    # 2: zero-birth diagrams use the exact 1-D dynamic program.
+                    # 3: other diagrams use the m x (k + m) assignment.  Both
+                    # may move an entry by an ulp.
+                    "version": 3,
                 },
                 "distmat.csv",
                 ("diagrams",),
-                lambda diagrams: compute_distances(diagrams, cfg, workers),
+                lambda diagrams: compute_distances(diagrams, cfg),
                 lambda matrix, path, diagrams: write_distances(matrix, diagrams, cfg, path),
                 io.read_distmat_csv,
             ),

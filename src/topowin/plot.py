@@ -3,9 +3,10 @@ diagonal), plus a lossless CSV twin of the plotted points."""
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 from typing import Sequence
+
+from . import io
 
 _SIZE = 480
 _MARGIN = 48
@@ -61,10 +62,7 @@ def write_diagram_plot(
     out_csv: Path,
     title: str = "persistence diagram",
 ) -> None:
-    out_svg.parent.mkdir(parents=True, exist_ok=True)
-    out_svg.write_text(render_diagram_svg(rows, title), encoding="utf-8")
-    with Path(out_csv).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["dim", "birth", "death"])
-        for dim, birth, death in rows:
-            writer.writerow([dim, repr(float(birth)), repr(float(death))])
+    io.write_text(out_svg, render_diagram_svg(rows, title))
+    lines = ["dim,birth,death\n"]
+    lines += (f"{dim},{float(birth)!r},{float(death)!r}\n" for dim, birth, death in rows)
+    io.write_text(Path(out_csv), "".join(lines))

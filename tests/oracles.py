@@ -7,6 +7,9 @@ distance expression (exact to the last bit, so batched code can be held to
 equality on any input), dimension-1 diagrams from persistent Betti numbers
 computed with dense GF(2) rank arithmetic, Wasserstein distances from full
 enumeration of augmented matchings, and assignments from permutation
+enumeration.  For diagrams too large to enumerate, the referee is the
+square diagonal-augmented cost matrix, built here and solved exactly by the
+package's assignment solver, which is itself held to permutation
 enumeration.
 """
 
@@ -215,6 +218,28 @@ def wasserstein_by_enumeration(a, b, p: float = 1.0) -> float:
     if not a and not b:
         return 0.0
     return best ** (1.0 / p)
+
+
+def diagonal_augmented_cost_matrix(a, b, p: float = 1.0) -> list[list[float]]:
+    """Square cost matrix over (points of a + diagonal slots) x (points of b
+    + diagonal slots), costs raised to the p-th power: a point of one side
+    meets the other side's diagonal at its own diagonal cost, and
+    diagonal-to-diagonal cells are free.  Its minimum assignment is the
+    p-th power of the p-Wasserstein distance."""
+    m, k = len(a), len(b)
+    size = m + k
+    diag_a = [((d - bi) / 2.0) ** p for bi, d in a]
+    diag_b = [((d - bi) / 2.0) ** p for bi, d in b]
+    cost = [[0.0] * size for _ in range(size)]
+    for i in range(m):
+        for j in range(k):
+            cost[i][j] = _linf(a[i], b[j]) ** p
+        for j in range(k, size):
+            cost[i][j] = diag_a[i]
+    for i in range(m, size):
+        for j in range(k):
+            cost[i][j] = diag_b[j]
+    return cost
 
 
 # --- assignment by permutation enumeration --------------------------------------

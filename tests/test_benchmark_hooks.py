@@ -1,8 +1,9 @@
-"""The benchmark's trace hooks and artifact microbenchmarks still fit the program.
+"""The benchmark's trace hooks and microbenchmarks still fit the program.
 
-``perfbench/run.py --trace 1`` wraps pipeline functions by name and reads a
-finished run's artifacts by stage and suffix; a rename or a layout change
-breaks it without failing any other test.
+``perfbench/run.py --trace 1`` wraps pipeline functions by name, calls the
+public compute functions directly, and reads a finished run's artifacts by
+stage and suffix; a rename, a signature change or a layout change breaks it
+without failing any other test.
 """
 
 from pathlib import Path
@@ -38,3 +39,10 @@ def test_micro_artifacts_reads_every_artifact_kind(perfbench, small_run, tmp_pat
     metrics = micro.artifacts(root / cfg.run_id, tmp_path, {"train": 18, "test": 12}, 0)
     kinds = ("series", "params", "windows", "clouds", "diagrams", "distmat", "report")
     assert {f"io.{op}.{kind}_s.n" for op in ("read", "write") for kind in kinds} <= set(metrics)
+
+
+def test_micro_compute_calls_every_layer(perfbench):
+    import micro
+
+    metrics = micro.compute(1)
+    assert {f"{name}.n" for name in micro.COMPUTE_SAMPLES} <= set(metrics)

@@ -290,6 +290,19 @@ class TestRunCommand:
             ("maxscale", [1]),
             ("maxscale", "3"),
             ("maxscale", {"a": 1}),
+            ("k", 2.7),
+            ("window", 5.9),
+            ("stride", 10.0),
+            ("k", "5"),
+            ("seed", "3"),
+            ("k", True),
+            ("dimension", False),
+            ("splits", [["train", 0.5, 600], ["test", 600, 1000]]),
+            ("splits", [["train", 0, 600], ["test", 600, 10.9]]),
+            ("splits", [["train", "0", 600], ["test", 600, 1000]]),
+            ("p", True),
+            ("p", "2"),
+            ("maxscale", True),
         ],
     )
     def test_ill_typed_field_is_a_usage_error(self, tmp_path, synth_csv, field, value, capsys):

@@ -1,20 +1,25 @@
+import os
+import subprocess
+import sys
+from itertools import product
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topowin import distance as distance_module
 from topowin.assignment import min_cost_assignment
-from topowin.distance import _matching_cost_matrix
 from topowin import (
     DataError,
     DistanceMatrix,
     PersistenceDiagram,
     WassersteinConfig,
     distance_matrix,
+    rips_persistence_dim1,
     wasserstein,
 )
-from oracles import wasserstein_by_enumeration
+from oracles import diagonal_augmented_cost_matrix, wasserstein_by_enumeration
 
 
 def diag0(*pairs):
@@ -160,48 +165,6 @@ class TestDistanceMatrix:
         with pytest.raises(DataError, match="dimension"):
             distance_matrix([bad], [bad], WassersteinConfig(dimension=0))
 
-    def test_parallel_equals_sequential(self):
-        rng = np.random.default_rng(9)
-        test = [random_diagram(rng) for _ in range(6)]
-        train = [random_diagram(rng) for _ in range(7)]
-        seq = distance_matrix(test, train, workers=1)
-        par = distance_matrix(test, train, workers=2)
-        assert np.array_equal(seq.values, par.values)
-
-    def test_workers_below_one_rejected(self):
-        d = diag0((0.0, 1.0))
-        for workers in (0, -3):
-            with pytest.raises(ValueError, match="workers"):
-                distance_matrix([d], [d], workers=workers)
-
-    def test_pool_has_at_most_one_process_per_row(self, monkeypatch):
-        started = []
-
-        class InlinePool:
-            """Records the requested size and maps in this process."""
-
-            def __init__(self, processes, initializer, initargs):
-                started.append(processes)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return [fn(item) for item in items]
-
-        monkeypatch.setattr(distance_module, "Pool", InlinePool)
-        monkeypatch.setattr(distance_module, "_POOL_STATE", {})
-        rng = np.random.default_rng(10)
-        test = [random_diagram(rng) for _ in range(3)]
-        train = [random_diagram(rng) for _ in range(4)]
-        matrix = distance_matrix(test, train, workers=5000)
-        assert started == [3]
-        assert np.array_equal(matrix.values, distance_matrix(test, train).values)
-
     def test_matrix_invariants_enforced(self):
         with pytest.raises(ValueError):
             DistanceMatrix(row_ids=(0,), col_ids=(0,), values=np.array([[-1.0]]))
@@ -220,7 +183,8 @@ def random_zero_birth(rng, low, high, grid=False):
 
 
 def hungarian_distance(d1, d2, p):
-    _, total = min_cost_assignment(_matching_cost_matrix(d1.pairs, d2.pairs, p))
+    """The referee: the square diagonal-augmented matrix, solved exactly."""
+    _, total = min_cost_assignment(diagonal_augmented_cost_matrix(d1.pairs, d2.pairs, p))
     return max(total, 0.0) ** (1.0 / p)
 
 
@@ -264,18 +228,57 @@ class TestZeroBirthDP:
         want = [[wasserstein(t, tr, cfg) for tr in train] for t in test]
         assert np.array_equal(matrix.values, np.array(want))
 
-    def test_no_pool_started(self, monkeypatch):
-        started = []
 
-        class RecordingPool:
-            def __init__(self, *args, **kwargs):
-                started.append(kwargs.get("processes"))
-                raise AssertionError("zero-birth diagrams started a pool")
+def dim1(*pairs):
+    return PersistenceDiagram(dim=1, pairs=tuple(pairs), essential_policy="capped")
 
-        monkeypatch.setattr(distance_module, "Pool", RecordingPool)
-        rng = np.random.default_rng(12)
-        test = [random_zero_birth(rng, 0, 6) for _ in range(5)]
-        train = [random_zero_birth(rng, 0, 6) for _ in range(9)]
-        parallel = distance_matrix(test, train, workers=2)
-        assert started == []
-        assert np.array_equal(parallel.values, distance_matrix(test, train, workers=1).values)
+
+def rips_dim1_diagrams(seed, count):
+    """Dimension-1 diagrams of Rips filtrations of 12 to 24 normal points in R^4."""
+    rng = np.random.default_rng(seed)
+    return [rips_persistence_dim1(rng.normal(size=(int(rng.integers(12, 25)), 4)), 3.0) for _ in range(count)]
+
+
+def grid_dim1(rng, max_points=6):
+    """Half-integer points born at 0 to 2: ties, duplicates and zero-persistence points."""
+    n = int(rng.integers(0, max_points + 1))
+    births = rng.integers(0, 5, size=n)
+    deaths = births + rng.integers(0, 4, size=n)
+    return dim1(*sorted(zip((births / 2.0).tolist(), (deaths / 2.0).tolist()), key=lambda q: (q[1], q[0])))
+
+
+class TestDim1Matching:
+    """Diagrams not all born at 0 take the m x (k + m) assignment."""
+
+    def test_matches_square_referee(self):
+        rips = rips_dim1_diagrams(1, 60)
+        rng = np.random.default_rng(41)
+        grid = [(grid_dim1(rng), grid_dim1(rng)) for _ in range(6400)]
+        pairs = list(product(rips, rips)) + grid
+        assert len(pairs) >= 10_000
+        assert {len(d) for d in rips} >= {0, 1, 5} and max(len(d) for d in rips) >= 8
+        assert any(len(a) != len(b) and min(len(a), len(b)) == 0 for a, b in grid)
+        for p in (1.0, 2.0):
+            cfg = WassersteinConfig(p=p, dimension=1)
+            bad = []
+            for a, b in pairs:
+                got, want = wasserstein(a, b, cfg), hungarian_distance(a, b, p)
+                if abs(got - want) > 1e-12 * want:
+                    bad.append((a.pairs, b.pairs, got, want))
+            assert bad == [], f"p={p}: {len(bad)} of {len(pairs)} pairs disagree, first {bad[0]}"
+
+    def test_identical_diagrams_are_exactly_zero(self):
+        rng = np.random.default_rng(7)
+        diagrams = rips_dim1_diagrams(2, 20) + [grid_dim1(rng, 12) for _ in range(200)]
+        for p in (1.0, 2.0):
+            cfg = WassersteinConfig(p=p, dimension=1)
+            for d in diagrams:
+                assert wasserstein(d, dim1(*d.pairs), cfg) == 0.0
+                assert wasserstein(d, dim1(*reversed(d.pairs)), cfg) == 0.0
+
+
+def test_import_leaves_multiprocessing_out():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, topowin; sys.exit('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import multiprocessing.process
 import shutil
 from pathlib import Path
 from types import SimpleNamespace
@@ -99,6 +100,19 @@ class TestConfig:
             ("maxscale", [1]),
             ("maxscale", "3"),
             ("maxscale", {"a": 1}),
+            ("k", 2.7),
+            ("window", 5.9),
+            ("stride", 10.0),
+            ("k", "5"),
+            ("seed", "3"),
+            ("k", True),
+            ("dimension", False),
+            ("splits", [["train", 0.5, 600], ["test", 600, 1000]]),
+            ("splits", [["train", 0, 600], ["test", 600, 10.9]]),
+            ("splits", [["train", "0", 600], ["test", 600, 1000]]),
+            ("p", True),
+            ("p", "2"),
+            ("maxscale", True),
         ],
     )
     def test_ill_typed_field_names_the_field(self, synth_csv, field, value):
@@ -408,6 +422,30 @@ class TestRunArguments:
         with pytest.raises(ValueError, match="workers"):
             run(cfg, data, runs_root=root, workers=workers)
         assert {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()} == before
+
+
+    def test_workers_change_no_byte_and_start_no_process(self, synth_csv, tmp_path, monkeypatch):
+        def no_process(*args, **kwargs):
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+        payload = synthetic_config_dict("d1", synth_csv, n_windows=30)
+        payload.update(dimension=1, maxscale=8.0, k=3)
+        cfg = PipelineConfig.from_dict(payload)
+        runs = []
+        for workers in (1, 2):
+            root = tmp_path / f"workers-{workers}"
+            run(cfg, synth_csv, runs_root=root, workers=workers)
+            run_dir = root / cfg.run_id
+            # provenance.json holds the runs root and timings; its stage keys are compared.
+            files = {
+                p.relative_to(run_dir): p.read_bytes()
+                for p in sorted(run_dir.rglob("*"))
+                if p.is_file() and p.name != "provenance.json"
+            }
+            stages = [(s["stage"], s["key"], s["status"]) for s in describe_run(cfg.run_id, root)["stages"]]
+            runs.append((files, stages))
+        assert runs[0] == runs[1]
 
 
 class TestDistanceCacheVersion:
