@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -194,32 +195,81 @@ def _parse_label(text: str) -> int:
     value = float(text)
     if not value.is_integer():
         raise ValueError(f"label '{text}' is not an integer")
+    if not -(2.0**63) <= value < 2.0**63:
+        raise ValueError(f"label '{text}' is outside the int64 range")
     return int(value)
 
 
-def load_csv(path: str | Path, schema: CsvSchema) -> TimeSeries:
-    """Load and validate a labeled series from a headed CSV file.
+def _column_positions(path: Path, header: list[str], schema: CsvSchema) -> list[int]:
+    """File column of the timestamp, each feature and the label, in that order."""
+    header = [h.strip() for h in header]
+    positions = []
+    for col in (schema.timestamp, *schema.features, schema.label):
+        if col not in header:
+            raise DataError(f"{path}: missing column '{col}' (header: {header})")
+        positions.append(header.index(col))
+    return positions
 
-    Rows with missing or unparseable cells are rejected; the error names the
-    offending 1-based file line numbers.  Timestamps must come out strictly
-    increasing.
+
+_NON_BLANK = re.compile(rb"\S")
+
+
+def _load_table(path: Path, raw: bytes, schema: CsvSchema):
+    """Timestamps, values and labels parsed by numpy's C reader, or None.
+
+    None sends the file to the row loop: a whitespace delimiter, quotes,
+    carriage returns or NUL bytes (where ``csv`` may split cells or lines
+    differently), no data rows, any cell the C reader refuses, or any value
+    the loop would reject.  Both parsers round decimals correctly, so an
+    accepted file gives the loop's arrays bit for bit.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    if schema.delimiter.isspace() or b'"' in raw or b"\r" in raw or b"\0" in raw:
+        return None
+    end = raw.find(b"\n")
+    if end < 0 or not _NON_BLANK.search(raw, end + 1):
+        return None  # no data rows: numpy would only warn, the loop raises
+    header = next(csv.reader([raw[:end].decode("utf-8-sig")], delimiter=schema.delimiter), [])
+    cols = _column_positions(path, header, schema)
+    options = dict(delimiter=schema.delimiter, skiprows=1, comments=None, encoding="utf-8-sig")
+    try:
+        table = np.loadtxt(path, usecols=cols, ndmin=2, **options)
+        timestamps = table[:, 0].copy()
+        table = table[:, 1:]
+    except ValueError:
+        # Timestamps that are not numbers (ISO dates): read them as text.
+        try:
+            table = np.loadtxt(path, usecols=cols[1:], ndmin=2, **options)
+            text = np.loadtxt(path, usecols=cols[0], ndmin=1, dtype=object, **options)
+            timestamps = np.array([parse_timestamp(t) for t in text], dtype=float)
+        except ValueError:
+            return None
+    labels = table[:, -1]
+    if not (
+        np.isfinite(table).all()
+        and np.isfinite(timestamps).all()
+        and (labels == np.trunc(labels)).all()
+        and (labels >= -(2.0**63)).all()
+        and (labels < 2.0**63).all()
+    ):
+        return None
+    return timestamps, np.ascontiguousarray(table[:, :-1]), labels.astype(np.int64)
+
+
+def _load_rows(path: Path, schema: CsvSchema):
+    """Timestamps, values and labels parsed row by row with ``csv`` and ``float``.
+
+    This loop diagnoses every file the C pass refuses: it rejects all bad rows
+    together, naming their 1-based file lines.
+    """
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
         try:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file (no header row)") from None
-        header = [h.strip() for h in header]
-        positions: dict[str, int] = {}
-        for col in (schema.timestamp, *schema.features, schema.label):
-            if col not in header:
-                raise DataError(f"{path}: missing column '{col}' (header: {header})")
-            positions[col] = header.index(col)
-        needed = max(positions.values()) + 1
+        cols = _column_positions(path, header, schema)
+        ts_col, *feature_cols, label_col = cols
+        needed = max(cols) + 1
 
         timestamps: list[float] = []
         rows: list[list[float]] = []
@@ -232,9 +282,9 @@ def load_csv(path: str | Path, schema: CsvSchema) -> TimeSeries:
                 bad.append((lineno, f"expected at least {needed} columns, got {len(record)}"))
                 continue
             try:
-                ts = parse_timestamp(record[positions[schema.timestamp]])
-                feats = [float(record[positions[c]]) for c in schema.features]
-                lab = _parse_label(record[positions[schema.label]])
+                ts = parse_timestamp(record[ts_col])
+                feats = [float(record[c]) for c in feature_cols]
+                lab = _parse_label(record[label_col])
             except ValueError as exc:
                 bad.append((lineno, str(exc)))
                 continue
@@ -251,7 +301,40 @@ def load_csv(path: str | Path, schema: CsvSchema) -> TimeSeries:
         raise DataError(f"{path}: {len(bad)} malformed row(s): {shown}{more}")
     if not rows:
         raise DataError(f"{path}: no data rows")
-    ts_arr = np.asarray(timestamps, dtype=float)
+    return (
+        np.asarray(timestamps, dtype=float),
+        np.asarray(rows, dtype=float),
+        np.asarray(labels, dtype=np.int64),
+    )
+
+
+def load_csv(path: str | Path, schema: CsvSchema) -> TimeSeries:
+    """Load and validate a labeled series from a headed CSV file.
+
+    The file must be UTF-8; a leading byte-order mark is ignored.  A plain
+    file (a one-character delimiter that is not whitespace, LF line ends,
+    no quotes or NUL bytes) is parsed by numpy's C reader in one pass;
+    ISO-date timestamps are read as text and converted by
+    ``parse_timestamp``.  Every other file, and every file with a row the
+    checks below reject, is parsed row by row with ``csv``.  Both paths give
+    the same arrays and the same errors.
+
+    Rows with missing, unparseable or non-finite cells, or a label that is
+    not an integer in the int64 range, are rejected; the error names the
+    offending 1-based file line numbers.  Rows of blank cells are skipped.
+    Timestamps (numbers or ISO dates) must come out strictly increasing.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"no such file: {path}")
+    raw = path.read_bytes()
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text at byte {exc.start} ({exc.reason})") from None
+    parsed = _load_table(path, raw, schema)
+    ts_arr, values, labels = parsed if parsed is not None else _load_rows(path, schema)
     if ts_arr.size > 1:
         diffs = np.diff(ts_arr)
         if np.any(diffs <= 0):
@@ -262,8 +345,8 @@ def load_csv(path: str | Path, schema: CsvSchema) -> TimeSeries:
             )
     return TimeSeries(
         timestamps=ts_arr,
-        values=np.asarray(rows, dtype=float),
-        labels=np.asarray(labels, dtype=np.int64),
+        values=values,
+        labels=labels,
         channel_names=schema.features,
     )
 

@@ -370,7 +370,10 @@ class _StageRunner:
         try:
             value = spec.compute(*args)
         except (DataError, NumericalError, ValueError) as exc:
-            raise type(exc)(f"stage '{stage}': {exc}") from exc
+            # Re-raise as the base class: subclasses such as
+            # UnicodeDecodeError take other constructor arguments.
+            base = next(t for t in (DataError, NumericalError, ValueError) if isinstance(exc, t))
+            raise base(f"stage '{stage}': {exc}") from exc
         path.parent.mkdir(parents=True, exist_ok=True)
         spec.write(value, path, *args)
         return self._done(stage, value, "computed", started)

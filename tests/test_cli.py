@@ -177,6 +177,28 @@ class TestStageCommands:
         assert code == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "ingest"])
+    def test_non_utf8_data_exit_code(self, command, tmp_path, config_path, synth_csv, capsys):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(synth_csv.read_bytes().replace(b"\n1.0,", b"\n1.0\xe9,", 1))
+        offset = data.read_bytes().index(b"\xe9")
+        argv = [command, "--config", str(config_path), "--data", str(data), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        prefix = "data error: stage 'ingest': " if command == "run" else "data error: "
+        assert err == f"{prefix}{data}: not UTF-8 text at byte {offset} (invalid continuation byte)\n"
+
+    @pytest.mark.parametrize("command", ["run", "ingest"])
+    def test_label_outside_int64_exit_code(self, command, tmp_path, config_path, synth_csv, capsys):
+        header, first, *rest = synth_csv.read_text(encoding="utf-8").splitlines(keepends=True)
+        data = tmp_path / "big_label.csv"
+        data.write_text(header + first.rsplit(",", 1)[0] + ",1e20\n" + "".join(rest), encoding="utf-8")
+        argv = [command, "--config", str(config_path), "--data", str(data), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert "line 2: label '1e20' is outside the int64 range" in err
+
     def test_numerical_error_exit_code(self, tmp_path, config_path, capsys):
         data = tmp_path / "flat.csv"
         data.write_text(

@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from topowin import (
     load_csv,
     split_series,
 )
+from topowin import ingest
 from conftest import make_series
 
 SCHEMA2 = CsvSchema(timestamp="t", features=("a", "b"), label="y")
@@ -113,6 +116,209 @@ class TestLoadCsv:
             f"{path}: 5 malformed row(s): line 3: non-finite value; line 4: non-finite value; "
             "line 5: non-finite value; line 6: non-finite value; "
             "line 7: could not convert string to float: 'abc'"
+        )
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+OCC_SCHEMA = CsvSchema(
+    timestamp="timestamp",
+    features=("temperature", "humidity", "light", "co2", "humidity_ratio"),
+    label="label",
+)
+
+
+def benchmark_series(tmp_path, iso=False):
+    """The benchmark's seed-1 occupancy-shaped series; ``iso`` writes ISO dates."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    path = tmp_path / ("occ_iso.csv" if iso else "occ.csv")
+    workloads.write_csv(path, 1, workloads.WORKLOADS["occ-cold"].rows)
+    if iso:
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        dated = []
+        for row in rows:
+            seconds, rest = row.split(",", 1)
+            minute = int(seconds) // 60
+            dated.append(f"2015-02-{4 + minute // 1440:02d} {minute // 60 % 24:02d}:{minute % 60:02d}:00,{rest}")
+        path.write_text("\n".join([header, *dated]) + "\n", encoding="utf-8")
+    return path
+
+
+def load_both(path, schema):
+    """``load_csv`` on ``path`` as it is and with the C pass switched off.
+
+    Each result is the series or the ``DataError`` message.
+    """
+    results = []
+    for table in (ingest._load_table, lambda *args: None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_load_table", table)
+            try:
+                results.append(load_csv(path, schema))
+            except DataError as exc:
+                results.append(str(exc))
+    return results
+
+
+def refuse_row_loop(*args):
+    raise AssertionError("row loop called")
+
+
+def assert_same_load(fast, rows):
+    if isinstance(rows, str):
+        assert fast == rows
+        return
+    assert isinstance(fast, TimeSeries), fast
+    for name in ("timestamps", "values", "labels"):
+        a, b = getattr(fast, name), getattr(rows, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.flags.c_contiguous and b.flags.c_contiguous
+        assert a.tobytes() == b.tobytes(), name
+
+
+H = b"t,a,b,y\n"
+ROWS = b"0,1.5,2,0\n1,3,4.25,1\n2,5,6,0\n"
+CORPUS = {
+    "plain": H + ROWS,
+    "semicolon": (b"t;a;b;y\n0;1.5;2;0\n1;3;4.25;1\n", ";"),
+    "tab": (b"t\ta\tb\ty\n0\t1.5\t2\t0\n1\t3\t4.25\t1\n", "\t"),
+    "tab-leading": (b"t\ta\tb\ty\n\t0\t1.5\t2\t0\n", "\t"),
+    "space": (b"t a b y\n0 1.5 2 0 \n1  3 4 1\n", " "),
+    "space-leading": (b"t a b y\n 0 1.5 2 0\n", " "),
+    "crlf": (H + ROWS).replace(b"\n", b"\r\n"),
+    "lone-cr": (H + ROWS).replace(b"\n", b"\r"),
+    "quoted-cells": H + b'0,"1.5",2,0\n"1",3,"4.25",1\n',
+    "quoted-header": b'"t","a","b","y"\n' + ROWS,
+    "quoted-delimiter": b't,a,b,y\n0,"1,5",2,0\n',
+    "quoted-newline": H + b'0,1,2,0,"x\n1,3,4,1,"\n',
+    "cr-in-header": b"t,a,b,y\r0,1,2,0\n1,3,4,1\n",
+    "cr-in-row": H + b"0,1\r,2,0\n",
+    "blank-line": H + b"0,1,2,0\n\n1,3,4,1\n",
+    "whitespace-line": H + b"0,1,2,0\n  \t \n1,3,4,1\n",
+    "commas-line": H + b"0,1,2,0\n,,,\n1,3,4,1\n",
+    "only-blank-rows": H + b"\n \n,,,\n",
+    "extra-columns": b"t,a,b,y,z\n0,1,2,0,9\n1,3,4,1,9,9\n",
+    "short-row": H + b"0,1,2,0\n1,3,4\n2,5,6,0\n",
+    "hash-line": H + b"# comment\n0,1,2,0\n",
+    "hash-cell": H + b"0,1,2,0 # note\n",
+    "header-only": H,
+    "header-without-newline": b"t,a,b,y",
+    "empty": b"",
+    "blank-header": b"\n" + ROWS,
+    "missing-column": b"t,a,y\n0,1,0\n",
+    "reordered-columns": b"y,b,x,a,t\n0,2,9,1.5,0\n1,4,9,3,1\n",
+    "padded-header": b" t , a ,b,y \n" + ROWS,
+    "bom": b"\xef\xbb\xbf" + H + ROWS,
+    "bom-quoted-header": b'\xef\xbb\xbf"t","a","b","y"\n' + ROWS,
+    "utf8-cells": "t,a,b,y\n0,1,2,0\n1,3é,4,1\n".encode(),
+    "nan": H + b"0,nan,2,0\n",
+    "inf": H + b"0,1,inf,0\n",
+    "minus-infinity": H + b"0,-Infinity,2,0\n",
+    "nan-timestamp": H + b"nan,1,2,0\n",
+    "overflow": H + b"0,1e400,2,0\n",
+    "underscore": H + b"0,1_000,2,0\n1,3,4,1\n",
+    "non-ascii-digits": "t,a,b,y\n0,١٢,2,0\n١,3,4,1\n".encode(),
+    "non-ascii-digit-timestamps": "t,a,b,y\n٠,1,2,0\n١,3,4,1\n".encode(),
+    "underscore-timestamps": H + b"1_000,1,2,0\n2_000,3,4,1\n",
+    "label-1.0": H + b"0,1,2,1.0\n",
+    "label-1.5": H + b"0,1,2,1.5\n",
+    "label-1e20": H + b"0,1,2,1e20\n",
+    "label-minus-1e20": H + b"0,1,2,-1e20\n",
+    "label-minus-zero": H + b"0,1,2,-0.0\n",
+    "label-int64-min": H + b"0,1,2,-9223372036854775808\n",
+    "label-2**63": H + b"0,1,2,9223372036854775808\n",
+    "label-nan": H + b"0,1,2,nan\n",
+    "17-digits": H + b"0.10000000000000001,0.30000000000000004,1.7976931348623157e308,0\n"
+    b"1,2.2250738585072014e-308,4.9406564584124654e-324,1\n",
+    "exponents": H + b"1e-3,1E+3,-2.5e-7,0\n2E0,.5e1,5.,1\n",
+    "padded-cells": H + b" 0 , 1.5 ,\t2\t, 0 \n1,3 ,4,1\n",
+    "nbsp-cell": "t,a,b,y\n0,1.5\u00a0,2,0\n".encode(),
+    "hex": H + b"0,0x10,2,0\n",
+    "empty-cell": H + b"0,,2,0\n",
+    "text-cell": H + b"0,1,2,0\n1,oops,4,1\n",
+    "no-trailing-newline": H + b"0,1,2,0\n1,3,4,1",
+    "not-increasing": H + b"0,1,2,0\n2,1,2,0\n1,1,2,0\n",
+    "iso-dates": H + b"2015-02-04 17:51:00,1,2,0\n2015-02-04T17:52:00+01:00,3,4,1\n2015-02-04 17:53:00,5,6,0\n",
+    "iso-and-numbers": H + b"1423072260,1,2,0\n2015-02-04 17:52:00,3,4,1\n",
+    "iso-padded": H + b" 2015-02-04 17:51:00 ,1,2,0\n",
+    "iso-bad-date": H + b"2015-02-04 17:51:00,1,2,0\n2015-02-30 17:52:00,3,4,1\n",
+    "iso-bad-feature": H + b"2015-02-04 17:51:00,1,x,0\n",
+    "iso-not-increasing": H + b"2015-02-04 17:52:00,1,2,0\n2015-02-04 17:51:00,3,4,1\n",
+    "nul": H + b"0,1,2,0\n1,3\x00,4,1\n",
+    "nul-in-label": H + b"0,1,2,0\x00\n",
+    "many-bad-rows": H + b"".join(b"%d,x,2,0\n" % i for i in range(12)),
+}
+
+
+class TestLoadCsvFastPath:
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_matches_row_loop(self, name, tmp_path):
+        content, delimiter = CORPUS[name] if isinstance(CORPUS[name], tuple) else (CORPUS[name], ",")
+        path = tmp_path / "data.csv"
+        path.write_bytes(content)
+        schema = CsvSchema(timestamp="t", features=("a", "b"), label="y", delimiter=delimiter)
+        assert_same_load(*load_both(path, schema))
+
+    @pytest.mark.parametrize("iso", [False, True], ids=["numeric", "iso"])
+    def test_benchmark_series_matches_row_loop(self, iso, tmp_path):
+        fast, rows = load_both(benchmark_series(tmp_path, iso), OCC_SCHEMA)
+        assert_same_load(fast, rows)
+        assert fast.length == 8030
+
+    @pytest.mark.parametrize("iso", [False, True], ids=["numeric", "iso"])
+    def test_row_loop_not_called(self, iso, tmp_path, monkeypatch):
+        path = benchmark_series(tmp_path, iso)
+        monkeypatch.setattr(ingest, "_load_rows", refuse_row_loop)
+        assert load_csv(path, OCC_SCHEMA).length == 8030
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_csv(path, OCC_SCHEMA).length == 8030
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+            min_size=1,
+            max_size=20,
+        ),
+        st.sampled_from([repr, "%.7g".__mod__, "%.17g".__mod__]),
+        st.lists(st.sampled_from(["", " ", "  ", "\t"]), min_size=2, max_size=2),
+        st.randoms(use_true_random=False),
+    )
+    def test_random_tables_match_row_loop(self, tmp_path_factory, table, fmt, pads, rnd):
+        lines = ["t,a,b,y"]
+        for i, (ts, a, b) in enumerate(table):
+            cells = [repr(i * 1e6 + ts % 1e5), fmt(a), fmt(b), str(rnd.randint(-3, 3))]
+            lines.append(",".join(rnd.choice(pads) + c + rnd.choice(pads) for c in cells))
+        path = tmp_path_factory.mktemp("table") / "data.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_load_rows", refuse_row_loop)  # the C pass takes every such table
+            fast = load_csv(path, SCHEMA2)
+        assert_same_load(fast, load_both(path, SCHEMA2)[1])
+
+
+class TestLoadCsvEncodingAndLabels:
+    def test_non_utf8_file_names_file_and_offset(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"t,a,b,y\n0,1,2,0\n1,3\xe9,4,1\n")
+        with pytest.raises(DataError) as info:
+            load_csv(path, SCHEMA2)
+        assert str(info.value) == f"{path}: not UTF-8 text at byte 19 (invalid continuation byte)"
+
+    def test_bom_is_not_part_of_the_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbft,a,b,y\n0,1,2,0\n")
+        assert load_csv(path, SCHEMA2).values.tolist() == [[1.0, 2.0]]
+
+    def test_label_outside_int64_is_a_malformed_row(self, tmp_path):
+        path = write(tmp_path, "t,a,b,y\n0,1,2,0\n1,1,2,1e20\n")
+        with pytest.raises(DataError) as info:
+            load_csv(path, SCHEMA2)
+        assert str(info.value) == (
+            f"{path}: 1 malformed row(s): line 3: label '1e20' is outside the int64 range"
         )
 
 

@@ -25,6 +25,12 @@ from topowin.cli import main
 from topowin.pipeline import build_clouds, cut_windows, default_runs_root, standardize
 from conftest import synthetic_config_dict
 
+
+class TwoArgumentDataError(DataError):
+    def __init__(self, first, second):
+        super().__init__(f"{first} {second}")
+
+
 STAGES = ("ingest", "standardize", "windows", "clouds", "diagrams", "distances", "classify")
 # Artifact kind: (stage that writes it, file name suffix).
 ARTIFACTS = {
@@ -216,6 +222,25 @@ class TestRun:
     def test_missing_data_file(self, synth_csv, tmp_path):
         with pytest.raises(DataError, match="stage 'ingest'"):
             run(config_for(synth_csv), tmp_path / "absent.csv", runs_root=tmp_path / "runs")
+
+    @pytest.mark.parametrize(
+        "exc, base",
+        [
+            (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"), ValueError),
+            (json.JSONDecodeError("Expecting value", "x", 0), ValueError),
+            (TwoArgumentDataError("a", "b"), DataError),
+        ],
+        ids=["unicode", "json", "data-error-subclass"],
+    )
+    def test_stage_error_reraised_as_its_base_class(self, synth_csv, tmp_path, monkeypatch, exc, base):
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setattr(topowin.pipeline, "load_csv", fail)
+        with pytest.raises(base, match="^stage 'ingest': ") as info:
+            run(config_for(synth_csv), synth_csv, runs_root=tmp_path / "runs")
+        assert type(info.value) is base
+        assert info.value.__cause__ is exc
 
     def test_describe_unknown_run(self, tmp_path):
         with pytest.raises(DataError, match="unknown run"):
