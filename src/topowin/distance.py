@@ -22,6 +22,7 @@ dynamic program; one test diagram runs against all train diagrams at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,12 +35,12 @@ from .persistence import PersistenceDiagram
 
 @dataclass(frozen=True)
 class WassersteinConfig:
-    p: float = 1.0  # matching-cost exponent, >= 1
+    p: float = 1.0  # matching-cost exponent, >= 1 and finite
     dimension: int = 0  # homology dimension the diagrams come from
 
     def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
+        if not (math.isfinite(self.p) and self.p >= 1):
+            raise ValueError(f"p must be >= 1 and finite, got {self.p}")
         if self.dimension < 0:
             raise ValueError(f"dimension must be >= 0, got {self.dimension}")
 

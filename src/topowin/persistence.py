@@ -9,15 +9,21 @@ in a single pass over a (clouds, n, n) distance tensor, chunked to bound
 its temporaries; the one-cloud ``rips_persistence_dim0`` is that pass on a
 list of one.
 
-Dimension 1 builds the complex up to 2-simplices below a scale cap and
-runs the standard column reduction over Z/2, with simplices ordered by
-(filtration value, dimension, vertex tuple).  Cycle classes still alive
-at the cap are reported with death equal to the cap.
+Dimension 1 lists the edges and triangles up to a scale cap, ordered by
+(length, vertices) and (diameter, vertices), and reduces only the triangle
+columns over Z/2.  The edges that open a cycle are those outside a minimum
+spanning forest; all minimum spanning trees share one multiset of lengths,
+and their edges up to the cap span the threshold graph's components, so
+those births are the edge lengths up to the cap minus the dimension-0
+deaths up to the cap, and no edge column is reduced.  A nonzero reduced
+triangle column closes the cycle born at its pivot edge; cycle classes
+still alive at the cap are reported with death equal to the cap.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -86,16 +92,15 @@ def _chunk_clouds(n: int, d: int) -> int:
     return max(1, _CHUNK_FLOATS // max(1, n * n * d))
 
 
-def _mst_deaths(pts: np.ndarray) -> np.ndarray:
+def _mst_deaths(dist: np.ndarray) -> np.ndarray:
     """(C, n - 1) sorted minimum-spanning-tree edge lengths of C clouds of
-    n points each, by one Prim pass over all of them.
+    n points each, by one Prim pass over their (C, n, n) distance tensor.
 
     Every tree starts at vertex 0.  ``to_tree`` holds each vertex's distance
     to its cloud's tree, and ``inf`` for a vertex in the tree, so each step
     is one row-wise argmin.  The distance rows of all clouds are stacked
     into one (C * n, n) table and addressed by flat index, which costs less
     per step than fancy indexing when C is small."""
-    dist = _distance_matrix(pts)
     c, n = dist.shape[:2]
     dist = dist.reshape(c * n, n)
     first = np.arange(0, c * n, n)  # flat index of each cloud's vertex 0
@@ -145,7 +150,7 @@ def rips_persistence_dim0_batch(
         step = _chunk_clouds(n, d)
         for start in range(0, len(members), step):
             part = members[start : start + step]
-            deaths = _mst_deaths(np.array([points[i] for i in part])).tolist()
+            deaths = _mst_deaths(_distance_matrix(np.array([points[i] for i in part]))).tolist()
             for i, row in zip(part, deaths):
                 pairs = tuple([(0.0, x) for x in row] + essential)
                 diagrams[i] = PersistenceDiagram(dim=0, pairs=pairs, essential_policy=essential_policy)
@@ -162,75 +167,48 @@ def rips_persistence_dim0(
     return rips_persistence_dim0_batch([cloud], essential_policy, maxscale)[0]
 
 
-def _simplices_up_to_triangles(
-    pts: np.ndarray, maxscale: float
-) -> list[tuple[float, int, tuple[int, ...]]]:
-    """(filtration value, dimension, vertices) for all simplices of dim <= 2
-    with diameter <= maxscale, in reduction order."""
-    n = pts.shape[0]
-    dist = _distance_matrix(pts)
-    simplices: list[tuple[float, int, tuple[int, ...]]] = [(0.0, 0, (i,)) for i in range(n)]
-    for i, j in combinations(range(n), 2):
-        ell = float(dist[i, j])
-        if ell <= maxscale:
-            simplices.append((ell, 1, (i, j)))
-    for i, j, k in combinations(range(n), 3):
-        ell = float(max(dist[i, j], dist[i, k], dist[j, k]))
-        if ell <= maxscale:
-            simplices.append((ell, 2, (i, j, k)))
-    simplices.sort(key=lambda s: (s[0], s[1], s[2]))
-    return simplices
-
-
 def rips_persistence_dim1(cloud, maxscale: float) -> PersistenceDiagram:
     """Dimension-1 diagram of the Rips filtration truncated at ``maxscale``.
 
-    Standard Z/2 column reduction; columns are bitmasks over the ordered
-    simplex list, so adding a column is one XOR and the pivot is the
-    highest set bit.  Zero-persistence pairs are discarded; unpaired
-    cycle classes are capped at ``maxscale``.
+    A triangle column is a bitmask over the ordered edges, so adding a
+    column is one XOR and the pivot is the highest set bit.
+    Zero-persistence pairs are discarded.
     """
     pts = cloud_points(cloud)
-    if pts.shape[0] < 3:
-        raise DataError(f"dimension-1 persistence needs at least 3 points, got {pts.shape[0]}")
+    n = pts.shape[0]
+    if n < 3:
+        raise DataError(f"dimension-1 persistence needs at least 3 points, got {n}")
     if maxscale <= 0 or not math.isfinite(maxscale):
         raise NumericalError(f"maxscale must be positive and finite, got {maxscale}")
+    if not np.isfinite(pts).all():
+        raise DataError("dimension-1 persistence needs finite coordinates")
 
-    simplices = _simplices_up_to_triangles(pts, float(maxscale))
-    index_of = {verts: idx for idx, (_, _, verts) in enumerate(simplices)}
+    dist = _distance_matrix(pts)
+    d = dist.tolist()
+    edges = sorted((d[i][j], i, j) for i, j in combinations(range(n), 2) if d[i][j] <= maxscale)
+    bit = {(i, j): 1 << e for e, (_, i, j) in enumerate(edges)}
+    triangles = sorted(
+        (diam, i, j, k)
+        for i, j, k in combinations(range(n), 3)
+        if (diam := max(d[i][j], d[i][k], d[j][k])) <= maxscale
+    )
 
-    reduced: dict[int, int] = {}  # pivot row -> reduced column bitmask
-    positive_edges: set[int] = set()  # edges that open a cycle not yet filled
+    open_births = Counter(ell for ell, _, _ in edges)
+    open_births.subtract(x for x in _mst_deaths(dist[None])[0].tolist() if x <= maxscale)
+    reduced: dict[int, int] = {}  # pivot edge -> reduced column bitmask
     pairs: list[tuple[float, float]] = []
-
-    for j, (filt, dim, verts) in enumerate(simplices):
-        if dim == 0:
-            continue
-        col = 0
-        for face in combinations(verts, dim):
-            col ^= 1 << index_of[face]
-        while col:
-            other = reduced.get(col.bit_length() - 1)
-            if other is None:
-                break
+    for diam, i, j, k in triangles:
+        col = bit[i, j] | bit[i, k] | bit[j, k]
+        while col and (other := reduced.get(col.bit_length() - 1)) is not None:
             col ^= other
-        if col == 0:
-            if dim == 1:
-                positive_edges.add(j)
-            continue
-        low = col.bit_length() - 1
-        reduced[low] = col
-        if dim == 2:  # a triangle's column holds edges only, so its pivot is an edge
-            birth_filt = simplices[low][0]
-            positive_edges.discard(low)
-            if filt > birth_filt:
-                pairs.append((birth_filt, filt))
-
-    for j in sorted(positive_edges):
-        birth = simplices[j][0]
-        if maxscale > birth:
-            pairs.append((birth, float(maxscale)))
-
+        if col:
+            low = col.bit_length() - 1
+            reduced[low] = col
+            birth = edges[low][0]
+            open_births[birth] -= 1
+            if diam > birth:
+                pairs.append((birth, diam))
+    pairs += [(b, maxscale) for b in open_births.elements() if maxscale > b]
     pairs.sort(key=lambda p: (p[1], p[0]))
     return PersistenceDiagram(dim=1, pairs=tuple(pairs), essential_policy="capped")
 

@@ -88,7 +88,7 @@ def resolve_offset(spec: str | Sequence[float] | None, d: int) -> np.ndarray:
         values = [float(v) for v in spec]
     if len(values) != d:
         raise ValueError(f"offset has {len(values)} components, data has {d} channels")
-    return np.asarray(values, dtype=float)
+    return _finite(values, "offset")
 
 
 def resolve_anchors(spec, d: int) -> np.ndarray:
@@ -108,5 +108,14 @@ def resolve_anchors(spec, d: int) -> np.ndarray:
             values = [float(v) for v in item]
         if len(values) != d:
             raise ValueError(f"anchor has {len(values)} components, data has {d} channels")
-        rows.append(values)
+        rows.append(_finite(values, "anchor"))
     return np.asarray(rows, dtype=float)
+
+
+def _finite(values: list[float], name: str) -> np.ndarray:
+    """``values`` as an array; a nan or infinite component is a ValueError
+    naming the offset or anchor."""
+    out = np.asarray(values, dtype=float)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{name} components must be finite, got {','.join(map(repr, values))}")
+    return out

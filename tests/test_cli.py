@@ -336,6 +336,25 @@ class TestRunCommand:
         assert f"config field '{field}'" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("dimension", [["--dimension", "0"], ["--dimension", "1", "--maxscale", "3"]])
+    @pytest.mark.parametrize(
+        "flag, field",
+        [
+            (["--p", "inf"], "p must be"),
+            (["--p", "nan"], "p must be"),
+            (["--anchor", "nan,0,0"], "anchor components"),
+            (["--anchor", "1,inf,0"], "anchor components"),
+            (["--offset", "0,nan,2"], "offset components"),
+        ],
+    )
+    def test_non_finite_parameter_fails_before_any_stage(
+        self, tmp_path, config_path, dimension, flag, field, capsys
+    ):
+        argv = ["run", "--config", str(config_path), "--out", str(tmp_path / "runs"), *dimension, *flag]
+        assert main(argv) == 1
+        assert f"usage error: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
 
 class TestPlotDiagram:
     def test_plain_diagram_file(self, tmp_path, capsys):

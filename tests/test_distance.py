@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -108,6 +109,11 @@ class TestWasserstein:
     def test_p_below_one_rejected(self):
         with pytest.raises(ValueError, match="p must be >= 1"):
             WassersteinConfig(p=0.5)
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_p_not_finite_rejected(self, p):
+        with pytest.raises(ValueError, match="p must be >= 1 and finite"):
+            WassersteinConfig(p=p)
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -271,6 +271,12 @@ class TestDim1:
         with pytest.raises(DataError, match="3 points"):
             rips_persistence_dim1(np.zeros((2, 2)), maxscale=1.0)
 
+    def test_non_finite_point_rejected(self):
+        pts = SQUARE.copy()
+        pts[2, 1] = np.nan
+        with pytest.raises(DataError, match="finite coordinates"):
+            rips_persistence_dim1(pts, maxscale=2.0)
+
     def test_matches_persistent_betti_oracle(self):
         rng = np.random.default_rng(777)
         for _ in range(40):
@@ -284,6 +290,28 @@ class TestDim1:
             for g, w in zip(got, want):
                 assert g[0] == pytest.approx(w[0], abs=1e-9)
                 assert g[1] == pytest.approx(w[1], abs=1e-9)
+        # Integer grids have tied lengths and duplicate points, and every
+        # length is the root of an exact integer, so the pairs match exactly.
+        # A cap below the diameter can leave the threshold graph disconnected.
+        for _ in range(200):
+            n = int(rng.integers(3, 9))
+            d = int(rng.integers(2, 4))
+            pts = rng.integers(0, 3, size=(n, d)).astype(float)
+            for maxscale in (1.0, 1.2, 1.5, 2.5):
+                want = dim1_pairs_by_persistent_betti(pts, maxscale)
+                assert list(rips_persistence_dim1(pts, maxscale).pairs) == want
+        # Offset-translated floats with an origin anchor, as the pipeline
+        # builds them, under caps below and above the diameter.
+        for _ in range(60):
+            n = int(rng.integers(3, 9))
+            d = int(rng.integers(1, 4))
+            pts = np.vstack([rng.normal(size=(n - 1, d)) + np.arange(d), np.zeros((1, d))])
+            diameter = float(np.max(np.linalg.norm(pts[:, None] - pts[None], axis=-1)))
+            for maxscale in (0.5 * diameter, 0.8 * diameter, 1.5 * diameter):
+                got = rips_persistence_dim1(pts, maxscale).pairs
+                want = dim1_pairs_by_persistent_betti(pts, maxscale)
+                assert len(got) == len(want)
+                np.testing.assert_allclose(np.reshape(got, (-1, 2)), np.reshape(want, (-1, 2)), rtol=0, atol=1e-9)
 
 
 class TestHelpers:

@@ -154,3 +154,13 @@ class TestResolveSpecs:
     def test_anchor_wrong_arity(self):
         with pytest.raises(ValueError, match="components"):
             resolve_anchors(["1,2,3"], 2)
+
+    @pytest.mark.parametrize("spec", ["0,nan,2", "inf,1,2", [0.0, 1.0, -math.inf]])
+    def test_offset_non_finite_component(self, spec):
+        with pytest.raises(ValueError, match="offset components must be finite"):
+            resolve_offset(spec, 3)
+
+    @pytest.mark.parametrize("spec", ["nan,0,0", ["0,0,0", "0,inf,0"], [[0.0, 0.0, math.nan]]])
+    def test_anchor_non_finite_component(self, spec):
+        with pytest.raises(ValueError, match="anchor components must be finite"):
+            resolve_anchors(spec, 3)
