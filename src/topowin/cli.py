@@ -17,6 +17,7 @@ from .errors import DataError, NumericalError
 from .ingest import apply_standardizer, load_csv
 from .pipeline import (
     PipelineConfig,
+    augment_config,
     build_clouds,
     classify_windows,
     compute_diagrams,
@@ -117,7 +118,8 @@ def _build_parser() -> _Parser:
 
 def _config(args) -> tuple[PipelineConfig, str | None]:
     """The pipeline config from ``--config`` with the flags applied over it,
-    and the data path (``--data`` or the config's ``data``)."""
+    and the data path (``--data`` or the config's ``data``).  The offset and
+    anchors are resolved here too, so a bad config fails before any output."""
     if args.config is None:
         raise ValueError(f"{args.command} needs --config")
     if getattr(args, "workers", 1) < 1:
@@ -143,13 +145,15 @@ def _config(args) -> tuple[PipelineConfig, str | None]:
     for key, value in overrides.items():
         if value is not None:
             payload[key] = value
-    return PipelineConfig.from_dict(payload), payload.get("data")
+    cfg = PipelineConfig.from_dict(payload)
+    augment_config(cfg)
+    return cfg, payload.get("data")
 
 
 def _out_dir(args) -> Path:
-    out = args.out if args.out is not None else Path("out")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    """The output directory; the first write creates it, so a command
+    that fails before writing leaves none behind."""
+    return args.out if args.out is not None else Path("out")
 
 
 def _require(value, flag: str):
@@ -187,8 +191,9 @@ def _cmd_diagrams(args) -> int:
     cfg, _ = _config(args)
     out = _out_dir(args)
     clouds = build_clouds(io.read_windows_csv(_require(args.windows, "--windows")), cfg)
+    diagrams = compute_diagrams(clouds, cfg)
     io.write_clouds_csv(clouds, out / "clouds.csv")
-    io.write_diagrams_csv(compute_diagrams(clouds, cfg), out / "diagrams.csv")
+    io.write_diagrams_csv(diagrams, out / "diagrams.csv")
     print(f"wrote {out / 'diagrams.csv'} (dimension {cfg.dimension})")
     return EXIT_OK
 

@@ -177,18 +177,25 @@ class CsvSchema:
 
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_NAIVE_EPOCH = datetime(1970, 1, 1)
 
 
 def parse_timestamp(text: str) -> float:
     """Numeric or ISO-format timestamp to float seconds (naive = UTC)."""
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    dt = datetime.fromisoformat(text.strip())
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return (dt - _EPOCH).total_seconds()
+    stripped = text.strip()
+    # float() takes no ':' and a '-' only first or right after an exponent's
+    # e/E, so text it would refuse goes straight to the ISO parser.
+    if ":" not in stripped:
+        minus = stripped.rfind("-")
+        if minus <= 0 or stripped[minus - 1] in "eE":
+            try:
+                return float(text)
+            except ValueError:
+                pass
+    dt = datetime.fromisoformat(stripped)
+    # A naive time is UTC: minus the naive epoch, it gives the same timedelta
+    # as an aware copy would, without building that copy.
+    return (dt - (_NAIVE_EPOCH if dt.tzinfo is None else _EPOCH)).total_seconds()
 
 
 def _parse_label(text: str) -> int:

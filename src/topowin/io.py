@@ -4,6 +4,11 @@ Every writer is deterministic: floats are serialized with ``repr`` (exact
 round-trip), JSON keys are sorted, CSV rows follow a fixed order.  Reading
 then rewriting an artifact reproduces it byte for byte.  CSV lines are
 built from ``tolist`` floats; ``csv`` formats only header rows and split names.
+
+Every write goes through ``write_text``: a temp file in the target directory
+replaces the target with ``os.replace``, so a failed write leaves the old
+bytes.  A write whose target already holds the same bytes is skipped, so a
+fully cached rerun rewrites only ``provenance.json``.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import csv
 import hashlib
 import json
 import os
+import stat
 from contextlib import contextmanager
 from io import StringIO
 from pathlib import Path
@@ -83,7 +89,24 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
         return header, rows
 
 
+def _holds(path: Path, text: str) -> bool:
+    """Whether ``path`` is a regular file holding exactly ``text`` in UTF-8.
+    The stat comes first, so a missing target costs no encoded copy; any
+    error reads as "no"."""
+    try:
+        st = os.lstat(path)
+        if not stat.S_ISREG(st.st_mode) or not len(text) <= st.st_size <= 4 * len(text):
+            return False
+        data = text.encode("utf-8")
+        return len(data) == st.st_size and path.read_bytes() == data
+    except (OSError, UnicodeError):
+        return False
+
+
 def write_text(path: Path, text: str) -> None:
+    """Write ``text`` atomically, unless ``path`` already holds its bytes."""
+    if _holds(path, text):
+        return
     with _replacing(path) as fh:
         fh.write(text)
 

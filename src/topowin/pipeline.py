@@ -13,6 +13,7 @@ record for the latest run is written next to them.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -74,6 +75,10 @@ class PipelineConfig:
             raise ValueError(f"essential policy must be 'dropped' or 'capped', got '{self.essential_policy}'")
         if self.essential_policy == "capped" and self.maxscale is None:
             raise ValueError("capped essential policy needs a maxscale")
+        if (self.dimension == 1 or self.essential_policy == "capped") and not (
+            math.isfinite(self.maxscale) and self.maxscale > 0
+        ):
+            raise ValueError(f"maxscale must be positive and finite, got {self.maxscale!r}")
         if self.standardize_mode not in ("fit_on_combined", "fit_on_train"):
             raise ValueError(f"unknown standardize mode '{self.standardize_mode}'")
         names = self.splits.names()
@@ -237,14 +242,14 @@ def cut_windows(standardized: TimeSeries, cfg: PipelineConfig) -> dict:
     return {name: make_windows(sub, cfg.window) for name, sub in parts.items()}
 
 
-def _augment_config(cfg: PipelineConfig) -> AugmentConfig:
+def augment_config(cfg: PipelineConfig) -> AugmentConfig:
     """Offset and anchors resolved for the config's channel count."""
     d = len(cfg.schema.features)
     return AugmentConfig(resolve_offset(cfg.offset, d), resolve_anchors(cfg.anchors, d))
 
 
 def build_clouds(windows_by_split: dict, cfg: PipelineConfig) -> dict:
-    aug_cfg = _augment_config(cfg)
+    aug_cfg = augment_config(cfg)
     return {name: [augment(w, aug_cfg) for w in wins] for name, wins in windows_by_split.items()}
 
 
@@ -374,7 +379,6 @@ class _StageRunner:
             # UnicodeDecodeError take other constructor arguments.
             base = next(t for t in (DataError, NumericalError, ValueError) if isinstance(exc, t))
             raise base(f"stage '{stage}': {exc}") from exc
-        path.parent.mkdir(parents=True, exist_ok=True)
         spec.write(value, path, *args)
         return self._done(stage, value, "computed", started)
 
@@ -408,7 +412,10 @@ def run(
     Every stage key is computed up front from the data hash and the config.
     A stage is then read from its cached artifact when one exists, and read
     only if a stage that has to compute needs it, so a fully cached run reads
-    just the report.  ``use_cache=False`` recomputes and rewrites everything.
+    just the report.  ``use_cache=False`` recomputes everything.  A file
+    whose target already holds the same bytes is not rewritten, so a fully
+    cached rerun, like a ``use_cache=False`` one over an existing run,
+    replaces only ``provenance.json``.
     ``workers`` is checked (>= 1) and otherwise unused: every stage runs in
     this process.
     """
@@ -420,7 +427,7 @@ def run(
     run_dir = default_runs_root(runs_root) / cfg.run_id
     data_hash = io.sha256_file(data)
     cfg_dict = cfg.to_dict()
-    aug_cfg = _augment_config(cfg)
+    aug_cfg = augment_config(cfg)
 
     runner = _StageRunner(
         run_dir,

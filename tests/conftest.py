@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -95,3 +98,17 @@ def small_run(tmp_path_factory):
     cfg = PipelineConfig.from_dict(synthetic_config_dict("small", data, n_windows=30))
     run(cfg, data, runs_root=base / "runs")
     return cfg, data, base / "runs"
+
+
+@pytest.fixture
+def replaced(monkeypatch):
+    """Targets of the ``os.replace`` calls made from here on, in order."""
+    targets = []
+    replace = os.replace
+
+    def recording(src, dst):
+        targets.append(Path(dst))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording)
+    return targets

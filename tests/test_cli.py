@@ -356,6 +356,79 @@ class TestRunCommand:
         assert not (tmp_path / "runs").exists()
 
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--dimension", "1", "--maxscale", "inf"],
+            ["--dimension", "1", "--maxscale", "0"],
+            ["--dimension", "1", "--maxscale", "nan"],
+            ["--dimension", "1", "--maxscale", "-2"],
+        ],
+        ids=["dim1-inf", "dim1-zero", "dim1-nan", "dim1-negative"],
+    )
+    def test_bad_maxscale_fails_before_any_stage(self, tmp_path, config_path, flags, capsys):
+        argv = ["run", "--config", str(config_path), "--out", str(tmp_path / "runs"), *flags]
+        assert main(argv) == 1
+        assert "usage error: maxscale must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("maxscale", ["inf", "0"])
+    def test_capped_policy_with_bad_maxscale_fails_before_any_stage(self, tmp_path, config_path, maxscale, capsys):
+        capped = tmp_path / "capped.json"
+        write_json(capped, dict(read_json(config_path), essential_policy="capped"))
+        argv = ["run", "--config", str(capped), "--out", str(tmp_path / "runs"), "--maxscale", maxscale]
+        assert main(argv) == 1
+        assert "usage error: maxscale must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+
+# Each stage command with the options it needs; the files need not exist,
+# since a bad config is rejected before any is read.
+STAGE_ARGV = {
+    "ingest": ["--data", "data.csv"],
+    "windows": ["--series", "standardized.csv"],
+    "diagrams": ["--windows", "windows.csv"],
+    "distmat": ["--diagrams", "diagrams.csv", "--windows", "windows.csv"],
+    "classify": ["--matrix", "distmat.csv", "--windows", "windows.csv"],
+    "sweep-k": ["--matrix", "distmat.csv", "--windows", "windows.csv", "--ks", "1,3"],
+}
+
+
+class TestStageCommandsLeaveNoOutDirOnError:
+    @pytest.mark.parametrize("command", STAGE_ARGV)
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            (["--anchor", "nan,0,0"], "anchor components"),
+            (["--offset", "0,inf,2"], "offset components"),
+            (["--dimension", "1", "--maxscale", "inf"], "maxscale must be positive and finite"),
+        ],
+        ids=["anchor", "offset", "maxscale"],
+    )
+    def test_bad_config(self, command, flag, message, tmp_path, config_path, capsys):
+        out = tmp_path / "out"
+        argv = [command, "--config", str(config_path), *STAGE_ARGV[command], *flag, "--out", str(out)]
+        assert main(argv) == 1
+        assert f"usage error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_diagrams_with_nan_anchor_on_real_windows(self, tmp_path, config_path, synth_csv):
+        stages = tmp_path / "stages"
+        assert main(["ingest", "--config", str(config_path), "--data", str(synth_csv), "--out", str(stages)]) == 0
+        windows = ["--series", str(stages / "standardized.csv"), "--out", str(stages)]
+        assert main(["windows", "--config", str(config_path), *windows]) == 0
+        out = tmp_path / "out"
+        argv = ["diagrams", "--config", str(config_path), "--windows", str(stages / "windows.csv")]
+        assert main([*argv, "--anchor", "nan,0,0", "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_data_error(self, tmp_path, config_path):
+        out = tmp_path / "out"
+        argv = ["ingest", "--config", str(config_path), "--data", str(tmp_path / "absent.csv"), "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+
+
 class TestPlotDiagram:
     def test_plain_diagram_file(self, tmp_path, capsys):
         src = tmp_path / "diag.csv"

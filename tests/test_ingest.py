@@ -1,5 +1,6 @@
 import math
 import sys
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +245,7 @@ CORPUS = {
     "iso-dates": H + b"2015-02-04 17:51:00,1,2,0\n2015-02-04T17:52:00+01:00,3,4,1\n2015-02-04 17:53:00,5,6,0\n",
     "iso-and-numbers": H + b"1423072260,1,2,0\n2015-02-04 17:52:00,3,4,1\n",
     "iso-padded": H + b" 2015-02-04 17:51:00 ,1,2,0\n",
+    "iso-date-only": H + b"2015-02-04,1,2,0\n2015-02-05,3,4,1\n",
     "iso-bad-date": H + b"2015-02-04 17:51:00,1,2,0\n2015-02-30 17:52:00,3,4,1\n",
     "iso-bad-feature": H + b"2015-02-04 17:51:00,1,x,0\n",
     "iso-not-increasing": H + b"2015-02-04 17:52:00,1,2,0\n2015-02-04 17:51:00,3,4,1\n",
@@ -459,3 +461,66 @@ class TestTimeSeriesInvariants:
         series = make_series(np.arange(4.0))
         with pytest.raises(DataError):
             series.slice(2, 9)
+
+
+def parse_timestamp_by_float_first(text):
+    """``parse_timestamp`` as it was: ``float`` first, then the ISO parser."""
+    try:
+        return float(text)
+    except ValueError:
+        pass
+    dt = datetime.fromisoformat(text.strip())
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return (dt - datetime(1970, 1, 1, tzinfo=timezone.utc)).total_seconds()
+
+
+def outcome(parse, text):
+    """The value's exact bits, or the exception's type and message."""
+    try:
+        return parse(text).hex()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+NUMERIC_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.floats(allow_nan=False).map("{:e}".format),
+    st.floats(allow_nan=False).map("{:E}".format),
+    st.integers(-(10**12), 10**12).map(str),
+)
+ISO_TEXT = st.one_of(
+    st.builds(
+        datetime.isoformat,
+        st.datetimes(
+            timezones=st.sampled_from([None, timezone.utc, timezone(timedelta(hours=-5, minutes=-30))])
+        ),
+        st.sampled_from(["T", " "]),
+    ),
+    st.dates().map(lambda d: d.isoformat()),
+)
+MIXED_TEXT = st.text(alphabet="0123456789-+:.eETZ_ naif\u0661", max_size=24)
+PADDING = st.sampled_from(["", " ", "\t", "\u00a0", "\u2003", "\x1c"])
+
+
+class TestParseTimestamp:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(NUMERIC_TEXT, ISO_TEXT, MIXED_TEXT), PADDING, PADDING)
+    def test_same_result_as_float_first(self, text, lead, trail):
+        text = lead + text + trail
+        assert outcome(ingest.parse_timestamp, text) == outcome(parse_timestamp_by_float_first, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["2015-02-04", "2015-02-04 17:51:00", " 2015-02-04T17:51:00-05:00 ", "1e-5", "2E-3", " -1.5", "-inf", "1-2", "x"],
+    )
+    def test_examples_match_float_first(self, text):
+        assert outcome(ingest.parse_timestamp, text) == outcome(parse_timestamp_by_float_first, text)
+
+    def test_iso_text_skips_float(self, monkeypatch):
+        def no_float(text):
+            raise AssertionError(f"float({text!r}) called")
+
+        monkeypatch.setattr(ingest, "float", no_float, raising=False)
+        assert ingest.parse_timestamp("1970-01-02") == 86400.0
+        assert ingest.parse_timestamp("1970-01-01 00:01:00+00:00") == 60.0

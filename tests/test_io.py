@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from topowin import io
 from topowin.classify import KSweepEntry
@@ -235,3 +236,69 @@ class TestSpecialFloats:
         io.write_sweep_csv(entries, tmp_path / "k.csv")
         assert float_cells(tmp_path / "k.csv", 1) == self.WANT
 
+
+
+class TestWriteTextSkipsSameBytes:
+    """``write_text`` leaves a target that already holds the bytes alone;
+    every other write replaces the target atomically."""
+
+    def test_same_bytes_not_replaced(self, tmp_path, replaced):
+        path = tmp_path / "a.txt"
+        path.write_bytes("héllo\n".encode("utf-8"))
+        io.write_text(path, "héllo\n")
+        assert replaced == []
+        assert path.read_bytes() == "héllo\n".encode("utf-8")
+
+    def test_empty_text_over_empty_file_not_replaced(self, tmp_path, replaced):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        io.write_text(path, "")
+        assert replaced == []
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("abc\n", "abd\n"), ("abc\n", "abcd\n"), ("abcd\n", "abc\n"), ("é\n", "ab\n"), ("ab\n", "é\n")],
+        ids=["same-size", "longer", "shorter", "same-size-non-ascii-old", "same-size-non-ascii-new"],
+    )
+    def test_different_bytes_replaced(self, tmp_path, replaced, old, new):
+        path = tmp_path / "a.txt"
+        path.write_bytes(old.encode("utf-8"))
+        io.write_text(path, new)
+        assert replaced == [path]
+        assert path.read_bytes() == new.encode("utf-8")
+
+    def test_missing_target_written(self, tmp_path, replaced):
+        path = tmp_path / "new" / "a.txt"
+        io.write_text(path, "x\n")
+        assert replaced == [path]
+        assert path.read_bytes() == b"x\n"
+
+    def test_symlink_with_same_bytes_replaced_by_a_file(self, tmp_path, replaced):
+        target = tmp_path / "target.txt"
+        target.write_bytes(b"x\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        io.write_text(link, "x\n")
+        assert replaced == [link]
+        assert not link.is_symlink()
+        assert link.read_bytes() == b"x\n"
+
+    def test_compare_error_falls_through_to_the_write(self, tmp_path, monkeypatch, replaced):
+        path = tmp_path / "a.txt"
+        path.write_bytes(b"x\n")
+
+        def unreadable(self):
+            raise PermissionError(self)
+
+        monkeypatch.setattr(io.Path, "read_bytes", unreadable)
+        io.write_text(path, "x\n")
+        assert replaced == [path]
+
+    def test_missing_target_is_not_encoded(self, tmp_path):
+        # A cold write must not build an encoded copy of the text.
+        class Text(str):
+            def encode(self, *args, **kwargs):
+                raise AssertionError("encoded before the stat")
+
+        io.write_text(tmp_path / "a.txt", Text("x\n"))
+        assert (tmp_path / "a.txt").read_bytes() == b"x\n"

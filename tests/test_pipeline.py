@@ -135,6 +135,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="maxscale"):
             config_for(synth_csv, dimension=1)
 
+    @pytest.mark.parametrize("maxscale", [float("inf"), float("-inf"), float("nan"), 0, 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "extra", [{"dimension": 1}, {"essential_policy": "capped"}], ids=["dim1", "capped"]
+    )
+    def test_maxscale_must_be_positive_and_finite(self, synth_csv, extra, maxscale):
+        with pytest.raises(ValueError, match="^maxscale must be positive and finite"):
+            config_for(synth_csv, maxscale=maxscale, **extra)
+
+    def test_unused_maxscale_is_not_checked(self, synth_csv):
+        assert config_for(synth_csv, maxscale=float("inf")).maxscale == float("inf")
+
     def test_missing_split_name(self, synth_csv):
         with pytest.raises(ValueError, match="train split"):
             config_for(synth_csv, train_split="nope")
@@ -432,6 +443,72 @@ class TestAtomicWrites:
         assert {p: b for p, b in after.items() if p != provenance} == {
             p: b for p, b in before.items() if p != provenance
         }
+
+
+def files(run_dir):
+    return {p: p.read_bytes() for p in sorted(run_dir.rglob("*")) if p.is_file()}
+
+
+class TestUnchangedFilesAreNotRewritten:
+    @pytest.mark.parametrize("use_cache", [True, False], ids=["cached", "no-cache"])
+    def test_rerun_replaces_only_provenance(self, warm, replaced, use_cache):
+        cfg, data, root = warm
+        run_dir = root / cfg.run_id
+        provenance = run_dir / "provenance.json"
+        before = files(run_dir)
+        run(cfg, data, runs_root=root, use_cache=use_cache)
+        assert replaced == [provenance]
+        after = files(run_dir)
+        assert after.keys() == before.keys()
+        assert {p: b for p, b in after.items() if p != provenance} == {
+            p: b for p, b in before.items() if p != provenance
+        }
+        expected = "cached" if use_cache else "computed"
+        assert list(statuses(cfg, root).values()) == [expected] * 7
+
+    @pytest.mark.parametrize(
+        "name, damage",
+        [
+            ("report.txt", lambda p: p.write_text(p.read_text(encoding="utf-8") + "edited\n", encoding="utf-8")),
+            ("report.json", truncate),
+            # Same size, other bytes: only a content comparison catches it.
+            ("report.txt", lambda p: p.write_bytes(p.read_bytes().swapcase())),
+        ],
+        ids=["edited-txt", "truncated-json", "same-size-txt"],
+    )
+    def test_damaged_report_copy_is_rewritten(self, warm, replaced, name, damage):
+        cfg, data, root = warm
+        run_dir = root / cfg.run_id
+        path = run_dir / name
+        original = path.read_bytes()
+        damage(path)
+        assert path.read_bytes() != original
+        run(cfg, data, runs_root=root)
+        assert path.read_bytes() == original
+        assert replaced == [path, run_dir / "provenance.json"]
+
+    @pytest.mark.parametrize("kind", ARTIFACTS)
+    def test_truncated_artifact_is_rewritten_in_full(self, kind, warm, replaced):
+        cfg, data, root = warm
+        run_dir = root / cfg.run_id
+        stage = ARTIFACTS[kind][0]
+        path = artifact(run_dir, kind)
+        before = files(run_dir)
+        truncate(path)
+        downstream = STAGES[STAGES.index(stage) + 1 :]
+        for name in downstream:
+            shutil.rmtree(run_dir / name)
+        run(cfg, data, runs_root=root)
+        provenance = run_dir / "provenance.json"
+        after = files(run_dir)
+        assert {p: b for p, b in after.items() if p != provenance} == {
+            p: b for p, b in before.items() if p != provenance
+        }
+        # The damaged artifact and the deleted downstream ones are written;
+        # report.txt and the report copy of an unchanged report are not.
+        rewritten = {path, provenance, *(p for p in after if p.parent.name in downstream)}
+        assert set(replaced) == rewritten
+        assert len(replaced) == len(rewritten)
 
 
 class TestRunArguments:
