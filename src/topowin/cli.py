@@ -2,7 +2,8 @@
 
 One subcommand per pipeline stage plus ``run`` for the cached end-to-end
 flow and ``plot-diagram`` for rendering.  Exit codes: 0 success, 1 usage
-or configuration error, 2 data error, 3 numerical error.
+or configuration error, 2 data error, 3 numerical error, 4 file-system
+error.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from pathlib import Path
 
 from . import io
 from .classify import render_report_table, render_sweep_table, sweep_k
+from .distance import DistanceMatrix
 from .errors import DataError, NumericalError
 from .ingest import apply_standardizer, load_csv
 from .pipeline import (
@@ -28,7 +30,6 @@ from .pipeline import (
     read_diagrams,
     run,
     standardize,
-    write_distances,
     write_report,
 )
 from .plot import write_diagram_plot
@@ -37,6 +38,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
+EXIT_FILE = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -198,6 +200,24 @@ def _cmd_diagrams(args) -> int:
     return EXIT_OK
 
 
+def write_distances(matrix: DistanceMatrix, diagrams_by_split: dict, cfg: PipelineConfig, path: Path) -> None:
+    """The matrix CSV plus its JSON sidecar (same name, ``.json``), which
+    records the config and content hashes of the diagrams it compares."""
+    io.write_distmat_csv(matrix, path)
+    train, test = cfg.train_split, cfg.test_split
+    io.write_json(
+        path.with_suffix(".json"),
+        {
+            "p": cfg.p,
+            "dimension": cfg.dimension,
+            "train_split": train,
+            "test_split": test,
+            "train_hash": io.diagram_set_hash({train: diagrams_by_split[train]}),
+            "test_hash": io.diagram_set_hash({test: diagrams_by_split[test]}),
+        },
+    )
+
+
 def _cmd_distmat(args) -> int:
     cfg, _ = _config(args)
     out = _out_dir(args)
@@ -307,6 +327,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_FILE
 
 
 def entry() -> None:

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its exit-code taxonomy: invalid configuration
-(``ValueError``) exits 1, ``DataError`` exits 2, ``NumericalError`` exits 3.
+(``ValueError``) exits 1, ``DataError`` exits 2, ``NumericalError`` exits 3,
+and a file-system ``OSError`` (an output path that is an existing file, for
+example) exits 4.
 """
 
 

@@ -20,6 +20,7 @@ import os
 import stat
 from contextlib import contextmanager
 from io import StringIO
+from itertools import islice
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -87,6 +88,16 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
                 )
             rows.append(row)
         return header, rows
+
+
+def _line_of(path: Path, row: int) -> int:
+    """The line on which data row ``row`` of ``_read_csv(path)`` ends.  Only
+    error messages need it, so the file is read again instead of every
+    reader keeping line numbers."""
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(islice(filter(None, reader), row + 1, None))  # the header, then the data rows
+        return reader.line_num
 
 
 def _holds(path: Path, text: str) -> bool:
@@ -277,16 +288,25 @@ def read_diagrams_csv(
     essential_policy: str,
 ) -> dict[str, list[PersistenceDiagram]]:
     """Rebuild per-window diagrams; windows absent from the file get empty
-    diagrams, so ``counts`` (windows per split) is required."""
+    diagrams, so ``counts`` (windows per split) is required.  A row of
+    another dimension, or of a split or window outside ``counts``, is a
+    ``DataError`` naming its line."""
     header, rows = _read_csv(path)
     if header != ["split", "window", "dim", "birth", "death"]:
         raise DataError(f"{path}: expected columns split,window,dim,birth,death")
     pairs: dict[tuple[str, int], list[tuple[float, float]]] = {}
-    for r in rows:
-        row_dim = int(r[2])
-        if row_dim != dim:
+    for i, (split, window, row_dim, birth, death) in enumerate(rows):
+        index = int(window)
+        if split not in counts:
+            problem = f"split '{split}' is not among the windows' splits {sorted(counts)}"
+        elif not 0 <= index < counts[split]:
+            problem = f"window {index} is outside split '{split}' ({counts[split]} windows)"
+        elif int(row_dim) != dim:
+            problem = f"dimension {row_dim}, not {dim}"
+        else:
+            pairs.setdefault((split, index), []).append((float(birth), float(death)))
             continue
-        pairs.setdefault((r[0], int(r[1])), []).append((float(r[3]), float(r[4])))
+        raise DataError(f"{path}: line {_line_of(path, i)}: {problem}")
     out: dict[str, list[PersistenceDiagram]] = {}
     for split, count in counts.items():
         out[split] = [

@@ -6,9 +6,9 @@ Each stage is one module-level function of its upstream values and the
 
 Each stage's cache key hashes the previous stage's key plus the parameters
 that stage depends on, so changing (say) only k reuses everything up to
-the distance matrix and recomputes only the classification.  Artifacts
-live under ``<runs_root>/<run_id>/<stage>/<key>.<ext>``; a provenance
-record for the latest run is written next to them.
+the distance matrix and recomputes only the classification.  Each stage
+writes one artifact, the value it reads back, under
+``<runs_root>/<run_id>/<stage>/<key>.<ext>``, next to the latest run's provenance.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .classify import EvaluationReport, KnnConfig, evaluate, predict_all, render
 from .distance import DistanceMatrix, WassersteinConfig, distance_matrix
 from .errors import DataError, NumericalError
 from .ingest import (
+    STANDARDIZE_MODES,
     CsvSchema,
     SplitSpec,
     StandardizationParams,
@@ -37,7 +38,12 @@ from .ingest import (
 # rips_persistence_dim0 is not called here: dimension 0 runs one batched
 # pass per split.  It stays importable from this module, where tracers look
 # the layer functions up by name.
-from .persistence import rips_persistence_dim0, rips_persistence_dim0_batch, rips_persistence_dim1
+from .persistence import (
+    ESSENTIAL_POLICIES,
+    rips_persistence_dim0,
+    rips_persistence_dim0_batch,
+    rips_persistence_dim1,
+)
 from .pointcloud import AugmentConfig, augment, resolve_anchors, resolve_offset
 from .windowing import WindowConfig, make_windows
 
@@ -71,16 +77,16 @@ class PipelineConfig:
             raise ValueError(f"homology dimension must be 0 or 1, got {self.dimension}")
         if self.dimension == 1 and self.maxscale is None:
             raise ValueError("dimension 1 needs a maxscale")
-        if self.essential_policy not in ("dropped", "capped"):
-            raise ValueError(f"essential policy must be 'dropped' or 'capped', got '{self.essential_policy}'")
+        if self.essential_policy not in ESSENTIAL_POLICIES:
+            raise ValueError(f"essential policy must be one of {ESSENTIAL_POLICIES}, got '{self.essential_policy}'")
         if self.essential_policy == "capped" and self.maxscale is None:
             raise ValueError("capped essential policy needs a maxscale")
         if (self.dimension == 1 or self.essential_policy == "capped") and not (
             math.isfinite(self.maxscale) and self.maxscale > 0
         ):
             raise ValueError(f"maxscale must be positive and finite, got {self.maxscale!r}")
-        if self.standardize_mode not in ("fit_on_combined", "fit_on_train"):
-            raise ValueError(f"unknown standardize mode '{self.standardize_mode}'")
+        if self.standardize_mode not in STANDARDIZE_MODES:
+            raise ValueError(f"standardize mode must be one of {STANDARDIZE_MODES}, got '{self.standardize_mode}'")
         names = self.splits.names()
         if self.train_split not in names or self.test_split not in names:
             raise ValueError(
@@ -284,24 +290,6 @@ def compute_distances(diagrams_by_split: dict, cfg: PipelineConfig) -> DistanceM
     )
 
 
-def write_distances(matrix: DistanceMatrix, diagrams_by_split: dict, cfg: PipelineConfig, path: Path):
-    """The matrix CSV plus its JSON sidecar (same name, ``.json``), which
-    records the config and content hashes of the diagrams it compares."""
-    io.write_distmat_csv(matrix, path)
-    train, test = cfg.train_split, cfg.test_split
-    io.write_json(
-        path.with_suffix(".json"),
-        {
-            "p": cfg.p,
-            "dimension": cfg.dimension,
-            "train_split": train,
-            "test_split": test,
-            "train_hash": io.diagram_set_hash({train: diagrams_by_split[train]}),
-            "test_hash": io.diagram_set_hash({test: diagrams_by_split[test]}),
-        },
-    )
-
-
 def classify_windows(
     matrix: DistanceMatrix, windows_by_split: dict, cfg: PipelineConfig
 ) -> EvaluationReport:
@@ -326,9 +314,9 @@ def write_report(report: EvaluationReport, directory: Path) -> str:
 class _Stage:
     params: dict  # what the stage key hashes besides the upstream stage's key
     filename: str
-    inputs: tuple[str, ...]  # stages whose values ``compute`` and ``write`` take
+    inputs: tuple[str, ...]  # stages whose values ``compute`` takes
     compute: Callable  # (*inputs) -> value
-    write: Callable  # (value, path, *inputs)
+    write: Callable  # (value, path)
     read: Callable  # (path, *read_inputs) -> value
     read_inputs: tuple[str, ...] = ()
 
@@ -379,7 +367,7 @@ class _StageRunner:
             # UnicodeDecodeError take other constructor arguments.
             base = next(t for t in (DataError, NumericalError, ValueError) if isinstance(exc, t))
             raise base(f"stage '{stage}': {exc}") from exc
-        spec.write(value, path, *args)
+        spec.write(value, path)
         return self._done(stage, value, "computed", started)
 
     def _done(self, stage: str, value, status: str, started: float):
@@ -412,12 +400,12 @@ def run(
     Every stage key is computed up front from the data hash and the config.
     A stage is then read from its cached artifact when one exists, and read
     only if a stage that has to compute needs it, so a fully cached run reads
-    just the report.  ``use_cache=False`` recomputes everything.  A file
-    whose target already holds the same bytes is not rewritten, so a fully
-    cached rerun, like a ``use_cache=False`` one over an existing run,
-    replaces only ``provenance.json``.
-    ``workers`` is checked (>= 1) and otherwise unused: every stage runs in
-    this process.
+    just the report.  ``use_cache=False`` recomputes everything.  A computed
+    stage writes only its value; the ``distmat`` JSON sidecar is the CLI's.
+    A file whose target already holds the same bytes is not rewritten, so a
+    fully cached rerun, like a ``use_cache=False`` one over an existing run,
+    replaces only ``provenance.json``.  ``workers`` is checked (>= 1) and
+    otherwise unused: every stage runs in this process.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -446,7 +434,7 @@ def run(
                 "params.json",
                 ("ingest",),
                 lambda series: standardize(series, cfg),
-                lambda params, path, _series: io.write_params_json(params, path),
+                io.write_params_json,
                 io.read_params_json,
             ),
             "windows": _Stage(
@@ -454,7 +442,7 @@ def run(
                 "windows.csv",
                 ("ingest", "standardize"),
                 lambda series, params: cut_windows(apply_standardizer(series, params), cfg),
-                lambda wins, path, series, _params: io.write_windows_csv(wins, series.channel_names, path),
+                lambda wins, path: io.write_windows_csv(wins, cfg.schema.features, path),
                 io.read_windows_csv,
             ),
             "clouds": _Stage(
@@ -465,7 +453,7 @@ def run(
                 "clouds.csv",
                 ("windows",),
                 lambda wins: build_clouds(wins, cfg),
-                lambda clouds, path, _wins: io.write_clouds_csv(clouds, path),
+                io.write_clouds_csv,
                 io.read_clouds_csv,
             ),
             "diagrams": _Stage(
@@ -477,7 +465,7 @@ def run(
                 "diagrams.csv",
                 ("clouds",),
                 lambda clouds: compute_diagrams(clouds, cfg),
-                lambda diagrams, path, _clouds: io.write_diagrams_csv(diagrams, path),
+                io.write_diagrams_csv,
                 lambda path, wins: read_diagrams(path, wins, cfg),
                 read_inputs=("windows",),
             ),
@@ -494,7 +482,7 @@ def run(
                 "distmat.csv",
                 ("diagrams",),
                 lambda diagrams: compute_distances(diagrams, cfg),
-                lambda matrix, path, diagrams: write_distances(matrix, diagrams, cfg, path),
+                io.write_distmat_csv,
                 io.read_distmat_csv,
             ),
             "classify": _Stage(
@@ -502,7 +490,7 @@ def run(
                 "report.json",
                 ("distances", "windows"),
                 lambda matrix, wins: classify_windows(matrix, wins, cfg),
-                lambda report, path, _matrix, _wins: io.write_report_json(report, path),
+                io.write_report_json,
                 io.read_report_json,
             ),
         },

@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from topowin import apply_standardizer, describe_run, io
-from topowin.cli import main
+from topowin.cli import main, write_distances
 from topowin.io import read_json, write_json
+from topowin.pipeline import PipelineConfig, read_diagrams
 from conftest import synthetic_config_dict
 
 
@@ -240,7 +244,6 @@ class TestStagesMatchRun:
             "clouds.csv": "clouds/*.clouds.csv",
             "diagrams.csv": "diagrams/*.diagrams.csv",
             "distmat.csv": "distances/*.distmat.csv",
-            "distmat.json": "distances/*.distmat.json",
             "report.json": "report.json",
             "report.txt": "report.txt",
         }.items():
@@ -253,6 +256,16 @@ class TestStagesMatchRun:
             apply_standardizer(io.read_series_csv(series), io.read_params_json(params)), tmp_path / "expected.csv"
         )
         assert (out / "standardized.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        # The run writes the matrix alone; the sidecar comes from distmat only.
+        assert not list(run_dir.glob("distances/*.json"))
+        cfg = PipelineConfig.from_dict(payload)
+        (matrix,) = run_dir.glob("distances/*.distmat.csv")
+        (diagrams,) = run_dir.glob("diagrams/*.diagrams.csv")
+        windows = io.read_windows_csv(next(run_dir.glob("windows/*.windows.csv")))
+        write_distances(
+            io.read_distmat_csv(matrix), read_diagrams(diagrams, windows, cfg), cfg, tmp_path / "sidecar.csv"
+        )
+        assert (out / "distmat.json").read_bytes() == (tmp_path / "sidecar.json").read_bytes()
 
 
 class TestRunCommand:
@@ -427,6 +440,25 @@ class TestStageCommandsLeaveNoOutDirOnError:
         argv = ["ingest", "--config", str(config_path), "--data", str(tmp_path / "absent.csv"), "--out", str(out)]
         assert main(argv) == 2
         assert not out.exists()
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("command", ["ingest", "run"])
+    def test_out_is_an_existing_file(self, command, tmp_path, config_path, synth_csv):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n", encoding="utf-8")
+        src = Path(__file__).resolve().parent.parent / "src"
+        argv = [command, "--config", str(config_path), "--data", str(synth_csv), "--out", str(out)]
+        done = subprocess.run(
+            [sys.executable, "-m", "topowin", *argv],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 4
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("file error: ") and str(out) in line
+        assert out.read_text(encoding="utf-8") == "not a directory\n"
 
 
 class TestPlotDiagram:

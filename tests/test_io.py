@@ -9,6 +9,7 @@ reads back to the values written.
 import csv
 import io as stdio
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 from topowin import io
 from topowin.classify import KSweepEntry
 from topowin.distance import DistanceMatrix
+from topowin.errors import DataError
 from topowin.ingest import TimeSeries
 from topowin.persistence import PersistenceDiagram
 from topowin.pointcloud import AugmentedCloud
@@ -188,6 +190,30 @@ class TestReadBack:
         io.write_diagrams_csv(diags, tmp_path / "d.csv")
         again = io.read_diagrams_csv(tmp_path / "d.csv", {s: len(d) for s, d in diags.items()}, 0, "dropped")
         assert again == diags
+
+    # diagrams() per split: window 0 on four lines, window 2 on two (window 1
+    # is empty), so the file reads: header, split 0 on lines 2-7, split 1 on 8-13.
+    @pytest.mark.parametrize(
+        "counts, dim, message",
+        [
+            ({SPLITS[0]: 3}, 0, "line 8: split 'test' is not among the windows' splits"),
+            ({s: 2 for s in SPLITS}, 0, "line 6: window 2 is outside split ' odd, \"split\"' (2 windows)"),
+            ({s: 3 for s in SPLITS}, 1, "line 2: dimension 0, not 1"),
+        ],
+        ids=["split", "window", "dim"],
+    )
+    def test_diagram_row_the_read_cannot_place(self, tmp_path, counts, dim, message):
+        io.write_diagrams_csv(diagrams(), tmp_path / "d.csv")
+        with pytest.raises(DataError, match=re.escape(f"{tmp_path / 'd.csv'}: {message}")):
+            io.read_diagrams_csv(tmp_path / "d.csv", counts, dim, "dropped")
+
+    def test_bad_diagram_row_names_its_line_past_blank_ones(self, tmp_path):
+        path = tmp_path / "d.csv"
+        io.write_diagrams_csv(diagrams(), path)
+        header, rest = path.read_text(encoding="utf-8").split("\n", 1)
+        path.write_text(f"{header}\n\n\n{rest}", encoding="utf-8")
+        with pytest.raises(DataError, match="line 4: dimension 0, not 1"):
+            io.read_diagrams_csv(path, {s: 3 for s in SPLITS}, 1, "capped")
 
     def test_distmat(self, tmp_path):
         m = distmat()

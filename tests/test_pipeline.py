@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import multiprocessing.process
+import re
 import shutil
 from pathlib import Path
 from types import SimpleNamespace
@@ -22,7 +23,9 @@ from topowin import (
     run,
 )
 from topowin.cli import main
-from topowin.pipeline import build_clouds, cut_windows, default_runs_root, standardize
+from topowin.ingest import STANDARDIZE_MODES
+from topowin.persistence import ESSENTIAL_POLICIES
+from topowin.pipeline import build_clouds, compute_diagrams, cut_windows, default_runs_root, standardize
 from conftest import synthetic_config_dict
 
 
@@ -80,6 +83,14 @@ class TestConfig:
         again = PipelineConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         np.testing.assert_array_equal(resolve_offset(again.offset, 3), resolve_offset(cfg.offset, 3))
         np.testing.assert_array_equal(resolve_anchors(again.anchors, 3), resolve_anchors(cfg.anchors, 3))
+
+    @pytest.mark.parametrize(
+        "field, name, allowed",
+        [("standardize", "standardize mode", STANDARDIZE_MODES), ("essential_policy", "essential policy", ESSENTIAL_POLICIES)],
+    )
+    def test_unknown_choice_names_the_field_and_the_allowed_values(self, synth_csv, field, name, allowed):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be one of {allowed}, got 'bogus'")):
+            config_for(synth_csv, **{field: "bogus"})
 
     @pytest.mark.parametrize("spec", [{"anchors": None}, {"offset": None}, {"anchors": None, "offset": None}])
     def test_round_trip_keeps_null_offset_and_anchors(self, synth_csv, spec):
@@ -354,6 +365,14 @@ class TestCacheReads:
         keys = {s["stage"]: s["key"] for s in describe_run(cfg.run_id, root)["stages"]}
         assert [p.name for p in (root / cfg.run_id / "standardize").iterdir()] == [f"{keys['standardize']}.params.json"]
 
+    @pytest.mark.parametrize("use_cache", [True, False], ids=["cold", "no-cache"])
+    def test_distances_artifact_is_the_matrix(self, small_run, tmp_path, use_cache):
+        cfg, data, _ = small_run
+        root = tmp_path / "runs"
+        run(cfg, data, runs_root=root, use_cache=use_cache)
+        keys = {s["stage"]: s["key"] for s in describe_run(cfg.run_id, root)["stages"]}
+        assert [p.name for p in (root / cfg.run_id / "distances").iterdir()] == [f"{keys['distances']}.distmat.csv"]
+
     def test_changing_window_reads_series_and_params(self, warm, monkeypatch, tmp_path):
         cfg, data, root = warm
         cfg = dataclasses.replace(cfg, window=dataclasses.replace(cfg.window, w=5))
@@ -419,6 +438,48 @@ class TestTruncatedArtifacts:
         ])
         assert code == 2
         assert "data error" in capsys.readouterr().err
+
+    def test_diagram_row_the_read_cannot_place_is_a_cache_miss(self, warm):
+        cfg, data, root = warm
+        run_dir = root / cfg.run_id
+        path = artifact(run_dir, "diagrams")
+        original = path.read_bytes()
+        report = (run_dir / "report.json").read_bytes()
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write("train,0,1,0.5,1.5\n")
+        for downstream in ("distances", "classify"):
+            shutil.rmtree(run_dir / downstream)
+        run(cfg, data, runs_root=root)
+        assert statuses(cfg, root)["diagrams"] == "computed"
+        assert path.read_bytes() == original
+        assert (run_dir / "report.json").read_bytes() == report
+
+    @pytest.mark.parametrize("mismatch", ["dim1-diagrams", "fewer-windows"])
+    def test_distmat_rejects_diagrams_the_windows_do_not_match(self, warm, tmp_path, capsys, mismatch):
+        cfg, _, root = warm
+        run_dir = root / cfg.run_id
+        config, diagrams, windows = tmp_path / "small.json", artifact(run_dir, "diagrams"), artifact(run_dir, "windows")
+        io.write_json(config, cfg.to_dict())
+        if mismatch == "dim1-diagrams":
+            clouds = io.read_clouds_csv(artifact(run_dir, "clouds"))
+            diagrams = tmp_path / "dim1.diagrams.csv"
+            io.write_diagrams_csv(compute_diagrams(clouds, dataclasses.replace(cfg, dimension=1, maxscale=8.0)), diagrams)
+            assert ",1," in diagrams.read_text(encoding="utf-8")
+        else:
+            wins = io.read_windows_csv(windows)
+            wins[cfg.train_split] = wins[cfg.train_split][:-2]
+            windows = tmp_path / "fewer.windows.csv"
+            io.write_windows_csv(wins, cfg.schema.features, windows)
+        code = main([
+            "distmat",
+            "--config", str(config),
+            "--diagrams", str(diagrams),
+            "--windows", str(windows),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestAtomicWrites:
