@@ -36,6 +36,7 @@ from .pointcloud import (
     AugmentConfig,
     AugmentedCloud,
     augment,
+    augment_batch,
     default_offset,
     resolve_anchors,
     resolve_offset,
@@ -66,6 +67,7 @@ __all__ = [
     "WindowConfig",
     "apply_standardizer",
     "augment",
+    "augment_batch",
     "default_offset",
     "describe_run",
     "diagram_to_rows",

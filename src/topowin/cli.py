@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from . import io
 from .classify import render_report_table, render_sweep_table, sweep_k
 from .distance import DistanceMatrix
 from .errors import DataError, NumericalError
-from .ingest import apply_standardizer, load_csv
+from .ingest import load_csv
 from .pipeline import (
     PipelineConfig,
     augment_config,
@@ -73,14 +74,15 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=None, help="recorded in provenance")
         return p
 
-    p = add("ingest", "load, validate and standardize a CSV series")
+    p = add("ingest", "load and validate a CSV series, fit its standardization")
     p.add_argument("--data", type=Path, help="input CSV")
 
-    p = add("windows", "cut a standardized series into labeled windows")
-    p.add_argument("--series", type=Path, help="standardized series CSV")
+    p = add("windows", "cut a series into labeled windows")
+    p.add_argument("--series", type=Path, help="series CSV (from ingest)")
 
-    p = add("diagrams", "augment windows and compute persistence diagrams")
+    p = add("diagrams", "standardize, translate and anchor windows, compute persistence diagrams")
     p.add_argument("--windows", type=Path, help="windows CSV")
+    p.add_argument("--params", type=Path, help="standardization parameters JSON (from ingest)")
 
     p = add("distmat", "test x train Wasserstein distance matrix")
     p.add_argument("--diagrams", type=Path, help="diagrams CSV")
@@ -171,9 +173,8 @@ def _cmd_ingest(args) -> int:
     series = load_csv(Path(data), cfg.schema)
     params = standardize(series, cfg)
     io.write_series_csv(series, out / "series.csv")
-    io.write_series_csv(apply_standardizer(series, params), out / "standardized.csv")
     io.write_params_json(params, out / "params.json")
-    print(f"wrote {out / 'standardized.csv'} ({series.length} rows, d={series.dimension})")
+    print(f"wrote {out / 'series.csv'} and {out / 'params.json'} ({series.length} rows, d={series.dimension})")
     return EXIT_OK
 
 
@@ -192,7 +193,8 @@ def _cmd_windows(args) -> int:
 def _cmd_diagrams(args) -> int:
     cfg, _ = _config(args)
     out = _out_dir(args)
-    clouds = build_clouds(io.read_windows_csv(_require(args.windows, "--windows")), cfg)
+    windows = io.read_windows_csv(_require(args.windows, "--windows"))
+    clouds = build_clouds(windows, io.read_params_json(_require(args.params, "--params")), cfg)
     diagrams = compute_diagrams(clouds, cfg)
     io.write_clouds_csv(clouds, out / "clouds.csv")
     io.write_diagrams_csv(diagrams, out / "diagrams.csv")
@@ -307,6 +309,11 @@ _COMMANDS = {
 }
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """One stderr line per warning, without the source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -317,7 +324,9 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return _COMMANDS[args.command](args)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -43,9 +43,29 @@ def sha256_file(path: str | Path) -> str:
     return sha256_bytes(Path(path).read_bytes())
 
 
+# Bumped when a stage's artifact changes meaning or may change bits for the
+# same inputs, so a cache written before is never served.  windows 2: the
+# series' own rows, not standardized ones.  distances 2: zero-birth diagrams
+# use the exact 1-D dynamic program; 3: other diagrams use the m x (k + m)
+# assignment (both may move an entry by an ulp).
+STAGE_VERSION = {
+    "ingest": 1,
+    "standardize": 1,
+    "windows": 2,
+    "clouds": 1,
+    "diagrams": 1,
+    "distances": 3,
+    "classify": 1,
+}
+
+
 def stage_key(stage: str, parent: str | None, params) -> str:
+    """Content hash of a stage: its name and version, the upstream stage's
+    key and the parameters the stage depends on."""
     payload = json.dumps(
-        {"stage": stage, "parent": parent, "params": params}, sort_keys=True, default=str
+        {"stage": stage, "version": STAGE_VERSION[stage], "parent": parent, "params": params},
+        sort_keys=True,
+        default=str,
     )
     return sha256_bytes(payload.encode("utf-8"))[:16]
 

@@ -1,14 +1,18 @@
-"""End-to-end run: series -> windows -> augmented clouds -> diagrams ->
-distance matrix -> k-NN report, with content-addressed caching per stage.
+"""End-to-end run: series -> windows -> standardized, translated and
+anchored clouds -> diagrams -> distance matrix -> k-NN report, with
+content-addressed caching per stage.
 
 Each stage is one module-level function of its upstream values and the
 ``PipelineConfig``; ``run`` and the CLI stage commands both call them.
+The windows hold the series' own rows; the clouds stage standardizes them
+with the fitted parameters while it translates and anchors them.
 
-Each stage's cache key hashes the previous stage's key plus the parameters
-that stage depends on, so changing (say) only k reuses everything up to
-the distance matrix and recomputes only the classification.  Each stage
-writes one artifact, the value it reads back, under
-``<runs_root>/<run_id>/<stage>/<key>.<ext>``, next to the latest run's provenance.
+Each stage's cache key hashes the stage's version (``io.STAGE_VERSION``),
+the previous stage's key and the parameters that stage depends on, so
+changing (say) only k reuses everything up to the distance matrix and
+recomputes only the classification.  Each stage writes one artifact, the
+value it reads back, under ``<runs_root>/<run_id>/<stage>/<key>.<ext>``,
+next to the latest run's provenance.
 """
 
 from __future__ import annotations
@@ -30,22 +34,21 @@ from .ingest import (
     SplitSpec,
     StandardizationParams,
     TimeSeries,
-    apply_standardizer,
     fit_standardizer,
     load_csv,
     split_series,
 )
-# rips_persistence_dim0 is not called here: dimension 0 runs one batched
-# pass per split.  It stays importable from this module, where tracers look
-# the layer functions up by name.
-from .persistence import (
-    ESSENTIAL_POLICIES,
-    rips_persistence_dim0,
-    rips_persistence_dim0_batch,
-    rips_persistence_dim1,
-)
-from .pointcloud import AugmentConfig, augment, resolve_anchors, resolve_offset
+from .persistence import ESSENTIAL_POLICIES, rips_persistence_dim0_batch, rips_persistence_dim1
+from .pointcloud import AugmentConfig, augment_batch, resolve_anchors, resolve_offset
 from .windowing import WindowConfig, make_windows
+
+# Not called here: dimension 0 runs one batched pass per split, and the
+# clouds stage standardizes, translates and anchors each split in one
+# batched pass.  They stay importable from this module, where tracers look
+# the layer functions up by name.
+from .ingest import apply_standardizer
+from .persistence import rips_persistence_dim0
+from .pointcloud import augment
 
 CACHE_ROOT_ENV = "TOPOWIN_CACHE_DIR"
 PROVENANCE_FILE = "provenance.json"
@@ -243,8 +246,10 @@ def standardize(series: TimeSeries, cfg: PipelineConfig) -> StandardizationParam
     return fit_standardizer(series, cfg.splits, cfg.standardize_mode, cfg.train_split)
 
 
-def cut_windows(standardized: TimeSeries, cfg: PipelineConfig) -> dict:
-    parts = split_series(standardized, cfg.splits)
+def cut_windows(series: TimeSeries, cfg: PipelineConfig) -> dict:
+    """The labeled windows of every split, cut from the series as it was
+    read: standardizing is the clouds stage's work."""
+    parts = split_series(series, cfg.splits)
     return {name: make_windows(sub, cfg.window) for name, sub in parts.items()}
 
 
@@ -254,9 +259,17 @@ def augment_config(cfg: PipelineConfig) -> AugmentConfig:
     return AugmentConfig(resolve_offset(cfg.offset, d), resolve_anchors(cfg.anchors, d))
 
 
-def build_clouds(windows_by_split: dict, cfg: PipelineConfig) -> dict:
+def build_clouds(windows_by_split: dict, params: StandardizationParams, cfg: PipelineConfig) -> dict:
+    """Each split's windows standardized by ``params``, translated by the
+    offset and anchored, in one batched pass per split."""
     aug_cfg = augment_config(cfg)
-    return {name: [augment(w, aug_cfg) for w in wins] for name, wins in windows_by_split.items()}
+    clouds = {}
+    for name, wins in windows_by_split.items():
+        try:
+            clouds[name] = augment_batch(wins, aug_cfg, params)
+        except DataError as exc:
+            raise DataError(f"split '{name}': {exc}") from None
+    return clouds
 
 
 def compute_diagrams(clouds_by_split: dict, cfg: PipelineConfig) -> dict:
@@ -272,11 +285,20 @@ def compute_diagrams(clouds_by_split: dict, cfg: PipelineConfig) -> dict:
 
 
 def read_diagrams(path: Path, windows_by_split: dict, cfg: PipelineConfig) -> dict:
-    """Diagrams from a diagrams CSV; windows without points get empty
-    diagrams, so the window counts come from ``windows_by_split``."""
+    """Diagrams from a diagrams CSV; the window counts come from
+    ``windows_by_split``.  In dimension 1 a window without rows gets an
+    empty diagram.  In dimension 0 a window of two or more points without
+    rows is a ``DataError``: its minimum spanning tree has an edge, so its
+    diagram has a pair, and the file must have skipped it."""
     counts = {name: len(wins) for name, wins in windows_by_split.items()}
     policy = cfg.essential_policy if cfg.dimension == 0 else "capped"
-    return io.read_diagrams_csv(path, counts, cfg.dimension, policy)
+    diagrams = io.read_diagrams_csv(path, counts, cfg.dimension, policy)
+    if cfg.dimension == 0:
+        for name, wins in windows_by_split.items():
+            for win, diagram in zip(wins, diagrams[name]):
+                if not diagram.pairs and len(win.points) >= 2:
+                    raise DataError(f"{path}: no rows for split '{name}' window {win.index}")
+    return diagrams
 
 
 def compute_distances(diagrams_by_split: dict, cfg: PipelineConfig) -> DistanceMatrix:
@@ -440,8 +462,8 @@ def run(
             "windows": _Stage(
                 {"w": cfg.window.w, "s": cfg.window.s, "rule": cfg.window.label_rule},
                 "windows.csv",
-                ("ingest", "standardize"),
-                lambda series, params: cut_windows(apply_standardizer(series, params), cfg),
+                ("ingest",),
+                lambda series: cut_windows(series, cfg),
                 lambda wins, path: io.write_windows_csv(wins, cfg.schema.features, path),
                 io.read_windows_csv,
             ),
@@ -451,8 +473,8 @@ def run(
                     "anchors": [[repr(v) for v in a] for a in aug_cfg.anchors],
                 },
                 "clouds.csv",
-                ("windows",),
-                lambda wins: build_clouds(wins, cfg),
+                ("windows", "standardize"),
+                lambda wins, params: build_clouds(wins, params, cfg),
                 io.write_clouds_csv,
                 io.read_clouds_csv,
             ),
@@ -474,10 +496,6 @@ def run(
                     "p": repr(float(cfg.p)),
                     "train": cfg.train_split,
                     "test": cfg.test_split,
-                    # 2: zero-birth diagrams use the exact 1-D dynamic program.
-                    # 3: other diagrams use the m x (k + m) assignment.  Both
-                    # may move an entry by an ulp.
-                    "version": 3,
                 },
                 "distmat.csv",
                 ("diagrams",),

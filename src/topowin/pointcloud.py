@@ -1,8 +1,12 @@
-"""Offset translation and anchor-point augmentation of window point clouds.
+"""Standardization, offset translation and anchor-point augmentation of
+window point clouds.
 
-Adding a fixed offset vector with distinct components makes heterogeneous
-channels distinguishable, and adjoining fixed anchor points makes clouds
-that differ only by a translation produce different distance structure.
+Standardizing puts heterogeneous channels on one scale, adding a fixed
+offset vector with distinct components makes them distinguishable, and
+adjoining fixed anchor points makes clouds that differ only by a
+translation produce different distance structure.  ``augment_batch``
+embeds all windows of a split in one broadcast; ``augment`` is that pass
+on a list of one.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
+from .ingest import StandardizationParams
 from .windowing import LabeledWindow
 
 
@@ -69,12 +74,50 @@ def augment(window: LabeledWindow, cfg: AugmentConfig) -> AugmentedCloud:
     Duplicate points (a translated point landing on an anchor) are kept;
     the input window is not modified.
     """
-    d = window.points.shape[1]
-    if d != cfg.dimension:
-        raise DataError(f"window dimension {d} does not match config dimension {cfg.dimension}")
-    translated = window.points + cfg.offset
-    points = np.vstack([translated, cfg.anchors]) if cfg.anchors.shape[0] else translated
-    return AugmentedCloud(points=points, source_window=window.index)
+    return augment_batch([window], cfg)[0]
+
+
+def augment_batch(
+    windows: Sequence[LabeledWindow],
+    cfg: AugmentConfig,
+    params: StandardizationParams | None = None,
+) -> list[AugmentedCloud]:
+    """The clouds of many windows, in input order: each window's points
+    standardized by ``params`` (when given), translated by the offset, then
+    followed by the anchors.
+
+    Windows of one point count are embedded together in one broadcast,
+    ``(points - means) / sds + offset``: per coordinate the same operations
+    in the same order as standardizing the series and then translating one
+    window, so the clouds are the same floats.  A coordinate that is not
+    finite afterwards (an overflow from a tiny SD) is a ``DataError``
+    naming its window.
+    """
+    if params is not None and params.dimension != cfg.dimension:
+        raise DataError(f"standardizer has {params.dimension} channels, config has {cfg.dimension}")
+    groups: dict[int, list[int]] = {}  # window indices by point count
+    for i, window in enumerate(windows):
+        n, d = window.points.shape
+        if d != cfg.dimension:
+            raise DataError(f"window dimension {d} does not match config dimension {cfg.dimension}")
+        groups.setdefault(n, []).append(i)
+    k = cfg.anchors.shape[0]
+    out: list[AugmentedCloud | None] = [None] * len(windows)
+    for w, members in groups.items():
+        points = np.stack([windows[i].points for i in members])
+        clouds = np.empty((len(members), w + k, cfg.dimension))
+        with np.errstate(over="ignore"):  # reported below, by window
+            if params is not None:
+                points = (points - params.means) / params.standard_deviations
+            np.add(points, cfg.offset, out=clouds[:, :w])
+        clouds[:, w:] = cfg.anchors
+        finite = np.isfinite(clouds[:, :w]).all(axis=(1, 2))
+        if not finite.all():
+            bad = windows[members[int(np.argmin(finite))]].index
+            raise DataError(f"window {bad}: a coordinate is not finite after standardizing and translating")
+        for i, cloud in zip(members, clouds):
+            out[i] = AugmentedCloud(points=cloud, source_window=windows[i].index)
+    return out
 
 
 def resolve_offset(spec: str | Sequence[float] | None, d: int) -> np.ndarray:

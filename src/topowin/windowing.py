@@ -75,22 +75,25 @@ def window_count(length: int, w: int, s: int) -> int:
 
 
 def make_windows(series: TimeSeries, cfg: WindowConfig) -> list[LabeledWindow]:
-    """Cut the series into labeled windows; a trailing partial window is dropped."""
+    """Cut the series into labeled windows; a trailing partial window is dropped.
+
+    One (count, w) index array gathers every window at once: the points of
+    window i are row i of one (count, w, d) array of the series' own values.
+    """
     n = series.length
     if n < cfg.w:
         raise DataError(f"series has {n} rows, shorter than window length {cfg.w}")
-    out: list[LabeledWindow] = []
-    for i in range(window_count(n, cfg.w, cfg.s)):
-        start = i * cfg.s
-        stop = start + cfg.w
-        points = series.values[start:stop].copy()
-        label = window_label(series.labels[start:stop].tolist(), cfg.label_rule)
-        out.append(
-            LabeledWindow(
-                index=i,
-                points=points,
-                label=label,
-                time_range=(float(series.timestamps[start]), float(series.timestamps[stop - 1])),
-            )
-        )
-    return out
+    starts = np.arange(window_count(n, cfg.w, cfg.s)) * cfg.s
+    rows = starts[:, None] + np.arange(cfg.w)
+    points = series.values[rows]
+    labels = series.labels[rows]
+    if cfg.label_rule == "any_positive":
+        window_labels = (labels == 1).any(axis=1).astype(int).tolist()
+    else:
+        window_labels = [window_label(row, cfg.label_rule) for row in labels.tolist()]
+    firsts = series.timestamps[starts].tolist()
+    lasts = series.timestamps[starts + cfg.w - 1].tolist()
+    return [
+        LabeledWindow(index=i, points=points[i], label=label, time_range=(t0, t1))
+        for i, (label, t0, t1) in enumerate(zip(window_labels, firsts, lasts))
+    ]

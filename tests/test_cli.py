@@ -2,10 +2,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from topowin import apply_standardizer, describe_run, io
+from topowin import describe_run, io
 from topowin.cli import main, write_distances
 from topowin.io import read_json, write_json
 from topowin.pipeline import PipelineConfig, read_diagrams
@@ -112,13 +114,18 @@ class TestStageCommands:
     def test_ingest_windows_diagrams_distmat_classify(self, tmp_path, config_path, synth_csv, capsys):
         out = tmp_path / "stages"
         assert main(["ingest", "--config", str(config_path), "--data", str(synth_csv), "--out", str(out)]) == 0
-        assert (out / "standardized.csv").exists()
-        assert (out / "params.json").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["params.json", "series.csv"]
 
-        assert main(["windows", "--config", str(config_path), "--series", str(out / "standardized.csv"), "--out", str(out)]) == 0
+        assert main(["windows", "--config", str(config_path), "--series", str(out / "series.csv"), "--out", str(out)]) == 0
         assert (out / "windows.csv").exists()
 
-        assert main(["diagrams", "--config", str(config_path), "--windows", str(out / "windows.csv"), "--out", str(out)]) == 0
+        assert main([
+            "diagrams",
+            "--config", str(config_path),
+            "--windows", str(out / "windows.csv"),
+            "--params", str(out / "params.json"),
+            "--out", str(out),
+        ]) == 0
         assert (out / "clouds.csv").exists()
         assert (out / "diagrams.csv").exists()
 
@@ -149,8 +156,9 @@ class TestStageCommands:
         out = tmp_path / "stages"
         for cmd in (
             ["ingest", "--config", str(config_path), "--data", str(synth_csv), "--out", str(out)],
-            ["windows", "--config", str(config_path), "--series", str(out / "standardized.csv"), "--out", str(out)],
-            ["diagrams", "--config", str(config_path), "--windows", str(out / "windows.csv"), "--out", str(out)],
+            ["windows", "--config", str(config_path), "--series", str(out / "series.csv"), "--out", str(out)],
+            ["diagrams", "--config", str(config_path), "--windows", str(out / "windows.csv"),
+             "--params", str(out / "params.json"), "--out", str(out)],
             ["distmat", "--config", str(config_path), "--diagrams", str(out / "diagrams.csv"),
              "--windows", str(out / "windows.csv"), "--out", str(out)],
         ):
@@ -171,9 +179,9 @@ class TestStageCommands:
         out = tmp_path / "stages"
         args = ["ingest", "--config", str(config_path), "--data", str(synth_csv), "--out", str(out)]
         assert main(args) == 0
-        first = (out / "standardized.csv").read_bytes()
+        first = {name: (out / name).read_bytes() for name in ("series.csv", "params.json")}
         assert main(args) == 0
-        assert (out / "standardized.csv").read_bytes() == first
+        assert {name: (out / name).read_bytes() for name in first} == first
 
     def test_data_error_exit_code(self, tmp_path, config_path, capsys):
         missing = tmp_path / "absent.csv"
@@ -229,8 +237,8 @@ class TestStagesMatchRun:
         assert main(["run", "--config", str(config), "--out", str(root)]) == 0
         for command, *argv in (
             ["ingest", "--data", synth_csv],
-            ["windows", "--series", out / "standardized.csv"],
-            ["diagrams", "--windows", out / "windows.csv"],
+            ["windows", "--series", out / "series.csv"],
+            ["diagrams", "--windows", out / "windows.csv", "--params", out / "params.json"],
             ["distmat", "--diagrams", out / "diagrams.csv", "--windows", out / "windows.csv"],
             ["classify", "--matrix", out / "distmat.csv", "--windows", out / "windows.csv"],
         ):
@@ -249,13 +257,8 @@ class TestStagesMatchRun:
         }.items():
             (artifact,) = run_dir.glob(pattern)
             assert (out / name).read_bytes() == artifact.read_bytes(), name
-        # The run caches the parameters, not the standardized series.
-        (series,) = run_dir.glob("ingest/*.series.csv")
-        (params,) = run_dir.glob("standardize/*.params.json")
-        io.write_series_csv(
-            apply_standardizer(io.read_series_csv(series), io.read_params_json(params)), tmp_path / "expected.csv"
-        )
-        assert (out / "standardized.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        # Neither writes a standardized series: the clouds stage standardizes.
+        assert not (out / "standardized.csv").exists()
         # The run writes the matrix alone; the sidecar comes from distmat only.
         assert not list(run_dir.glob("distances/*.json"))
         cfg = PipelineConfig.from_dict(payload)
@@ -399,8 +402,8 @@ class TestRunCommand:
 # since a bad config is rejected before any is read.
 STAGE_ARGV = {
     "ingest": ["--data", "data.csv"],
-    "windows": ["--series", "standardized.csv"],
-    "diagrams": ["--windows", "windows.csv"],
+    "windows": ["--series", "series.csv"],
+    "diagrams": ["--windows", "windows.csv", "--params", "params.json"],
     "distmat": ["--diagrams", "diagrams.csv", "--windows", "windows.csv"],
     "classify": ["--matrix", "distmat.csv", "--windows", "windows.csv"],
     "sweep-k": ["--matrix", "distmat.csv", "--windows", "windows.csv", "--ks", "1,3"],
@@ -428,10 +431,11 @@ class TestStageCommandsLeaveNoOutDirOnError:
     def test_diagrams_with_nan_anchor_on_real_windows(self, tmp_path, config_path, synth_csv):
         stages = tmp_path / "stages"
         assert main(["ingest", "--config", str(config_path), "--data", str(synth_csv), "--out", str(stages)]) == 0
-        windows = ["--series", str(stages / "standardized.csv"), "--out", str(stages)]
+        windows = ["--series", str(stages / "series.csv"), "--out", str(stages)]
         assert main(["windows", "--config", str(config_path), *windows]) == 0
         out = tmp_path / "out"
         argv = ["diagrams", "--config", str(config_path), "--windows", str(stages / "windows.csv")]
+        argv += ["--params", str(stages / "params.json")]
         assert main([*argv, "--anchor", "nan,0,0", "--out", str(out)]) == 1
         assert not out.exists()
 
@@ -459,6 +463,34 @@ class TestFileErrors:
         (line,) = done.stderr.splitlines()
         assert line.startswith("file error: ") and str(out) in line
         assert out.read_text(encoding="utf-8") == "not a directory\n"
+
+
+class TestWarnings:
+    def test_warning_is_one_line_without_a_source_path(self, tmp_path, config_path, synth_csv):
+        # pytest turns warnings into errors, so the CLI runs in a subprocess.
+        out = tmp_path / "stages"
+        assert main(["ingest", "--config", str(config_path), "--data", str(synth_csv), "--out", str(out)]) == 0
+        assert main(["windows", "--config", str(config_path), "--series", str(out / "series.csv"), "--out", str(out)]) == 0
+        windows = io.read_windows_csv(out / "windows.csv")
+        train, test = windows["train"], windows["test"]
+        # Every test window's nearest neighbour is a class-0 train window, so
+        # nothing is predicted as class 1 and its precision is 0/0.
+        nearest = next(w.index for w in train if w.label == 0)
+        values = [[0.0 if w.index == nearest else 1.0 for w in train] for _ in test]
+        matrix = SimpleNamespace(
+            row_ids=[w.index for w in test], col_ids=[w.index for w in train], values=np.asarray(values)
+        )
+        io.write_distmat_csv(matrix, out / "distmat.csv")
+        src = Path(__file__).resolve().parent.parent / "src"
+        argv = ["classify", "--config", str(config_path), "--k", "1", "--out", str(out)]
+        done = subprocess.run(
+            [sys.executable, "-m", "topowin", *argv, "--matrix", str(out / "distmat.csv"), "--windows", str(out / "windows.csv")],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0
+        assert done.stderr == "warning: precision(class 1) is 0/0; defining it as 0\n"
 
 
 class TestPlotDiagram:

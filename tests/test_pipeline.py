@@ -11,9 +11,11 @@ import pytest
 
 import topowin.pipeline
 from topowin import (
+    AugmentConfig,
     DataError,
     PipelineConfig,
     apply_standardizer,
+    augment,
     describe_run,
     io,
     load_csv,
@@ -25,8 +27,15 @@ from topowin import (
 from topowin.cli import main
 from topowin.ingest import STANDARDIZE_MODES
 from topowin.persistence import ESSENTIAL_POLICIES
-from topowin.pipeline import build_clouds, compute_diagrams, cut_windows, default_runs_root, standardize
-from conftest import synthetic_config_dict
+from topowin.pipeline import (
+    build_clouds,
+    compute_diagrams,
+    cut_windows,
+    default_runs_root,
+    read_diagrams,
+    standardize,
+)
+from conftest import synthetic_config_dict, synthetic_two_class_series
 
 
 class TwoArgumentDataError(DataError):
@@ -616,9 +625,11 @@ class TestDistanceCacheVersion:
         cfg, data, root = warm
         run_dir = root / cfg.run_id
         keys = {s["stage"]: s["key"] for s in describe_run(cfg.run_id, root)["stages"]}
-        # The distances key of a cache written before the stage had a version entry.
+        # The distances key of a cache written before the stage had a version:
+        # no version entry in its params, and none in the key itself.
         old_params = {"p": repr(float(cfg.p)), "train": cfg.train_split, "test": cfg.test_split}
-        old_key = io.stage_key("distances", keys["diagrams"], old_params)
+        payload = {"stage": "distances", "parent": keys["diagrams"], "params": old_params}
+        old_key = io.sha256_bytes(json.dumps(payload, sort_keys=True).encode("utf-8"))[:16]
         assert old_key != keys["distances"]
         current = artifact(run_dir, "distmat")
         original = current.read_bytes()
@@ -638,7 +649,7 @@ class TestDistanceCacheVersion:
 def clouds_of(cfg, data):
     """The augmented clouds of every split, from the stage functions."""
     series = load_csv(data, cfg.schema)
-    return build_clouds(cut_windows(apply_standardizer(series, standardize(series, cfg)), cfg), cfg)
+    return build_clouds(cut_windows(series, cfg), standardize(series, cfg), cfg)
 
 
 def counting(monkeypatch, name):
@@ -687,8 +698,8 @@ class TestDiagramsStage:
         io.write_json(config, payload)
         for command, *argv in (
             ["ingest", "--data", synth_csv],
-            ["windows", "--series", out / "standardized.csv"],
-            ["diagrams", "--windows", out / "windows.csv"],
+            ["windows", "--series", out / "series.csv"],
+            ["diagrams", "--windows", out / "windows.csv", "--params", out / "params.json"],
         ):
             assert main([command, "--config", str(config), "--out", str(out), *map(str, argv)]) == 0
         assert len(calls) == 2 * len(clouds)
@@ -703,3 +714,125 @@ class TestDiagramsStage:
         run(cfg, synth_csv, runs_root=tmp_path / "runs")
         assert len(calls) == sum(len(split) for split in clouds_of(cfg, synth_csv).values())
         assert batched == []
+
+
+class TestStageVersion:
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_bump_changes_its_key_and_every_later_one(self, warm, monkeypatch, stage):
+        cfg, data, root = warm
+        before = {s["stage"]: s["key"] for s in describe_run(cfg.run_id, root)["stages"]}
+        monkeypatch.setitem(io.STAGE_VERSION, stage, io.STAGE_VERSION[stage] + 1)
+        run(cfg, data, runs_root=root)
+        after = {s["stage"]: s["key"] for s in describe_run(cfg.run_id, root)["stages"]}
+        i = STAGES.index(stage)
+        assert [after[s] == before[s] for s in STAGES] == [True] * i + [False] * (len(STAGES) - i)
+
+    def test_every_stage_has_a_version(self):
+        assert tuple(io.STAGE_VERSION) == STAGES
+
+
+def standardized_clouds_csv(cfg, data, path):
+    """The clouds CSV by the two-step oracle: standardize the whole series,
+    cut it, then translate and anchor one window at a time."""
+    series = load_csv(data, cfg.schema)
+    windows = cut_windows(apply_standardizer(series, standardize(series, cfg)), cfg)
+    d = len(cfg.schema.features)
+    aug = AugmentConfig(resolve_offset(cfg.offset, d), resolve_anchors(cfg.anchors, d))
+    io.write_clouds_csv({name: [augment(w, aug) for w in wins] for name, wins in windows.items()}, path)
+
+
+class TestCloudsStage:
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {},
+            {"anchors": "none"},
+            {"anchors": [[1.0, -2.0, 0.5], [0.0, 3.0, 1e-3]], "offset": [0.5, 10.0, -4.0]},
+            {"anchors": "none", "offset": "0,0.1,0.2", "standardize": "fit_on_train"},
+            {"dimension": 1, "maxscale": 8.0, "k": 3},
+            {"dimension": 1, "maxscale": 8.0, "k": 3, "anchors": [[2.0, 2.0, 2.0]], "offset": [1.0, 0.0, 3.0]},
+        ],
+        ids=["dim0-origin-auto", "dim0-none-auto", "dim0-explicit", "dim0-none-explicit-train", "dim1-origin-auto", "dim1-explicit"],
+    )
+    def test_clouds_equal_per_window_augment_of_standardized_windows(self, synth_csv, tmp_path, extra):
+        payload = synthetic_config_dict("oracle", synth_csv, n_windows=30)
+        payload.update(extra)
+        cfg = PipelineConfig.from_dict(payload)
+        run(cfg, synth_csv, runs_root=tmp_path / "runs")
+        standardized_clouds_csv(cfg, synth_csv, tmp_path / "expected.csv")
+        (written,) = (tmp_path / "runs" / "oracle" / "clouds").glob("*.clouds.csv")
+        assert written.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+    def test_windows_hold_the_series_rows(self, small_run):
+        cfg, _, root = small_run
+        run_dir = root / cfg.run_id
+        series = artifact(run_dir, "series").read_text(encoding="utf-8").splitlines()[1:]
+        windows = artifact(run_dir, "windows").read_text(encoding="utf-8").splitlines()[1:]
+        starts = {r.name: r.start for r in cfg.splits.boundaries}
+        assert len(windows) == sum(r.stop - r.start for r in cfg.splits.boundaries)
+        for line in windows:
+            split, window, point, _, _, _, *cells = line.split(",")
+            row = starts[split] + int(window) * cfg.window.s + int(point)
+            assert cells == series[row].split(",")[1:-1]
+
+    def test_overflowing_coordinate_is_a_data_error_in_clouds(self, tmp_path, capsys):
+        # Train rows of f0 alternate 0 and 2e-150 (SD 1e-150); one test row
+        # is 1e200 SDs away, which overflows when standardized.
+        series = synthetic_two_class_series(n_windows=30)
+        values = series.values.copy()
+        values[:180, 0] = np.tile([0.0, 2e-150], 90)
+        values[245, 0] = 1e200
+        data = tmp_path / "tiny-sd.csv"
+        io.write_series_csv(dataclasses.replace(series, values=values), data)
+        payload = synthetic_config_dict("tiny-sd", data, n_windows=30)
+        payload["standardize"] = "fit_on_train"
+        config = tmp_path / "tiny-sd.json"
+        io.write_json(config, payload)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: stage 'clouds': split 'test': window 6: ")
+        assert not list((tmp_path / "runs" / "tiny-sd").glob("clouds/*"))
+
+
+def without_window(path, split, window):
+    """Drop the rows of one window from a diagrams CSV."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(l for l in lines if not l.startswith(f"{split},{window},")), encoding="utf-8")
+
+
+class TestDiagramsSkippingAWindow:
+    def test_distmat_rejects_a_dim0_file_without_a_window(self, warm, tmp_path, capsys):
+        cfg, _, root = warm
+        run_dir = root / cfg.run_id
+        diagrams = tmp_path / "d.csv"
+        shutil.copy(artifact(run_dir, "diagrams"), diagrams)
+        without_window(diagrams, "train", 17)
+        config = tmp_path / "small.json"
+        io.write_json(config, cfg.to_dict())
+        argv = ["distmat", "--config", str(config), "--diagrams", str(diagrams)]
+        assert main([*argv, "--windows", str(artifact(run_dir, "windows")), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"data error: {diagrams}: no rows for split 'train' window 17\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_run_treats_it_as_a_cache_miss(self, warm):
+        cfg, data, root = warm
+        run_dir = root / cfg.run_id
+        path = artifact(run_dir, "diagrams")
+        original, report = path.read_bytes(), (run_dir / "report.json").read_bytes()
+        without_window(path, "test", 11)
+        for downstream in ("distances", "classify"):
+            shutil.rmtree(run_dir / downstream)
+        run(cfg, data, runs_root=root)
+        assert statuses(cfg, root)["diagrams"] == "computed"
+        assert path.read_bytes() == original
+        assert (run_dir / "report.json").read_bytes() == report
+
+    def test_dim1_window_without_rows_reads_as_empty(self, warm, tmp_path):
+        cfg, _, root = warm
+        cfg1 = dataclasses.replace(cfg, dimension=1, maxscale=8.0)
+        windows = io.read_windows_csv(artifact(root / cfg.run_id, "windows"))
+        path = tmp_path / "dim1.csv"
+        io.write_diagrams_csv({"train": [], "test": []}, path)
+        diagrams = read_diagrams(path, windows, cfg1)
+        assert [len(diagrams[name]) for name in ("train", "test")] == [18, 12]
+        assert all(not d.pairs for ds in diagrams.values() for d in ds)

@@ -8,9 +8,11 @@ from topowin import (
     DataError,
     LabeledWindow,
     SplitSpec,
+    StandardizationParams,
     WindowConfig,
     apply_standardizer,
     augment,
+    augment_batch,
     default_offset,
     fit_standardizer,
     make_windows,
@@ -128,6 +130,61 @@ class TestAugment:
         translated = np.vstack([augment(w, cfg).points[:10] for w in windows])
         np.testing.assert_allclose(translated.mean(axis=0), [0, 1, 2, 3, 4], atol=1e-9)
         np.testing.assert_allclose(translated.std(axis=0), 1.0, atol=1e-9)
+
+
+class TestAugmentBatch:
+    @staticmethod
+    def windows(rng):
+        """Windows of 1, 3 and 10 points in shuffled order, on scales far apart."""
+        sizes = [10, 3, 10, 1, 3, 10, 10, 1]
+        return [
+            window_from(rng.normal(0.0, 10.0 ** rng.integers(-3, 4), size=(n, 4)), index=i)
+            for i, n in enumerate(sizes)
+        ]
+
+    @pytest.mark.parametrize("anchors", [np.zeros((0, 4)), np.zeros((1, 4)), np.array([[1.0, -2.0, 0.5, 3.0], [0.0, 0.0, 7.0, 1e-3]])])
+    def test_equals_standardizing_then_augmenting_one_window(self, anchors):
+        rng = np.random.default_rng(29)
+        windows = self.windows(rng)
+        params = StandardizationParams(means=rng.normal(size=4), standard_deviations=rng.uniform(1e-3, 50.0, size=4))
+        cfg = AugmentConfig(offset=rng.normal(size=4), anchors=anchors)
+        clouds = augment_batch(windows, cfg, params)
+        assert [c.source_window for c in clouds] == [w.index for w in windows]
+        for window, cloud in zip(windows, clouds):
+            standardized = (window.points - params.means) / params.standard_deviations
+            expected = np.vstack([standardized + cfg.offset, anchors])
+            assert cloud.points.tolist() == expected.tolist()
+            assert cloud.points.tolist() == augment(window_from(standardized, window.index), cfg).points.tolist()
+
+    def test_without_params_equals_augment(self):
+        windows = self.windows(np.random.default_rng(31))
+        cfg = AugmentConfig(offset=np.arange(4.0), anchors=np.ones((2, 4)))
+        batch = augment_batch(windows, cfg)
+        assert [c.points.tolist() for c in batch] == [augment(w, cfg).points.tolist() for w in windows]
+
+    def test_empty(self):
+        assert augment_batch([], CFG5) == []
+
+    def test_non_finite_coordinate_names_the_window(self):
+        params = StandardizationParams(means=np.zeros(2), standard_deviations=np.array([1.0, 1e-300]))
+        windows = [window_from([[0.0, 1.0], [1.0, 0.0]], index=i) for i in range(3)]
+        windows.append(window_from([[0.0, 1e10], [0.0, 0.0]], index=3))
+        with pytest.raises(DataError, match="^window 3: a coordinate is not finite"):
+            augment_batch(windows, AugmentConfig(offset=np.zeros(2), anchors=np.zeros((0, 2))), params)
+
+    def test_nan_window_point_rejected(self):
+        with pytest.raises(DataError, match="^window 4: "):
+            augment(window_from([[0.0, np.nan, 0.0, 0.0, 0.0]], index=4), CFG5)
+
+    def test_params_dimension_mismatch(self):
+        params = StandardizationParams(means=np.zeros(1), standard_deviations=np.ones(1))
+        with pytest.raises(DataError, match="standardizer has 1 channels, config has 5"):
+            augment_batch([window_from(np.zeros((2, 5)))], CFG5, params)
+
+    def test_dimension_mismatch_in_any_window(self):
+        windows = [window_from(np.zeros((2, 5))), window_from(np.zeros((2, 4)), index=1)]
+        with pytest.raises(DataError, match="window dimension 4 does not match config dimension 5"):
+            augment_batch(windows, CFG5)
 
 
 class TestResolveSpecs:

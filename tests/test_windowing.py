@@ -71,6 +71,29 @@ class TestMakeWindows:
         assert window_count(length, w, s) == len(wins)
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        labels=st.lists(st.integers(min_value=0, max_value=2), min_size=2, max_size=60),
+        w=st.integers(min_value=2, max_value=12),
+        s=st.integers(min_value=1, max_value=12),
+        rule=st.sampled_from(["any_positive", "majority"]),
+    )
+    def test_gather_matches_slicing_each_window(self, labels, w, s, rule):
+        n = len(labels)
+        if n < w:
+            return
+        rng = np.random.default_rng(n * 1000 + w * 10 + s)
+        series = make_series(rng.normal(size=(n, 3)), labels=labels)
+        wins = make_windows(series, WindowConfig(w=w, s=s, label_rule=rule))
+        for i, win in enumerate(wins):
+            rows = slice(i * s, i * s + w)
+            assert win.index == i
+            assert win.points.tolist() == series.values[rows].tolist()
+            assert win.label == window_label(labels[rows], rule)
+            assert type(win.label) is int
+            assert win.time_range == (float(i * s), float(i * s + w - 1))
+
+
 class TestWindowLabel:
     def test_any_positive_hits(self):
         assert window_label([0, 0, 1, 0, 0], "any_positive") == 1
