@@ -26,7 +26,6 @@ from .ingest import (
 )
 from .persistence import (
     PersistenceDiagram,
-    diagram_to_rows,
     rips_persistence_dim0,
     rips_persistence_dim0_batch,
     rips_persistence_dim1,
@@ -70,7 +69,6 @@ __all__ = [
     "augment_batch",
     "default_offset",
     "describe_run",
-    "diagram_to_rows",
     "distance_matrix",
     "evaluate",
     "fit_standardizer",

@@ -128,7 +128,12 @@ def _config(args) -> tuple[PipelineConfig, str | None]:
         raise ValueError(f"{args.command} needs --config")
     if getattr(args, "workers", 1) < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
-    payload = dict(io.read_json(args.config))
+    try:
+        payload = io.read_json(args.config)
+    except DataError as exc:  # a config file that is missing or not JSON is a usage error
+        raise ValueError(str(exc)) from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{args.config}: a config is one JSON object")
     payload.setdefault("run_id", Path(args.config).stem)
     overrides = {
         "data": getattr(args, "data", None),

@@ -2,7 +2,8 @@
 
 Every writer is deterministic: floats are serialized with ``repr`` (exact
 round-trip), JSON keys are sorted, CSV rows follow a fixed order.  Reading
-then rewriting an artifact reproduces it byte for byte.  CSV lines are
+then rewriting an artifact reproduces it byte for byte, and reading a
+malformed one is a ``DataError`` naming its file (and line).  CSV lines are
 built from ``tolist`` floats; ``csv`` formats only header rows and split names.
 
 Every write goes through ``write_text``: a temp file in the target directory
@@ -16,19 +17,20 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import stat
 from contextlib import contextmanager
+from functools import partial
 from io import StringIO
-from itertools import islice
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .classify import EvaluationReport, KSweepEntry
 from .distance import DistanceMatrix
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .ingest import StandardizationParams, TimeSeries
 from .persistence import PersistenceDiagram
 from .pointcloud import AugmentedCloud
@@ -50,8 +52,8 @@ def sha256_file(path: str | Path) -> str:
 # assignment (both may move an entry by an ulp).
 STAGE_VERSION = {
     "ingest": 1,
-    "standardize": 1,
     "windows": 2,
+    "standardize": 1,
     "clouds": 1,
     "diagrams": 1,
     "distances": 3,
@@ -91,33 +93,66 @@ def _csv_line(cells: Sequence) -> str:
     return buf.getvalue()
 
 
-def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+def _read_csv(path: Path, columns: str, start: Callable[[list[str]], Callable | None]) -> list[str]:
+    """The header of ``path``, once ``start(header)``'s row parser (None for
+    a header that is not ``columns``) has taken each nonblank data row.  A
+    wrong field count, or a ``ValueError`` or ``IndexError`` from the parser
+    (a cell it refuses, a row it cannot place), is a ``DataError`` naming the
+    file and the line."""
     if not path.exists():
         raise DataError(f"no such file: {path}")
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        rows = []
-        for row in filter(None, reader):
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: line {reader.line_num} has {len(row)} fields, the header {len(header)}"
-                )
-            rows.append(row)
-        return header, rows
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            if (parse := start(header)) is None:
+                raise ValueError(f"expected columns {columns}")
+            for row in filter(None, reader):
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields, the header {len(header)}")
+                parse(row)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except (ValueError, IndexError, csv.Error) as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    return header
 
 
-def _line_of(path: Path, row: int) -> int:
-    """The line on which data row ``row`` of ``_read_csv(path)`` ends.  Only
-    error messages need it, so the file is read again instead of every
-    reader keeping line numbers."""
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(islice(filter(None, reader), row + 1, None))  # the header, then the data rows
-        return reader.line_num
+@contextmanager
+def _naming(path: Path):
+    """Text that is not JSON, a field missing from a JSON payload, or a check
+    that fails on a value built from ``path`` is a ``DataError`` naming the
+    file."""
+    try:
+        yield
+    except KeyError as exc:
+        raise DataError(f"{path}: missing field {exc}") from None
+    except (DataError, NumericalError, ValueError, TypeError, OverflowError) as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _read_windowed(path: Path, fixed: list[str], window: Callable) -> dict[str, list]:
+    """``{split: [window(index, row of point 0)(points), ...]}`` from columns
+    ``fixed`` (split, window, point, ...), then the coordinates.  The
+    writers put each window's rows together as points 0, 1, 2, ...; a row
+    out of that order is a ``DataError`` naming its line."""
+    groups: dict[str, dict[int, tuple]] = {}
+    current, points = None, []
+
+    def parse(row: list[str]) -> None:
+        nonlocal current, points
+        point = int(row[2])
+        if point == 0 and (index := int(row[1])) not in groups.setdefault(row[0], {}):
+            current, points = row[:2], []
+            groups[row[0]][index] = (window(index, row), points)
+        elif row[:2] != current or point != len(points):
+            raise ValueError(f"point {point} of split '{row[0]}' window {row[1]} is out of order")
+        points.append(list(map(float, row[len(fixed) :])))
+
+    _read_csv(path, f"{','.join(fixed)},...", lambda header: parse if header[: len(fixed)] == fixed else None)
+    return {split: [make(np.array(p)) for make, p in wins.values()] for split, wins in groups.items()}
 
 
 def _holds(path: Path, text: str) -> bool:
@@ -147,9 +182,11 @@ def write_json(path: Path, payload) -> None:
 
 
 def read_json(path: Path):
-    if not Path(path).exists():
+    path = Path(path)
+    if not path.exists():
         raise DataError(f"no such file: {path}")
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    with _naming(path):
+        return json.loads(path.read_text(encoding="utf-8"))
 
 
 # --- series ---------------------------------------------------------------
@@ -162,19 +199,17 @@ def write_series_csv(series: TimeSeries, path: Path) -> None:
 
 
 def read_series_csv(path: Path) -> TimeSeries:
-    header, rows = _read_csv(path)
-    if len(header) < 3 or header[0] != "timestamp" or header[-1] != "label":
-        raise DataError(f"{path}: expected columns timestamp,<channels...>,label")
-    channels = tuple(header[1:-1])
-    ts = [float(r[0]) for r in rows]
-    values = [[float(v) for v in r[1:-1]] for r in rows]
-    labels = [int(r[-1]) for r in rows]
-    return TimeSeries(
-        timestamps=np.asarray(ts),
-        values=np.asarray(values),
-        labels=np.asarray(labels, dtype=np.int64),
-        channel_names=channels,
-    )
+    ts, values, labels = [], [], []
+
+    def parse(row: list[str]) -> None:
+        ts.append(float(row[0]))
+        values.append(list(map(float, row[1:-1])))
+        labels.append(int(row[-1]))
+
+    columns = "timestamp,<channels...>,label"
+    header = _read_csv(path, columns, lambda h: parse if h[:1] == ["timestamp"] and h[-1:] == ["label"] else None)
+    with _naming(path):
+        return TimeSeries(ts, values, labels, tuple(header[1:-1]))
 
 
 def write_params_json(params: StandardizationParams, path: Path) -> None:
@@ -190,11 +225,8 @@ def write_params_json(params: StandardizationParams, path: Path) -> None:
 
 def read_params_json(path: Path) -> StandardizationParams:
     payload = read_json(path)
-    return StandardizationParams(
-        means=np.asarray([float(v) for v in payload["means"]]),
-        standard_deviations=np.asarray([float(v) for v in payload["standard_deviations"]]),
-        mode=payload["mode"],
-    )
+    with _naming(path):  # the dataclass parses the repr strings as float64
+        return StandardizationParams(payload["means"], payload["standard_deviations"], payload["mode"])
 
 
 # --- windows ---------------------------------------------------------------
@@ -216,35 +248,11 @@ def write_windows_csv(
 
 
 def read_windows_csv(path: Path) -> dict[str, list[LabeledWindow]]:
-    header, rows = _read_csv(path)
-    fixed = ["split", "window", "point", "label", "t_first", "t_last"]
-    if header[: len(fixed)] != fixed:
-        raise DataError(f"{path}: expected columns {fixed},<channels...>")
-    grouped: dict[tuple[str, int], dict] = {}
-    order: list[tuple[str, int]] = []
-    for r in rows:
-        key = (r[0], int(r[1]))
-        if key not in grouped:
-            grouped[key] = {
-                "label": int(r[3]),
-                "range": (float(r[4]), float(r[5])),
-                "points": [],
-            }
-            order.append(key)
-        grouped[key]["points"].append((int(r[2]), [float(v) for v in r[6:]]))
-    out: dict[str, list[LabeledWindow]] = {}
-    for split, index in order:
-        entry = grouped[(split, index)]
-        points = [p for _, p in sorted(entry["points"], key=lambda t: t[0])]
-        out.setdefault(split, []).append(
-            LabeledWindow(
-                index=index,
-                points=np.asarray(points, dtype=float),
-                label=entry["label"],
-                time_range=entry["range"],
-            )
-        )
-    return out
+    return _read_windowed(
+        path,
+        ["split", "window", "point", "label", "t_first", "t_last"],
+        lambda i, r: partial(LabeledWindow, i, label=int(r[3]), time_range=(float(r[4]), float(r[5]))),
+    )
 
 
 def window_labels(windows_by_split: Mapping[str, Sequence[LabeledWindow]], split: str) -> list[int]:
@@ -268,24 +276,7 @@ def write_clouds_csv(clouds_by_split: Mapping[str, Sequence[AugmentedCloud]], pa
 
 
 def read_clouds_csv(path: Path) -> dict[str, list[AugmentedCloud]]:
-    header, rows = _read_csv(path)
-    if header[:3] != ["split", "window", "point"]:
-        raise DataError(f"{path}: expected columns split,window,point,<coords...>")
-    grouped: dict[tuple[str, int], list] = {}
-    order: list[tuple[str, int]] = []
-    for r in rows:
-        key = (r[0], int(r[1]))
-        if key not in grouped:
-            grouped[key] = []
-            order.append(key)
-        grouped[key].append((int(r[2]), [float(v) for v in r[3:]]))
-    out: dict[str, list[AugmentedCloud]] = {}
-    for split, index in order:
-        points = [p for _, p in sorted(grouped[(split, index)], key=lambda t: t[0])]
-        out.setdefault(split, []).append(
-            AugmentedCloud(points=np.asarray(points, dtype=float), source_window=index)
-        )
-    return out
+    return _read_windowed(path, ["split", "window", "point"], lambda i, r: partial(AugmentedCloud, source_window=i))
 
 
 # --- diagrams ---------------------------------------------------------------
@@ -301,6 +292,9 @@ def write_diagrams_csv(
     write_text(path, "".join(lines))
 
 
+_DIAGRAM_COLUMNS = ["split", "window", "dim", "birth", "death"]
+
+
 def read_diagrams_csv(
     path: Path,
     counts: Mapping[str, int],
@@ -308,47 +302,45 @@ def read_diagrams_csv(
     essential_policy: str,
 ) -> dict[str, list[PersistenceDiagram]]:
     """Rebuild per-window diagrams; windows absent from the file get empty
-    diagrams, so ``counts`` (windows per split) is required.  A row of
-    another dimension, or of a split or window outside ``counts``, is a
-    ``DataError`` naming its line."""
-    header, rows = _read_csv(path)
-    if header != ["split", "window", "dim", "birth", "death"]:
-        raise DataError(f"{path}: expected columns split,window,dim,birth,death")
+    diagrams, so ``counts`` (windows per split) is required.  A row of a
+    split, window or dimension outside ``counts`` and ``dim``, or whose point
+    is not finite 0 <= birth <= death, is a ``DataError`` naming its line."""
     pairs: dict[tuple[str, int], list[tuple[float, float]]] = {}
-    for i, (split, window, row_dim, birth, death) in enumerate(rows):
+
+    def parse(row: list[str]) -> None:
+        split, window, row_dim, birth, death = row
         index = int(window)
         if split not in counts:
-            problem = f"split '{split}' is not among the windows' splits {sorted(counts)}"
-        elif not 0 <= index < counts[split]:
-            problem = f"window {index} is outside split '{split}' ({counts[split]} windows)"
-        elif int(row_dim) != dim:
-            problem = f"dimension {row_dim}, not {dim}"
-        else:
-            pairs.setdefault((split, index), []).append((float(birth), float(death)))
-            continue
-        raise DataError(f"{path}: line {_line_of(path, i)}: {problem}")
-    out: dict[str, list[PersistenceDiagram]] = {}
-    for split, count in counts.items():
-        out[split] = [
-            PersistenceDiagram(
-                dim=dim,
-                pairs=tuple(pairs.get((split, i), ())),
-                essential_policy=essential_policy,
-            )
-            for i in range(count)
-        ]
-    return out
+            raise ValueError(f"split '{split}' is not among the windows' splits {sorted(counts)}")
+        if not 0 <= index < counts[split]:
+            raise ValueError(f"window {index} is outside split '{split}' ({counts[split]} windows)")
+        if int(row_dim) != dim:
+            raise ValueError(f"dimension {row_dim}, not {dim}")
+        b, d = float(birth), float(death)
+        if not 0 <= b <= d < math.inf:
+            raise ValueError(f"invalid diagram point ({b}, {d}): need finite 0 <= birth <= death")
+        pairs.setdefault((split, index), []).append((b, d))
+
+    _read_csv(path, ",".join(_DIAGRAM_COLUMNS), lambda header: parse if header == _DIAGRAM_COLUMNS else None)
+    return {
+        split: [PersistenceDiagram(dim, tuple(pairs.get((split, i), ())), essential_policy) for i in range(count)]
+        for split, count in counts.items()
+    }
 
 
 def read_diagram_points(path: Path) -> tuple[bool, list[tuple]]:
     """Points of a single diagram file, ``(False, [(dim, birth, death), ...])``,
     or of a long-format one, ``(True, [(split, window, dim, birth, death), ...])``."""
-    header, rows = _read_csv(Path(path))
-    if header[:3] == ["dim", "birth", "death"]:
-        return False, [(int(r[0]), float(r[1]), float(r[2])) for r in rows]
-    if header == ["split", "window", "dim", "birth", "death"]:
-        return True, [(r[0], int(r[1]), int(r[2]), float(r[3]), float(r[4])) for r in rows]
-    raise DataError(f"{path}: not a diagram file (header {header})")
+    points: list[tuple] = []
+
+    def start(header: list[str]):
+        if header[:3] == ["dim", "birth", "death"]:
+            return lambda r: points.append((int(r[0]), float(r[1]), float(r[2])))
+        if header == _DIAGRAM_COLUMNS:
+            return lambda r: points.append((r[0], int(r[1]), int(r[2]), float(r[3]), float(r[4])))
+
+    header = _read_csv(Path(path), "dim,birth,death,... or " + ",".join(_DIAGRAM_COLUMNS), start)
+    return header == _DIAGRAM_COLUMNS, points
 
 
 def diagram_set_hash(diagrams_by_split: Mapping[str, Sequence[PersistenceDiagram]]) -> str:
@@ -371,13 +363,22 @@ def write_distmat_csv(matrix: DistanceMatrix, path: Path) -> None:
 
 
 def read_distmat_csv(path: Path) -> DistanceMatrix:
-    header, rows = _read_csv(path)
-    if not header or header[0] != "window":
-        raise DataError(f"{path}: expected first column 'window'")
-    col_ids = tuple(int(c) for c in header[1:])
-    row_ids = tuple(int(r[0]) for r in rows)
-    values = np.asarray([[float(v) for v in r[1:]] for r in rows], dtype=float)
-    return DistanceMatrix(row_ids=row_ids, col_ids=col_ids, values=values)
+    row_ids, col_ids, values = [], [], []
+
+    def start(header: list[str]):
+        if header[:1] == ["window"]:
+            col_ids.extend(map(int, header[1:]))
+            return parse
+
+    def parse(row: list[str]) -> None:
+        row_ids.append(int(row[0]))
+        values.append(entries := np.array(row[1:], dtype=float))
+        if not ((entries >= 0) & np.isfinite(entries)).all():
+            raise ValueError("distance entries must be finite and nonnegative")
+
+    _read_csv(path, "window,<train windows...>", start)
+    with _naming(path):
+        return DistanceMatrix(tuple(row_ids), tuple(col_ids), values)
 
 
 # --- evaluation report -------------------------------------------------------
@@ -418,4 +419,5 @@ def write_report_json(report: EvaluationReport, path: Path) -> None:
 def read_report_json(path: Path) -> EvaluationReport:
     payload = read_json(path)
     # Metrics are recomputed from the confusion matrix, so they stay exact.
-    return EvaluationReport.from_confusion(payload["classes"], payload["confusion"])
+    with _naming(path):
+        return EvaluationReport.from_confusion(payload["classes"], payload["confusion"])

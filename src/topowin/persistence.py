@@ -211,10 +211,3 @@ def rips_persistence_dim1(cloud, maxscale: float) -> PersistenceDiagram:
     pairs += [(b, maxscale) for b in open_births.elements() if maxscale > b]
     pairs.sort(key=lambda p: (p[1], p[0]))
     return PersistenceDiagram(dim=1, pairs=tuple(pairs), essential_policy="capped")
-
-
-def diagram_to_rows(diag: PersistenceDiagram) -> list[tuple[int, float, float]]:
-    """Lossless (dim, birth, death) rows, sorted by (dim, death, birth)."""
-    rows = [(diag.dim, b, d) for b, d in diag.pairs]
-    rows.sort(key=lambda r: (r[0], r[2], r[1]))
-    return rows

@@ -146,6 +146,10 @@ class PipelineConfig:
         def integer(field, default):
             return number(field, _integer, default, "an integer")
 
+        for field in ("schema", "splits", "window"):
+            if field not in payload:
+                raise ValueError(f"config field '{field}' is required")
+
         schema = _field(
             "schema",
             payload["schema"],
@@ -201,13 +205,14 @@ def _integer(value):
 
 
 def _field(name: str, value, parse: Callable, expected: str):
-    """``parse(value)`` for config field ``name``; a null or ill-typed value
-    raises ``ValueError`` naming the field.  A missing key inside the value
-    still raises ``KeyError``, as a missing field does."""
+    """``parse(value)`` for config field ``name``; a null or ill-typed value,
+    or one missing a key, raises ``ValueError`` naming the field."""
     if value is None:
         raise ValueError(f"config field '{name}' must be {expected}, got null")
     try:
         return parse(value)
+    except KeyError as exc:
+        raise ValueError(f"config field '{name}.{exc.args[0]}' is required") from None
     except (TypeError, ValueError, AttributeError, IndexError):
         raise ValueError(f"config field '{name}' must be {expected}, got {value!r}") from None
 
@@ -451,6 +456,14 @@ def run(
                 io.write_series_csv,
                 io.read_series_csv,
             ),
+            "windows": _Stage(
+                {"splits": cfg_dict["splits"], "w": cfg.window.w, "s": cfg.window.s, "rule": cfg.window.label_rule},
+                "windows.csv",
+                ("ingest",),
+                lambda series: cut_windows(series, cfg),
+                lambda wins, path: io.write_windows_csv(wins, cfg.schema.features, path),
+                io.read_windows_csv,
+            ),
             "standardize": _Stage(
                 {"splits": cfg_dict["splits"], "mode": cfg.standardize_mode, "train": cfg.train_split},
                 "params.json",
@@ -458,14 +471,6 @@ def run(
                 lambda series: standardize(series, cfg),
                 io.write_params_json,
                 io.read_params_json,
-            ),
-            "windows": _Stage(
-                {"w": cfg.window.w, "s": cfg.window.s, "rule": cfg.window.label_rule},
-                "windows.csv",
-                ("ingest",),
-                lambda series: cut_windows(series, cfg),
-                lambda wins, path: io.write_windows_csv(wins, cfg.schema.features, path),
-                io.read_windows_csv,
             ),
             "clouds": _Stage(
                 {

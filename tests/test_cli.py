@@ -410,6 +410,32 @@ STAGE_ARGV = {
 }
 
 
+class TestConfigErrors:
+    @pytest.mark.parametrize("field", ["window", "schema", "splits", "schema.features"])
+    def test_missing_field_is_named(self, tmp_path, synth_csv, field, capsys):
+        payload = synthetic_config_dict("missing", synth_csv, n_windows=30)
+        del (payload["schema"] if field.startswith("schema.") else payload)[field.split(".")[-1]]
+        path = tmp_path / "missing.json"
+        write_json(path, payload)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "runs")]) == 1
+        assert capsys.readouterr().err == f"usage error: config field '{field}' is required\n"
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{window: 10}", "Expecting property name enclosed in double quotes"), ("[1, 2]", "a config is one JSON object")],
+        ids=["not-json", "not-an-object"],
+    )
+    @pytest.mark.parametrize("command", ["run", "windows"])
+    def test_unreadable_config_names_the_file(self, tmp_path, command, text, message, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        argv = [command, "--config", str(path), *STAGE_ARGV.get(command, []), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {path}: {message}")
+        assert not (tmp_path / "out").exists()
+
+
 class TestStageCommandsLeaveNoOutDirOnError:
     @pytest.mark.parametrize("command", STAGE_ARGV)
     @pytest.mark.parametrize(

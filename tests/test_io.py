@@ -328,3 +328,201 @@ class TestWriteTextSkipsSameBytes:
 
         io.write_text(tmp_path / "a.txt", Text("x\n"))
         assert (tmp_path / "a.txt").read_bytes() == b"x\n"
+
+
+def replace_line(path, line, text):
+    """Put ``text`` on line ``line`` (1-based) of a file."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[line - 1] = text
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+
+def simple_windows():
+    """Split 'a': window 0 on lines 2-4, window 1 on lines 5-7."""
+    points = np.arange(6.0).reshape(3, 2)
+    return {"a": [LabeledWindow(index=i, points=points + i, label=i, time_range=(float(i), i + 0.5)) for i in range(2)]}
+
+
+class TestMalformedReads:
+    """A malformed artifact is a DataError naming its file, and its line
+    wherever one row is at fault."""
+
+    @pytest.mark.parametrize(
+        "kind, line, cell, message",
+        [
+            ("series", 3, "1.0,x2,1.0,1", "could not convert string to float: 'x2'"),
+            ("series", 4, "1.0,2.0,1.0,x", "invalid literal for int()"),
+            ("windows", 3, "a,0,x,0,0.0,0.5,2.0,3.0", "invalid literal for int()"),
+            ("windows", 2, "a,0,0,0,zz,0.5,0.0,1.0", "could not convert string to float: 'zz'"),
+            ("clouds", 7, "test,0,1,1.0,abc,2.0", "could not convert string to float: 'abc'"),
+            ("distmat", 3, "7,1.0,abc1.5,2.0", "could not convert string to float: 'abc1.5'"),
+            ("distmat", 2, "4,1.0,-1.0,2.0", "distance entries must be finite and nonnegative"),
+            ("distmat", 2, "4,1.0,nan,2.0", "distance entries must be finite and nonnegative"),
+            ("distmat", 3, "x,1.0,1.0,2.0", "invalid literal for int()"),
+            ("distmat", 3, "7,1.0,2.0", "3 fields, the header 4"),
+        ],
+        ids=[
+            "series-value", "series-label", "windows-point", "windows-time", "clouds-coordinate",
+            "distmat-cell", "distmat-negative", "distmat-nan", "distmat-row-id", "distmat-short-row",
+        ],
+    )
+    def test_bad_row_names_the_file_and_its_line(self, tmp_path, kind, line, cell, message):
+        path = tmp_path / "artifact.csv"
+        write, read = {
+            "series": (lambda: io.write_series_csv(series(), path), io.read_series_csv),
+            "windows": (lambda: io.write_windows_csv(simple_windows(), ("c0", "c1"), path), io.read_windows_csv),
+            "clouds": (lambda: io.write_clouds_csv(clouds(), path), io.read_clouds_csv),
+            "distmat": (lambda: io.write_distmat_csv(distmat(), path), io.read_distmat_csv),
+        }[kind]
+        write()
+        replace_line(path, line, cell)
+        with pytest.raises(DataError, match=re.escape(f"{path}: line {line}: {message}")):
+            read(path)
+
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            ("test,0,0,zz,1.0", "could not convert string to float: 'zz'"),
+            ("test,0,0,0.0,-1.0", "invalid diagram point (0.0, -1.0): need finite 0 <= birth <= death"),
+            ("test,0,0,0.5,inf", "invalid diagram point (0.5, inf)"),
+            ("test,0,0,nan,1.0", "invalid diagram point (nan, 1.0)"),
+            ("test,x,0,0.0,1.0", "invalid literal for int()"),
+        ],
+        ids=["death", "negative-death", "infinite-death", "nan-birth", "window"],
+    )
+    def test_bad_diagram_row_names_its_line(self, tmp_path, cell, message):
+        path = tmp_path / "d.csv"
+        io.write_diagrams_csv(diagrams(), path)
+        replace_line(path, 8, cell)
+        with pytest.raises(DataError, match=re.escape(f"{path}: line 8: {message}")):
+            io.read_diagrams_csv(path, {s: 3 for s in SPLITS}, 0, "dropped")
+
+    @pytest.mark.parametrize(
+        "read, header",
+        [
+            (io.read_series_csv, "time,c0,label"),
+            (io.read_windows_csv, "split,window,label,point,t_first,t_last,c0"),
+            (io.read_clouds_csv, "split,point,window,x0"),
+            (lambda p: io.read_diagrams_csv(p, {}, 0, "dropped"), "split,window,dim,birth,death,extra"),
+            (io.read_distmat_csv, "row,0,1"),
+            (io.read_distmat_csv, ""),
+            (io.read_diagram_points, "birth,death,dim"),
+        ],
+        ids=["series", "windows", "clouds", "diagrams", "distmat", "distmat-blank", "diagram-points"],
+    )
+    def test_wrong_header_names_line_1(self, tmp_path, read, header):
+        path = tmp_path / "artifact.csv"
+        path.write_text(f"{header}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}: line 1: expected columns ")):
+            read(path)
+
+    def test_distmat_column_id_names_line_1(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("window,0,x\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}: line 1: invalid literal for int()")):
+            io.read_distmat_csv(path)
+
+    def test_header_only_distmat_names_the_file(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("window,0,1,2\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}: values shaped (0,), expected (0, 3)")):
+            io.read_distmat_csv(path)
+
+    def test_series_check_on_the_whole_value_names_the_file(self, tmp_path):
+        path = tmp_path / "s.csv"
+        io.write_series_csv(series(), path)
+        replace_line(path, 3, "-0.0,1.0,1.0,1")  # the timestamp of line 2 again
+        with pytest.raises(DataError, match=re.escape(f"{path}: timestamps not strictly increasing at row 1")):
+            io.read_series_csv(path)
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "m.csv"
+        io.write_distmat_csv(distmat(), path)
+        path.write_bytes(path.read_bytes() + b"9,\xff,1.0,2.0\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: not UTF-8 text")):
+            io.read_distmat_csv(path)
+
+    @pytest.mark.parametrize("read", [io.read_series_csv, io.read_windows_csv, io.read_json])
+    def test_empty_or_missing_file(self, tmp_path, read):
+        with pytest.raises(DataError, match="no such file"):
+            read(tmp_path / "missing")
+        (tmp_path / "empty").write_text("", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{tmp_path / 'empty'}: ")):
+            read(tmp_path / "empty")
+
+
+class TestWindowedRowOrder:
+    """Windows and clouds rows must come as written: each window's rows
+    together, points 0, 1, 2, ..."""
+
+    @pytest.mark.parametrize(
+        "edit, line, message",
+        [
+            (lambda lines: lines.insert(1, lines.pop(2)), 2, "point 1 of split 'a' window 0 is out of order"),
+            (lambda lines: lines.pop(2), 3, "point 2 of split 'a' window 0 is out of order"),
+            (lambda lines: lines.insert(2, lines.pop(4)), 4, "point 1 of split 'a' window 0 is out of order"),
+            (lambda lines: lines.insert(7, lines[1]), 8, "point 0 of split 'a' window 0 is out of order"),
+            (lambda lines: lines.pop(1), 2, "point 1 of split 'a' window 0 is out of order"),
+        ],
+        ids=["points-swapped", "point-missing", "window-interleaved", "window-starts-again", "no-point-0"],
+    )
+    def test_windows_out_of_order(self, tmp_path, edit, line, message):
+        path = tmp_path / "w.csv"
+        io.write_windows_csv(simple_windows(), ("c0", "c1"), path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        edit(lines)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}: line {line}: {message}")):
+            io.read_windows_csv(path)
+
+    def test_clouds_out_of_order(self, tmp_path):
+        path = tmp_path / "c.csv"
+        io.write_clouds_csv({"a": clouds()["test"]}, path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[2], lines[3] = lines[3], lines[2]  # window 3's first row inside window 0
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}: line 4: point 1 of split 'a' window 0 is out of order")):
+            io.read_clouds_csv(path)
+
+    def test_written_order_reads_back_past_blank_lines(self, tmp_path):
+        path = tmp_path / "w.csv"
+        io.write_windows_csv(simple_windows(), ("c0", "c1"), path)
+        path.write_text(path.read_text(encoding="utf-8").replace("\n", "\n\n"), encoding="utf-8")
+        again = io.read_windows_csv(path)
+        assert [w.points.tolist() for w in again["a"]] == [w.points.tolist() for w in simple_windows()["a"]]
+
+
+class TestMalformedJson:
+    def test_invalid_json_names_the_file(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text("{means: [1]}", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}: Expecting property name enclosed in double quotes")):
+            io.read_json(path)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"means": ["abc"]}, "could not convert string to float: 'abc'"),
+            ({"means": None}, "means and standard deviations must be 1-D and the same length"),
+            ({"mode": "sideways"}, "mode must be one of"),
+            ({"standard_deviations": ["0.0"]}, "non-positive standard deviation for channel 0"),
+        ],
+        ids=["mean", "null-means", "mode", "zero-sd"],
+    )
+    def test_bad_params_name_the_file(self, tmp_path, change, message):
+        path = tmp_path / "p.json"
+        io.write_json(path, {"means": ["1.0"], "standard_deviations": ["2.0"], "mode": "fit_on_combined", **change})
+        with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+            io.read_params_json(path)
+
+    def test_missing_field_is_named(self, tmp_path):
+        path = tmp_path / "r.json"
+        io.write_json(path, {"classes": [0, 1]})
+        with pytest.raises(DataError, match=re.escape(f"{path}: missing field 'confusion'")):
+            io.read_report_json(path)
+
+    def test_bad_confusion_names_the_file(self, tmp_path):
+        path = tmp_path / "r.json"
+        io.write_json(path, {"classes": [0, 1], "confusion": [[1, 0]]})
+        with pytest.raises(DataError, match=re.escape(f"{path}: confusion matrix must be 2 x 2")):
+            io.read_report_json(path)

@@ -9,7 +9,6 @@ from topowin import (
     DataError,
     NumericalError,
     PersistenceDiagram,
-    diagram_to_rows,
     rips_persistence_dim0,
     rips_persistence_dim0_batch,
     rips_persistence_dim1,
@@ -313,17 +312,3 @@ class TestDim1:
                 assert len(got) == len(want)
                 np.testing.assert_allclose(np.reshape(got, (-1, 2)), np.reshape(want, (-1, 2)), rtol=0, atol=1e-9)
 
-
-class TestHelpers:
-    def test_diagram_to_rows_sorted_and_lossless(self):
-        diag = PersistenceDiagram(dim=0, pairs=((0.0, 2.0), (0.0, 1.0)))
-        assert diagram_to_rows(diag) == [(0, 0.0, 1.0), (0, 0.0, 2.0)]
-
-    def test_diagram_to_rows_empty(self):
-        assert diagram_to_rows(PersistenceDiagram(dim=1, pairs=())) == []
-
-    def test_diagram_rows_group_by_dim(self):
-        d0 = PersistenceDiagram(dim=0, pairs=((0.0, 1.0),))
-        d1 = PersistenceDiagram(dim=1, pairs=((0.5, 0.9),))
-        rows = diagram_to_rows(d0) + diagram_to_rows(d1)
-        assert rows == [(0, 0.0, 1.0), (1, 0.5, 0.9)]

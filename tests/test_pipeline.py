@@ -43,7 +43,7 @@ class TwoArgumentDataError(DataError):
         super().__init__(f"{first} {second}")
 
 
-STAGES = ("ingest", "standardize", "windows", "clouds", "diagrams", "distances", "classify")
+STAGES = ("ingest", "windows", "standardize", "clouds", "diagrams", "distances", "classify")
 # Artifact kind: (stage that writes it, file name suffix).
 ARTIFACTS = {
     "series": ("ingest", "series.csv"),
@@ -147,6 +147,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"config field '{field}' must be"):
             PipelineConfig.from_dict(payload)
 
+    @pytest.mark.parametrize("field", ["schema", "splits", "window", "schema.timestamp", "schema.features"])
+    def test_missing_field_is_named(self, synth_csv, field):
+        payload = synthetic_config_dict("synth", synth_csv)
+        del (payload["schema"] if field.startswith("schema.") else payload)[field.split(".")[-1]]
+        with pytest.raises(ValueError, match=re.escape(f"config field '{field}' is required")):
+            PipelineConfig.from_dict(payload)
+
     @pytest.mark.parametrize("maxscale", [3, 2.5])
     def test_maxscale_is_stored_as_given(self, synth_csv, maxscale):
         assert json.dumps(config_for(synth_csv, maxscale=maxscale).to_dict()["maxscale"]) == json.dumps(maxscale)
@@ -187,8 +194,8 @@ class TestRun:
         stages = [s["stage"] for s in prov["stages"]]
         assert stages == [
             "ingest",
-            "standardize",
             "windows",
+            "standardize",
             "clouds",
             "diagrams",
             "distances",
@@ -221,8 +228,9 @@ class TestRun:
         run(cfg2, synth_csv, runs_root=root)
         status = {s["stage"]: s["status"] for s in describe_run("synth", root)["stages"]}
         assert status["ingest"] == "cached"
-        assert status["standardize"] == "cached"
         assert status["windows"] == "computed"
+        # The standardize key chains the windows key, so the parameters are refit.
+        assert status["standardize"] == "computed"
         assert status["distances"] == "computed"
 
     def test_determinism_across_fresh_roots(self, synth_csv, tmp_path):
@@ -382,22 +390,34 @@ class TestCacheReads:
         keys = {s["stage"]: s["key"] for s in describe_run(cfg.run_id, root)["stages"]}
         assert [p.name for p in (root / cfg.run_id / "distances").iterdir()] == [f"{keys['distances']}.distmat.csv"]
 
-    def test_changing_window_reads_series_and_params(self, warm, monkeypatch, tmp_path):
+    def test_changing_window_reads_only_the_series(self, warm, monkeypatch, tmp_path):
         cfg, data, root = warm
         cfg = dataclasses.replace(cfg, window=dataclasses.replace(cfg.window, w=5))
         called = recording_reads(monkeypatch)
         run(cfg, data, runs_root=root)
-        # read_params_json parses through read_json.
-        assert sorted(set(called)) == [
-            ("read_json", "standardize"),
-            ("read_params_json", "standardize"),
-            ("read_series_csv", "ingest"),
-        ]
+        assert sorted(set(called)) == [("read_series_csv", "ingest")]
         status = statuses(cfg, root)
-        assert (status["ingest"], status["standardize"], status["windows"]) == ("cached", "cached", "computed")
-        rerun = Path(describe_run(cfg.run_id, root)["stages"][2]["path"])
+        assert (status["ingest"], status["windows"], status["standardize"]) == ("cached", "computed", "computed")
+        rerun = Path(describe_run(cfg.run_id, root)["stages"][STAGES.index("windows")]["path"])
         run(cfg, data, runs_root=tmp_path / "fresh")
         assert rerun.read_bytes() == artifact(tmp_path / "fresh" / cfg.run_id, "windows").read_bytes()
+
+    def test_standardize_only_rerun_keeps_the_windows(self, warm):
+        cfg, data, root = warm
+        cfg = dataclasses.replace(cfg, standardize_mode="fit_on_train")
+        run(cfg, data, runs_root=root)
+        status = statuses(cfg, root)
+        assert (status["windows"], status["standardize"], status["clouds"]) == ("cached", "computed", "computed")
+        assert len(list((root / cfg.run_id / "windows").iterdir())) == 1
+
+    def test_splits_only_rerun_recomputes_the_windows(self, warm):
+        cfg, data, root = warm
+        cfg = PipelineConfig.from_dict(dict(cfg.to_dict(), splits=[["train", 0, 200], ["test", 200, 300]]))
+        run(cfg, data, runs_root=root)
+        assert statuses(cfg, root)["windows"] == "computed"
+        assert len(list((root / cfg.run_id / "windows").iterdir())) == 2
+        windows = Path(describe_run(cfg.run_id, root)["stages"][STAGES.index("windows")]["path"])
+        assert [len(wins) for wins in io.read_windows_csv(windows).values()] == [20, 10]
 
     def test_unread_stage_without_artifact_is_skipped(self, warm):
         cfg, data, root = warm
@@ -489,6 +509,89 @@ class TestTruncatedArtifacts:
         assert code == 2
         assert "data error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def set_cell(path, line, column, text):
+    """Replace cell ``column`` of line ``line`` (1-based) of an unquoted CSV."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    cells = lines[line - 1].split(",")
+    cells[column] = text(cells[column]) if callable(text) else text
+    lines[line - 1] = ",".join(cells)
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+
+def set_first_mean(path, value):
+    payload = io.read_json(path)
+    payload["means"][0] = value
+    io.write_json(path, payload)
+
+
+# Case: (artifact kind, damage, what stderr says after "data error: <file>: ").
+MALFORMED = {
+    "series-value": ("series", lambda p: set_cell(p, 2, 1, lambda c: "x" + c), "line 2: could not convert string to float: 'x"),
+    "distmat-header-only": (
+        "distmat",
+        lambda p: p.write_text(p.read_text(encoding="utf-8").split("\n")[0] + "\n", encoding="utf-8"),
+        "values shaped (0,), expected (0, 18)",
+    ),
+    "distmat-cell": ("distmat", lambda p: set_cell(p, 2, 1, lambda c: "abc" + c), "line 2: could not convert string to float: 'abc"),
+    "windows-point": ("windows", lambda p: set_cell(p, 2, 2, "x"), "line 2: invalid literal for int() with base 10: 'x'"),
+    "diagrams-death": ("diagrams", lambda p: set_cell(p, 2, 4, "zz"), "line 2: could not convert string to float: 'zz'"),
+    "diagrams-negative-death": ("diagrams", lambda p: set_cell(p, 2, 4, "-1.0"), "line 2: invalid diagram point (0.0, -1.0)"),
+    "params-mean": ("params", lambda p: set_first_mean(p, "abc"), "could not convert string to float: 'abc'"),
+    "params-not-json": (
+        "params",
+        lambda p: p.write_text("{means: []}", encoding="utf-8"),
+        "Expecting property name enclosed in double quotes",
+    ),
+}
+
+
+def stage_command(kind, run_dir, damaged):
+    """A stage command that reads the ``kind`` artifact, given ``damaged``
+    in its place and the run's own artifacts for its other inputs."""
+    windows = str(artifact(run_dir, "windows"))
+    return {
+        "series": ["windows", "--series", str(damaged)],
+        "distmat": ["classify", "--matrix", str(damaged), "--windows", windows],
+        "windows": ["classify", "--matrix", str(artifact(run_dir, "distmat")), "--windows", str(damaged)],
+        "diagrams": ["distmat", "--diagrams", str(damaged), "--windows", windows],
+        "params": ["diagrams", "--windows", windows, "--params", str(damaged)],
+    }[kind]
+
+
+class TestMalformedArtifacts:
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_stage_command_is_a_data_error_naming_the_file(self, warm, tmp_path, capsys, case):
+        cfg, _, root = warm
+        run_dir = root / cfg.run_id
+        kind, damage, message = MALFORMED[case]
+        damaged = tmp_path / artifact(run_dir, kind).name
+        shutil.copyfile(artifact(run_dir, kind), damaged)
+        damage(damaged)
+        config = tmp_path / "small.json"
+        io.write_json(config, cfg.to_dict())
+        argv = [*stage_command(kind, run_dir, damaged), "--config", str(config), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {damaged}: {message}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_cached_artifact_is_a_cache_miss(self, warm, case):
+        cfg, data, root = warm
+        run_dir = root / cfg.run_id
+        kind, damage, _ = MALFORMED[case]
+        stage, path = ARTIFACTS[kind][0], artifact(run_dir, kind)
+        original = path.read_bytes()
+        reports = {name: (run_dir / name).read_bytes() for name in ("report.json", "report.txt")}
+        damage(path)
+        for downstream in STAGES[STAGES.index(stage) + 1 :]:
+            shutil.rmtree(run_dir / downstream)
+        (run_dir / "report.json").unlink()
+        run(cfg, data, runs_root=root)
+        assert statuses(cfg, root)[stage] == "computed"
+        assert path.read_bytes() == original
+        assert {name: (run_dir / name).read_bytes() for name in reports} == reports
 
 
 class TestAtomicWrites:
