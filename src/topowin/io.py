@@ -3,8 +3,11 @@
 Every writer is deterministic: floats are serialized with ``repr`` (exact
 round-trip), JSON keys are sorted, CSV rows follow a fixed order.  Reading
 then rewriting an artifact reproduces it byte for byte, and reading a
-malformed one is a ``DataError`` naming its file (and line).  CSV lines are
-built from ``tolist`` floats; ``csv`` formats only header rows and split names.
+malformed one is a ``DataError`` naming its file (and line).  One row
+formatter, ``_row_cells``, writes the float cells of the series, windows,
+clouds and distance-matrix rows; ``csv`` formats only header rows and split
+names.  The windows are the series' own rows, so a run hands the series and
+windows writers one memo of row text and formats each series row once.
 
 Every write goes through ``write_text``: a temp file in the target directory
 replaces the target with ``os.replace``, so a failed write leaves the old
@@ -23,8 +26,9 @@ import stat
 from contextlib import contextmanager
 from functools import partial
 from io import StringIO
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -93,12 +97,49 @@ def _csv_line(cells: Sequence) -> str:
     return buf.getvalue()
 
 
-def _read_csv(path: Path, columns: str, start: Callable[[list[str]], Callable | None]) -> list[str]:
+_CHUNK_ROWS = 1024  # rows converted to Python floats, and lines joined, at a time
+
+
+def _row_cells(values, memo: dict | None = None) -> list[str]:
+    """Each row of the 2-D float array ``values`` as its cells, each as
+    ``repr`` writes it, joined by commas.  Rows become Python floats a chunk
+    at a time, so no whole ``tolist`` copy is held.  ``memo`` maps a row's
+    exact float64 bytes to its text: a row found there is not formatted
+    again.  It is keyed on bytes, not on float tuples, because ``0.0 ==
+    -0.0`` would write a ``-0.0`` row as ``0.0``."""
+    values = np.ascontiguousarray(values, dtype=float)
+    out: list[str] = []
+    for start in range(0, len(values), _CHUNK_ROWS):
+        block = values[start : start + _CHUNK_ROWS]
+        if memo is None:
+            out += [",".join(map(repr, row)) for row in block.tolist()]
+            continue
+        rows = None
+        for i, key in enumerate(block.view(np.dtype((np.void, 8 * block.shape[1]))).ravel().tolist()):
+            text = memo.get(key)
+            if text is None:
+                rows = block.tolist() if rows is None else rows
+                text = memo[key] = ",".join(map(repr, rows[i]))
+            out.append(text)
+    return out
+
+
+def _joined(lines: Iterable[str]) -> str:
+    """``"".join(lines)``, taken a chunk of lines at a time: only one chunk's
+    line objects live beside the text, and the freed ones are reused."""
+    lines, chunks = iter(lines), []
+    while chunk := list(islice(lines, _CHUNK_ROWS)):
+        chunks.append("".join(chunk))
+    return "".join(chunks)
+
+
+def _read_csv(path: str | Path, columns: str, start: Callable[[list[str]], Callable | None]) -> list[str]:
     """The header of ``path``, once ``start(header)``'s row parser (None for
     a header that is not ``columns``) has taken each nonblank data row.  A
     wrong field count, or a ``ValueError`` or ``IndexError`` from the parser
     (a cell it refuses, a row it cannot place), is a ``DataError`` naming the
     file and the line."""
+    path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
     with path.open("r", encoding="utf-8", newline="") as fh:
@@ -191,19 +232,29 @@ def read_json(path: Path):
 
 # --- series ---------------------------------------------------------------
 
-def write_series_csv(series: TimeSeries, path: Path) -> None:
-    lines = [_csv_line(["timestamp", *series.channel_names, "label"])]
-    rows = zip(series.timestamps.tolist(), series.values.tolist(), series.labels.tolist())
-    lines += (f"{t!r},{','.join(map(repr, values))},{label}\n" for t, values, label in rows)
-    write_text(path, "".join(lines))
+def write_series_csv(series: TimeSeries, path: Path, memo: dict | None = None) -> None:
+    """``memo`` (row bytes to row text, see ``_row_cells``) is filled with
+    the series' rows; hand the same one to ``write_windows_csv``."""
+    cells = _row_cells(series.values, {} if memo is None else memo)
+    rows = zip(series.timestamps.tolist(), cells, series.labels.tolist())
+    body = _joined(f"{t!r},{row},{label}\n" for t, row, label in rows)
+    write_text(path, _csv_line(["timestamp", *series.channel_names, "label"]) + body)
 
 
 def read_series_csv(path: Path) -> TimeSeries:
+    """The series of a ``write_series_csv`` file.  A timestamp that does not
+    follow the one before, or a value that is not finite, is a ``DataError``
+    naming its line; the ``TimeSeries`` checks still run on the whole."""
     ts, values, labels = [], [], []
 
     def parse(row: list[str]) -> None:
-        ts.append(float(row[0]))
-        values.append(list(map(float, row[1:-1])))
+        t, vals = float(row[0]), list(map(float, row[1:-1]))
+        if ts and t <= ts[-1]:
+            raise ValueError(f"timestamps not strictly increasing ({t!r} after {ts[-1]!r})")
+        if not all(map(math.isfinite, vals)):
+            raise ValueError("non-finite feature value")
+        ts.append(t)
+        values.append(vals)
         labels.append(int(row[-1]))
 
     columns = "timestamp,<channels...>,label"
@@ -235,16 +286,25 @@ def write_windows_csv(
     windows_by_split: Mapping[str, Sequence[LabeledWindow]],
     channel_names: Sequence[str],
     path: Path,
+    memo: dict | None = None,
 ) -> None:
-    lines = [_csv_line(["split", "window", "point", "label", "t_first", "t_last", *channel_names])]
-    for split, windows in windows_by_split.items():
-        lead = _csv_line([split, ""])[:-1]  # the split cell and its comma
-        for win in windows:
-            t0, t1 = win.time_range
-            head, tail = f"{lead}{win.index},", f",{win.label},{float(t0)!r},{float(t1)!r},"
-            for p, point in enumerate(np.asarray(win.points, dtype=float).tolist()):
-                lines.append(f"{head}{p}{tail}{','.join(map(repr, point))}\n")
-    write_text(path, "".join(lines))
+    """``memo`` is the one ``write_series_csv`` filled, or a fresh one, which
+    still formats a row shared by overlapping windows once."""
+    memo = {} if memo is None else memo
+
+    def lines():
+        for split, windows in windows_by_split.items():
+            if not windows:
+                continue
+            lead = _csv_line([split, ""])[:-1]  # the split cell and its comma
+            cells = iter(_row_cells(np.concatenate([win.points for win in windows]), memo))
+            for win in windows:
+                t0, t1 = win.time_range
+                head, tail = f"{lead}{win.index},", f",{win.label},{float(t0)!r},{float(t1)!r},"
+                yield from (f"{head}{p}{tail}{row}\n" for p, row in enumerate(islice(cells, len(win.points))))
+
+    header = _csv_line(["split", "window", "point", "label", "t_first", "t_last", *channel_names])
+    write_text(path, header + _joined(lines()))
 
 
 def read_windows_csv(path: Path) -> dict[str, list[LabeledWindow]]:
@@ -266,13 +326,19 @@ def window_labels(windows_by_split: Mapping[str, Sequence[LabeledWindow]], split
 def write_clouds_csv(clouds_by_split: Mapping[str, Sequence[AugmentedCloud]], path: Path) -> None:
     dims = {c.points.shape[1] for clouds in clouds_by_split.values() for c in clouds}
     d = dims.pop() if dims else 0
-    lines = [_csv_line(["split", "window", "point", *[f"x{i}" for i in range(d)]])]
-    for split, clouds in clouds_by_split.items():
-        lead = _csv_line([split, ""])[:-1]
-        for cloud in clouds:
-            for p, point in enumerate(cloud.points.tolist()):
-                lines.append(f"{lead}{cloud.source_window},{p},{','.join(map(repr, point))}\n")
-    write_text(path, "".join(lines))
+
+    def lines():
+        for split, clouds in clouds_by_split.items():
+            if not clouds:
+                continue
+            lead = _csv_line([split, ""])[:-1]
+            cells = iter(_row_cells(np.concatenate([cloud.points for cloud in clouds])))
+            for cloud in clouds:
+                head = f"{lead}{cloud.source_window},"
+                yield from (f"{head}{p},{row}\n" for p, row in enumerate(islice(cells, len(cloud.points))))
+
+    header = _csv_line(["split", "window", "point", *[f"x{i}" for i in range(d)]])
+    write_text(path, header + _joined(lines()))
 
 
 def read_clouds_csv(path: Path) -> dict[str, list[AugmentedCloud]]:
@@ -293,6 +359,15 @@ def write_diagrams_csv(
 
 
 _DIAGRAM_COLUMNS = ["split", "window", "dim", "birth", "death"]
+
+
+def _diagram_point(birth: str, death: str) -> tuple[float, float]:
+    """The cells of a diagram point as floats; a point that is not finite
+    0 <= birth <= death is a ``ValueError``."""
+    b, d = float(birth), float(death)
+    if not 0 <= b <= d < math.inf:
+        raise ValueError(f"invalid diagram point ({b}, {d}): need finite 0 <= birth <= death")
+    return b, d
 
 
 def read_diagrams_csv(
@@ -316,10 +391,7 @@ def read_diagrams_csv(
             raise ValueError(f"window {index} is outside split '{split}' ({counts[split]} windows)")
         if int(row_dim) != dim:
             raise ValueError(f"dimension {row_dim}, not {dim}")
-        b, d = float(birth), float(death)
-        if not 0 <= b <= d < math.inf:
-            raise ValueError(f"invalid diagram point ({b}, {d}): need finite 0 <= birth <= death")
-        pairs.setdefault((split, index), []).append((b, d))
+        pairs.setdefault((split, index), []).append(_diagram_point(birth, death))
 
     _read_csv(path, ",".join(_DIAGRAM_COLUMNS), lambda header: parse if header == _DIAGRAM_COLUMNS else None)
     return {
@@ -330,16 +402,18 @@ def read_diagrams_csv(
 
 def read_diagram_points(path: Path) -> tuple[bool, list[tuple]]:
     """Points of a single diagram file, ``(False, [(dim, birth, death), ...])``,
-    or of a long-format one, ``(True, [(split, window, dim, birth, death), ...])``."""
+    or of a long-format one, ``(True, [(split, window, dim, birth, death), ...])``.
+    A point that is not finite 0 <= birth <= death is a ``DataError`` naming
+    its line."""
     points: list[tuple] = []
 
     def start(header: list[str]):
         if header[:3] == ["dim", "birth", "death"]:
-            return lambda r: points.append((int(r[0]), float(r[1]), float(r[2])))
+            return lambda r: points.append((int(r[0]), *_diagram_point(r[1], r[2])))
         if header == _DIAGRAM_COLUMNS:
-            return lambda r: points.append((r[0], int(r[1]), int(r[2]), float(r[3]), float(r[4])))
+            return lambda r: points.append((r[0], int(r[1]), int(r[2]), *_diagram_point(r[3], r[4])))
 
-    header = _read_csv(Path(path), "dim,birth,death,... or " + ",".join(_DIAGRAM_COLUMNS), start)
+    header = _read_csv(path, "dim,birth,death,... or " + ",".join(_DIAGRAM_COLUMNS), start)
     return header == _DIAGRAM_COLUMNS, points
 
 
@@ -356,9 +430,9 @@ def diagram_set_hash(diagrams_by_split: Mapping[str, Sequence[PersistenceDiagram
 
 def write_distmat_csv(matrix: DistanceMatrix, path: Path) -> None:
     lines = [_csv_line(["window", *matrix.col_ids])]
-    values = matrix.values.tolist()
+    cells = _row_cells(matrix.values)
     # Indexed, not zipped: more row ids than value rows is an error, not a short file.
-    lines += (f"{rid},{','.join(map(repr, values[i]))}\n" for i, rid in enumerate(matrix.row_ids))
+    lines += (f"{rid},{cells[i]}\n" for i, rid in enumerate(matrix.row_ids))
     write_text(path, "".join(lines))
 
 

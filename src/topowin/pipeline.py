@@ -443,6 +443,13 @@ def run(
     data_hash = io.sha256_file(data)
     cfg_dict = cfg.to_dict()
     aug_cfg = augment_config(cfg)
+    # Row bytes to row text, filled by the series writer: the windows are
+    # the series' own rows, so their writer formats none again.
+    memo: dict = {}
+
+    def write_windows(wins: dict, path: Path) -> None:
+        io.write_windows_csv(wins, cfg.schema.features, path, memo)
+        memo.clear()
 
     runner = _StageRunner(
         run_dir,
@@ -453,7 +460,7 @@ def run(
                 "series.csv",
                 (),
                 lambda: load_csv(data, cfg.schema),
-                io.write_series_csv,
+                lambda series, path: io.write_series_csv(series, path, memo),
                 io.read_series_csv,
             ),
             "windows": _Stage(
@@ -461,7 +468,7 @@ def run(
                 "windows.csv",
                 ("ingest",),
                 lambda series: cut_windows(series, cfg),
-                lambda wins, path: io.write_windows_csv(wins, cfg.schema.features, path),
+                write_windows,
                 io.read_windows_csv,
             ),
             "standardize": _Stage(

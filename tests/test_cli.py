@@ -574,3 +574,20 @@ class TestPlotDiagram:
         out = tmp_path / "plots"
         assert main(["plot-diagram", "--diagram", str(src), "--out", str(out)]) == 0
         assert read_lines(out / "diagram.csv") == rows
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("dim,birth,death\n0,0.0,1.0\n0,2.0,1.0\n", 3, "invalid diagram point (2.0, 1.0)"),
+            ("dim,birth,death\n0,-1,nan\n", 2, "invalid diagram point (-1.0, nan)"),
+            ("split,window,dim,birth,death\ntest,0,0,0.0,inf\n", 2, "invalid diagram point (0.0, inf)"),
+        ],
+        ids=["birth-after-death", "negative-nan", "long-format-infinite"],
+    )
+    def test_invalid_point_is_a_data_error_naming_its_line(self, tmp_path, capsys, text, line, message):
+        src = tmp_path / "diag.csv"
+        src.write_text(text, encoding="utf-8")
+        out = tmp_path / "plots"
+        assert main(["plot-diagram", "--diagram", str(src), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {src}: line {line}: {message}")
+        assert not (out / "diagram.svg").exists()

@@ -7,22 +7,26 @@ reads back to the values written.
 """
 
 import csv
+import dataclasses
 import io as stdio
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from topowin import io
+from topowin import PipelineConfig, describe_run, io, run
 from topowin.classify import KSweepEntry
 from topowin.distance import DistanceMatrix
 from topowin.errors import DataError
 from topowin.ingest import TimeSeries
 from topowin.persistence import PersistenceDiagram
 from topowin.pointcloud import AugmentedCloud
-from topowin.windowing import LabeledWindow
+from topowin.pipeline import cut_windows
+from topowin.windowing import LabeledWindow, WindowConfig, make_windows
+from conftest import synthetic_config_dict
 
 # Values whose shortest round-trip form is easy to get wrong: a signed zero,
 # the smallest subnormal, the switch to exponent notation at 1e16 and 1e-5,
@@ -65,6 +69,25 @@ def windows():
     }
 
 
+def series_rows(s):
+    """``csv.writer`` rows of ``write_series_csv``."""
+    return [["timestamp", *s.channel_names, "label"]] + [
+        [repr(float(s.timestamps[i]))] + [repr(float(v)) for v in s.values[i]] + [int(s.labels[i])]
+        for i in range(s.length)
+    ]
+
+
+def windows_rows(wins, channel_names):
+    """``csv.writer`` rows of ``write_windows_csv``."""
+    rows = [["split", "window", "point", "label", "t_first", "t_last", *channel_names]]
+    for split, ws in wins.items():
+        for win in ws:
+            t0, t1 = win.time_range
+            for p, point in enumerate(win.points):
+                rows.append([split, win.index, p, win.label, repr(float(t0)), repr(float(t1))] + [repr(float(v)) for v in point])
+    return rows
+
+
 def clouds():
     points = np.array(SPECIAL).reshape(2, 3)
     return {split: [AugmentedCloud(points=points, source_window=i) for i in (0, 3)] for split in SPLITS}
@@ -90,26 +113,51 @@ class TestBytesMatchCsvWriter:
     def test_series(self, tmp_path):
         s = series()
         io.write_series_csv(s, tmp_path / "s.csv")
-        expected = [["timestamp", *s.channel_names, "label"]] + [
-            [repr(float(s.timestamps[i]))] + [repr(float(v)) for v in s.values[i]] + [int(s.labels[i])]
-            for i in range(s.length)
-        ]
-        assert (tmp_path / "s.csv").read_bytes() == csv_bytes(expected)
+        assert (tmp_path / "s.csv").read_bytes() == csv_bytes(series_rows(s))
         assert b'"a,1"' in (tmp_path / "s.csv").read_bytes()
 
     def test_windows(self, tmp_path):
         wins = windows()
         io.write_windows_csv(wins, ("a,1", "b"), tmp_path / "w.csv")
-        expected = [["split", "window", "point", "label", "t_first", "t_last", "a,1", "b"]]
-        for split, ws in wins.items():
-            for win in ws:
-                t0, t1 = win.time_range
-                for p, point in enumerate(win.points):
-                    expected.append(
-                        [split, win.index, p, win.label, repr(float(t0)), repr(float(t1))]
-                        + [repr(float(v)) for v in point]
-                    )
-        assert (tmp_path / "w.csv").read_bytes() == csv_bytes(expected)
+        assert (tmp_path / "w.csv").read_bytes() == csv_bytes(windows_rows(wins, ("a,1", "b")))
+
+    def test_series_then_windows_with_one_memo(self, tmp_path):
+        s = series()  # row 0 is (-0.0, 1.7976931348623157e+308)
+        flipped = s.values[:1] * [-1.0, 1.0]  # equal to row 0 as floats, not as bytes
+        wins = {
+            "test": [
+                LabeledWindow(0, np.vstack([flipped, s.values[:2]]), 0, (0.0, 1.0)),
+                LabeledWindow(1, s.values[2:5], 1, (2.0, 3.0)),
+            ]
+        }
+        memo = {}
+        io.write_series_csv(s, tmp_path / "s.csv", memo)
+        io.write_windows_csv(wins, s.channel_names, tmp_path / "w.csv", memo)
+        assert (tmp_path / "s.csv").read_bytes() == csv_bytes(series_rows(s))
+        assert (tmp_path / "w.csv").read_bytes() == csv_bytes(windows_rows(wins, s.channel_names))
+        assert b",0.0,1.7976931348623157e+308\n" in (tmp_path / "w.csv").read_bytes()
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["own-memo", "series-memo"])
+    def test_overlapping_windows(self, tmp_path, shared):
+        s = series()
+        wins = {"all": make_windows(s, WindowConfig(w=4, s=1))}  # each middle row in up to 4 windows
+        memo = {}
+        if shared:
+            io.write_series_csv(s, tmp_path / "s.csv", memo)
+        io.write_windows_csv(wins, s.channel_names, tmp_path / "w.csv", *([memo] if shared else []))
+        assert (tmp_path / "w.csv").read_bytes() == csv_bytes(windows_rows(wins, s.channel_names))
+
+    def test_run_with_cached_ingest_and_recomputed_windows(self, synth_csv, tmp_path):
+        cfg = PipelineConfig.from_dict(synthetic_config_dict("memo", synth_csv, n_windows=30))
+        run(cfg, synth_csv, runs_root=tmp_path)
+        cfg = dataclasses.replace(cfg, window=dataclasses.replace(cfg.window, s=3))  # overlapping
+        run(cfg, synth_csv, runs_root=tmp_path)
+        stages = {s["stage"]: s for s in describe_run(cfg.run_id, tmp_path)["stages"]}
+        assert (stages["ingest"]["status"], stages["windows"]["status"]) == ("cached", "computed")
+        ingest, windows = Path(stages["ingest"]["path"]), Path(stages["windows"]["path"])
+        s = io.read_series_csv(ingest)
+        assert ingest.read_bytes() == csv_bytes(series_rows(s))
+        assert windows.read_bytes() == csv_bytes(windows_rows(cut_windows(s, cfg), cfg.schema.features))
 
     def test_clouds(self, tmp_path):
         cl = clouds()
@@ -152,6 +200,14 @@ class TestBytesMatchCsvWriter:
         wins = {"": windows()["test"]}
         io.write_windows_csv(wins, ("a", "b"), tmp_path / "w.csv")
         assert (tmp_path / "w.csv").read_text(encoding="utf-8").splitlines()[1].startswith(",0,0,")
+
+
+class TestBytesMatchCsvWriterInSmallChunks(TestBytesMatchCsvWriter):
+    """Every case again, with rows formatted and lines joined two at a time."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(io, "_CHUNK_ROWS", 2)
 
 
 class TestReadBack:
@@ -432,7 +488,24 @@ class TestMalformedReads:
         path = tmp_path / "s.csv"
         io.write_series_csv(series(), path)
         replace_line(path, 3, "-0.0,1.0,1.0,1")  # the timestamp of line 2 again
-        with pytest.raises(DataError, match=re.escape(f"{path}: timestamps not strictly increasing at row 1")):
+        with pytest.raises(DataError, match=re.escape(f"{path}: line 3: timestamps not strictly increasing")):
+            io.read_series_csv(path)
+
+    @pytest.mark.parametrize(
+        "line, cell, message",
+        [
+            (4, "5e-324,1.0,1.0,1", "timestamps not strictly increasing (5e-324 after 5e-324)"),
+            (5, "1e-06,1.0,1.0,1", "timestamps not strictly increasing (1e-06 after 1e-05)"),
+            (4, "2e-05,nan,1.0,1", "non-finite feature value"),
+            (6, "1e+17,1.0,-inf,1", "non-finite feature value"),
+        ],
+        ids=["repeated-timestamp", "earlier-timestamp", "nan-value", "infinite-value"],
+    )
+    def test_series_row_check_names_its_line(self, tmp_path, line, cell, message):
+        path = tmp_path / "s.csv"
+        io.write_series_csv(series(), path)
+        replace_line(path, line, cell)
+        with pytest.raises(DataError, match=re.escape(f"{path}: line {line}: {message}")):
             io.read_series_csv(path)
 
     def test_bytes_that_are_not_utf8(self, tmp_path):
@@ -442,13 +515,29 @@ class TestMalformedReads:
         with pytest.raises(DataError, match=re.escape(f"{path}: not UTF-8 text")):
             io.read_distmat_csv(path)
 
-    @pytest.mark.parametrize("read", [io.read_series_csv, io.read_windows_csv, io.read_json])
+    @pytest.mark.parametrize(
+        "read",
+        [
+            io.read_series_csv,
+            io.read_windows_csv,
+            io.read_clouds_csv,
+            lambda p: io.read_diagrams_csv(p, {}, 0, "dropped"),
+            io.read_distmat_csv,
+            io.read_diagram_points,
+            io.read_json,
+        ],
+        ids=[
+            "read_series_csv", "read_windows_csv", "read_clouds_csv", "read_diagrams_csv",
+            "read_distmat_csv", "read_diagram_points", "read_json",
+        ],
+    )
     def test_empty_or_missing_file(self, tmp_path, read):
-        with pytest.raises(DataError, match="no such file"):
-            read(tmp_path / "missing")
         (tmp_path / "empty").write_text("", encoding="utf-8")
-        with pytest.raises(DataError, match=re.escape(f"{tmp_path / 'empty'}: ")):
-            read(tmp_path / "empty")
+        for as_path in (Path, str):
+            with pytest.raises(DataError, match="no such file"):
+                read(as_path(tmp_path / "missing"))
+            with pytest.raises(DataError, match=re.escape(f"{tmp_path / 'empty'}: ")):
+                read(as_path(tmp_path / "empty"))
 
 
 class TestWindowedRowOrder:

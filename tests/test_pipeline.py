@@ -684,6 +684,33 @@ class TestUnchangedFilesAreNotRewritten:
         assert len(replaced) == len(rewritten)
 
 
+class TestArtifactsRewriteToTheirBytes:
+    """A cold run's artifacts, some written through the writers' shared row
+    memo, are what the plain writers write for the values read back."""
+
+    @pytest.mark.parametrize("kind", ARTIFACTS)
+    def test_plain_writer_reproduces_the_artifact(self, small_run, tmp_path, kind):
+        cfg, _, root = small_run
+        run_dir = root / cfg.run_id
+        windows = io.read_windows_csv(artifact(run_dir, "windows"))
+        counts = {split: len(wins) for split, wins in windows.items()}
+        read, write = {
+            "series": (io.read_series_csv, io.write_series_csv),
+            "params": (io.read_params_json, io.write_params_json),
+            "windows": (io.read_windows_csv, lambda v, p: io.write_windows_csv(v, cfg.schema.features, p)),
+            "clouds": (io.read_clouds_csv, io.write_clouds_csv),
+            "diagrams": (
+                lambda p: io.read_diagrams_csv(p, counts, cfg.dimension, cfg.essential_policy),
+                io.write_diagrams_csv,
+            ),
+            "distmat": (io.read_distmat_csv, io.write_distmat_csv),
+            "report": (io.read_report_json, io.write_report_json),
+        }[kind]
+        path = artifact(run_dir, kind)
+        write(read(path), tmp_path / path.name)
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes()
+
+
 class TestRunArguments:
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_rejected_on_a_cached_run(self, warm, workers, monkeypatch):
