@@ -233,9 +233,9 @@ def read_json(path: Path):
 # --- series ---------------------------------------------------------------
 
 def write_series_csv(series: TimeSeries, path: Path, memo: dict | None = None) -> None:
-    """``memo`` (row bytes to row text, see ``_row_cells``) is filled with
+    """A ``memo`` (row bytes to row text, see ``_row_cells``) is filled with
     the series' rows; hand the same one to ``write_windows_csv``."""
-    cells = _row_cells(series.values, {} if memo is None else memo)
+    cells = _row_cells(series.values, memo)
     rows = zip(series.timestamps.tolist(), cells, series.labels.tolist())
     body = _joined(f"{t!r},{row},{label}\n" for t, row, label in rows)
     write_text(path, _csv_line(["timestamp", *series.channel_names, "label"]) + body)
@@ -288,9 +288,8 @@ def write_windows_csv(
     path: Path,
     memo: dict | None = None,
 ) -> None:
-    """``memo`` is the one ``write_series_csv`` filled, or a fresh one, which
-    still formats a row shared by overlapping windows once."""
-    memo = {} if memo is None else memo
+    """``memo`` is the one ``write_series_csv`` filled; without one every
+    row is formatted."""
 
     def lines():
         for split, windows in windows_by_split.items():

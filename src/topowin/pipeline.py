@@ -443,13 +443,21 @@ def run(
     data_hash = io.sha256_file(data)
     cfg_dict = cfg.to_dict()
     aug_cfg = augment_config(cfg)
-    # Row bytes to row text, filled by the series writer: the windows are
-    # the series' own rows, so their writer formats none again.
-    memo: dict = {}
+    # Row bytes to row text, kept from the series write to the windows write
+    # when the windows (the series' own rows) are still to be written, so
+    # their writer formats no row again.  The writers must not refer to
+    # ``runner``: that cycle would keep a run's values alive after it returns.
+    memo: dict | None = None
+
+    def write_series(series: TimeSeries, path: Path) -> None:
+        nonlocal memo
+        memo = None if windows_cached else {}
+        io.write_series_csv(series, path, memo)
 
     def write_windows(wins: dict, path: Path) -> None:
+        nonlocal memo
         io.write_windows_csv(wins, cfg.schema.features, path, memo)
-        memo.clear()
+        memo = None
 
     runner = _StageRunner(
         run_dir,
@@ -460,7 +468,7 @@ def run(
                 "series.csv",
                 (),
                 lambda: load_csv(data, cfg.schema),
-                lambda series, path: io.write_series_csv(series, path, memo),
+                write_series,
                 io.read_series_csv,
             ),
             "windows": _Stage(
@@ -525,6 +533,7 @@ def run(
             ),
         },
     )
+    windows_cached = use_cache and runner.path("windows").exists()
     report = runner.get("classify")
 
     # Stable convenience copies of the final report.

@@ -590,4 +590,4 @@ class TestPlotDiagram:
         out = tmp_path / "plots"
         assert main(["plot-diagram", "--diagram", str(src), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"data error: {src}: line {line}: {message}")
-        assert not (out / "diagram.svg").exists()
+        assert not out.exists()

@@ -137,7 +137,7 @@ class TestBytesMatchCsvWriter:
         assert (tmp_path / "w.csv").read_bytes() == csv_bytes(windows_rows(wins, s.channel_names))
         assert b",0.0,1.7976931348623157e+308\n" in (tmp_path / "w.csv").read_bytes()
 
-    @pytest.mark.parametrize("shared", [False, True], ids=["own-memo", "series-memo"])
+    @pytest.mark.parametrize("shared", [False, True], ids=["no-memo", "series-memo"])
     def test_overlapping_windows(self, tmp_path, shared):
         s = series()
         wins = {"all": make_windows(s, WindowConfig(w=4, s=1))}  # each middle row in up to 4 windows
@@ -158,6 +158,21 @@ class TestBytesMatchCsvWriter:
         s = io.read_series_csv(ingest)
         assert ingest.read_bytes() == csv_bytes(series_rows(s))
         assert windows.read_bytes() == csv_bytes(windows_rows(cut_windows(s, cfg), cfg.schema.features))
+
+    def test_run_with_cached_windows_and_recomputed_ingest(self, synth_csv, tmp_path, monkeypatch):
+        # No windows writer follows, so the series is written without a memo.
+        cfg = PipelineConfig.from_dict(synthetic_config_dict("memo", synth_csv, n_windows=30))
+        run(cfg, synth_csv, runs_root=tmp_path)
+        stages = {s["stage"]: s for s in describe_run(cfg.run_id, tmp_path)["stages"]}
+        Path(stages["ingest"]["path"]).unlink()
+        memos, write_series_csv = [], io.write_series_csv
+        monkeypatch.setattr(io, "write_series_csv", lambda s, p, memo=None: (memos.append(memo), write_series_csv(s, p, memo)))
+        run(dataclasses.replace(cfg, standardize_mode="fit_on_train"), synth_csv, runs_root=tmp_path)
+        stages = {s["stage"]: s for s in describe_run(cfg.run_id, tmp_path)["stages"]}
+        assert (stages["ingest"]["status"], stages["windows"]["status"]) == ("computed", "cached")
+        assert memos == [None]
+        ingest = Path(stages["ingest"]["path"])
+        assert ingest.read_bytes() == csv_bytes(series_rows(io.read_series_csv(ingest)))
 
     def test_clouds(self, tmp_path):
         cl = clouds()

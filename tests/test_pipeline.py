@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import multiprocessing.process
 import re
@@ -709,6 +710,26 @@ class TestArtifactsRewriteToTheirBytes:
         path = artifact(run_dir, kind)
         write(read(path), tmp_path / path.name)
         assert (tmp_path / path.name).read_bytes() == path.read_bytes()
+
+
+class TestRunFreesItsValues:
+    def test_no_reference_cycle_outlives_a_cold_run(self, small_run, tmp_path):
+        # A cycle through the stage runner would hold every stage value
+        # until the next collection, raising the next run's peak memory.
+        cfg, data, _ = small_run
+
+        def runners():
+            return [o for o in gc.get_objects() if isinstance(o, topowin.pipeline._StageRunner)]
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = runners()  # any an earlier test still holds
+            run(cfg, data, runs_root=tmp_path, use_cache=False)
+            left = [o for o in runners() if not any(o is b for b in before)]
+        finally:
+            gc.enable()
+        assert left == []
 
 
 class TestRunArguments:
