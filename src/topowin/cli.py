@@ -89,7 +89,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--windows", type=Path, help="windows CSV (window counts and labels)")
     p.add_argument("--train-split", default=None)
     p.add_argument("--test-split", default=None)
-    p.add_argument("--workers", type=int, default=1, help="accepted (>= 1) for compatibility; has no effect")
 
     p = add("classify", "k-NN prediction and evaluation report")
     p.add_argument("--matrix", type=Path, help="distance matrix CSV")
@@ -109,7 +108,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", type=Path, help="input CSV (overrides config)")
     p.add_argument("--describe", action="store_true", help="print provenance of the finished run")
     p.add_argument("--no-cache", action="store_true", help="recompute every stage")
-    p.add_argument("--workers", type=int, default=1, help="accepted (>= 1) for compatibility; has no effect")
 
     p = sub.add_parser("plot-diagram", help="SVG scatter of a diagram file plus a CSV twin")
     p.add_argument("--out", type=Path, default=None, help="output directory")
@@ -126,8 +124,6 @@ def _config(args) -> tuple[PipelineConfig, str | None]:
     anchors are resolved here too, so a bad config fails before any output."""
     if args.config is None:
         raise ValueError(f"{args.command} needs --config")
-    if getattr(args, "workers", 1) < 1:
-        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     try:
         payload = io.read_json(args.config)
     except DataError as exc:  # a config file that is missing or not JSON is a usage error
@@ -266,7 +262,6 @@ def _cmd_run(args) -> int:
         Path(_require(data, "--data")),
         runs_root=args.out,
         use_cache=not args.no_cache,
-        workers=args.workers,
     )
     print(render_report_table(report))
     if args.describe:

@@ -199,12 +199,15 @@ def parse_timestamp(text: str) -> float:
 
 
 def _parse_label(text: str) -> int:
-    value = float(text)
-    if not value.is_integer():
-        raise ValueError(f"label '{text}' is not an integer")
-    if not -(2.0**63) <= value < 2.0**63:
+    try:
+        label = int(text)  # exact beyond 2**53, where float would round
+    except ValueError:
+        label = float(text)
+        if not label.is_integer():
+            raise ValueError(f"label '{text}' is not an integer") from None
+    if not -(2**63) <= label < 2**63:
         raise ValueError(f"label '{text}' is outside the int64 range")
-    return int(value)
+    return int(label)
 
 
 def _column_positions(path: Path, header: list[str], schema: CsvSchema) -> list[int]:
@@ -224,49 +227,49 @@ _NON_BLANK = re.compile(rb"\S")
 def _load_table(path: Path, raw: bytes, schema: CsvSchema):
     """Timestamps, values and labels parsed by numpy's C reader, or None.
 
-    None sends the file to the row loop: a whitespace delimiter, quotes,
-    carriage returns or NUL bytes (where ``csv`` may split cells or lines
-    differently), no data rows, any cell the C reader refuses, or any value
-    the loop would reject.  Both parsers round decimals correctly, so an
+    None sends the file to the row loop, which reports every error: a
+    whitespace delimiter, quotes, carriage returns or NUL bytes (where
+    ``csv`` may split cells or lines differently), a missing column, no data
+    rows, any cell the C reader refuses, or any row the loop would reject.
+    An ISO-date timestamp stops the float pass; a second pass converts the
+    timestamps with ``parse_timestamp``.  Both parsers round decimals
+    correctly and labels are taken only below 2**53 in magnitude, so an
     accepted file gives the loop's arrays bit for bit.
     """
     if schema.delimiter.isspace() or b'"' in raw or b"\r" in raw or b"\0" in raw:
         return None
     end = raw.find(b"\n")
     if end < 0 or not _NON_BLANK.search(raw, end + 1):
-        return None  # no data rows: numpy would only warn, the loop raises
+        return None  # no data rows: numpy would only warn
     header = next(csv.reader([raw[:end].decode("utf-8-sig")], delimiter=schema.delimiter), [])
-    cols = _column_positions(path, header, schema)
+    try:
+        cols = _column_positions(path, header, schema)
+    except DataError:
+        return None
     options = dict(delimiter=schema.delimiter, skiprows=1, comments=None, encoding="utf-8-sig")
     try:
         table = np.loadtxt(path, usecols=cols, ndmin=2, **options)
-        timestamps = table[:, 0].copy()
-        table = table[:, 1:]
     except ValueError:
-        # Timestamps that are not numbers (ISO dates): read them as text.
         try:
-            table = np.loadtxt(path, usecols=cols[1:], ndmin=2, **options)
-            text = np.loadtxt(path, usecols=cols[0], ndmin=1, dtype=object, **options)
-            timestamps = np.array([parse_timestamp(t) for t in text], dtype=float)
+            table = np.loadtxt(path, usecols=cols, ndmin=2, converters={cols[0]: parse_timestamp}, **options)
         except ValueError:
             return None
-    labels = table[:, -1]
+    timestamps, labels = table[:, 0], table[:, -1]
     if not (
         np.isfinite(table).all()
-        and np.isfinite(timestamps).all()
+        and (np.diff(timestamps) > 0).all()
         and (labels == np.trunc(labels)).all()
-        and (labels >= -(2.0**63)).all()
-        and (labels < 2.0**63).all()
+        and (np.abs(labels) < 2.0**53).all()
     ):
         return None
-    return timestamps, np.ascontiguousarray(table[:, :-1]), labels.astype(np.int64)
+    return timestamps.copy(), np.ascontiguousarray(table[:, 1:-1]), labels.astype(np.int64)
 
 
 def _load_rows(path: Path, schema: CsvSchema):
     """Timestamps, values and labels parsed row by row with ``csv`` and ``float``.
 
-    This loop diagnoses every file the C pass refuses: it rejects all bad rows
-    together, naming their 1-based file lines.
+    This loop raises every row error: it rejects all bad rows together, each
+    named by the 1-based file line it ends on (``reader.line_num``).
     """
     with path.open("r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
@@ -282,21 +285,25 @@ def _load_rows(path: Path, schema: CsvSchema):
         rows: list[list[float]] = []
         labels: list[int] = []
         bad: list[tuple[int, str]] = []
-        for lineno, record in enumerate(reader, start=2):
+        for record in reader:
+            line = reader.line_num
             if not record or all(cell.strip() == "" for cell in record):
                 continue
             if len(record) < needed:
-                bad.append((lineno, f"expected at least {needed} columns, got {len(record)}"))
+                bad.append((line, f"expected at least {needed} columns, got {len(record)}"))
                 continue
             try:
                 ts = parse_timestamp(record[ts_col])
                 feats = [float(record[c]) for c in feature_cols]
                 lab = _parse_label(record[label_col])
             except ValueError as exc:
-                bad.append((lineno, str(exc)))
+                bad.append((line, str(exc)))
                 continue
             if not all(map(math.isfinite, feats)) or not math.isfinite(ts):
-                bad.append((lineno, "non-finite value"))
+                bad.append((line, "non-finite value"))
+                continue
+            if timestamps and ts <= timestamps[-1]:
+                bad.append((line, f"timestamps not strictly increasing ({ts!r} after {timestamps[-1]!r})"))
                 continue
             timestamps.append(ts)
             rows.append(feats)
@@ -320,16 +327,16 @@ def load_csv(path: str | Path, schema: CsvSchema) -> TimeSeries:
 
     The file must be UTF-8; a leading byte-order mark is ignored.  A plain
     file (a one-character delimiter that is not whitespace, LF line ends,
-    no quotes or NUL bytes) is parsed by numpy's C reader in one pass;
-    ISO-date timestamps are read as text and converted by
-    ``parse_timestamp``.  Every other file, and every file with a row the
-    checks below reject, is parsed row by row with ``csv``.  Both paths give
-    the same arrays and the same errors.
+    no quotes or NUL bytes) is parsed by numpy's C reader in one pass; one
+    with ISO-date timestamps in a second pass that converts them with
+    ``parse_timestamp``.  The C reader only accepts a file; every other one
+    is parsed row by row with ``csv``, which raises every row error.  So both
+    paths give the same arrays and the same errors.
 
-    Rows with missing, unparseable or non-finite cells, or a label that is
-    not an integer in the int64 range, are rejected; the error names the
-    offending 1-based file line numbers.  Rows of blank cells are skipped.
-    Timestamps (numbers or ISO dates) must come out strictly increasing.
+    Rows with missing, unparseable or non-finite cells, a label that is not
+    an integer in the int64 range, or a timestamp (number or ISO date) not
+    above the last accepted row's are rejected; the error names the
+    offending 1-based file lines.  Rows of blank cells are skipped.
     """
     path = Path(path)
     if not path.exists():
@@ -341,17 +348,9 @@ def load_csv(path: str | Path, schema: CsvSchema) -> TimeSeries:
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text at byte {exc.start} ({exc.reason})") from None
     parsed = _load_table(path, raw, schema)
-    ts_arr, values, labels = parsed if parsed is not None else _load_rows(path, schema)
-    if ts_arr.size > 1:
-        diffs = np.diff(ts_arr)
-        if np.any(diffs <= 0):
-            bad_idx = int(np.argmax(diffs <= 0)) + 1
-            raise DataError(
-                f"{path}: timestamps not strictly increasing at data row {bad_idx + 1} "
-                f"(file line {bad_idx + 2})"
-            )
+    timestamps, values, labels = parsed if parsed is not None else _load_rows(path, schema)
     return TimeSeries(
-        timestamps=ts_arr,
+        timestamps=timestamps,
         values=values,
         labels=labels,
         channel_names=schema.features,

@@ -432,7 +432,8 @@ def run(
     A file whose target already holds the same bytes is not rewritten, so a
     fully cached rerun, like a ``use_cache=False`` one over an existing run,
     replaces only ``provenance.json``.  ``workers`` is checked (>= 1) and
-    otherwise unused: every stage runs in this process.
+    otherwise unused: every stage runs in this process.  It stays only for
+    ``perfbench/worker.py`` and ``record_reference.py``, which pass it.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

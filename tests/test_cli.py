@@ -48,21 +48,15 @@ class TestUsage:
         assert "--config" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_workers_below_one(self, workers, tmp_path, config_path, capsys):
-        argv = ["run", "--config", str(config_path), "--out", str(tmp_path / "runs"), "--workers", workers]
-        assert main(argv) == 1
-        assert "--workers" in capsys.readouterr().err
-
-
 # Each command accepts only the flags it uses.
 CONFIG_FLAGS = [
     ["--config", "c.json"], ["-w", "5"], ["-s", "5"], ["--label-rule", "majority"], ["--offset", "auto"],
     ["--anchor", "origin"], ["--dimension", "0"], ["--maxscale", "1"], ["--p", "1"], ["--k", "0"], ["--seed", "1"],
 ]
+STAGE_COMMANDS = ("ingest", "windows", "diagrams", "distmat", "classify", "sweep-k")
 REMOVED_FLAGS = [
-    *[(command, ["--no-cache"]) for command in ("ingest", "windows", "diagrams", "distmat", "classify", "sweep-k")],
-    *[(command, ["--workers", "2"]) for command in ("ingest", "windows", "diagrams", "classify", "sweep-k")],
+    *[(command, ["--no-cache"]) for command in STAGE_COMMANDS],
+    *[(command, ["--workers", "2"]) for command in (*STAGE_COMMANDS, "run")],
     *[("plot-diagram", flag) for flag in [*CONFIG_FLAGS, ["--no-cache"], ["--workers", "2"]]],
 ]
 

@@ -119,6 +119,20 @@ class TestLoadCsv:
             "line 7: could not convert string to float: 'abc'"
         )
 
+    def test_repeated_timestamp_after_blank_lines_names_its_line(self, tmp_path):
+        path = write(tmp_path, "t,a,b,y\n0,1,2,0\n\n\n1,3,4,1\n1,5,6,0\n")
+        with pytest.raises(DataError) as info:
+            load_csv(path, SCHEMA2)
+        assert str(info.value) == (
+            f"{path}: 1 malformed row(s): line 6: timestamps not strictly increasing (1.0 after 1.0)"
+        )
+
+    def test_row_after_a_cell_spanning_lines_names_its_line(self, tmp_path):
+        path = write(tmp_path, 't,a,b,y\n0,"1\n",2,0\n1,x,4,1\n')
+        with pytest.raises(DataError) as info:
+            load_csv(path, SCHEMA2)
+        assert str(info.value) == f"{path}: 1 malformed row(s): line 4: could not convert string to float: 'x'"
+
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 OCC_SCHEMA = CsvSchema(
@@ -232,6 +246,8 @@ CORPUS = {
     "label-int64-min": H + b"0,1,2,-9223372036854775808\n",
     "label-2**63": H + b"0,1,2,9223372036854775808\n",
     "label-nan": H + b"0,1,2,nan\n",
+    "label-2**53+1": H + b"0,1,2,9007199254740993\n",
+    "label-minus-2**53-1": H + b"0,1,2,-9007199254740993\n",
     "17-digits": H + b"0.10000000000000001,0.30000000000000004,1.7976931348623157e308,0\n"
     b"1,2.2250738585072014e-308,4.9406564584124654e-324,1\n",
     "exponents": H + b"1e-3,1E+3,-2.5e-7,0\n2E0,.5e1,5.,1\n",
@@ -242,6 +258,8 @@ CORPUS = {
     "text-cell": H + b"0,1,2,0\n1,oops,4,1\n",
     "no-trailing-newline": H + b"0,1,2,0\n1,3,4,1",
     "not-increasing": H + b"0,1,2,0\n2,1,2,0\n1,1,2,0\n",
+    "not-increasing-after-blank-lines": H + b"0,1,2,0\n\n\n1,3,4,1\n1,5,6,0\n",
+    "not-increasing-after-multiline-cell": H + b'0,"1\n",2,0\n1,3,4,1\n1,5,6,0\n',
     "iso-dates": H + b"2015-02-04 17:51:00,1,2,0\n2015-02-04T17:52:00+01:00,3,4,1\n2015-02-04 17:53:00,5,6,0\n",
     "iso-and-numbers": H + b"1423072260,1,2,0\n2015-02-04 17:52:00,3,4,1\n",
     "iso-padded": H + b" 2015-02-04 17:51:00 ,1,2,0\n",
@@ -249,6 +267,10 @@ CORPUS = {
     "iso-bad-date": H + b"2015-02-04 17:51:00,1,2,0\n2015-02-30 17:52:00,3,4,1\n",
     "iso-bad-feature": H + b"2015-02-04 17:51:00,1,x,0\n",
     "iso-not-increasing": H + b"2015-02-04 17:52:00,1,2,0\n2015-02-04 17:51:00,3,4,1\n",
+    "iso-not-increasing-after-blank-lines": H
+    + b"2015-02-04 17:51:00,1,2,0\n\n\n2015-02-04 17:52:00,3,4,1\n2015-02-04 17:52:00,5,6,0\n",
+    "iso-not-increasing-after-multiline-cell": H
+    + b'2015-02-04 17:51:00,"1\n",2,0\n2015-02-04 17:52:00,3,4,1\n2015-02-04 17:52:00,5,6,0\n',
     "nul": H + b"0,1,2,0\n1,3\x00,4,1\n",
     "nul-in-label": H + b"0,1,2,0\x00\n",
     "many-bad-rows": H + b"".join(b"%d,x,2,0\n" % i for i in range(12)),
@@ -277,6 +299,23 @@ class TestLoadCsvFastPath:
         assert load_csv(path, OCC_SCHEMA).length == 8030
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         assert load_csv(path, OCC_SCHEMA).length == 8030
+
+    @pytest.mark.parametrize("iso", [False, True], ids=["numeric", "iso"])
+    def test_loadtxt_passes(self, iso, tmp_path, monkeypatch):
+        """A numeric file is read in one pass; an ISO one in a float pass that
+        raises at the first date, then one pass that converts the dates."""
+        loadtxt, outcomes = np.loadtxt, []
+
+        def counted(*args, **kwargs):
+            outcomes.append("raised")
+            table = loadtxt(*args, **kwargs)
+            outcomes[-1] = "returned"
+            return table
+
+        path = benchmark_series(tmp_path, iso)
+        monkeypatch.setattr(np, "loadtxt", counted)
+        assert load_csv(path, OCC_SCHEMA).length == 8030
+        assert outcomes == (["raised", "returned"] if iso else ["returned"])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -314,6 +353,13 @@ class TestLoadCsvEncodingAndLabels:
         path = tmp_path / "bom.csv"
         path.write_bytes(b"\xef\xbb\xbft,a,b,y\n0,1,2,0\n")
         assert load_csv(path, SCHEMA2).values.tolist() == [[1.0, 2.0]]
+
+    @pytest.mark.parametrize(
+        "text", ["9007199254740993", "-9007199254740993", "9223372036854775807", "-9223372036854775808"]
+    )
+    def test_large_integer_labels_are_exact(self, text, tmp_path):
+        path = write(tmp_path, f"t,a,b,y\n0,1,2,{text}\n")
+        assert load_csv(path, SCHEMA2).labels.tolist() == [int(text)]
 
     def test_label_outside_int64_is_a_malformed_row(self, tmp_path):
         path = write(tmp_path, "t,a,b,y\n0,1,2,0\n1,1,2,1e20\n")
