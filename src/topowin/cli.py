@@ -243,10 +243,12 @@ def _cmd_classify(args) -> int:
 
 def _cmd_sweep_k(args) -> int:
     cfg, _ = _config(args)
+    ks = [int(v) for v in _require(args.ks, "--ks").split(",") if v.strip()]
+    if not ks:
+        raise ValueError("--ks needs at least one k")
     out = _out_dir(args)
     matrix = io.read_distmat_csv(_require(args.matrix, "--matrix"))
     windows = io.read_windows_csv(_require(args.windows, "--windows"))
-    ks = [int(v) for v in _require(args.ks, "--ks").split(",") if v.strip()]
     train_labels = io.window_labels(windows, cfg.train_split)
     test_labels = io.window_labels(windows, cfg.test_split)
     entries = sweep_k(matrix, train_labels, test_labels, ks, cfg.tie_break)

@@ -1,6 +1,9 @@
 """p-Wasserstein distance between persistence diagrams, and the
 test x train distance matrix used for nearest-neighbor classification.
 
+``distance_matrix`` is the one entry point that matches diagrams;
+``wasserstein`` is its one-pair matrix.
+
 Matching a point to the diagonal costs its L-infinity distance to the
 diagonal, (death - birth)/2, and every point is either matched to a point
 of the other diagram or sent to the diagonal.  With ``a`` the smaller
@@ -68,10 +71,6 @@ def _matching_cost(a: Sequence[tuple[float, float]], b: Sequence[tuple[float, fl
     return total + sum(c for j, c in enumerate(diag_b) if j not in matched)
 
 
-def _zero_birth(diag: PersistenceDiagram) -> bool:
-    return all(b == 0.0 for b, _ in diag.pairs)
-
-
 def _sorted_deaths(diag: PersistenceDiagram) -> list[float]:
     return sorted(d for _, d in diag.pairs)
 
@@ -117,15 +116,11 @@ def wasserstein(
     d1: PersistenceDiagram, d2: PersistenceDiagram, cfg: WassersteinConfig = WassersteinConfig()
 ) -> float:
     """Exact p-Wasserstein distance (L-infinity ground metric) between two
-    diagrams of the same homology dimension."""
+    diagrams of the same homology dimension: the one entry of their
+    ``distance_matrix``.  ``cfg.dimension`` is not checked against theirs."""
     if d1.dim != d2.dim:
         raise DataError(f"diagram dimension mismatch: {d1.dim} vs {d2.dim}")
-    if not d1.pairs and not d2.pairs:
-        return 0.0
-    if _zero_birth(d1) and _zero_birth(d2):
-        return float(_zero_birth_distances(_sorted_deaths(d1), _deaths_table([d2]), cfg.p)[0])
-    total = _matching_cost(d1.pairs, d2.pairs, cfg.p)
-    return total if cfg.p == 1.0 else total ** (1.0 / cfg.p)
+    return float(distance_matrix([d1], [d2], WassersteinConfig(cfg.p, d1.dim)).values[0, 0])
 
 
 @dataclass(frozen=True)
@@ -158,7 +153,7 @@ def distance_matrix(
 
     When every diagram is born at 0, each row is one batched dynamic
     program.  Otherwise each entry is one m x (k + m) assignment, computed
-    in this process; no process pool is started.
+    in this process, and its p-th root.
     """
     if not test or not train:
         raise DataError("distance matrix needs nonempty test and train diagram sets")
@@ -167,11 +162,12 @@ def distance_matrix(
             raise DataError(
                 f"diagram of dimension {diag.dim} in a dimension-{cfg.dimension} matrix"
             )
-    if all(_zero_birth(d) for d in (*test, *train)):
+    if all(b == 0.0 for d in (*test, *train) for b, _ in d.pairs):
         table = _deaths_table(train)
         rows = [_zero_birth_distances(_sorted_deaths(t), table, cfg.p) for t in test]
     else:
-        rows = [[wasserstein(t, tr, cfg) for tr in train] for t in test]
+        root = 1.0 / cfg.p
+        rows = [[_matching_cost(t.pairs, tr.pairs, cfg.p) ** root for tr in train] for t in test]
     return DistanceMatrix(
         row_ids=tuple(range(len(test))),
         col_ids=tuple(range(len(train))),

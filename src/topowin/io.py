@@ -46,7 +46,12 @@ def sha256_bytes(data: bytes) -> str:
 
 
 def sha256_file(path: str | Path) -> str:
-    return sha256_bytes(Path(path).read_bytes())
+    """SHA-256 of the file's bytes, read 64 KiB at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(partial(fh.read, 1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 # Bumped when a stage's artifact changes meaning or may change bits for the

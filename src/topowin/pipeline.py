@@ -12,7 +12,9 @@ the previous stage's key and the parameters that stage depends on, so
 changing (say) only k reuses everything up to the distance matrix and
 recomputes only the classification.  Each stage writes one artifact, the
 value it reads back, under ``<runs_root>/<run_id>/<stage>/<key>.<ext>``,
-next to the latest run's provenance.
+next to the latest run's provenance, and the artifact's SHA-256 beside it
+in ``<key>.<ext>.sha256``.  A cached artifact is served only when its
+bytes still hash to that digest.
 """
 
 from __future__ import annotations
@@ -337,6 +339,20 @@ def write_report(report: EvaluationReport, directory: Path) -> str:
 # --- cached run ---------------------------------------------------------------
 
 
+def _digest_path(path: Path) -> Path:
+    return path.with_name(f"{path.name}.sha256")
+
+
+def _intact(path: Path) -> bool:
+    """Whether ``path`` still holds the bytes whose SHA-256 was recorded
+    beside it when it was written.  A missing or differing digest, like a
+    missing artifact, reads as "no"."""
+    try:
+        return _digest_path(path).read_text(encoding="utf-8") == io.sha256_file(path) + "\n"
+    except (OSError, UnicodeError):
+        return False
+
+
 @dataclass(frozen=True)
 class _Stage:
     params: dict  # what the stage key hashes besides the upstream stage's key
@@ -377,13 +393,13 @@ class _StageRunner:
         spent = 0.0
         # Inputs are resolved before a stage's clock starts and outside its
         # error prefix, so each stage times and names only its own work.
-        if self.use_cache and path.exists():
+        if self.use_cache and _intact(path):
             args = [self.get(s) for s in spec.read_inputs]
             started = time.perf_counter()
             try:
                 return self._done(stage, spec.read(path, *args), "cached", started)
             except (DataError, ValueError):
-                # A truncated or corrupt artifact is a cache miss.
+                # An artifact its reader rejects is a cache miss too.
                 spent = time.perf_counter() - started
         args = [self.get(s) for s in spec.inputs]
         started = time.perf_counter() - spent
@@ -395,6 +411,7 @@ class _StageRunner:
             base = next(t for t in (DataError, NumericalError, ValueError) if isinstance(exc, t))
             raise base(f"stage '{stage}': {exc}") from exc
         spec.write(value, path)
+        io.write_text(_digest_path(path), io.sha256_file(path) + "\n")
         return self._done(stage, value, "computed", started)
 
     def _done(self, stage: str, value, status: str, started: float):

@@ -459,6 +459,19 @@ class TestStageCommandsLeaveNoOutDirOnError:
         assert main([*argv, "--anchor", "nan,0,0", "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("ks", ["", ",", " , "])
+    def test_sweep_k_without_a_k(self, ks, small_run, tmp_path, capsys):
+        cfg, _, root = small_run
+        config = tmp_path / "small.json"
+        write_json(config, cfg.to_dict())
+        (matrix,) = (root / cfg.run_id).glob("distances/*.distmat.csv")
+        (windows,) = (root / cfg.run_id).glob("windows/*.windows.csv")
+        out = tmp_path / "out"
+        argv = ["sweep-k", "--config", str(config), "--matrix", str(matrix), "--windows", str(windows)]
+        assert main([*argv, "--ks", ks, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "usage error: --ks needs at least one k\n"
+        assert not out.exists()
+
     def test_data_error(self, tmp_path, config_path):
         out = tmp_path / "out"
         argv = ["ingest", "--config", str(config_path), "--data", str(tmp_path / "absent.csv"), "--out", str(out)]

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import topowin.distance
 from topowin.assignment import min_cost_assignment
 from topowin import (
     DataError,
@@ -281,6 +282,48 @@ class TestDim1Matching:
             for d in diagrams:
                 assert wasserstein(d, dim1(*d.pairs), cfg) == 0.0
                 assert wasserstein(d, dim1(*reversed(d.pairs)), cfg) == 0.0
+
+
+class TestOnePath:
+    """``wasserstein`` is the one-pair ``distance_matrix``; the matrix matches
+    each pair itself."""
+
+    CASES = {
+        "empty/empty": (diag0(), diag0()),
+        "empty/zero-birth": (diag0(), zero_birth(0.5, 2.0, 2.0)),
+        "zero-birth/zero-birth": (zero_birth(1.0, 1.5, 3.25), zero_birth(0.75, 1.5)),
+        "dim1": (dim1((0.25, 1.5), (0.5, 0.625)), dim1((0.3, 1.7))),
+        "dim1-empty": (dim1(), dim1((0.3, 1.7), (1.0, 1.125))),
+    }
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("case", CASES)
+    def test_pair_is_the_one_pair_matrix(self, case, p):
+        a, b = self.CASES[case]
+        got = wasserstein(a, b, WassersteinConfig(p=p))
+        want = distance_matrix([a], [b], WassersteinConfig(p=p, dimension=a.dim)).values[0, 0]
+        assert type(got) is float
+        assert got.hex() == float(want).hex()
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_dim1_matrix_matches_each_pair_itself(self, p, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("distance_matrix went through wasserstein")
+
+        diagrams = rips_dim1_diagrams(3, 16)
+        assert any(not d.pairs for d in diagrams) and any(d.pairs for d in diagrams)
+        test, train, cfg = diagrams[:5], diagrams[5:], WassersteinConfig(p=p, dimension=1)
+        monkeypatch.setattr(topowin.distance, "wasserstein", unexpected)
+        matrix = distance_matrix(test, train, cfg)
+        monkeypatch.undo()
+        assert np.array_equal(matrix.values, np.array([[wasserstein(t, tr, cfg) for tr in train] for t in test]))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_config_dimension_is_ignored(self, case):
+        a, b = self.CASES[case]
+        want = wasserstein(a, b, WassersteinConfig(p=2.0, dimension=a.dim))
+        for dimension in (0, 1, 3):
+            assert wasserstein(a, b, WassersteinConfig(p=2.0, dimension=dimension)) == want
 
 
 def test_import_leaves_multiprocessing_out():

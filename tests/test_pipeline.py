@@ -381,7 +381,8 @@ class TestCacheReads:
     def test_standardize_artifact_is_the_params(self, small_run):
         cfg, _, root = small_run
         keys = {s["stage"]: s["key"] for s in describe_run(cfg.run_id, root)["stages"]}
-        assert [p.name for p in (root / cfg.run_id / "standardize").iterdir()] == [f"{keys['standardize']}.params.json"]
+        artifact = f"{keys['standardize']}.params.json"
+        assert sorted(p.name for p in (root / cfg.run_id / "standardize").iterdir()) == [artifact, f"{artifact}.sha256"]
 
     @pytest.mark.parametrize("use_cache", [True, False], ids=["cold", "no-cache"])
     def test_distances_artifact_is_the_matrix(self, small_run, tmp_path, use_cache):
@@ -389,7 +390,8 @@ class TestCacheReads:
         root = tmp_path / "runs"
         run(cfg, data, runs_root=root, use_cache=use_cache)
         keys = {s["stage"]: s["key"] for s in describe_run(cfg.run_id, root)["stages"]}
-        assert [p.name for p in (root / cfg.run_id / "distances").iterdir()] == [f"{keys['distances']}.distmat.csv"]
+        artifact = f"{keys['distances']}.distmat.csv"
+        assert sorted(p.name for p in (root / cfg.run_id / "distances").iterdir()) == [artifact, f"{artifact}.sha256"]
 
     def test_changing_window_reads_only_the_series(self, warm, monkeypatch, tmp_path):
         cfg, data, root = warm
@@ -409,14 +411,14 @@ class TestCacheReads:
         run(cfg, data, runs_root=root)
         status = statuses(cfg, root)
         assert (status["windows"], status["standardize"], status["clouds"]) == ("cached", "computed", "computed")
-        assert len(list((root / cfg.run_id / "windows").iterdir())) == 1
+        assert len(list((root / cfg.run_id / "windows").iterdir())) == 2
 
     def test_splits_only_rerun_recomputes_the_windows(self, warm):
         cfg, data, root = warm
         cfg = PipelineConfig.from_dict(dict(cfg.to_dict(), splits=[["train", 0, 200], ["test", 200, 300]]))
         run(cfg, data, runs_root=root)
         assert statuses(cfg, root)["windows"] == "computed"
-        assert len(list((root / cfg.run_id / "windows").iterdir())) == 2
+        assert len(list((root / cfg.run_id / "windows").iterdir())) == 4
         windows = Path(describe_run(cfg.run_id, root)["stages"][STAGES.index("windows")]["path"])
         assert [len(wins) for wins in io.read_windows_csv(windows).values()] == [20, 10]
 
@@ -510,6 +512,69 @@ class TestTruncatedArtifacts:
         assert code == 2
         assert "data error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def keep_lines(path, fraction):
+    """Cut the file after ``fraction`` of its lines: what is left parses."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[: int(len(lines) * fraction)]))
+
+
+class TestArtifactDigests:
+    """A stage serves its cached artifact only when the bytes still hash to
+    the digest written beside them."""
+
+    def test_each_artifact_has_its_digest(self, small_run):
+        cfg, _, root = small_run
+        for kind in ARTIFACTS:
+            path = artifact(root / cfg.run_id, kind)
+            digest = path.with_name(f"{path.name}.sha256")
+            assert digest.read_text(encoding="utf-8") == io.sha256_bytes(path.read_bytes()) + "\n"
+
+    def test_matrix_cut_at_a_row_boundary_is_recomputed(self, warm, tmp_path):
+        cfg, data, root = warm
+        path = artifact(root / cfg.run_id, "distmat")
+        original, rows = path.read_bytes(), len(io.read_distmat_csv(path).row_ids)
+        keep_lines(path, 0.5)
+        assert 0 < len(io.read_distmat_csv(path).row_ids) < rows
+        rerun = dataclasses.replace(cfg, k=7)
+        run(rerun, data, runs_root=root)
+        assert statuses(rerun, root)["distances"] == "computed"
+        assert path.read_bytes() == original
+        run(rerun, data, runs_root=tmp_path / "fresh")
+        expected = (tmp_path / "fresh" / cfg.run_id / "report.json").read_bytes()
+        assert (root / cfg.run_id / "report.json").read_bytes() == expected
+
+    def test_dim1_diagrams_cut_at_a_line_boundary_are_recomputed(self, synth_csv, tmp_path):
+        cfg = config_for(synth_csv, run_id="synth-d1", dimension=1, maxscale=8.0, k=3)
+        root = tmp_path / "runs"
+        run(cfg, synth_csv, runs_root=root)
+        run_dir = root / cfg.run_id
+        path = artifact(run_dir, "diagrams")
+        original, report = path.read_bytes(), (run_dir / "report.json").read_bytes()
+        keep_lines(path, 0.5)
+        for downstream in ("distances", "classify"):
+            shutil.rmtree(run_dir / downstream)
+        run(cfg, synth_csv, runs_root=root)
+        assert statuses(cfg, root)["diagrams"] == "computed"
+        assert path.read_bytes() == original
+        assert (run_dir / "report.json").read_bytes() == report
+
+    @pytest.mark.parametrize("damage", ["missing", "differing"])
+    def test_bad_digest_recomputes_the_stage_once(self, warm, damage):
+        cfg, data, root = warm
+        path = artifact(root / cfg.run_id, "report")
+        digest = path.with_name(f"{path.name}.sha256")
+        recorded = digest.read_bytes()
+        if damage == "missing":  # as in a cache written before digests
+            digest.unlink()
+        else:
+            digest.write_text("0" * 64 + "\n", encoding="utf-8")
+        run(cfg, data, runs_root=root)
+        assert statuses(cfg, root)["classify"] == "computed"
+        assert digest.read_bytes() == recorded
+        run(cfg, data, runs_root=root)
+        assert list(statuses(cfg, root).values()) == ["cached"] * 7
 
 
 def set_cell(path, line, column, text):
