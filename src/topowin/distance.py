@@ -109,7 +109,8 @@ def _zero_birth_distances(deaths: list[float], table: np.ndarray, p: float) -> n
         for i, half in enumerate(half_a):
             np.minimum(nxt[i + 1], nxt[i] + half, out=nxt[i + 1])
         cost = nxt
-    return cost[-1] if p == 1.0 else cost[-1] ** (1.0 / p)
+    # A copy at p = 1: a view of the last row would keep the whole table alive.
+    return cost[-1].copy() if p == 1.0 else cost[-1] ** (1.0 / p)
 
 
 def wasserstein(

@@ -9,10 +9,18 @@ clouds and distance-matrix rows; ``csv`` formats only header rows and split
 names.  The windows are the series' own rows, so a run hands the series and
 windows writers one memo of row text and formats each series row once.
 
-Every write goes through ``write_text``: a temp file in the target directory
-replaces the target with ``os.replace``, so a failed write leaves the old
-bytes.  A write whose target already holds the same bytes is skipped, so a
-fully cached rerun rewrites only ``provenance.json``.
+Every write goes through ``write_text``, which takes the text whole or as
+chunks: the CSV writers hand it their header, then their rows ``_CHUNK_ROWS``
+lines at a time (the distance matrix at most ``_CHUNK_CELLS`` cells at a
+time), so no whole copy of an artifact is ever held.  Each chunk is encoded,
+hashed and written to a temp file in the target directory, which then
+replaces the target with ``os.replace``; a failed write, or a chunk stream
+that raises, leaves the old bytes.  When the target already holds the same
+bytes (same size and SHA-256) the temp file is deleted instead, and a whole
+string is compared before any temp file is made, so a fully cached rerun
+replaces only ``provenance.json``.  ``write_text`` and every writer return
+the SHA-256 of the bytes now at the path, taken in the same pass as the
+write.
 """
 
 from __future__ import annotations
@@ -26,9 +34,9 @@ import stat
 from contextlib import contextmanager
 from functools import partial
 from io import StringIO
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -81,20 +89,6 @@ def stage_key(stage: str, parent: str | None, params) -> str:
     return sha256_bytes(payload.encode("utf-8"))[:16]
 
 
-@contextmanager
-def _replacing(path: Path):
-    """Text handle on a temp file that replaces ``path`` unless the block raises."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with tmp.open("w", encoding="utf-8", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _csv_line(cells: Sequence) -> str:
     """One row as ``csv.writer(lineterminator="\n")`` writes it, newline included."""
     buf = StringIO()
@@ -102,40 +96,52 @@ def _csv_line(cells: Sequence) -> str:
     return buf.getvalue()
 
 
-_CHUNK_ROWS = 1024  # rows converted to Python floats, and lines joined, at a time
+# Lines formatted, joined and written at a time.  Chunks of 10-20 KB are
+# reused from malloc's free lists; chunks near glibc's 128 KiB mmap
+# threshold come from the heap, fragment it and raise later peak RSS.
+_CHUNK_ROWS = 128
+_CHUNK_CELLS = 8 * _CHUNK_ROWS  # distance-matrix cells formatted, joined and written at a time
 
 
-def _row_cells(values, memo: dict | None = None) -> list[str]:
+def _row_cells(values, memo: dict | None = None) -> Iterator[str]:
     """Each row of the 2-D float array ``values`` as its cells, each as
     ``repr`` writes it, joined by commas.  Rows become Python floats a chunk
-    at a time, so no whole ``tolist`` copy is held.  ``memo`` maps a row's
-    exact float64 bytes to its text: a row found there is not formatted
-    again.  It is keyed on bytes, not on float tuples, because ``0.0 ==
-    -0.0`` would write a ``-0.0`` row as ``0.0``."""
+    at a time as they are asked for, so no whole ``tolist`` copy is held.
+    ``memo`` maps a row's exact float64 bytes to its text: a row found there
+    is not formatted again.  It is keyed on bytes, not on float tuples,
+    because ``0.0 == -0.0`` would write a ``-0.0`` row as ``0.0``."""
     values = np.ascontiguousarray(values, dtype=float)
-    out: list[str] = []
-    for start in range(0, len(values), _CHUNK_ROWS):
-        block = values[start : start + _CHUNK_ROWS]
-        if memo is None:
-            out += [",".join(map(repr, row)) for row in block.tolist()]
-            continue
-        rows = None
-        for i, key in enumerate(block.view(np.dtype((np.void, 8 * block.shape[1]))).ravel().tolist()):
-            text = memo.get(key)
-            if text is None:
-                rows = block.tolist() if rows is None else rows
-                text = memo[key] = ",".join(map(repr, rows[i]))
-            out.append(text)
+    blocks = (values[start : start + _CHUNK_ROWS] for start in range(0, len(values), _CHUNK_ROWS))
+    if memo is None:
+        return chain.from_iterable([",".join(map(repr, row)) for row in block.tolist()] for block in blocks)
+    return chain.from_iterable(_memo_cells(block, memo) for block in blocks)
+
+
+def _memo_cells(block: np.ndarray, memo: dict) -> list[str]:
+    """``_row_cells`` of one block of rows, through ``memo``."""
+    out, rows = [], None
+    for i, key in enumerate(block.view(np.dtype((np.void, 8 * block.shape[1]))).ravel().tolist()):
+        text = memo.get(key)
+        if text is None:
+            rows = block.tolist() if rows is None else rows
+            text = memo[key] = ",".join(map(repr, rows[i]))
+        out.append(text)
     return out
 
 
-def _joined(lines: Iterable[str]) -> str:
-    """``"".join(lines)``, taken a chunk of lines at a time: only one chunk's
-    line objects live beside the text, and the freed ones are reused."""
-    lines, chunks = iter(lines), []
-    while chunk := list(islice(lines, _CHUNK_ROWS)):
-        chunks.append("".join(chunk))
-    return "".join(chunks)
+def _items(values) -> Iterator:
+    """The items of the 1-D array ``values`` as Python scalars, ``_CHUNK_ROWS`` at a time."""
+    starts = range(0, len(values), _CHUNK_ROWS)
+    return chain.from_iterable(values[start : start + _CHUNK_ROWS].tolist() for start in starts)
+
+
+def _csv_chunks(header: Sequence, lines: Iterable[str], rows: int | None = None) -> Iterator[str]:
+    """The ``header`` line, then ``lines`` joined ``rows`` (by default
+    ``_CHUNK_ROWS``) at a time: the chunks ``write_text`` streams to disk."""
+    yield _csv_line(header)
+    lines = iter(lines)
+    while chunk := list(islice(lines, rows or _CHUNK_ROWS)):
+        yield "".join(chunk)
 
 
 def _read_csv(path: str | Path, columns: str, start: Callable[[list[str]], Callable | None]) -> list[str]:
@@ -201,30 +207,54 @@ def _read_windowed(path: Path, fixed: list[str], window: Callable) -> dict[str, 
     return {split: [make(np.array(p)) for make, p in wins.values()] for split, wins in groups.items()}
 
 
-def _holds(path: Path, text: str) -> bool:
-    """Whether ``path`` is a regular file holding exactly ``text`` in UTF-8.
-    The stat comes first, so a missing target costs no encoded copy; any
-    error reads as "no"."""
+def _holds(path: Path, size: int, digest: str) -> bool:
+    """Whether ``path`` is a regular file of ``size`` bytes whose SHA-256 is
+    ``digest``.  The stat comes first, so a missing target or one of another
+    size is not read; any error reads as "no"."""
     try:
         st = os.lstat(path)
-        if not stat.S_ISREG(st.st_mode) or not len(text) <= st.st_size <= 4 * len(text):
-            return False
-        data = text.encode("utf-8")
-        return len(data) == st.st_size and path.read_bytes() == data
-    except (OSError, UnicodeError):
+        return stat.S_ISREG(st.st_mode) and st.st_size == size and sha256_file(path) == digest
+    except OSError:
         return False
 
 
-def write_text(path: Path, text: str) -> None:
-    """Write ``text`` atomically, unless ``path`` already holds its bytes."""
-    if _holds(path, text):
-        return
-    with _replacing(path) as fh:
-        fh.write(text)
+def write_text(path: Path, text: str | Iterable[str]) -> str:
+    """Write ``text``, one string or an iterable of string chunks, as UTF-8
+    and atomically; returns the SHA-256 of the bytes now at ``path``.  Each
+    chunk is encoded, hashed and written to a temp file beside ``path`` as it
+    comes.  The temp file then replaces ``path``, or is deleted when ``path``
+    already holds the same bytes.  If a chunk cannot be produced or written,
+    the old file stays and the temp file is removed.  A whole string is
+    compared with ``path`` first, so an unchanged one makes no temp file."""
+    if isinstance(text, str):
+        data = text.encode("utf-8")
+        if _holds(path, len(data), digest := sha256_bytes(data)):
+            return digest
+        chunks: Iterable[bytes] = (data,)
+    else:
+        chunks = (chunk.encode("utf-8") for chunk in text)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    hasher, size = hashlib.sha256(), 0
+    try:
+        with tmp.open("wb") as fh:
+            for data in chunks:
+                hasher.update(data)
+                size += len(data)
+                fh.write(data)
+        digest = hasher.hexdigest()
+        if not isinstance(text, str) and _holds(path, size, digest):
+            tmp.unlink()
+        else:
+            os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return digest
 
 
-def write_json(path: Path, payload) -> None:
-    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def write_json(path: Path, payload) -> str:
+    return write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def read_json(path: Path):
@@ -237,13 +267,12 @@ def read_json(path: Path):
 
 # --- series ---------------------------------------------------------------
 
-def write_series_csv(series: TimeSeries, path: Path, memo: dict | None = None) -> None:
+def write_series_csv(series: TimeSeries, path: Path, memo: dict | None = None) -> str:
     """A ``memo`` (row bytes to row text, see ``_row_cells``) is filled with
     the series' rows; hand the same one to ``write_windows_csv``."""
-    cells = _row_cells(series.values, memo)
-    rows = zip(series.timestamps.tolist(), cells, series.labels.tolist())
-    body = _joined(f"{t!r},{row},{label}\n" for t, row, label in rows)
-    write_text(path, _csv_line(["timestamp", *series.channel_names, "label"]) + body)
+    rows = zip(_items(series.timestamps), _row_cells(series.values, memo), _items(series.labels))
+    lines = (f"{t!r},{row},{label}\n" for t, row, label in rows)
+    return write_text(path, _csv_chunks(["timestamp", *series.channel_names, "label"], lines))
 
 
 def read_series_csv(path: Path) -> TimeSeries:
@@ -268,8 +297,8 @@ def read_series_csv(path: Path) -> TimeSeries:
         return TimeSeries(ts, values, labels, tuple(header[1:-1]))
 
 
-def write_params_json(params: StandardizationParams, path: Path) -> None:
-    write_json(
+def write_params_json(params: StandardizationParams, path: Path) -> str:
+    return write_json(
         path,
         {
             "means": [repr(float(v)) for v in params.means],
@@ -292,7 +321,7 @@ def write_windows_csv(
     channel_names: Sequence[str],
     path: Path,
     memo: dict | None = None,
-) -> None:
+) -> str:
     """``memo`` is the one ``write_series_csv`` filled; without one every
     row is formatted."""
 
@@ -301,14 +330,14 @@ def write_windows_csv(
             if not windows:
                 continue
             lead = _csv_line([split, ""])[:-1]  # the split cell and its comma
-            cells = iter(_row_cells(np.concatenate([win.points for win in windows]), memo))
+            cells = _row_cells(np.concatenate([win.points for win in windows]), memo)
             for win in windows:
                 t0, t1 = win.time_range
                 head, tail = f"{lead}{win.index},", f",{win.label},{float(t0)!r},{float(t1)!r},"
                 yield from (f"{head}{p}{tail}{row}\n" for p, row in enumerate(islice(cells, len(win.points))))
 
-    header = _csv_line(["split", "window", "point", "label", "t_first", "t_last", *channel_names])
-    write_text(path, header + _joined(lines()))
+    header = ["split", "window", "point", "label", "t_first", "t_last", *channel_names]
+    return write_text(path, _csv_chunks(header, lines()))
 
 
 def read_windows_csv(path: Path) -> dict[str, list[LabeledWindow]]:
@@ -327,7 +356,7 @@ def window_labels(windows_by_split: Mapping[str, Sequence[LabeledWindow]], split
 
 # --- clouds ----------------------------------------------------------------
 
-def write_clouds_csv(clouds_by_split: Mapping[str, Sequence[AugmentedCloud]], path: Path) -> None:
+def write_clouds_csv(clouds_by_split: Mapping[str, Sequence[AugmentedCloud]], path: Path) -> str:
     dims = {c.points.shape[1] for clouds in clouds_by_split.values() for c in clouds}
     d = dims.pop() if dims else 0
 
@@ -336,13 +365,12 @@ def write_clouds_csv(clouds_by_split: Mapping[str, Sequence[AugmentedCloud]], pa
             if not clouds:
                 continue
             lead = _csv_line([split, ""])[:-1]
-            cells = iter(_row_cells(np.concatenate([cloud.points for cloud in clouds])))
+            cells = _row_cells(np.concatenate([cloud.points for cloud in clouds]))
             for cloud in clouds:
                 head = f"{lead}{cloud.source_window},"
                 yield from (f"{head}{p},{row}\n" for p, row in enumerate(islice(cells, len(cloud.points))))
 
-    header = _csv_line(["split", "window", "point", *[f"x{i}" for i in range(d)]])
-    write_text(path, header + _joined(lines()))
+    return write_text(path, _csv_chunks(["split", "window", "point", *[f"x{i}" for i in range(d)]], lines()))
 
 
 def read_clouds_csv(path: Path) -> dict[str, list[AugmentedCloud]]:
@@ -351,18 +379,17 @@ def read_clouds_csv(path: Path) -> dict[str, list[AugmentedCloud]]:
 
 # --- diagrams ---------------------------------------------------------------
 
-def write_diagrams_csv(
-    diagrams_by_split: Mapping[str, Sequence[PersistenceDiagram]], path: Path
-) -> None:
-    lines = [_csv_line(["split", "window", "dim", "birth", "death"])]
-    for split, diagrams in diagrams_by_split.items():
-        lead = _csv_line([split, ""])[:-1]
-        for index, diag in enumerate(diagrams):
-            lines.extend(f"{lead}{index},{diag.dim},{b!r},{d!r}\n" for b, d in diag.pairs)
-    write_text(path, "".join(lines))
-
-
 _DIAGRAM_COLUMNS = ["split", "window", "dim", "birth", "death"]
+
+
+def write_diagrams_csv(diagrams_by_split: Mapping[str, Sequence[PersistenceDiagram]], path: Path) -> str:
+    def lines():
+        for split, diagrams in diagrams_by_split.items():
+            lead = _csv_line([split, ""])[:-1]
+            for index, diag in enumerate(diagrams):
+                yield from (f"{lead}{index},{diag.dim},{b!r},{d!r}\n" for b, d in diag.pairs)
+
+    return write_text(path, _csv_chunks(_DIAGRAM_COLUMNS, lines()))
 
 
 def _diagram_point(birth: str, death: str) -> tuple[float, float]:
@@ -432,12 +459,16 @@ def diagram_set_hash(diagrams_by_split: Mapping[str, Sequence[PersistenceDiagram
 
 # --- distance matrix --------------------------------------------------------
 
-def write_distmat_csv(matrix: DistanceMatrix, path: Path) -> None:
-    lines = [_csv_line(["window", *matrix.col_ids])]
-    cells = _row_cells(matrix.values)
-    # Indexed, not zipped: more row ids than value rows is an error, not a short file.
-    lines += (f"{rid},{cells[i]}\n" for i, rid in enumerate(matrix.row_ids))
-    write_text(path, "".join(lines))
+def write_distmat_csv(matrix: DistanceMatrix, path: Path) -> str:
+    rows = max(1, min(_CHUNK_ROWS, _CHUNK_CELLS // max(1, len(matrix.col_ids))))
+
+    def lines():
+        for start in range(0, len(matrix.row_ids), rows):
+            cells = list(_row_cells(matrix.values[start : start + rows]))
+            # Indexed, not zipped: more row ids than value rows is an error, not a short file.
+            yield from (f"{rid},{cells[i]}\n" for i, rid in enumerate(matrix.row_ids[start : start + rows]))
+
+    return write_text(path, _csv_chunks(["window", *matrix.col_ids], lines(), rows))
 
 
 def read_distmat_csv(path: Path) -> DistanceMatrix:
@@ -481,17 +512,16 @@ def report_to_dict(report: EvaluationReport) -> dict:
     }
 
 
-def write_sweep_csv(entries: Sequence[KSweepEntry], path: Path) -> None:
+def write_sweep_csv(entries: Sequence[KSweepEntry], path: Path) -> str:
     def metric(value) -> str:
         return "" if value is None else repr(float(value))
 
-    lines = [_csv_line(["k", "accuracy", "sensitivity", "specificity"])]
-    lines += (f"{e.k},{metric(e.accuracy)},{metric(e.sensitivity)},{metric(e.specificity)}\n" for e in entries)
-    write_text(path, "".join(lines))
+    lines = (f"{e.k},{metric(e.accuracy)},{metric(e.sensitivity)},{metric(e.specificity)}\n" for e in entries)
+    return write_text(path, _csv_chunks(["k", "accuracy", "sensitivity", "specificity"], lines))
 
 
-def write_report_json(report: EvaluationReport, path: Path) -> None:
-    write_json(path, report_to_dict(report))
+def write_report_json(report: EvaluationReport, path: Path) -> str:
+    return write_json(path, report_to_dict(report))
 
 
 def read_report_json(path: Path) -> EvaluationReport:

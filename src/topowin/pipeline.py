@@ -13,8 +13,9 @@ changing (say) only k reuses everything up to the distance matrix and
 recomputes only the classification.  Each stage writes one artifact, the
 value it reads back, under ``<runs_root>/<run_id>/<stage>/<key>.<ext>``,
 next to the latest run's provenance, and the artifact's SHA-256 beside it
-in ``<key>.<ext>.sha256``.  A cached artifact is served only when its
-bytes still hash to that digest.
+in ``<key>.<ext>.sha256``, taken from the bytes as they were written.  A
+cached artifact is served only when its bytes still hash to that digest;
+provenance gives the reason an existing artifact was recomputed.
 """
 
 from __future__ import annotations
@@ -226,15 +227,21 @@ class StageArtifact:
     path: Path
     status: str  # "computed", "cached" or "skipped"
     duration_s: float
+    # Why an existing artifact was recomputed: "unverified", "corrupt" or
+    # "unreadable" (see ``_miss_reason``); None for any other stage.
+    reason: str | None = None
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "stage": self.stage,
             "key": self.key,
             "path": str(self.path),
             "status": self.status,
             "duration_s": self.duration_s,
         }
+        if self.reason is not None:
+            out["reason"] = self.reason
+        return out
 
 
 def default_runs_root(out: str | Path | None = None) -> Path:
@@ -343,14 +350,19 @@ def _digest_path(path: Path) -> Path:
     return path.with_name(f"{path.name}.sha256")
 
 
-def _intact(path: Path) -> bool:
-    """Whether ``path`` still holds the bytes whose SHA-256 was recorded
-    beside it when it was written.  A missing or differing digest, like a
-    missing artifact, reads as "no"."""
+def _miss_reason(path: Path) -> str | None:
+    """None when the existing artifact ``path`` still holds the bytes whose
+    SHA-256 was recorded beside it when it was written; else why it cannot
+    be served: ``"unverified"`` (no readable digest beside it) or
+    ``"corrupt"`` (its bytes do not hash to the digest)."""
     try:
-        return _digest_path(path).read_text(encoding="utf-8") == io.sha256_file(path) + "\n"
+        recorded = _digest_path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeError):
-        return False
+        return "unverified"
+    try:
+        return None if recorded == io.sha256_file(path) + "\n" else "corrupt"
+    except OSError:
+        return "corrupt"
 
 
 @dataclass(frozen=True)
@@ -359,7 +371,7 @@ class _Stage:
     filename: str
     inputs: tuple[str, ...]  # stages whose values ``compute`` takes
     compute: Callable  # (*inputs) -> value
-    write: Callable  # (value, path)
+    write: Callable  # (value, path) -> SHA-256 of the bytes written
     read: Callable  # (path, *read_inputs) -> value
     read_inputs: tuple[str, ...] = ()
 
@@ -390,17 +402,17 @@ class _StageRunner:
         if stage in self.values:
             return self.values[stage]
         spec, path = self.stages[stage], self.path(stage)
-        spent = 0.0
+        spent, reason = 0.0, None
         # Inputs are resolved before a stage's clock starts and outside its
         # error prefix, so each stage times and names only its own work.
-        if self.use_cache and _intact(path):
+        if self.use_cache and path.exists() and (reason := _miss_reason(path)) is None:
             args = [self.get(s) for s in spec.read_inputs]
             started = time.perf_counter()
             try:
                 return self._done(stage, spec.read(path, *args), "cached", started)
             except (DataError, ValueError):
                 # An artifact its reader rejects is a cache miss too.
-                spent = time.perf_counter() - started
+                spent, reason = time.perf_counter() - started, "unreadable"
         args = [self.get(s) for s in spec.inputs]
         started = time.perf_counter() - spent
         try:
@@ -410,15 +422,14 @@ class _StageRunner:
             # UnicodeDecodeError take other constructor arguments.
             base = next(t for t in (DataError, NumericalError, ValueError) if isinstance(exc, t))
             raise base(f"stage '{stage}': {exc}") from exc
-        spec.write(value, path)
-        io.write_text(_digest_path(path), io.sha256_file(path) + "\n")
-        return self._done(stage, value, "computed", started)
+        io.write_text(_digest_path(path), spec.write(value, path) + "\n")
+        return self._done(stage, value, "computed", started, reason)
 
-    def _done(self, stage: str, value, status: str, started: float):
+    def _done(self, stage: str, value, status: str, started: float, reason: str | None = None):
         self.values[stage] = value
         duration = round(time.perf_counter() - started, 6)
         key, path = self.keys[stage], self.path(stage)
-        self.artifacts[stage] = StageArtifact(stage, key, path, status, duration)
+        self.artifacts[stage] = StageArtifact(stage, key, path, status, duration, reason)
         return value
 
     def provenance(self) -> list[StageArtifact]:
@@ -467,15 +478,16 @@ def run(
     # ``runner``: that cycle would keep a run's values alive after it returns.
     memo: dict | None = None
 
-    def write_series(series: TimeSeries, path: Path) -> None:
+    def write_series(series: TimeSeries, path: Path) -> str:
         nonlocal memo
         memo = None if windows_cached else {}
-        io.write_series_csv(series, path, memo)
+        return io.write_series_csv(series, path, memo)
 
-    def write_windows(wins: dict, path: Path) -> None:
+    def write_windows(wins: dict, path: Path) -> str:
         nonlocal memo
-        io.write_windows_csv(wins, cfg.schema.features, path, memo)
+        digest = io.write_windows_csv(wins, cfg.schema.features, path, memo)
         memo = None
+        return digest
 
     runner = _StageRunner(
         run_dir,

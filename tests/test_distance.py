@@ -225,6 +225,14 @@ class TestZeroBirthDP:
             want = hungarian_distance(d1, d2, p)
             assert wasserstein(d1, d2, WassersteinConfig(p=p)) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_rows_own_their_data(self, p):
+        # A row that is a view of the dynamic program's table would keep the
+        # whole table alive until the matrix stacks the rows.
+        table = topowin.distance._deaths_table([zero_birth(1.0, 2.0), zero_birth(0.5), zero_birth()])
+        row = topowin.distance._zero_birth_distances([1.0, 3.0], table, p)
+        assert row.shape == (3,) and row.base is None
+
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     def test_matrix_equals_pairwise(self, p):
         rng = np.random.default_rng(int(p * 100))

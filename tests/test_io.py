@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 
 from topowin import PipelineConfig, describe_run, io, run
-from topowin.classify import KSweepEntry
+from topowin.classify import EvaluationReport, KSweepEntry
 from topowin.distance import DistanceMatrix
 from topowin.errors import DataError
-from topowin.ingest import TimeSeries
+from topowin.ingest import StandardizationParams, TimeSeries
 from topowin.persistence import PersistenceDiagram
 from topowin.pointcloud import AugmentedCloud
 from topowin.pipeline import cut_windows
@@ -166,7 +166,7 @@ class TestBytesMatchCsvWriter:
         stages = {s["stage"]: s for s in describe_run(cfg.run_id, tmp_path)["stages"]}
         Path(stages["ingest"]["path"]).unlink()
         memos, write_series_csv = [], io.write_series_csv
-        monkeypatch.setattr(io, "write_series_csv", lambda s, p, memo=None: (memos.append(memo), write_series_csv(s, p, memo)))
+        monkeypatch.setattr(io, "write_series_csv", lambda s, p, memo=None: (memos.append(memo), write_series_csv(s, p, memo))[1])
         run(dataclasses.replace(cfg, standardize_mode="fit_on_train"), synth_csv, runs_root=tmp_path)
         stages = {s["stage"]: s for s in describe_run(cfg.run_id, tmp_path)["stages"]}
         assert (stages["ingest"]["status"], stages["windows"]["status"]) == ("computed", "cached")
@@ -337,14 +337,19 @@ class TestSpecialFloats:
 
 class TestWriteTextSkipsSameBytes:
     """``write_text`` leaves a target that already holds the bytes alone;
-    every other write replaces the target atomically."""
+    every other write replaces the target atomically.  Either way it returns
+    the SHA-256 of the bytes at the target."""
 
-    def test_same_bytes_not_replaced(self, tmp_path, replaced):
+    @pytest.mark.parametrize(
+        "text", ["héllo\n", ["h", "éllo", "\n"], ["", "héllo\n", ""]], ids=["whole", "three-chunks", "empty-ends"]
+    )
+    def test_same_bytes_not_replaced(self, tmp_path, replaced, text):
         path = tmp_path / "a.txt"
         path.write_bytes("héllo\n".encode("utf-8"))
-        io.write_text(path, "héllo\n")
+        assert io.write_text(path, iter(text) if isinstance(text, list) else text) == io.sha256_bytes(path.read_bytes())
         assert replaced == []
         assert path.read_bytes() == "héllo\n".encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]  # the temp file is gone
 
     def test_empty_text_over_empty_file_not_replaced(self, tmp_path, replaced):
         path = tmp_path / "empty.csv"
@@ -384,21 +389,93 @@ class TestWriteTextSkipsSameBytes:
         path = tmp_path / "a.txt"
         path.write_bytes(b"x\n")
 
-        def unreadable(self):
-            raise PermissionError(self)
+        def unreadable(path):
+            raise PermissionError(path)
 
-        monkeypatch.setattr(io.Path, "read_bytes", unreadable)
-        io.write_text(path, "x\n")
+        monkeypatch.setattr(io, "sha256_file", unreadable)
+        assert io.write_text(path, "x\n") == io.sha256_bytes(b"x\n")
         assert replaced == [path]
 
-    def test_missing_target_is_not_encoded(self, tmp_path):
-        # A cold write must not build an encoded copy of the text.
+    def test_missing_target_is_not_read_and_text_encoded_once(self, tmp_path, monkeypatch):
+        # A cold write reads nothing back and makes one encoded copy of each chunk.
+        encoded = []
+
         class Text(str):
             def encode(self, *args, **kwargs):
-                raise AssertionError("encoded before the stat")
+                encoded.append(str(self))
+                return super().encode(*args, **kwargs)
 
-        io.write_text(tmp_path / "a.txt", Text("x\n"))
-        assert (tmp_path / "a.txt").read_bytes() == b"x\n"
+        def unexpected(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(io, "sha256_file", unexpected)
+        assert io.write_text(tmp_path / "a.txt", Text("x\n")) == io.sha256_bytes(b"x\n")
+        chunks = iter([Text("é,"), Text(""), Text("y\n")])
+        assert io.write_text(tmp_path / "b.txt", chunks) == io.sha256_bytes("é,y\n".encode())
+        assert encoded == ["x\n", "é,", "", "y\n"]
+        assert [(tmp_path / n).read_bytes() for n in ("a.txt", "b.txt")] == [b"x\n", "é,y\n".encode()]
+
+    def test_no_chunks_write_an_empty_file(self, tmp_path):
+        assert io.write_text(tmp_path / "a.txt", iter([])) == io.sha256_bytes(b"")
+        assert (tmp_path / "a.txt").read_bytes() == b""
+
+
+# Each writer on small values: path -> the digest it returns.
+WRITERS = {
+    "series": lambda path: io.write_series_csv(series(), path),
+    "params": lambda path: io.write_params_json(StandardizationParams([-0.0, 1e16], [0.1 + 0.2, 5e-324]), path),
+    "windows": lambda path: io.write_windows_csv(windows(), ("a,1", "b"), path),
+    "clouds": lambda path: io.write_clouds_csv(clouds(), path),
+    "diagrams": lambda path: io.write_diagrams_csv(diagrams(), path),
+    "distmat": lambda path: io.write_distmat_csv(distmat(), path),
+    "sweep": lambda path: io.write_sweep_csv([KSweepEntry(1, Fraction(1, 3), None, Fraction(2, 3))], path),
+    "report": lambda path: io.write_report_json(EvaluationReport.from_confusion([0, 1], [[2, 1], [0, 3]]), path),
+    "json": lambda path: io.write_json(path, {"é": [1, None]}),
+    "text": lambda path: io.write_text(path, "é\n"),
+}
+
+
+def chunk_lines(monkeypatch):
+    """Wrap ``io.write_text``; the returned list gets, per call, the line
+    count of each chunk it was handed."""
+    calls, write_text = [], io.write_text
+
+    def recording(path, text):
+        chunks = [text] if isinstance(text, str) else list(text)
+        calls.append([chunk.count("\n") for chunk in chunks])
+        return write_text(path, iter(chunks))
+
+    monkeypatch.setattr(io, "write_text", recording)
+    return calls
+
+
+class TestWritersStreamAndReturnTheirDigest:
+    @pytest.mark.parametrize("kind", WRITERS)
+    def test_returns_the_digest_of_the_file(self, tmp_path, kind):
+        path = tmp_path / "artifact"
+        digest = WRITERS[kind](path)
+        assert digest == io.sha256_file(path)
+        path.write_bytes(b"other\n")
+        assert WRITERS[kind](path) == digest  # rewritten
+        assert WRITERS[kind](path) == digest  # already held the bytes
+        assert io.sha256_file(path) == digest
+
+    @pytest.mark.parametrize("kind", ["series", "windows", "clouds", "diagrams", "distmat", "sweep"])
+    def test_header_then_chunks_of_chunk_rows_lines(self, tmp_path, monkeypatch, kind):
+        monkeypatch.setattr(io, "_CHUNK_ROWS", 2)
+        calls = chunk_lines(monkeypatch)
+        WRITERS[kind](tmp_path / "artifact")
+        (counts,) = calls
+        assert counts[0] == 1 and counts[1:] and all(n == 2 for n in counts[1:-1]) and counts[-1] in (1, 2)
+        assert sum(counts) == len((tmp_path / "artifact").read_bytes().splitlines())
+
+    def test_wide_matrix_chunks_are_bounded_by_cells(self, tmp_path, monkeypatch):
+        width = io._CHUNK_CELLS // 2 - 1  # two rows per chunk
+        m = DistanceMatrix(tuple(range(5)), tuple(range(width)), np.linspace(0, 1, 5 * width).reshape(5, width))
+        calls = chunk_lines(monkeypatch)
+        io.write_distmat_csv(m, tmp_path / "m.csv")
+        assert calls == [[1, 2, 2, 1]]
+        assert io.read_distmat_csv(tmp_path / "m.csv").values.tolist() == m.values.tolist()
 
 
 def replace_line(path, line, text):

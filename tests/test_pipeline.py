@@ -339,6 +339,11 @@ def statuses(cfg, root):
     return {s["stage"]: s["status"] for s in describe_run(cfg.run_id, root)["stages"]}
 
 
+def reasons(cfg, root):
+    """The stages whose provenance gives a reason, with it."""
+    return {s["stage"]: s["reason"] for s in describe_run(cfg.run_id, root)["stages"] if "reason" in s}
+
+
 def recording_reads(monkeypatch):
     """Wrap every ``io.read_*``; the returned list collects (reader, directory of the file read)."""
     called = []
@@ -557,6 +562,7 @@ class TestArtifactDigests:
             shutil.rmtree(run_dir / downstream)
         run(cfg, synth_csv, runs_root=root)
         assert statuses(cfg, root)["diagrams"] == "computed"
+        assert reasons(cfg, root) == {"diagrams": "corrupt"}
         assert path.read_bytes() == original
         assert (run_dir / "report.json").read_bytes() == report
 
@@ -572,9 +578,87 @@ class TestArtifactDigests:
             digest.write_text("0" * 64 + "\n", encoding="utf-8")
         run(cfg, data, runs_root=root)
         assert statuses(cfg, root)["classify"] == "computed"
+        assert reasons(cfg, root) == {"classify": "unverified" if damage == "missing" else "corrupt"}
         assert digest.read_bytes() == recorded
         run(cfg, data, runs_root=root)
         assert list(statuses(cfg, root).values()) == ["cached"] * 7
+        assert reasons(cfg, root) == {}
+
+    def test_cold_run_hashes_only_the_input(self, synth_csv, tmp_path, monkeypatch):
+        # Each digest comes from the bytes as they were written, not a read-back.
+        hashed, sha256_file = [], io.sha256_file
+        monkeypatch.setattr(io, "sha256_file", lambda path: (hashed.append(Path(path)), sha256_file(path))[1])
+        cfg = config_for(synth_csv)
+        run(cfg, synth_csv, runs_root=tmp_path)
+        assert hashed == [Path(synth_csv)]
+        for kind in ARTIFACTS:
+            path = artifact(tmp_path / cfg.run_id, kind)
+            assert path.with_name(f"{path.name}.sha256").read_text(encoding="utf-8") == sha256_file(path) + "\n"
+
+
+def drop_downstream(run_dir, kind):
+    """Delete the stages after the one that writes ``kind``, so a run reads it."""
+    stage = ARTIFACTS[kind][0]
+    for downstream in STAGES[STAGES.index(stage) + 1 :]:
+        shutil.rmtree(run_dir / downstream)
+    return stage
+
+
+class TestMissReasons:
+    """Provenance says why a stage whose artifact existed was recomputed;
+    stages computed without an artifact, or served from cache, give none."""
+
+    @pytest.mark.parametrize("kind", ["series", "distmat", "report"])
+    def test_corrupt(self, warm, kind):
+        cfg, data, root = warm
+        truncate(artifact(root / cfg.run_id, kind))
+        stage = drop_downstream(root / cfg.run_id, kind)
+        run(cfg, data, runs_root=root)
+        assert reasons(cfg, root) == {stage: "corrupt"}
+        assert statuses(cfg, root)[stage] == "computed"
+
+    @pytest.mark.parametrize("kind", ["windows", "params"])
+    def test_unverified(self, warm, kind):
+        cfg, data, root = warm
+        path = artifact(root / cfg.run_id, kind)
+        path.with_name(f"{path.name}.sha256").unlink()
+        stage = drop_downstream(root / cfg.run_id, kind)
+        run(cfg, data, runs_root=root)
+        assert reasons(cfg, root) == {stage: "unverified"}
+        assert statuses(cfg, root)[stage] == "computed"
+
+    def test_unreadable(self, warm):
+        # Bytes that match their digest but that the reader rejects.
+        cfg, data, root = warm
+        path = artifact(root / cfg.run_id, "params")
+        path.write_text("{means: []}", encoding="utf-8")
+        path.with_name(f"{path.name}.sha256").write_text(io.sha256_file(path) + "\n", encoding="utf-8")
+        drop_downstream(root / cfg.run_id, "params")
+        run(cfg, data, runs_root=root)
+        assert reasons(cfg, root) == {"standardize": "unreadable"}
+        assert statuses(cfg, root)["clouds"] == "computed"
+
+    @pytest.mark.parametrize("use_cache", [True, False], ids=["missing-artifact", "no-cache"])
+    def test_no_reason_without_a_failed_check(self, warm, use_cache):
+        cfg, data, root = warm
+        artifact(root / cfg.run_id, "report").unlink()
+        run(cfg, data, runs_root=root, use_cache=use_cache)
+        assert statuses(cfg, root)["classify"] == "computed"
+        assert reasons(cfg, root) == {}
+
+    def test_describe_prints_no_reason(self, warm, tmp_path, capsys):
+        cfg, data, root = warm
+        truncate(artifact(root / cfg.run_id, "report"))
+        config = tmp_path / "small.json"
+        io.write_json(config, cfg.to_dict())
+        assert main(["run", "--config", str(config), "--data", str(data), "--out", str(root), "--describe"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert reasons(cfg, root) == {"classify": "corrupt"}
+        assert [line.split(" key=")[0] for line in lines[-7:]] == [
+            *(f"{stage}: cached" for stage in STAGES[:-1]),
+            "classify: computed",
+        ]
+        assert all(re.fullmatch(r"\w+: \w+ key=[0-9a-f]{16} \([0-9.e-]+s\)", line) for line in lines[-7:])
 
 
 def set_cell(path, line, column, text):
@@ -683,6 +767,20 @@ class TestAtomicWrites:
             p: b for p, b in before.items() if p != provenance
         }
 
+    def test_stream_that_raises_after_its_first_chunk_keeps_the_old_artifact(self, warm):
+        cfg, _, root = warm
+        before = files(root)
+        path = artifact(root / cfg.run_id, "series")
+
+        def chunks():
+            yield "timestamp,f0,f1,f2,label\n"
+            raise DataError("second chunk")
+
+        for target in (path, path.with_name("new.csv")):
+            with pytest.raises(DataError, match="second chunk"):
+                io.write_text(target, chunks())
+        assert files(root) == before  # old bytes, no new file and no temp file left behind
+
 
 def files(run_dir):
     return {p: p.read_bytes() for p in sorted(run_dir.rglob("*")) if p.is_file()}
@@ -750,13 +848,32 @@ class TestUnchangedFilesAreNotRewritten:
         assert len(replaced) == len(rewritten)
 
 
+@pytest.fixture(scope="module")
+def long_run(tmp_path_factory):
+    """(config, data, runs root) of a finished run whose series (3000 rows)
+    and matrix (239 x 359) are each longer than one write chunk, with
+    overlapping windows."""
+    base = tmp_path_factory.mktemp("long")
+    data = base / "synthetic.csv"
+    io.write_series_csv(synthetic_two_class_series(n_windows=300), data)
+    cfg = PipelineConfig.from_dict({**synthetic_config_dict("long", data, n_windows=300), "stride": 5})
+    run(cfg, data, runs_root=base / "runs")
+    return cfg, data, base / "runs"
+
+
 class TestArtifactsRewriteToTheirBytes:
     """A cold run's artifacts, some written through the writers' shared row
     memo, are what the plain writers write for the values read back."""
 
+    def test_long_run_spans_several_chunks(self, long_run):
+        cfg, _, root = long_run
+        assert len(io.read_series_csv(artifact(root / cfg.run_id, "series")).timestamps) > io._CHUNK_ROWS
+        assert io.read_distmat_csv(artifact(root / cfg.run_id, "distmat")).values.size > 2 * io._CHUNK_CELLS
+
+    @pytest.mark.parametrize("which", ["small_run", "long_run"])
     @pytest.mark.parametrize("kind", ARTIFACTS)
-    def test_plain_writer_reproduces_the_artifact(self, small_run, tmp_path, kind):
-        cfg, _, root = small_run
+    def test_plain_writer_reproduces_the_artifact(self, request, tmp_path, kind, which):
+        cfg, _, root = request.getfixturevalue(which)
         run_dir = root / cfg.run_id
         windows = io.read_windows_csv(artifact(run_dir, "windows"))
         counts = {split: len(wins) for split, wins in windows.items()}
