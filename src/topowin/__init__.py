@@ -33,7 +33,6 @@ from .persistence import (
 from .pipeline import PipelineConfig, StageArtifact, describe_run, run
 from .pointcloud import (
     AugmentConfig,
-    AugmentedCloud,
     augment,
     augment_batch,
     default_offset,
@@ -46,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AugmentConfig",
-    "AugmentedCloud",
     "CsvSchema",
     "DataError",
     "DistanceMatrix",

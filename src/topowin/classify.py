@@ -174,11 +174,9 @@ class KSweepEntry:
 def predict_all(
     matrix: DistanceMatrix, train_labels: Sequence[int], cfg: KnnConfig
 ) -> list[int]:
-    if len(train_labels) != len(matrix.col_ids):
-        raise DataError(
-            f"{len(train_labels)} train labels for {len(matrix.col_ids)} matrix columns"
-        )
-    return [knn_predict(matrix.values[i], train_labels, cfg) for i in range(len(matrix.row_ids))]
+    if len(train_labels) != matrix.values.shape[1]:
+        raise DataError(f"{len(train_labels)} train labels for {matrix.values.shape[1]} matrix columns")
+    return [knn_predict(row, train_labels, cfg) for row in matrix.values]
 
 
 def sweep_k(
@@ -189,10 +187,8 @@ def sweep_k(
     tie_break: str = "nearest_neighbor_label",
 ) -> list[KSweepEntry]:
     """Evaluate a list of k values against the same distance matrix."""
-    if len(test_labels) != len(matrix.row_ids):
-        raise DataError(
-            f"{len(test_labels)} test labels for {len(matrix.row_ids)} matrix rows"
-        )
+    if len(test_labels) != len(matrix.values):
+        raise DataError(f"{len(test_labels)} test labels for {len(matrix.values)} matrix rows")
     configs = [KnnConfig(k=k, tie_break=tie_break) for k in ks]
     for cfg in configs:
         if cfg.k > len(train_labels):

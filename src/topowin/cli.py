@@ -225,10 +225,12 @@ def _cmd_distmat(args) -> int:
     cfg, _ = _config(args)
     out = _out_dir(args)
     windows = io.read_windows_csv(_require(args.windows, "--windows"))
-    diagrams = read_diagrams(_require(args.diagrams, "--diagrams"), windows, cfg)
+    counts = {name: len(wins) for name, wins in windows.items()}
+    diagrams = read_diagrams(_require(args.diagrams, "--diagrams"), counts, cfg)
     matrix = compute_distances(diagrams, cfg)
     write_distances(matrix, diagrams, cfg, out / "distmat.csv")
-    print(f"wrote {out / 'distmat.csv'} ({len(matrix.row_ids)} x {len(matrix.col_ids)})")
+    rows, cols = matrix.values.shape
+    print(f"wrote {out / 'distmat.csv'} ({rows} x {cols})")
     return EXIT_OK
 
 

@@ -126,20 +126,16 @@ def wasserstein(
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Rectangular matrix of diagram distances: one row per test window,
-    one column per train window."""
+    """Rectangular matrix of diagram distances: row i is test window i,
+    column j train window j."""
 
-    row_ids: tuple[int, ...]
-    col_ids: tuple[int, ...]
-    values: np.ndarray  # (len(row_ids), len(col_ids)), nonnegative finite
+    values: np.ndarray  # (test windows, train windows), nonnegative finite
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
-        if vals.shape != (len(self.row_ids), len(self.col_ids)):
-            raise ValueError(
-                f"values shaped {vals.shape}, expected ({len(self.row_ids)}, {len(self.col_ids)})"
-            )
+        if vals.ndim != 2:
+            raise ValueError(f"values shaped {vals.shape}, expected a (test, train) matrix")
         if not np.all(np.isfinite(vals)) or np.any(vals < 0):
             raise ValueError("distance entries must be finite and nonnegative")
 
@@ -169,8 +165,4 @@ def distance_matrix(
     else:
         root = 1.0 / cfg.p
         rows = [[_matching_cost(t.pairs, tr.pairs, cfg.p) ** root for tr in train] for t in test]
-    return DistanceMatrix(
-        row_ids=tuple(range(len(test))),
-        col_ids=tuple(range(len(train))),
-        values=np.asarray(rows, dtype=float),
-    )
+    return DistanceMatrix(np.asarray(rows, dtype=float))

@@ -8,6 +8,8 @@ formatter, ``_row_cells``, writes the float cells of the series, windows,
 clouds and distance-matrix rows; ``csv`` formats only header rows and split
 names.  The windows are the series' own rows, so a run hands the series and
 windows writers one memo of row text and formats each series row once.
+A window, cloud or matrix row or column is numbered by its position alone:
+the writers write it, and the readers reject any other number.
 
 Every write goes through ``write_text``, which takes the text whole or as
 chunks: the CSV writers hand it their header, then their rows ``_CHUNK_ROWS``
@@ -45,7 +47,6 @@ from .distance import DistanceMatrix
 from .errors import DataError, NumericalError
 from .ingest import StandardizationParams, TimeSeries
 from .persistence import PersistenceDiagram
-from .pointcloud import AugmentedCloud
 from .windowing import LabeledWindow
 
 
@@ -186,25 +187,42 @@ def _naming(path: Path):
 
 
 def _read_windowed(path: Path, fixed: list[str], window: Callable) -> dict[str, list]:
-    """``{split: [window(index, row of point 0)(points), ...]}`` from columns
+    """``{split: [window(row of point 0)(points), ...]}`` from columns
     ``fixed`` (split, window, point, ...), then the coordinates.  The
-    writers put each window's rows together as points 0, 1, 2, ...; a row
+    writers number each split's windows 0, 1, 2, ... by position and put
+    each window's rows together as points 0, 1, 2, ...; a window or a point
     out of that order is a ``DataError`` naming its line."""
-    groups: dict[str, dict[int, tuple]] = {}
+    splits: dict[str, list[tuple]] = {}
     current, points = None, []
 
     def parse(row: list[str]) -> None:
         nonlocal current, points
         point = int(row[2])
-        if point == 0 and (index := int(row[1])) not in groups.setdefault(row[0], {}):
+        if row[:2] != current or point != len(points):
+            if point != 0:
+                raise ValueError(f"point {point} of split '{row[0]}' window {row[1]} is out of order")
+            if (index := int(row[1])) != len(windows := splits.setdefault(row[0], [])):
+                raise ValueError(f"split '{row[0]}' window {index} where window {len(windows)} is due")
             current, points = row[:2], []
-            groups[row[0]][index] = (window(index, row), points)
-        elif row[:2] != current or point != len(points):
-            raise ValueError(f"point {point} of split '{row[0]}' window {row[1]} is out of order")
+            windows.append((window(row), points))
         points.append(list(map(float, row[len(fixed) :])))
 
     _read_csv(path, f"{','.join(fixed)},...", lambda header: parse if header[: len(fixed)] == fixed else None)
-    return {split: [make(np.array(p)) for make, p in wins.values()] for split, wins in groups.items()}
+    return {split: [make(np.array(p)) for make, p in windows] for split, windows in splits.items()}
+
+
+def _windowed_lines(windows_by_split: Mapping[str, Sequence[tuple]], memo: dict | None = None) -> Iterator[str]:
+    """The lines of a windows or clouds CSV from ``{split: [(points, tail),
+    ...]}``, one per point: ``split,window,point``, the window's ``tail`` (its
+    cells between two commas, or one comma), then the point's coordinates."""
+    for split, windows in windows_by_split.items():
+        if not windows:
+            continue
+        lead = _csv_line([split, ""])[:-1]  # the split cell and its comma
+        coords = _row_cells(np.concatenate([points for points, _ in windows]), memo)
+        for index, (points, tail) in enumerate(windows):
+            head = f"{lead}{index},"
+            yield from (f"{head}{p}{tail}{row}\n" for p, row in enumerate(islice(coords, len(points))))
 
 
 def _holds(path: Path, size: int, digest: str) -> bool:
@@ -324,27 +342,19 @@ def write_windows_csv(
 ) -> str:
     """``memo`` is the one ``write_series_csv`` filled; without one every
     row is formatted."""
-
-    def lines():
-        for split, windows in windows_by_split.items():
-            if not windows:
-                continue
-            lead = _csv_line([split, ""])[:-1]  # the split cell and its comma
-            cells = _row_cells(np.concatenate([win.points for win in windows]), memo)
-            for win in windows:
-                t0, t1 = win.time_range
-                head, tail = f"{lead}{win.index},", f",{win.label},{float(t0)!r},{float(t1)!r},"
-                yield from (f"{head}{p}{tail}{row}\n" for p, row in enumerate(islice(cells, len(win.points))))
-
+    windowed = {
+        split: [(w.points, f",{w.label},{float(w.time_range[0])!r},{float(w.time_range[1])!r},") for w in windows]
+        for split, windows in windows_by_split.items()
+    }
     header = ["split", "window", "point", "label", "t_first", "t_last", *channel_names]
-    return write_text(path, _csv_chunks(header, lines()))
+    return write_text(path, _csv_chunks(header, _windowed_lines(windowed, memo)))
 
 
 def read_windows_csv(path: Path) -> dict[str, list[LabeledWindow]]:
     return _read_windowed(
         path,
         ["split", "window", "point", "label", "t_first", "t_last"],
-        lambda i, r: partial(LabeledWindow, i, label=int(r[3]), time_range=(float(r[4]), float(r[5]))),
+        lambda r: partial(LabeledWindow, label=int(r[3]), time_range=(float(r[4]), float(r[5]))),
     )
 
 
@@ -356,25 +366,16 @@ def window_labels(windows_by_split: Mapping[str, Sequence[LabeledWindow]], split
 
 # --- clouds ----------------------------------------------------------------
 
-def write_clouds_csv(clouds_by_split: Mapping[str, Sequence[AugmentedCloud]], path: Path) -> str:
-    dims = {c.points.shape[1] for clouds in clouds_by_split.values() for c in clouds}
+def write_clouds_csv(clouds_by_split: Mapping[str, Sequence[np.ndarray]], path: Path) -> str:
+    dims = {cloud.shape[1] for clouds in clouds_by_split.values() for cloud in clouds}
     d = dims.pop() if dims else 0
-
-    def lines():
-        for split, clouds in clouds_by_split.items():
-            if not clouds:
-                continue
-            lead = _csv_line([split, ""])[:-1]
-            cells = _row_cells(np.concatenate([cloud.points for cloud in clouds]))
-            for cloud in clouds:
-                head = f"{lead}{cloud.source_window},"
-                yield from (f"{head}{p},{row}\n" for p, row in enumerate(islice(cells, len(cloud.points))))
-
-    return write_text(path, _csv_chunks(["split", "window", "point", *[f"x{i}" for i in range(d)]], lines()))
+    windowed = {split: [(cloud, ",") for cloud in clouds] for split, clouds in clouds_by_split.items()}
+    header = ["split", "window", "point", *[f"x{i}" for i in range(d)]]
+    return write_text(path, _csv_chunks(header, _windowed_lines(windowed)))
 
 
-def read_clouds_csv(path: Path) -> dict[str, list[AugmentedCloud]]:
-    return _read_windowed(path, ["split", "window", "point"], lambda i, r: partial(AugmentedCloud, source_window=i))
+def read_clouds_csv(path: Path) -> dict[str, list[np.ndarray]]:
+    return _read_windowed(path, ["split", "window", "point"], lambda r: np.asarray)
 
 
 # --- diagrams ---------------------------------------------------------------
@@ -460,34 +461,37 @@ def diagram_set_hash(diagrams_by_split: Mapping[str, Sequence[PersistenceDiagram
 # --- distance matrix --------------------------------------------------------
 
 def write_distmat_csv(matrix: DistanceMatrix, path: Path) -> str:
-    rows = max(1, min(_CHUNK_ROWS, _CHUNK_CELLS // max(1, len(matrix.col_ids))))
+    n_rows, n_cols = matrix.values.shape
+    rows = max(1, min(_CHUNK_ROWS, _CHUNK_CELLS // max(1, n_cols)))
 
     def lines():
-        for start in range(0, len(matrix.row_ids), rows):
-            cells = list(_row_cells(matrix.values[start : start + rows]))
-            # Indexed, not zipped: more row ids than value rows is an error, not a short file.
-            yield from (f"{rid},{cells[i]}\n" for i, rid in enumerate(matrix.row_ids[start : start + rows]))
+        for start in range(0, n_rows, rows):
+            cells = _row_cells(matrix.values[start : start + rows])
+            yield from (f"{i},{row}\n" for i, row in enumerate(cells, start))
 
-    return write_text(path, _csv_chunks(["window", *matrix.col_ids], lines(), rows))
+    return write_text(path, _csv_chunks(["window", *range(n_cols)], lines(), rows))
 
 
 def read_distmat_csv(path: Path) -> DistanceMatrix:
-    row_ids, col_ids, values = [], [], []
+    values = []
 
     def start(header: list[str]):
         if header[:1] == ["window"]:
-            col_ids.extend(map(int, header[1:]))
+            for j, cell in enumerate(header[1:]):
+                if int(cell) != j:
+                    raise ValueError(f"column of train window {cell} where window {j} is due")
             return parse
 
     def parse(row: list[str]) -> None:
-        row_ids.append(int(row[0]))
+        if int(row[0]) != len(values):
+            raise ValueError(f"row of test window {row[0]} where window {len(values)} is due")
         values.append(entries := np.array(row[1:], dtype=float))
         if not ((entries >= 0) & np.isfinite(entries)).all():
             raise ValueError("distance entries must be finite and nonnegative")
 
     _read_csv(path, "window,<train windows...>", start)
     with _naming(path):
-        return DistanceMatrix(tuple(row_ids), tuple(col_ids), values)
+        return DistanceMatrix(values)
 
 
 # --- evaluation report -------------------------------------------------------

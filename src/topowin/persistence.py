@@ -65,8 +65,8 @@ class PersistenceDiagram:
 
 
 def cloud_points(cloud) -> np.ndarray:
-    """Accept an AugmentedCloud or a bare (n, d) array of points."""
-    pts = np.asarray(getattr(cloud, "points", cloud), dtype=float)
+    """A cloud, an (n, d) array of points, as floats."""
+    pts = np.asarray(cloud, dtype=float)
     if pts.ndim != 2:
         raise DataError(f"expected an (n, d) point array, got shape {pts.shape}")
     return pts

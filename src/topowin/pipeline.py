@@ -24,6 +24,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -43,7 +44,7 @@ from .ingest import (
 )
 from .persistence import ESSENTIAL_POLICIES, rips_persistence_dim0_batch, rips_persistence_dim1
 from .pointcloud import AugmentConfig, augment_batch, resolve_anchors, resolve_offset
-from .windowing import WindowConfig, make_windows
+from .windowing import WindowConfig, make_windows, window_count
 
 # Not called here: dimension 0 runs one batched pass per split, and the
 # clouds stage standardizes, translates and anchors each split in one
@@ -77,8 +78,8 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.run_id:
-            raise ValueError("run_id must be nonempty")
+        one_directory = partial(_json, str, ok=lambda r: r not in ("", ".", "..") and not {"/", "\\"} & set(r))
+        _field("run_id", self.run_id, one_directory, "one directory name (not empty, '.' or '..'; no '/' or '\\')")
         if self.dimension not in (0, 1):
             raise ValueError(f"homology dimension must be 0 or 1, got {self.dimension}")
         if self.dimension == 1 and self.maxscale is None:
@@ -149,21 +150,29 @@ class PipelineConfig:
         def integer(field, default):
             return number(field, _integer, default, "an integer")
 
-        for field in ("schema", "splits", "window"):
+        for field in ("run_id", "schema", "splits", "window"):
             if field not in payload:
                 raise ValueError(f"config field '{field}' is required")
 
-        schema = _field(
-            "schema",
-            payload["schema"],
-            lambda s: (s["timestamp"], tuple(s["features"]), s["label"], s.get("delimiter", ",")),
-            "an object with timestamp, features and label",
+        expected = "an object with timestamp, features and label"
+        columns = _field("schema", payload["schema"], partial(_json, dict), expected)
+
+        def column(key, parse, expected, default=None):
+            if key not in columns and default is None:
+                raise ValueError(f"config field 'schema.{key}' is required")
+            return _field(f"schema.{key}", columns.get(key, default), parse, expected)
+
+        schema = CsvSchema(
+            column("timestamp", _string, "a string"),
+            column("features", lambda v: tuple(map(_string, _json(list, v))), "a list of strings"),
+            column("label", _string, "a string"),
+            column("delimiter", partial(_json, str, ok=lambda c: len(c) == 1), "one character", ","),
         )
         splits = _field(
             "splits",
             payload["splits"],
-            lambda rows: tuple((r[0], _integer(r[1]), _integer(r[2])) for r in rows),
-            "a list of [name, start, stop] with integer bounds",
+            lambda rows: tuple(map(_split, _json(list, rows))),
+            "a list of [name, start, stop] with a string name and integer bounds",
         )
         maxscale = payload.get("maxscale")
         if maxscale is not None:
@@ -175,7 +184,7 @@ class PipelineConfig:
         )
         return cls(
             run_id=payload["run_id"],
-            schema=CsvSchema(*schema),
+            schema=schema,
             splits=SplitSpec(splits),
             window=window,
             standardize_mode=payload.get("standardize", "fit_on_combined"),
@@ -193,18 +202,23 @@ class PipelineConfig:
         )
 
 
-def _number(value):
-    """``value`` itself if it is a JSON number; an int stays an int."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+def _json(kind, value, ok: Callable = lambda v: True):
+    """``value`` itself if it is a JSON value of type ``kind`` (a bool is no
+    number) for which ``ok`` holds; else a ``TypeError``."""
+    if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
         raise TypeError(value)
     return value
 
 
-def _integer(value):
-    """``value`` itself if it is a JSON integer: no bool, float or str."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(value)
-    return value
+_number = partial(_json, (int, float))  # an int stays an int
+_integer = partial(_json, int)
+_string = partial(_json, str)
+
+
+def _split(row):
+    """A split row: exactly ``[name, start, stop]``, a string and two integers."""
+    name, start, stop = _json(list, row)
+    return _string(name), _integer(start), _integer(stop)
 
 
 def _field(name: str, value, parse: Callable, expected: str):
@@ -298,20 +312,17 @@ def compute_diagrams(clouds_by_split: dict, cfg: PipelineConfig) -> dict:
     }
 
 
-def read_diagrams(path: Path, windows_by_split: dict, cfg: PipelineConfig) -> dict:
-    """Diagrams from a diagrams CSV; the window counts come from
-    ``windows_by_split``.  In dimension 1 a window without rows gets an
-    empty diagram.  In dimension 0 a window of two or more points without
-    rows is a ``DataError``: its minimum spanning tree has an edge, so its
-    diagram has a pair, and the file must have skipped it."""
-    counts = {name: len(wins) for name, wins in windows_by_split.items()}
+def read_diagrams(path: Path, counts: dict[str, int], cfg: PipelineConfig) -> dict:
+    """Diagrams from a diagrams CSV of ``counts[split]`` windows per split.
+    In dimension 1 a window without rows gets an empty diagram.  In
+    dimension 0 a window without rows is a ``DataError``: a cut window has
+    two or more points, so its minimum spanning tree has an edge and its
+    diagram a pair, and the file must have skipped it."""
     policy = cfg.essential_policy if cfg.dimension == 0 else "capped"
     diagrams = io.read_diagrams_csv(path, counts, cfg.dimension, policy)
-    if cfg.dimension == 0:
-        for name, wins in windows_by_split.items():
-            for win, diagram in zip(wins, diagrams[name]):
-                if not diagram.pairs and len(win.points) >= 2:
-                    raise DataError(f"{path}: no rows for split '{name}' window {win.index}")
+    empty = ((name, i) for name, ds in diagrams.items() for i, d in enumerate(ds) if not d.pairs)
+    if cfg.dimension == 0 and (first := next(empty, None)):
+        raise DataError(f"{path}: no rows for split '{first[0]}' window {first[1]}")
     return diagrams
 
 
@@ -372,8 +383,7 @@ class _Stage:
     inputs: tuple[str, ...]  # stages whose values ``compute`` takes
     compute: Callable  # (*inputs) -> value
     write: Callable  # (value, path) -> SHA-256 of the bytes written
-    read: Callable  # (path, *read_inputs) -> value
-    read_inputs: tuple[str, ...] = ()
+    read: Callable  # (path) -> value
 
 
 class _StageRunner:
@@ -403,16 +413,15 @@ class _StageRunner:
             return self.values[stage]
         spec, path = self.stages[stage], self.path(stage)
         spent, reason = 0.0, None
-        # Inputs are resolved before a stage's clock starts and outside its
-        # error prefix, so each stage times and names only its own work.
         if self.use_cache and path.exists() and (reason := _miss_reason(path)) is None:
-            args = [self.get(s) for s in spec.read_inputs]
             started = time.perf_counter()
             try:
-                return self._done(stage, spec.read(path, *args), "cached", started)
+                return self._done(stage, spec.read(path), "cached", started)
             except (DataError, ValueError):
                 # An artifact its reader rejects is a cache miss too.
                 spent, reason = time.perf_counter() - started, "unreadable"
+        # Inputs are resolved before a stage's clock starts and outside its
+        # error prefix, so each stage times and names only its own work.
         args = [self.get(s) for s in spec.inputs]
         started = time.perf_counter() - spent
         try:
@@ -472,6 +481,7 @@ def run(
     data_hash = io.sha256_file(data)
     cfg_dict = cfg.to_dict()
     aug_cfg = augment_config(cfg)
+    counts = {r.name: window_count(r.stop - r.start, cfg.window.w, cfg.window.s) for r in cfg.splits.boundaries}
     # Row bytes to row text, kept from the series write to the windows write
     # when the windows (the series' own rows) are still to be written, so
     # their writer formats no row again.  The writers must not refer to
@@ -538,8 +548,7 @@ def run(
                 ("clouds",),
                 lambda clouds: compute_diagrams(clouds, cfg),
                 io.write_diagrams_csv,
-                lambda path, wins: read_diagrams(path, wins, cfg),
-                read_inputs=("windows",),
+                lambda path: read_diagrams(path, counts, cfg),
             ),
             "distances": _Stage(
                 {

@@ -4,9 +4,10 @@ window point clouds.
 Standardizing puts heterogeneous channels on one scale, adding a fixed
 offset vector with distinct components makes them distinguishable, and
 adjoining fixed anchor points makes clouds that differ only by a
-translation produce different distance structure.  ``augment_batch``
-embeds all windows of a split in one broadcast; ``augment`` is that pass
-on a list of one.
+translation produce different distance structure.  A cloud is a bare
+(n, d) float array, window points first and anchors after them.
+``augment_batch`` embeds all windows of a split in one broadcast;
+``augment`` is that pass on a list of one.
 """
 
 from __future__ import annotations
@@ -57,19 +58,9 @@ class AugmentConfig:
         return cls(offset=default_offset(d), anchors=np.zeros((1, d)))
 
 
-@dataclass(frozen=True)
-class AugmentedCloud:
-    """Translated window points with anchors appended after them."""
-
-    points: np.ndarray  # (w + k, d)
-    source_window: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
-
-
-def augment(window: LabeledWindow, cfg: AugmentConfig) -> AugmentedCloud:
-    """Translate every window point by the offset, then append the anchors.
+def augment(window: LabeledWindow, cfg: AugmentConfig) -> np.ndarray:
+    """The (w + k, d) cloud of one window: every point translated by the
+    offset, then the anchors appended.
 
     Duplicate points (a translated point landing on an anchor) are kept;
     the input window is not modified.
@@ -81,28 +72,28 @@ def augment_batch(
     windows: Sequence[LabeledWindow],
     cfg: AugmentConfig,
     params: StandardizationParams | None = None,
-) -> list[AugmentedCloud]:
-    """The clouds of many windows, in input order: each window's points
-    standardized by ``params`` (when given), translated by the offset, then
-    followed by the anchors.
+) -> list[np.ndarray]:
+    """The clouds of many windows, in input order, each a (w + k, d) array:
+    the window's points standardized by ``params`` (when given), translated
+    by the offset, then followed by the anchors.
 
     Windows of one point count are embedded together in one broadcast,
     ``(points - means) / sds + offset``: per coordinate the same operations
     in the same order as standardizing the series and then translating one
     window, so the clouds are the same floats.  A coordinate that is not
     finite afterwards (an overflow from a tiny SD) is a ``DataError``
-    naming its window.
+    naming its window by its position in ``windows``.
     """
     if params is not None and params.dimension != cfg.dimension:
         raise DataError(f"standardizer has {params.dimension} channels, config has {cfg.dimension}")
-    groups: dict[int, list[int]] = {}  # window indices by point count
+    groups: dict[int, list[int]] = {}  # window positions by point count
     for i, window in enumerate(windows):
         n, d = window.points.shape
         if d != cfg.dimension:
             raise DataError(f"window dimension {d} does not match config dimension {cfg.dimension}")
         groups.setdefault(n, []).append(i)
     k = cfg.anchors.shape[0]
-    out: list[AugmentedCloud | None] = [None] * len(windows)
+    out: list[np.ndarray | None] = [None] * len(windows)
     for w, members in groups.items():
         points = np.stack([windows[i].points for i in members])
         clouds = np.empty((len(members), w + k, cfg.dimension))
@@ -113,10 +104,10 @@ def augment_batch(
         clouds[:, w:] = cfg.anchors
         finite = np.isfinite(clouds[:, :w]).all(axis=(1, 2))
         if not finite.all():
-            bad = windows[members[int(np.argmin(finite))]].index
+            bad = members[int(np.argmin(finite))]
             raise DataError(f"window {bad}: a coordinate is not finite after standardizing and translating")
         for i, cloud in zip(members, clouds):
-            out[i] = AugmentedCloud(points=cloud, source_window=windows[i].index)
+            out[i] = cloud
     return out
 
 

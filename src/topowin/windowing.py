@@ -36,9 +36,9 @@ class WindowConfig:
 
 @dataclass(frozen=True)
 class LabeledWindow:
-    """Window ``index`` (0-based) holds source rows s*index .. s*index+w-1."""
+    """One window of a split.  Its position i in the split's list is its
+    only number: it holds source rows s*i .. s*i+w-1."""
 
-    index: int
     points: np.ndarray  # (w, d)
     label: int
     time_range: tuple[float, float]
@@ -94,6 +94,6 @@ def make_windows(series: TimeSeries, cfg: WindowConfig) -> list[LabeledWindow]:
     firsts = series.timestamps[starts].tolist()
     lasts = series.timestamps[starts + cfg.w - 1].tolist()
     return [
-        LabeledWindow(index=i, points=points[i], label=label, time_range=(t0, t1))
-        for i, (label, t0, t1) in enumerate(zip(window_labels, firsts, lasts))
+        LabeledWindow(pts, label, (t0, t1))
+        for pts, label, t0, t1 in zip(points, window_labels, firsts, lasts)
     ]

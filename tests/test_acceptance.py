@@ -44,7 +44,7 @@ def report_pass(n: int, detail: str) -> None:
 
 
 def window_from(points):
-    return LabeledWindow(index=0, points=np.asarray(points, dtype=float), label=0, time_range=(0.0, 1.0))
+    return LabeledWindow(points=np.asarray(points, dtype=float), label=0, time_range=(0.0, 1.0))
 
 
 def test_criterion_1_augmentation_micro_values():
@@ -52,10 +52,10 @@ def test_criterion_1_augmentation_micro_values():
     cfg = AugmentConfig(offset=np.array([0.0, 1.0, 2.0, 3.0, 4.0]), anchors=np.zeros((1, 5)))
     y1 = augment(window_from([[0, 0, 0, 0, 0], [1, 0, 0, 0, 0]]), cfg)
     y2 = augment(window_from([[0, 0, 0, 0, 0], [0, 1, 0, 0, 0]]), cfg)
-    assert {tuple(p) for p in y1.points} == {(0, 1, 2, 3, 4), (1, 1, 2, 3, 4), (0, 0, 0, 0, 0)}
-    assert {tuple(p) for p in y2.points} == {(0, 1, 2, 3, 4), (0, 2, 2, 3, 4), (0, 0, 0, 0, 0)}
-    d1 = float(np.linalg.norm(y1.points[1] - y1.points[2]))  # (1,1,2,3,4) to origin
-    d2 = float(np.linalg.norm(y2.points[1] - y2.points[2]))  # (0,2,2,3,4) to origin
+    assert {tuple(p) for p in y1} == {(0, 1, 2, 3, 4), (1, 1, 2, 3, 4), (0, 0, 0, 0, 0)}
+    assert {tuple(p) for p in y2} == {(0, 1, 2, 3, 4), (0, 2, 2, 3, 4), (0, 0, 0, 0, 0)}
+    d1 = float(np.linalg.norm(y1[1] - y1[2]))  # (1,1,2,3,4) to origin
+    d2 = float(np.linalg.norm(y2[1] - y2[2]))  # (0,2,2,3,4) to origin
     assert abs(d1 - math.sqrt(31)) < 1e-12
     assert abs(d2 - math.sqrt(33)) < 1e-12
     elapsed = time.perf_counter() - started

@@ -46,3 +46,27 @@ def test_micro_compute_calls_every_layer(perfbench):
 
     metrics = micro.compute(1)
     assert {f"{name}.n" for name in micro.COMPUTE_SAMPLES} <= set(metrics)
+
+
+def test_traced_run_completes(perfbench, small_run, tmp_path):
+    """A cold run with every traced function wrapped, as ``--trace 1`` runs
+    it: the wrappers and their counters take what the program passes and
+    returns, the run writes the report of the untraced run, and the layer
+    self times add up to the traced run."""
+    import tracing
+
+    cfg, data, root = small_run
+    tracer = tracing.Tracer()
+    traced_run = tracer.wrap("pipeline.run", topowin.pipeline.run)
+    uninstall = tracer.install()
+    try:
+        traced_run(cfg, data, runs_root=tmp_path)
+    finally:
+        uninstall()
+    for name in ("report.json", "report.txt"):
+        assert (tmp_path / cfg.run_id / name).read_bytes() == (root / cfg.run_id / name).read_bytes()
+    statuses = {s["stage"]: s["status"] for s in topowin.describe_run(cfg.run_id, tmp_path)["stages"]}
+    assert set(statuses.values()) == {"computed"}
+    layers = tracer.layer_metrics(1)
+    assert abs(sum(layers[k] for k in tracing.SELF_METRICS) - layers["trace.run_s"]) <= 1e-6
+    assert (layers["windowing.windows"], layers["classify.rows"]) == (30, 12)

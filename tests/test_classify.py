@@ -147,12 +147,12 @@ def small_matrix():
             [0.9, 0.1, 0.8, 0.7],
         ]
     )
-    return DistanceMatrix(row_ids=(0, 1), col_ids=(0, 1, 2, 3), values=values)
+    return DistanceMatrix(values)
 
 
 class TestSweepK:
     def test_single_identical_pair(self):
-        matrix = DistanceMatrix(row_ids=(0,), col_ids=(0,), values=np.zeros((1, 1)))
+        matrix = DistanceMatrix(np.zeros((1, 1)))
         entries = sweep_k(matrix, [1], [1], ks=[1])
         assert entries[0].accuracy == 1
 

@@ -1,13 +1,13 @@
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from topowin import describe_run, io
+from topowin import DistanceMatrix, describe_run, io
 from topowin.cli import main, write_distances
 from topowin.io import read_json, write_json
 from topowin.pipeline import PipelineConfig, read_diagrams
@@ -259,8 +259,9 @@ class TestStagesMatchRun:
         (matrix,) = run_dir.glob("distances/*.distmat.csv")
         (diagrams,) = run_dir.glob("diagrams/*.diagrams.csv")
         windows = io.read_windows_csv(next(run_dir.glob("windows/*.windows.csv")))
+        counts = {name: len(wins) for name, wins in windows.items()}
         write_distances(
-            io.read_distmat_csv(matrix), read_diagrams(diagrams, windows, cfg), cfg, tmp_path / "sidecar.csv"
+            io.read_distmat_csv(matrix), read_diagrams(diagrams, counts, cfg), cfg, tmp_path / "sidecar.csv"
         )
         assert (out / "distmat.json").read_bytes() == (tmp_path / "sidecar.json").read_bytes()
 
@@ -416,6 +417,40 @@ class TestConfigErrors:
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("run_id", 5),
+            ("run_id", "../escaped"),
+            ("run_id", "a/b"),
+            ("run_id", "a\\b"),
+            ("run_id", ".."),
+            ("run_id", ""),
+            ("schema.delimiter", ";;"),
+            ("schema.delimiter", 5),
+            ("schema.features", "f0"),
+            ("schema.features", ["f0", 1]),
+            ("schema.timestamp", 0),
+            ("schema.label", ["label"]),
+            ("splits", [["train", 0, 600, 9], ["test", 600, 1000]]),
+            ("splits", [[0, 0, 600], ["test", 600, 1000]]),
+        ],
+        ids=[
+            "run_id-int", "run_id-parent", "run_id-slash", "run_id-backslash", "run_id-dotdot", "run_id-empty",
+            "delimiter-two-chars", "delimiter-int", "features-string", "features-int", "timestamp-int",
+            "label-list", "split-four-cells", "split-int-name",
+        ],
+    )
+    def test_ill_formed_field_is_a_usage_error_before_any_output(self, tmp_path, synth_csv, name, value, capsys):
+        payload = synthetic_config_dict("bad", synth_csv, n_windows=100)
+        (payload["schema"] if name.startswith("schema.") else payload)[name.split(".")[-1]] = value
+        config = tmp_path / "config" / "bad.json"
+        write_json(config, payload)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out" / "runs")]) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: config field '{name}' must be ")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize(
         "text, message",
         [("{window: 10}", "Expecting property name enclosed in double quotes"), ("[1, 2]", "a config is one JSON object")],
         ids=["not-json", "not-an-object"],
@@ -428,6 +463,76 @@ class TestConfigErrors:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"usage error: {path}: {message}")
         assert not (tmp_path / "out").exists()
+
+
+def edit_rows(path, prefix, edit):
+    """Apply ``edit`` to every line of ``path`` that starts with ``prefix``
+    (``None`` drops the line); returns the 1-based number of the first."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    first = 1 + next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    edited = [line if not line.startswith(prefix) else edit(line) for line in lines]
+    path.write_text("\n".join(line for line in edited if line is not None), encoding="utf-8")
+    return first
+
+
+def renumbered(split, window, number):
+    """The edit that gives the rows of ``split`` window ``window`` the number ``number``."""
+    return f"{split},{window},", lambda line: f"{split},{number},{line.split(',', 2)[2]}"
+
+
+class TestNumberingErrors:
+    """A windows or matrix file whose numbers are not positions is a data
+    error naming the file and the line, and the command writes nothing."""
+
+    @pytest.mark.parametrize(
+        "option, edit, message",
+        [
+            ("windows", renumbered("test", 1, 2), "split 'test' window 2 where window 1 is due"),
+            ("windows", renumbered("test", 1, 0), "split 'test' window 0 where window 1 is due"),
+            ("windows", renumbered("train", 0, 1), "split 'train' window 1 where window 0 is due"),
+            (
+                "matrix",
+                ("window,", lambda line: line.replace("window,0,1,", "window,0,2,")),
+                "column of train window 2 where window 1 is due",
+            ),
+            ("matrix", ("1,", lambda line: "0," + line[2:]), "row of test window 0 where window 1 is due"),
+        ],
+        ids=["windows-gap", "windows-repeated", "windows-first-not-0", "distmat-column", "distmat-row"],
+    )
+    def test_classify_is_a_data_error(self, small_run, tmp_path, option, edit, message, capsys):
+        cfg, _, root = small_run
+        config = tmp_path / "small.json"
+        write_json(config, cfg.to_dict())
+        (matrix,) = (root / cfg.run_id).glob("distances/*.distmat.csv")
+        (windows,) = (root / cfg.run_id).glob("windows/*.windows.csv")
+        inputs = {"matrix": matrix, "windows": windows}
+        damaged = tmp_path / inputs[option].name
+        shutil.copyfile(inputs[option], damaged)
+        inputs[option] = damaged
+        line = edit_rows(damaged, *edit)
+        out = tmp_path / "out"
+        argv = ["classify", "--config", str(config), "--out", str(out)]
+        assert main([*argv, "--matrix", str(inputs["matrix"]), "--windows", str(inputs["windows"])]) == 2
+        assert capsys.readouterr().err == f"data error: {damaged}: line {line}: {message}\n"
+        assert not out.exists()
+
+    def test_diagrams_rejects_windows_with_deleted_test_windows(self, tmp_path, config_path, synth_csv, capsys):
+        # Read as windows 0 2 4 5 ..., the file would give clouds and diagrams
+        # different numbers for the same windows.
+        stages = tmp_path / "stages"
+        assert main(["ingest", "--config", str(config_path), "--data", str(synth_csv), "--out", str(stages)]) == 0
+        argv = ["windows", "--config", str(config_path), "--series", str(stages / "series.csv"), "--out", str(stages)]
+        assert main(argv) == 0
+        windows = stages / "windows.csv"
+        line = edit_rows(windows, "test,1,", lambda line: None)  # window 2 now starts here
+        edit_rows(windows, "test,3,", lambda line: None)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = ["diagrams", "--config", str(config_path), "--windows", str(windows), "--out", str(out)]
+        assert main([*argv, "--params", str(stages / "params.json")]) == 2
+        message = f"line {line}: split 'test' window 2 where window 1 is due"
+        assert capsys.readouterr().err == f"data error: {windows}: {message}\n"
+        assert not out.exists()
 
 
 class TestStageCommandsLeaveNoOutDirOnError:
@@ -508,12 +613,9 @@ class TestWarnings:
         train, test = windows["train"], windows["test"]
         # Every test window's nearest neighbour is a class-0 train window, so
         # nothing is predicted as class 1 and its precision is 0/0.
-        nearest = next(w.index for w in train if w.label == 0)
-        values = [[0.0 if w.index == nearest else 1.0 for w in train] for _ in test]
-        matrix = SimpleNamespace(
-            row_ids=[w.index for w in test], col_ids=[w.index for w in train], values=np.asarray(values)
-        )
-        io.write_distmat_csv(matrix, out / "distmat.csv")
+        nearest = next(i for i, w in enumerate(train) if w.label == 0)
+        values = [[0.0 if i == nearest else 1.0 for i in range(len(train))] for _ in test]
+        io.write_distmat_csv(DistanceMatrix(np.asarray(values)), out / "distmat.csv")
         src = Path(__file__).resolve().parent.parent / "src"
         argv = ["classify", "--config", str(config_path), "--k", "1", "--out", str(out)]
         done = subprocess.run(

@@ -1,4 +1,5 @@
 import math
+import re
 import os
 import subprocess
 import sys
@@ -174,9 +175,11 @@ class TestDistanceMatrix:
 
     def test_matrix_invariants_enforced(self):
         with pytest.raises(ValueError):
-            DistanceMatrix(row_ids=(0,), col_ids=(0,), values=np.array([[-1.0]]))
-        with pytest.raises(ValueError):
-            DistanceMatrix(row_ids=(0,), col_ids=(0, 1), values=np.zeros((1, 1)))
+            DistanceMatrix(np.array([[-1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            DistanceMatrix(np.array([[np.inf]]))
+        with pytest.raises(ValueError, match=re.escape("values shaped (2,), expected a (test, train) matrix")):
+            DistanceMatrix(np.zeros(2))
 
 
 def zero_birth(*deaths, policy="dropped"):

@@ -23,7 +23,6 @@ from topowin.distance import DistanceMatrix
 from topowin.errors import DataError
 from topowin.ingest import StandardizationParams, TimeSeries
 from topowin.persistence import PersistenceDiagram
-from topowin.pointcloud import AugmentedCloud
 from topowin.pipeline import cut_windows
 from topowin.windowing import LabeledWindow, WindowConfig, make_windows
 from conftest import synthetic_config_dict
@@ -62,7 +61,7 @@ def windows():
     points = np.array(SPECIAL).reshape(3, 2)
     return {
         split: [
-            LabeledWindow(index=i, points=points * (-1) ** i, label=i % 2, time_range=(SPECIAL[i], SPECIAL[-1]))
+            LabeledWindow(points=points * (-1) ** i, label=i % 2, time_range=(SPECIAL[i], SPECIAL[-1]))
             for i in range(2)
         ]
         for split in SPLITS
@@ -81,16 +80,16 @@ def windows_rows(wins, channel_names):
     """``csv.writer`` rows of ``write_windows_csv``."""
     rows = [["split", "window", "point", "label", "t_first", "t_last", *channel_names]]
     for split, ws in wins.items():
-        for win in ws:
+        for index, win in enumerate(ws):
             t0, t1 = win.time_range
             for p, point in enumerate(win.points):
-                rows.append([split, win.index, p, win.label, repr(float(t0)), repr(float(t1))] + [repr(float(v)) for v in point])
+                rows.append([split, index, p, win.label, repr(float(t0)), repr(float(t1))] + [repr(float(v)) for v in point])
     return rows
 
 
 def clouds():
     points = np.array(SPECIAL).reshape(2, 3)
-    return {split: [AugmentedCloud(points=points, source_window=i) for i in (0, 3)] for split in SPLITS}
+    return {split: [points, -points] for split in SPLITS}
 
 
 def diagrams():
@@ -106,7 +105,7 @@ def diagrams():
 
 
 def distmat():
-    return DistanceMatrix(row_ids=(4, 7), col_ids=(0, 1, 2), values=np.array(SPECIAL).reshape(2, 3))
+    return DistanceMatrix(np.array(SPECIAL).reshape(2, 3))
 
 
 class TestBytesMatchCsvWriter:
@@ -126,8 +125,8 @@ class TestBytesMatchCsvWriter:
         flipped = s.values[:1] * [-1.0, 1.0]  # equal to row 0 as floats, not as bytes
         wins = {
             "test": [
-                LabeledWindow(0, np.vstack([flipped, s.values[:2]]), 0, (0.0, 1.0)),
-                LabeledWindow(1, s.values[2:5], 1, (2.0, 3.0)),
+                LabeledWindow(np.vstack([flipped, s.values[:2]]), 0, (0.0, 1.0)),
+                LabeledWindow(s.values[2:5], 1, (2.0, 3.0)),
             ]
         }
         memo = {}
@@ -179,9 +178,9 @@ class TestBytesMatchCsvWriter:
         io.write_clouds_csv(cl, tmp_path / "c.csv")
         expected = [["split", "window", "point", "x0", "x1", "x2"]]
         for split, cs in cl.items():
-            for cloud in cs:
-                for p, point in enumerate(cloud.points):
-                    expected.append([split, cloud.source_window, p] + [repr(float(v)) for v in point])
+            for index, cloud in enumerate(cs):
+                for p, point in enumerate(cloud):
+                    expected.append([split, index, p] + [repr(float(v)) for v in point])
         assert (tmp_path / "c.csv").read_bytes() == csv_bytes(expected)
 
     def test_diagrams(self, tmp_path):
@@ -197,7 +196,7 @@ class TestBytesMatchCsvWriter:
         m = distmat()
         io.write_distmat_csv(m, tmp_path / "m.csv")
         expected = [["window", "0", "1", "2"]] + [
-            [str(rid)] + [repr(float(v)) for v in m.values[i]] for i, rid in enumerate(m.row_ids)
+            [str(i)] + [repr(float(v)) for v in row] for i, row in enumerate(m.values)
         ]
         assert (tmp_path / "m.csv").read_bytes() == csv_bytes(expected)
 
@@ -243,7 +242,7 @@ class TestReadBack:
         assert list(again) == list(wins)
         for split in wins:
             for got, want in zip(again[split], wins[split], strict=True):
-                assert (got.index, got.label, got.time_range) == (want.index, want.label, want.time_range)
+                assert (got.label, got.time_range) == (want.label, want.time_range)
                 assert got.points.tolist() == want.points.tolist()
 
     def test_clouds(self, tmp_path):
@@ -253,8 +252,7 @@ class TestReadBack:
         assert list(again) == list(cl)
         for split in cl:
             for got, want in zip(again[split], cl[split], strict=True):
-                assert got.source_window == want.source_window
-                assert got.points.tolist() == want.points.tolist()
+                assert got.tolist() == want.tolist()
 
     def test_diagrams(self, tmp_path):
         diags = diagrams()
@@ -290,7 +288,6 @@ class TestReadBack:
         m = distmat()
         io.write_distmat_csv(m, tmp_path / "m.csv")
         again = io.read_distmat_csv(tmp_path / "m.csv")
-        assert (again.row_ids, again.col_ids) == (m.row_ids, m.col_ids)
         assert again.values.tolist() == m.values.tolist()
 
 
@@ -471,7 +468,7 @@ class TestWritersStreamAndReturnTheirDigest:
 
     def test_wide_matrix_chunks_are_bounded_by_cells(self, tmp_path, monkeypatch):
         width = io._CHUNK_CELLS // 2 - 1  # two rows per chunk
-        m = DistanceMatrix(tuple(range(5)), tuple(range(width)), np.linspace(0, 1, 5 * width).reshape(5, width))
+        m = DistanceMatrix(np.linspace(0, 1, 5 * width).reshape(5, width))
         calls = chunk_lines(monkeypatch)
         io.write_distmat_csv(m, tmp_path / "m.csv")
         assert calls == [[1, 2, 2, 1]]
@@ -488,7 +485,7 @@ def replace_line(path, line, text):
 def simple_windows():
     """Split 'a': window 0 on lines 2-4, window 1 on lines 5-7."""
     points = np.arange(6.0).reshape(3, 2)
-    return {"a": [LabeledWindow(index=i, points=points + i, label=i, time_range=(float(i), i + 0.5)) for i in range(2)]}
+    return {"a": [LabeledWindow(points=points + i, label=i, time_range=(float(i), i + 0.5)) for i in range(2)]}
 
 
 class TestMalformedReads:
@@ -503,11 +500,11 @@ class TestMalformedReads:
             ("windows", 3, "a,0,x,0,0.0,0.5,2.0,3.0", "invalid literal for int()"),
             ("windows", 2, "a,0,0,0,zz,0.5,0.0,1.0", "could not convert string to float: 'zz'"),
             ("clouds", 7, "test,0,1,1.0,abc,2.0", "could not convert string to float: 'abc'"),
-            ("distmat", 3, "7,1.0,abc1.5,2.0", "could not convert string to float: 'abc1.5'"),
-            ("distmat", 2, "4,1.0,-1.0,2.0", "distance entries must be finite and nonnegative"),
-            ("distmat", 2, "4,1.0,nan,2.0", "distance entries must be finite and nonnegative"),
+            ("distmat", 3, "1,1.0,abc1.5,2.0", "could not convert string to float: 'abc1.5'"),
+            ("distmat", 2, "0,1.0,-1.0,2.0", "distance entries must be finite and nonnegative"),
+            ("distmat", 2, "0,1.0,nan,2.0", "distance entries must be finite and nonnegative"),
             ("distmat", 3, "x,1.0,1.0,2.0", "invalid literal for int()"),
-            ("distmat", 3, "7,1.0,2.0", "3 fields, the header 4"),
+            ("distmat", 3, "1,1.0,2.0", "3 fields, the header 4"),
         ],
         ids=[
             "series-value", "series-label", "windows-point", "windows-time", "clouds-coordinate",
@@ -573,7 +570,7 @@ class TestMalformedReads:
     def test_header_only_distmat_names_the_file(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("window,0,1,2\n", encoding="utf-8")
-        with pytest.raises(DataError, match=re.escape(f"{path}: values shaped (0,), expected (0, 3)")):
+        with pytest.raises(DataError, match=re.escape(f"{path}: values shaped (0,), expected a (test, train) matrix")):
             io.read_distmat_csv(path)
 
     def test_series_check_on_the_whole_value_names_the_file(self, tmp_path):
@@ -642,7 +639,7 @@ class TestWindowedRowOrder:
             (lambda lines: lines.insert(1, lines.pop(2)), 2, "point 1 of split 'a' window 0 is out of order"),
             (lambda lines: lines.pop(2), 3, "point 2 of split 'a' window 0 is out of order"),
             (lambda lines: lines.insert(2, lines.pop(4)), 4, "point 1 of split 'a' window 0 is out of order"),
-            (lambda lines: lines.insert(7, lines[1]), 8, "point 0 of split 'a' window 0 is out of order"),
+            (lambda lines: lines.insert(7, lines[1]), 8, "split 'a' window 0 where window 2 is due"),
             (lambda lines: lines.pop(1), 2, "point 1 of split 'a' window 0 is out of order"),
         ],
         ids=["points-swapped", "point-missing", "window-interleaved", "window-starts-again", "no-point-0"],
@@ -660,7 +657,7 @@ class TestWindowedRowOrder:
         path = tmp_path / "c.csv"
         io.write_clouds_csv({"a": clouds()["test"]}, path)
         lines = path.read_text(encoding="utf-8").split("\n")
-        lines[2], lines[3] = lines[3], lines[2]  # window 3's first row inside window 0
+        lines[2], lines[3] = lines[3], lines[2]  # window 1's first row inside window 0
         path.write_text("\n".join(lines), encoding="utf-8")
         with pytest.raises(DataError, match=re.escape(f"{path}: line 4: point 1 of split 'a' window 0 is out of order")):
             io.read_clouds_csv(path)
@@ -671,6 +668,85 @@ class TestWindowedRowOrder:
         path.write_text(path.read_text(encoding="utf-8").replace("\n", "\n\n"), encoding="utf-8")
         again = io.read_windows_csv(path)
         assert [w.points.tolist() for w in again["a"]] == [w.points.tolist() for w in simple_windows()["a"]]
+
+
+def renumber(path, lines, number):
+    """Write ``number`` into the window cell of the given 1-based ``lines``."""
+    text = path.read_text(encoding="utf-8").split("\n")
+    for line in lines:
+        cells = text[line - 1].split(",")
+        cells[1] = str(number)
+        text[line - 1] = ",".join(cells)
+    path.write_text("\n".join(text), encoding="utf-8")
+
+
+class TestPositionsAreTheOnlyNumbers:
+    """Each split's windows and clouds, and the matrix rows and columns, are
+    numbered 0, 1, 2, ... by position; a reader rejects any other number,
+    naming the file and the line."""
+
+    # simple_windows(): window 0 on lines 2-4, window 1 on lines 5-7.
+    @pytest.mark.parametrize(
+        "lines, number, line, message",
+        [
+            ((5, 6, 7), 2, 5, "split 'a' window 2 where window 1 is due"),
+            ((5, 6, 7), 0, 5, "split 'a' window 0 where window 1 is due"),
+            ((2, 3, 4, 5, 6, 7), 1, 2, "split 'a' window 1 where window 0 is due"),
+        ],
+        ids=["gap", "repeated", "first-not-0"],
+    )
+    def test_windows(self, tmp_path, lines, number, line, message):
+        path = tmp_path / "w.csv"
+        io.write_windows_csv(simple_windows(), ("c0", "c1"), path)
+        renumber(path, lines, number)
+        with pytest.raises(DataError, match=re.escape(f"{path}: line {line}: {message}")):
+            io.read_windows_csv(path)
+
+    # {"a": clouds()["test"]}: cloud 0 on lines 2-3, cloud 1 on lines 4-5.
+    @pytest.mark.parametrize(
+        "lines, number, line, message",
+        [
+            ((4, 5), 2, 4, "split 'a' window 2 where window 1 is due"),
+            ((4, 5), 0, 4, "split 'a' window 0 where window 1 is due"),
+            ((2, 3), 1, 2, "split 'a' window 1 where window 0 is due"),
+        ],
+        ids=["gap", "repeated", "first-not-0"],
+    )
+    def test_clouds(self, tmp_path, lines, number, line, message):
+        path = tmp_path / "c.csv"
+        io.write_clouds_csv({"a": clouds()["test"]}, path)
+        renumber(path, lines, number)
+        with pytest.raises(DataError, match=re.escape(f"{path}: line {line}: {message}")):
+            io.read_clouds_csv(path)
+
+    def test_each_split_counts_from_0(self, tmp_path):
+        path = tmp_path / "w.csv"
+        wins = {"x": simple_windows()["a"], "y": simple_windows()["a"][:1]}
+        io.write_windows_csv(wins, ("c0", "c1"), path)
+        assert [row.split(",")[:2] for row in path.read_text(encoding="utf-8").splitlines()[1::3]] == [
+            ["x", "0"], ["x", "1"], ["y", "0"]
+        ]
+        assert {split: len(ws) for split, ws in io.read_windows_csv(path).items()} == {"x": 2, "y": 1}
+
+    # distmat(): header "window,0,1,2", then rows 0 and 1.
+    @pytest.mark.parametrize(
+        "line, text, message",
+        [
+            (1, "window,0,2,3", "column of train window 2 where window 1 is due"),
+            (1, "window,0,0,1", "column of train window 0 where window 1 is due"),
+            (1, "window,1,2,3", "column of train window 1 where window 0 is due"),
+            (3, "2,1.0,2.0,3.0", "row of test window 2 where window 1 is due"),
+            (3, "0,1.0,2.0,3.0", "row of test window 0 where window 1 is due"),
+            (2, "1,1.0,2.0,3.0", "row of test window 1 where window 0 is due"),
+        ],
+        ids=["column-gap", "column-repeated", "column-first-not-0", "row-gap", "row-repeated", "row-first-not-0"],
+    )
+    def test_distmat(self, tmp_path, line, text, message):
+        path = tmp_path / "m.csv"
+        io.write_distmat_csv(distmat(), path)
+        replace_line(path, line, text)
+        with pytest.raises(DataError, match=re.escape(f"{path}: line {line}: {message}")):
+            io.read_distmat_csv(path)
 
 
 class TestMalformedJson:

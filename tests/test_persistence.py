@@ -187,7 +187,7 @@ class TestDim0Batch:
 
         wins = make_windows(synthetic_two_class_series(), WindowConfig(10, 10))[:20]
         clouds = [augment(w, AugmentConfig.defaults(3)) for w in wins]
-        assert rips_persistence_dim0_batch(clouds) == [rips_persistence_dim0(c.points) for c in clouds]
+        assert rips_persistence_dim0_batch(clouds) == [rips_persistence_dim0(c) for c in clouds]
 
     @pytest.mark.parametrize("bad_at", [0, 2])
     def test_empty_cloud_rejected_anywhere(self, bad_at):

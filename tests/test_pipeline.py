@@ -14,6 +14,7 @@ import topowin.pipeline
 from topowin import (
     AugmentConfig,
     DataError,
+    DistanceMatrix,
     PipelineConfig,
     apply_standardizer,
     augment,
@@ -539,9 +540,9 @@ class TestArtifactDigests:
     def test_matrix_cut_at_a_row_boundary_is_recomputed(self, warm, tmp_path):
         cfg, data, root = warm
         path = artifact(root / cfg.run_id, "distmat")
-        original, rows = path.read_bytes(), len(io.read_distmat_csv(path).row_ids)
+        original, rows = path.read_bytes(), len(io.read_distmat_csv(path).values)
         keep_lines(path, 0.5)
-        assert 0 < len(io.read_distmat_csv(path).row_ids) < rows
+        assert 0 < len(io.read_distmat_csv(path).values) < rows
         rerun = dataclasses.replace(cfg, k=7)
         run(rerun, data, runs_root=root)
         assert statuses(rerun, root)["distances"] == "computed"
@@ -682,7 +683,7 @@ MALFORMED = {
     "distmat-header-only": (
         "distmat",
         lambda p: p.write_text(p.read_text(encoding="utf-8").split("\n")[0] + "\n", encoding="utf-8"),
-        "values shaped (0,), expected (0, 18)",
+        "values shaped (0,), expected a (test, train) matrix",
     ),
     "distmat-cell": ("distmat", lambda p: set_cell(p, 2, 1, lambda c: "abc" + c), "line 2: could not convert string to float: 'abc"),
     "windows-point": ("windows", lambda p: set_cell(p, 2, 2, "x"), "line 2: invalid literal for int() with base 10: 'x'"),
@@ -755,10 +756,11 @@ class TestAtomicWrites:
         before = files()
         path = artifact(run_dir, "distmat")
         matrix = io.read_distmat_csv(path)
-        # Rows past the second cannot be read, so the writer raises partway.
-        broken = SimpleNamespace(row_ids=matrix.row_ids, col_ids=matrix.col_ids, values=matrix.values[:2])
-        with pytest.raises(IndexError):
-            io.write_distmat_csv(broken, path)
+        # The last cell cannot be formatted, so the writer raises after its header.
+        values = matrix.values.astype(object)
+        values[-1, -1] = "not a number"
+        with pytest.raises(ValueError):
+            io.write_distmat_csv(SimpleNamespace(values=values), path)
         assert files() == before  # old bytes, and no temp file left behind
         run(cfg, data, runs_root=root)
         provenance = run_dir / "provenance.json"
@@ -968,7 +970,7 @@ class TestDistanceCacheVersion:
         original = current.read_bytes()
         report = (run_dir / "report.json").read_bytes()
         matrix = io.read_distmat_csv(current)
-        stale = SimpleNamespace(row_ids=matrix.row_ids, col_ids=matrix.col_ids, values=matrix.values[:, ::-1])
+        stale = DistanceMatrix(matrix.values[:, ::-1])
         stale_path = run_dir / "distances" / f"{old_key}.distmat.csv"
         io.write_distmat_csv(stale, stale_path)
         current.unlink()
@@ -1163,9 +1165,8 @@ class TestDiagramsSkippingAWindow:
     def test_dim1_window_without_rows_reads_as_empty(self, warm, tmp_path):
         cfg, _, root = warm
         cfg1 = dataclasses.replace(cfg, dimension=1, maxscale=8.0)
-        windows = io.read_windows_csv(artifact(root / cfg.run_id, "windows"))
         path = tmp_path / "dim1.csv"
         io.write_diagrams_csv({"train": [], "test": []}, path)
-        diagrams = read_diagrams(path, windows, cfg1)
+        diagrams = read_diagrams(path, {"train": 18, "test": 12}, cfg1)
         assert [len(diagrams[name]) for name in ("train", "test")] == [18, 12]
         assert all(not d.pairs for ds in diagrams.values() for d in ds)

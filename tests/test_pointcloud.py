@@ -22,9 +22,8 @@ from topowin import (
 from conftest import make_series
 
 
-def window_from(points, index=0):
-    points = np.asarray(points, dtype=float)
-    return LabeledWindow(index=index, points=points, label=0, time_range=(0.0, 1.0))
+def window_from(points):
+    return LabeledWindow(points=np.asarray(points, dtype=float), label=0, time_range=(0.0, 1.0))
 
 
 CFG5 = AugmentConfig(offset=np.array([0.0, 1.0, 2.0, 3.0, 4.0]), anchors=np.zeros((1, 5)))
@@ -50,14 +49,14 @@ class TestAugment:
         win = window_from([[0, 0, 0, 0, 0], [1, 0, 0, 0, 0]])
         cloud = augment(win, CFG5)
         expected = {(0, 1, 2, 3, 4), (1, 1, 2, 3, 4), (0, 0, 0, 0, 0)}
-        assert {tuple(p) for p in cloud.points} == expected
-        assert cloud.points.shape == (3, 5)
+        assert {tuple(p) for p in cloud} == expected
+        assert cloud.shape == (3, 5)
 
     def test_second_reference_cloud(self):
         win = window_from([[0, 0, 0, 0, 0], [0, 1, 0, 0, 0]])
         cloud = augment(win, CFG5)
         expected = {(0, 1, 2, 3, 4), (0, 2, 2, 3, 4), (0, 0, 0, 0, 0)}
-        assert {tuple(p) for p in cloud.points} == expected
+        assert {tuple(p) for p in cloud} == expected
 
     def test_anchor_distances_sqrt31_sqrt33(self):
         c1 = augment(window_from([[0, 0, 0, 0, 0], [1, 0, 0, 0, 0]]), CFG5)
@@ -67,14 +66,14 @@ class TestAugment:
         assert abs(d1 - math.sqrt(31)) < 1e-12
         assert abs(d2 - math.sqrt(33)) < 1e-12
         # the same distances are realized inside the augmented clouds
-        assert any(abs(np.linalg.norm(p) - math.sqrt(31)) < 1e-12 for p in c1.points)
-        assert any(abs(np.linalg.norm(p) - math.sqrt(33)) < 1e-12 for p in c2.points)
+        assert any(abs(np.linalg.norm(p) - math.sqrt(31)) < 1e-12 for p in c1)
+        assert any(abs(np.linalg.norm(p) - math.sqrt(33)) < 1e-12 for p in c2)
 
     def test_identity_config_is_noop(self):
         pts = np.array([[1.0, 2.0], [3.0, 4.0]])
         cfg = AugmentConfig(offset=np.zeros(2), anchors=np.zeros((0, 2)))
         cloud = augment(window_from(pts), cfg)
-        np.testing.assert_array_equal(cloud.points, pts)
+        np.testing.assert_array_equal(cloud, pts)
 
     def test_input_not_modified(self):
         pts = np.array([[1.0, 1.0]])
@@ -86,7 +85,7 @@ class TestAugment:
         win = window_from([[1.0, 1.0], [2.0, 2.0]])
         cfg = AugmentConfig(offset=np.zeros(2), anchors=np.array([[9.0, 9.0]]))
         cloud = augment(win, cfg)
-        np.testing.assert_array_equal(cloud.points[-1], [9.0, 9.0])
+        np.testing.assert_array_equal(cloud[-1], [9.0, 9.0])
 
     def test_dimension_mismatch(self):
         win = window_from([[1.0, 2.0, 3.0]])
@@ -100,7 +99,7 @@ class TestAugment:
         cfg = AugmentConfig(offset=rng.normal(size=4), anchors=np.zeros((1, 4)))
         cloud = augment(win, cfg)
         before = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
-        moved = cloud.points[:8]
+        moved = cloud[:8]
         after = np.linalg.norm(moved[:, None] - moved[None, :], axis=2)
         np.testing.assert_allclose(before, after, atol=1e-12)
 
@@ -114,8 +113,8 @@ class TestAugment:
             cfg = AugmentConfig.defaults(3)
             c1 = augment(window_from(pts), cfg)
             c2 = augment(window_from(pts + t), cfg)
-            d1 = np.linalg.norm(c1.points[:6] - cfg.anchors[0], axis=1)
-            d2 = np.linalg.norm(c2.points[:6] - cfg.anchors[0], axis=1)
+            d1 = np.linalg.norm(c1[:6] - cfg.anchors[0], axis=1)
+            d2 = np.linalg.norm(c2[:6] - cfg.anchors[0], axis=1)
             assert np.max(np.abs(d1 - d2)) > 0.0
 
     def test_standardized_channels_shift_to_offset_means(self):
@@ -127,7 +126,7 @@ class TestAugment:
         std = apply_standardizer(series, fit_standardizer(series, spec))
         windows = make_windows(std, WindowConfig(w=10, s=10))
         cfg = AugmentConfig.defaults(5)
-        translated = np.vstack([augment(w, cfg).points[:10] for w in windows])
+        translated = np.vstack([augment(w, cfg)[:10] for w in windows])
         np.testing.assert_allclose(translated.mean(axis=0), [0, 1, 2, 3, 4], atol=1e-9)
         np.testing.assert_allclose(translated.std(axis=0), 1.0, atol=1e-9)
 
@@ -138,8 +137,8 @@ class TestAugmentBatch:
         """Windows of 1, 3 and 10 points in shuffled order, on scales far apart."""
         sizes = [10, 3, 10, 1, 3, 10, 10, 1]
         return [
-            window_from(rng.normal(0.0, 10.0 ** rng.integers(-3, 4), size=(n, 4)), index=i)
-            for i, n in enumerate(sizes)
+            window_from(rng.normal(0.0, 10.0 ** rng.integers(-3, 4), size=(n, 4)))
+            for n in sizes
         ]
 
     @pytest.mark.parametrize("anchors", [np.zeros((0, 4)), np.zeros((1, 4)), np.array([[1.0, -2.0, 0.5, 3.0], [0.0, 0.0, 7.0, 1e-3]])])
@@ -149,32 +148,32 @@ class TestAugmentBatch:
         params = StandardizationParams(means=rng.normal(size=4), standard_deviations=rng.uniform(1e-3, 50.0, size=4))
         cfg = AugmentConfig(offset=rng.normal(size=4), anchors=anchors)
         clouds = augment_batch(windows, cfg, params)
-        assert [c.source_window for c in clouds] == [w.index for w in windows]
+        assert len(clouds) == len(windows)
         for window, cloud in zip(windows, clouds):
             standardized = (window.points - params.means) / params.standard_deviations
             expected = np.vstack([standardized + cfg.offset, anchors])
-            assert cloud.points.tolist() == expected.tolist()
-            assert cloud.points.tolist() == augment(window_from(standardized, window.index), cfg).points.tolist()
+            assert cloud.tolist() == expected.tolist()
+            assert cloud.tolist() == augment(window_from(standardized), cfg).tolist()
 
     def test_without_params_equals_augment(self):
         windows = self.windows(np.random.default_rng(31))
         cfg = AugmentConfig(offset=np.arange(4.0), anchors=np.ones((2, 4)))
         batch = augment_batch(windows, cfg)
-        assert [c.points.tolist() for c in batch] == [augment(w, cfg).points.tolist() for w in windows]
+        assert [c.tolist() for c in batch] == [augment(w, cfg).tolist() for w in windows]
 
     def test_empty(self):
         assert augment_batch([], CFG5) == []
 
     def test_non_finite_coordinate_names_the_window(self):
         params = StandardizationParams(means=np.zeros(2), standard_deviations=np.array([1.0, 1e-300]))
-        windows = [window_from([[0.0, 1.0], [1.0, 0.0]], index=i) for i in range(3)]
-        windows.append(window_from([[0.0, 1e10], [0.0, 0.0]], index=3))
+        windows = [window_from([[0.0, 1.0], [1.0, 0.0]]) for _ in range(3)]
+        windows.append(window_from([[0.0, 1e10], [0.0, 0.0]]))
         with pytest.raises(DataError, match="^window 3: a coordinate is not finite"):
             augment_batch(windows, AugmentConfig(offset=np.zeros(2), anchors=np.zeros((0, 2))), params)
 
     def test_nan_window_point_rejected(self):
-        with pytest.raises(DataError, match="^window 4: "):
-            augment(window_from([[0.0, np.nan, 0.0, 0.0, 0.0]], index=4), CFG5)
+        with pytest.raises(DataError, match="^window 0: "):
+            augment(window_from([[0.0, np.nan, 0.0, 0.0, 0.0]]), CFG5)
 
     def test_params_dimension_mismatch(self):
         params = StandardizationParams(means=np.zeros(1), standard_deviations=np.ones(1))
@@ -182,7 +181,7 @@ class TestAugmentBatch:
             augment_batch([window_from(np.zeros((2, 5)))], CFG5, params)
 
     def test_dimension_mismatch_in_any_window(self):
-        windows = [window_from(np.zeros((2, 5))), window_from(np.zeros((2, 4)), index=1)]
+        windows = [window_from(np.zeros((2, 5))), window_from(np.zeros((2, 4)))]
         with pytest.raises(DataError, match="window dimension 4 does not match config dimension 5"):
             augment_batch(windows, CFG5)
 

@@ -51,7 +51,7 @@ class TestMakeWindows:
     def test_window_metadata(self):
         series = make_series(np.arange(8.0), labels=[0, 0, 1, 0, 0, 0, 0, 0])
         wins = make_windows(series, WindowConfig(w=4, s=4, label_rule="any_positive"))
-        assert [w.index for w in wins] == [0, 1]
+        assert len(wins) == 2
         assert wins[0].label == 1 and wins[1].label == 0
         assert wins[0].time_range == (0.0, 3.0)
         assert wins[1].time_range == (4.0, 7.0)
@@ -87,7 +87,6 @@ class TestMakeWindows:
         wins = make_windows(series, WindowConfig(w=w, s=s, label_rule=rule))
         for i, win in enumerate(wins):
             rows = slice(i * s, i * s + w)
-            assert win.index == i
             assert win.points.tolist() == series.values[rows].tolist()
             assert win.label == window_label(labels[rows], rule)
             assert type(win.label) is int
