@@ -50,11 +50,9 @@ class TimeSeries:
         if not np.all(np.isfinite(vals)):
             bad = int(np.argwhere(~np.isfinite(vals))[0][0])
             raise DataError(f"non-finite feature value at row {bad}")
-        if n > 1:
-            diffs = np.diff(ts)
-            if np.any(diffs <= 0):
-                bad = int(np.argmax(diffs <= 0)) + 1
-                raise DataError(f"timestamps not strictly increasing at row {bad}")
+        # Compared, not subtracted: the difference of two huge timestamps overflows.
+        if n > 1 and np.any(not_after := ts[1:] <= ts[:-1]):
+            raise DataError(f"timestamps not strictly increasing at row {int(np.argmax(not_after)) + 1}")
 
     @property
     def length(self) -> int:
@@ -231,6 +229,9 @@ def _load_table(path: Path, raw: bytes, schema: CsvSchema):
     whitespace delimiter, quotes, carriage returns or NUL bytes (where
     ``csv`` may split cells or lines differently), a missing column, no data
     rows, any cell the C reader refuses, or any row the loop would reject.
+    The C reader asks only that a row reach the last column it takes, so a
+    row has the header's width when that column is the header's last and
+    the delimiters add up.
     An ISO-date timestamp stops the float pass; a second pass converts the
     timestamps with ``parse_timestamp``.  Both parsers round decimals
     correctly and labels are taken only below 2**53 in magnitude, so an
@@ -256,8 +257,10 @@ def _load_table(path: Path, raw: bytes, schema: CsvSchema):
             return None
     timestamps, labels = table[:, 0], table[:, -1]
     if not (
-        np.isfinite(table).all()
-        and (np.diff(timestamps) > 0).all()
+        max(cols) == len(header) - 1
+        and raw.count(schema.delimiter.encode()) == (len(header) - 1) * (len(table) + 1)
+        and np.isfinite(table).all()
+        and (timestamps[1:] > timestamps[:-1]).all()
         and (labels == np.trunc(labels)).all()
         and (np.abs(labels) < 2.0**53).all()
     ):
@@ -279,7 +282,6 @@ def _load_rows(path: Path, schema: CsvSchema):
             raise DataError(f"{path}: empty file (no header row)") from None
         cols = _column_positions(path, header, schema)
         ts_col, *feature_cols, label_col = cols
-        needed = max(cols) + 1
 
         timestamps: list[float] = []
         rows: list[list[float]] = []
@@ -289,8 +291,8 @@ def _load_rows(path: Path, schema: CsvSchema):
             line = reader.line_num
             if not record or all(cell.strip() == "" for cell in record):
                 continue
-            if len(record) < needed:
-                bad.append((line, f"expected at least {needed} columns, got {len(record)}"))
+            if len(record) != len(header):
+                bad.append((line, f"{len(record)} fields, the header {len(header)}"))
                 continue
             try:
                 ts = parse_timestamp(record[ts_col])
@@ -323,7 +325,8 @@ def _load_rows(path: Path, schema: CsvSchema):
 
 
 def load_csv(path: str | Path, schema: CsvSchema) -> TimeSeries:
-    """Load and validate a labeled series from a headed CSV file.
+    """Load and validate a labeled series from a headed CSV file: a run's
+    input, or the series artifact it writes (``io.read_series_csv``).
 
     The file must be UTF-8; a leading byte-order mark is ignored.  A plain
     file (a one-character delimiter that is not whitespace, LF line ends,
@@ -333,10 +336,11 @@ def load_csv(path: str | Path, schema: CsvSchema) -> TimeSeries:
     is parsed row by row with ``csv``, which raises every row error.  So both
     paths give the same arrays and the same errors.
 
-    Rows with missing, unparseable or non-finite cells, a label that is not
-    an integer in the int64 range, or a timestamp (number or ISO date) not
-    above the last accepted row's are rejected; the error names the
-    offending 1-based file lines.  Rows of blank cells are skipped.
+    Rows with more or fewer cells than the header, unparseable or
+    non-finite cells, a label that is not an integer in the int64 range, or
+    a timestamp (number or ISO date) not above the last accepted row's are
+    rejected; the error names the offending 1-based file lines.  Rows of
+    blank cells are skipped.
     """
     path = Path(path)
     if not path.exists():

@@ -3,7 +3,9 @@
 Every writer is deterministic: floats are serialized with ``repr`` (exact
 round-trip), JSON keys are sorted, CSV rows follow a fixed order.  Reading
 then rewriting an artifact reproduces it byte for byte, and reading a
-malformed one is a ``DataError`` naming its file (and line).  One row
+malformed one is a ``DataError`` naming its file (and line).  The series
+artifact has the input's shape and is read by the input's own loader,
+``ingest.load_csv``; the other CSV readers share ``_read_csv``.  One row
 formatter, ``_row_cells``, writes the float cells of the series, windows,
 clouds and distance-matrix rows; ``csv`` formats only header rows and split
 names.  The windows are the series' own rows, so a run hands the series and
@@ -45,7 +47,7 @@ import numpy as np
 from .classify import EvaluationReport, KSweepEntry
 from .distance import DistanceMatrix
 from .errors import DataError, NumericalError
-from .ingest import StandardizationParams, TimeSeries
+from .ingest import CsvSchema, StandardizationParams, TimeSeries, load_csv
 from .persistence import PersistenceDiagram
 from .windowing import LabeledWindow
 
@@ -294,25 +296,22 @@ def write_series_csv(series: TimeSeries, path: Path, memo: dict | None = None) -
 
 
 def read_series_csv(path: Path) -> TimeSeries:
-    """The series of a ``write_series_csv`` file.  A timestamp that does not
-    follow the one before, or a value that is not finite, is a ``DataError``
-    naming its line; the ``TimeSeries`` checks still run on the whole."""
-    ts, values, labels = [], [], []
-
-    def parse(row: list[str]) -> None:
-        t, vals = float(row[0]), list(map(float, row[1:-1]))
-        if ts and t <= ts[-1]:
-            raise ValueError(f"timestamps not strictly increasing ({t!r} after {ts[-1]!r})")
-        if not all(map(math.isfinite, vals)):
-            raise ValueError("non-finite feature value")
-        ts.append(t)
-        values.append(vals)
-        labels.append(int(row[-1]))
-
-    columns = "timestamp,<channels...>,label"
-    header = _read_csv(path, columns, lambda h: parse if h[:1] == ["timestamp"] and h[-1:] == ["label"] else None)
+    """The series of a ``write_series_csv`` file, read by ``load_csv`` with
+    the schema its header names: a bad row is ``<path>: 1 malformed row(s):
+    line 3: <reason>``.  ``load_csv`` strips the header's names, so a channel
+    name with outer spaces (ingest writes none) is a ``DataError`` too."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"no such file: {path}")
+    with path.open("r", encoding="utf-8", errors="replace", newline="") as fh:  # load_csv checks the bytes
+        header = next(csv.reader(fh), None)
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    if header[:1] != ["timestamp"] or header[-1:] != ["label"]:
+        raise DataError(f"{path}: line 1: expected columns timestamp,<channels...>,label")
     with _naming(path):
-        return TimeSeries(ts, values, labels, tuple(header[1:-1]))
+        schema = CsvSchema("timestamp", tuple(header[1:-1]), "label")
+    return load_csv(path, schema)
 
 
 def write_params_json(params: StandardizationParams, path: Path) -> str:

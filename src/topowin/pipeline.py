@@ -119,16 +119,8 @@ class PipelineConfig:
             "stride": self.window.s,
             "label_rule": self.window.label_rule,
             "standardize": self.standardize_mode,
-            "offset": (
-                self.offset
-                if self.offset is None or isinstance(self.offset, str)
-                else list(self.offset)
-            ),
-            "anchors": (
-                self.anchors
-                if self.anchors is None or isinstance(self.anchors, str)
-                else [a if isinstance(a, str) else list(a) for a in self.anchors]
-            ),
+            "offset": _plain(self.offset),
+            "anchors": _plain(self.anchors),
             "dimension": self.dimension,
             "essential_policy": self.essential_policy,
             "maxscale": self.maxscale,
@@ -149,6 +141,10 @@ class PipelineConfig:
 
         def integer(field, default):
             return number(field, _integer, default, "an integer")
+
+        def nullable(field, default, parse, expected):
+            value = payload.get(field, default)
+            return None if value is None else _field(field, value, parse, f"{expected} or null")
 
         for field in ("run_id", "schema", "splits", "window"):
             if field not in payload:
@@ -174,9 +170,6 @@ class PipelineConfig:
             lambda rows: tuple(map(_split, _json(list, rows))),
             "a list of [name, start, stop] with a string name and integer bounds",
         )
-        maxscale = payload.get("maxscale")
-        if maxscale is not None:
-            maxscale = _field("maxscale", maxscale, _number, "a number or null")
         window = WindowConfig(
             w=integer("window", payload["window"]),
             s=integer("stride", payload["window"]),
@@ -188,11 +181,16 @@ class PipelineConfig:
             splits=SplitSpec(splits),
             window=window,
             standardize_mode=payload.get("standardize", "fit_on_combined"),
-            offset=payload.get("offset", "auto"),
-            anchors=payload.get("anchors", "origin"),
+            offset=nullable("offset", "auto", _point_spec, '"auto", a list of numbers, a comma list'),
+            anchors=nullable(
+                "anchors",
+                "origin",
+                partial(_point_spec, item=_point_spec),
+                '"origin", "none", a comma list, a list of points',
+            ),
             dimension=integer("dimension", 0),
             essential_policy=payload.get("essential_policy", "dropped"),
-            maxscale=maxscale,
+            maxscale=nullable("maxscale", None, _number, "a number"),
             p=number("p", lambda v: float(_number(v)), 1.0),
             k=integer("k", 1),
             tie_break=payload.get("tie_break", "nearest_neighbor_label"),
@@ -213,6 +211,16 @@ def _json(kind, value, ok: Callable = lambda v: True):
 _number = partial(_json, (int, float))  # an int stays an int
 _integer = partial(_json, int)
 _string = partial(_json, str)
+
+
+def _point_spec(value, item: Callable = _number):
+    """A comma list as the CLI gives it, or a JSON list of ``item``s."""
+    return value if isinstance(value, str) else [item(v) for v in _json(list, value)]
+
+
+def _plain(spec):
+    """An offset or anchors spec as JSON: each sequence but a string a list."""
+    return spec if spec is None or isinstance(spec, (str, int, float)) else [_plain(v) for v in spec]
 
 
 def _split(row):

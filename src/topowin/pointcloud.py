@@ -115,14 +115,7 @@ def resolve_offset(spec: str | Sequence[float] | None, d: int) -> np.ndarray:
     """Offset from config/CLI form: "auto"/None, or an explicit d-vector."""
     if spec is None or spec == "auto":
         return default_offset(d)
-    if isinstance(spec, str):
-        parts = [p for p in spec.split(",") if p.strip() != ""]
-        values = [float(p) for p in parts]
-    else:
-        values = [float(v) for v in spec]
-    if len(values) != d:
-        raise ValueError(f"offset has {len(values)} components, data has {d} channels")
-    return _finite(values, "offset")
+    return _vector(spec, d, "offset")
 
 
 def resolve_anchors(spec, d: int) -> np.ndarray:
@@ -132,23 +125,18 @@ def resolve_anchors(spec, d: int) -> np.ndarray:
         return np.zeros((0, d))
     if spec == "origin":
         return np.zeros((1, d))
-    if isinstance(spec, str):
-        spec = [spec]
-    rows = []
-    for item in spec:
-        if isinstance(item, str):
-            values = [float(p) for p in item.split(",") if p.strip() != ""]
-        else:
-            values = [float(v) for v in item]
-        if len(values) != d:
-            raise ValueError(f"anchor has {len(values)} components, data has {d} channels")
-        rows.append(_finite(values, "anchor"))
+    rows = [_vector(item, d, "anchor") for item in ([spec] if isinstance(spec, str) else spec)]
     return np.asarray(rows, dtype=float)
 
 
-def _finite(values: list[float], name: str) -> np.ndarray:
-    """``values`` as an array; a nan or infinite component is a ValueError
-    naming the offset or anchor."""
+def _vector(spec: str | Sequence[float], d: int, name: str) -> np.ndarray:
+    """A comma list or a sequence of numbers as a d-vector; a wrong length
+    or a nan or infinite component is a ValueError naming the offset or
+    anchor."""
+    parts = [p for p in spec.split(",") if p.strip()] if isinstance(spec, str) else spec
+    values = [float(v) for v in parts]
+    if len(values) != d:
+        raise ValueError(f"{name} has {len(values)} components, data has {d} channels")
     out = np.asarray(values, dtype=float)
     if not np.isfinite(out).all():
         raise ValueError(f"{name} components must be finite, got {','.join(map(repr, values))}")

@@ -433,11 +433,17 @@ class TestConfigErrors:
             ("schema.label", ["label"]),
             ("splits", [["train", 0, 600, 9], ["test", 600, 1000]]),
             ("splits", [[0, 0, 600], ["test", 600, 1000]]),
+            ("offset", 5),
+            ("offset", [[1, 2]]),
+            ("offset", True),
+            ("anchors", 5),
+            ("anchors", [5]),
         ],
         ids=[
             "run_id-int", "run_id-parent", "run_id-slash", "run_id-backslash", "run_id-dotdot", "run_id-empty",
             "delimiter-two-chars", "delimiter-int", "features-string", "features-int", "timestamp-int",
-            "label-list", "split-four-cells", "split-int-name",
+            "label-list", "split-four-cells", "split-int-name", "offset-int", "offset-nested", "offset-bool",
+            "anchors-int", "anchors-int-point",
         ],
     )
     def test_ill_formed_field_is_a_usage_error_before_any_output(self, tmp_path, synth_csv, name, value, capsys):

@@ -127,6 +127,25 @@ class TestLoadCsv:
             f"{path}: 1 malformed row(s): line 6: timestamps not strictly increasing (1.0 after 1.0)"
         )
 
+    @pytest.mark.parametrize(
+        "row, fields",
+        [("1,3,4,1,9", 5), ("1.0,2,5,3.0,1", 5), ("1,3,4,1,", 5), ("1,3,4", 3)],
+        ids=["extra-cell", "shifted-cells", "trailing-delimiter", "short"],
+    )
+    def test_row_not_of_the_header_width_names_its_line(self, tmp_path, row, fields):
+        # The C pass takes only the columns it needs, so it must hand such
+        # a file to the row loop rather than read shifted cells.
+        path = write(tmp_path, f"t,a,b,y\n0,1,2,0\n{row}\n2,5,6,0\n")
+        message = f"{path}: 1 malformed row(s): line 3: {fields} fields, the header 4"
+        assert load_both(path, SCHEMA2) == [message, message]
+
+    @pytest.mark.parametrize("blank", [",,,", ",,", " , ,\t,"])
+    def test_row_of_blank_cells_is_skipped(self, tmp_path, blank):
+        path = write(tmp_path, f"t,a,b,y\n0,1,2,0\n{blank}\n1,3,4,1\n")
+        for series in load_both(path, SCHEMA2):
+            assert series.timestamps.tolist() == [0.0, 1.0]
+            assert series.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
     def test_row_after_a_cell_spanning_lines_names_its_line(self, tmp_path):
         path = write(tmp_path, 't,a,b,y\n0,"1\n",2,0\n1,x,4,1\n')
         with pytest.raises(DataError) as info:
@@ -216,6 +235,10 @@ CORPUS = {
     "commas-line": H + b"0,1,2,0\n,,,\n1,3,4,1\n",
     "only-blank-rows": H + b"\n \n,,,\n",
     "extra-columns": b"t,a,b,y,z\n0,1,2,0,9\n1,3,4,1,9,9\n",
+    "unused-last-column": b"t,a,b,y,z\n0,1,2,0,9\n1,3,4,1,x\n",
+    "unused-last-column-short-and-long": b"t,a,b,y,z\n0,1,2,0\n1,3,4,1,9,9\n",
+    "long-row": H + b"0,1,2,0\n1,3,4,1,9\n",
+    "trailing-delimiters": H + b"0,1,2,0,\n1,3,4,1,\n",
     "short-row": H + b"0,1,2,0\n1,3,4\n2,5,6,0\n",
     "hash-line": H + b"# comment\n0,1,2,0\n",
     "hash-cell": H + b"0,1,2,0 # note\n",
@@ -502,6 +525,20 @@ class TestTimeSeriesInvariants:
     def test_nan_rejected(self):
         with pytest.raises(DataError, match="non-finite"):
             make_series([1.0, float("nan"), 2.0])
+
+    def test_timestamps_of_any_finite_span(self, tmp_path):
+        # Their difference overflows; the order check must not subtract them.
+        big = 1.7976931348623157e308
+
+        def series(timestamps):
+            n = len(timestamps)
+            return TimeSeries(np.array(timestamps), np.zeros((n, 1)), np.zeros(n, dtype=np.int64), ("a",))
+
+        assert series([-big, big]).length == 2
+        with pytest.raises(DataError, match="not strictly increasing at row 2"):
+            series([-big, big, big])
+        path = write(tmp_path, f"t,a,b,y\n{-big!r},1,2,0\n{big!r},3,4,1\n")
+        assert load_csv(path, SCHEMA2).timestamps.tolist() == [-big, big]
 
     def test_slice_bounds(self):
         series = make_series(np.arange(4.0))

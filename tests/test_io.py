@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topowin import PipelineConfig, describe_run, io, run
 from topowin.classify import EvaluationReport, KSweepEntry
@@ -224,7 +226,53 @@ class TestBytesMatchCsvWriterInSmallChunks(TestBytesMatchCsvWriter):
         monkeypatch.setattr(io, "_CHUNK_ROWS", 2)
 
 
+# Floats for the series round trip: any finite double, with the values whose
+# text is easy to get wrong drawn often (a subnormal above 5e-324 too).
+ROUND_TRIP_FLOATS = st.one_of(
+    st.sampled_from([*SPECIAL, 2.2250738585072014e-308 / 3, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# Channel names ingest can write: distinct, not a fixed column, no spaces at
+# either end.  Plain ones keep the file in ``load_csv``'s C pass; each
+# quoted one holds a comma or a quote, which sends it to the row loop.
+PLAIN_NAME = st.text("abxyz_019 é", min_size=1, max_size=6).filter(lambda n: n == n.strip())
+QUOTED_NAME = st.tuples(PLAIN_NAME, st.sampled_from([",", '"', ', "'])).map("".join)
+ROUND_TRIP_NAMES = {
+    "c-pass": st.lists(PLAIN_NAME, min_size=1, max_size=3, unique=True),
+    "row-loop": st.tuples(QUOTED_NAME, st.lists(PLAIN_NAME, max_size=2)).map(lambda t: [t[0], *t[1]]),
+}
+
+
+def refuse_row_loop(path, schema):
+    raise AssertionError(f"{path} went to the row loop")
+
+
 class TestReadBack:
+    @pytest.mark.parametrize("route", ROUND_TRIP_NAMES)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_series_round_trip_keeps_every_bit(self, tmp_path_factory, route, data):
+        names = tuple(dict.fromkeys(data.draw(ROUND_TRIP_NAMES[route])))  # distinct, first kept
+        n = data.draw(st.integers(1, 12))
+        timestamps = sorted(data.draw(st.lists(ROUND_TRIP_FLOATS, min_size=n, max_size=n, unique=True)))
+        row = st.lists(ROUND_TRIP_FLOATS, min_size=len(names), max_size=len(names))
+        values = data.draw(st.lists(row, min_size=n, max_size=n))
+        low, high = (1 - 2**53, 2**53 - 1) if route == "c-pass" else (-(2**63), 2**63 - 1)  # C pass: below 2**53
+        labels = data.draw(st.lists(st.integers(low, high), min_size=n, max_size=n))
+        s = TimeSeries(np.array(timestamps), np.array(values), np.array(labels), names)
+        first, second = tmp_path_factory.mktemp("series") / "s.csv", tmp_path_factory.mktemp("series") / "s.csv"
+        io.write_series_csv(s, first)
+        assert (b'"' in first.read_bytes()) == (route == "row-loop")
+        with pytest.MonkeyPatch.context() as mp:
+            if route == "c-pass":
+                mp.setattr("topowin.ingest._load_rows", refuse_row_loop)
+            again = io.read_series_csv(first)
+        assert again.channel_names == names
+        for got, want in [(again.timestamps, s.timestamps), (again.values, s.values), (again.labels, s.labels)]:
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        io.write_series_csv(again, second)
+        assert second.read_bytes() == first.read_bytes()
+
     def test_series(self, tmp_path):
         s = series()
         io.write_series_csv(s, tmp_path / "s.csv")
@@ -496,7 +544,7 @@ class TestMalformedReads:
         "kind, line, cell, message",
         [
             ("series", 3, "1.0,x2,1.0,1", "could not convert string to float: 'x2'"),
-            ("series", 4, "1.0,2.0,1.0,x", "invalid literal for int()"),
+            ("series", 4, "1.0,2.0,1.0,x", "could not convert string to float: 'x'"),
             ("windows", 3, "a,0,x,0,0.0,0.5,2.0,3.0", "invalid literal for int()"),
             ("windows", 2, "a,0,0,0,zz,0.5,0.0,1.0", "could not convert string to float: 'zz'"),
             ("clouds", 7, "test,0,1,1.0,abc,2.0", "could not convert string to float: 'abc'"),
@@ -521,7 +569,8 @@ class TestMalformedReads:
         }[kind]
         write()
         replace_line(path, line, cell)
-        with pytest.raises(DataError, match=re.escape(f"{path}: line {line}: {message}")):
+        count = "1 malformed row(s): " if kind == "series" else ""  # ``load_csv`` counts the bad rows
+        with pytest.raises(DataError, match=re.escape(f"{path}: {count}line {line}: {message}")):
             read(path)
 
     @pytest.mark.parametrize(
@@ -577,7 +626,7 @@ class TestMalformedReads:
         path = tmp_path / "s.csv"
         io.write_series_csv(series(), path)
         replace_line(path, 3, "-0.0,1.0,1.0,1")  # the timestamp of line 2 again
-        with pytest.raises(DataError, match=re.escape(f"{path}: line 3: timestamps not strictly increasing")):
+        with pytest.raises(DataError, match=re.escape(f"{path}: 1 malformed row(s): line 3: timestamps not strictly increasing")):
             io.read_series_csv(path)
 
     @pytest.mark.parametrize(
@@ -585,8 +634,8 @@ class TestMalformedReads:
         [
             (4, "5e-324,1.0,1.0,1", "timestamps not strictly increasing (5e-324 after 5e-324)"),
             (5, "1e-06,1.0,1.0,1", "timestamps not strictly increasing (1e-06 after 1e-05)"),
-            (4, "2e-05,nan,1.0,1", "non-finite feature value"),
-            (6, "1e+17,1.0,-inf,1", "non-finite feature value"),
+            (4, "2e-05,nan,1.0,1", "non-finite value"),
+            (6, "1e+17,1.0,-inf,1", "non-finite value"),
         ],
         ids=["repeated-timestamp", "earlier-timestamp", "nan-value", "infinite-value"],
     )
@@ -594,7 +643,51 @@ class TestMalformedReads:
         path = tmp_path / "s.csv"
         io.write_series_csv(series(), path)
         replace_line(path, line, cell)
-        with pytest.raises(DataError, match=re.escape(f"{path}: line {line}: {message}")):
+        with pytest.raises(DataError, match=re.escape(f"{path}: 1 malformed row(s): line {line}: {message}")):
+            io.read_series_csv(path)
+
+    @pytest.mark.parametrize("name", [" a", "a ", " a,1"])
+    def test_series_channel_with_outer_spaces(self, tmp_path, name):
+        # ``load_csv`` strips the header, so it cannot find such a column;
+        # ingest refuses the same schema, so no run writes one.
+        path = tmp_path / "s.csv"
+        io.write_series_csv(dataclasses.replace(series(), channel_names=(name, "b")), path)
+        with pytest.raises(DataError, match=re.escape(f"{path}: missing column '{name}'")):
+            io.read_series_csv(path)
+
+    @pytest.mark.parametrize("names", [("a", "b"), ("a,1", "b")], ids=["c-pass", "row-loop"])
+    @pytest.mark.parametrize(
+        "cell, fields",
+        [("1e-05,1.0,1.0,1,9", 5), ("1e-05,2,5,3.0,1", 5), ("1e-05,1.0,1.0,1,", 5), ("1e-05,1.0,1", 3)],
+        ids=["extra-cell", "shifted-cells", "trailing-delimiter", "short"],
+    )
+    def test_series_row_of_another_width_names_its_line(self, tmp_path, names, cell, fields):
+        path = tmp_path / "s.csv"
+        io.write_series_csv(dataclasses.replace(series(), channel_names=names), path)
+        replace_line(path, 4, cell)
+        message = f"{path}: 1 malformed row(s): line 4: {fields} fields, the header 4"
+        with pytest.raises(DataError, match=re.escape(message)):
+            io.read_series_csv(path)
+
+    @pytest.mark.parametrize("names", [("a", "b"), ("a,1", "b")], ids=["c-pass", "row-loop"])
+    @pytest.mark.parametrize("blank", [",,,", ",,", ""])
+    def test_series_row_of_blank_cells_is_skipped(self, tmp_path, names, blank):
+        # As in the input: such a row holds no value, so the series read is
+        # the one written.
+        path = tmp_path / "s.csv"
+        written = dataclasses.replace(series(), channel_names=names)
+        io.write_series_csv(written, path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines.insert(3, blank)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        read = io.read_series_csv(path)
+        for name in ("timestamps", "values", "labels"):
+            assert getattr(read, name).tobytes() == getattr(written, name).tobytes()
+
+    def test_empty_series_file(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}: empty file")):
             io.read_series_csv(path)
 
     def test_bytes_that_are_not_utf8(self, tmp_path):

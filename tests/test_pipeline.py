@@ -679,7 +679,7 @@ def set_first_mean(path, value):
 
 # Case: (artifact kind, damage, what stderr says after "data error: <file>: ").
 MALFORMED = {
-    "series-value": ("series", lambda p: set_cell(p, 2, 1, lambda c: "x" + c), "line 2: could not convert string to float: 'x"),
+    "series-value": ("series", lambda p: set_cell(p, 2, 1, lambda c: "x" + c), "1 malformed row(s): line 2: could not convert string to float: 'x"),
     "distmat-header-only": (
         "distmat",
         lambda p: p.write_text(p.read_text(encoding="utf-8").split("\n")[0] + "\n", encoding="utf-8"),
