@@ -1,6 +1,11 @@
 """k-nearest-neighbor classification over a precomputed distance matrix,
 and confusion-matrix evaluation.
 
+The k-NN class vote and the window ``majority`` label are one
+``plurality`` over labels in vote order.  One stable sort per test row
+serves every k of a sweep: the class counts of every prefix of the sorted
+row come from one cumulative sum.
+
 Metrics are computed as exact rationals from the confusion matrix and only
 rounded when rendered.  For binary tasks class 1 is the positive class:
 sensitivity is its recall, specificity is the recall of class 0.
@@ -9,7 +14,6 @@ sensitivity is its recall, specificity is the recall of class 0.
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
@@ -22,9 +26,20 @@ from .errors import DataError
 
 TIE_BREAKS = ("nearest_neighbor_label", "lowest_class_id")
 
+# Cells of the (rows, labels, classes) one-hot array of one block of a vote;
+# its int64 counts keep a block's temporaries to a few MiB.
+_CHUNK_CELLS = 1 << 17
+
 
 class UndefinedMetricWarning(UserWarning):
     """A metric with a zero denominator was defined as 0."""
+
+
+def _check_k(k: int, tie_break: str) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if tie_break not in TIE_BREAKS:
+        raise ValueError(f"tie break must be one of {TIE_BREAKS}, got '{tie_break}'")
 
 
 @dataclass(frozen=True)
@@ -33,39 +48,65 @@ class KnnConfig:
     tie_break: str = "nearest_neighbor_label"
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.tie_break not in TIE_BREAKS:
-            raise ValueError(f"tie break must be one of {TIE_BREAKS}, got '{self.tie_break}'")
+        _check_k(self.k, self.tie_break)
+
+
+def plurality(ordered_labels: np.ndarray, lengths: Sequence[int], tie_break: str) -> list[list[int]]:
+    """``out[j][r]``: the most frequent of the first ``lengths[j]`` labels of
+    row r of a (rows, width) integer array in vote order, as a Python int.
+    A tie goes to the tied label first in the row (``nearest_neighbor_label``)
+    or to the smallest (``lowest_class_id``)."""
+    if not len(lengths):
+        return []
+    ends = np.asarray(lengths, dtype=np.intp) - 1
+    labels = np.asarray(ordered_labels, dtype=np.int64)
+    rows, width = labels.shape
+    # The distinct labels, sorted; np.unique would do, but its first call
+    # maps about 1.5 MiB more of numpy's code into the process.
+    ranked = np.sort(labels, axis=None)
+    classes = np.concatenate((ranked[:1], ranked[1:][ranked[1:] != ranked[:-1]]))
+    codes = np.searchsorted(classes, labels)
+    ids = np.arange(len(classes))
+    winners = np.empty((len(ends), rows), dtype=np.intp)
+    block = max(1, _CHUNK_CELLS // max(1, width * len(classes)))
+    for start in range(0, rows, block):
+        onehot = codes[start : start + block, :, None] == ids
+        counts = onehot.cumsum(axis=1)[:, ends]
+        tied = counts == counts.max(axis=2, keepdims=True)
+        if tie_break == "lowest_class_id":
+            winner = tied.argmax(axis=2)
+        else:
+            # A tied class occurs in the prefix, so its first position is there.
+            first = onehot.argmax(axis=1)[:, None, :]
+            winner = np.where(tied, first, width).argmin(axis=2)
+        winners[:, start : start + block] = winner.T
+    return classes[winners].tolist()
+
+
+def _votes(values: np.ndarray, train_labels: Sequence[int], ks: Sequence[int], tie_break: str) -> list[list[int]]:
+    """k-NN predictions of every row of a (test, train) distance array, one
+    list per k in ``ks``, from one stable argsort per row."""
+    n = len(train_labels)
+    for k in ks:
+        if k > n:
+            raise DataError(f"k={k} exceeds training size {n}")
+    if n != values.shape[1]:
+        raise DataError(f"{n} train labels for {values.shape[1]} matrix columns")
+    labels = np.asarray(train_labels, dtype=np.int64)
+    nearest = np.argsort(values, axis=1, kind="stable")[:, : max(ks, default=0)]
+    return plurality(labels[nearest], ks, tie_break)
 
 
 def knn_predict(row: Sequence[float], train_labels: Sequence[int], cfg: KnnConfig) -> int:
-    """Majority label among the k nearest training windows.
-
-    Equal distances are broken by lower training index.  A tie in the class
-    vote goes to the nearest neighbor carrying one of the tied labels
-    (default) or to the lowest tied class id.
-    """
+    """Majority label among the k nearest training windows, the one-row call
+    of ``predict_all``'s vote.  Equal distances go to the lower training index;
+    a vote tie goes to the nearest neighbor carrying a tied label (default) or
+    to the lowest tied class id."""
     dists = np.asarray(row, dtype=float)
     labels = np.asarray(train_labels, dtype=np.int64)
     if dists.shape != labels.shape or dists.ndim != 1:
-        raise DataError(
-            f"distance row of length {dists.shape} does not match {labels.shape} train labels"
-        )
-    if cfg.k > dists.shape[0]:
-        raise DataError(f"k={cfg.k} exceeds training size {dists.shape[0]}")
-    order = np.argsort(dists, kind="stable")[: cfg.k]
-    votes = Counter(int(labels[i]) for i in order)
-    best = max(votes.values())
-    tied = {lab for lab, c in votes.items() if c == best}
-    if len(tied) == 1:
-        return next(iter(tied))
-    if cfg.tie_break == "lowest_class_id":
-        return min(tied)
-    for i in order:
-        if int(labels[i]) in tied:
-            return int(labels[i])
-    raise AssertionError("unreachable")
+        raise DataError(f"distance row of length {dists.shape} does not match {labels.shape} train labels")
+    return _votes(dists[None], labels, [cfg.k], cfg.tie_break)[0][0]
 
 
 def round_half_up(value: Fraction | float, digits: int) -> float:
@@ -104,9 +145,7 @@ class EvaluationReport:
         return sum(sum(row) for row in self.confusion)
 
     @classmethod
-    def from_confusion(
-        cls, classes: Sequence[int], confusion: Sequence[Sequence[int]]
-    ) -> "EvaluationReport":
+    def from_confusion(cls, classes: Sequence[int], confusion: Sequence[Sequence[int]]) -> "EvaluationReport":
         classes = tuple(int(c) for c in classes)
         n = len(classes)
         C = tuple(tuple(int(x) for x in row) for row in confusion)
@@ -124,35 +163,17 @@ class EvaluationReport:
             tp = C[idx][idx]
             predicted = sum(C[r][idx] for r in range(n))
             actual = sum(C[idx])
-            prec = _safe_ratio(tp, predicted, f"precision(class {label})")
-            rec = _safe_ratio(tp, actual, f"recall(class {label})")
-            precision[label] = prec
-            recall[label] = rec
-            f1[label] = (
-                Fraction(0) if prec + rec == 0 else 2 * prec * rec / (prec + rec)
-            )
-        sensitivity = specificity = None
-        if n == 2:
-            sensitivity = recall[classes[1]]
-            specificity = recall[classes[0]]
-        return cls(
-            classes=classes,
-            confusion=C,
-            accuracy=accuracy,
-            sensitivity=sensitivity,
-            specificity=specificity,
-            precision=precision,
-            recall=recall,
-            f1=f1,
-        )
+            precision[label] = prec = _safe_ratio(tp, predicted, f"precision(class {label})")
+            recall[label] = rec = _safe_ratio(tp, actual, f"recall(class {label})")
+            f1[label] = Fraction(0) if prec + rec == 0 else 2 * prec * rec / (prec + rec)
+        sensitivity, specificity = (recall[classes[1]], recall[classes[0]]) if n == 2 else (None, None)
+        return cls(classes, C, accuracy, sensitivity, specificity, precision, recall, f1)
 
 
 def evaluate(predictions: Sequence[int], truths: Sequence[int]) -> EvaluationReport:
     """Confusion matrix and metrics for predicted vs. true window labels."""
     if len(predictions) != len(truths):
-        raise DataError(
-            f"{len(predictions)} predictions for {len(truths)} true labels"
-        )
+        raise DataError(f"{len(predictions)} predictions for {len(truths)} true labels")
     if not truths:
         raise DataError("cannot evaluate an empty prediction set")
     classes = tuple(sorted({int(t) for t in truths} | {int(p) for p in predictions}))
@@ -171,12 +192,9 @@ class KSweepEntry:
     specificity: Fraction | None
 
 
-def predict_all(
-    matrix: DistanceMatrix, train_labels: Sequence[int], cfg: KnnConfig
-) -> list[int]:
-    if len(train_labels) != matrix.values.shape[1]:
-        raise DataError(f"{len(train_labels)} train labels for {matrix.values.shape[1]} matrix columns")
-    return [knn_predict(row, train_labels, cfg) for row in matrix.values]
+def predict_all(matrix: DistanceMatrix, train_labels: Sequence[int], cfg: KnnConfig) -> list[int]:
+    """The k-NN prediction of every test row (see ``knn_predict``)."""
+    return _votes(matrix.values, train_labels, [cfg.k], cfg.tie_break)[0]
 
 
 def sweep_k(
@@ -186,25 +204,14 @@ def sweep_k(
     ks: Sequence[int],
     tie_break: str = "nearest_neighbor_label",
 ) -> list[KSweepEntry]:
-    """Evaluate a list of k values against the same distance matrix."""
+    """Evaluate a list of k values against the same distance matrix; one
+    sort of each row serves every k."""
     if len(test_labels) != len(matrix.values):
         raise DataError(f"{len(test_labels)} test labels for {len(matrix.values)} matrix rows")
-    configs = [KnnConfig(k=k, tie_break=tie_break) for k in ks]
-    for cfg in configs:
-        if cfg.k > len(train_labels):
-            raise DataError(f"k={cfg.k} exceeds training size {len(train_labels)}")
-    out = []
-    for cfg in configs:
-        report = evaluate(predict_all(matrix, train_labels, cfg), test_labels)
-        out.append(
-            KSweepEntry(
-                k=cfg.k,
-                accuracy=report.accuracy,
-                sensitivity=report.sensitivity,
-                specificity=report.specificity,
-            )
-        )
-    return out
+    for k in ks:
+        _check_k(k, tie_break)
+    reports = [evaluate(p, test_labels) for p in _votes(matrix.values, train_labels, ks, tie_break)]
+    return [KSweepEntry(k, r.accuracy, r.sensitivity, r.specificity) for k, r in zip(ks, reports)]
 
 
 def _fmt(value: Fraction | None, digits: int = 4) -> str:
@@ -213,14 +220,12 @@ def _fmt(value: Fraction | None, digits: int = 4) -> str:
 
 def render_report_table(report: EvaluationReport, digits: int = 4) -> str:
     """Aligned one-row metrics table (per-class precision and F1 columns)."""
+    classes = report.classes
     headers = ["Accuracy", "Sensitivity", "Specificity"]
-    cells = [_fmt(report.accuracy, digits), _fmt(report.sensitivity, digits), _fmt(report.specificity, digits)]
-    for label in report.classes:
-        headers.append(f"Precision({label})")
-        cells.append(_fmt(report.precision[label], digits))
-    for label in report.classes:
-        headers.append(f"F1({label})")
-        cells.append(_fmt(report.f1[label], digits))
+    headers += [f"Precision({c})" for c in classes] + [f"F1({c})" for c in classes]
+    values = [report.accuracy, report.sensitivity, report.specificity]
+    values += [report.precision[c] for c in classes] + [report.f1[c] for c in classes]
+    cells = [_fmt(v, digits) for v in values]
     widths = [max(len(h), len(c)) for h, c in zip(headers, cells)]
     head = "  ".join(h.ljust(w) for h, w in zip(headers, widths))
     row = "  ".join(c.ljust(w) for c, w in zip(cells, widths))

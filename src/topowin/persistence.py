@@ -60,9 +60,6 @@ class PersistenceDiagram:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def deaths(self) -> tuple[float, ...]:
-        return tuple(d for _, d in self.pairs)
-
 
 def cloud_points(cloud) -> np.ndarray:
     """A cloud, an (n, d) array of points, as floats."""

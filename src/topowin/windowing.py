@@ -2,17 +2,19 @@
 
 A window of length ``w`` advanced by stride ``s`` turns consecutive rows
 into a point cloud of ``w`` points in R^d; each window gets one class
-label from the per-row labels it covers.
+label from the per-row labels it covers.  The ``majority`` rule is the
+k-NN class vote (``classify.plurality``) with its default tie rule: among
+tied labels, the one that occurs first in the window wins.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .classify import plurality
 from .errors import DataError
 from .ingest import TimeSeries
 
@@ -46,24 +48,20 @@ class LabeledWindow:
 
 def window_label(labels: Sequence[int], rule: str) -> int:
     """Collapse the per-row labels of one window to a single class label.
-
-    ``any_positive``: 1 if any row is labeled 1, else 0.  ``majority``:
-    most frequent label; among tied labels the one occurring earliest in
-    the window wins, which keeps the rule deterministic.
-    """
-    labels = list(labels)
-    if not labels:
+    ``any_positive``: 1 if any row is labeled 1, else 0.  ``majority``: the
+    most frequent label; among tied labels the earliest in the window wins."""
+    row = np.asarray(labels, dtype=np.int64).reshape(1, -1)
+    if row.size == 0:
         raise DataError("cannot label an empty window")
+    return _label_windows(row, rule)[0]
+
+
+def _label_windows(labels: np.ndarray, rule: str) -> list[int]:
+    """``window_label`` of every row of a (windows, w) array of per-row labels."""
     if rule == "any_positive":
-        return 1 if any(l == 1 for l in labels) else 0
+        return (labels == 1).any(axis=1).astype(int).tolist()
     if rule == "majority":
-        counts = Counter(labels)
-        best = max(counts.values())
-        tied = {lab for lab, c in counts.items() if c == best}
-        for lab in labels:
-            if lab in tied:
-                return lab
-        raise AssertionError("unreachable")
+        return plurality(labels, [labels.shape[1]], "nearest_neighbor_label")[0]
     raise ValueError(f"label rule must be one of {LABEL_RULES}, got '{rule}'")
 
 
@@ -86,11 +84,7 @@ def make_windows(series: TimeSeries, cfg: WindowConfig) -> list[LabeledWindow]:
     starts = np.arange(window_count(n, cfg.w, cfg.s)) * cfg.s
     rows = starts[:, None] + np.arange(cfg.w)
     points = series.values[rows]
-    labels = series.labels[rows]
-    if cfg.label_rule == "any_positive":
-        window_labels = (labels == 1).any(axis=1).astype(int).tolist()
-    else:
-        window_labels = [window_label(row, cfg.label_rule) for row in labels.tolist()]
+    window_labels = _label_windows(series.labels[rows], cfg.label_rule)
     firsts = series.timestamps[starts].tolist()
     lasts = series.timestamps[starts + cfg.w - 1].tolist()
     return [

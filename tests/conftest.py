@@ -8,6 +8,11 @@ from topowin import CsvSchema, PipelineConfig, TimeSeries, run
 from topowin.io import write_series_csv
 
 
+def deaths(diagram):
+    """Death values of a diagram's pairs, in pair order."""
+    return [d for _, d in diagram.pairs]
+
+
 def make_series(values, labels=None, channel_names=None):
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:

@@ -15,6 +15,7 @@ enumeration.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, permutations
 
 import numpy as np
@@ -263,3 +264,30 @@ def window_count_naive(length: int, w: int, s: int) -> int:
         count += 1
         start += s
     return count
+
+
+def majority_by_counting(labels) -> int:
+    """Most frequent label; among tied labels the earliest in ``labels`` wins."""
+    labels = [int(v) for v in labels]
+    counts = Counter(labels)
+    best = max(counts.values())
+    tied = {lab for lab, c in counts.items() if c == best}
+    for lab in labels:
+        if lab in tied:
+            return lab
+    raise AssertionError("unreachable")
+
+
+# --- k-NN vote -------------------------------------------------------------------
+
+def knn_vote_by_counting(row, train_labels, k: int, tie_break: str) -> int:
+    """Majority label among the k nearest training windows (equal distances
+    to the lower index); a vote tie goes to the nearest tied label or to the
+    lowest tied label."""
+    order = np.argsort(np.asarray(row, dtype=float), kind="stable")[:k]
+    nearest = [int(train_labels[i]) for i in order]
+    if tie_break == "nearest_neighbor_label":
+        return majority_by_counting(nearest)
+    counts = Counter(nearest)
+    best = max(counts.values())
+    return min(lab for lab, c in counts.items() if c == best)

@@ -29,7 +29,7 @@ from topowin import (
     wasserstein,
 )
 from topowin.io import read_json, write_series_csv
-from conftest import synthetic_config_dict, synthetic_two_class_series
+from conftest import deaths, synthetic_config_dict, synthetic_two_class_series
 from oracles import (
     dim0_deaths_by_component_counting,
     dim1_pairs_by_persistent_betti,
@@ -86,7 +86,7 @@ def test_criterion_3_persistence_oracle_equivalence():
         n = int(rng.integers(1, 9))
         d = int(rng.integers(1, 6))
         pts = rng.uniform(-2, 2, size=(n, d))
-        got = rips_persistence_dim0(pts).deaths()
+        got = deaths(rips_persistence_dim0(pts))
         want = dim0_deaths_by_component_counting(pts)
         assert len(got) == len(want) == n - 1
         np.testing.assert_allclose(got, want, atol=1e-9)
@@ -151,8 +151,8 @@ def test_criterion_5_dim0_stability_under_perturbation():
         direction = rng.normal(size=(n, d))
         norms = np.maximum(np.linalg.norm(direction, axis=1, keepdims=True), 1e-12)
         moved = pts + direction / norms * rng.uniform(0, delta, size=(n, 1))
-        a = np.asarray(rips_persistence_dim0(pts).deaths())
-        b = np.asarray(rips_persistence_dim0(moved).deaths())
+        a = np.asarray(deaths(rips_persistence_dim0(pts)))
+        b = np.asarray(deaths(rips_persistence_dim0(moved)))
         assert a.shape == b.shape
         if a.size:
             assert float(np.max(np.abs(a - b))) <= 2 * delta + 1e-12

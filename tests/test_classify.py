@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topowin import (
     DataError,
@@ -10,10 +12,19 @@ from topowin import (
     KnnConfig,
     evaluate,
     knn_predict,
+    predict_all,
     round_half_up,
     sweep_k,
 )
-from topowin.classify import UndefinedMetricWarning, render_report_table, render_sweep_table
+from topowin.classify import (
+    TIE_BREAKS,
+    KSweepEntry,
+    UndefinedMetricWarning,
+    plurality,
+    render_report_table,
+    render_sweep_table,
+)
+from oracles import knn_vote_by_counting
 
 
 class TestKnnPredict:
@@ -62,6 +73,78 @@ class TestKnnPredict:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             KnnConfig(k=0)
+
+
+@st.composite
+def voters(draw, rows, width):
+    """(rows, width) labels over 2 to 7 arbitrary int64 classes."""
+    classes = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=2, max_size=7, unique=True))
+    picks = draw(st.lists(st.integers(0, len(classes) - 1), min_size=rows * width, max_size=rows * width))
+    return np.array([classes[i] for i in picks], dtype=np.int64).reshape(rows, width)
+
+
+class TestPlurality:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 4), width=st.integers(1, 12), tie_break=st.sampled_from(TIE_BREAKS))
+    def test_every_prefix_matches_counting(self, data, rows, width, tie_break):
+        labels = data.draw(voters(rows, width))
+        lengths = list(range(1, width + 1))
+        got = plurality(labels, lengths, tie_break)
+        # Distances 0, 1, 2, ... keep each row in its given vote order.
+        expected = [
+            [knn_vote_by_counting(range(width), row, n, tie_break) for row in labels.tolist()]
+            for n in lengths
+        ]
+        assert got == expected
+        assert all(type(v) is int for winners in got for v in winners)
+
+    def test_lengths_in_any_order(self):
+        labels = np.array([[3, -1, -1, 3, 3]])
+        assert plurality(labels, [5, 1, 3], "nearest_neighbor_label") == [[3], [3], [-1]]
+        assert plurality(labels, [4], "lowest_class_id") == [[-1]]
+        assert plurality(labels, [4], "nearest_neighbor_label") == [[3]]
+
+    def test_no_rows(self):
+        assert plurality(np.empty((0, 3), dtype=np.int64), [1, 3], "lowest_class_id") == [[], []]
+
+    def test_blocks_of_rows_agree_with_one_block(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        labels = rng.integers(0, 5, size=(9, 20))
+        whole = plurality(labels, [1, 7, 20], "nearest_neighbor_label")
+        monkeypatch.setattr("topowin.classify._CHUNK_CELLS", 1)
+        assert plurality(labels, [1, 7, 20], "nearest_neighbor_label") == whole
+
+
+class TestKnnAgainstCounting:
+    """Integer-valued distances make distance ties and vote ties common."""
+
+    @pytest.mark.filterwarnings("ignore::topowin.classify.UndefinedMetricWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        test=st.integers(1, 4),
+        train=st.integers(1, 10),
+        tie_break=st.sampled_from(TIE_BREAKS),
+    )
+    def test_every_k(self, data, test, train, tie_break):
+        train_labels = data.draw(voters(1, train))[0].tolist()
+        test_labels = data.draw(st.lists(st.sampled_from(train_labels), min_size=test, max_size=test))
+        values = data.draw(st.lists(st.integers(0, 3), min_size=test * train, max_size=test * train))
+        matrix = DistanceMatrix(np.array(values, dtype=float).reshape(test, train))
+        ks = list(range(1, train + 1))
+        expected = {
+            k: [knn_vote_by_counting(row, train_labels, k, tie_break) for row in matrix.values]
+            for k in ks
+        }
+        for k in ks:
+            cfg = KnnConfig(k=k, tie_break=tie_break)
+            got = predict_all(matrix, np.array(train_labels), cfg)
+            assert got == expected[k] and all(type(p) is int for p in got)
+            assert [knn_predict(row, train_labels, cfg) for row in matrix.values] == expected[k]
+        reports = {k: evaluate(expected[k], test_labels) for k in ks}
+        assert sweep_k(matrix, train_labels, test_labels, ks, tie_break) == [
+            KSweepEntry(k, r.accuracy, r.sensitivity, r.specificity) for k, r in reports.items()
+        ]
 
 
 class TestEvaluate:
@@ -172,8 +255,14 @@ class TestSweepK:
             sweep_k(small_matrix(), [0, 1, 0, 1], [0, 1], ks=[1, 99])
 
     def test_label_count_mismatch(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="2 train labels for 4 matrix columns"):
             sweep_k(small_matrix(), [0, 1], [0, 1], ks=[1])
+
+    def test_invalid_k_and_tie_break_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+            sweep_k(small_matrix(), [0, 1, 0, 1], [0, 1], ks=[1, 0])
+        with pytest.raises(ValueError, match="tie break"):
+            sweep_k(small_matrix(), [0, 1, 0, 1], [0, 1], ks=[1], tie_break="random")
 
 
 class TestRenderReport:

@@ -14,6 +14,7 @@ from topowin import (
     rips_persistence_dim1,
 )
 from topowin.persistence import _CHUNK_FLOATS, _chunk_clouds
+from conftest import deaths
 from oracles import (
     dim0_deaths_by_component_counting,
     dim0_deaths_by_prim_loop,
@@ -37,10 +38,6 @@ class TestDiagramType:
     def test_bad_policy_rejected(self):
         with pytest.raises(ValueError, match="essential policy"):
             PersistenceDiagram(dim=0, pairs=(), essential_policy="ignored")
-
-    def test_deaths_accessor(self):
-        diag = PersistenceDiagram(dim=0, pairs=((0.0, 1.0), (0.0, 2.0)))
-        assert diag.deaths() == (1.0, 2.0)
 
 
 class TestDim0:
@@ -66,8 +63,8 @@ class TestDim0:
         rng = np.random.default_rng(4)
         diag = rips_persistence_dim0(rng.normal(size=(9, 2)))
         assert all(b == 0.0 for b, _ in diag.pairs)
-        deaths = diag.deaths()
-        assert list(deaths) == sorted(deaths)
+        got = deaths(diag)
+        assert got == sorted(got)
 
     def test_matches_component_counting_oracle(self):
         rng = np.random.default_rng(12345)
@@ -75,7 +72,7 @@ class TestDim0:
             n = int(rng.integers(1, 9))
             d = int(rng.integers(1, 6))
             pts = rng.uniform(-1, 1, size=(n, d))
-            got = rips_persistence_dim0(pts).deaths()
+            got = deaths(rips_persistence_dim0(pts))
             want = dim0_deaths_by_component_counting(pts)
             assert len(got) == len(want)
             np.testing.assert_allclose(got, want, atol=1e-9)
@@ -85,7 +82,7 @@ class TestDim0:
             n = int(rng.integers(1, 12))
             d = int(rng.integers(1, 6))
             pts = rng.integers(-2, 3, size=(n, d)).astype(float)
-            assert list(rips_persistence_dim0(pts).deaths()) == dim0_deaths_by_component_counting(pts)
+            assert deaths(rips_persistence_dim0(pts)) == dim0_deaths_by_component_counting(pts)
 
     def test_capped_essential_policy_appends_cap(self):
         diag = rips_persistence_dim0(col(0.0, 1.0), essential_policy="capped", maxscale=5.0)
@@ -106,8 +103,8 @@ class TestDim0:
             pts = rng.normal(size=(7, 3))
             q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             moved = pts @ q.T + rng.normal(size=3)
-            a = rips_persistence_dim0(pts).deaths()
-            b = rips_persistence_dim0(moved).deaths()
+            a = deaths(rips_persistence_dim0(pts))
+            b = deaths(rips_persistence_dim0(moved))
             np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_perturbation_stability(self):
@@ -118,8 +115,8 @@ class TestDim0:
             direction = rng.normal(size=pts.shape)
             direction /= np.maximum(np.linalg.norm(direction, axis=1, keepdims=True), 1e-12)
             moved = pts + direction * rng.uniform(0, delta, size=(8, 1))
-            a = np.array(rips_persistence_dim0(pts).deaths())
-            b = np.array(rips_persistence_dim0(moved).deaths())
+            a = np.array(deaths(rips_persistence_dim0(pts)))
+            b = np.array(deaths(rips_persistence_dim0(moved)))
             assert np.max(np.abs(a - b)) <= 2 * delta + 1e-12
 
 
@@ -132,7 +129,7 @@ def random_cloud(rng, n, d):
 
 
 def batch_deaths(clouds, **policy):
-    return [diag.deaths() for diag in rips_persistence_dim0_batch(clouds, **policy)]
+    return [deaths(diag) for diag in rips_persistence_dim0_batch(clouds, **policy)]
 
 
 class TestDim0Batch:
@@ -142,8 +139,7 @@ class TestDim0Batch:
             rng.integers(-2, 3, size=(int(rng.integers(1, 15)), int(rng.integers(1, 7)))).astype(float)
             for _ in range(300)
         ]
-        got = batch_deaths(clouds)
-        assert [list(g) for g in got] == [dim0_deaths_by_component_counting(c) for c in clouds]
+        assert batch_deaths(clouds) == [dim0_deaths_by_component_counting(c) for c in clouds]
 
     @pytest.mark.parametrize(
         "policy", [{}, {"essential_policy": "capped", "maxscale": 3.0}], ids=["dropped", "capped"]
@@ -157,7 +153,7 @@ class TestDim0Batch:
         batched = rips_persistence_dim0_batch(clouds, **policy)
         assert batched == [rips_persistence_dim0(c, **policy) for c in clouds]
         cap = [policy["maxscale"]] if policy else []
-        assert [list(diag.deaths()) for diag in batched] == [dim0_deaths_by_prim_loop(c) + cap for c in clouds]
+        assert [deaths(diag) for diag in batched] == [dim0_deaths_by_prim_loop(c) + cap for c in clouds]
 
     def test_chunk_boundaries(self):
         n, d = 15, 12
@@ -166,7 +162,7 @@ class TestDim0Batch:
         rng = np.random.default_rng(31)
         for count in (chunk, chunk + 1, 2 * chunk + 1):
             clouds = [random_cloud(rng, n, d) for _ in range(count)]
-            assert [list(g) for g in batch_deaths(clouds)] == [dim0_deaths_by_prim_loop(c) for c in clouds]
+            assert batch_deaths(clouds) == [dim0_deaths_by_prim_loop(c) for c in clouds]
 
     def test_chunk_temporaries_stay_small_for_any_window(self):
         # Each chunk's (clouds, n, n, d) difference tensor holds at most
@@ -235,7 +231,7 @@ class TestDim0Batch:
             clouds.append(pts.astype(float))
         batched = rips_persistence_dim0_batch(clouds)
         assert batched == [rips_persistence_dim0(c) for c in clouds]
-        assert [list(diag.deaths()) for diag in batched] == [dim0_deaths_by_prim_loop(c) for c in clouds]
+        assert [deaths(diag) for diag in batched] == [dim0_deaths_by_prim_loop(c) for c in clouds]
 
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from topowin import DataError, WindowConfig, make_windows, window_count, window_label
 from conftest import make_series
-from oracles import window_count_naive
+from oracles import majority_by_counting, window_count_naive
 
 
 class TestWindowConfig:
@@ -93,6 +93,21 @@ class TestMakeWindows:
             assert win.time_range == (float(i * s), float(i * s + w - 1))
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), w=st.integers(2, 12), windows=st.integers(1, 6), overlap=st.booleans())
+    def test_majority_matches_counting(self, data, w, windows, overlap):
+        # s < w (overlapping windows) and s = w (a partition)
+        s = data.draw(st.integers(1, w - 1)) if overlap else w
+        classes = data.draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=2, max_size=7, unique=True))
+        n = (windows - 1) * s + w
+        labels = data.draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n))
+        series = make_series(np.zeros(n), labels=labels)
+        wins = make_windows(series, WindowConfig(w=w, s=s, label_rule="majority"))
+        assert [win.label for win in wins] == [
+            majority_by_counting(labels[i * s : i * s + w]) for i in range(windows)
+        ]
+
+
 class TestWindowLabel:
     def test_any_positive_hits(self):
         assert window_label([0, 0, 1, 0, 0], "any_positive") == 1
@@ -108,6 +123,11 @@ class TestWindowLabel:
         assert window_label([1, 1, 0, 0], "majority") == 1
         # earliest occurrence among the tied labels, not the first row outright
         assert window_label([2, 0, 0, 1, 1], "majority") == 0
+
+    @pytest.mark.parametrize("rule", ["any_positive", "majority"])
+    def test_returns_python_int(self, rule):
+        for labels in ([1, 1, 0], np.array([1, 1, 0]), np.array([0, 2, 2], dtype=np.int32)):
+            assert type(window_label(labels, rule)) is int
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
