@@ -225,22 +225,17 @@ def render_report_table(report: EvaluationReport, digits: int = 4) -> str:
     headers += [f"Precision({c})" for c in classes] + [f"F1({c})" for c in classes]
     values = [report.accuracy, report.sensitivity, report.specificity]
     values += [report.precision[c] for c in classes] + [report.f1[c] for c in classes]
-    cells = [_fmt(v, digits) for v in values]
-    widths = [max(len(h), len(c)) for h, c in zip(headers, cells)]
-    head = "  ".join(h.ljust(w) for h, w in zip(headers, widths))
-    row = "  ".join(c.ljust(w) for c, w in zip(cells, widths))
-    return head + "\n" + row
+    return _aligned([headers, [_fmt(v, digits) for v in values]])
 
 
 def render_sweep_table(entries: Sequence[KSweepEntry], digits: int = 4) -> str:
     """k values across the top, one row per metric."""
-    header = ["k"] + [str(e.k) for e in entries]
-    rows = [
-        ["accuracy"] + [_fmt(e.accuracy, digits) for e in entries],
-        ["sensitivity"] + [_fmt(e.sensitivity, digits) for e in entries],
-        ["specificity"] + [_fmt(e.specificity, digits) for e in entries],
-    ]
-    table = [header] + rows
-    widths = [max(len(r[c]) for r in table) for c in range(len(header))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)) for r in table]
-    return "\n".join(lines)
+    metrics = ("accuracy", "sensitivity", "specificity")
+    rows = [[m] + [_fmt(getattr(e, m), digits) for e in entries] for m in metrics]
+    return _aligned([["k"] + [str(e.k) for e in entries], *rows])
+
+
+def _aligned(rows: Sequence[Sequence[str]]) -> str:
+    """Cells padded to their column's widest cell, joined by two spaces."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in rows)

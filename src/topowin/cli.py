@@ -14,7 +14,7 @@ import warnings
 from pathlib import Path
 
 from . import io
-from .classify import render_report_table, render_sweep_table, sweep_k
+from .classify import TIE_BREAKS, render_report_table, render_sweep_table, sweep_k
 from .distance import DistanceMatrix
 from .errors import DataError, NumericalError
 from .ingest import load_csv
@@ -34,6 +34,7 @@ from .pipeline import (
     write_report,
 )
 from .plot import write_diagram_plot
+from .windowing import LABEL_RULES
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,7 +60,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", type=Path, default=None, help="output directory")
         p.add_argument("-w", "--window", type=int, default=None, help="window length")
         p.add_argument("-s", "--stride", type=int, default=None, help="window stride")
-        p.add_argument("--label-rule", default=None, choices=("any_positive", "majority"))
+        p.add_argument("--label-rule", default=None, choices=LABEL_RULES)
         p.add_argument("--offset", default=None, help='comma list or "auto"')
         p.add_argument(
             "--anchor",
@@ -95,7 +96,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--windows", type=Path, help="windows CSV (labels)")
     p.add_argument("--train-split", default=None)
     p.add_argument("--test-split", default=None)
-    p.add_argument("--tie-break", default=None, choices=("nearest_neighbor_label", "lowest_class_id"))
+    p.add_argument("--tie-break", default=None, choices=TIE_BREAKS)
 
     p = add("sweep-k", "evaluate several k values against one distance matrix")
     p.add_argument("--matrix", type=Path, help="distance matrix CSV")

@@ -405,12 +405,14 @@ def read_diagrams_csv(
     path: Path,
     counts: Mapping[str, int],
     dim: int,
-    essential_policy: str,
+    essential_policy: str | None = None,
 ) -> dict[str, list[PersistenceDiagram]]:
     """Rebuild per-window diagrams; windows absent from the file get empty
     diagrams, so ``counts`` (windows per split) is required.  A row of a
     split, window or dimension outside ``counts`` and ``dim``, or whose point
-    is not finite 0 <= birth <= death, is a ``DataError`` naming its line."""
+    is not finite 0 <= birth <= death, is a ``DataError`` naming its line.
+    ``essential_policy`` is unused: a diagram is its dimension and points.
+    It stays only for ``perfbench/micro.py``, which passes it by position."""
     pairs: dict[tuple[str, int], list[tuple[float, float]]] = {}
 
     def parse(row: list[str]) -> None:
@@ -426,7 +428,7 @@ def read_diagrams_csv(
 
     _read_csv(path, ",".join(_DIAGRAM_COLUMNS), lambda header: parse if header == _DIAGRAM_COLUMNS else None)
     return {
-        split: [PersistenceDiagram(dim, tuple(pairs.get((split, i), ())), essential_policy) for i in range(count)]
+        split: [PersistenceDiagram(dim, tuple(pairs.get((split, i), ()))) for i in range(count)]
         for split, count in counts.items()
     }
 

@@ -40,15 +40,10 @@ class PersistenceDiagram:
 
     dim: int
     pairs: tuple[tuple[float, float], ...]
-    essential_policy: str = "dropped"
 
     def __post_init__(self) -> None:
         if self.dim < 0:
             raise ValueError(f"homology dimension must be >= 0, got {self.dim}")
-        if self.essential_policy not in ESSENTIAL_POLICIES:
-            raise ValueError(
-                f"essential policy must be one of {ESSENTIAL_POLICIES}, got '{self.essential_policy}'"
-            )
         pairs = tuple((float(b), float(d)) for b, d in self.pairs)
         object.__setattr__(self, "pairs", pairs)
         for b, d in pairs:
@@ -127,8 +122,8 @@ def rips_persistence_dim0_batch(
     Each diagram has n - 1 pairs (0, L), one per minimum-spanning-tree edge,
     sorted by death.  The one class that never dies is dropped by default;
     with ``essential_policy="capped"`` it is reported as (0, maxscale)
-    instead.  Clouds of one shape run one Prim pass together, in chunks of
-    ``_chunk_clouds(n, d)``.
+    instead, for a positive, finite maxscale.  Clouds of one shape run one
+    Prim pass together, in chunks of ``_chunk_clouds(n, d)``.
     """
     points = [cloud_points(c) for c in clouds]
     groups: dict[tuple[int, int], list[int]] = {}
@@ -138,8 +133,8 @@ def rips_persistence_dim0_batch(
         groups.setdefault(pts.shape, []).append(i)
     if essential_policy not in ESSENTIAL_POLICIES:
         raise ValueError(f"essential policy must be one of {ESSENTIAL_POLICIES}")
-    if essential_policy == "capped" and (maxscale is None or maxscale <= 0):
-        raise NumericalError("capped essential policy needs maxscale > 0")
+    if essential_policy == "capped" and (maxscale is None or not 0 < maxscale < math.inf):
+        raise NumericalError(f"capped essential policy needs a positive, finite maxscale, got {maxscale}")
 
     essential = [(0.0, float(maxscale))] if essential_policy == "capped" else []
     diagrams: list[PersistenceDiagram | None] = [None] * len(points)
@@ -150,7 +145,7 @@ def rips_persistence_dim0_batch(
             deaths = _mst_deaths(_distance_matrix(np.array([points[i] for i in part]))).tolist()
             for i, row in zip(part, deaths):
                 pairs = tuple([(0.0, x) for x in row] + essential)
-                diagrams[i] = PersistenceDiagram(dim=0, pairs=pairs, essential_policy=essential_policy)
+                diagrams[i] = PersistenceDiagram(dim=0, pairs=pairs)
     return diagrams
 
 
@@ -207,4 +202,4 @@ def rips_persistence_dim1(cloud, maxscale: float) -> PersistenceDiagram:
                 pairs.append((birth, diam))
     pairs += [(b, maxscale) for b in open_births.elements() if maxscale > b]
     pairs.sort(key=lambda p: (p[1], p[0]))
-    return PersistenceDiagram(dim=1, pairs=tuple(pairs), essential_policy="capped")
+    return PersistenceDiagram(dim=1, pairs=tuple(pairs))

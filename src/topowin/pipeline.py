@@ -282,11 +282,21 @@ def standardize(series: TimeSeries, cfg: PipelineConfig) -> StandardizationParam
     return fit_standardizer(series, cfg.splits, cfg.standardize_mode, cfg.train_split)
 
 
+def _each_split(values_by_split: dict, fn) -> dict:
+    """``fn`` of each split's value; a ``DataError`` names its split."""
+    out = {}
+    for name, value in values_by_split.items():
+        try:
+            out[name] = fn(value)
+        except DataError as exc:
+            raise DataError(f"split '{name}': {exc}") from None
+    return out
+
+
 def cut_windows(series: TimeSeries, cfg: PipelineConfig) -> dict:
     """The labeled windows of every split, cut from the series as it was
     read: standardizing is the clouds stage's work."""
-    parts = split_series(series, cfg.splits)
-    return {name: make_windows(sub, cfg.window) for name, sub in parts.items()}
+    return _each_split(split_series(series, cfg.splits), lambda part: make_windows(part, cfg.window))
 
 
 def augment_config(cfg: PipelineConfig) -> AugmentConfig:
@@ -299,13 +309,7 @@ def build_clouds(windows_by_split: dict, params: StandardizationParams, cfg: Pip
     """Each split's windows standardized by ``params``, translated by the
     offset and anchored, in one batched pass per split."""
     aug_cfg = augment_config(cfg)
-    clouds = {}
-    for name, wins in windows_by_split.items():
-        try:
-            clouds[name] = augment_batch(wins, aug_cfg, params)
-        except DataError as exc:
-            raise DataError(f"split '{name}': {exc}") from None
-    return clouds
+    return _each_split(windows_by_split, lambda wins: augment_batch(wins, aug_cfg, params))
 
 
 def compute_diagrams(clouds_by_split: dict, cfg: PipelineConfig) -> dict:
@@ -326,8 +330,7 @@ def read_diagrams(path: Path, counts: dict[str, int], cfg: PipelineConfig) -> di
     dimension 0 a window without rows is a ``DataError``: a cut window has
     two or more points, so its minimum spanning tree has an edge and its
     diagram a pair, and the file must have skipped it."""
-    policy = cfg.essential_policy if cfg.dimension == 0 else "capped"
-    diagrams = io.read_diagrams_csv(path, counts, cfg.dimension, policy)
+    diagrams = io.read_diagrams_csv(path, counts, cfg.dimension)
     empty = ((name, i) for name, ds in diagrams.items() for i, d in enumerate(ds) if not d.pairs)
     if cfg.dimension == 0 and (first := next(empty, None)):
         raise DataError(f"{path}: no rows for split '{first[0]}' window {first[1]}")

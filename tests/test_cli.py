@@ -183,6 +183,25 @@ class TestStageCommands:
         assert code == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "windows"])
+    def test_split_shorter_than_the_window_is_named(self, command, tmp_path, synth_csv, capsys):
+        payload = synthetic_config_dict("short-split", synth_csv, n_windows=100)
+        payload["splits"] = [["train", 0, 600], ["test", 600, 605]]
+        config = tmp_path / "short.json"
+        write_json(config, payload)
+        if command == "run":
+            argv = ["run", "--config", str(config), "--out", str(tmp_path / "runs")]
+            prefix = "stage 'windows': "
+        else:
+            assert main(["ingest", "--config", str(config), "--out", str(tmp_path / "ingest")]) == 0
+            capsys.readouterr()
+            argv = ["windows", "--config", str(config), "--series", str(tmp_path / "ingest" / "series.csv")]
+            argv += ["--out", str(tmp_path / "windows")]
+            prefix = ""
+        assert main(argv) == 2
+        message = "split 'test': series has 5 rows, shorter than window length 10"
+        assert capsys.readouterr().err == f"data error: {prefix}{message}\n"
+
     @pytest.mark.parametrize("command", ["run", "ingest"])
     def test_non_utf8_data_exit_code(self, command, tmp_path, config_path, synth_csv, capsys):
         data = tmp_path / "latin1.csv"

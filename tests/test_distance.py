@@ -182,8 +182,8 @@ class TestDistanceMatrix:
             DistanceMatrix(np.zeros(2))
 
 
-def zero_birth(*deaths, policy="dropped"):
-    return PersistenceDiagram(dim=0, pairs=tuple((0.0, d) for d in deaths), essential_policy=policy)
+def zero_birth(*deaths):
+    return PersistenceDiagram(dim=0, pairs=tuple((0.0, d) for d in deaths))
 
 
 def random_zero_birth(rng, low, high, grid=False):
@@ -209,7 +209,7 @@ class TestZeroBirthDP:
             (zero_birth(), zero_birth(1.5)),
             (zero_birth(0.5, 0.5, 2.0), zero_birth()),
             (zero_birth(1.0, 1.0, 1.5), zero_birth(1.0, 1.5, 1.5, 4.0)),
-            (zero_birth(0.5, 2.0, policy="capped"), zero_birth(1.0, 3.0, policy="capped")),
+            (zero_birth(0.5, 2.0), zero_birth(1.0, 3.0)),
         ]
         for _ in range(60):
             grid = bool(rng.integers(0, 2))
@@ -248,7 +248,7 @@ class TestZeroBirthDP:
 
 
 def dim1(*pairs):
-    return PersistenceDiagram(dim=1, pairs=tuple(pairs), essential_policy="capped")
+    return PersistenceDiagram(dim=1, pairs=tuple(pairs))
 
 
 def rips_dim1_diagrams(seed, count):

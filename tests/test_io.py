@@ -305,7 +305,7 @@ class TestReadBack:
     def test_diagrams(self, tmp_path):
         diags = diagrams()
         io.write_diagrams_csv(diags, tmp_path / "d.csv")
-        again = io.read_diagrams_csv(tmp_path / "d.csv", {s: len(d) for s, d in diags.items()}, 0, "dropped")
+        again = io.read_diagrams_csv(tmp_path / "d.csv", {s: len(d) for s, d in diags.items()}, 0)
         assert again == diags
 
     # diagrams() per split: window 0 on four lines, window 2 on two (window 1
@@ -322,7 +322,7 @@ class TestReadBack:
     def test_diagram_row_the_read_cannot_place(self, tmp_path, counts, dim, message):
         io.write_diagrams_csv(diagrams(), tmp_path / "d.csv")
         with pytest.raises(DataError, match=re.escape(f"{tmp_path / 'd.csv'}: {message}")):
-            io.read_diagrams_csv(tmp_path / "d.csv", counts, dim, "dropped")
+            io.read_diagrams_csv(tmp_path / "d.csv", counts, dim)
 
     def test_bad_diagram_row_names_its_line_past_blank_ones(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -330,7 +330,7 @@ class TestReadBack:
         header, rest = path.read_text(encoding="utf-8").split("\n", 1)
         path.write_text(f"{header}\n\n\n{rest}", encoding="utf-8")
         with pytest.raises(DataError, match="line 4: dimension 0, not 1"):
-            io.read_diagrams_csv(path, {s: 3 for s in SPLITS}, 1, "capped")
+            io.read_diagrams_csv(path, {s: 3 for s in SPLITS}, 1)
 
     def test_distmat(self, tmp_path):
         m = distmat()
@@ -589,7 +589,7 @@ class TestMalformedReads:
         io.write_diagrams_csv(diagrams(), path)
         replace_line(path, 8, cell)
         with pytest.raises(DataError, match=re.escape(f"{path}: line 8: {message}")):
-            io.read_diagrams_csv(path, {s: 3 for s in SPLITS}, 0, "dropped")
+            io.read_diagrams_csv(path, {s: 3 for s in SPLITS}, 0)
 
     @pytest.mark.parametrize(
         "read, header",
@@ -597,7 +597,7 @@ class TestMalformedReads:
             (io.read_series_csv, "time,c0,label"),
             (io.read_windows_csv, "split,window,label,point,t_first,t_last,c0"),
             (io.read_clouds_csv, "split,point,window,x0"),
-            (lambda p: io.read_diagrams_csv(p, {}, 0, "dropped"), "split,window,dim,birth,death,extra"),
+            (lambda p: io.read_diagrams_csv(p, {}, 0), "split,window,dim,birth,death,extra"),
             (io.read_distmat_csv, "row,0,1"),
             (io.read_distmat_csv, ""),
             (io.read_diagram_points, "birth,death,dim"),
@@ -703,7 +703,7 @@ class TestMalformedReads:
             io.read_series_csv,
             io.read_windows_csv,
             io.read_clouds_csv,
-            lambda p: io.read_diagrams_csv(p, {}, 0, "dropped"),
+            lambda p: io.read_diagrams_csv(p, {}, 0),
             io.read_distmat_csv,
             io.read_diagram_points,
             io.read_json,

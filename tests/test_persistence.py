@@ -35,10 +35,6 @@ class TestDiagramType:
         with pytest.raises(ValueError):
             PersistenceDiagram(dim=0, pairs=((-0.5, 1.0),))
 
-    def test_bad_policy_rejected(self):
-        with pytest.raises(ValueError, match="essential policy"):
-            PersistenceDiagram(dim=0, pairs=(), essential_policy="ignored")
-
 
 class TestDim0:
     def test_three_points_on_a_line(self):
@@ -87,7 +83,6 @@ class TestDim0:
     def test_capped_essential_policy_appends_cap(self):
         diag = rips_persistence_dim0(col(0.0, 1.0), essential_policy="capped", maxscale=5.0)
         assert diag.pairs == ((0.0, 1.0), (0.0, 5.0))
-        assert diag.essential_policy == "capped"
 
     def test_capped_needs_positive_maxscale(self):
         with pytest.raises(NumericalError):
@@ -206,6 +201,8 @@ class TestDim0Batch:
             ({"essential_policy": "capped"}, NumericalError),
             ({"essential_policy": "capped", "maxscale": 0.0}, NumericalError),
             ({"essential_policy": "capped", "maxscale": -1.0}, NumericalError),
+            ({"essential_policy": "capped", "maxscale": math.inf}, NumericalError),
+            ({"essential_policy": "capped", "maxscale": math.nan}, NumericalError),
         ],
     )
     def test_policy_errors_match_per_cloud_calls(self, policy, error):

@@ -885,7 +885,7 @@ class TestArtifactsRewriteToTheirBytes:
             "windows": (io.read_windows_csv, lambda v, p: io.write_windows_csv(v, cfg.schema.features, p)),
             "clouds": (io.read_clouds_csv, io.write_clouds_csv),
             "diagrams": (
-                lambda p: io.read_diagrams_csv(p, counts, cfg.dimension, cfg.essential_policy),
+                lambda p: io.read_diagrams_csv(p, counts, cfg.dimension),
                 io.write_diagrams_csv,
             ),
             "distmat": (io.read_distmat_csv, io.write_distmat_csv),
