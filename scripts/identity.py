@@ -22,6 +22,7 @@ code is 0 only when the outputs are identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -78,9 +79,12 @@ def cases(inputs: Path) -> dict[str, list[tuple[str, list[str]]]]:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
+    shapes = dict(workloads.WORKLOADS)
+    # The paper's protocol: the occ-cold shape with its 200 test windows.
+    shapes["protocol"] = dataclasses.replace(shapes["occ-cold"], name="protocol", n_test=200)
     sources = {}
-    for name, seed in (("occ-cold", 1), ("occ-cold", 2), ("dim1-cold", 1)):
-        workload = workloads.WORKLOADS[name]
+    for name, seed in (("occ-cold", 1), ("occ-cold", 2), ("dim1-cold", 1), ("protocol", 1)):
+        workload = shapes[name]
         config, data = inputs / f"{name}-{seed}.json", inputs / f"{name}-{seed}.csv"
         workloads.write_csv(data, seed, workload.rows)
         config.write_text(json.dumps(workload.config_dict(seed)), encoding="utf-8")
@@ -105,6 +109,13 @@ def cases(inputs: Path) -> dict[str, list[tuple[str, list[str]]]]:
         ]
     for source in ("dim1-cold seed 1", "make_synthetic"):
         out[source] = [("cold", run(source)), ("warm", run(source))]
+    out["protocol seed 1"] = [
+        ("cold", run("protocol seed 1")),
+        ("warm", run("protocol seed 1")),
+        ("--no-cache", run("protocol seed 1", "--no-cache")),
+        ("--p 2", run("protocol seed 1", "--p", "2")),
+        ("--dimension 1 --maxscale 3.0", run("protocol seed 1", "--dimension", "1", "--maxscale", "3.0")),
+    ]
 
     config, data = sources["occ-cold seed 1"]
     labelled = ["--config", config, "--matrix", "distmat/distmat.csv", "--windows", "windows/windows.csv"]

@@ -63,13 +63,14 @@ class TimeSeries:
         return self.values.shape[1]
 
     def slice(self, start: int, stop: int) -> "TimeSeries":
-        """Row subrange [start, stop) as a new series."""
+        """Row subrange [start, stop) as a new series that shares this
+        series' arrays: its arrays are views, not copies."""
         if not (0 <= start < stop <= self.length):
             raise DataError(f"slice [{start}, {stop}) outside series of length {self.length}")
         return TimeSeries(
-            timestamps=self.timestamps[start:stop].copy(),
-            values=self.values[start:stop].copy(),
-            labels=self.labels[start:stop].copy(),
+            timestamps=self.timestamps[start:stop],
+            values=self.values[start:stop],
+            labels=self.labels[start:stop],
             channel_names=self.channel_names,
         )
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -401,6 +402,10 @@ class _StageRunner:
     """Resolves stage values on demand.  A stage with a readable cached
     artifact is read; any other stage is computed from its inputs, which are
     resolved the same way first.  A stage nothing asks for is never touched.
+    A value is dropped once every stage that lists it in ``inputs`` has
+    resolved it, so a cold run frees the series before the clouds are
+    built, the clouds before the distances and the diagrams before the
+    classification.
 
     ``stages`` lists the stages in pipeline order: each key chains the one
     before it, so all keys are known before any stage runs."""
@@ -414,6 +419,8 @@ class _StageRunner:
         for stage, spec in stages.items():
             self.keys[stage] = parent = io.stage_key(stage, parent, spec.params)
         self.values: dict[str, object] = {}
+        # Per stage, how many stages that list it have yet to resolve it.
+        self.readers = Counter(s for spec in stages.values() for s in spec.inputs)
         self.artifacts: dict[str, StageArtifact] = {}
 
     def path(self, stage: str) -> Path:
@@ -433,7 +440,7 @@ class _StageRunner:
                 spent, reason = time.perf_counter() - started, "unreadable"
         # Inputs are resolved before a stage's clock starts and outside its
         # error prefix, so each stage times and names only its own work.
-        args = [self.get(s) for s in spec.inputs]
+        args = [self._input(s) for s in spec.inputs]
         started = time.perf_counter() - spent
         try:
             value = spec.compute(*args)
@@ -444,6 +451,15 @@ class _StageRunner:
             raise base(f"stage '{stage}': {exc}") from exc
         io.write_text(_digest_path(path), spec.write(value, path) + "\n")
         return self._done(stage, value, "computed", started, reason)
+
+    def _input(self, stage: str):
+        """``get(stage)`` for a stage that lists it in ``inputs``; the last
+        such stage takes the value out of ``values``."""
+        value = self.get(stage)
+        self.readers[stage] -= 1
+        if not self.readers[stage]:
+            del self.values[stage]
+        return value
 
     def _done(self, stage: str, value, status: str, started: float, reason: str | None = None):
         self.values[stage] = value

@@ -95,11 +95,13 @@ def augment_batch(
     k = cfg.anchors.shape[0]
     out: list[np.ndarray | None] = [None] * len(windows)
     for w, members in groups.items():
-        points = np.stack([windows[i].points for i in members])
+        # A float64 copy, standardized in place even for integer points.
+        points = np.stack([windows[i].points for i in members], dtype=float)
         clouds = np.empty((len(members), w + k, cfg.dimension))
         with np.errstate(over="ignore"):  # reported below, by window
             if params is not None:
-                points = (points - params.means) / params.standard_deviations
+                points -= params.means
+                points /= params.standard_deviations
             np.add(points, cfg.offset, out=clouds[:, :w])
         clouds[:, w:] = cfg.anchors
         finite = np.isfinite(clouds[:, :w]).all(axis=(1, 2))

@@ -36,7 +36,7 @@ class WindowConfig:
             raise ValueError(f"label rule must be one of {LABEL_RULES}, got '{self.label_rule}'")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledWindow:
     """One window of a split.  Its position i in the split's list is its
     only number: it holds source rows s*i .. s*i+w-1."""

@@ -438,6 +438,10 @@ class TestSplitSpec:
         parts = split_series(series, SplitSpec((("train", 0, 5), ("test", 5, 10))))
         assert parts["train"].length == 5
         assert parts["test"].labels.tolist() == [1] * 5
+        # Views of the series' arrays, not copies.
+        for part in parts.values():
+            for name in ("timestamps", "values", "labels"):
+                assert np.shares_memory(getattr(part, name), getattr(series, name))
 
 
 class TestStandardizer:

@@ -35,6 +35,10 @@ class TestDiagramType:
         with pytest.raises(ValueError):
             PersistenceDiagram(dim=0, pairs=((-0.5, 1.0),))
 
+    def test_has_no_instance_dict(self):
+        # Slotted: a run builds one diagram per window.
+        assert not hasattr(PersistenceDiagram(dim=0, pairs=((0.0, 1.0),)), "__dict__")
+
 
 class TestDim0:
     def test_three_points_on_a_line(self):

@@ -4,6 +4,7 @@ import json
 import multiprocessing.process
 import re
 import shutil
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -222,6 +223,12 @@ class TestRun:
         status = {s["stage"]: s["status"] for s in describe_run("synth", root)["stages"]}
         assert status["distances"] == "cached"
         assert status["classify"] == "computed"
+        # Every file is a fresh k = 7 run's, byte for byte.
+        run(config_for(synth_csv, k=7), synth_csv, runs_root=tmp_path / "fresh")
+        fresh = {p.relative_to(tmp_path / "fresh"): b for p, b in files(tmp_path / "fresh").items()}
+        assert {name: (root / name).read_bytes() for name in fresh if name.name != "provenance.json"} == {
+            name: b for name, b in fresh.items() if name.name != "provenance.json"
+        }
 
     def test_changing_window_recomputes_downstream(self, synth_csv, tmp_path):
         root = tmp_path / "runs"
@@ -428,11 +435,24 @@ class TestCacheReads:
         windows = Path(describe_run(cfg.run_id, root)["stages"][STAGES.index("windows")]["path"])
         assert [len(wins) for wins in io.read_windows_csv(windows).values()] == [20, 10]
 
-    def test_unread_stage_without_artifact_is_skipped(self, warm):
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_rerun_without_one_stage_directory(self, warm, stage):
+        # With the report cached nothing upstream is read, so any other
+        # stage whose directory is gone is skipped; a missing report is
+        # recomputed from the cached matrix and windows, to its bytes.
         cfg, data, root = warm
-        shutil.rmtree(root / cfg.run_id / "clouds")
+        run_dir = root / cfg.run_id
+        before = files(run_dir)
+        shutil.rmtree(run_dir / stage)
         run(cfg, data, runs_root=root)
-        assert statuses(cfg, root)["clouds"] == "skipped"
+        status = statuses(cfg, root)
+        assert status[stage] == ("computed" if stage == "classify" else "skipped")
+        assert all(status[s] == "cached" for s in STAGES if s != stage)
+        kept = {p: b for p, b in before.items() if stage == "classify" or p.parent.name != stage}
+        provenance = run_dir / "provenance.json"
+        assert {p: b for p, b in files(run_dir).items() if p != provenance} == {
+            p: b for p, b in kept.items() if p != provenance
+        }
 
     def test_failure_is_prefixed_once(self, synth_csv, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -914,6 +934,32 @@ class TestRunFreesItsValues:
         finally:
             gc.enable()
         assert left == []
+
+    @pytest.mark.parametrize(
+        "producer, consumer",
+        [("load_csv", "compute_diagrams"), ("build_clouds", "compute_distances")],
+        ids=["series-before-diagrams", "clouds-before-distances"],
+    )
+    def test_value_is_freed_before_a_later_stage_starts(self, small_run, tmp_path, monkeypatch, producer, consumer):
+        cfg, data, _ = small_run
+        produce, consume = getattr(topowin.pipeline, producer), getattr(topowin.pipeline, consumer)
+        refs, alive = [], []
+
+        def producing(*args):
+            value = produce(*args)
+            # The series and its values, or every cloud of every split.
+            objects = [c for clouds in value.values() for c in clouds] if isinstance(value, dict) else [value, value.values]
+            refs.extend(map(weakref.ref, objects))
+            return value
+
+        def consuming(*args):
+            alive.append(sum(ref() is not None for ref in refs))
+            return consume(*args)
+
+        monkeypatch.setattr(topowin.pipeline, producer, producing)
+        monkeypatch.setattr(topowin.pipeline, consumer, consuming)
+        run(cfg, data, runs_root=tmp_path)
+        assert refs and alive == [0]
 
 
 class TestRunArguments:

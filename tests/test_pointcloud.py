@@ -75,11 +75,23 @@ class TestAugment:
         cloud = augment(window_from(pts), cfg)
         np.testing.assert_array_equal(cloud, pts)
 
-    def test_input_not_modified(self):
-        pts = np.array([[1.0, 1.0]])
-        win = window_from(pts)
-        augment(win, AugmentConfig(offset=np.ones(2), anchors=np.zeros((1, 2))))
-        np.testing.assert_array_equal(win.points, [[1.0, 1.0]])
+    @pytest.mark.parametrize(
+        "points, params",
+        [
+            (np.array([[1.0, 1.0]]), None),
+            # Integer points, standardized as the clouds stage does.
+            (np.array([[1, 3], [2, 5]]), StandardizationParams(means=[1.5, 4.0], standard_deviations=[0.5, 2.0])),
+        ],
+        ids=["float", "integer-standardized"],
+    )
+    def test_input_not_modified(self, points, params):
+        win = LabeledWindow(points=points.copy(), label=0, time_range=(0.0, 1.0))
+        cfg = AugmentConfig(offset=np.ones(2), anchors=np.zeros((1, 2)))
+        (cloud,) = augment_batch([win], cfg, params)
+        np.testing.assert_array_equal(win.points, points)
+        assert win.points.dtype == points.dtype
+        embedded = points if params is None else (points - params.means) / params.standard_deviations
+        assert cloud.tolist() == np.vstack([embedded + 1.0, [[0.0, 0.0]]]).tolist()
 
     def test_anchors_appended_after_translated_points(self):
         win = window_from([[1.0, 1.0], [2.0, 2.0]])

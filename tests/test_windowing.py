@@ -56,6 +56,11 @@ class TestMakeWindows:
         assert wins[0].time_range == (0.0, 3.0)
         assert wins[1].time_range == (4.0, 7.0)
 
+    def test_windows_have_no_instance_dict(self):
+        # Slotted: a run builds one window per w rows of the series.
+        wins = make_windows(make_series(np.arange(8.0)), WindowConfig(w=4, s=4))
+        assert not any(hasattr(win, "__dict__") for win in wins)
+
     @settings(max_examples=200, deadline=None)
     @given(
         length=st.integers(min_value=2, max_value=80),
