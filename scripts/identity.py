@@ -89,6 +89,13 @@ def cases(inputs: Path) -> dict[str, list[tuple[str, list[str]]]]:
         workloads.write_csv(data, seed, workload.rows)
         config.write_text(json.dumps(workload.config_dict(seed)), encoding="utf-8")
         sources[f"{name} seed {seed}"] = (str(config), str(data))
+    # Dimension 0 with the essential class capped inside the deaths' range
+    # (seed 1: median death 1.21, every window has one above 1.5), so the
+    # distances re-sort each row.
+    capped = inputs / "occ-cold-1-capped.json"
+    payload = dict(shapes["occ-cold"].config_dict(1), essential_policy="capped", maxscale=1.5)
+    capped.write_text(json.dumps(payload), encoding="utf-8")
+    sources["occ-cold seed 1, capped"] = (str(capped), sources["occ-cold seed 1"][1])
     synthetic = inputs / "synthetic"
     script = ROOT / "scripts" / "make_synthetic.py"
     subprocess.run([sys.executable, str(script), "--root", str(synthetic)], check=True, capture_output=True)
@@ -107,6 +114,11 @@ def cases(inputs: Path) -> dict[str, list[tuple[str, list[str]]]]:
             ("--k 7", run(source, "--k", "7")),
             ("--window 12 --stride 12", run(source, "--window", "12", "--stride", "12")),
         ]
+    out["occ-cold seed 1, capped"] = [
+        ("cold", run("occ-cold seed 1, capped")),
+        ("warm", run("occ-cold seed 1, capped")),
+        ("--p 2", run("occ-cold seed 1, capped", "--p", "2")),
+    ]
     for source in ("dim1-cold seed 1", "make_synthetic"):
         out[source] = [("cold", run(source)), ("warm", run(source))]
     out["protocol seed 1"] = [

@@ -25,6 +25,7 @@ from .ingest import (
     split_series,
 )
 from .persistence import (
+    Dim0Diagrams,
     PersistenceDiagram,
     rips_persistence_dim0,
     rips_persistence_dim0_batch,
@@ -47,6 +48,7 @@ __all__ = [
     "AugmentConfig",
     "CsvSchema",
     "DataError",
+    "Dim0Diagrams",
     "DistanceMatrix",
     "EvaluationReport",
     "KSweepEntry",

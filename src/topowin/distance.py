@@ -21,6 +21,11 @@ matching deaths x and y costs |x - y| and sending x to the diagonal costs
 x / 2.  |x - y|^p is Monge for p >= 1, so an optimal matching never crosses
 over the sorted deaths, and the exact distance is a 1-D edit-distance
 dynamic program; one test diagram runs against all train diagrams at once.
+Its rows and its table are each diagram's deaths, sorted and zero-padded at
+the front to a common width: taken as a whole from the deaths array of a
+``Dim0Diagrams`` when both sides are one (a run's dimension-0 diagrams,
+straight from ``rips_persistence_dim0_batch``), else gathered from the
+diagrams' pairs.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 
 from .assignment import min_cost_assignment
 from .errors import DataError
-from .persistence import PersistenceDiagram
+from .persistence import Dim0Diagrams, PersistenceDiagram
 
 
 @dataclass(frozen=True)
@@ -71,22 +76,28 @@ def _matching_cost(a: Sequence[tuple[float, float]], b: Sequence[tuple[float, fl
     return total + sum(c for j, c in enumerate(diag_b) if j not in matched)
 
 
-def _sorted_deaths(diag: PersistenceDiagram) -> list[float]:
-    return sorted(d for _, d in diag.pairs)
+def _sorted_rows(diagrams: Sequence[PersistenceDiagram]) -> tuple[np.ndarray, list[int]]:
+    """Each diagram's deaths as one row, sorted and zero-padded at the front
+    to a common width, and the number of deaths in each row.  A
+    ``Dim0Diagrams`` already holds its rows padded so; only a capped class
+    may need sorting into place."""
+    if isinstance(diagrams, Dim0Diagrams):
+        return np.sort(diagrams.deaths, axis=1), diagrams.counts.tolist()
+    counts = [len(d) for d in diagrams]
+    rows = np.zeros((len(diagrams), max(counts)))
+    for row, diag, count in zip(rows, diagrams, counts):
+        row[row.size - count :] = sorted(d for _, d in diag.pairs)
+    return rows, counts
 
 
 def _deaths_table(diagrams: Sequence[PersistenceDiagram]) -> np.ndarray:
     """Row j holds the j-th sorted death of every diagram, one column each,
     zero-padded at the top to a common width.  A death of 0 is a diagonal
     point, which leaves every sum of the dynamic program bit-identical."""
-    width = max(len(d) for d in diagrams)
-    table = np.zeros((width, len(diagrams)))
-    for col, diag in enumerate(diagrams):
-        table[width - len(diag) :, col] = _sorted_deaths(diag)
-    return table
+    return np.ascontiguousarray(_sorted_rows(diagrams)[0].T)
 
 
-def _zero_birth_distances(deaths: list[float], table: np.ndarray, p: float) -> np.ndarray:
+def _zero_birth_distances(deaths: Sequence[float], table: np.ndarray, p: float) -> np.ndarray:
     """Exact p-Wasserstein distance from the diagram with sorted ``deaths``
     to each column of a ``_deaths_table``, all points born at 0.
 
@@ -154,14 +165,18 @@ def distance_matrix(
     """
     if not test or not train:
         raise DataError("distance matrix needs nonempty test and train diagram sets")
-    for diag in (*test, *train):
-        if diag.dim != cfg.dimension:
-            raise DataError(
-                f"diagram of dimension {diag.dim} in a dimension-{cfg.dimension} matrix"
-            )
-    if all(b == 0.0 for d in (*test, *train) for b, _ in d.pairs):
+    arrays = cfg.dimension == 0 and isinstance(test, Dim0Diagrams) and isinstance(train, Dim0Diagrams)
+    if not arrays:
+        for diag in (*test, *train):
+            if diag.dim != cfg.dimension:
+                raise DataError(
+                    f"diagram of dimension {diag.dim} in a dimension-{cfg.dimension} matrix"
+                )
+    if arrays or all(b == 0.0 for d in (*test, *train) for b, _ in d.pairs):
         table = _deaths_table(train)
-        rows = [_zero_birth_distances(_sorted_deaths(t), table, cfg.p) for t in test]
+        sorted_test, counts = _sorted_rows(test)
+        width = sorted_test.shape[1]
+        rows = [_zero_birth_distances(row[width - n :], table, cfg.p) for row, n in zip(sorted_test, counts)]
     else:
         root = 1.0 / cfg.p
         rows = [[_matching_cost(t.pairs, tr.pairs, cfg.p) ** root for tr in train] for t in test]

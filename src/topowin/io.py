@@ -48,7 +48,7 @@ from .classify import EvaluationReport, KSweepEntry
 from .distance import DistanceMatrix
 from .errors import DataError, NumericalError
 from .ingest import CsvSchema, StandardizationParams, TimeSeries, load_csv
-from .persistence import PersistenceDiagram
+from .persistence import Dim0Diagrams, PersistenceDiagram
 from .windowing import LabeledWindow
 
 
@@ -383,13 +383,27 @@ _DIAGRAM_COLUMNS = ["split", "window", "dim", "birth", "death"]
 
 
 def write_diagrams_csv(diagrams_by_split: Mapping[str, Sequence[PersistenceDiagram]], path: Path) -> str:
+    """One row per diagram point.  A split's ``Dim0Diagrams`` is written
+    from its deaths array, with no diagram built."""
+
     def lines():
         for split, diagrams in diagrams_by_split.items():
             lead = _csv_line([split, ""])[:-1]
+            if isinstance(diagrams, Dim0Diagrams):
+                yield from _dim0_lines(lead, diagrams)
+                continue
             for index, diag in enumerate(diagrams):
                 yield from (f"{lead}{index},{diag.dim},{b!r},{d!r}\n" for b, d in diag.pairs)
 
     return write_text(path, _csv_chunks(_DIAGRAM_COLUMNS, lines()))
+
+
+def _dim0_lines(lead: str, diagrams: Dim0Diagrams) -> Iterator[str]:
+    """The diagram rows of one split's ``Dim0Diagrams``, ``lead`` being its
+    split cell and comma."""
+    for index, deaths in enumerate(diagrams.rows()):
+        head = f"{lead}{index},0,0.0,"
+        yield from (f"{head}{d!r}\n" for d in deaths)
 
 
 def _diagram_point(birth: str, death: str) -> tuple[float, float]:

@@ -6,7 +6,8 @@ matrix.  All such trees share one multiset of edge lengths, each an entry
 of that matrix, so the sorted deaths are exact whichever way ties break.
 ``rips_persistence_dim0_batch`` grows the trees of all clouds of one shape
 in a single pass over a (clouds, n, n) distance tensor, chunked to bound
-its temporaries; the one-cloud ``rips_persistence_dim0`` is that pass on a
+its temporaries, and returns every diagram as one row of a ``Dim0Diagrams``
+array of deaths; the one-cloud ``rips_persistence_dim0`` is that pass on a
 list of one.
 
 Dimension 1 lists the edges and triangles up to a scale cap, ordered by
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -111,19 +113,73 @@ def _mst_deaths(dist: np.ndarray) -> np.ndarray:
     return deaths.T
 
 
+_ROWS_AT_A_TIME = 128  # windows whose deaths ``Dim0Diagrams.rows`` converts at a time
+
+
+class Dim0Diagrams(Sequence):
+    """The dimension-0 diagrams of a batch of clouds as one array of deaths.
+
+    Row i of the read-only (windows, width) float array ``deaths`` holds
+    window i's ``counts[i]`` deaths at its end, in the order its diagram
+    lists them, and zeros before them; every birth is 0.  Indexing builds
+    and checks window i's ``PersistenceDiagram``, and the sequence equals
+    the list of its diagrams."""
+
+    __slots__ = ("deaths", "counts")
+
+    def __init__(self, deaths: np.ndarray, counts: np.ndarray) -> None:
+        deaths.flags.writeable = counts.flags.writeable = False
+        self.deaths, self.counts = deaths, counts
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        row = self.deaths[index].tolist()
+        return _dim0_diagram(row[len(row) - int(self.counts[index]) :])
+
+    def __iter__(self):
+        return map(_dim0_diagram, self.rows())
+
+    def __eq__(self, other):
+        if isinstance(other, (Dim0Diagrams, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def rows(self) -> Iterator[list[float]]:
+        """Each window's deaths as a list of floats, converted
+        ``_ROWS_AT_A_TIME`` windows at a time."""
+        width = self.deaths.shape[1]
+        for start in range(0, len(self), _ROWS_AT_A_TIME):
+            rows = self.deaths[start : start + _ROWS_AT_A_TIME].tolist()
+            counts = self.counts[start : start + _ROWS_AT_A_TIME].tolist()
+            yield from (row[width - count :] for row, count in zip(rows, counts))
+
+
+def _dim0_diagram(deaths: list[float]) -> PersistenceDiagram:
+    return PersistenceDiagram(0, tuple((0.0, d) for d in deaths))
+
+
 def rips_persistence_dim0_batch(
     clouds,
     essential_policy: str = "dropped",
     maxscale: float | None = None,
-) -> list[PersistenceDiagram]:
+) -> Dim0Diagrams:
     """Dimension-0 diagrams of many point clouds under the Rips filtration,
     in input order.
 
     Each diagram has n - 1 pairs (0, L), one per minimum-spanning-tree edge,
     sorted by death.  The one class that never dies is dropped by default;
     with ``essential_policy="capped"`` it is reported as (0, maxscale)
-    instead, for a positive, finite maxscale.  Clouds of one shape run one
-    Prim pass together, in chunks of ``_chunk_clouds(n, d)``.
+    instead, for a positive, finite maxscale, after the others.  Clouds of
+    one shape run one Prim pass together, in chunks of
+    ``_chunk_clouds(n, d)``, and write their deaths into one row each of the
+    returned ``Dim0Diagrams``.  A distance that overflows (or is not a
+    number) is a ``NumericalError`` naming the window.
     """
     points = [cloud_points(c) for c in clouds]
     groups: dict[tuple[int, int], list[int]] = {}
@@ -136,17 +192,25 @@ def rips_persistence_dim0_batch(
     if essential_policy == "capped" and (maxscale is None or not 0 < maxscale < math.inf):
         raise NumericalError(f"capped essential policy needs a positive, finite maxscale, got {maxscale}")
 
-    essential = [(0.0, float(maxscale))] if essential_policy == "capped" else []
-    diagrams: list[PersistenceDiagram | None] = [None] * len(points)
-    for (n, d), members in groups.items():
-        step = _chunk_clouds(n, d)
-        for start in range(0, len(members), step):
-            part = members[start : start + step]
-            deaths = _mst_deaths(_distance_matrix(np.array([points[i] for i in part]))).tolist()
-            for i, row in zip(part, deaths):
-                pairs = tuple([(0.0, x) for x in row] + essential)
-                diagrams[i] = PersistenceDiagram(dim=0, pairs=pairs)
-    return diagrams
+    capped = int(essential_policy == "capped")
+    counts = np.array([pts.shape[0] - 1 + capped for pts in points], dtype=np.intp)
+    width = int(counts.max(initial=0))
+    end = width - capped  # the finite deaths end here; the capped class fills the rest
+    deaths = np.zeros((len(points), width))
+    if capped:
+        deaths[:, end:] = maxscale
+    with np.errstate(over="ignore"):
+        for (n, d), members in groups.items():
+            step = _chunk_clouds(n, d)
+            for start in range(0, len(members), step):
+                part = members[start : start + step]
+                deaths[part, end - (n - 1) : end] = _mst_deaths(_distance_matrix(np.array([points[i] for i in part])))
+    finite = np.isfinite(deaths).all(axis=1)
+    if not finite.all():
+        i = int(finite.argmin())
+        bad = float(deaths[i][~np.isfinite(deaths[i])][0])
+        raise NumericalError(f"window {i}: a distance between its points is {bad!r}, not a finite float")
+    return Dim0Diagrams(deaths, counts)
 
 
 def rips_persistence_dim0(

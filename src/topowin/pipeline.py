@@ -284,13 +284,14 @@ def standardize(series: TimeSeries, cfg: PipelineConfig) -> StandardizationParam
 
 
 def _each_split(values_by_split: dict, fn) -> dict:
-    """``fn`` of each split's value; a ``DataError`` names its split."""
+    """``fn`` of each split's value; a ``DataError`` or ``NumericalError``
+    names its split."""
     out = {}
     for name, value in values_by_split.items():
         try:
             out[name] = fn(value)
-        except DataError as exc:
-            raise DataError(f"split '{name}': {exc}") from None
+        except (DataError, NumericalError) as exc:
+            raise type(exc)(f"split '{name}': {exc}") from None
     return out
 
 
@@ -314,11 +315,12 @@ def build_clouds(windows_by_split: dict, params: StandardizationParams, cfg: Pip
 
 
 def compute_diagrams(clouds_by_split: dict, cfg: PipelineConfig) -> dict:
+    """Each split's diagrams; in dimension 0, one batched pass per split,
+    whose ``Dim0Diagrams`` the writer and the distances take as it is."""
     if cfg.dimension == 0:
-        return {
-            name: rips_persistence_dim0_batch(clouds, cfg.essential_policy, cfg.maxscale)
-            for name, clouds in clouds_by_split.items()
-        }
+        return _each_split(
+            clouds_by_split, lambda clouds: rips_persistence_dim0_batch(clouds, cfg.essential_policy, cfg.maxscale)
+        )
     return {
         name: [rips_persistence_dim1(c, cfg.maxscale) for c in clouds]
         for name, clouds in clouds_by_split.items()

@@ -237,6 +237,33 @@ class TestStageCommands:
         assert "numerical error" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["run", "diagrams"])
+    def test_dim0_distance_overflow_is_a_numerical_error(self, command, tmp_path, capsys):
+        # 60 rows in two channels, standardized on train; test row 52 holds
+        # 1e160, so a squared difference in test window 2 overflows.
+        data, config = tmp_path / "big.csv", tmp_path / "big.json"
+        rows = [f"{i},{1e160 if i == 52 else float(i % 7)!r},{i % 5}.5,{i % 2}\n" for i in range(60)]
+        data.write_text("timestamp,a,b,label\n" + "".join(rows), encoding="utf-8")
+        write_json(config, {
+            "run_id": "big", "schema": {"timestamp": "timestamp", "features": ["a", "b"], "label": "label"},
+            "splits": [["train", 0, 40], ["test", 40, 60]], "window": 5, "stride": 5,
+            "standardize": "fit_on_train", "k": 1,
+        })
+        common = ["--config", str(config), "--out", str(tmp_path / "o")]
+        if command == "run":
+            argv, prefix = ["run", "--data", str(data), *common], "stage 'diagrams': "
+        else:
+            assert main(["ingest", "--data", str(data), *common]) == 0
+            assert main(["windows", "--series", str(tmp_path / "o" / "series.csv"), *common]) == 0
+            capsys.readouterr()
+            argv = ["diagrams", "--windows", str(tmp_path / "o" / "windows.csv")]
+            argv += ["--params", str(tmp_path / "o" / "params.json"), *common]
+            prefix = ""
+        assert main(argv) == 3
+        message = "split 'test': window 2: a distance between its points is inf, not a finite float"
+        assert capsys.readouterr().err == f"numerical error: {prefix}{message}\n"
+
+
 class TestStagesMatchRun:
     @pytest.mark.parametrize(
         "extra", [{}, {"dimension": 1, "maxscale": 8.0, "k": 3}], ids=["dim0", "dim1"]

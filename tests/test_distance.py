@@ -18,7 +18,9 @@ from topowin import (
     DistanceMatrix,
     PersistenceDiagram,
     WassersteinConfig,
+    Dim0Diagrams,
     distance_matrix,
+    rips_persistence_dim0_batch,
     rips_persistence_dim1,
     wasserstein,
 )
@@ -245,6 +247,50 @@ class TestZeroBirthDP:
         matrix = distance_matrix(test, train, cfg)
         want = [[wasserstein(t, tr, cfg) for tr in train] for t in test]
         assert np.array_equal(matrix.values, np.array(want))
+
+
+def random_clouds(rng, count, sizes):
+    """``count`` clouds in R^3, each of a point count drawn from ``sizes``."""
+    return [rng.normal(size=(int(rng.choice(sizes)), 3)) for _ in range(count)]
+
+
+class TestDim0DiagramsInput:
+    """Two ``Dim0Diagrams`` take the dynamic program from their deaths
+    arrays; the matrix is the one their lists of diagrams give, bit for bit."""
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize(
+        "policy", [{}, {"essential_policy": "capped", "maxscale": 1.5}], ids=["dropped", "capped"]
+    )
+    @pytest.mark.parametrize(
+        "n_test, sizes", [(5, (11,)), (1, (11,)), (6, (1, 2, 5, 11))], ids=["one-size", "one-window", "mixed-sizes"]
+    )
+    def test_equals_the_lists_bit_for_bit(self, p, policy, n_test, sizes):
+        rng = np.random.default_rng(int(p) * 100 + n_test)
+        test = rips_persistence_dim0_batch(random_clouds(rng, n_test, sizes), **policy)
+        train = rips_persistence_dim0_batch(random_clouds(rng, 40, sizes), **policy)
+        if policy:
+            # The cap lies inside the deaths' range, so sorting moves it off the end of most rows.
+            deaths = train.deaths[train.deaths > 0]
+            assert deaths.min() < 1.5 < np.sort(deaths)[-2]
+        cfg = WassersteinConfig(p=p)
+        got = distance_matrix(test, train, cfg).values
+        assert got.tobytes() == distance_matrix(list(test), list(train), cfg).values.tobytes()
+        assert got.tobytes() == distance_matrix(list(test), train, cfg).values.tobytes()
+
+    def test_empty_split_is_rejected_as_an_empty_list_is(self):
+        rng = np.random.default_rng(3)
+        empty, train = rips_persistence_dim0_batch([]), rips_persistence_dim0_batch(random_clouds(rng, 4, (5,)))
+        for test, other in ((empty, train), (train, empty)):
+            for args in ((test, other), (list(test), list(other))):
+                with pytest.raises(DataError, match="nonempty test and train"):
+                    distance_matrix(*args)
+
+    def test_other_dimension_is_rejected(self):
+        view = rips_persistence_dim0_batch([np.zeros((3, 2))])
+        assert isinstance(view, Dim0Diagrams)
+        with pytest.raises(DataError, match="diagram of dimension 0 in a dimension-1 matrix"):
+            distance_matrix(view, view, WassersteinConfig(dimension=1))
 
 
 def dim1(*pairs):

@@ -24,7 +24,7 @@ from topowin.classify import EvaluationReport, KSweepEntry
 from topowin.distance import DistanceMatrix
 from topowin.errors import DataError
 from topowin.ingest import StandardizationParams, TimeSeries
-from topowin.persistence import PersistenceDiagram
+from topowin.persistence import PersistenceDiagram, rips_persistence_dim0_batch
 from topowin.pipeline import cut_windows
 from topowin.windowing import LabeledWindow, WindowConfig, make_windows
 from conftest import synthetic_config_dict
@@ -193,6 +193,23 @@ class TestBytesMatchCsvWriter:
             for index, diag in enumerate(ds):
                 expected += [[split, index, diag.dim, repr(b), repr(d)] for b, d in diag.pairs]
         assert (tmp_path / "d.csv").read_bytes() == csv_bytes(expected)
+
+    @pytest.mark.parametrize("policy", [("dropped", None), ("capped", 0.7)], ids=["dropped", "capped"])
+    def test_dim0_diagrams_write_as_their_lists(self, tmp_path, policy):
+        # More windows than one chunk, of mixed point counts (one-point
+        # clouds have no row when dropped), and an empty split.
+        rng = np.random.default_rng(41)
+        clouds = [rng.normal(size=(int(rng.integers(1, 7)), 2)) for _ in range(3 * io._CHUNK_ROWS + 5)]
+        views = {
+            split: rips_persistence_dim0_batch(part, *policy)
+            for split, part in zip(SPLITS + ("empty",), (clouds[:7], clouds[7:], []))
+        }
+        io.write_diagrams_csv(views, tmp_path / "views.csv")
+        io.write_diagrams_csv({split: list(view) for split, view in views.items()}, tmp_path / "lists.csv")
+        assert (tmp_path / "views.csv").read_bytes() == (tmp_path / "lists.csv").read_bytes()
+        mixed = dict(views, **{SPLITS[0]: list(views[SPLITS[0]])})
+        io.write_diagrams_csv(mixed, tmp_path / "mixed.csv")
+        assert (tmp_path / "mixed.csv").read_bytes() == (tmp_path / "lists.csv").read_bytes()
 
     def test_distmat(self, tmp_path):
         m = distmat()

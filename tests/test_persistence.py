@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from topowin import (
     DataError,
+    Dim0Diagrams,
     NumericalError,
     PersistenceDiagram,
     rips_persistence_dim0,
@@ -233,6 +235,65 @@ class TestDim0Batch:
         batched = rips_persistence_dim0_batch(clouds)
         assert batched == [rips_persistence_dim0(c) for c in clouds]
         assert [deaths(diag) for diag in batched] == [dim0_deaths_by_prim_loop(c) for c in clouds]
+
+
+class TestDim0Diagrams:
+    """The batch's one array of deaths, seen as a sequence of diagrams."""
+
+    CLOUDS = [col(0.0, 1.0, 3.0), col(5.0), col(0.0, 0.0, 2.0, 2.5, 4.5), col(1.0, 1.5)]
+
+    @pytest.mark.parametrize(
+        "policy, cap", [({}, []), ({"essential_policy": "capped", "maxscale": 1.2}, [1.2])], ids=["dropped", "capped"]
+    )
+    def test_rows_are_deaths_zero_padded_at_the_front(self, policy, cap):
+        view = rips_persistence_dim0_batch(self.CLOUDS, **policy)
+        assert isinstance(view, Dim0Diagrams)
+        assert view.counts.tolist() == [2 + len(cap), len(cap), 4 + len(cap), 1 + len(cap)]
+        width = 4 + len(cap)
+        want = [[1.0, 2.0], [], [0.0, 0.5, 2.0, 2.0], [0.5]]
+        assert view.deaths.tolist() == [[0.0] * (width - len(d) - len(cap)) + d + cap for d in want]
+
+    def test_len_indexing_and_equality(self):
+        view = rips_persistence_dim0_batch(self.CLOUDS)
+        diagrams = [rips_persistence_dim0(c) for c in self.CLOUDS]
+        assert len(view) == 4
+        assert [view[i] for i in range(4)] == diagrams
+        assert view[-1] == diagrams[-1] and view[1] == PersistenceDiagram(0, ())
+        assert view[1:3] == diagrams[1:3] and view[::-1] == diagrams[::-1]
+        assert list(view) == diagrams
+        assert view == diagrams and diagrams == view and view != diagrams[:3]
+        assert view == rips_persistence_dim0_batch(self.CLOUDS)
+        assert view != rips_persistence_dim0_batch(self.CLOUDS, "capped", 9.0)
+        with pytest.raises(IndexError):
+            view[4]
+
+    def test_is_read_only(self):
+        view = rips_persistence_dim0_batch(self.CLOUDS)
+        with pytest.raises(ValueError):
+            view.deaths[0, -1] = 7.0
+        with pytest.raises(ValueError):
+            view.counts[0] = 1
+        with pytest.raises(TypeError):
+            view[0] = PersistenceDiagram(0, ())
+
+    def test_empty_batch_is_an_empty_sequence(self):
+        view = rips_persistence_dim0_batch([], "capped", 1.0)
+        assert len(view) == 0 and not view and view.deaths.shape == (0, 0)
+
+
+class TestDim0Overflow:
+    @pytest.mark.parametrize("policy", [{}, {"essential_policy": "capped", "maxscale": 1.0}], ids=["dropped", "capped"])
+    def test_overflowing_distance_is_a_numerical_error_naming_the_window(self, policy):
+        clouds = [col(0.0, 1.0), col(2.0, 3.0, 4.0), col(0.0, 1e160, 1.0), col(1e200, -1e200)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError) as raised:
+                rips_persistence_dim0_batch(clouds, **policy)
+        assert str(raised.value) == "window 2: a distance between its points is inf, not a finite float"
+
+    def test_largest_finite_distance_is_kept(self):
+        view = rips_persistence_dim0_batch([col(0.0, 1e154)])
+        assert view.deaths.tolist() == [[1e154]]
 
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])

@@ -15,7 +15,9 @@ import topowin.pipeline
 from topowin import (
     AugmentConfig,
     DataError,
+    Dim0Diagrams,
     DistanceMatrix,
+    PersistenceDiagram,
     PipelineConfig,
     apply_standardizer,
     augment,
@@ -1085,6 +1087,26 @@ class TestDiagramsStage:
             assert main([command, "--config", str(config), "--out", str(out), *map(str, argv)]) == 0
         assert len(calls) == 2 * len(clouds)
         assert (out / "diagrams.csv").read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize(
+        "extra", [{}, {"essential_policy": "capped", "maxscale": 3.0}], ids=["dropped", "capped"]
+    )
+    def test_cold_dim0_run_builds_no_diagram(self, synth_csv, tmp_path, monkeypatch, extra):
+        # Each split's deaths array goes from the batched pass to the writer
+        # and the distances as it is.
+        payload = synthetic_config_dict("arrays", synth_csv, n_windows=30)
+        payload.update(extra)
+        cfg = PipelineConfig.from_dict(payload)
+        batched = counting(monkeypatch, "rips_persistence_dim0_batch")
+        matrices = counting(monkeypatch, "distance_matrix")
+        built = []
+        check = PersistenceDiagram.__post_init__
+        monkeypatch.setattr(PersistenceDiagram, "__post_init__", lambda diag: built.append(check(diag)))
+        run(cfg, synth_csv, runs_root=tmp_path / "runs")
+        assert len(batched) == len(cfg.splits.names())
+        ((test, train, _),) = matrices
+        assert isinstance(test, Dim0Diagrams) and isinstance(train, Dim0Diagrams)
+        assert built == []
 
     def test_dim1_is_one_call_per_cloud(self, synth_csv, tmp_path, monkeypatch):
         payload = synthetic_config_dict("per-cloud", synth_csv, n_windows=30)
