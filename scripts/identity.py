@@ -144,6 +144,10 @@ def cases(inputs: Path) -> dict[str, list[tuple[str, list[str]]]]:
             "distmat", "--config", config, "--diagrams", "diagrams/diagrams.csv",
             "--windows", "windows/windows.csv", "--out", "distmat",
         ]),
+        ("distmat --p 2", [
+            "distmat", "--config", config, "--diagrams", "diagrams/diagrams.csv",
+            "--windows", "windows/windows.csv", "--p", "2", "--out", "distmat-p2",
+        ]),
         ("classify", ["classify", *labelled, "--out", "classify"]),
         ("classify --tie-break lowest_class_id", [
             "classify", *labelled, "--tie-break", "lowest_class_id", "--out", "classify-lowest",

@@ -28,7 +28,6 @@ from .pipeline import (
     cut_windows,
     default_runs_root,
     describe_run,
-    read_diagrams,
     run,
     standardize,
     write_report,
@@ -227,7 +226,7 @@ def _cmd_distmat(args) -> int:
     out = _out_dir(args)
     windows = io.read_windows_csv(_require(args.windows, "--windows"))
     counts = {name: len(wins) for name, wins in windows.items()}
-    diagrams = read_diagrams(_require(args.diagrams, "--diagrams"), counts, cfg)
+    diagrams = io.read_diagrams_csv(_require(args.diagrams, "--diagrams"), counts, cfg.dimension)
     matrix = compute_distances(diagrams, cfg)
     write_distances(matrix, diagrams, cfg, out / "distmat.csv")
     rows, cols = matrix.values.shape

@@ -21,11 +21,11 @@ matching deaths x and y costs |x - y| and sending x to the diagonal costs
 x / 2.  |x - y|^p is Monge for p >= 1, so an optimal matching never crosses
 over the sorted deaths, and the exact distance is a 1-D edit-distance
 dynamic program; one test diagram runs against all train diagrams at once.
-Its rows and its table are each diagram's deaths, sorted and zero-padded at
-the front to a common width: taken as a whole from the deaths array of a
-``Dim0Diagrams`` when both sides are one (a run's dimension-0 diagrams,
-straight from ``rips_persistence_dim0_batch``), else gathered from the
-diagrams' pairs.
+It reads its rows and its table only from two ``Dim0Diagrams``: each
+diagram's deaths, zero-padded at the front to a common width, sorted as a
+whole array.  A run's dimension-0 diagrams already are one, and so is a
+``diagrams.csv`` read back; a list of diagrams born at 0 is packed into
+one with ``Dim0Diagrams.from_deaths``.
 """
 
 from __future__ import annotations
@@ -76,30 +76,26 @@ def _matching_cost(a: Sequence[tuple[float, float]], b: Sequence[tuple[float, fl
     return total + sum(c for j, c in enumerate(diag_b) if j not in matched)
 
 
-def _sorted_rows(diagrams: Sequence[PersistenceDiagram]) -> tuple[np.ndarray, list[int]]:
-    """Each diagram's deaths as one row, sorted and zero-padded at the front
-    to a common width, and the number of deaths in each row.  A
-    ``Dim0Diagrams`` already holds its rows padded so; only a capped class
-    may need sorting into place."""
+def _packed(diagrams: Sequence[PersistenceDiagram]) -> Dim0Diagrams:
+    """Diagrams whose points are all born at 0 as one ``Dim0Diagrams``."""
     if isinstance(diagrams, Dim0Diagrams):
-        return np.sort(diagrams.deaths, axis=1), diagrams.counts.tolist()
-    counts = [len(d) for d in diagrams]
-    rows = np.zeros((len(diagrams), max(counts)))
-    for row, diag, count in zip(rows, diagrams, counts):
-        row[row.size - count :] = sorted(d for _, d in diag.pairs)
-    return rows, counts
+        return diagrams
+    return Dim0Diagrams.from_deaths([[d for _, d in diag.pairs] for diag in diagrams])
 
 
-def _deaths_table(diagrams: Sequence[PersistenceDiagram]) -> np.ndarray:
-    """Row j holds the j-th sorted death of every diagram, one column each,
-    zero-padded at the top to a common width.  A death of 0 is a diagonal
+def _zero_birth_rows(test: Dim0Diagrams, train: Dim0Diagrams, p: float) -> list[np.ndarray]:
+    """One dynamic program per test window; row j of the table is the j-th
+    sorted death of every train diagram.  A padding death of 0 is a diagonal
     point, which leaves every sum of the dynamic program bit-identical."""
-    return np.ascontiguousarray(_sorted_rows(diagrams)[0].T)
+    table = np.ascontiguousarray(np.sort(train.deaths, axis=1).T)
+    width = test.deaths.shape[1]
+    rows = zip(np.sort(test.deaths, axis=1), test.counts.tolist())
+    return [_zero_birth_distances(row[width - n :], table, p) for row, n in rows]
 
 
 def _zero_birth_distances(deaths: Sequence[float], table: np.ndarray, p: float) -> np.ndarray:
     """Exact p-Wasserstein distance from the diagram with sorted ``deaths``
-    to each column of a ``_deaths_table``, all points born at 0.
+    to each column of a ``_zero_birth_rows`` table, all points born at 0.
 
     ``cost[i, t]`` is the cheapest matching of the first i deaths against the
     first j deaths of column t, advanced one j at a time: match the i-th and
@@ -165,18 +161,13 @@ def distance_matrix(
     """
     if not test or not train:
         raise DataError("distance matrix needs nonempty test and train diagram sets")
-    arrays = cfg.dimension == 0 and isinstance(test, Dim0Diagrams) and isinstance(train, Dim0Diagrams)
-    if not arrays:
-        for diag in (*test, *train):
-            if diag.dim != cfg.dimension:
-                raise DataError(
-                    f"diagram of dimension {diag.dim} in a dimension-{cfg.dimension} matrix"
-                )
-    if arrays or all(b == 0.0 for d in (*test, *train) for b, _ in d.pairs):
-        table = _deaths_table(train)
-        sorted_test, counts = _sorted_rows(test)
-        width = sorted_test.shape[1]
-        rows = [_zero_birth_distances(row[width - n :], table, cfg.p) for row, n in zip(sorted_test, counts)]
+    # A Dim0Diagrams is of dimension 0 and born at 0: its diagrams are not built.
+    listed = [d for s in (test, train) if not (cfg.dimension == 0 and isinstance(s, Dim0Diagrams)) for d in s]
+    for diag in listed:
+        if diag.dim != cfg.dimension:
+            raise DataError(f"diagram of dimension {diag.dim} in a dimension-{cfg.dimension} matrix")
+    if all(b == 0.0 for diag in listed for b, _ in diag.pairs):
+        rows = _zero_birth_rows(_packed(test), _packed(train), cfg.p)
     else:
         root = 1.0 / cfg.p
         rows = [[_matching_cost(t.pairs, tr.pairs, cfg.p) ** root for tr in train] for t in test]

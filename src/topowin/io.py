@@ -420,14 +420,15 @@ def read_diagrams_csv(
     counts: Mapping[str, int],
     dim: int,
     essential_policy: str | None = None,
-) -> dict[str, list[PersistenceDiagram]]:
-    """Rebuild per-window diagrams; windows absent from the file get empty
-    diagrams, so ``counts`` (windows per split) is required.  A row of a
-    split, window or dimension outside ``counts`` and ``dim``, or whose point
-    is not finite 0 <= birth <= death, is a ``DataError`` naming its line.
-    ``essential_policy`` is unused: a diagram is its dimension and points.
-    It stays only for ``perfbench/micro.py``, which passes it by position."""
-    pairs: dict[tuple[str, int], list[tuple[float, float]]] = {}
+) -> dict[str, Sequence[PersistenceDiagram]]:
+    """Each split's ``counts[split]`` diagrams, each window's points in file
+    order: in dimension 0 one ``Dim0Diagrams``, bit for bit the batch's.  A
+    row of a split, window or dimension outside ``counts`` and ``dim``, not
+    finite 0 <= birth <= death, or of dimension 0 born off 0, is a
+    ``DataError`` naming its line; so is a dimension-0 window without rows
+    (a cut window has a pair), while a dimension-1 one is an empty diagram.
+    ``essential_policy`` is unused, kept for ``perfbench/micro.py``."""
+    points: dict[tuple[str, int], list] = {}
 
     def parse(row: list[str]) -> None:
         split, window, row_dim, birth, death = row
@@ -438,13 +439,22 @@ def read_diagrams_csv(
             raise ValueError(f"window {index} is outside split '{split}' ({counts[split]} windows)")
         if int(row_dim) != dim:
             raise ValueError(f"dimension {row_dim}, not {dim}")
-        pairs.setdefault((split, index), []).append(_diagram_point(birth, death))
+        b, d = _diagram_point(birth, death)
+        if dim == 0 and b != 0.0:
+            raise ValueError(f"dimension-0 point born at {b!r}, not 0")
+        points.setdefault((split, index), []).append(d if dim == 0 else (b, d))
 
     _read_csv(path, ",".join(_DIAGRAM_COLUMNS), lambda header: parse if header == _DIAGRAM_COLUMNS else None)
-    return {
-        split: [PersistenceDiagram(dim, tuple(pairs.get((split, i), ()))) for i in range(count)]
-        for split, count in counts.items()
-    }
+    out = {}
+    for split, count in counts.items():
+        rows = [points.get((split, i)) for i in range(count)]
+        if dim != 0:
+            out[split] = [PersistenceDiagram(dim, tuple(row or ())) for row in rows]
+        elif None in rows:
+            raise DataError(f"{path}: no rows for split '{split}' window {rows.index(None)}")
+        else:
+            out[split] = Dim0Diagrams.from_deaths(rows)
+    return out
 
 
 def read_diagram_points(path: Path) -> tuple[bool, list[tuple]]:

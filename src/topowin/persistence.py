@@ -8,7 +8,7 @@ of that matrix, so the sorted deaths are exact whichever way ties break.
 in a single pass over a (clouds, n, n) distance tensor, chunked to bound
 its temporaries, and returns every diagram as one row of a ``Dim0Diagrams``
 array of deaths; the one-cloud ``rips_persistence_dim0`` is that pass on a
-list of one.
+list of one.  A set of dimension-0 diagrams is always a ``Dim0Diagrams``.
 
 Dimension 1 lists the edges and triangles up to a scale cap, ordered by
 (length, vertices) and (diameter, vertices), and reduces only the triangle
@@ -27,7 +27,7 @@ import math
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -121,15 +121,24 @@ class Dim0Diagrams(Sequence):
 
     Row i of the read-only (windows, width) float array ``deaths`` holds
     window i's ``counts[i]`` deaths at its end, in the order its diagram
-    lists them, and zeros before them; every birth is 0.  Indexing builds
-    and checks window i's ``PersistenceDiagram``, and the sequence equals
-    the list of its diagrams."""
+    lists them, and zeros before them; every birth is 0.  Only indexing
+    builds (and checks) window i's ``PersistenceDiagram``; the sequence
+    equals the list of its diagrams."""
 
     __slots__ = ("deaths", "counts")
 
     def __init__(self, deaths: np.ndarray, counts: np.ndarray) -> None:
         deaths.flags.writeable = counts.flags.writeable = False
         self.deaths, self.counts = deaths, counts
+
+    @classmethod
+    def from_deaths(cls, rows: Sequence[Sequence[float]]) -> Dim0Diagrams:
+        """The diagrams whose checked deaths are ``rows``, one per window."""
+        counts = np.array([len(row) for row in rows], dtype=np.intp)
+        width = int(counts.max(initial=0))
+        deaths = np.zeros((len(rows), width))
+        deaths[np.arange(width) >= width - counts[:, None]] = list(chain.from_iterable(rows))
+        return cls(deaths, counts)
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -228,7 +237,8 @@ def rips_persistence_dim1(cloud, maxscale: float) -> PersistenceDiagram:
 
     A triangle column is a bitmask over the ordered edges, so adding a
     column is one XOR and the pivot is the highest set bit.
-    Zero-persistence pairs are discarded.
+    Zero-persistence pairs are discarded.  A distance that overflows is a
+    ``NumericalError``, as in dimension 0.
     """
     pts = cloud_points(cloud)
     n = pts.shape[0]
@@ -239,7 +249,11 @@ def rips_persistence_dim1(cloud, maxscale: float) -> PersistenceDiagram:
     if not np.isfinite(pts).all():
         raise DataError("dimension-1 persistence needs finite coordinates")
 
-    dist = _distance_matrix(pts)
+    with np.errstate(over="ignore"):
+        dist = _distance_matrix(pts)
+    if not np.isfinite(dist).all():
+        bad = float(dist[~np.isfinite(dist)][0])
+        raise NumericalError(f"a distance between its points is {bad!r}, not a finite float")
     d = dist.tolist()
     edges = sorted((d[i][j], i, j) for i, j in combinations(range(n), 2) if d[i][j] <= maxscale)
     bit = {(i, j): 1 << e for e, (_, i, j) in enumerate(edges)}

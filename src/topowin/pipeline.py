@@ -315,29 +315,26 @@ def build_clouds(windows_by_split: dict, params: StandardizationParams, cfg: Pip
 
 
 def compute_diagrams(clouds_by_split: dict, cfg: PipelineConfig) -> dict:
-    """Each split's diagrams; in dimension 0, one batched pass per split,
-    whose ``Dim0Diagrams`` the writer and the distances take as it is."""
+    """Each split's diagrams: in dimension 0 one ``Dim0Diagrams``, from one
+    batched pass per split, which the writer and the distances take as it
+    is; in dimension 1 a list, one diagram per cloud.  A ``DataError`` or
+    ``NumericalError`` names its split and window."""
     if cfg.dimension == 0:
         return _each_split(
             clouds_by_split, lambda clouds: rips_persistence_dim0_batch(clouds, cfg.essential_policy, cfg.maxscale)
         )
-    return {
-        name: [rips_persistence_dim1(c, cfg.maxscale) for c in clouds]
-        for name, clouds in clouds_by_split.items()
-    }
+    return _each_split(clouds_by_split, lambda clouds: _each_window(clouds, cfg.maxscale))
 
 
-def read_diagrams(path: Path, counts: dict[str, int], cfg: PipelineConfig) -> dict:
-    """Diagrams from a diagrams CSV of ``counts[split]`` windows per split.
-    In dimension 1 a window without rows gets an empty diagram.  In
-    dimension 0 a window without rows is a ``DataError``: a cut window has
-    two or more points, so its minimum spanning tree has an edge and its
-    diagram a pair, and the file must have skipped it."""
-    diagrams = io.read_diagrams_csv(path, counts, cfg.dimension)
-    empty = ((name, i) for name, ds in diagrams.items() for i, d in enumerate(ds) if not d.pairs)
-    if cfg.dimension == 0 and (first := next(empty, None)):
-        raise DataError(f"{path}: no rows for split '{first[0]}' window {first[1]}")
-    return diagrams
+def _each_window(clouds: list, maxscale: float) -> list:
+    """The dimension-1 diagram of each cloud; an error names its window."""
+    out = []
+    for index, cloud in enumerate(clouds):
+        try:
+            out.append(rips_persistence_dim1(cloud, maxscale))
+        except (DataError, NumericalError) as exc:
+            raise type(exc)(f"window {index}: {exc}") from None
+    return out
 
 
 def compute_distances(diagrams_by_split: dict, cfg: PipelineConfig) -> DistanceMatrix:
@@ -577,7 +574,7 @@ def run(
                 ("clouds",),
                 lambda clouds: compute_diagrams(clouds, cfg),
                 io.write_diagrams_csv,
-                lambda path: read_diagrams(path, counts, cfg),
+                lambda path: io.read_diagrams_csv(path, counts, cfg.dimension),
             ),
             "distances": _Stage(
                 {

@@ -10,7 +10,7 @@ import pytest
 from topowin import DistanceMatrix, describe_run, io
 from topowin.cli import main, write_distances
 from topowin.io import read_json, write_json
-from topowin.pipeline import PipelineConfig, read_diagrams
+from topowin.pipeline import PipelineConfig
 from conftest import synthetic_config_dict
 
 
@@ -239,16 +239,7 @@ class TestStageCommands:
 
     @pytest.mark.parametrize("command", ["run", "diagrams"])
     def test_dim0_distance_overflow_is_a_numerical_error(self, command, tmp_path, capsys):
-        # 60 rows in two channels, standardized on train; test row 52 holds
-        # 1e160, so a squared difference in test window 2 overflows.
-        data, config = tmp_path / "big.csv", tmp_path / "big.json"
-        rows = [f"{i},{1e160 if i == 52 else float(i % 7)!r},{i % 5}.5,{i % 2}\n" for i in range(60)]
-        data.write_text("timestamp,a,b,label\n" + "".join(rows), encoding="utf-8")
-        write_json(config, {
-            "run_id": "big", "schema": {"timestamp": "timestamp", "features": ["a", "b"], "label": "label"},
-            "splits": [["train", 0, 40], ["test", 40, 60]], "window": 5, "stride": 5,
-            "standardize": "fit_on_train", "k": 1,
-        })
+        data, config = overflow_inputs(tmp_path)
         common = ["--config", str(config), "--out", str(tmp_path / "o")]
         if command == "run":
             argv, prefix = ["run", "--data", str(data), *common], "stage 'diagrams': "
@@ -262,6 +253,37 @@ class TestStageCommands:
         assert main(argv) == 3
         message = "split 'test': window 2: a distance between its points is inf, not a finite float"
         assert capsys.readouterr().err == f"numerical error: {prefix}{message}\n"
+
+    def test_dim1_distance_overflow_is_a_numerical_error(self, tmp_path, capsys):
+        # An overflowed edge is not one above the cap: the run fails, with no warning line.
+        data, config = overflow_inputs(tmp_path)
+        argv = ["run", "--config", str(config), "--data", str(data), "--out", str(tmp_path / "o")]
+        assert main([*argv, "--dimension", "1", "--maxscale", "3.0"]) == 3
+        message = "split 'test': window 2: a distance between its points is inf, not a finite float"
+        assert capsys.readouterr().err == f"numerical error: stage 'diagrams': {message}\n"
+
+    def test_dim1_diagram_error_names_its_split_and_window(self, tmp_path, capsys):
+        # Two-point windows without anchors are clouds too small for dimension 1.
+        data, config = overflow_inputs(tmp_path, window=2, anchors="none")
+        argv = ["run", "--config", str(config), "--data", str(data), "--out", str(tmp_path / "o")]
+        assert main([*argv, "--dimension", "1", "--maxscale", "3.0"]) == 2
+        message = "split 'train': window 0: dimension-1 persistence needs at least 3 points, got 2"
+        assert capsys.readouterr().err == f"data error: stage 'diagrams': {message}\n"
+
+
+def overflow_inputs(tmp_path, window=5, **extra):
+    """60 rows in two channels, standardized on train; test row 52 holds
+    1e160, so a squared difference in the test window holding it overflows
+    (window 2 at w = 5)."""
+    data, config = tmp_path / "big.csv", tmp_path / "big.json"
+    rows = [f"{i},{1e160 if i == 52 else float(i % 7)!r},{i % 5}.5,{i % 2}\n" for i in range(60)]
+    data.write_text("timestamp,a,b,label\n" + "".join(rows), encoding="utf-8")
+    write_json(config, {
+        "run_id": "big", "schema": {"timestamp": "timestamp", "features": ["a", "b"], "label": "label"},
+        "splits": [["train", 0, 40], ["test", 40, 60]], "window": window, "stride": window,
+        "standardize": "fit_on_train", "k": 1, **extra,
+    })
+    return data, config
 
 
 class TestStagesMatchRun:
@@ -306,9 +328,8 @@ class TestStagesMatchRun:
         (diagrams,) = run_dir.glob("diagrams/*.diagrams.csv")
         windows = io.read_windows_csv(next(run_dir.glob("windows/*.windows.csv")))
         counts = {name: len(wins) for name, wins in windows.items()}
-        write_distances(
-            io.read_distmat_csv(matrix), read_diagrams(diagrams, counts, cfg), cfg, tmp_path / "sidecar.csv"
-        )
+        diagrams = io.read_diagrams_csv(diagrams, counts, cfg.dimension)
+        write_distances(io.read_distmat_csv(matrix), diagrams, cfg, tmp_path / "sidecar.csv")
         assert (out / "distmat.json").read_bytes() == (tmp_path / "sidecar.json").read_bytes()
 
 

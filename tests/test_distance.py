@@ -234,9 +234,11 @@ class TestZeroBirthDP:
     def test_rows_own_their_data(self, p):
         # A row that is a view of the dynamic program's table would keep the
         # whole table alive until the matrix stacks the rows.
-        table = topowin.distance._deaths_table([zero_birth(1.0, 2.0), zero_birth(0.5), zero_birth()])
-        row = topowin.distance._zero_birth_distances([1.0, 3.0], table, p)
-        assert row.shape == (3,) and row.base is None
+        test = Dim0Diagrams.from_deaths([[1.0, 3.0], [2.0]])
+        train = Dim0Diagrams.from_deaths([[1.0, 2.0], [0.5], []])
+        rows = topowin.distance._zero_birth_rows(test, train, p)
+        assert [row.shape for row in rows] == [(3,), (3,)]
+        assert all(row.base is None for row in rows)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     def test_matrix_equals_pairwise(self, p):

@@ -24,7 +24,7 @@ from topowin.classify import EvaluationReport, KSweepEntry
 from topowin.distance import DistanceMatrix
 from topowin.errors import DataError
 from topowin.ingest import StandardizationParams, TimeSeries
-from topowin.persistence import PersistenceDiagram, rips_persistence_dim0_batch
+from topowin.persistence import Dim0Diagrams, PersistenceDiagram, rips_persistence_dim0_batch
 from topowin.pipeline import cut_windows
 from topowin.windowing import LabeledWindow, WindowConfig, make_windows
 from conftest import synthetic_config_dict
@@ -95,15 +95,29 @@ def clouds():
 
 
 def diagrams():
+    """Dimension 1: births other than 0 and a window without points, which
+    a dimension-0 file may not have."""
     pairs = ((-0.0, 5e-324), (1e-05, 0.1 + 0.2), (0.0, 1e16), (0.0, 1.7976931348623157e308))
     return {
         split: [
-            PersistenceDiagram(dim=0, pairs=pairs),
-            PersistenceDiagram(dim=0, pairs=()),
-            PersistenceDiagram(dim=0, pairs=pairs[1:3]),
+            PersistenceDiagram(dim=1, pairs=pairs),
+            PersistenceDiagram(dim=1, pairs=()),
+            PersistenceDiagram(dim=1, pairs=pairs[1:3]),
         ]
         for split in SPLITS
     }
+
+
+# Special deaths of a dimension-0 file, one row per window, each in order.
+DIM0_DEATHS = (
+    [0.0, 5e-324, 0.1 + 0.2, 1e16, 1.7976931348623157e308],
+    [5e-324],
+    [0.1 + 0.2, 1e16],
+)
+
+
+def dim0_diagrams():
+    return {split: Dim0Diagrams.from_deaths(DIM0_DEATHS) for split in SPLITS}
 
 
 def distmat():
@@ -322,17 +336,66 @@ class TestReadBack:
     def test_diagrams(self, tmp_path):
         diags = diagrams()
         io.write_diagrams_csv(diags, tmp_path / "d.csv")
-        again = io.read_diagrams_csv(tmp_path / "d.csv", {s: len(d) for s, d in diags.items()}, 0)
+        again = io.read_diagrams_csv(tmp_path / "d.csv", {s: len(d) for s, d in diags.items()}, 1)
         assert again == diags
+
+    def test_dim0_diagrams(self, tmp_path):
+        diags = dim0_diagrams()
+        io.write_diagrams_csv(diags, tmp_path / "d.csv")
+        again = io.read_diagrams_csv(tmp_path / "d.csv", {s: len(DIM0_DEATHS) for s in SPLITS}, 0)
+        assert list(again) == list(SPLITS)
+        for split, view in again.items():
+            assert isinstance(view, Dim0Diagrams)
+            assert view.deaths.tobytes() == diags[split].deaths.tobytes()
+            assert view.counts.tolist() == [5, 1, 2]
+            assert list(view.rows()) == list(DIM0_DEATHS)
+        io.write_diagrams_csv(again, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "policy", [{}, {"essential_policy": "capped", "maxscale": 1.0}], ids=["dropped", "capped"]
+    )
+    def test_dim0_reads_back_as_the_batch_wrote_it(self, tmp_path, policy):
+        # Clouds of 2 to 7 points, so each split's rows have mixed widths.
+        rng = np.random.default_rng(43)
+        clouds = [rng.normal(size=(int(rng.integers(2, 8)), 2)) for _ in range(2 * io._CHUNK_ROWS + 9)]
+        parts = zip(SPLITS, (clouds[:9], clouds[9:]))
+        batches = {split: rips_persistence_dim0_batch(part, **policy) for split, part in parts}
+        if policy:
+            # The cap lies inside the deaths' range, so it is not the largest death of every row.
+            deaths = np.concatenate([view.deaths[view.deaths > 0] for view in batches.values()])
+            assert deaths.min() < 1.0 < deaths.max()
+        assert len({int(n) for view in batches.values() for n in view.counts}) > 1
+        io.write_diagrams_csv(batches, tmp_path / "d.csv")
+        again = io.read_diagrams_csv(tmp_path / "d.csv", {s: len(v) for s, v in batches.items()}, 0)
+        for split, view in batches.items():
+            assert isinstance(again[split], Dim0Diagrams)
+            assert again[split].deaths.tobytes() == view.deaths.tobytes()
+            assert again[split].counts.tobytes() == view.counts.tobytes()
+
+    def test_dim0_point_born_off_zero_names_its_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        io.write_diagrams_csv(dim0_diagrams(), path)
+        replace_line(path, 10, "test,0,0,0.25,1.0")
+        with pytest.raises(DataError, match=re.escape(f"{path}: line 10: dimension-0 point born at 0.25, not 0")):
+            io.read_diagrams_csv(path, {s: 3 for s in SPLITS}, 0)
+
+    def test_dim0_window_without_rows_is_named(self, tmp_path):
+        path = tmp_path / "d.csv"
+        io.write_diagrams_csv(dim0_diagrams(), path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(l for l in lines if not l.startswith("test,1,")), encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}: no rows for split 'test' window 1")):
+            io.read_diagrams_csv(path, {s: 3 for s in SPLITS}, 0)
 
     # diagrams() per split: window 0 on four lines, window 2 on two (window 1
     # is empty), so the file reads: header, split 0 on lines 2-7, split 1 on 8-13.
     @pytest.mark.parametrize(
         "counts, dim, message",
         [
-            ({SPLITS[0]: 3}, 0, "line 8: split 'test' is not among the windows' splits"),
-            ({s: 2 for s in SPLITS}, 0, "line 6: window 2 is outside split ' odd, \"split\"' (2 windows)"),
-            ({s: 3 for s in SPLITS}, 1, "line 2: dimension 0, not 1"),
+            ({SPLITS[0]: 3}, 1, "line 8: split 'test' is not among the windows' splits"),
+            ({s: 2 for s in SPLITS}, 1, "line 6: window 2 is outside split ' odd, \"split\"' (2 windows)"),
+            ({s: 3 for s in SPLITS}, 0, "line 2: dimension 1, not 0"),
         ],
         ids=["split", "window", "dim"],
     )
@@ -346,8 +409,8 @@ class TestReadBack:
         io.write_diagrams_csv(diagrams(), path)
         header, rest = path.read_text(encoding="utf-8").split("\n", 1)
         path.write_text(f"{header}\n\n\n{rest}", encoding="utf-8")
-        with pytest.raises(DataError, match="line 4: dimension 0, not 1"):
-            io.read_diagrams_csv(path, {s: 3 for s in SPLITS}, 1)
+        with pytest.raises(DataError, match="line 4: dimension 1, not 0"):
+            io.read_diagrams_csv(path, {s: 3 for s in SPLITS}, 0)
 
     def test_distmat(self, tmp_path):
         m = distmat()
@@ -593,11 +656,11 @@ class TestMalformedReads:
     @pytest.mark.parametrize(
         "cell, message",
         [
-            ("test,0,0,zz,1.0", "could not convert string to float: 'zz'"),
-            ("test,0,0,0.0,-1.0", "invalid diagram point (0.0, -1.0): need finite 0 <= birth <= death"),
-            ("test,0,0,0.5,inf", "invalid diagram point (0.5, inf)"),
-            ("test,0,0,nan,1.0", "invalid diagram point (nan, 1.0)"),
-            ("test,x,0,0.0,1.0", "invalid literal for int()"),
+            ("test,0,1,zz,1.0", "could not convert string to float: 'zz'"),
+            ("test,0,1,0.0,-1.0", "invalid diagram point (0.0, -1.0): need finite 0 <= birth <= death"),
+            ("test,0,1,0.5,inf", "invalid diagram point (0.5, inf)"),
+            ("test,0,1,nan,1.0", "invalid diagram point (nan, 1.0)"),
+            ("test,x,1,0.0,1.0", "invalid literal for int()"),
         ],
         ids=["death", "negative-death", "infinite-death", "nan-birth", "window"],
     )
@@ -606,7 +669,7 @@ class TestMalformedReads:
         io.write_diagrams_csv(diagrams(), path)
         replace_line(path, 8, cell)
         with pytest.raises(DataError, match=re.escape(f"{path}: line 8: {message}")):
-            io.read_diagrams_csv(path, {s: 3 for s in SPLITS}, 0)
+            io.read_diagrams_csv(path, {s: 3 for s in SPLITS}, 1)
 
     @pytest.mark.parametrize(
         "read, header",

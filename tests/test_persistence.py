@@ -280,6 +280,18 @@ class TestDim0Diagrams:
         view = rips_persistence_dim0_batch([], "capped", 1.0)
         assert len(view) == 0 and not view and view.deaths.shape == (0, 0)
 
+    @pytest.mark.parametrize(
+        "policy", [{}, {"essential_policy": "capped", "maxscale": 1.2}], ids=["dropped", "capped"]
+    )
+    def test_from_deaths_rebuilds_the_batch(self, policy):
+        view = rips_persistence_dim0_batch(self.CLOUDS, **policy)
+        again = Dim0Diagrams.from_deaths(list(view.rows()))
+        assert again.deaths.tobytes() == view.deaths.tobytes()
+        assert again.counts.tobytes() == view.counts.tobytes()
+        assert not again.deaths.flags.writeable and not again.counts.flags.writeable
+        empty = Dim0Diagrams.from_deaths([])
+        assert empty.deaths.shape == (0, 0) and empty.counts.shape == (0,)
+
 
 class TestDim0Overflow:
     @pytest.mark.parametrize("policy", [{}, {"essential_policy": "capped", "maxscale": 1.0}], ids=["dropped", "capped"])
@@ -294,6 +306,13 @@ class TestDim0Overflow:
     def test_largest_finite_distance_is_kept(self):
         view = rips_persistence_dim0_batch([col(0.0, 1e154)])
         assert view.deaths.tolist() == [[1e154]]
+
+    def test_dim1_overflowing_distance_is_a_numerical_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError) as raised:
+                rips_persistence_dim1(col(0.0, 1e160, 1.0), maxscale=3.0)
+        assert str(raised.value) == "a distance between its points is inf, not a finite float"
 
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])

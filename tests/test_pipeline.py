@@ -37,7 +37,6 @@ from topowin.pipeline import (
     compute_diagrams,
     cut_windows,
     default_runs_root,
-    read_diagrams,
     standardize,
 )
 from conftest import synthetic_config_dict, synthetic_two_class_series
@@ -1235,6 +1234,6 @@ class TestDiagramsSkippingAWindow:
         cfg1 = dataclasses.replace(cfg, dimension=1, maxscale=8.0)
         path = tmp_path / "dim1.csv"
         io.write_diagrams_csv({"train": [], "test": []}, path)
-        diagrams = read_diagrams(path, {"train": 18, "test": 12}, cfg1)
+        diagrams = io.read_diagrams_csv(path, {"train": 18, "test": 12}, cfg1.dimension)
         assert [len(diagrams[name]) for name in ("train", "test")] == [18, 12]
         assert all(not d.pairs for ds in diagrams.values() for d in ds)
