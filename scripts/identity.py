@@ -28,7 +28,10 @@ import os
 import subprocess
 import sys
 import tempfile
+import zipfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -73,6 +76,32 @@ def compare_dirs(a: Path, b: Path) -> tuple[int, str | None]:
     return len(files_a), None
 
 
+def write_arem_standin(root: Path, seed: int = 5) -> None:
+    """A seeded offline stand-in for the UCI AReM archive, normalized by
+    ``scripts/fetch_arem.py`` into ``root/data/arem.csv`` and its configs:
+    six RSS channels (mean and variance of three sensor pairs) read to two
+    decimals, as the real files are, in instances of standing (class 0) and
+    cycling (class 1).  Cycling has the wider spread, and both classes
+    overlap."""
+    rng = np.random.default_rng(seed)
+    header = "# Columns: time,avg_rss12,var_rss12,avg_rss13,var_rss13,avg_rss23,var_rss23"
+    archive = root / "arem.zip"
+    root.mkdir(parents=True)
+    with zipfile.ZipFile(archive, "w") as zf:
+        for activity, spread in (("standing", 1.0), ("cycling", 1.25)):
+            for number in range(1, 5):
+                rows = int(rng.integers(90, 130))
+                avg = 40.0 + rng.normal(0.0, spread, size=(rows, 3))
+                var = np.abs(rng.normal(0.0, spread, size=(rows, 3)))
+                values = np.stack([avg, var], axis=2).reshape(rows, 6)
+                lines = [header]
+                lines += (",".join([str(250 * t), *(f"{v:.2f}" for v in row)]) for t, row in enumerate(values))
+                zf.writestr(f"ARem/{activity}/dataset{number}.csv", "\n".join(lines) + "\n")
+    script = ROOT / "scripts" / "fetch_arem.py"
+    args = [sys.executable, str(script), "--source", str(archive), "--root", str(root)]
+    subprocess.run(args, check=True, capture_output=True)
+
+
 def cases(inputs: Path) -> dict[str, list[tuple[str, list[str]]]]:
     """Write the inputs under ``inputs`` and return each case's steps,
     (name, topowin arguments)."""
@@ -100,6 +129,11 @@ def cases(inputs: Path) -> dict[str, list[tuple[str, list[str]]]]:
     script = ROOT / "scripts" / "make_synthetic.py"
     subprocess.run([sys.executable, str(script), "--root", str(synthetic)], check=True, capture_output=True)
     sources["make_synthetic"] = tuple(str(synthetic / sub) for sub in ("configs/synthetic.json", "data/synthetic.csv"))
+    # The paper's second dataset: three splits, w = 5 and a d = 6 offset.
+    arem = inputs / "arem"
+    write_arem_standin(arem)
+    for split in ("test", "validation"):
+        sources[f"arem stand-in, {split}"] = (str(arem / f"configs/arem_{split}.json"), str(arem / "data/arem.csv"))
 
     def run(source: str, *flags: str) -> list[str]:
         config, data = sources[source]
@@ -129,7 +163,27 @@ def cases(inputs: Path) -> dict[str, list[tuple[str, list[str]]]]:
         ("--dimension 1 --maxscale 3.0", run("protocol seed 1", "--dimension", "1", "--maxscale", "3.0")),
     ]
 
+    out["arem stand-in"] = [
+        ("cold", run("arem stand-in, test")),
+        ("warm", run("arem stand-in, test")),
+        ("validation as the test split", run("arem stand-in, validation")),
+        ("--dimension 1 --maxscale 3.0", run("arem stand-in, test", "--dimension", "1", "--maxscale", "3.0")),
+    ]
+
     config, data = sources["occ-cold seed 1"]
+    dim1 = ["--config", config, "--dimension", "1", "--maxscale", "3.0"]
+    out["cli chain, dimension 1, occ-cold seed 1"] = [
+        ("ingest", ["ingest", "--config", config, "--data", data, "--out", "ingest"]),
+        ("windows", ["windows", "--config", config, "--series", "ingest/series.csv", "--out", "windows"]),
+        ("diagrams", [
+            "diagrams", *dim1, "--windows", "windows/windows.csv", "--params", "ingest/params.json",
+            "--out", "diagrams",
+        ]),
+        ("distmat", [
+            "distmat", *dim1, "--diagrams", "diagrams/diagrams.csv", "--windows", "windows/windows.csv",
+            "--out", "distmat",
+        ]),
+    ]
     labelled = ["--config", config, "--matrix", "distmat/distmat.csv", "--windows", "windows/windows.csv"]
     n_train = workloads.WORKLOADS["occ-cold"].n_train
     every_k = ",".join(str(k) for k in range(1, n_train + 1))

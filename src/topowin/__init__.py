@@ -25,7 +25,7 @@ from .ingest import (
     split_series,
 )
 from .persistence import (
-    Dim0Diagrams,
+    Diagrams,
     PersistenceDiagram,
     rips_persistence_dim0,
     rips_persistence_dim0_batch,
@@ -48,7 +48,7 @@ __all__ = [
     "AugmentConfig",
     "CsvSchema",
     "DataError",
-    "Dim0Diagrams",
+    "Diagrams",
     "DistanceMatrix",
     "EvaluationReport",
     "KSweepEntry",

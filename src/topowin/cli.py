@@ -281,18 +281,22 @@ def _cmd_plot_diagram(args) -> int:
     keyed, points = io.read_diagram_points(path)
     suffix = ""
     if keyed:
-        keys = sorted({p[:2] for p in points})
-        split = args.split or (keys[0][0] if keys else None)
-        candidates = [k for k in keys if k[0] == split and args.index in (None, k[1])]
-        if len(candidates) > 1:
-            raise ValueError(
-                f"file holds {len(candidates)} windows for split '{split}'; pick one with --index"
-            )
-        if candidates:
-            suffix = f"-{candidates[0][0]}-{candidates[0][1]}"
-        elif args.index is not None:
-            suffix = f"-{split}-{args.index}"
-        points = [p[2:] for p in points if candidates and p[:2] == candidates[0]]
+        splits = sorted({p[0] for p in points})
+        split = args.split or next(iter(splits), "")
+        if split not in splits:
+            raise ValueError(f"no rows for split '{split}'; the file holds splits {splits}")
+        rows = [p for p in points if p[0] == split]
+        windows = sorted({p[1] for p in rows})
+        index = windows[0] if args.index is None and len(windows) == 1 else args.index
+        if index is None:
+            raise ValueError(f"file holds {len(windows)} windows for split '{split}'; pick one with --index")
+        if index < 0:
+            raise ValueError(f"--index must be >= 0, got {index}")
+        # Every cut window has a dimension-0 pair, as read_diagrams_csv requires.
+        if index not in windows and {p[2] for p in rows} == {0}:
+            raise ValueError(f"no rows for split '{split}' window {index} in a dimension-0 file")
+        suffix = f"-{split}-{index}"
+        points = [p[2:] for p in rows if p[1] == index]
     selected = sorted(points, key=lambda r: (r[0], r[2], r[1]))
     svg = out / f"diagram{suffix}.svg"
     twin = out / f"diagram{suffix}.csv"

@@ -21,11 +21,10 @@ matching deaths x and y costs |x - y| and sending x to the diagonal costs
 x / 2.  |x - y|^p is Monge for p >= 1, so an optimal matching never crosses
 over the sorted deaths, and the exact distance is a 1-D edit-distance
 dynamic program; one test diagram runs against all train diagrams at once.
-It reads its rows and its table only from two ``Dim0Diagrams``: each
-diagram's deaths, zero-padded at the front to a common width, sorted as a
-whole array.  A run's dimension-0 diagrams already are one, and so is a
-``diagrams.csv`` read back; a list of diagrams born at 0 is packed into
-one with ``Dim0Diagrams.from_deaths``.
+It reads its rows and its table from the ``deaths`` of two ``Diagrams``,
+zero-padded at the front to a common width, sorted as a whole array.  A
+run's diagrams and a ``diagrams.csv`` read back already are one ``Diagrams``
+per split; a list of diagrams (``wasserstein``) is packed into one, once.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import numpy as np
 
 from .assignment import min_cost_assignment
 from .errors import DataError
-from .persistence import Dim0Diagrams, PersistenceDiagram
+from .persistence import Diagrams, PersistenceDiagram
 
 
 @dataclass(frozen=True)
@@ -76,14 +75,7 @@ def _matching_cost(a: Sequence[tuple[float, float]], b: Sequence[tuple[float, fl
     return total + sum(c for j, c in enumerate(diag_b) if j not in matched)
 
 
-def _packed(diagrams: Sequence[PersistenceDiagram]) -> Dim0Diagrams:
-    """Diagrams whose points are all born at 0 as one ``Dim0Diagrams``."""
-    if isinstance(diagrams, Dim0Diagrams):
-        return diagrams
-    return Dim0Diagrams.from_deaths([[d for _, d in diag.pairs] for diag in diagrams])
-
-
-def _zero_birth_rows(test: Dim0Diagrams, train: Dim0Diagrams, p: float) -> list[np.ndarray]:
+def _zero_birth_rows(test: Diagrams, train: Diagrams, p: float) -> list[np.ndarray]:
     """One dynamic program per test window; row j of the table is the j-th
     sorted death of every train diagram.  A padding death of 0 is a diagonal
     point, which leaves every sum of the dynamic program bit-identical."""
@@ -161,14 +153,23 @@ def distance_matrix(
     """
     if not test or not train:
         raise DataError("distance matrix needs nonempty test and train diagram sets")
-    # A Dim0Diagrams is of dimension 0 and born at 0: its diagrams are not built.
-    listed = [d for s in (test, train) if not (cfg.dimension == 0 and isinstance(s, Dim0Diagrams)) for d in s]
-    for diag in listed:
-        if diag.dim != cfg.dimension:
-            raise DataError(f"diagram of dimension {diag.dim} in a dimension-{cfg.dimension} matrix")
-    if all(b == 0.0 for diag in listed for b, _ in diag.pairs):
-        rows = _zero_birth_rows(_packed(test), _packed(train), cfg.p)
+    test, train = _diagram_set(test, cfg.dimension), _diagram_set(train, cfg.dimension)
+    if not (test.births.any() or train.births.any()):
+        rows = _zero_birth_rows(test, train, cfg.p)
     else:
         root = 1.0 / cfg.p
-        rows = [[_matching_cost(t.pairs, tr.pairs, cfg.p) ** root for tr in train] for t in test]
+        train_rows = list(train.rows())
+        rows = [[_matching_cost(t, tr, cfg.p) ** root for tr in train_rows] for t in test.rows()]
     return DistanceMatrix(np.asarray(rows, dtype=float))
+
+
+def _diagram_set(diagrams: Sequence[PersistenceDiagram], dim: int) -> Diagrams:
+    """``diagrams`` as one ``Diagrams``, a list packed once; a diagram of
+    another dimension than ``dim`` is a ``DataError``."""
+    if not isinstance(diagrams, Diagrams):
+        # Packed in the first other dimension a diagram has, so the check names it.
+        packed_dim = next((diag.dim for diag in diagrams if diag.dim != dim), dim)
+        diagrams = Diagrams.from_pairs(packed_dim, [diag.pairs for diag in diagrams])
+    if diagrams.dim != dim:
+        raise DataError(f"diagram of dimension {diagrams.dim} in a dimension-{dim} matrix")
+    return diagrams

@@ -48,7 +48,7 @@ from .classify import EvaluationReport, KSweepEntry
 from .distance import DistanceMatrix
 from .errors import DataError, NumericalError
 from .ingest import CsvSchema, StandardizationParams, TimeSeries, load_csv
-from .persistence import Dim0Diagrams, PersistenceDiagram
+from .persistence import Diagrams
 from .windowing import LabeledWindow
 
 
@@ -382,28 +382,18 @@ def read_clouds_csv(path: Path) -> dict[str, list[np.ndarray]]:
 _DIAGRAM_COLUMNS = ["split", "window", "dim", "birth", "death"]
 
 
-def write_diagrams_csv(diagrams_by_split: Mapping[str, Sequence[PersistenceDiagram]], path: Path) -> str:
-    """One row per diagram point.  A split's ``Dim0Diagrams`` is written
-    from its deaths array, with no diagram built."""
+def write_diagrams_csv(diagrams_by_split: Mapping[str, Diagrams], path: Path) -> str:
+    """One row per diagram point, written from each split's arrays with no
+    diagram built."""
 
     def lines():
         for split, diagrams in diagrams_by_split.items():
             lead = _csv_line([split, ""])[:-1]
-            if isinstance(diagrams, Dim0Diagrams):
-                yield from _dim0_lines(lead, diagrams)
-                continue
-            for index, diag in enumerate(diagrams):
-                yield from (f"{lead}{index},{diag.dim},{b!r},{d!r}\n" for b, d in diag.pairs)
+            for index, pairs in enumerate(diagrams.rows()):
+                head = f"{lead}{index},{diagrams.dim},"
+                yield from (f"{head}{b!r},{d!r}\n" for b, d in pairs)
 
     return write_text(path, _csv_chunks(_DIAGRAM_COLUMNS, lines()))
-
-
-def _dim0_lines(lead: str, diagrams: Dim0Diagrams) -> Iterator[str]:
-    """The diagram rows of one split's ``Dim0Diagrams``, ``lead`` being its
-    split cell and comma."""
-    for index, deaths in enumerate(diagrams.rows()):
-        head = f"{lead}{index},0,0.0,"
-        yield from (f"{head}{d!r}\n" for d in deaths)
 
 
 def _diagram_point(birth: str, death: str) -> tuple[float, float]:
@@ -420,12 +410,12 @@ def read_diagrams_csv(
     counts: Mapping[str, int],
     dim: int,
     essential_policy: str | None = None,
-) -> dict[str, Sequence[PersistenceDiagram]]:
-    """Each split's ``counts[split]`` diagrams, each window's points in file
-    order: in dimension 0 one ``Dim0Diagrams``, bit for bit the batch's.  A
-    row of a split, window or dimension outside ``counts`` and ``dim``, not
-    finite 0 <= birth <= death, or of dimension 0 born off 0, is a
-    ``DataError`` naming its line; so is a dimension-0 window without rows
+) -> dict[str, Diagrams]:
+    """Each split's ``counts[split]`` diagrams as one ``Diagrams``, each
+    window's points in file order, so a file the writer wrote reads back bit
+    for bit.  A row of a split, window or dimension outside ``counts`` and
+    ``dim``, not finite 0 <= birth <= death, or of dimension 0 born off 0, is
+    a ``DataError`` naming its line; so is a dimension-0 window without rows
     (a cut window has a pair), while a dimension-1 one is an empty diagram.
     ``essential_policy`` is unused, kept for ``perfbench/micro.py``."""
     points: dict[tuple[str, int], list] = {}
@@ -442,18 +432,15 @@ def read_diagrams_csv(
         b, d = _diagram_point(birth, death)
         if dim == 0 and b != 0.0:
             raise ValueError(f"dimension-0 point born at {b!r}, not 0")
-        points.setdefault((split, index), []).append(d if dim == 0 else (b, d))
+        points.setdefault((split, index), []).append((b, d))
 
     _read_csv(path, ",".join(_DIAGRAM_COLUMNS), lambda header: parse if header == _DIAGRAM_COLUMNS else None)
     out = {}
     for split, count in counts.items():
-        rows = [points.get((split, i)) for i in range(count)]
-        if dim != 0:
-            out[split] = [PersistenceDiagram(dim, tuple(row or ())) for row in rows]
-        elif None in rows:
-            raise DataError(f"{path}: no rows for split '{split}' window {rows.index(None)}")
-        else:
-            out[split] = Dim0Diagrams.from_deaths(rows)
+        rows = [points.get((split, i), ()) for i in range(count)]
+        if dim == 0 and () in rows:
+            raise DataError(f"{path}: no rows for split '{split}' window {rows.index(())}")
+        out[split] = Diagrams.from_pairs(dim, rows)
     return out
 
 
@@ -474,12 +461,15 @@ def read_diagram_points(path: Path) -> tuple[bool, list[tuple]]:
     return header == _DIAGRAM_COLUMNS, points
 
 
-def diagram_set_hash(diagrams_by_split: Mapping[str, Sequence[PersistenceDiagram]]) -> str:
+def diagram_set_hash(diagrams_by_split: Mapping[str, Diagrams]) -> str:
+    """SHA-256 of one ``split|window|dim|birth|death`` line per point, the
+    splits in name order, read from the arrays with no diagram built."""
     lines = []
     for split in sorted(diagrams_by_split):
-        for index, diag in enumerate(diagrams_by_split[split]):
-            for b, d in diag.pairs:
-                lines.append(f"{split}|{index}|{diag.dim}|{b!r}|{d!r}")
+        diagrams = diagrams_by_split[split]
+        for index, pairs in enumerate(diagrams.rows()):
+            for b, d in pairs:
+                lines.append(f"{split}|{index}|{diagrams.dim}|{b!r}|{d!r}")
     return sha256_bytes("\n".join(lines).encode("utf-8"))
 
 

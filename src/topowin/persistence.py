@@ -1,14 +1,18 @@
 """Vietoris-Rips persistence diagrams of small Euclidean point clouds.
 
+A split's diagrams are one ``Diagrams`` in either dimension, from the
+persistence passes through ``diagrams.csv`` to the distances.  Only indexing
+one, and ``rips_persistence_dim1``, build a ``PersistenceDiagram``.
+
 Dimension 0: the finite deaths (births are 0) are the edge lengths of a
 Euclidean minimum spanning tree, grown by Prim's algorithm over the distance
 matrix.  All such trees share one multiset of edge lengths, each an entry
 of that matrix, so the sorted deaths are exact whichever way ties break.
 ``rips_persistence_dim0_batch`` grows the trees of all clouds of one shape
 in a single pass over a (clouds, n, n) distance tensor, chunked to bound
-its temporaries, and returns every diagram as one row of a ``Dim0Diagrams``
-array of deaths; the one-cloud ``rips_persistence_dim0`` is that pass on a
-list of one.  A set of dimension-0 diagrams is always a ``Dim0Diagrams``.
+its temporaries, and writes every diagram's deaths into one row of its
+``Diagrams``; the one-cloud ``rips_persistence_dim0`` is that pass on a
+list of one.
 
 Dimension 1 lists the edges and triangles up to a scale cap, ordered by
 (length, vertices) and (diameter, vertices), and reduces only the triangle
@@ -113,32 +117,36 @@ def _mst_deaths(dist: np.ndarray) -> np.ndarray:
     return deaths.T
 
 
-_ROWS_AT_A_TIME = 128  # windows whose deaths ``Dim0Diagrams.rows`` converts at a time
+_ROWS_AT_A_TIME = 128  # windows whose points ``Diagrams.rows`` converts at a time
 
 
-class Dim0Diagrams(Sequence):
-    """The dimension-0 diagrams of a batch of clouds as one array of deaths.
+class Diagrams(Sequence):
+    """A split's persistence diagrams of homology dimension ``dim`` as arrays.
 
-    Row i of the read-only (windows, width) float array ``deaths`` holds
-    window i's ``counts[i]`` deaths at its end, in the order its diagram
-    lists them, and zeros before them; every birth is 0.  Only indexing
-    builds (and checks) window i's ``PersistenceDiagram``; the sequence
-    equals the list of its diagrams."""
+    Row i of the read-only (windows, width) float arrays ``births`` and
+    ``deaths`` holds window i's ``counts[i]`` points at its end, in
+    ``diagrams.csv`` row order, and zeros before them; in dimension 0 every
+    birth is 0.  A point that is not finite 0 <= birth <= death is a
+    ``ValueError``.  Only indexing builds window i's ``PersistenceDiagram``;
+    the sequence equals the list of its diagrams."""
 
-    __slots__ = ("deaths", "counts")
+    __slots__ = ("dim", "births", "deaths", "counts")
 
-    def __init__(self, deaths: np.ndarray, counts: np.ndarray) -> None:
-        deaths.flags.writeable = counts.flags.writeable = False
-        self.deaths, self.counts = deaths, counts
+    def __init__(self, dim: int, births: np.ndarray, deaths: np.ndarray, counts: np.ndarray) -> None:
+        if not (np.isfinite(deaths).all() and (births >= 0).all() and (births <= deaths).all()):
+            raise ValueError("diagram points need finite 0 <= birth <= death")
+        births.flags.writeable = deaths.flags.writeable = counts.flags.writeable = False
+        self.dim, self.births, self.deaths, self.counts = dim, births, deaths, counts
 
     @classmethod
-    def from_deaths(cls, rows: Sequence[Sequence[float]]) -> Dim0Diagrams:
-        """The diagrams whose checked deaths are ``rows``, one per window."""
+    def from_pairs(cls, dim: int, rows: Sequence[Sequence[tuple[float, float]]]) -> Diagrams:
+        """The diagrams whose (birth, death) points are ``rows``, one per window."""
         counts = np.array([len(row) for row in rows], dtype=np.intp)
         width = int(counts.max(initial=0))
-        deaths = np.zeros((len(rows), width))
-        deaths[np.arange(width) >= width - counts[:, None]] = list(chain.from_iterable(rows))
-        return cls(deaths, counts)
+        births, deaths = np.zeros((2, len(rows), width))
+        at = np.arange(width) >= width - counts[:, None]
+        births[at], deaths[at] = np.fromiter(chain.from_iterable(chain.from_iterable(rows)), float).reshape(-1, 2).T
+        return cls(dim, births, deaths, counts)
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -146,38 +154,35 @@ class Dim0Diagrams(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
-        row = self.deaths[index].tolist()
-        return _dim0_diagram(row[len(row) - int(self.counts[index]) :])
+        start = self.deaths.shape[1] - int(self.counts[index])
+        pairs = zip(self.births[index, start:].tolist(), self.deaths[index, start:].tolist())
+        return PersistenceDiagram(self.dim, tuple(pairs))
 
     def __iter__(self):
-        return map(_dim0_diagram, self.rows())
+        return (PersistenceDiagram(self.dim, tuple(pairs)) for pairs in self.rows())
 
     def __eq__(self, other):
-        if isinstance(other, (Dim0Diagrams, list)):
+        if isinstance(other, (Diagrams, list)):
             return list(self) == list(other)
         return NotImplemented
 
     __hash__ = None
 
-    def rows(self) -> Iterator[list[float]]:
-        """Each window's deaths as a list of floats, converted
-        ``_ROWS_AT_A_TIME`` windows at a time."""
+    def rows(self) -> Iterator[list[tuple[float, float]]]:
+        """Each window's own (birth, death) points as floats, without its
+        padding, converted ``_ROWS_AT_A_TIME`` windows at a time."""
         width = self.deaths.shape[1]
         for start in range(0, len(self), _ROWS_AT_A_TIME):
-            rows = self.deaths[start : start + _ROWS_AT_A_TIME].tolist()
-            counts = self.counts[start : start + _ROWS_AT_A_TIME].tolist()
-            yield from (row[width - count :] for row, count in zip(rows, counts))
-
-
-def _dim0_diagram(deaths: list[float]) -> PersistenceDiagram:
-    return PersistenceDiagram(0, tuple((0.0, d) for d in deaths))
+            part = slice(start, start + _ROWS_AT_A_TIME)
+            rows = zip(self.births[part].tolist(), self.deaths[part].tolist(), self.counts[part].tolist())
+            yield from (list(zip(births[width - n :], deaths[width - n :])) for births, deaths, n in rows)
 
 
 def rips_persistence_dim0_batch(
     clouds,
     essential_policy: str = "dropped",
     maxscale: float | None = None,
-) -> Dim0Diagrams:
+) -> Diagrams:
     """Dimension-0 diagrams of many point clouds under the Rips filtration,
     in input order.
 
@@ -187,8 +192,8 @@ def rips_persistence_dim0_batch(
     instead, for a positive, finite maxscale, after the others.  Clouds of
     one shape run one Prim pass together, in chunks of
     ``_chunk_clouds(n, d)``, and write their deaths into one row each of the
-    returned ``Dim0Diagrams``.  A distance that overflows (or is not a
-    number) is a ``NumericalError`` naming the window.
+    returned ``Diagrams``, whose births are a broadcast zero.  A distance that
+    overflows (or is not a number) is a ``NumericalError`` naming the window.
     """
     points = [cloud_points(c) for c in clouds]
     groups: dict[tuple[int, int], list[int]] = {}
@@ -219,7 +224,7 @@ def rips_persistence_dim0_batch(
         i = int(finite.argmin())
         bad = float(deaths[i][~np.isfinite(deaths[i])][0])
         raise NumericalError(f"window {i}: a distance between its points is {bad!r}, not a finite float")
-    return Dim0Diagrams(deaths, counts)
+    return Diagrams(0, np.broadcast_to(0.0, deaths.shape), deaths, counts)
 
 
 def rips_persistence_dim0(

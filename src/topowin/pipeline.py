@@ -43,7 +43,7 @@ from .ingest import (
     load_csv,
     split_series,
 )
-from .persistence import ESSENTIAL_POLICIES, rips_persistence_dim0_batch, rips_persistence_dim1
+from .persistence import ESSENTIAL_POLICIES, Diagrams, rips_persistence_dim0_batch, rips_persistence_dim1
 from .pointcloud import AugmentConfig, augment_batch, resolve_anchors, resolve_offset
 from .windowing import WindowConfig, make_windows, window_count
 
@@ -315,23 +315,22 @@ def build_clouds(windows_by_split: dict, params: StandardizationParams, cfg: Pip
 
 
 def compute_diagrams(clouds_by_split: dict, cfg: PipelineConfig) -> dict:
-    """Each split's diagrams: in dimension 0 one ``Dim0Diagrams``, from one
-    batched pass per split, which the writer and the distances take as it
-    is; in dimension 1 a list, one diagram per cloud.  A ``DataError`` or
-    ``NumericalError`` names its split and window."""
+    """Each split's diagrams as one ``Diagrams``: in dimension 0 from one
+    batched pass per split, in dimension 1 packed from each cloud's pairs.
+    A ``DataError`` or ``NumericalError`` names its split and window."""
     if cfg.dimension == 0:
         return _each_split(
             clouds_by_split, lambda clouds: rips_persistence_dim0_batch(clouds, cfg.essential_policy, cfg.maxscale)
         )
-    return _each_split(clouds_by_split, lambda clouds: _each_window(clouds, cfg.maxscale))
+    return _each_split(clouds_by_split, lambda clouds: Diagrams.from_pairs(1, _each_window(clouds, cfg.maxscale)))
 
 
 def _each_window(clouds: list, maxscale: float) -> list:
-    """The dimension-1 diagram of each cloud; an error names its window."""
+    """The dimension-1 pairs of each cloud; an error names its window."""
     out = []
     for index, cloud in enumerate(clouds):
         try:
-            out.append(rips_persistence_dim1(cloud, maxscale))
+            out.append(rips_persistence_dim1(cloud, maxscale).pairs)
         except (DataError, NumericalError) as exc:
             raise type(exc)(f"window {index}: {exc}") from None
     return out

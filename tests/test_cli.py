@@ -746,6 +746,38 @@ class TestPlotDiagram:
         )
         assert main(["plot-diagram", "--diagram", str(src), "--out", str(tmp_path / "p")]) == 1
 
+    # A dimension-0 file of 4 train and 2 test windows.
+    LONG = "split,window,dim,birth,death\n" + "".join(
+        f"{split},{index},0,0.0,{index + 1}.0\n"
+        for split, count in (("train", 4), ("test", 2))
+        for index in range(count)
+    )
+
+    @pytest.mark.parametrize(
+        "select, message",
+        [
+            (["--split", "nope"], "no rows for split 'nope'; the file holds splits ['test', 'train']"),
+            (["--split", "test", "--index", "-1"], "--index must be >= 0, got -1"),
+            (["--split", "test", "--index", "99"], "no rows for split 'test' window 99 in a dimension-0 file"),
+        ],
+        ids=["unknown-split", "negative-index", "dim0-window-without-rows"],
+    )
+    def test_selection_of_nothing_is_a_usage_error(self, tmp_path, capsys, select, message):
+        src = tmp_path / "diagrams.csv"
+        src.write_text(self.LONG, encoding="utf-8")
+        out = tmp_path / "plots"
+        assert main(["plot-diagram", "--diagram", str(src), *select, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not list(out.glob("*.svg"))
+
+    def test_dim1_window_without_rows_is_an_empty_plot(self, tmp_path, capsys):
+        src = tmp_path / "diagrams.csv"
+        src.write_text("split,window,dim,birth,death\ntest,0,1,0.5,1.0\n", encoding="utf-8")
+        out = tmp_path / "plots"
+        assert main(["plot-diagram", "--diagram", str(src), "--split", "test", "--index", "3", "--out", str(out)]) == 0
+        assert read_lines(out / "diagram-test-3.svg").count("<circle") == 0
+        assert capsys.readouterr().out.endswith("(0 points)\n")
+
     def test_unreadable_file(self, tmp_path, capsys):
         assert main(["plot-diagram", "--diagram", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "p")]) == 2
 

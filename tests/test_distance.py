@@ -18,7 +18,7 @@ from topowin import (
     DistanceMatrix,
     PersistenceDiagram,
     WassersteinConfig,
-    Dim0Diagrams,
+    Diagrams,
     distance_matrix,
     rips_persistence_dim0_batch,
     rips_persistence_dim1,
@@ -234,8 +234,8 @@ class TestZeroBirthDP:
     def test_rows_own_their_data(self, p):
         # A row that is a view of the dynamic program's table would keep the
         # whole table alive until the matrix stacks the rows.
-        test = Dim0Diagrams.from_deaths([[1.0, 3.0], [2.0]])
-        train = Dim0Diagrams.from_deaths([[1.0, 2.0], [0.5], []])
+        test = Diagrams.from_pairs(0, [[(0.0, 1.0), (0.0, 3.0)], [(0.0, 2.0)]])
+        train = Diagrams.from_pairs(0, [[(0.0, 1.0), (0.0, 2.0)], [(0.0, 0.5)], []])
         rows = topowin.distance._zero_birth_rows(test, train, p)
         assert [row.shape for row in rows] == [(3,), (3,)]
         assert all(row.base is None for row in rows)
@@ -256,9 +256,10 @@ def random_clouds(rng, count, sizes):
     return [rng.normal(size=(int(rng.choice(sizes)), 3)) for _ in range(count)]
 
 
-class TestDim0DiagramsInput:
-    """Two ``Dim0Diagrams`` take the dynamic program from their deaths
-    arrays; the matrix is the one their lists of diagrams give, bit for bit."""
+class TestDiagramsInput:
+    """Two ``Diagrams`` give the matrix their lists of diagrams give, bit for
+    bit: in dimension 0 the dynamic program takes its rows and table from
+    their deaths arrays."""
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     @pytest.mark.parametrize(
@@ -290,7 +291,7 @@ class TestDim0DiagramsInput:
 
     def test_other_dimension_is_rejected(self):
         view = rips_persistence_dim0_batch([np.zeros((3, 2))])
-        assert isinstance(view, Dim0Diagrams)
+        assert isinstance(view, Diagrams)
         with pytest.raises(DataError, match="diagram of dimension 0 in a dimension-1 matrix"):
             distance_matrix(view, view, WassersteinConfig(dimension=1))
 

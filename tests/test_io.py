@@ -24,7 +24,7 @@ from topowin.classify import EvaluationReport, KSweepEntry
 from topowin.distance import DistanceMatrix
 from topowin.errors import DataError
 from topowin.ingest import StandardizationParams, TimeSeries
-from topowin.persistence import Dim0Diagrams, PersistenceDiagram, rips_persistence_dim0_batch
+from topowin.persistence import Diagrams, PersistenceDiagram, rips_persistence_dim0_batch
 from topowin.pipeline import cut_windows
 from topowin.windowing import LabeledWindow, WindowConfig, make_windows
 from conftest import synthetic_config_dict
@@ -94,18 +94,14 @@ def clouds():
     return {split: [points, -points] for split in SPLITS}
 
 
+# Special points of a dimension-1 file, births other than 0 among them.
+DIM1_PAIRS = ((-0.0, 5e-324), (1e-05, 0.1 + 0.2), (0.0, 1e16), (0.0, 1.7976931348623157e308))
+
+
 def diagrams():
-    """Dimension 1: births other than 0 and a window without points, which
-    a dimension-0 file may not have."""
-    pairs = ((-0.0, 5e-324), (1e-05, 0.1 + 0.2), (0.0, 1e16), (0.0, 1.7976931348623157e308))
-    return {
-        split: [
-            PersistenceDiagram(dim=1, pairs=pairs),
-            PersistenceDiagram(dim=1, pairs=()),
-            PersistenceDiagram(dim=1, pairs=pairs[1:3]),
-        ]
-        for split in SPLITS
-    }
+    """Dimension 1, with a window without points, which a dimension-0 file
+    may not have."""
+    return {split: Diagrams.from_pairs(1, [DIM1_PAIRS, (), DIM1_PAIRS[1:3]]) for split in SPLITS}
 
 
 # Special deaths of a dimension-0 file, one row per window, each in order.
@@ -117,7 +113,7 @@ DIM0_DEATHS = (
 
 
 def dim0_diagrams():
-    return {split: Dim0Diagrams.from_deaths(DIM0_DEATHS) for split in SPLITS}
+    return {split: Diagrams.from_pairs(0, [[(0.0, d) for d in row] for row in DIM0_DEATHS]) for split in SPLITS}
 
 
 def distmat():
@@ -219,11 +215,11 @@ class TestBytesMatchCsvWriter:
             for split, part in zip(SPLITS + ("empty",), (clouds[:7], clouds[7:], []))
         }
         io.write_diagrams_csv(views, tmp_path / "views.csv")
-        io.write_diagrams_csv({split: list(view) for split, view in views.items()}, tmp_path / "lists.csv")
-        assert (tmp_path / "views.csv").read_bytes() == (tmp_path / "lists.csv").read_bytes()
-        mixed = dict(views, **{SPLITS[0]: list(views[SPLITS[0]])})
-        io.write_diagrams_csv(mixed, tmp_path / "mixed.csv")
-        assert (tmp_path / "mixed.csv").read_bytes() == (tmp_path / "lists.csv").read_bytes()
+        expected = [["split", "window", "dim", "birth", "death"]]
+        for split, view in views.items():
+            for index, diag in enumerate(list(view)):
+                expected += [[split, index, diag.dim, repr(b), repr(d)] for b, d in diag.pairs]
+        assert (tmp_path / "views.csv").read_bytes() == csv_bytes(expected)
 
     def test_distmat(self, tmp_path):
         m = distmat()
@@ -338,6 +334,10 @@ class TestReadBack:
         io.write_diagrams_csv(diags, tmp_path / "d.csv")
         again = io.read_diagrams_csv(tmp_path / "d.csv", {s: len(d) for s, d in diags.items()}, 1)
         assert again == diags
+        for split, view in again.items():
+            assert view.dim == 1 and view.counts.tolist() == [4, 0, 2]
+            for name in ("births", "deaths", "counts"):
+                assert getattr(view, name).tobytes() == getattr(diags[split], name).tobytes()
 
     def test_dim0_diagrams(self, tmp_path):
         diags = dim0_diagrams()
@@ -345,10 +345,11 @@ class TestReadBack:
         again = io.read_diagrams_csv(tmp_path / "d.csv", {s: len(DIM0_DEATHS) for s in SPLITS}, 0)
         assert list(again) == list(SPLITS)
         for split, view in again.items():
-            assert isinstance(view, Dim0Diagrams)
-            assert view.deaths.tobytes() == diags[split].deaths.tobytes()
+            assert isinstance(view, Diagrams) and view.dim == 0
+            for name in ("births", "deaths", "counts"):
+                assert getattr(view, name).tobytes() == getattr(diags[split], name).tobytes()
             assert view.counts.tolist() == [5, 1, 2]
-            assert list(view.rows()) == list(DIM0_DEATHS)
+            assert [[d for _, d in row] for row in view.rows()] == list(DIM0_DEATHS)
         io.write_diagrams_csv(again, tmp_path / "again.csv")
         assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
 
@@ -369,9 +370,9 @@ class TestReadBack:
         io.write_diagrams_csv(batches, tmp_path / "d.csv")
         again = io.read_diagrams_csv(tmp_path / "d.csv", {s: len(v) for s, v in batches.items()}, 0)
         for split, view in batches.items():
-            assert isinstance(again[split], Dim0Diagrams)
-            assert again[split].deaths.tobytes() == view.deaths.tobytes()
-            assert again[split].counts.tobytes() == view.counts.tobytes()
+            assert isinstance(again[split], Diagrams) and again[split].dim == 0
+            for name in ("births", "deaths", "counts"):
+                assert getattr(again[split], name).tobytes() == getattr(view, name).tobytes()
 
     def test_dim0_point_born_off_zero_names_its_line(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -419,6 +420,26 @@ class TestReadBack:
         assert again.values.tolist() == m.values.tolist()
 
 
+class TestDiagramSetHash:
+    @pytest.mark.parametrize("dim", [0, 1])
+    def test_hashes_each_point_without_building_a_diagram(self, monkeypatch, dim):
+        sets = dim0_diagrams() if dim == 0 else diagrams()
+        lines = [
+            f"{split}|{index}|{diag.dim}|{b!r}|{d!r}"
+            for split in sorted(sets)
+            for index, diag in enumerate(sets[split])
+            for b, d in diag.pairs
+        ]
+        want = io.sha256_bytes("\n".join(lines).encode("utf-8"))
+
+        def built(diag):
+            raise AssertionError("a PersistenceDiagram was built")
+
+        monkeypatch.setattr(PersistenceDiagram, "__post_init__", built)
+        assert io.diagram_set_hash(sets) == want
+        assert io.diagram_set_hash({SPLITS[1]: sets[SPLITS[1]]}) != want
+
+
 class TestSpecialFloats:
     """Every writer puts each special value down exactly as ``repr`` writes it."""
 
@@ -444,7 +465,7 @@ class TestSpecialFloats:
         assert float_cells(tmp_path / "c.csv", 3) == self.WANT
 
     def test_diagrams(self, tmp_path):
-        io.write_diagrams_csv({"test": diagrams()["test"][:1]}, tmp_path / "d.csv")
+        io.write_diagrams_csv({"test": Diagrams.from_pairs(1, [DIM1_PAIRS])}, tmp_path / "d.csv")
         assert float_cells(tmp_path / "d.csv", 3) == [
             "-0.0", "5e-324", "1e-05", "0.30000000000000004", "0.0", "1e+16", "0.0", "1.7976931348623157e+308"
         ]

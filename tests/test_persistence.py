@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from topowin import (
     DataError,
-    Dim0Diagrams,
+    Diagrams,
     NumericalError,
     PersistenceDiagram,
     rips_persistence_dim0,
@@ -237,8 +237,8 @@ class TestDim0Batch:
         assert [deaths(diag) for diag in batched] == [dim0_deaths_by_prim_loop(c) for c in clouds]
 
 
-class TestDim0Diagrams:
-    """The batch's one array of deaths, seen as a sequence of diagrams."""
+class TestDiagrams:
+    """The batch's arrays of births and deaths, seen as a sequence of diagrams."""
 
     CLOUDS = [col(0.0, 1.0, 3.0), col(5.0), col(0.0, 0.0, 2.0, 2.5, 4.5), col(1.0, 1.5)]
 
@@ -247,7 +247,8 @@ class TestDim0Diagrams:
     )
     def test_rows_are_deaths_zero_padded_at_the_front(self, policy, cap):
         view = rips_persistence_dim0_batch(self.CLOUDS, **policy)
-        assert isinstance(view, Dim0Diagrams)
+        assert isinstance(view, Diagrams) and view.dim == 0
+        assert view.births.shape == view.deaths.shape and not view.births.any()
         assert view.counts.tolist() == [2 + len(cap), len(cap), 4 + len(cap), 1 + len(cap)]
         width = 4 + len(cap)
         want = [[1.0, 2.0], [], [0.0, 0.5, 2.0, 2.0], [0.5]]
@@ -273,6 +274,8 @@ class TestDim0Diagrams:
             view.deaths[0, -1] = 7.0
         with pytest.raises(ValueError):
             view.counts[0] = 1
+        with pytest.raises(ValueError):
+            view.births[0, -1] = 1.0
         with pytest.raises(TypeError):
             view[0] = PersistenceDiagram(0, ())
 
@@ -283,14 +286,29 @@ class TestDim0Diagrams:
     @pytest.mark.parametrize(
         "policy", [{}, {"essential_policy": "capped", "maxscale": 1.2}], ids=["dropped", "capped"]
     )
-    def test_from_deaths_rebuilds_the_batch(self, policy):
+    def test_from_pairs_rebuilds_the_batch(self, policy):
         view = rips_persistence_dim0_batch(self.CLOUDS, **policy)
-        again = Dim0Diagrams.from_deaths(list(view.rows()))
-        assert again.deaths.tobytes() == view.deaths.tobytes()
-        assert again.counts.tobytes() == view.counts.tobytes()
-        assert not again.deaths.flags.writeable and not again.counts.flags.writeable
-        empty = Dim0Diagrams.from_deaths([])
-        assert empty.deaths.shape == (0, 0) and empty.counts.shape == (0,)
+        assert list(view.rows()) == [list(diag.pairs) for diag in view]
+        again = Diagrams.from_pairs(0, list(view.rows()))
+        for name in ("births", "deaths", "counts"):
+            assert getattr(again, name).tobytes() == getattr(view, name).tobytes()
+            assert not getattr(again, name).flags.writeable
+        empty = Diagrams.from_pairs(1, [])
+        assert empty.deaths.shape == empty.births.shape == (0, 0) and empty.counts.shape == (0,)
+
+    @pytest.mark.parametrize("point", [(0.5, math.inf), (math.nan, 1.0), (-1.0, 2.0), (2.0, 1.0)])
+    def test_a_point_that_is_not_finite_0_to_death_is_refused(self, point):
+        # An infinite cost would never let the assignment of a distance end.
+        with pytest.raises(ValueError, match="finite 0 <= birth <= death"):
+            Diagrams.from_pairs(1, [[(0.25, 0.5)], [point]])
+
+    def test_dimension_1_rows_keep_each_diagrams_pairs(self):
+        pairs = [((0.5, 1.0), (0.25, 2.0)), (), ((1.5, 1.75),)]
+        view = Diagrams.from_pairs(1, pairs)
+        assert view.births.tolist() == [[0.5, 0.25], [0.0, 0.0], [0.0, 1.5]]
+        assert view.deaths.tolist() == [[1.0, 2.0], [0.0, 0.0], [0.0, 1.75]]
+        assert [tuple(row) for row in view.rows()] == pairs
+        assert view == [PersistenceDiagram(1, p) for p in pairs] and view[-1].dim == 1
 
 
 class TestDim0Overflow:

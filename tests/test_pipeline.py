@@ -15,7 +15,7 @@ import topowin.pipeline
 from topowin import (
     AugmentConfig,
     DataError,
-    Dim0Diagrams,
+    Diagrams,
     DistanceMatrix,
     PersistenceDiagram,
     PipelineConfig,
@@ -1059,7 +1059,9 @@ class TestDiagramsStage:
         expected = tmp_path / "expected.csv"
         io.write_diagrams_csv(
             {
-                name: [rips_persistence_dim0(c, cfg.essential_policy, cfg.maxscale) for c in split]
+                name: Diagrams.from_pairs(
+                    0, [rips_persistence_dim0(c, cfg.essential_policy, cfg.maxscale).pairs for c in split]
+                )
                 for name, split in clouds.items()
             },
             expected,
@@ -1104,7 +1106,7 @@ class TestDiagramsStage:
         run(cfg, synth_csv, runs_root=tmp_path / "runs")
         assert len(batched) == len(cfg.splits.names())
         ((test, train, _),) = matrices
-        assert isinstance(test, Dim0Diagrams) and isinstance(train, Dim0Diagrams)
+        assert isinstance(test, Diagrams) and isinstance(train, Diagrams)
         assert built == []
 
     def test_dim1_is_one_call_per_cloud(self, synth_csv, tmp_path, monkeypatch):
@@ -1233,7 +1235,7 @@ class TestDiagramsSkippingAWindow:
         cfg, _, root = warm
         cfg1 = dataclasses.replace(cfg, dimension=1, maxscale=8.0)
         path = tmp_path / "dim1.csv"
-        io.write_diagrams_csv({"train": [], "test": []}, path)
+        io.write_diagrams_csv({"train": Diagrams.from_pairs(1, []), "test": Diagrams.from_pairs(1, [])}, path)
         diagrams = io.read_diagrams_csv(path, {"train": 18, "test": 12}, cfg1.dimension)
         assert [len(diagrams[name]) for name in ("train", "test")] == [18, 12]
         assert all(not d.pairs for ds in diagrams.values() for d in ds)
