@@ -147,6 +147,12 @@ def cases(inputs: Path) -> dict[str, list[tuple[str, list[str]]]]:
             ("--no-cache", run(source, "--no-cache")),
             ("--k 7", run(source, "--k", "7")),
             ("--window 12 --stride 12", run(source, "--window", "12", "--stride", "12")),
+            # Overlapping windows: the windows writer meets rows already in the memo.
+            ("--window 10 --stride 4", run(source, "--window", "10", "--stride", "4")),
+            ("--anchor none", run(source, "--anchor", "none")),
+            ("--offset, two anchors", run(
+                source, "--offset", "0.5,-1,2,0,3.25", "--anchor", "1,0,0,0,0", "--anchor", "0,0,-2,0,0.5",
+            )),
         ]
     out["occ-cold seed 1, capped"] = [
         ("cold", run("occ-cold seed 1, capped")),

@@ -40,7 +40,7 @@ from .pointcloud import (
     resolve_anchors,
     resolve_offset,
 )
-from .windowing import LabeledWindow, WindowConfig, make_windows, window_count, window_label
+from .windowing import LabeledWindow, WindowConfig, Windows, make_windows, window_count, window_label
 
 __version__ = "0.1.0"
 
@@ -64,6 +64,7 @@ __all__ = [
     "TimeSeries",
     "WassersteinConfig",
     "WindowConfig",
+    "Windows",
     "apply_standardizer",
     "augment",
     "augment_batch",

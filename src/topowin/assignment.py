@@ -9,6 +9,8 @@ matching.
 
 from __future__ import annotations
 
+import math
+from itertools import chain
 from typing import Sequence
 
 _INF = float("inf")
@@ -18,8 +20,9 @@ def min_cost_assignment(cost: Sequence[Sequence[float]]) -> tuple[list[int], flo
     """Assign each row to a distinct column minimizing total cost.
 
     ``cost`` is an n x m matrix (list of rows) with n <= m and finite
-    entries.  Returns (assignment, total) where assignment[i] is the column
-    matched to row i and total is the sum of the matched entries.
+    entries; an entry that is not finite is a ``ValueError``.  Returns
+    (assignment, total) where assignment[i] is the column matched to row i
+    and total is the sum of the matched entries.
     """
     n = len(cost)
     if n == 0:
@@ -29,6 +32,8 @@ def min_cost_assignment(cost: Sequence[Sequence[float]]) -> tuple[list[int], flo
         raise ValueError("cost matrix rows must all have the same length")
     if n > m:
         raise ValueError(f"need n_rows <= n_cols, got {n} x {m}")
+    if not all(map(math.isfinite, chain.from_iterable(cost))):
+        raise ValueError("cost entries must be finite")
 
     # 1-based arrays; p[j] is the row currently matched to column j.
     u = [0.0] * (n + 1)

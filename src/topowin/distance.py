@@ -30,13 +30,14 @@ per split; a list of diagrams (``wasserstein``) is packed into one, once.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .assignment import min_cost_assignment
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .persistence import Diagrams, PersistenceDiagram
 
 
@@ -149,18 +150,23 @@ def distance_matrix(
 
     When every diagram is born at 0, each row is one batched dynamic
     program.  Otherwise each entry is one m x (k + m) assignment, computed
-    in this process, and its p-th root.
+    in this process, and its p-th root.  A p-th power that overflows a
+    float is a ``NumericalError`` naming the test window.
     """
     if not test or not train:
         raise DataError("distance matrix needs nonempty test and train diagram sets")
     test, train = _diagram_set(test, cfg.dimension), _diagram_set(train, cfg.dimension)
-    if not (test.births.any() or train.births.any()):
-        rows = _zero_birth_rows(test, train, cfg.p)
-    else:
-        root = 1.0 / cfg.p
-        train_rows = list(train.rows())
-        rows = [[_matching_cost(t, tr, cfg.p) ** root for tr in train_rows] for t in test.rows()]
-    return DistanceMatrix(np.asarray(rows, dtype=float))
+    with np.errstate(over="ignore"):  # reported below, by test window
+        if not (test.births.any() or train.births.any()):
+            values = np.asarray(_zero_birth_rows(test, train, cfg.p), dtype=float)
+        else:
+            values, train_rows = np.full((len(test), len(train)), math.inf), list(train.rows())
+            for i, row in enumerate(test.rows()):
+                with suppress(OverflowError):  # of a Python float power: the row stays inf
+                    values[i] = [_matching_cost(row, other, cfg.p) ** (1.0 / cfg.p) for other in train_rows]
+    if not (finite := np.isfinite(values).all(axis=1)).all():
+        raise NumericalError(f"test window {int(finite.argmin())}: a distance overflows a float at p = {cfg.p!r}")
+    return DistanceMatrix(values)
 
 
 def _diagram_set(diagrams: Sequence[PersistenceDiagram], dim: int) -> Diagrams:

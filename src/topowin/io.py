@@ -11,7 +11,9 @@ clouds and distance-matrix rows; ``csv`` formats only header rows and split
 names.  The windows are the series' own rows, so a run hands the series and
 windows writers one memo of row text and formats each series row once.
 A window, cloud or matrix row or column is numbered by its position alone:
-the writers write it, and the readers reject any other number.
+the writers write it, and the readers reject any other number.  A split's
+windows are one ``Windows`` and its clouds one (count, n, d) array, in the
+writers and the readers alike.
 
 Every write goes through ``write_text``, which takes the text whole or as
 chunks: the CSV writers hand it their header, then their rows ``_CHUNK_ROWS``
@@ -38,7 +40,7 @@ import stat
 from contextlib import contextmanager
 from functools import partial
 from io import StringIO
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -49,7 +51,7 @@ from .distance import DistanceMatrix
 from .errors import DataError, NumericalError
 from .ingest import CsvSchema, StandardizationParams, TimeSeries, load_csv
 from .persistence import Diagrams
-from .windowing import LabeledWindow
+from .windowing import Windows
 
 
 def sha256_bytes(data: bytes) -> str:
@@ -147,12 +149,15 @@ def _csv_chunks(header: Sequence, lines: Iterable[str], rows: int | None = None)
         yield "".join(chunk)
 
 
-def _read_csv(path: str | Path, columns: str, start: Callable[[list[str]], Callable | None]) -> list[str]:
+def _read_csv(
+    path: str | Path, columns: str, start: Callable[[list[str]], Callable | None], end: Callable | None = None
+) -> list[str]:
     """The header of ``path``, once ``start(header)``'s row parser (None for
-    a header that is not ``columns``) has taken each nonblank data row.  A
-    wrong field count, or a ``ValueError`` or ``IndexError`` from the parser
-    (a cell it refuses, a row it cannot place), is a ``DataError`` naming the
-    file and the line."""
+    a header that is not ``columns``) has taken each nonblank data row, and
+    then ``end()`` has run.  A wrong field count, or a ``ValueError``,
+    ``IndexError`` or ``OverflowError`` from the parser or ``end`` (a cell it
+    refuses, a row it cannot place), is a ``DataError`` naming the file and
+    the line (the last line for ``end``)."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
@@ -168,9 +173,11 @@ def _read_csv(path: str | Path, columns: str, start: Callable[[list[str]], Calla
                 if len(row) != len(header):
                     raise ValueError(f"{len(row)} fields, the header {len(header)}")
                 parse(row)
+            if end is not None:
+                end()
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-        except (ValueError, IndexError, csv.Error) as exc:
+        except (ValueError, IndexError, OverflowError, csv.Error) as exc:
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     return header
 
@@ -188,43 +195,64 @@ def _naming(path: Path):
         raise DataError(f"{path}: {exc}") from None
 
 
-def _read_windowed(path: Path, fixed: list[str], window: Callable) -> dict[str, list]:
-    """``{split: [window(row of point 0)(points), ...]}`` from columns
-    ``fixed`` (split, window, point, ...), then the coordinates.  The
-    writers number each split's windows 0, 1, 2, ... by position and put
-    each window's rows together as points 0, 1, 2, ...; a window or a point
-    out of that order is a ``DataError`` naming its line."""
-    splits: dict[str, list[tuple]] = {}
-    current, points = None, []
+def _read_windowed(path: Path, fixed: list[str], window: Callable, shapes: Mapping | None) -> dict[str, tuple]:
+    """``{split: (points, [window(row of point 0), ...])}`` from columns
+    ``fixed`` (split, window, point, ...), then the coordinates: each split's
+    points one (count, n, d) array.  The writers number each split's windows
+    0, 1, 2, ... by position and put each window's n rows together as points
+    0, 1, 2, ...; a window or a point out of that order, a coordinate that is
+    not finite, or a window with another point count than its split's window
+    0 (at the line after it), is a ``DataError`` naming its line.  So is, with
+    ``shapes`` ({split: (count, n, d)}), a file whose splits are not so shaped."""
+    splits: dict[str, tuple[list, list]] = {}  # split -> (coordinate rows, window(row)s)
+    current, points = None, 0  # the split and window cells of the window being read, its points so far
+
+    def close() -> None:
+        """The window just read must have as many points as each before it in its split."""
+        if current and len(splits[current[0]][0]) != points * len(splits[current[0]][1]):
+            raise ValueError(f"split '{current[0]}' window {current[1]} has {points} points, not as many as window 0")
 
     def parse(row: list[str]) -> None:
         nonlocal current, points
         point = int(row[2])
-        if row[:2] != current or point != len(points):
+        if row[:2] != current or point != points:
             if point != 0:
                 raise ValueError(f"point {point} of split '{row[0]}' window {row[1]} is out of order")
-            if (index := int(row[1])) != len(windows := splits.setdefault(row[0], [])):
+            close()
+            windows = splits.setdefault(row[0], ([], []))[1]
+            if (index := int(row[1])) != len(windows):
                 raise ValueError(f"split '{row[0]}' window {index} where window {len(windows)} is due")
-            current, points = row[:2], []
-            windows.append((window(row), points))
-        points.append(list(map(float, row[len(fixed) :])))
+            current, points = row[:2], 0
+            windows.append(window(row))
+        coords = list(map(float, row[len(fixed) :]))
+        if not all(map(math.isfinite, coords)):
+            raise ValueError(f"point {point} of split '{row[0]}' window {row[1]} has a coordinate that is not finite")
+        splits[row[0]][0].append(coords)
+        points += 1
 
-    _read_csv(path, f"{','.join(fixed)},...", lambda header: parse if header[: len(fixed)] == fixed else None)
-    return {split: [make(np.array(p)) for make, p in windows] for split, windows in splits.items()}
+    columns = f"{','.join(fixed)},..."
+    d = len(_read_csv(path, columns, lambda header: parse if header[: len(fixed)] == fixed else None, close)) - len(fixed)
+    out = {
+        split: (np.array(rows, dtype=float).reshape(len(windows), len(rows) // len(windows), d), windows)
+        for split, (rows, windows) in splits.items()
+    }
+    if shapes is not None and (found := {split: points.shape for split, (points, _) in out.items()}) != shapes:
+        raise DataError(f"{path}: splits shaped {found}, not {dict(shapes)}")
+    return out
 
 
-def _windowed_lines(windows_by_split: Mapping[str, Sequence[tuple]], memo: dict | None = None) -> Iterator[str]:
-    """The lines of a windows or clouds CSV from ``{split: [(points, tail),
-    ...]}``, one per point: ``split,window,point``, the window's ``tail`` (its
-    cells between two commas, or one comma), then the point's coordinates."""
-    for split, windows in windows_by_split.items():
-        if not windows:
-            continue
+def _windowed_lines(arrays_by_split: Mapping[str, tuple], memo: dict | None = None) -> Iterator[str]:
+    """The lines of a windows or clouds CSV from ``{split: (points, tails)}``,
+    one per point of each split's (count, n, d) ``points``:
+    ``split,window,point``, the window's tail (its cells between two commas,
+    or one comma), then the point's coordinates."""
+    for split, (points, tails) in arrays_by_split.items():
         lead = _csv_line([split, ""])[:-1]  # the split cell and its comma
-        coords = _row_cells(np.concatenate([points for points, _ in windows]), memo)
-        for index, (points, tail) in enumerate(windows):
+        n = points.shape[1]
+        coords = _row_cells(points.reshape(-1, points.shape[2]), memo)
+        for index, tail in enumerate(tails):
             head = f"{lead}{index},"
-            yield from (f"{head}{p}{tail}{row}\n" for p, row in enumerate(islice(coords, len(points))))
+            yield from (f"{head}{p}{tail}{row}\n" for p, row in enumerate(islice(coords, n)))
 
 
 def _holds(path: Path, size: int, digest: str) -> bool:
@@ -333,8 +361,11 @@ def read_params_json(path: Path) -> StandardizationParams:
 
 # --- windows ---------------------------------------------------------------
 
+_WINDOW_COLUMNS = ["split", "window", "point", "label", "t_first", "t_last"]
+
+
 def write_windows_csv(
-    windows_by_split: Mapping[str, Sequence[LabeledWindow]],
+    windows_by_split: Mapping[str, Windows],
     channel_names: Sequence[str],
     path: Path,
     memo: dict | None = None,
@@ -342,39 +373,46 @@ def write_windows_csv(
     """``memo`` is the one ``write_series_csv`` filled; without one every
     row is formatted."""
     windowed = {
-        split: [(w.points, f",{w.label},{float(w.time_range[0])!r},{float(w.time_range[1])!r},") for w in windows]
+        split: (
+            windows.points,
+            (f",{label},{t0!r},{t1!r}," for label, (t0, t1) in zip(_items(windows.labels), _items(windows.time_ranges))),
+        )
         for split, windows in windows_by_split.items()
     }
-    header = ["split", "window", "point", "label", "t_first", "t_last", *channel_names]
-    return write_text(path, _csv_chunks(header, _windowed_lines(windowed, memo)))
+    return write_text(path, _csv_chunks([*_WINDOW_COLUMNS, *channel_names], _windowed_lines(windowed, memo)))
 
 
-def read_windows_csv(path: Path) -> dict[str, list[LabeledWindow]]:
-    return _read_windowed(
-        path,
-        ["split", "window", "point", "label", "t_first", "t_last"],
-        lambda r: partial(LabeledWindow, label=int(r[3]), time_range=(float(r[4]), float(r[5]))),
-    )
+def read_windows_csv(path: Path, shapes: Mapping | None = None) -> dict[str, Windows]:
+    """Each split's windows as one ``Windows`` (see ``_read_windowed`` for
+    ``shapes``); a label outside int64 is a ``DataError`` naming its line."""
+    splits = _read_windowed(path, _WINDOW_COLUMNS, lambda r: (np.int64(int(r[3])), float(r[4]), float(r[5])), shapes)
+    return {
+        split: Windows(points, np.array([w[0] for w in windows]), np.array([w[1:] for w in windows]))
+        for split, (points, windows) in splits.items()
+    }
 
 
-def window_labels(windows_by_split: Mapping[str, Sequence[LabeledWindow]], split: str) -> list[int]:
+def window_labels(windows_by_split: Mapping[str, Windows], split: str) -> list[int]:
     if split not in windows_by_split:
         raise DataError(f"no split named '{split}' in windows file (have {sorted(windows_by_split)})")
-    return [w.label for w in windows_by_split[split]]
+    return windows_by_split[split].labels.tolist()
 
 
 # --- clouds ----------------------------------------------------------------
 
-def write_clouds_csv(clouds_by_split: Mapping[str, Sequence[np.ndarray]], path: Path) -> str:
-    dims = {cloud.shape[1] for clouds in clouds_by_split.values() for cloud in clouds}
-    d = dims.pop() if dims else 0
-    windowed = {split: [(cloud, ",") for cloud in clouds] for split, clouds in clouds_by_split.items()}
+def write_clouds_csv(clouds_by_split: Mapping[str, np.ndarray], path: Path) -> str:
+    """Each split's clouds from its (count, n, d) array."""
+    d = next((clouds.shape[2] for clouds in clouds_by_split.values()), 0)
+    windowed = {split: (clouds, repeat(",", len(clouds))) for split, clouds in clouds_by_split.items()}
     header = ["split", "window", "point", *[f"x{i}" for i in range(d)]]
     return write_text(path, _csv_chunks(header, _windowed_lines(windowed)))
 
 
-def read_clouds_csv(path: Path) -> dict[str, list[np.ndarray]]:
-    return _read_windowed(path, ["split", "window", "point"], lambda r: np.asarray)
+def read_clouds_csv(path: Path, shapes: Mapping | None = None) -> dict[str, np.ndarray]:
+    """Each split's clouds as one (count, n, d) float64 array (see
+    ``_read_windowed`` for ``shapes``)."""
+    splits = _read_windowed(path, ["split", "window", "point"], lambda row: None, shapes)
+    return {split: points for split, (points, _) in splits.items()}
 
 
 # --- diagrams ---------------------------------------------------------------

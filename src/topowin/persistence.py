@@ -8,11 +8,11 @@ Dimension 0: the finite deaths (births are 0) are the edge lengths of a
 Euclidean minimum spanning tree, grown by Prim's algorithm over the distance
 matrix.  All such trees share one multiset of edge lengths, each an entry
 of that matrix, so the sorted deaths are exact whichever way ties break.
-``rips_persistence_dim0_batch`` grows the trees of all clouds of one shape
-in a single pass over a (clouds, n, n) distance tensor, chunked to bound
-its temporaries, and writes every diagram's deaths into one row of its
-``Diagrams``; the one-cloud ``rips_persistence_dim0`` is that pass on a
-list of one.
+``rips_persistence_dim0_batch`` takes a split's clouds as one
+(count, n, d) array and grows all their trees in a single pass over a
+(clouds, n, n) distance tensor, chunked to bound its temporaries, writing
+every diagram's deaths into one row of its ``Diagrams``; the one-cloud
+``rips_persistence_dim0`` is that pass on a list of one.
 
 Dimension 1 lists the edges and triangles up to a scale cap, ordered by
 (length, vertices) and (diameter, vertices), and reduces only the triangle
@@ -62,12 +62,21 @@ class PersistenceDiagram:
         return len(self.pairs)
 
 
-def cloud_points(cloud) -> np.ndarray:
-    """A cloud, an (n, d) array of points, as floats."""
-    pts = np.asarray(cloud, dtype=float)
-    if pts.ndim != 2:
-        raise DataError(f"expected an (n, d) point array, got shape {pts.shape}")
-    return pts
+def stack_points(items, what: str = "clouds") -> np.ndarray:
+    """``items`` as one (count, n, d) float64 array: an array (or the points
+    of a ``Windows``) as it is, a list of (n, d) point arrays (or windows) of
+    one shape stacked once.  A list of mixed shapes, or items that are not
+    (n, d) arrays, is a ``DataError``."""
+    items = getattr(items, "points", items)
+    if not isinstance(items, np.ndarray):
+        items = [getattr(item, "points", item) for item in items]
+        if len(shapes := {np.shape(item) for item in items}) > 1:
+            raise DataError(f"{what} of mixed shapes {sorted(shapes)}: pass each shape in its own call")
+        items = np.stack(items, dtype=float) if shapes else np.empty((0, 0, 0))
+    points = np.asarray(items, dtype=float)
+    if points.ndim != 3:
+        raise DataError(f"expected an (n, d) point array per cloud, got shape {points.shape[1:]}")
+    return points
 
 
 # Floats in one chunk's (clouds, n, n, d) difference tensor, which is
@@ -184,47 +193,43 @@ def rips_persistence_dim0_batch(
     maxscale: float | None = None,
 ) -> Diagrams:
     """Dimension-0 diagrams of many point clouds under the Rips filtration,
-    in input order.
+    in input order.  ``clouds`` is a (count, n, d) array, or a list of
+    clouds of one shape, which is stacked once; a list of mixed shapes is a
+    ``DataError``.
 
     Each diagram has n - 1 pairs (0, L), one per minimum-spanning-tree edge,
     sorted by death.  The one class that never dies is dropped by default;
     with ``essential_policy="capped"`` it is reported as (0, maxscale)
-    instead, for a positive, finite maxscale, after the others.  Clouds of
-    one shape run one Prim pass together, in chunks of
-    ``_chunk_clouds(n, d)``, and write their deaths into one row each of the
-    returned ``Diagrams``, whose births are a broadcast zero.  A distance that
-    overflows (or is not a number) is a ``NumericalError`` naming the window.
+    instead, for a positive, finite maxscale, after the others.  The clouds
+    run one Prim pass together, in chunks of ``_chunk_clouds(n, d)``, and
+    write their deaths into one row each of the returned ``Diagrams``, whose
+    births are a broadcast zero.  A distance that overflows (or is not a
+    number) is a ``NumericalError`` naming the window.
     """
-    points = [cloud_points(c) for c in clouds]
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, pts in enumerate(points):
-        if pts.shape[0] < 1:
-            raise DataError("dimension-0 persistence needs at least one point")
-        groups.setdefault(pts.shape, []).append(i)
+    clouds = stack_points(clouds)
+    count, n, d = clouds.shape
+    if count and n < 1:
+        raise DataError("dimension-0 persistence needs at least one point")
     if essential_policy not in ESSENTIAL_POLICIES:
         raise ValueError(f"essential policy must be one of {ESSENTIAL_POLICIES}")
     if essential_policy == "capped" and (maxscale is None or not 0 < maxscale < math.inf):
         raise NumericalError(f"capped essential policy needs a positive, finite maxscale, got {maxscale}")
 
     capped = int(essential_policy == "capped")
-    counts = np.array([pts.shape[0] - 1 + capped for pts in points], dtype=np.intp)
-    width = int(counts.max(initial=0))
-    end = width - capped  # the finite deaths end here; the capped class fills the rest
-    deaths = np.zeros((len(points), width))
+    width = n - 1 + capped if count else 0
+    deaths = np.empty((count, width))
     if capped:
-        deaths[:, end:] = maxscale
+        deaths[:, -1:] = maxscale
+    step = _chunk_clouds(n, d)
     with np.errstate(over="ignore"):
-        for (n, d), members in groups.items():
-            step = _chunk_clouds(n, d)
-            for start in range(0, len(members), step):
-                part = members[start : start + step]
-                deaths[part, end - (n - 1) : end] = _mst_deaths(_distance_matrix(np.array([points[i] for i in part])))
+        for start in range(0, count, step):
+            deaths[start : start + step, : n - 1] = _mst_deaths(_distance_matrix(clouds[start : start + step]))
     finite = np.isfinite(deaths).all(axis=1)
     if not finite.all():
         i = int(finite.argmin())
         bad = float(deaths[i][~np.isfinite(deaths[i])][0])
         raise NumericalError(f"window {i}: a distance between its points is {bad!r}, not a finite float")
-    return Diagrams(0, np.broadcast_to(0.0, deaths.shape), deaths, counts)
+    return Diagrams(0, np.broadcast_to(0.0, deaths.shape), deaths, np.full(count, width, dtype=np.intp))
 
 
 def rips_persistence_dim0(
@@ -245,7 +250,7 @@ def rips_persistence_dim1(cloud, maxscale: float) -> PersistenceDiagram:
     Zero-persistence pairs are discarded.  A distance that overflows is a
     ``NumericalError``, as in dimension 0.
     """
-    pts = cloud_points(cloud)
+    pts = stack_points([cloud])[0]
     n = pts.shape[0]
     if n < 3:
         raise DataError(f"dimension-1 persistence needs at least 3 points, got {n}")

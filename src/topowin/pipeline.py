@@ -283,22 +283,22 @@ def standardize(series: TimeSeries, cfg: PipelineConfig) -> StandardizationParam
     return fit_standardizer(series, cfg.splits, cfg.standardize_mode, cfg.train_split)
 
 
-def _each_split(values_by_split: dict, fn) -> dict:
-    """``fn`` of each split's value; a ``DataError`` or ``NumericalError``
-    names its split."""
+def _each(values: dict, fn, name: str = "split '{}'") -> dict:
+    """``fn`` of each value; a ``DataError`` or ``NumericalError`` names its
+    key, formatted into ``name``."""
     out = {}
-    for name, value in values_by_split.items():
+    for key, value in values.items():
         try:
-            out[name] = fn(value)
+            out[key] = fn(value)
         except (DataError, NumericalError) as exc:
-            raise type(exc)(f"split '{name}': {exc}") from None
+            raise type(exc)(f"{name.format(key)}: {exc}") from None
     return out
 
 
 def cut_windows(series: TimeSeries, cfg: PipelineConfig) -> dict:
-    """The labeled windows of every split, cut from the series as it was
-    read: standardizing is the clouds stage's work."""
-    return _each_split(split_series(series, cfg.splits), lambda part: make_windows(part, cfg.window))
+    """The labeled windows of every split, one ``Windows`` each, cut from the
+    series as it was read: standardizing is the clouds stage's work."""
+    return _each(split_series(series, cfg.splits), lambda part: make_windows(part, cfg.window))
 
 
 def augment_config(cfg: PipelineConfig) -> AugmentConfig:
@@ -309,9 +309,10 @@ def augment_config(cfg: PipelineConfig) -> AugmentConfig:
 
 def build_clouds(windows_by_split: dict, params: StandardizationParams, cfg: PipelineConfig) -> dict:
     """Each split's windows standardized by ``params``, translated by the
-    offset and anchored, in one batched pass per split."""
+    offset and anchored, in one batched pass per split: one (count, w + k, d)
+    array each."""
     aug_cfg = augment_config(cfg)
-    return _each_split(windows_by_split, lambda wins: augment_batch(wins, aug_cfg, params))
+    return _each(windows_by_split, lambda wins: augment_batch(wins, aug_cfg, params))
 
 
 def compute_diagrams(clouds_by_split: dict, cfg: PipelineConfig) -> dict:
@@ -319,21 +320,13 @@ def compute_diagrams(clouds_by_split: dict, cfg: PipelineConfig) -> dict:
     batched pass per split, in dimension 1 packed from each cloud's pairs.
     A ``DataError`` or ``NumericalError`` names its split and window."""
     if cfg.dimension == 0:
-        return _each_split(
-            clouds_by_split, lambda clouds: rips_persistence_dim0_batch(clouds, cfg.essential_policy, cfg.maxscale)
-        )
-    return _each_split(clouds_by_split, lambda clouds: Diagrams.from_pairs(1, _each_window(clouds, cfg.maxscale)))
+        return _each(clouds_by_split, lambda clouds: rips_persistence_dim0_batch(clouds, cfg.essential_policy, cfg.maxscale))
 
+    def dim1(clouds) -> Diagrams:
+        pairs = _each(dict(enumerate(clouds)), lambda cloud: rips_persistence_dim1(cloud, cfg.maxscale).pairs, "window {}")
+        return Diagrams.from_pairs(1, list(pairs.values()))
 
-def _each_window(clouds: list, maxscale: float) -> list:
-    """The dimension-1 pairs of each cloud; an error names its window."""
-    out = []
-    for index, cloud in enumerate(clouds):
-        try:
-            out.append(rips_persistence_dim1(cloud, maxscale).pairs)
-        except (DataError, NumericalError) as exc:
-            raise type(exc)(f"window {index}: {exc}") from None
-    return out
+    return _each(clouds_by_split, dim1)
 
 
 def compute_distances(diagrams_by_split: dict, cfg: PipelineConfig) -> DistanceMatrix:
@@ -524,6 +517,10 @@ def run(
         memo = None
         return digest
 
+    def shapes(n: int) -> dict:
+        """What a cached windows (n = w) or clouds (n = w + k) file must hold."""
+        return {name: (count, n, len(cfg.schema.features)) for name, count in counts.items()}
+
     runner = _StageRunner(
         run_dir,
         use_cache,
@@ -542,7 +539,7 @@ def run(
                 ("ingest",),
                 lambda series: cut_windows(series, cfg),
                 write_windows,
-                io.read_windows_csv,
+                partial(io.read_windows_csv, shapes=shapes(cfg.window.w)),
             ),
             "standardize": _Stage(
                 {"splits": cfg_dict["splits"], "mode": cfg.standardize_mode, "train": cfg.train_split},
@@ -561,7 +558,7 @@ def run(
                 ("windows", "standardize"),
                 lambda wins, params: build_clouds(wins, params, cfg),
                 io.write_clouds_csv,
-                io.read_clouds_csv,
+                partial(io.read_clouds_csv, shapes=shapes(cfg.window.w + len(aug_cfg.anchors))),
             ),
             "diagrams": _Stage(
                 {

@@ -5,9 +5,10 @@ Standardizing puts heterogeneous channels on one scale, adding a fixed
 offset vector with distinct components makes them distinguishable, and
 adjoining fixed anchor points makes clouds that differ only by a
 translation produce different distance structure.  A cloud is a bare
-(n, d) float array, window points first and anchors after them.
-``augment_batch`` embeds all windows of a split in one broadcast;
-``augment`` is that pass on a list of one.
+(n, d) float array, window points first and anchors after them, and a
+split's clouds are one (count, w + k, d) array.  ``augment_batch`` embeds
+all windows of a split in one broadcast; ``augment`` is that pass on a list
+of one.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import numpy as np
 
 from .errors import DataError
 from .ingest import StandardizationParams
-from .windowing import LabeledWindow
+from .persistence import stack_points
+from .windowing import LabeledWindow, Windows
 
 
 def default_offset(d: int) -> np.ndarray:
@@ -59,58 +61,51 @@ class AugmentConfig:
 
 
 def augment(window: LabeledWindow, cfg: AugmentConfig) -> np.ndarray:
-    """The (w + k, d) cloud of one window: every point translated by the
-    offset, then the anchors appended.
-
-    Duplicate points (a translated point landing on an anchor) are kept;
-    the input window is not modified.
-    """
+    """The (w + k, d) cloud of one window: ``augment_batch`` on a list of
+    one.  Duplicate points (a translated point landing on an anchor) are
+    kept; the input window is not modified."""
     return augment_batch([window], cfg)[0]
 
 
 def augment_batch(
-    windows: Sequence[LabeledWindow],
+    windows: Windows | Sequence[LabeledWindow],
     cfg: AugmentConfig,
     params: StandardizationParams | None = None,
-) -> list[np.ndarray]:
-    """The clouds of many windows, in input order, each a (w + k, d) array:
-    the window's points standardized by ``params`` (when given), translated
-    by the offset, then followed by the anchors.
+) -> np.ndarray:
+    """The (count, w + k, d) float64 clouds of ``windows``, in input order:
+    each window's points standardized by ``params`` (when given), translated
+    by the offset, then followed by the anchors.  ``windows`` is a
+    ``Windows``, or a list of windows or (w, d) arrays of one shape, which is
+    stacked once; a list of mixed shapes is a ``DataError``.
 
-    Windows of one point count are embedded together in one broadcast,
-    ``(points - means) / sds + offset``: per coordinate the same operations
-    in the same order as standardizing the series and then translating one
-    window, so the clouds are the same floats.  A coordinate that is not
-    finite afterwards (an overflow from a tiny SD) is a ``DataError``
-    naming its window by its position in ``windows``.
+    All windows are embedded in one broadcast, ``(points - means) / sds +
+    offset``: per coordinate the same operations in the same order as
+    standardizing the series and then translating one window, so the clouds
+    are the same floats.  A coordinate that is not finite afterwards (an
+    overflow from a tiny SD) is a ``DataError`` naming its window by its
+    position in ``windows``.
     """
     if params is not None and params.dimension != cfg.dimension:
         raise DataError(f"standardizer has {params.dimension} channels, config has {cfg.dimension}")
-    groups: dict[int, list[int]] = {}  # window positions by point count
-    for i, window in enumerate(windows):
-        n, d = window.points.shape
-        if d != cfg.dimension:
-            raise DataError(f"window dimension {d} does not match config dimension {cfg.dimension}")
-        groups.setdefault(n, []).append(i)
-    k = cfg.anchors.shape[0]
-    out: list[np.ndarray | None] = [None] * len(windows)
-    for w, members in groups.items():
-        # A float64 copy, standardized in place even for integer points.
-        points = np.stack([windows[i].points for i in members], dtype=float)
-        clouds = np.empty((len(members), w + k, cfg.dimension))
-        with np.errstate(over="ignore"):  # reported below, by window
-            if params is not None:
-                points -= params.means
-                points /= params.standard_deviations
+    points = stack_points(windows, "windows")
+    count, w, d = points.shape
+    clouds = np.empty((count, w + cfg.anchors.shape[0], cfg.dimension))
+    if not count:
+        return clouds
+    if d != cfg.dimension:
+        raise DataError(f"window dimension {d} does not match config dimension {cfg.dimension}")
+    with np.errstate(over="ignore"):  # reported below, by window
+        if params is None:
             np.add(points, cfg.offset, out=clouds[:, :w])
-        clouds[:, w:] = cfg.anchors
-        finite = np.isfinite(clouds[:, :w]).all(axis=(1, 2))
-        if not finite.all():
-            bad = members[int(np.argmin(finite))]
-            raise DataError(f"window {bad}: a coordinate is not finite after standardizing and translating")
-        for i, cloud in zip(members, clouds):
-            out[i] = cloud
-    return out
+        else:
+            np.subtract(points, params.means, out=clouds[:, :w])
+            clouds[:, :w] /= params.standard_deviations
+            clouds[:, :w] += cfg.offset
+    clouds[:, w:] = cfg.anchors
+    finite = np.isfinite(clouds[:, :w]).all(axis=(1, 2))
+    if not finite.all():
+        raise DataError(f"window {int(finite.argmin())}: a coordinate is not finite after standardizing and translating")
+    return clouds
 
 
 def resolve_offset(spec: str | Sequence[float] | None, d: int) -> np.ndarray:

@@ -5,12 +5,14 @@ into a point cloud of ``w`` points in R^d; each window gets one class
 label from the per-row labels it covers.  The ``majority`` rule is the
 k-NN class vote (``classify.plurality``) with its default tie rule: among
 tied labels, the one that occurs first in the window wins.
+A split's windows are one ``Windows`` of three arrays, from the cut
+through ``windows.csv``; only indexing one builds a ``LabeledWindow``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -38,12 +40,33 @@ class WindowConfig:
 
 @dataclass(frozen=True, slots=True)
 class LabeledWindow:
-    """One window of a split.  Its position i in the split's list is its
-    only number: it holds source rows s*i .. s*i+w-1."""
+    """One window of a split, as indexing its ``Windows`` builds it."""
 
     points: np.ndarray  # (w, d)
     label: int
     time_range: tuple[float, float]
+
+
+class Windows(Sequence):
+    """A split's windows as arrays.  Window i's position is its only number:
+    it holds source rows s*i .. s*i+w-1 as row i of the read-only
+    (count, w, d) float64 ``points``, its class label ``labels[i]`` (int64)
+    and the timestamps of its first and last rows ``time_ranges[i]``.  Only
+    indexing builds window i's ``LabeledWindow``; a slice is a ``Windows``."""
+
+    __slots__ = ("points", "labels", "time_ranges")
+
+    def __init__(self, points: np.ndarray, labels: np.ndarray, time_ranges: np.ndarray) -> None:
+        points.flags.writeable = labels.flags.writeable = time_ranges.flags.writeable = False
+        self.points, self.labels, self.time_ranges = points, labels, time_ranges
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Windows(self.points[index], self.labels[index], self.time_ranges[index])
+        return LabeledWindow(self.points[index], int(self.labels[index]), tuple(self.time_ranges[index].tolist()))
 
 
 def window_label(labels: Sequence[int], rule: str) -> int:
@@ -53,15 +76,15 @@ def window_label(labels: Sequence[int], rule: str) -> int:
     row = np.asarray(labels, dtype=np.int64).reshape(1, -1)
     if row.size == 0:
         raise DataError("cannot label an empty window")
-    return _label_windows(row, rule)[0]
+    return int(_label_windows(row, rule)[0])
 
 
-def _label_windows(labels: np.ndarray, rule: str) -> list[int]:
+def _label_windows(labels: np.ndarray, rule: str) -> np.ndarray:
     """``window_label`` of every row of a (windows, w) array of per-row labels."""
     if rule == "any_positive":
-        return (labels == 1).any(axis=1).astype(int).tolist()
+        return (labels == 1).any(axis=1).astype(np.int64)
     if rule == "majority":
-        return plurality(labels, [labels.shape[1]], "nearest_neighbor_label")[0]
+        return np.array(plurality(labels, [labels.shape[1]], "nearest_neighbor_label")[0], dtype=np.int64)
     raise ValueError(f"label rule must be one of {LABEL_RULES}, got '{rule}'")
 
 
@@ -72,7 +95,7 @@ def window_count(length: int, w: int, s: int) -> int:
     return (length - w) // s + 1
 
 
-def make_windows(series: TimeSeries, cfg: WindowConfig) -> list[LabeledWindow]:
+def make_windows(series: TimeSeries, cfg: WindowConfig) -> Windows:
     """Cut the series into labeled windows; a trailing partial window is dropped.
 
     One (count, w) index array gathers every window at once: the points of
@@ -83,11 +106,5 @@ def make_windows(series: TimeSeries, cfg: WindowConfig) -> list[LabeledWindow]:
         raise DataError(f"series has {n} rows, shorter than window length {cfg.w}")
     starts = np.arange(window_count(n, cfg.w, cfg.s)) * cfg.s
     rows = starts[:, None] + np.arange(cfg.w)
-    points = series.values[rows]
-    window_labels = _label_windows(series.labels[rows], cfg.label_rule)
-    firsts = series.timestamps[starts].tolist()
-    lasts = series.timestamps[starts + cfg.w - 1].tolist()
-    return [
-        LabeledWindow(pts, label, (t0, t1))
-        for pts, label, t0, t1 in zip(points, window_labels, firsts, lasts)
-    ]
+    time_ranges = series.timestamps[np.stack([starts, starts + cfg.w - 1], axis=1)]
+    return Windows(series.values[rows], _label_windows(series.labels[rows], cfg.label_rule), time_ranges)

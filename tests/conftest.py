@@ -4,13 +4,40 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from topowin import CsvSchema, PipelineConfig, TimeSeries, run
+from topowin import CsvSchema, Diagrams, PipelineConfig, TimeSeries, Windows, rips_persistence_dim0_batch, run
 from topowin.io import write_series_csv
 
 
 def deaths(diagram):
     """Death values of a diagram's pairs, in pair order."""
     return [d for _, d in diagram.pairs]
+
+
+def windows_of(windows):
+    """One ``Windows`` of ``LabeledWindow``s of one shape."""
+    return Windows(
+        np.array([w.points for w in windows], dtype=float),
+        np.array([w.label for w in windows], dtype=np.int64),
+        np.array([w.time_range for w in windows], dtype=float).reshape(-1, 2),
+    )
+
+
+def by_shape(clouds):
+    """Position lists of ``clouds`` per shape, in order of first appearance."""
+    groups = {}
+    for i, cloud in enumerate(clouds):
+        groups.setdefault(np.shape(cloud), []).append(i)
+    return list(groups.values())
+
+
+def dim0_per_shape(clouds, *args, **kwargs):
+    """Dimension-0 diagrams of clouds of mixed shapes: one batched call per
+    shape, packed in input order."""
+    pairs = [None] * len(clouds)
+    for group in by_shape(clouds):
+        for i, diag in zip(group, rips_persistence_dim0_batch([clouds[i] for i in group], *args, **kwargs)):
+            pairs[i] = diag.pairs
+    return Diagrams.from_pairs(0, pairs)
 
 
 def make_series(values, labels=None, channel_names=None):

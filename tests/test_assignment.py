@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,15 @@ class TestMinCostAssignment:
     def test_ragged_rejected(self):
         with pytest.raises(ValueError, match="same length"):
             min_cost_assignment([[1.0, 2.0], [3.0]])
+
+    @pytest.mark.parametrize(
+        "cost", [[[math.inf, math.inf], [1.0, 2.0]], [[1.0, -math.inf]], [[0.0, 1.0], [math.nan, 2.0]]],
+        ids=["infinite-row", "minus-infinity", "nan"],
+    )
+    def test_non_finite_cost_rejected_before_the_loop(self, cost):
+        # An infinite row never lets the augmenting path end.
+        with pytest.raises(ValueError, match="cost entries must be finite"):
+            min_cost_assignment(cost)
 
     def test_assignment_is_a_valid_injection(self):
         rng = np.random.default_rng(2)

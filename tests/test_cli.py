@@ -262,6 +262,35 @@ class TestStageCommands:
         message = "split 'test': window 2: a distance between its points is inf, not a finite float"
         assert capsys.readouterr().err == f"numerical error: stage 'diagrams': {message}\n"
 
+    @pytest.mark.parametrize("command", ["run", "distmat"])
+    def test_dim0_distance_power_overflow_is_a_numerical_error(self, command, tmp_path, capsys):
+        # Test window 2 has deaths near 1e100, finite, whose 4th powers overflow.
+        data, config = overflow_inputs(tmp_path, big={52: (1e100, None)})
+        common = ["--config", str(config), "--out", str(tmp_path / "o"), "--p", "4"]
+        if command == "run":
+            argv, prefix = ["run", "--data", str(data), *common], "stage 'distances': "
+        else:
+            out = tmp_path / "o"
+            assert main(["ingest", "--data", str(data), *common]) == 0
+            assert main(["windows", "--series", str(out / "series.csv"), *common]) == 0
+            assert main(["diagrams", "--windows", str(out / "windows.csv"), "--params", str(out / "params.json"), *common]) == 0
+            capsys.readouterr()
+            argv = ["distmat", "--diagrams", str(out / "diagrams.csv"), "--windows", str(out / "windows.csv"), *common]
+            prefix = ""
+        assert main(argv) == 3
+        message = "test window 2: a distance overflows a float at p = 4.0"
+        assert capsys.readouterr().err == f"numerical error: {prefix}{message}\n"
+
+    def test_dim1_distance_power_overflow_is_a_numerical_error(self, tmp_path, capsys):
+        # Test window 2 holds a square of side 1e100: a cycle whose matching
+        # cost to 4th power overflows a Python float.
+        square = {50: (0.0, 0.0), 51: (1e100, 0.0), 52: (1e100, 1e100), 53: (0.0, 1e100)}
+        data, config = overflow_inputs(tmp_path, big=square)
+        argv = ["run", "--config", str(config), "--data", str(data), "--out", str(tmp_path / "o"), "--p", "4"]
+        assert main([*argv, "--dimension", "1", "--maxscale", "1e150"]) == 3
+        message = "test window 2: a distance overflows a float at p = 4.0"
+        assert capsys.readouterr().err == f"numerical error: stage 'distances': {message}\n"
+
     def test_dim1_diagram_error_names_its_split_and_window(self, tmp_path, capsys):
         # Two-point windows without anchors are clouds too small for dimension 1.
         data, config = overflow_inputs(tmp_path, window=2, anchors="none")
@@ -271,12 +300,17 @@ class TestStageCommands:
         assert capsys.readouterr().err == f"data error: stage 'diagrams': {message}\n"
 
 
-def overflow_inputs(tmp_path, window=5, **extra):
-    """60 rows in two channels, standardized on train; test row 52 holds
-    1e160, so a squared difference in the test window holding it overflows
-    (window 2 at w = 5)."""
+def overflow_inputs(tmp_path, window=5, big=None, **extra):
+    """60 rows in two channels, standardized on train; by default test row 52
+    holds 1e160, so a squared difference in the test window holding it
+    overflows (window 2 at w = 5).  ``big`` maps rows to other (a, b) values,
+    None for a channel's usual one."""
     data, config = tmp_path / "big.csv", tmp_path / "big.json"
-    rows = [f"{i},{1e160 if i == 52 else float(i % 7)!r},{i % 5}.5,{i % 2}\n" for i in range(60)]
+    big = {52: (1e160, None)} if big is None else big
+    rows = []
+    for i in range(60):
+        a, b = big.get(i, (None, None))
+        rows.append(f"{i},{float(i % 7) if a is None else a!r},{i % 5 + 0.5 if b is None else b!r},{i % 2}\n")
     data.write_text("timestamp,a,b,label\n" + "".join(rows), encoding="utf-8")
     write_json(config, {
         "run_id": "big", "schema": {"timestamp": "timestamp", "features": ["a", "b"], "label": "label"},

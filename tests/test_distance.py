@@ -3,6 +3,7 @@ import re
 import os
 import subprocess
 import sys
+import warnings
 from itertools import product
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from topowin.assignment import min_cost_assignment
 from topowin import (
     DataError,
     DistanceMatrix,
+    NumericalError,
     PersistenceDiagram,
     WassersteinConfig,
     Diagrams,
@@ -24,6 +26,7 @@ from topowin import (
     rips_persistence_dim1,
     wasserstein,
 )
+from conftest import dim0_per_shape
 from oracles import diagonal_augmented_cost_matrix, wasserstein_by_enumeration
 
 
@@ -140,6 +143,19 @@ class TestWasserstein:
         d1 = diag0(*[(min(b, d), max(b, d)) for b, d in raw1])
         d2 = diag0(*[(min(b, d), max(b, d)) for b, d in raw2])
         assert wasserstein(d1, d2) == pytest.approx(wasserstein(d2, d1), abs=1e-9)
+
+    @pytest.mark.parametrize("dim", [0, 1])
+    def test_power_overflow_is_a_numerical_error(self, dim):
+        # The distance, about 5e99, is a finite float; its 4th power is not.
+        big = PersistenceDiagram(dim, ((0.0, 1e100),))
+        small = PersistenceDiagram(dim, ((0.0, 1.0),) if dim == 0 else ((0.5, 1.0),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=re.escape("test window 0: a distance overflows a float at p = 4.0")):
+                wasserstein(big, small, WassersteinConfig(p=4.0))
+            with pytest.raises(NumericalError, match="test window 1: "):
+                distance_matrix([small, big], [small, small], WassersteinConfig(p=4.0, dimension=dim))
+        assert wasserstein(big, small, WassersteinConfig(p=2.0)) > 1e99
 
 
 class TestDistanceMatrix:
@@ -270,8 +286,10 @@ class TestDiagramsInput:
     )
     def test_equals_the_lists_bit_for_bit(self, p, policy, n_test, sizes):
         rng = np.random.default_rng(int(p) * 100 + n_test)
-        test = rips_persistence_dim0_batch(random_clouds(rng, n_test, sizes), **policy)
-        train = rips_persistence_dim0_batch(random_clouds(rng, 40, sizes), **policy)
+        # Mixed sizes: one batched call per shape, packed into one set of mixed widths.
+        diagrams = rips_persistence_dim0_batch if len(sizes) == 1 else dim0_per_shape
+        test = diagrams(random_clouds(rng, n_test, sizes), **policy)
+        train = diagrams(random_clouds(rng, 40, sizes), **policy)
         if policy:
             # The cap lies inside the deaths' range, so sorting moves it off the end of most rows.
             deaths = train.deaths[train.deaths > 0]

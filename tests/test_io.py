@@ -24,10 +24,10 @@ from topowin.classify import EvaluationReport, KSweepEntry
 from topowin.distance import DistanceMatrix
 from topowin.errors import DataError
 from topowin.ingest import StandardizationParams, TimeSeries
-from topowin.persistence import Diagrams, PersistenceDiagram, rips_persistence_dim0_batch
+from topowin.persistence import Diagrams, PersistenceDiagram, rips_persistence_dim0
 from topowin.pipeline import cut_windows
-from topowin.windowing import LabeledWindow, WindowConfig, make_windows
-from conftest import synthetic_config_dict
+from topowin.windowing import LabeledWindow, WindowConfig, Windows, make_windows
+from conftest import synthetic_config_dict, windows_of
 
 # Values whose shortest round-trip form is easy to get wrong: a signed zero,
 # the smallest subnormal, the switch to exponent notation at 1e16 and 1e-5,
@@ -62,10 +62,12 @@ def series():
 def windows():
     points = np.array(SPECIAL).reshape(3, 2)
     return {
-        split: [
-            LabeledWindow(points=points * (-1) ** i, label=i % 2, time_range=(SPECIAL[i], SPECIAL[-1]))
-            for i in range(2)
-        ]
+        split: windows_of(
+            [
+                LabeledWindow(points=points * (-1) ** i, label=i % 2, time_range=(SPECIAL[i], SPECIAL[-1]))
+                for i in range(2)
+            ]
+        )
         for split in SPLITS
     }
 
@@ -91,7 +93,7 @@ def windows_rows(wins, channel_names):
 
 def clouds():
     points = np.array(SPECIAL).reshape(2, 3)
-    return {split: [points, -points] for split in SPLITS}
+    return {split: np.array([points, -points]) for split in SPLITS}
 
 
 # Special points of a dimension-1 file, births other than 0 among them.
@@ -136,10 +138,12 @@ class TestBytesMatchCsvWriter:
         s = series()  # row 0 is (-0.0, 1.7976931348623157e+308)
         flipped = s.values[:1] * [-1.0, 1.0]  # equal to row 0 as floats, not as bytes
         wins = {
-            "test": [
-                LabeledWindow(np.vstack([flipped, s.values[:2]]), 0, (0.0, 1.0)),
-                LabeledWindow(s.values[2:5], 1, (2.0, 3.0)),
-            ]
+            "test": windows_of(
+                [
+                    LabeledWindow(np.vstack([flipped, s.values[:2]]), 0, (0.0, 1.0)),
+                    LabeledWindow(s.values[2:5], 1, (2.0, 3.0)),
+                ]
+            )
         }
         memo = {}
         io.write_series_csv(s, tmp_path / "s.csv", memo)
@@ -211,7 +215,7 @@ class TestBytesMatchCsvWriter:
         rng = np.random.default_rng(41)
         clouds = [rng.normal(size=(int(rng.integers(1, 7)), 2)) for _ in range(3 * io._CHUNK_ROWS + 5)]
         views = {
-            split: rips_persistence_dim0_batch(part, *policy)
+            split: Diagrams.from_pairs(0, [rips_persistence_dim0(c, *policy).pairs for c in part])
             for split, part in zip(SPLITS + ("empty",), (clouds[:7], clouds[7:], []))
         }
         io.write_diagrams_csv(views, tmp_path / "views.csv")
@@ -316,6 +320,11 @@ class TestReadBack:
         again = io.read_windows_csv(tmp_path / "w.csv")
         assert list(again) == list(wins)
         for split in wins:
+            assert isinstance(again[split], Windows)
+            for name in ("points", "labels", "time_ranges"):
+                got, want = getattr(again[split], name), getattr(wins[split], name)
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+                assert not got.flags.writeable
             for got, want in zip(again[split], wins[split], strict=True):
                 assert (got.label, got.time_range) == (want.label, want.time_range)
                 assert got.points.tolist() == want.points.tolist()
@@ -326,8 +335,8 @@ class TestReadBack:
         again = io.read_clouds_csv(tmp_path / "c.csv")
         assert list(again) == list(cl)
         for split in cl:
-            for got, want in zip(again[split], cl[split], strict=True):
-                assert got.tolist() == want.tolist()
+            assert (again[split].dtype, again[split].shape) == (np.float64, (2, 2, 3))
+            assert again[split].tobytes() == cl[split].tobytes()
 
     def test_diagrams(self, tmp_path):
         diags = diagrams()
@@ -361,7 +370,10 @@ class TestReadBack:
         rng = np.random.default_rng(43)
         clouds = [rng.normal(size=(int(rng.integers(2, 8)), 2)) for _ in range(2 * io._CHUNK_ROWS + 9)]
         parts = zip(SPLITS, (clouds[:9], clouds[9:]))
-        batches = {split: rips_persistence_dim0_batch(part, **policy) for split, part in parts}
+        batches = {
+            split: Diagrams.from_pairs(0, [rips_persistence_dim0(c, **policy).pairs for c in part])
+            for split, part in parts
+        }
         if policy:
             # The cap lies inside the deaths' range, so it is not the largest death of every row.
             deaths = np.concatenate([view.deaths[view.deaths > 0] for view in batches.values()])
@@ -634,7 +646,7 @@ def replace_line(path, line, text):
 def simple_windows():
     """Split 'a': window 0 on lines 2-4, window 1 on lines 5-7."""
     points = np.arange(6.0).reshape(3, 2)
-    return {"a": [LabeledWindow(points=points + i, label=i, time_range=(float(i), i + 0.5)) for i in range(2)]}
+    return {"a": windows_of([LabeledWindow(points=points + i, label=i, time_range=(float(i), i + 0.5)) for i in range(2)])}
 
 
 class TestMalformedReads:
@@ -648,7 +660,10 @@ class TestMalformedReads:
             ("series", 4, "1.0,2.0,1.0,x", "could not convert string to float: 'x'"),
             ("windows", 3, "a,0,x,0,0.0,0.5,2.0,3.0", "invalid literal for int()"),
             ("windows", 2, "a,0,0,0,zz,0.5,0.0,1.0", "could not convert string to float: 'zz'"),
+            ("windows", 5, "a,1,0,99999999999999999999,1.0,1.5,6.0,7.0", "Python int too large to convert to C long"),
+            ("windows", 6, "a,1,1,1,1.0,1.5,nan,9.0", "point 1 of split 'a' window 1 has a coordinate that is not finite"),
             ("clouds", 7, "test,0,1,1.0,abc,2.0", "could not convert string to float: 'abc'"),
+            ("clouds", 7, "test,0,1,1.0,-inf,2.0", "point 1 of split 'test' window 0 has a coordinate that is not finite"),
             ("distmat", 3, "1,1.0,abc1.5,2.0", "could not convert string to float: 'abc1.5'"),
             ("distmat", 2, "0,1.0,-1.0,2.0", "distance entries must be finite and nonnegative"),
             ("distmat", 2, "0,1.0,nan,2.0", "distance entries must be finite and nonnegative"),
@@ -656,7 +671,8 @@ class TestMalformedReads:
             ("distmat", 3, "1,1.0,2.0", "3 fields, the header 4"),
         ],
         ids=[
-            "series-value", "series-label", "windows-point", "windows-time", "clouds-coordinate",
+            "series-value", "series-label", "windows-point", "windows-time",
+            "windows-label-beyond-int64", "windows-nan-coordinate", "clouds-coordinate", "clouds-infinite-coordinate",
             "distmat-cell", "distmat-negative", "distmat-nan", "distmat-row-id", "distmat-short-row",
         ],
     )
@@ -855,6 +871,45 @@ class TestWindowedRowOrder:
         path.write_text("\n".join(lines), encoding="utf-8")
         with pytest.raises(DataError, match=re.escape(f"{path}: line 4: point 1 of split 'a' window 0 is out of order")):
             io.read_clouds_csv(path)
+
+    # simple_windows(): window 0 on lines 2-4, window 1 on lines 5-7;
+    # {"a": clouds()["test"]}: cloud 0 on lines 2-3, cloud 1 on lines 4-5.
+    @pytest.mark.parametrize(
+        "kind, edit, line, message",
+        [
+            ("windows", lambda lines: lines.pop(3), 6, "split 'a' window 1 has 3 points, not as many as window 0"),
+            ("windows", lambda lines: lines.pop(6), 6, "split 'a' window 1 has 2 points, not as many as window 0"),
+            ("clouds", lambda lines: lines.insert(5, "a,1,2,0.0,0.0,0.0"), 6, "split 'a' window 1 has 3 points, not as many as window 0"),
+            ("clouds", lambda lines: lines.insert(5, "a,2,0,0.0,0.0,0.0"), 6, "split 'a' window 2 has 1 points, not as many as window 0"),
+        ],
+        ids=["windows-short-first", "windows-short-last", "clouds-long", "clouds-short-last"],
+    )
+    def test_ragged_point_counts_name_a_line(self, tmp_path, kind, edit, line, message):
+        path = tmp_path / "artifact.csv"
+        if kind == "windows":
+            write, read = (lambda: io.write_windows_csv(simple_windows(), ("c0", "c1"), path)), io.read_windows_csv
+        else:
+            write, read = (lambda: io.write_clouds_csv({"a": clouds()["test"]}, path)), io.read_clouds_csv
+        write()
+        lines = path.read_text(encoding="utf-8").split("\n")
+        edit(lines)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}: line {line}: {message}")):
+            read(path)
+
+    def test_shapes_other_than_the_expected_are_refused(self, tmp_path):
+        windows, clouds_path = tmp_path / "w.csv", tmp_path / "c.csv"
+        io.write_windows_csv(simple_windows(), ("c0", "c1"), windows)
+        io.write_clouds_csv({"a": clouds()["test"]}, clouds_path)
+        assert len(io.read_windows_csv(windows, shapes={"a": (2, 3, 2)})["a"]) == 2
+        assert io.read_clouds_csv(clouds_path, shapes={"a": (2, 2, 3)})["a"].shape == (2, 2, 3)
+        for read, path, shapes in [
+            (io.read_windows_csv, windows, {"a": (3, 3, 2)}),
+            (io.read_windows_csv, windows, {"a": (2, 3, 2), "b": (1, 3, 2)}),
+            (io.read_clouds_csv, clouds_path, {"a": (2, 3, 3)}),
+        ]:
+            with pytest.raises(DataError, match=re.escape(f"{path}: splits shaped {{'a': (2,")):
+                read(path, shapes=shapes)
 
     def test_written_order_reads_back_past_blank_lines(self, tmp_path):
         path = tmp_path / "w.csv"

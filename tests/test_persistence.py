@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from topowin import (
     rips_persistence_dim1,
 )
 from topowin.persistence import _CHUNK_FLOATS, _chunk_clouds
-from conftest import deaths
+from conftest import by_shape, deaths, dim0_per_shape
 from oracles import (
     dim0_deaths_by_component_counting,
     dim0_deaths_by_prim_loop,
@@ -130,7 +131,7 @@ def random_cloud(rng, n, d):
 
 
 def batch_deaths(clouds, **policy):
-    return [deaths(diag) for diag in rips_persistence_dim0_batch(clouds, **policy)]
+    return [deaths(diag) for diag in dim0_per_shape(clouds, **policy)]
 
 
 class TestDim0Batch:
@@ -147,11 +148,12 @@ class TestDim0Batch:
     )
     def test_mixed_shapes_match_per_cloud_calls(self, policy):
         # d beyond 8 takes numpy's pairwise summation path for the squared
-        # differences; the batch axis must not change any entry.
+        # differences; the batch axis must not change any entry.  One
+        # batched call per shape.
         rng = np.random.default_rng(8)
         clouds = [random_cloud(rng, n, d) for n in (1, 2, 11, 15) for d in range(1, 13) for _ in range(3)]
         clouds = [clouds[i] for i in rng.permutation(len(clouds))]
-        batched = rips_persistence_dim0_batch(clouds, **policy)
+        batched = dim0_per_shape(clouds, **policy)
         assert batched == [rips_persistence_dim0(c, **policy) for c in clouds]
         cap = [policy["maxscale"]] if policy else []
         assert [deaths(diag) for diag in batched] == [dim0_deaths_by_prim_loop(c) + cap for c in clouds]
@@ -188,17 +190,27 @@ class TestDim0Batch:
 
     @pytest.mark.parametrize("bad_at", [0, 2])
     def test_empty_cloud_rejected_anywhere(self, bad_at):
-        clouds = [col(0.0, 1.0), col(2.0), col(3.0, 4.0, 5.0)]
+        clouds = [col(0.0, 1.0), col(2.0, 3.0), col(4.0, 5.0)]
         clouds.insert(bad_at, np.zeros((0, 1)))
-        with pytest.raises(DataError, match="at least one point"):
+        with pytest.raises(DataError, match=re.escape("clouds of mixed shapes [(0, 1), (2, 1)]")):
             rips_persistence_dim0_batch(clouds)
+        with pytest.raises(DataError, match="at least one point"):
+            rips_persistence_dim0_batch([np.zeros((0, 1))] * (bad_at + 1))
 
     @pytest.mark.parametrize("bad_at", [0, 2])
     def test_non_2d_cloud_rejected_anywhere(self, bad_at):
-        clouds = [col(0.0, 1.0), col(2.0), col(3.0, 4.0, 5.0)]
+        clouds = [col(0.0, 1.0, 2.0), col(3.0, 4.0, 5.0)]
         clouds.insert(bad_at, np.zeros(3))
-        with pytest.raises(DataError, match="point array"):
+        with pytest.raises(DataError, match="mixed shapes"):
             rips_persistence_dim0_batch(clouds)
+        with pytest.raises(DataError, match=re.escape("point array per cloud, got shape (3,)")):
+            rips_persistence_dim0_batch([np.zeros(3)] * (bad_at + 1))
+
+    def test_one_stack_of_a_list_or_the_array_as_it_is(self):
+        clouds = [col(0.0, 1.0, 3.0), col(5.0, 5.0, 5.5), col(0.0, 2.0, 2.5)]
+        batched = rips_persistence_dim0_batch(clouds)
+        assert batched == rips_persistence_dim0_batch(np.array(clouds)) == [rips_persistence_dim0(c) for c in clouds]
+        assert batched.counts.tolist() == [2, 2, 2] and batched.deaths.shape == (3, 2)
 
     @pytest.mark.parametrize(
         "policy, error",
@@ -213,8 +225,9 @@ class TestDim0Batch:
     )
     def test_policy_errors_match_per_cloud_calls(self, policy, error):
         clouds = [col(0.0, 1.0), np.zeros((3, 2)), col(5.0)]
-        with pytest.raises(error):
-            rips_persistence_dim0_batch(clouds, **policy)
+        for group in by_shape(clouds):
+            with pytest.raises(error):
+                rips_persistence_dim0_batch([clouds[i] for i in group], **policy)
         for cloud in clouds:
             with pytest.raises(error):
                 rips_persistence_dim0(cloud, **policy)
@@ -232,13 +245,14 @@ class TestDim0Batch:
             rng = np.random.default_rng(seed)
             pts = rng.integers(-2, 3, size=(n, d)) if grid else rng.normal(size=(n, d))
             clouds.append(pts.astype(float))
-        batched = rips_persistence_dim0_batch(clouds)
+        batched = dim0_per_shape(clouds)
         assert batched == [rips_persistence_dim0(c) for c in clouds]
         assert [deaths(diag) for diag in batched] == [dim0_deaths_by_prim_loop(c) for c in clouds]
 
 
 class TestDiagrams:
-    """The batch's arrays of births and deaths, seen as a sequence of diagrams."""
+    """Arrays of births and deaths, seen as a sequence of diagrams: clouds of
+    mixed point counts, one batched call per shape, packed by ``from_pairs``."""
 
     CLOUDS = [col(0.0, 1.0, 3.0), col(5.0), col(0.0, 0.0, 2.0, 2.5, 4.5), col(1.0, 1.5)]
 
@@ -246,7 +260,7 @@ class TestDiagrams:
         "policy, cap", [({}, []), ({"essential_policy": "capped", "maxscale": 1.2}, [1.2])], ids=["dropped", "capped"]
     )
     def test_rows_are_deaths_zero_padded_at_the_front(self, policy, cap):
-        view = rips_persistence_dim0_batch(self.CLOUDS, **policy)
+        view = dim0_per_shape(self.CLOUDS, **policy)
         assert isinstance(view, Diagrams) and view.dim == 0
         assert view.births.shape == view.deaths.shape and not view.births.any()
         assert view.counts.tolist() == [2 + len(cap), len(cap), 4 + len(cap), 1 + len(cap)]
@@ -255,7 +269,7 @@ class TestDiagrams:
         assert view.deaths.tolist() == [[0.0] * (width - len(d) - len(cap)) + d + cap for d in want]
 
     def test_len_indexing_and_equality(self):
-        view = rips_persistence_dim0_batch(self.CLOUDS)
+        view = dim0_per_shape(self.CLOUDS)
         diagrams = [rips_persistence_dim0(c) for c in self.CLOUDS]
         assert len(view) == 4
         assert [view[i] for i in range(4)] == diagrams
@@ -263,13 +277,13 @@ class TestDiagrams:
         assert view[1:3] == diagrams[1:3] and view[::-1] == diagrams[::-1]
         assert list(view) == diagrams
         assert view == diagrams and diagrams == view and view != diagrams[:3]
-        assert view == rips_persistence_dim0_batch(self.CLOUDS)
-        assert view != rips_persistence_dim0_batch(self.CLOUDS, "capped", 9.0)
+        assert view == dim0_per_shape(self.CLOUDS)
+        assert view != dim0_per_shape(self.CLOUDS, "capped", 9.0)
         with pytest.raises(IndexError):
             view[4]
 
     def test_is_read_only(self):
-        view = rips_persistence_dim0_batch(self.CLOUDS)
+        view = rips_persistence_dim0_batch(self.CLOUDS[:1] * 2)
         with pytest.raises(ValueError):
             view.deaths[0, -1] = 7.0
         with pytest.raises(ValueError):
@@ -287,7 +301,7 @@ class TestDiagrams:
         "policy", [{}, {"essential_policy": "capped", "maxscale": 1.2}], ids=["dropped", "capped"]
     )
     def test_from_pairs_rebuilds_the_batch(self, policy):
-        view = rips_persistence_dim0_batch(self.CLOUDS, **policy)
+        view = rips_persistence_dim0_batch([col(0.0, 1.0, 3.0), col(5.0, 4.0, 4.5), col(1.0, 1.5, 1.5)], **policy)
         assert list(view.rows()) == [list(diag.pairs) for diag in view]
         again = Diagrams.from_pairs(0, list(view.rows()))
         for name in ("births", "deaths", "counts"):
@@ -314,7 +328,7 @@ class TestDiagrams:
 class TestDim0Overflow:
     @pytest.mark.parametrize("policy", [{}, {"essential_policy": "capped", "maxscale": 1.0}], ids=["dropped", "capped"])
     def test_overflowing_distance_is_a_numerical_error_naming_the_window(self, policy):
-        clouds = [col(0.0, 1.0), col(2.0, 3.0, 4.0), col(0.0, 1e160, 1.0), col(1e200, -1e200)]
+        clouds = [col(0.0, 1.0, 2.0), col(2.0, 3.0, 4.0), col(0.0, 1e160, 1.0), col(1e200, -1e200, 0.0)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError) as raised:

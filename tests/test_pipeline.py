@@ -1142,7 +1142,7 @@ def standardized_clouds_csv(cfg, data, path):
     windows = cut_windows(apply_standardizer(series, standardize(series, cfg)), cfg)
     d = len(cfg.schema.features)
     aug = AugmentConfig(resolve_offset(cfg.offset, d), resolve_anchors(cfg.anchors, d))
-    io.write_clouds_csv({name: [augment(w, aug) for w in wins] for name, wins in windows.items()}, path)
+    io.write_clouds_csv({name: np.array([augment(w, aug) for w in wins]) for name, wins in windows.items()}, path)
 
 
 class TestCloudsStage:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from topowin import (
     resolve_anchors,
     resolve_offset,
 )
-from conftest import make_series
+from conftest import by_shape, make_series, windows_of
 
 
 def window_from(points):
@@ -159,8 +160,12 @@ class TestAugmentBatch:
         windows = self.windows(rng)
         params = StandardizationParams(means=rng.normal(size=4), standard_deviations=rng.uniform(1e-3, 50.0, size=4))
         cfg = AugmentConfig(offset=rng.normal(size=4), anchors=anchors)
-        clouds = augment_batch(windows, cfg, params)
-        assert len(clouds) == len(windows)
+        clouds = [None] * len(windows)
+        for group in by_shape([w.points for w in windows]):
+            batch = augment_batch([windows[i] for i in group], cfg, params)
+            assert batch.shape == (len(group), windows[group[0]].points.shape[0] + len(anchors), 4)
+            for i, cloud in zip(group, batch):
+                clouds[i] = cloud
         for window, cloud in zip(windows, clouds):
             standardized = (window.points - params.means) / params.standard_deviations
             expected = np.vstack([standardized + cfg.offset, anchors])
@@ -170,11 +175,27 @@ class TestAugmentBatch:
     def test_without_params_equals_augment(self):
         windows = self.windows(np.random.default_rng(31))
         cfg = AugmentConfig(offset=np.arange(4.0), anchors=np.ones((2, 4)))
-        batch = augment_batch(windows, cfg)
-        assert [c.tolist() for c in batch] == [augment(w, cfg).tolist() for w in windows]
+        for group in by_shape([w.points for w in windows]):
+            batch = augment_batch([windows[i] for i in group], cfg)
+            assert [c.tolist() for c in batch] == [augment(windows[i], cfg).tolist() for i in group]
+
+    def test_windows_equal_their_list_and_stay_as_they_are(self):
+        rng = np.random.default_rng(37)
+        windows = windows_of([window_from(rng.normal(size=(6, 5))) for _ in range(4)])
+        params = StandardizationParams(means=rng.normal(size=5), standard_deviations=rng.uniform(0.5, 2.0, size=5))
+        clouds = augment_batch(windows, CFG5, params)
+        assert (clouds.dtype, clouds.shape) == (np.float64, (4, 7, 5))
+        assert clouds.tobytes() == augment_batch(list(windows), CFG5, params).tobytes()
+        assert clouds.tobytes() == augment_batch(windows.points, CFG5, params).tobytes()
+        assert not windows.points.flags.writeable
+
+    def test_mixed_shapes_refused(self):
+        windows = [window_from(np.zeros((2, 5))), window_from(np.zeros((3, 5)))]
+        with pytest.raises(DataError, match=re.escape("windows of mixed shapes [(2, 5), (3, 5)]")):
+            augment_batch(windows, CFG5)
 
     def test_empty(self):
-        assert augment_batch([], CFG5) == []
+        assert augment_batch([], CFG5).shape == (0, 1, 5)
 
     def test_non_finite_coordinate_names_the_window(self):
         params = StandardizationParams(means=np.zeros(2), standard_deviations=np.array([1.0, 1e-300]))
@@ -193,7 +214,7 @@ class TestAugmentBatch:
             augment_batch([window_from(np.zeros((2, 5)))], CFG5, params)
 
     def test_dimension_mismatch_in_any_window(self):
-        windows = [window_from(np.zeros((2, 5))), window_from(np.zeros((2, 4)))]
+        windows = [window_from(np.zeros((2, 4))), window_from(np.zeros((2, 4)))]
         with pytest.raises(DataError, match="window dimension 4 does not match config dimension 5"):
             augment_batch(windows, CFG5)
 

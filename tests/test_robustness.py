@@ -1,14 +1,17 @@
 """Mutated cached artifacts never reach a run's report.
 
-A cached run's ``diagrams.csv`` is mutated: bytes flipped, cut off or
-inserted, a line dropped, or one cell replaced by ``nan``, ``inf``, ``-0``,
-``1e309`` or a quoted value.  A rerun that changes only ``p`` recomputes
-the distances from the cached diagrams, so it has to read that file.
+A cached run's ``diagrams.csv``, ``clouds.csv`` or ``windows.csv`` is
+mutated: bytes flipped, cut off or inserted, a line dropped, or one cell
+replaced by ``nan``, ``inf``, ``-0``, ``1e309`` or a quoted value.  A rerun
+that changes only ``p`` recomputes the distances from the cached diagrams
+and the classification with the cached windows' labels, so it has to read
+both files; with the cached diagrams dropped, it recomputes them from the
+cached clouds, so it has to read that file too.
 
 - With the ``.sha256`` beside it left as it is, the rerun recomputes the
-  diagrams with reason ``corrupt``, and its report is byte for byte a fresh
-  run's.
-- With the ``.sha256`` rewritten to match, the diagrams are served or
+  mutated stage with reason ``corrupt``, and its report is byte for byte a
+  fresh run's.
+- With the ``.sha256`` rewritten to match, the stage is served or
   recomputed with reason ``unreadable``, and no exception escapes ``run``.
 """
 
@@ -79,29 +82,53 @@ def primed(tmp_path_factory):
     return out
 
 
-# Few test windows, and served diagrams that may be off, often give a 0/0 metric.
-@pytest.mark.filterwarnings("ignore::topowin.classify.UndefinedMetricWarning")
-@settings(max_examples=60, deadline=None)
-@given(dimension=st.sampled_from([0, 1]), rewrite_digest=st.booleans(), mutation=MUTATIONS)
-@example(dimension=0, rewrite_digest=True, mutation=("cell", 4, b"1e309"))  # a death of inf
-def test_mutated_diagrams_never_reach_the_report(primed, tmp_path_factory, dimension, rewrite_digest, mutation):
+def rerun_mutated(primed, tmp_path_factory, dimension, stage, rewrite_digest, mutation):
+    """The mutated stage's (status, reason) in a p = 2 rerun of a copy of the
+    primed run, and whether its report is the fresh run's."""
     data, cfg, primed_root, fresh_report = primed[dimension]
     root = tmp_path_factory.mktemp("mutated") / "runs"
     shutil.copytree(primed_root, root)
-    (path,) = (root / cfg.run_id / "diagrams").glob("*.diagrams.csv")
+    (path,) = (root / cfg.run_id / stage).glob(f"*.{stage}.csv")
     original = path.read_bytes()
     mutated = mutate(original, *mutation)
     assume(mutated != original)
     path.write_bytes(mutated)
     if rewrite_digest:
         path.with_name(f"{path.name}.sha256").write_text(io.sha256_bytes(mutated) + "\n", encoding="utf-8")
+    if stage == "clouds":
+        shutil.rmtree(root / cfg.run_id / "diagrams")
 
     other = dataclasses.replace(cfg, p=2.0)
     run(other, data, runs_root=root)
-    records = stages(other, root)
-    diagrams = (records["diagrams"]["status"], records["diagrams"].get("reason"))
+    record = stages(other, root)[stage]
+    report = Path(stages(other, root)["classify"]["path"]).read_bytes()
+    return (record["status"], record.get("reason")), report == fresh_report
+
+
+def check(status, fresh, rewrite_digest):
     if rewrite_digest:
-        assert diagrams in {("cached", None), ("computed", "unreadable")}
+        assert status in {("cached", None), ("computed", "unreadable")}
+        assert fresh or status == ("cached", None)
     else:
-        assert diagrams == ("computed", "corrupt")
-        assert Path(records["classify"]["path"]).read_bytes() == fresh_report
+        assert status == ("computed", "corrupt")
+        assert fresh
+
+
+# Few test windows, and served diagrams that may be off, often give a 0/0 metric.
+@pytest.mark.filterwarnings("ignore::topowin.classify.UndefinedMetricWarning")
+@settings(max_examples=60, deadline=None)
+@given(dimension=st.sampled_from([0, 1]), rewrite_digest=st.booleans(), mutation=MUTATIONS)
+@example(dimension=0, rewrite_digest=True, mutation=("cell", 4, b"1e309"))  # a death of inf
+def test_mutated_diagrams_never_reach_the_report(primed, tmp_path_factory, dimension, rewrite_digest, mutation):
+    check(*rerun_mutated(primed, tmp_path_factory, dimension, "diagrams", rewrite_digest, mutation), rewrite_digest)
+
+
+@pytest.mark.filterwarnings("ignore::topowin.classify.UndefinedMetricWarning")
+@pytest.mark.parametrize("stage", ["windows", "clouds"])
+@settings(max_examples=40, deadline=None)
+@given(rewrite_digest=st.booleans(), mutation=MUTATIONS)
+@example(rewrite_digest=True, mutation=("cell", 15, b"nan"))  # a coordinate of nan
+@example(rewrite_digest=True, mutation=("drop line", 10, b""))  # windows: window 0 a point short
+@example(rewrite_digest=True, mutation=("drop line", 11, b""))  # clouds: cloud 0 a point short
+def test_mutated_windows_and_clouds_never_reach_the_report(primed, tmp_path_factory, stage, rewrite_digest, mutation):
+    check(*rerun_mutated(primed, tmp_path_factory, 0, stage, rewrite_digest, mutation), rewrite_digest)
