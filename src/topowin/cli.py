@@ -49,67 +49,77 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# The flags that override a config field: field -> (flags, argparse
+# settings).  A command takes only those of the fields its stages read.
+_OVERRIDES = {
+    "data": (["--data"], dict(type=Path, help="input CSV (overrides the config's data)")),
+    "window": (["-w", "--window"], dict(type=int, help="window length")),
+    "stride": (["-s", "--stride"], dict(type=int, help="window stride")),
+    "label_rule": (["--label-rule"], dict(choices=LABEL_RULES)),
+    "offset": (["--offset"], dict(help='comma list or "auto"')),
+    "anchors": (
+        ["--anchor"],
+        dict(action="append", metavar="ANCHOR", help='comma list (repeatable), "origin", or "none"'),
+    ),
+    "dimension": (["--dimension"], dict(type=int, help="homology dimension (0 or 1)")),
+    "maxscale": (["--maxscale"], dict(type=float, help="filtration cap for dimension 1")),
+    "p": (["--p"], dict(type=float, help="Wasserstein exponent")),
+    "k": (["--k"], dict(type=int, help="number of neighbors")),
+    "seed": (["--seed"], dict(type=int, help="recorded in provenance")),
+    "train_split": (["--train-split"], {}),
+    "test_split": (["--test-split"], {}),
+    "tie_break": (["--tie-break"], dict(choices=TIE_BREAKS)),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="topowin", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
-    def add(name: str, help_: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_)
+    def add(name: str, help_: str, fields: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_, allow_abbrev=False)
         p.add_argument("--config", type=Path, help="pipeline config JSON")
         p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument("-w", "--window", type=int, default=None, help="window length")
-        p.add_argument("-s", "--stride", type=int, default=None, help="window stride")
-        p.add_argument("--label-rule", default=None, choices=LABEL_RULES)
-        p.add_argument("--offset", default=None, help='comma list or "auto"')
-        p.add_argument(
-            "--anchor",
-            action="append",
-            default=None,
-            help='comma list (repeatable), "origin", or "none"',
-        )
-        p.add_argument("--dimension", type=int, default=None, help="homology dimension (0 or 1)")
-        p.add_argument("--maxscale", type=float, default=None, help="filtration cap for dimension 1")
-        p.add_argument("--p", type=float, default=None, help="Wasserstein exponent")
-        p.add_argument("--k", type=int, default=None, help="number of neighbors")
-        p.add_argument("--seed", type=int, default=None, help="recorded in provenance")
+        for field in fields.split():
+            flags, settings = _OVERRIDES[field]
+            p.add_argument(*flags, dest=field, **settings)
         return p
 
-    p = add("ingest", "load and validate a CSV series, fit its standardization")
-    p.add_argument("--data", type=Path, help="input CSV")
+    add("ingest", "load and validate a CSV series, fit its standardization", "data")
 
-    p = add("windows", "cut a series into labeled windows")
+    p = add("windows", "cut a series into labeled windows", "window stride label_rule")
     p.add_argument("--series", type=Path, help="series CSV (from ingest)")
 
-    p = add("diagrams", "standardize, translate and anchor windows, compute persistence diagrams")
+    p = add(
+        "diagrams",
+        "standardize, translate and anchor windows, compute persistence diagrams",
+        "offset anchors dimension maxscale",
+    )
     p.add_argument("--windows", type=Path, help="windows CSV")
     p.add_argument("--params", type=Path, help="standardization parameters JSON (from ingest)")
 
-    p = add("distmat", "test x train Wasserstein distance matrix")
+    p = add("distmat", "test x train Wasserstein distance matrix", "dimension maxscale p train_split test_split")
     p.add_argument("--diagrams", type=Path, help="diagrams CSV")
     p.add_argument("--windows", type=Path, help="windows CSV (window counts and labels)")
-    p.add_argument("--train-split", default=None)
-    p.add_argument("--test-split", default=None)
 
-    p = add("classify", "k-NN prediction and evaluation report")
+    p = add("classify", "k-NN prediction and evaluation report", "k train_split test_split tie_break")
     p.add_argument("--matrix", type=Path, help="distance matrix CSV")
     p.add_argument("--windows", type=Path, help="windows CSV (labels)")
-    p.add_argument("--train-split", default=None)
-    p.add_argument("--test-split", default=None)
-    p.add_argument("--tie-break", default=None, choices=TIE_BREAKS)
 
-    p = add("sweep-k", "evaluate several k values against one distance matrix")
+    p = add("sweep-k", "evaluate several k values against one distance matrix", "train_split test_split")
     p.add_argument("--matrix", type=Path, help="distance matrix CSV")
     p.add_argument("--windows", type=Path, help="windows CSV (labels)")
-    p.add_argument("--train-split", default=None)
-    p.add_argument("--test-split", default=None)
     p.add_argument("--ks", default=None, help="comma list of k values")
 
-    p = add("run", "full cached pipeline: data CSV to evaluation report")
-    p.add_argument("--data", type=Path, help="input CSV (overrides config)")
+    p = add(
+        "run",
+        "full cached pipeline: data CSV to evaluation report",
+        "data window stride label_rule offset anchors dimension maxscale p k seed",
+    )
     p.add_argument("--describe", action="store_true", help="print provenance of the finished run")
     p.add_argument("--no-cache", action="store_true", help="recompute every stage")
 
-    p = sub.add_parser("plot-diagram", help="SVG scatter of a diagram file plus a CSV twin")
+    p = sub.add_parser("plot-diagram", help="SVG scatter of a diagram file plus a CSV twin", allow_abbrev=False)
     p.add_argument("--out", type=Path, default=None, help="output directory")
     p.add_argument("--diagram", type=Path, help="diagram CSV (dim,birth,death[, keyed by window])")
     p.add_argument("--split", default=None, help="split to select in a long-format file")
@@ -131,25 +141,10 @@ def _config(args) -> tuple[PipelineConfig, str | None]:
     if not isinstance(payload, dict):
         raise ValueError(f"{args.config}: a config is one JSON object")
     payload.setdefault("run_id", Path(args.config).stem)
-    overrides = {
-        "data": getattr(args, "data", None),
-        "window": args.window,
-        "stride": args.stride,
-        "label_rule": args.label_rule,
-        "offset": args.offset,
-        "anchors": args.anchor[0] if args.anchor in (["origin"], ["none"]) else args.anchor,
-        "dimension": args.dimension,
-        "maxscale": args.maxscale,
-        "p": args.p,
-        "k": args.k,
-        "seed": args.seed,
-        "train_split": getattr(args, "train_split", None),
-        "test_split": getattr(args, "test_split", None),
-        "tie_break": getattr(args, "tie_break", None),
-    }
-    for key, value in overrides.items():
+    for field in _OVERRIDES:
+        value = getattr(args, field, None)  # None for a flag not given, or one the command does not take
         if value is not None:
-            payload[key] = value
+            payload[field] = value[0] if field == "anchors" and value in (["origin"], ["none"]) else value
     cfg = PipelineConfig.from_dict(payload)
     augment_config(cfg)
     return cfg, payload.get("data")

@@ -200,12 +200,15 @@ def _read_windowed(path: Path, fixed: list[str], window: Callable, shapes: Mappi
     ``fixed`` (split, window, point, ...), then the coordinates: each split's
     points one (count, n, d) array.  The writers number each split's windows
     0, 1, 2, ... by position and put each window's n rows together as points
-    0, 1, 2, ...; a window or a point out of that order, a coordinate that is
+    0, 1, 2, ...; a window or a point out of that order, a point whose cells
+    after ``point`` in ``fixed`` are not its point 0's, a coordinate that is
     not finite, or a window with another point count than its split's window
-    0 (at the line after it), is a ``DataError`` naming its line.  So is, with
-    ``shapes`` ({split: (count, n, d)}), a file whose splits are not so shaped."""
+    0 (at the line after it), is a ``DataError`` naming its line.  So is,
+    with ``shapes`` ({split: (count, n, d)}), a file whose splits are not so
+    shaped."""
     splits: dict[str, tuple[list, list]] = {}  # split -> (coordinate rows, window(row)s)
     current, points = None, 0  # the split and window cells of the window being read, its points so far
+    cells: list[str] = []  # the window cells (after point) of the window being read
 
     def close() -> None:
         """The window just read must have as many points as each before it in its split."""
@@ -213,7 +216,7 @@ def _read_windowed(path: Path, fixed: list[str], window: Callable, shapes: Mappi
             raise ValueError(f"split '{current[0]}' window {current[1]} has {points} points, not as many as window 0")
 
     def parse(row: list[str]) -> None:
-        nonlocal current, points
+        nonlocal current, points, cells
         point = int(row[2])
         if row[:2] != current or point != points:
             if point != 0:
@@ -222,8 +225,13 @@ def _read_windowed(path: Path, fixed: list[str], window: Callable, shapes: Mappi
             windows = splits.setdefault(row[0], ([], []))[1]
             if (index := int(row[1])) != len(windows):
                 raise ValueError(f"split '{row[0]}' window {index} where window {len(windows)} is due")
-            current, points = row[:2], 0
+            current, points, cells = row[:2], 0, row[3 : len(fixed)]
             windows.append(window(row))
+        elif row[3 : len(fixed)] != cells:
+            raise ValueError(
+                f"point {point} of split '{row[0]}' window {row[1]} has {','.join(fixed[3:])} cells"
+                f" {','.join(row[3 : len(fixed)])}, not its point 0's {','.join(cells)}"
+            )
         coords = list(map(float, row[len(fixed) :]))
         if not all(map(math.isfinite, coords)):
             raise ValueError(f"point {point} of split '{row[0]}' window {row[1]} has a coordinate that is not finite")

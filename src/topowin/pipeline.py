@@ -29,6 +29,8 @@ from functools import partial
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from . import io
 from .classify import EvaluationReport, KnnConfig, evaluate, predict_all, render_report_table
 from .distance import DistanceMatrix, WassersteinConfig, distance_matrix
@@ -379,6 +381,20 @@ def _miss_reason(path: Path) -> str | None:
         return "corrupt"
 
 
+def _read_clouds(path: Path, shapes: dict) -> dict:
+    """A cached clouds file, refused as unreadable when the squared
+    coordinate spans of one of its clouds sum past the float range: a
+    distance between that cloud's points may then overflow, and only the
+    clouds built again from the windows tell whether the data make it so."""
+    clouds_by_split = io.read_clouds_csv(path, shapes)
+    with np.errstate(over="ignore"):
+        for split, clouds in clouds_by_split.items():
+            bound = np.isfinite(np.square(np.ptp(clouds, axis=1)).sum(axis=1))
+            if not bound.all():
+                raise DataError(f"{path}: split '{split}' window {bound.argmin()}: its squared coordinate spans overflow")
+    return clouds_by_split
+
+
 @dataclass(frozen=True)
 class _Stage:
     params: dict  # what the stage key hashes besides the upstream stage's key
@@ -558,7 +574,7 @@ def run(
                 ("windows", "standardize"),
                 lambda wins, params: build_clouds(wins, params, cfg),
                 io.write_clouds_csv,
-                partial(io.read_clouds_csv, shapes=shapes(cfg.window.w + len(aug_cfg.anchors))),
+                partial(_read_clouds, shapes=shapes(cfg.window.w + len(aug_cfg.anchors))),
             ),
             "diagrams": _Stage(
                 {

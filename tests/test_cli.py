@@ -1,3 +1,4 @@
+import math
 import os
 import shutil
 import subprocess
@@ -48,13 +49,34 @@ class TestUsage:
         assert "--config" in capsys.readouterr().err
 
 
-# Each command accepts only the flags it uses.
-CONFIG_FLAGS = [
-    ["--config", "c.json"], ["-w", "5"], ["-s", "5"], ["--label-rule", "majority"], ["--offset", "auto"],
-    ["--anchor", "origin"], ["--dimension", "0"], ["--maxscale", "1"], ["--p", "1"], ["--k", "0"], ["--seed", "1"],
+# Each command accepts only the flags it uses.  A stage command takes the
+# flags of the config fields its stage reads; run takes the ten of
+# OVERRIDE_FLAGS and --data, the first of the other FIELD_FLAGS.
+OVERRIDE_FLAGS = [
+    ["-w", "5"], ["--window", "5"], ["-s", "5"], ["--stride", "5"], ["--label-rule", "majority"],
+    ["--offset", "auto"], ["--anchor", "origin"], ["--dimension", "0"], ["--maxscale", "1"], ["--p", "1"],
+    ["--k", "0"], ["--seed", "1"],
 ]
-STAGE_COMMANDS = ("ingest", "windows", "diagrams", "distmat", "classify", "sweep-k")
+FIELD_FLAGS = [["--data", "d.csv"], ["--train-split", "train"], ["--test-split", "test"], ["--tie-break", "lowest_class_id"]]
+CONFIG_FLAGS = [["--config", "c.json"], *OVERRIDE_FLAGS]
+STAGE_FLAGS = {
+    "ingest": {"--data"},
+    "windows": {"-w", "--window", "-s", "--stride", "--label-rule"},
+    "diagrams": {"--offset", "--anchor", "--dimension", "--maxscale"},
+    "distmat": {"--dimension", "--maxscale", "--p", "--train-split", "--test-split"},
+    "classify": {"--k", "--train-split", "--test-split", "--tie-break"},
+    "sweep-k": {"--train-split", "--test-split"},
+}
+STAGE_COMMANDS = tuple(STAGE_FLAGS)
 REMOVED_FLAGS = [
+    *[
+        (command, flag)
+        for command in STAGE_COMMANDS
+        for flag in [*OVERRIDE_FLAGS, *FIELD_FLAGS]
+        if flag[0] not in STAGE_FLAGS[command]
+    ],
+    *[("run", flag) for flag in FIELD_FLAGS[1:]],
+    ("run", ["--desc"]),  # a flag cut short is not taken for --describe
     *[(command, ["--no-cache"]) for command in STAGE_COMMANDS],
     *[(command, ["--workers", "2"]) for command in (*STAGE_COMMANDS, "run")],
     *[("plot-diagram", flag) for flag in [*CONFIG_FLAGS, ["--no-cache"], ["--workers", "2"]]],
@@ -73,6 +95,62 @@ def test_flag_the_command_does_not_use_is_a_usage_error(command, flag, tmp_path,
     assert main(argv) == 1
     assert f"usage error: unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# (command, config fields, a flag it takes, the config fields that flag sets)
+KEPT_FLAGS = [
+    ("windows", {}, ["-w", "12"], {"window": 12}),
+    ("windows", {}, ["--stride", "3"], {"stride": 3}),
+    ("windows", {"stride": 5}, ["--label-rule", "any_positive"], {"label_rule": "any_positive"}),
+    ("diagrams", {}, ["--offset", "0.5,-1,2"], {"offset": [0.5, -1, 2]}),
+    ("diagrams", {}, ["--anchor", "none"], {"anchors": "none"}),
+    ("diagrams", {"maxscale": 3.0}, ["--dimension", "1"], {"dimension": 1}),
+    ("diagrams", {"dimension": 1, "maxscale": 3.0}, ["--maxscale", "0.5"], {"maxscale": 0.5}),
+    ("distmat", {}, ["--p", "2"], {"p": 2.0}),
+    ("distmat", {"maxscale": 3.0}, ["--dimension", "1"], {"dimension": 1}),
+    ("distmat", {"dimension": 1}, ["--maxscale", "3"], {"maxscale": 3.0}),
+    ("classify", {"stride": 5}, ["--k", "7"], {"k": 7}),  # with half-and-half windows, k matters
+]
+
+
+class TestKeptFlags:
+    """Each override flag a stage command takes gives the files that the
+    config field it overrides gives, and not the files of the config
+    without it: other bytes, or for distmat a failure."""
+
+    @staticmethod
+    def outputs(out):
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize(
+        "command, base, flag, fields", KEPT_FLAGS, ids=[f"{c[0]} {' '.join(c[2])}" for c in KEPT_FLAGS]
+    )
+    def test_flag_changes_the_output(self, command, base, flag, fields, tmp_path, synth_csv):
+        payload = dict(synthetic_config_dict("kept", synth_csv, n_windows=30), **base)
+        flagged, configured = tmp_path / "flagged.json", tmp_path / "configured.json"
+        write_json(flagged, payload)
+        write_json(configured, dict(payload, **fields))
+        stages = tmp_path / "stages"  # the command's inputs, made with the field in the config
+        chain = {
+            "ingest": ["--data", synth_csv],
+            "windows": ["--series", stages / "series.csv"],
+            "diagrams": ["--windows", stages / "windows.csv", "--params", stages / "params.json"],
+            "distmat": ["--diagrams", stages / "diagrams.csv", "--windows", stages / "windows.csv"],
+            "classify": ["--matrix", stages / "distmat.csv", "--windows", stages / "windows.csv"],
+        }
+        for stage, inputs in chain.items():
+            if stage == command:
+                break
+            assert main([stage, "--config", str(configured), "--out", str(stages), *map(str, inputs)]) == 0
+        argv = [command, *map(str, chain[command])]
+        assert main([*argv, "--config", str(flagged), *flag, "--out", str(tmp_path / "by-flag")]) == 0
+        assert main([*argv, "--config", str(configured), "--out", str(tmp_path / "by-config")]) == 0
+        by_flag = self.outputs(tmp_path / "by-flag")
+        assert by_flag == self.outputs(tmp_path / "by-config")
+        if main([*argv, "--config", str(flagged), "--out", str(tmp_path / "plain")]) == 0:
+            assert self.outputs(tmp_path / "plain") != by_flag
+        else:  # the config alone cannot take these inputs (distmat --dimension, --maxscale)
+            assert command == "distmat" and not (tmp_path / "plain").exists()
 
 
 class TestAnchorFlag:
@@ -254,6 +332,17 @@ class TestStageCommands:
         message = "split 'test': window 2: a distance between its points is inf, not a finite float"
         assert capsys.readouterr().err == f"numerical error: {prefix}{message}\n"
 
+    def test_rerun_over_its_clouds_is_the_same_numerical_error(self, tmp_path, capsys):
+        # The first run writes the clouds before the diagrams stage fails;
+        # the second refuses them as unreadable and fails as the first did.
+        data, config = overflow_inputs(tmp_path)
+        argv = ["run", "--config", str(config), "--data", str(data), "--out", str(tmp_path / "o")]
+        message = "split 'test': window 2: a distance between its points is inf, not a finite float"
+        for _ in range(2):
+            assert main(argv) == 3
+            assert capsys.readouterr().err == f"numerical error: stage 'diagrams': {message}\n"
+        assert list((tmp_path / "o" / "big" / "clouds").glob("*.clouds.csv"))
+
     def test_dim1_distance_overflow_is_a_numerical_error(self, tmp_path, capsys):
         # An overflowed edge is not one above the cap: the run fails, with no warning line.
         data, config = overflow_inputs(tmp_path)
@@ -266,9 +355,9 @@ class TestStageCommands:
     def test_dim0_distance_power_overflow_is_a_numerical_error(self, command, tmp_path, capsys):
         # Test window 2 has deaths near 1e100, finite, whose 4th powers overflow.
         data, config = overflow_inputs(tmp_path, big={52: (1e100, None)})
-        common = ["--config", str(config), "--out", str(tmp_path / "o"), "--p", "4"]
+        common = ["--config", str(config), "--out", str(tmp_path / "o")]
         if command == "run":
-            argv, prefix = ["run", "--data", str(data), *common], "stage 'distances': "
+            argv, prefix = ["run", "--data", str(data), *common, "--p", "4"], "stage 'distances': "
         else:
             out = tmp_path / "o"
             assert main(["ingest", "--data", str(data), *common]) == 0
@@ -276,7 +365,7 @@ class TestStageCommands:
             assert main(["diagrams", "--windows", str(out / "windows.csv"), "--params", str(out / "params.json"), *common]) == 0
             capsys.readouterr()
             argv = ["distmat", "--diagrams", str(out / "diagrams.csv"), "--windows", str(out / "windows.csv"), *common]
-            prefix = ""
+            argv, prefix = [*argv, "--p", "4"], ""
         assert main(argv) == 3
         message = "test window 2: a distance overflows a float at p = 4.0"
         assert capsys.readouterr().err == f"numerical error: {prefix}{message}\n"
@@ -645,17 +734,26 @@ class TestNumberingErrors:
 class TestStageCommandsLeaveNoOutDirOnError:
     @pytest.mark.parametrize("command", STAGE_ARGV)
     @pytest.mark.parametrize(
-        "flag, message",
+        "flag, fields, message",
         [
-            (["--anchor", "nan,0,0"], "anchor components"),
-            (["--offset", "0,inf,2"], "offset components"),
-            (["--dimension", "1", "--maxscale", "inf"], "maxscale must be positive and finite"),
+            (["--anchor", "nan,0,0"], {"anchors": [[math.nan, 0, 0]]}, "anchor components"),
+            (["--offset", "0,inf,2"], {"offset": [0, math.inf, 2]}, "offset components"),
+            (
+                ["--dimension", "1", "--maxscale", "inf"],
+                {"dimension": 1, "maxscale": math.inf},
+                "maxscale must be positive and finite",
+            ),
         ],
         ids=["anchor", "offset", "maxscale"],
     )
-    def test_bad_config(self, command, flag, message, tmp_path, config_path, capsys):
+    def test_bad_config(self, command, flag, fields, message, tmp_path, config_path, capsys):
+        # A command that does not take the flag gets the bad value from its config file.
         out = tmp_path / "out"
-        argv = [command, "--config", str(config_path), *STAGE_ARGV[command], *flag, "--out", str(out)]
+        argv = [command, "--config", str(config_path), *STAGE_ARGV[command], "--out", str(out)]
+        if flag[0] in STAGE_FLAGS[command]:
+            argv += flag
+        else:
+            write_json(config_path, dict(read_json(config_path), **fields))
         assert main(argv) == 1
         assert f"usage error: {message}" in capsys.readouterr().err
         assert not out.exists()

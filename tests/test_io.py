@@ -691,6 +691,24 @@ class TestMalformedReads:
             read(path)
 
     @pytest.mark.parametrize(
+        "line, cell, message",
+        [
+            (3, "a,0,1,7,0.0,0.5,2.0,3.0", "point 1 of split 'a' window 0 has label,t_first,t_last cells 7,0.0,0.5"),
+            (4, "a,0,2,0,0.0,0.75,4.0,5.0", "point 2 of split 'a' window 0 has label,t_first,t_last cells 0,0.0,0.75"),
+            (7, "a,1,2,1,2.0,1.5,5.0,6.0", "point 2 of split 'a' window 1 has label,t_first,t_last cells 1,2.0,1.5"),
+            (6, "a,1,1,1,1.0,zz,3.0,4.0", "point 1 of split 'a' window 1 has label,t_first,t_last cells 1,1.0,zz"),
+            (3, "a,0,1,00,0.0,0.5,2.0,3.0", "point 1 of split 'a' window 0 has label,t_first,t_last cells 00,0.0,0.5"),
+        ],
+        ids=["label", "t_last", "t_first", "unreadable-time", "other-spelling"],
+    )
+    def test_rows_of_one_window_disagreeing_name_a_line(self, tmp_path, line, cell, message):
+        path = tmp_path / "windows.csv"
+        io.write_windows_csv(simple_windows(), ("c0", "c1"), path)
+        replace_line(path, line, cell)
+        with pytest.raises(DataError, match=re.escape(f"{path}: line {line}: {message}")):
+            io.read_windows_csv(path)
+
+    @pytest.mark.parametrize(
         "cell, message",
         [
             ("test,0,1,zz,1.0", "could not convert string to float: 'zz'"),

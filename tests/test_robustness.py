@@ -13,6 +13,8 @@ cached clouds, so it has to read that file too.
   fresh run's.
 - With the ``.sha256`` rewritten to match, the stage is served or
   recomputed with reason ``unreadable``, and no exception escapes ``run``.
+  A windows file whose rows of one window disagree, and a clouds file with
+  a cloud whose distances overflow, are always recomputed.
 """
 
 import dataclasses
@@ -20,7 +22,7 @@ import shutil
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from topowin import PipelineConfig, describe_run, io, run
@@ -91,7 +93,8 @@ def rerun_mutated(primed, tmp_path_factory, dimension, stage, rewrite_digest, mu
     (path,) = (root / cfg.run_id / stage).glob(f"*.{stage}.csv")
     original = path.read_bytes()
     mutated = mutate(original, *mutation)
-    assume(mutated != original)
+    if mutated == original:
+        reject()
     path.write_bytes(mutated)
     if rewrite_digest:
         path.with_name(f"{path.name}.sha256").write_text(io.sha256_bytes(mutated) + "\n", encoding="utf-8")
@@ -132,3 +135,19 @@ def test_mutated_diagrams_never_reach_the_report(primed, tmp_path_factory, dimen
 @example(rewrite_digest=True, mutation=("drop line", 11, b""))  # clouds: cloud 0 a point short
 def test_mutated_windows_and_clouds_never_reach_the_report(primed, tmp_path_factory, stage, rewrite_digest, mutation):
     check(*rerun_mutated(primed, tmp_path_factory, 0, stage, rewrite_digest, mutation), rewrite_digest)
+
+
+@pytest.mark.filterwarnings("ignore::topowin.classify.UndefinedMetricWarning")
+@pytest.mark.parametrize("dimension", [0, 1])
+@pytest.mark.parametrize(
+    "stage, mutation",
+    [
+        ("windows", ("cell", 201, b"7")),  # the label of train window 0 on its point-1 row
+        ("clouds", ("cell", 3, b"1e200")),  # a coordinate at which its cloud's distances overflow
+    ],
+    ids=["windows-row-disagrees", "clouds-overflow"],
+)
+def test_served_file_the_run_cannot_use_is_recomputed(primed, tmp_path_factory, dimension, stage, mutation):
+    status, fresh = rerun_mutated(primed, tmp_path_factory, dimension, stage, True, mutation)
+    assert status == ("computed", "unreadable")
+    assert fresh
