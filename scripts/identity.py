@@ -11,12 +11,14 @@ commands, run in a fresh directory per tree by a subprocess with
 ``PYTHONPATH`` at that tree's ``src``.  After each command the two trees
 must agree on its exit code, stdout and stderr, and on every file under the
 case directory, byte for byte.  A ``provenance.json`` is compared without
-its paths and stage durations, which differ between trees and between runs.
+its paths and stage durations, which differ between trees and between runs;
+where it differs, each differing stage field is named with both values.
 
 One JSON line is printed: ``identical``, the number of ``cases``, the
 number of ``files`` compared (a file counts once per command after which it
-was compared) and ``first_difference`` (null when identical).  The exit
-code is 0 only when the outputs are identical.
+was compared) and ``differences``, every difference found after every
+command (empty when identical).  The exit code is 0 only when the outputs
+are identical.
 """
 
 from __future__ import annotations
@@ -47,33 +49,48 @@ def _provenance(data: bytes) -> dict:
     return record
 
 
+def _provenance_difference(x: bytes, y: bytes) -> str | None:
+    """What differs between two provenance records besides paths and
+    durations: each differing stage field as ``<stage> <field> <first> ->
+    <second>``, or a summary when more than the stages' fields differ."""
+    try:
+        a, b = _provenance(x), _provenance(y)
+    except ValueError:
+        return "differs in more than paths and durations"
+    stages_a, stages_b = a.pop("stages", []), b.pop("stages", [])
+    if a != b or [s.get("stage") for s in stages_a] != [s.get("stage") for s in stages_b]:
+        return "differs in more than paths, durations and stage fields"
+    fields = [
+        f"{s['stage']} {field} {s.get(field)!r} -> {t.get(field)!r}"
+        for s, t in zip(stages_a, stages_b)
+        for field in sorted(s.keys() | t.keys())
+        if s.get(field) != t.get(field)
+    ]
+    return "; ".join(fields) or None
+
+
 def _difference(name: str, x: bytes, y: bytes) -> str | None:
     """What differs between two versions of the file ``name``, or None."""
     if x == y:
         return None
     if Path(name).name == "provenance.json":
-        try:
-            if _provenance(x) == _provenance(y):
-                return None
-        except ValueError:
-            pass
-        return "differs in more than paths and durations"
+        return _provenance_difference(x, y)
     offset = next((i for i, (p, q) in enumerate(zip(x, y)) if p != q), min(len(x), len(y)))
     return f"differs at byte {offset}"
 
 
-def compare_dirs(a: Path, b: Path) -> tuple[int, str | None]:
-    """(files compared, the first difference or None) between two output
-    directories.  A file in only one of them, or with other bytes, is a
-    difference; a ``provenance.json`` is compared without paths and
-    durations."""
+def compare_dirs(a: Path, b: Path) -> tuple[int, list[str]]:
+    """(files compared, every difference) between two output directories.
+    A file in only one of them, or with other bytes, is a difference; a
+    ``provenance.json`` is compared without paths and durations."""
     files_a, files_b = ({p.relative_to(d).as_posix() for p in d.rglob("*") if p.is_file()} for d in (a, b))
-    if only := sorted(files_a ^ files_b):
-        return 0, f"{only[0]}: only in {'the first' if only[0] in files_a else 'the second'} tree"
-    for count, name in enumerate(sorted(files_a)):
+    differences = [f"{name}: only in {'the first' if name in files_a else 'the second'} tree"
+                   for name in sorted(files_a ^ files_b)]
+    both = sorted(files_a & files_b)
+    for name in both:
         if difference := _difference(name, (a / name).read_bytes(), (b / name).read_bytes()):
-            return count, f"{name}: {difference}"
-    return len(files_a), None
+            differences.append(f"{name}: {difference}")
+    return len(both), differences
 
 
 def write_arem_standin(root: Path, seed: int = 5) -> None:
@@ -228,9 +245,9 @@ def _topowin(tree: Path, cwd: Path, args: list[str]) -> subprocess.CompletedProc
 
 
 def compare_trees(base: Path, work: Path, steps_by_case: dict, out: Path) -> dict:
-    """Run every case's steps in both trees, side by side, up to the first
-    difference."""
-    result = {"identical": True, "cases": len(steps_by_case), "files": 0, "first_difference": None}
+    """Run every case's steps in both trees, side by side, and collect every
+    difference after each step."""
+    files, differences = 0, []
     for case, steps in steps_by_case.items():
         dirs = (out / "base" / case, out / "work" / case)
         for d in dirs:
@@ -239,13 +256,11 @@ def compare_trees(base: Path, work: Path, steps_by_case: dict, out: Path) -> dic
             x, y = (_topowin(tree, d, args) for tree, d in zip((base, work), dirs))
             streams = (("exit code", x.returncode, y.returncode), ("stdout", x.stdout, y.stdout),
                        ("stderr", x.stderr, y.stderr))
-            difference = next((f"{name} differs" for name, p, q in streams if p != q), None)
-            if difference is None:
-                count, difference = compare_dirs(*dirs)
-                result["files"] += count
-            if difference is not None:
-                return dict(result, identical=False, first_difference=f"{case}, {step}: {difference}")
-    return result
+            found = [f"{name} differs" for name, p, q in streams if p != q]
+            count, in_files = compare_dirs(*dirs)
+            files += count
+            differences += [f"{case}, {step}: {difference}" for difference in found + in_files]
+    return {"identical": not differences, "cases": len(steps_by_case), "files": files, "differences": differences}
 
 
 def main(argv=None) -> int:

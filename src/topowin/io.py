@@ -195,7 +195,7 @@ def _naming(path: Path):
         raise DataError(f"{path}: {exc}") from None
 
 
-def _read_windowed(path: Path, fixed: list[str], window: Callable, shapes: Mapping | None) -> dict[str, tuple]:
+def _read_windowed(path: Path, fixed: list[str], window: Callable) -> dict[str, tuple]:
     """``{split: (points, [window(row of point 0), ...])}`` from columns
     ``fixed`` (split, window, point, ...), then the coordinates: each split's
     points one (count, n, d) array.  The writers number each split's windows
@@ -203,9 +203,7 @@ def _read_windowed(path: Path, fixed: list[str], window: Callable, shapes: Mappi
     0, 1, 2, ...; a window or a point out of that order, a point whose cells
     after ``point`` in ``fixed`` are not its point 0's, a coordinate that is
     not finite, or a window with another point count than its split's window
-    0 (at the line after it), is a ``DataError`` naming its line.  So is,
-    with ``shapes`` ({split: (count, n, d)}), a file whose splits are not so
-    shaped."""
+    0 (at the line after it), is a ``DataError`` naming its line."""
     splits: dict[str, tuple[list, list]] = {}  # split -> (coordinate rows, window(row)s)
     current, points = None, 0  # the split and window cells of the window being read, its points so far
     cells: list[str] = []  # the window cells (after point) of the window being read
@@ -240,13 +238,10 @@ def _read_windowed(path: Path, fixed: list[str], window: Callable, shapes: Mappi
 
     columns = f"{','.join(fixed)},..."
     d = len(_read_csv(path, columns, lambda header: parse if header[: len(fixed)] == fixed else None, close)) - len(fixed)
-    out = {
+    return {
         split: (np.array(rows, dtype=float).reshape(len(windows), len(rows) // len(windows), d), windows)
         for split, (rows, windows) in splits.items()
     }
-    if shapes is not None and (found := {split: points.shape for split, (points, _) in out.items()}) != shapes:
-        raise DataError(f"{path}: splits shaped {found}, not {dict(shapes)}")
-    return out
 
 
 def _windowed_lines(arrays_by_split: Mapping[str, tuple], memo: dict | None = None) -> Iterator[str]:
@@ -390,10 +385,10 @@ def write_windows_csv(
     return write_text(path, _csv_chunks([*_WINDOW_COLUMNS, *channel_names], _windowed_lines(windowed, memo)))
 
 
-def read_windows_csv(path: Path, shapes: Mapping | None = None) -> dict[str, Windows]:
-    """Each split's windows as one ``Windows`` (see ``_read_windowed`` for
-    ``shapes``); a label outside int64 is a ``DataError`` naming its line."""
-    splits = _read_windowed(path, _WINDOW_COLUMNS, lambda r: (np.int64(int(r[3])), float(r[4]), float(r[5])), shapes)
+def read_windows_csv(path: Path) -> dict[str, Windows]:
+    """Each split's windows as one ``Windows`` (see ``_read_windowed``); a
+    label outside int64 is a ``DataError`` naming its line."""
+    splits = _read_windowed(path, _WINDOW_COLUMNS, lambda r: (np.int64(int(r[3])), float(r[4]), float(r[5])))
     return {
         split: Windows(points, np.array([w[0] for w in windows]), np.array([w[1:] for w in windows]))
         for split, (points, windows) in splits.items()
@@ -416,10 +411,10 @@ def write_clouds_csv(clouds_by_split: Mapping[str, np.ndarray], path: Path) -> s
     return write_text(path, _csv_chunks(header, _windowed_lines(windowed)))
 
 
-def read_clouds_csv(path: Path, shapes: Mapping | None = None) -> dict[str, np.ndarray]:
+def read_clouds_csv(path: Path) -> dict[str, np.ndarray]:
     """Each split's clouds as one (count, n, d) float64 array (see
-    ``_read_windowed`` for ``shapes``)."""
-    splits = _read_windowed(path, ["split", "window", "point"], lambda row: None, shapes)
+    ``_read_windowed``)."""
+    splits = _read_windowed(path, ["split", "window", "point"], lambda row: None)
     return {split: points for split, (points, _) in splits.items()}
 
 

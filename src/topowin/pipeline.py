@@ -10,12 +10,17 @@ with the fitted parameters while it translates and anchors them.
 Each stage's cache key hashes the stage's version (``io.STAGE_VERSION``),
 the previous stage's key and the parameters that stage depends on, so
 changing (say) only k reuses everything up to the distance matrix and
-recomputes only the classification.  Each stage writes one artifact, the
-value it reads back, under ``<runs_root>/<run_id>/<stage>/<key>.<ext>``,
-next to the latest run's provenance, and the artifact's SHA-256 beside it
-in ``<key>.<ext>.sha256``, taken from the bytes as they were written.  A
-cached artifact is served only when its bytes still hash to that digest;
-provenance gives the reason an existing artifact was recomputed.
+recomputes only the classification.  Each stage writes one artifact under
+``<runs_root>/<run_id>/<stage>/<key>.<ext>``, next to the latest run's
+provenance, and the artifact's SHA-256 beside it in ``<key>.<ext>.sha256``,
+taken from the bytes as they were written.  Only the diagrams, the
+distances and the report are served from cache, and only when their bytes
+still hash to that digest.  The ingest, windows, standardize and clouds
+stages cost less to compute than to read back, so a run computes them from
+the data whenever a later stage needs them; their artifacts are written for
+the CLI stage commands and are rewritten only when missing or when they
+fail their digest.  Provenance gives the reason an existing artifact was
+replaced.
 """
 
 from __future__ import annotations
@@ -28,8 +33,6 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable
-
-import numpy as np
 
 from . import io
 from .classify import EvaluationReport, KnnConfig, evaluate, predict_all, render_report_table
@@ -368,9 +371,9 @@ def _digest_path(path: Path) -> Path:
 
 def _miss_reason(path: Path) -> str | None:
     """None when the existing artifact ``path`` still holds the bytes whose
-    SHA-256 was recorded beside it when it was written; else why it cannot
-    be served: ``"unverified"`` (no readable digest beside it) or
-    ``"corrupt"`` (its bytes do not hash to the digest)."""
+    SHA-256 was recorded beside it when it was written; else why it can be
+    neither served nor kept: ``"unverified"`` (no readable digest beside it)
+    or ``"corrupt"`` (its bytes do not hash to the digest)."""
     try:
         recorded = _digest_path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeError):
@@ -381,20 +384,6 @@ def _miss_reason(path: Path) -> str | None:
         return "corrupt"
 
 
-def _read_clouds(path: Path, shapes: dict) -> dict:
-    """A cached clouds file, refused as unreadable when the squared
-    coordinate spans of one of its clouds sum past the float range: a
-    distance between that cloud's points may then overflow, and only the
-    clouds built again from the windows tell whether the data make it so."""
-    clouds_by_split = io.read_clouds_csv(path, shapes)
-    with np.errstate(over="ignore"):
-        for split, clouds in clouds_by_split.items():
-            bound = np.isfinite(np.square(np.ptp(clouds, axis=1)).sum(axis=1))
-            if not bound.all():
-                raise DataError(f"{path}: split '{split}' window {bound.argmin()}: its squared coordinate spans overflow")
-    return clouds_by_split
-
-
 @dataclass(frozen=True)
 class _Stage:
     params: dict  # what the stage key hashes besides the upstream stage's key
@@ -402,20 +391,23 @@ class _Stage:
     inputs: tuple[str, ...]  # stages whose values ``compute`` takes
     compute: Callable  # (*inputs) -> value
     write: Callable  # (value, path) -> SHA-256 of the bytes written
-    read: Callable  # (path) -> value
+    read: Callable | None = None  # (path) -> value; None: never served, always computed
 
 
 class _StageRunner:
-    """Resolves stage values on demand.  A stage with a readable cached
-    artifact is read; any other stage is computed from its inputs, which are
-    resolved the same way first.  A stage nothing asks for is never touched.
-    A value is dropped once every stage that lists it in ``inputs`` has
-    resolved it, so a cold run frees the series before the clouds are
-    built, the clouds before the distances and the diagrams before the
-    classification.
+    """Resolves stage values on demand.  A stage with a reader and a cached
+    artifact that passes its digest and its reader is read; any other stage
+    is computed from its inputs, which are resolved the same way first.  A
+    computed stage writes its artifact unless the one there passes its
+    digest, so a stage without a reader leaves a verified artifact as it is.
+    A stage nothing asks for is never touched.  A value is dropped once
+    every stage that lists it in ``inputs`` has resolved it, so a cold run
+    frees the series before the clouds are built, the clouds before the
+    distances and the diagrams before the classification.
 
     ``stages`` lists the stages in pipeline order: each key chains the one
-    before it, so all keys are known before any stage runs."""
+    before it, so all keys are known before any stage runs.  ``kept`` names
+    the computed stages whose verified artifact was left as it was."""
 
     def __init__(self, run_dir: Path, use_cache: bool, stages: dict[str, _Stage]) -> None:
         self.run_dir = run_dir
@@ -429,6 +421,7 @@ class _StageRunner:
         # Per stage, how many stages that list it have yet to resolve it.
         self.readers = Counter(s for spec in stages.values() for s in spec.inputs)
         self.artifacts: dict[str, StageArtifact] = {}
+        self.kept: set[str] = set()
 
     def path(self, stage: str) -> Path:
         return self.run_dir / stage / f"{self.keys[stage]}.{self.stages[stage].filename}"
@@ -439,12 +432,15 @@ class _StageRunner:
         spec, path = self.stages[stage], self.path(stage)
         spent, reason = 0.0, None
         if self.use_cache and path.exists() and (reason := _miss_reason(path)) is None:
-            started = time.perf_counter()
-            try:
-                return self._done(stage, spec.read(path), "cached", started)
-            except (DataError, ValueError):
-                # An artifact its reader rejects is a cache miss too.
-                spent, reason = time.perf_counter() - started, "unreadable"
+            if spec.read is None:
+                self.kept.add(stage)
+            else:
+                started = time.perf_counter()
+                try:
+                    return self._done(stage, spec.read(path), "cached", started)
+                except (DataError, ValueError):
+                    # An artifact its reader rejects is a cache miss too.
+                    spent, reason = time.perf_counter() - started, "unreadable"
         # Inputs are resolved before a stage's clock starts and outside its
         # error prefix, so each stage times and names only its own work.
         args = [self._input(s) for s in spec.inputs]
@@ -456,7 +452,8 @@ class _StageRunner:
             # UnicodeDecodeError take other constructor arguments.
             base = next(t for t in (DataError, NumericalError, ValueError) if isinstance(exc, t))
             raise base(f"stage '{stage}': {exc}") from exc
-        io.write_text(_digest_path(path), spec.write(value, path) + "\n")
+        if stage not in self.kept:
+            io.write_text(_digest_path(path), spec.write(value, path) + "\n")
         return self._done(stage, value, "computed", started, reason)
 
     def _input(self, stage: str):
@@ -477,11 +474,12 @@ class _StageRunner:
 
     def provenance(self) -> list[StageArtifact]:
         """Every stage in pipeline order.  One that was neither read nor
-        computed is ``cached`` if its artifact exists, else ``skipped``."""
+        computed is ``cached`` if it has a reader and its artifact exists,
+        else ``skipped``."""
         out = []
-        for stage in self.stages:
+        for stage, spec in self.stages.items():
             key, path = self.keys[stage], self.path(stage)
-            status = "cached" if path.exists() else "skipped"
+            status = "cached" if spec.read is not None and path.exists() else "skipped"
             out.append(self.artifacts.get(stage) or StageArtifact(stage, key, path, status, 0.0))
         return out
 
@@ -496,15 +494,15 @@ def run(
     """Run the pipeline and return the evaluation report.
 
     Every stage key is computed up front from the data hash and the config.
-    A stage is then read from its cached artifact when one exists, and read
-    only if a stage that has to compute needs it, so a fully cached run reads
-    just the report.  ``use_cache=False`` recomputes everything.  A computed
-    stage writes only its value; the ``distmat`` JSON sidecar is the CLI's.
-    A file whose target already holds the same bytes is not rewritten, so a
-    fully cached rerun, like a ``use_cache=False`` one over an existing run,
-    replaces only ``provenance.json``.  ``workers`` is checked (>= 1) and
-    otherwise unused: every stage runs in this process.  It stays only for
-    ``perfbench/worker.py`` and ``record_reference.py``, which pass it.
+    A served stage is read only if a stage that has to compute needs it, so
+    a fully cached run reads just the report.  ``use_cache=False``
+    recomputes and writes everything.  A computed stage writes only its
+    value; the ``distmat`` JSON sidecar is the CLI's.  A file whose target already holds the same bytes
+    is not rewritten, so a fully cached rerun, like a ``use_cache=False`` one
+    over an existing run, replaces only ``provenance.json``.  ``workers`` is
+    checked (>= 1) and otherwise unused: every stage runs in this process.
+    It stays only for ``perfbench/worker.py`` and ``record_reference.py``,
+    which pass it.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -518,13 +516,15 @@ def run(
     counts = {r.name: window_count(r.stop - r.start, cfg.window.w, cfg.window.s) for r in cfg.splits.boundaries}
     # Row bytes to row text, kept from the series write to the windows write
     # when the windows (the series' own rows) are still to be written, so
-    # their writer formats no row again.  The writers must not refer to
-    # ``runner``: that cycle would keep a run's values alive after it returns.
+    # their writer formats no row again.  The windows stage is always
+    # resolved before the series it is cut from, so ``kept`` already says
+    # whether its artifact stays.  The writers must not refer to ``runner``:
+    # that cycle would keep a run's values alive after it returns.
     memo: dict | None = None
 
     def write_series(series: TimeSeries, path: Path) -> str:
         nonlocal memo
-        memo = None if windows_cached else {}
+        memo = None if "windows" in kept else {}
         return io.write_series_csv(series, path, memo)
 
     def write_windows(wins: dict, path: Path) -> str:
@@ -532,10 +532,6 @@ def run(
         digest = io.write_windows_csv(wins, cfg.schema.features, path, memo)
         memo = None
         return digest
-
-    def shapes(n: int) -> dict:
-        """What a cached windows (n = w) or clouds (n = w + k) file must hold."""
-        return {name: (count, n, len(cfg.schema.features)) for name, count in counts.items()}
 
     runner = _StageRunner(
         run_dir,
@@ -547,7 +543,6 @@ def run(
                 (),
                 lambda: load_csv(data, cfg.schema),
                 write_series,
-                io.read_series_csv,
             ),
             "windows": _Stage(
                 {"splits": cfg_dict["splits"], "w": cfg.window.w, "s": cfg.window.s, "rule": cfg.window.label_rule},
@@ -555,7 +550,6 @@ def run(
                 ("ingest",),
                 lambda series: cut_windows(series, cfg),
                 write_windows,
-                partial(io.read_windows_csv, shapes=shapes(cfg.window.w)),
             ),
             "standardize": _Stage(
                 {"splits": cfg_dict["splits"], "mode": cfg.standardize_mode, "train": cfg.train_split},
@@ -563,7 +557,6 @@ def run(
                 ("ingest",),
                 lambda series: standardize(series, cfg),
                 io.write_params_json,
-                io.read_params_json,
             ),
             "clouds": _Stage(
                 {
@@ -574,7 +567,6 @@ def run(
                 ("windows", "standardize"),
                 lambda wins, params: build_clouds(wins, params, cfg),
                 io.write_clouds_csv,
-                partial(_read_clouds, shapes=shapes(cfg.window.w + len(aug_cfg.anchors))),
             ),
             "diagrams": _Stage(
                 {
@@ -610,7 +602,7 @@ def run(
             ),
         },
     )
-    windows_cached = use_cache and runner.path("windows").exists()
+    kept = runner.kept
     report = runner.get("classify")
 
     # Stable convenience copies of the final report.

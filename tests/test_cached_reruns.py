@@ -1,11 +1,13 @@
 """Randomized differential test of cached reruns.
 
-A warm run, a ``use_cache=False`` run over an existing run, and a rerun
-that changes only ``p`` over cached diagrams must each leave the same
-``distmat.csv`` and ``report.json`` bytes as a fresh run of their config
-in an empty cache.  In both dimensions, every distance must equal the
-matching enumeration of ``tests/oracles.py``, and every prediction the
-counting vote there.  The offset and the anchors are drawn too.
+A warm run, a ``use_cache=False`` run over an existing run, a rerun that
+changes only ``k`` over a cached matrix and one that changes only ``p``
+over cached diagrams must each leave the same ``distmat.csv`` and
+``report.json`` bytes as a fresh run of their config in an empty cache.
+No run reads the series, windows, parameters or clouds it wrote: those
+readers raise.  In both dimensions, every distance must equal the matching
+enumeration of ``tests/oracles.py``, and every prediction the counting vote
+there.  The offset and the anchors are drawn too.
 """
 
 import dataclasses
@@ -55,6 +57,14 @@ def stages(cfg: PipelineConfig, root: Path) -> dict[str, dict]:
     return {s["stage"]: s for s in describe_run(cfg.run_id, root)["stages"]}
 
 
+# The artifacts of the stages a run computes from the data, never reads.
+NEVER_READ = ("read_series_csv", "read_windows_csv", "read_params_json", "read_clouds_csv")
+
+
+def refuse(path, *args, **kwargs):
+    raise AssertionError(f"a run read {path}")
+
+
 def predictions_of_run(cfg: PipelineConfig, data: Path, root: Path) -> list[int]:
     """Run ``cfg`` in ``root``; the k-NN predictions its classify stage made."""
     made = []
@@ -100,31 +110,40 @@ def test_cached_reruns_match_a_fresh_run(
         dimension=dimension, p=p, essential_policy=policy, tie_break=tie_break, k=k, maxscale=maxscale,
         offset=offset, anchors=anchors,
     )
-    other_p = dataclasses.replace(cfg, p=3.0 - p)
+    configs = {
+        "cfg": cfg,
+        "other p": dataclasses.replace(cfg, p=3.0 - p),
+        "other k": dataclasses.replace(cfg, k=k % N_TRAIN + 1),
+    }
     fresh, predictions = {}, {}
-    for c in (cfg, other_p):
-        root = tmp_path_factory.mktemp("fresh")
-        predictions[c.p] = predictions_of_run(c, data, root)
-        fresh[c.p] = stages(c, root)
+    with pytest.MonkeyPatch.context() as patch:
+        for name in NEVER_READ:
+            patch.setattr(io, name, refuse)
+        for name, c in configs.items():
+            root = tmp_path_factory.mktemp("fresh")
+            predictions[name] = predictions_of_run(c, data, root)
+            fresh[name] = stages(c, root)
 
-    root = base / "runs"
-    for c, use_cache, want in [
-        (cfg, True, {"classify": "computed"}),  # cold
-        (cfg, True, {"distances": "cached", "classify": "cached"}),  # warm
-        (cfg, False, {"diagrams": "computed", "distances": "computed", "classify": "computed"}),
-        (other_p, True, {"diagrams": "cached", "distances": "computed", "classify": "computed"}),
-    ]:
-        run(c, data, runs_root=root, use_cache=use_cache)
-        records = stages(c, root)
-        assert written(records) == written(fresh[c.p])
-        assert {stage: records[stage]["status"] for stage in want} == want
+        root = base / "runs"
+        for name, use_cache, want in [
+            ("cfg", True, {"classify": "computed"}),  # cold
+            ("cfg", True, {"ingest": "skipped", "distances": "cached", "classify": "cached"}),  # warm
+            ("cfg", False, {"diagrams": "computed", "distances": "computed", "classify": "computed"}),
+            ("other k", True, {"ingest": "computed", "clouds": "skipped", "distances": "cached"}),
+            ("other p", True, {"clouds": "skipped", "diagrams": "cached", "distances": "computed"}),
+        ]:
+            run(configs[name], data, runs_root=root, use_cache=use_cache)
+            records = stages(configs[name], root)
+            assert written(records) == written(fresh[name])
+            assert {stage: records[stage]["status"] for stage in want} == want
 
-    for p_run, records in fresh.items():
+    for name, records in fresh.items():
         diagrams = io.read_diagrams_csv(records["diagrams"]["path"], {"train": N_TRAIN, "test": N_TEST}, dimension)
         values = io.read_distmat_csv(records["distances"]["path"]).values
         for i, test in enumerate(diagrams["test"]):
             for j, train in enumerate(diagrams["train"]):
-                want = wasserstein_by_enumeration(test.pairs, train.pairs, p=p_run)
+                want = wasserstein_by_enumeration(test.pairs, train.pairs, p=configs[name].p)
                 assert values[i, j] == pytest.approx(want, rel=1e-12, abs=1e-15)
         train_labels = io.window_labels(io.read_windows_csv(records["windows"]["path"]), "train")
-        assert predictions[p_run] == [knn_vote_by_counting(row, train_labels, k, tie_break) for row in values]
+        votes = [knn_vote_by_counting(row, train_labels, configs[name].k, tie_break) for row in values]
+        assert predictions[name] == votes

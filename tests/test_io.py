@@ -162,30 +162,43 @@ class TestBytesMatchCsvWriter:
         io.write_windows_csv(wins, s.channel_names, tmp_path / "w.csv", *([memo] if shared else []))
         assert (tmp_path / "w.csv").read_bytes() == csv_bytes(windows_rows(wins, s.channel_names))
 
-    def test_run_with_cached_ingest_and_recomputed_windows(self, synth_csv, tmp_path):
+    def test_run_with_kept_series_and_recomputed_windows(self, synth_csv, tmp_path, monkeypatch):
+        # The series is loaded again from the data; its artifact passes its
+        # digest, so it is not written, and the windows are written without a memo.
         cfg = PipelineConfig.from_dict(synthetic_config_dict("memo", synth_csv, n_windows=30))
         run(cfg, synth_csv, runs_root=tmp_path)
         cfg = dataclasses.replace(cfg, window=dataclasses.replace(cfg.window, s=3))  # overlapping
+        writes, memos, write_series_csv, write_windows_csv = [], [], io.write_series_csv, io.write_windows_csv
+        monkeypatch.setattr(io, "write_series_csv", lambda *args: (writes.append(args), write_series_csv(*args))[1])
+        monkeypatch.setattr(
+            io, "write_windows_csv", lambda w, c, p, memo=None: (memos.append(memo), write_windows_csv(w, c, p, memo))[1]
+        )
         run(cfg, synth_csv, runs_root=tmp_path)
         stages = {s["stage"]: s for s in describe_run(cfg.run_id, tmp_path)["stages"]}
-        assert (stages["ingest"]["status"], stages["windows"]["status"]) == ("cached", "computed")
+        assert (stages["ingest"]["status"], stages["windows"]["status"]) == ("computed", "computed")
+        assert "reason" not in stages["ingest"]
+        assert (writes, memos) == ([], [None])
         ingest, windows = Path(stages["ingest"]["path"]), Path(stages["windows"]["path"])
         s = io.read_series_csv(ingest)
         assert ingest.read_bytes() == csv_bytes(series_rows(s))
         assert windows.read_bytes() == csv_bytes(windows_rows(cut_windows(s, cfg), cfg.schema.features))
 
-    def test_run_with_cached_windows_and_recomputed_ingest(self, synth_csv, tmp_path, monkeypatch):
+    def test_run_with_kept_windows_and_rewritten_series(self, synth_csv, tmp_path, monkeypatch):
         # No windows writer follows, so the series is written without a memo.
         cfg = PipelineConfig.from_dict(synthetic_config_dict("memo", synth_csv, n_windows=30))
         run(cfg, synth_csv, runs_root=tmp_path)
         stages = {s["stage"]: s for s in describe_run(cfg.run_id, tmp_path)["stages"]}
+        windows = Path(stages["windows"]["path"])
+        before = windows.read_bytes()
         Path(stages["ingest"]["path"]).unlink()
-        memos, write_series_csv = [], io.write_series_csv
+        memos, write_series_csv, write_windows_csv = [], io.write_series_csv, io.write_windows_csv
         monkeypatch.setattr(io, "write_series_csv", lambda s, p, memo=None: (memos.append(memo), write_series_csv(s, p, memo))[1])
+        monkeypatch.setattr(io, "write_windows_csv", lambda *args: pytest.fail("windows that pass their digest were written"))
         run(dataclasses.replace(cfg, standardize_mode="fit_on_train"), synth_csv, runs_root=tmp_path)
         stages = {s["stage"]: s for s in describe_run(cfg.run_id, tmp_path)["stages"]}
-        assert (stages["ingest"]["status"], stages["windows"]["status"]) == ("computed", "cached")
+        assert (stages["ingest"]["status"], stages["windows"]["status"]) == ("computed", "computed")
         assert memos == [None]
+        assert windows.read_bytes() == before
         ingest = Path(stages["ingest"]["path"])
         assert ingest.read_bytes() == csv_bytes(series_rows(io.read_series_csv(ingest)))
 
@@ -914,20 +927,6 @@ class TestWindowedRowOrder:
         path.write_text("\n".join(lines), encoding="utf-8")
         with pytest.raises(DataError, match=re.escape(f"{path}: line {line}: {message}")):
             read(path)
-
-    def test_shapes_other_than_the_expected_are_refused(self, tmp_path):
-        windows, clouds_path = tmp_path / "w.csv", tmp_path / "c.csv"
-        io.write_windows_csv(simple_windows(), ("c0", "c1"), windows)
-        io.write_clouds_csv({"a": clouds()["test"]}, clouds_path)
-        assert len(io.read_windows_csv(windows, shapes={"a": (2, 3, 2)})["a"]) == 2
-        assert io.read_clouds_csv(clouds_path, shapes={"a": (2, 2, 3)})["a"].shape == (2, 2, 3)
-        for read, path, shapes in [
-            (io.read_windows_csv, windows, {"a": (3, 3, 2)}),
-            (io.read_windows_csv, windows, {"a": (2, 3, 2), "b": (1, 3, 2)}),
-            (io.read_clouds_csv, clouds_path, {"a": (2, 3, 3)}),
-        ]:
-            with pytest.raises(DataError, match=re.escape(f"{path}: splits shaped {{'a': (2,")):
-                read(path, shapes=shapes)
 
     def test_written_order_reads_back_past_blank_lines(self, tmp_path):
         path = tmp_path / "w.csv"

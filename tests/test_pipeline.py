@@ -48,6 +48,10 @@ class TwoArgumentDataError(DataError):
 
 
 STAGES = ("ingest", "windows", "standardize", "clouds", "diagrams", "distances", "classify")
+# A run reads only these stages' artifacts; it computes the stages before them.
+SERVED = ("diagrams", "distances", "classify")
+# A fully cached rerun's statuses: it reads the report, and nothing needs the rest.
+WARM = {stage: "cached" if stage in SERVED else "skipped" for stage in STAGES}
 # Artifact kind: (stage that writes it, file name suffix).
 ARTIFACTS = {
     "series": ("ingest", "series.csv"),
@@ -214,8 +218,7 @@ class TestRun:
         cfg = config_for(synth_csv)
         run(cfg, synth_csv, runs_root=root)
         run(cfg, synth_csv, runs_root=root)
-        prov = describe_run("synth", root)
-        assert all(s["status"] == "cached" for s in prov["stages"])
+        assert statuses(cfg, root) == WARM
 
     def test_changing_k_reuses_distances(self, synth_csv, tmp_path):
         root = tmp_path / "runs"
@@ -231,17 +234,20 @@ class TestRun:
             name: b for name, b in fresh.items() if name.name != "provenance.json"
         }
 
-    def test_changing_window_recomputes_downstream(self, synth_csv, tmp_path):
+    def test_changing_window_recomputes_downstream(self, synth_csv, tmp_path, replaced):
         root = tmp_path / "runs"
         run(config_for(synth_csv), synth_csv, runs_root=root)
+        series = artifact(root / "synth", "series")
+        replaced.clear()
         cfg2 = config_for(synth_csv, stride=5)
         run(cfg2, synth_csv, runs_root=root)
-        status = {s["stage"]: s["status"] for s in describe_run("synth", root)["stages"]}
-        assert status["ingest"] == "cached"
-        assert status["windows"] == "computed"
-        # The standardize key chains the windows key, so the parameters are refit.
-        assert status["standardize"] == "computed"
-        assert status["distances"] == "computed"
+        # The series is computed again from the data; the standardize key
+        # chains the windows key, so the parameters are refit.
+        assert statuses(cfg2, root) == dict.fromkeys(STAGES, "computed")
+        assert reasons(cfg2, root) == {}
+        # The series artifact passed its digest, so it is left as it was.
+        assert series not in replaced
+        assert {p.parent.name for p in replaced if p.suffix != ".sha256"} == {*STAGES[1:], "synth"}
 
     def test_determinism_across_fresh_roots(self, synth_csv, tmp_path):
         cfg = config_for(synth_csv)
@@ -381,16 +387,23 @@ class TestCacheReads:
             monkeypatch.setattr(io, name, unexpected)
         run(cfg, data, runs_root=root)
         assert (root / cfg.run_id / "report.json").read_bytes() == expected
-        assert list(statuses(cfg, root).values()) == ["cached"] * 7
+        assert statuses(cfg, root) == WARM
 
-    def test_changing_k_reads_only_matrix_and_windows(self, warm, monkeypatch):
+    def test_changing_k_reads_only_the_matrix(self, warm, monkeypatch, replaced, tmp_path):
+        # The labels come from windows cut again from the data, whose
+        # artifacts pass their digests and are left as they are.
         cfg, data, root = warm
         called = recording_reads(monkeypatch)
-        run(dataclasses.replace(cfg, k=3), data, runs_root=root)
-        assert sorted(set(called)) == [("read_distmat_csv", "distances"), ("read_windows_csv", "windows")]
-        status = statuses(cfg, root)
-        assert status["classify"] == "computed"
-        assert all(status[stage] == "cached" for stage in STAGES[:-1])
+        rerun = dataclasses.replace(cfg, k=3)
+        run(rerun, data, runs_root=root)
+        assert called == [("read_distmat_csv", "distances")]
+        assert statuses(cfg, root) == dict(WARM, ingest="computed", windows="computed", classify="computed")
+        assert reasons(cfg, root) == {}
+        # Only the new report, its digest and the run's own files are written.
+        assert {p.parent.name for p in replaced} == {"classify", cfg.run_id}
+        report = Path(describe_run(cfg.run_id, root)["stages"][-1]["path"])
+        run(rerun, data, runs_root=tmp_path / "fresh")
+        assert report.read_bytes() == artifact(tmp_path / "fresh" / cfg.run_id, "report").read_bytes()
 
     def test_standardize_artifact_is_the_params(self, small_run):
         cfg, _, root = small_run
@@ -407,25 +420,25 @@ class TestCacheReads:
         artifact = f"{keys['distances']}.distmat.csv"
         assert sorted(p.name for p in (root / cfg.run_id / "distances").iterdir()) == [artifact, f"{artifact}.sha256"]
 
-    def test_changing_window_reads_only_the_series(self, warm, monkeypatch, tmp_path):
+    def test_changing_window_reads_no_artifact(self, warm, monkeypatch, tmp_path):
         cfg, data, root = warm
         cfg = dataclasses.replace(cfg, window=dataclasses.replace(cfg.window, w=5))
         called = recording_reads(monkeypatch)
         run(cfg, data, runs_root=root)
-        assert sorted(set(called)) == [("read_series_csv", "ingest")]
-        status = statuses(cfg, root)
-        assert (status["ingest"], status["windows"], status["standardize"]) == ("cached", "computed", "computed")
+        assert called == []
+        assert statuses(cfg, root) == dict.fromkeys(STAGES, "computed")
         rerun = Path(describe_run(cfg.run_id, root)["stages"][STAGES.index("windows")]["path"])
         run(cfg, data, runs_root=tmp_path / "fresh")
         assert rerun.read_bytes() == artifact(tmp_path / "fresh" / cfg.run_id, "windows").read_bytes()
 
-    def test_standardize_only_rerun_keeps_the_windows(self, warm):
+    def test_standardize_only_rerun_keeps_the_windows(self, warm, replaced):
         cfg, data, root = warm
         cfg = dataclasses.replace(cfg, standardize_mode="fit_on_train")
         run(cfg, data, runs_root=root)
-        status = statuses(cfg, root)
-        assert (status["windows"], status["standardize"], status["clouds"]) == ("cached", "computed", "computed")
+        assert statuses(cfg, root) == dict.fromkeys(STAGES, "computed")
+        # The series and windows are cut again, and their artifacts left as they were.
         assert len(list((root / cfg.run_id / "windows").iterdir())) == 2
+        assert not {p.parent.name for p in replaced} & {"ingest", "windows"}
 
     def test_splits_only_rerun_recomputes_the_windows(self, warm):
         cfg, data, root = warm
@@ -440,15 +453,15 @@ class TestCacheReads:
     def test_rerun_without_one_stage_directory(self, warm, stage):
         # With the report cached nothing upstream is read, so any other
         # stage whose directory is gone is skipped; a missing report is
-        # recomputed from the cached matrix and windows, to its bytes.
+        # recomputed from the cached matrix and windows cut again from the
+        # data, to its bytes.
         cfg, data, root = warm
         run_dir = root / cfg.run_id
         before = files(run_dir)
         shutil.rmtree(run_dir / stage)
         run(cfg, data, runs_root=root)
-        status = statuses(cfg, root)
-        assert status[stage] == ("computed" if stage == "classify" else "skipped")
-        assert all(status[s] == "cached" for s in STAGES if s != stage)
+        recomputed = {"ingest": "computed", "windows": "computed", "classify": "computed"}
+        assert statuses(cfg, root) == dict(WARM, **(recomputed if stage == "classify" else {stage: "skipped"}))
         kept = {p: b for p, b in before.items() if stage == "classify" or p.parent.name != stage}
         provenance = run_dir / "provenance.json"
         assert {p: b for p, b in files(run_dir).items() if p != provenance} == {
@@ -603,7 +616,7 @@ class TestArtifactDigests:
         assert reasons(cfg, root) == {"classify": "unverified" if damage == "missing" else "corrupt"}
         assert digest.read_bytes() == recorded
         run(cfg, data, runs_root=root)
-        assert list(statuses(cfg, root).values()) == ["cached"] * 7
+        assert statuses(cfg, root) == WARM
         assert reasons(cfg, root) == {}
 
     def test_cold_run_hashes_only_the_input(self, synth_csv, tmp_path, monkeypatch):
@@ -627,38 +640,67 @@ def drop_downstream(run_dir, kind):
 
 
 class TestMissReasons:
-    """Provenance says why a stage whose artifact existed was recomputed;
-    stages computed without an artifact, or served from cache, give none."""
+    """Provenance says why a stage whose artifact existed was recomputed, and
+    the stage writes its artifact again; stages computed without an artifact
+    or over one that passes its digest, and stages served from cache, give
+    none."""
 
     @pytest.mark.parametrize("kind", ["series", "distmat", "report"])
     def test_corrupt(self, warm, kind):
         cfg, data, root = warm
-        truncate(artifact(root / cfg.run_id, kind))
+        path = artifact(root / cfg.run_id, kind)
+        original = path.read_bytes()
+        truncate(path)
         stage = drop_downstream(root / cfg.run_id, kind)
         run(cfg, data, runs_root=root)
         assert reasons(cfg, root) == {stage: "corrupt"}
         assert statuses(cfg, root)[stage] == "computed"
+        assert path.read_bytes() == original
 
     @pytest.mark.parametrize("kind", ["windows", "params"])
     def test_unverified(self, warm, kind):
         cfg, data, root = warm
         path = artifact(root / cfg.run_id, kind)
-        path.with_name(f"{path.name}.sha256").unlink()
+        digest = path.with_name(f"{path.name}.sha256")
+        recorded = digest.read_bytes()
+        digest.unlink()
         stage = drop_downstream(root / cfg.run_id, kind)
         run(cfg, data, runs_root=root)
         assert reasons(cfg, root) == {stage: "unverified"}
         assert statuses(cfg, root)[stage] == "computed"
+        assert digest.read_bytes() == recorded
 
-    def test_unreadable(self, warm):
+    @pytest.mark.parametrize("kind", ["diagrams", "distmat", "report"])
+    def test_unreadable(self, warm, kind):
         # Bytes that match their digest but that the reader rejects.
         cfg, data, root = warm
-        path = artifact(root / cfg.run_id, "params")
+        path = artifact(root / cfg.run_id, kind)
+        original = path.read_bytes()
         path.write_text("{means: []}", encoding="utf-8")
         path.with_name(f"{path.name}.sha256").write_text(io.sha256_file(path) + "\n", encoding="utf-8")
-        drop_downstream(root / cfg.run_id, "params")
+        stage = drop_downstream(root / cfg.run_id, kind)
         run(cfg, data, runs_root=root)
-        assert reasons(cfg, root) == {"standardize": "unreadable"}
-        assert statuses(cfg, root)["clouds"] == "computed"
+        assert reasons(cfg, root) == {stage: "unreadable"}
+        assert statuses(cfg, root)[stage] == "computed"
+        assert path.read_bytes() == original
+
+    @pytest.mark.parametrize("kind", ["series", "windows", "params", "clouds"])
+    def test_a_stage_never_read_keeps_bytes_that_match_their_digest(self, warm, kind, tmp_path):
+        # The run computes the stage from the data, so bytes its reader
+        # would reject reach nothing, and a digest that matches them keeps
+        # the file.
+        cfg, data, root = warm
+        path = artifact(root / cfg.run_id, kind)
+        path.write_text("{means: []}", encoding="utf-8")
+        path.with_name(f"{path.name}.sha256").write_text(io.sha256_file(path) + "\n", encoding="utf-8")
+        stage = drop_downstream(root / cfg.run_id, kind)
+        run(cfg, data, runs_root=root)
+        assert reasons(cfg, root) == {}
+        assert statuses(cfg, root)[stage] == "computed"
+        assert path.read_text(encoding="utf-8") == "{means: []}"
+        run(cfg, data, runs_root=tmp_path / "fresh")
+        fresh = (tmp_path / "fresh" / cfg.run_id / "report.json").read_bytes()
+        assert (root / cfg.run_id / "report.json").read_bytes() == fresh
 
     @pytest.mark.parametrize("use_cache", [True, False], ids=["missing-artifact", "no-cache"])
     def test_no_reason_without_a_failed_check(self, warm, use_cache):
@@ -677,7 +719,12 @@ class TestMissReasons:
         lines = capsys.readouterr().out.splitlines()
         assert reasons(cfg, root) == {"classify": "corrupt"}
         assert [line.split(" key=")[0] for line in lines[-7:]] == [
-            *(f"{stage}: cached" for stage in STAGES[:-1]),
+            "ingest: computed",
+            "windows: computed",
+            "standardize: skipped",
+            "clouds: skipped",
+            "diagrams: cached",
+            "distances: cached",
             "classify: computed",
         ]
         assert all(re.fullmatch(r"\w+: \w+ key=[0-9a-f]{16} \([0-9.e-]+s\)", line) for line in lines[-7:])
@@ -823,8 +870,7 @@ class TestUnchangedFilesAreNotRewritten:
         assert {p: b for p, b in after.items() if p != provenance} == {
             p: b for p, b in before.items() if p != provenance
         }
-        expected = "cached" if use_cache else "computed"
-        assert list(statuses(cfg, root).values()) == [expected] * 7
+        assert statuses(cfg, root) == (WARM if use_cache else dict.fromkeys(STAGES, "computed"))
 
     @pytest.mark.parametrize(
         "name, damage",

@@ -2,19 +2,23 @@
 
 A cached run's ``diagrams.csv``, ``clouds.csv`` or ``windows.csv`` is
 mutated: bytes flipped, cut off or inserted, a line dropped, or one cell
-replaced by ``nan``, ``inf``, ``-0``, ``1e309`` or a quoted value.  A rerun
-that changes only ``p`` recomputes the distances from the cached diagrams
-and the classification with the cached windows' labels, so it has to read
-both files; with the cached diagrams dropped, it recomputes them from the
-cached clouds, so it has to read that file too.
+replaced by ``nan``, ``inf``, ``-0``, ``1e309`` or a quoted value.  The
+cached stages after the mutated one up to the diagrams are dropped, so a
+rerun that changes only ``p`` needs the mutated stage: it recomputes the
+distances from the diagrams and the classification with the windows'
+labels.
 
-- With the ``.sha256`` beside it left as it is, the rerun recomputes the
-  mutated stage with reason ``corrupt``, and its report is byte for byte a
-  fresh run's.
-- With the ``.sha256`` rewritten to match, the stage is served or
-  recomputed with reason ``unreadable``, and no exception escapes ``run``.
-  A windows file whose rows of one window disagree, and a clouds file with
-  a cloud whose distances overflow, are always recomputed.
+- The diagrams are served from cache.  With the ``.sha256`` beside them
+  left as it is, or deleted, the rerun recomputes them with reason
+  ``corrupt`` or ``unverified``, and its report is byte for byte a fresh
+  run's.  With the ``.sha256`` rewritten to
+  match, they are served or recomputed with reason ``unreadable``, and no
+  exception escapes ``run``.
+- The windows and clouds are never read by a run: it computes them from
+  the data, so its report is always a fresh run's.  A file that fails its
+  digest (reason ``corrupt``) or has none (``unverified``) is rewritten to
+  the fresh bytes; one whose ``.sha256`` was rewritten to match is left as
+  it is.
 """
 
 import dataclasses
@@ -84,57 +88,83 @@ def primed(tmp_path_factory):
     return out
 
 
-def rerun_mutated(primed, tmp_path_factory, dimension, stage, rewrite_digest, mutation):
+# The cached stages a rerun must not find, so that it needs the mutated one.
+DROPPED = {"windows": ("clouds", "diagrams"), "clouds": ("diagrams",), "diagrams": ()}
+
+
+def rerun_mutated(primed, tmp_path_factory, dimension, stage, digest, mutation):
     """The mutated stage's (status, reason) in a p = 2 rerun of a copy of the
-    primed run, and whether its report is the fresh run's."""
+    primed run, whether its report is the fresh run's, and whether the
+    mutated file was rewritten to its original bytes (and, if so, its
+    digest too) or left mutated.  ``digest`` is what became of the
+    ``.sha256`` beside the mutated file: ``"kept"``, ``"rewritten"`` to
+    match it or ``"deleted"``."""
     data, cfg, primed_root, fresh_report = primed[dimension]
     root = tmp_path_factory.mktemp("mutated") / "runs"
     shutil.copytree(primed_root, root)
     (path,) = (root / cfg.run_id / stage).glob(f"*.{stage}.csv")
+    digest_path = path.with_name(f"{path.name}.sha256")
     original = path.read_bytes()
     mutated = mutate(original, *mutation)
     if mutated == original:
         reject()
     path.write_bytes(mutated)
-    if rewrite_digest:
-        path.with_name(f"{path.name}.sha256").write_text(io.sha256_bytes(mutated) + "\n", encoding="utf-8")
-    if stage == "clouds":
-        shutil.rmtree(root / cfg.run_id / "diagrams")
+    if digest == "rewritten":
+        digest_path.write_text(io.sha256_bytes(mutated) + "\n", encoding="utf-8")
+    elif digest == "deleted":
+        digest_path.unlink()
+    for dropped in DROPPED[stage]:
+        shutil.rmtree(root / cfg.run_id / dropped)
 
     other = dataclasses.replace(cfg, p=2.0)
     run(other, data, runs_root=root)
     record = stages(other, root)[stage]
     report = Path(stages(other, root)["classify"]["path"]).read_bytes()
-    return (record["status"], record.get("reason")), report == fresh_report
+    now = path.read_bytes()
+    assert now in (original, mutated)
+    assert digest_path.read_text(encoding="utf-8") == io.sha256_bytes(now) + "\n"
+    return (record["status"], record.get("reason")), report == fresh_report, now == original
 
 
-def check(status, fresh, rewrite_digest):
-    if rewrite_digest:
+def check(status, fresh, restored, digest):
+    if digest == "rewritten":
         assert status in {("cached", None), ("computed", "unreadable")}
         assert fresh or status == ("cached", None)
+        assert restored == (status == ("computed", "unreadable"))
     else:
-        assert status == ("computed", "corrupt")
-        assert fresh
+        assert status == ("computed", "corrupt" if digest == "kept" else "unverified")
+        assert fresh and restored
+
+
+def check_never_read(status, fresh, restored, digest):
+    """A stage the run never reads is computed, and its file restored unless
+    a rewritten digest vouches for it."""
+    assert status == ("computed", {"kept": "corrupt", "rewritten": None, "deleted": "unverified"}[digest])
+    assert fresh
+    assert restored == (digest != "rewritten")
+
+
+DIGESTS = st.sampled_from(["kept", "rewritten", "deleted"])
 
 
 # Few test windows, and served diagrams that may be off, often give a 0/0 metric.
 @pytest.mark.filterwarnings("ignore::topowin.classify.UndefinedMetricWarning")
 @settings(max_examples=60, deadline=None)
-@given(dimension=st.sampled_from([0, 1]), rewrite_digest=st.booleans(), mutation=MUTATIONS)
-@example(dimension=0, rewrite_digest=True, mutation=("cell", 4, b"1e309"))  # a death of inf
-def test_mutated_diagrams_never_reach_the_report(primed, tmp_path_factory, dimension, rewrite_digest, mutation):
-    check(*rerun_mutated(primed, tmp_path_factory, dimension, "diagrams", rewrite_digest, mutation), rewrite_digest)
+@given(dimension=st.sampled_from([0, 1]), digest=DIGESTS, mutation=MUTATIONS)
+@example(dimension=0, digest="rewritten", mutation=("cell", 4, b"1e309"))  # a death of inf
+def test_mutated_diagrams_never_reach_the_report(primed, tmp_path_factory, dimension, digest, mutation):
+    check(*rerun_mutated(primed, tmp_path_factory, dimension, "diagrams", digest, mutation), digest)
 
 
 @pytest.mark.filterwarnings("ignore::topowin.classify.UndefinedMetricWarning")
 @pytest.mark.parametrize("stage", ["windows", "clouds"])
 @settings(max_examples=40, deadline=None)
-@given(rewrite_digest=st.booleans(), mutation=MUTATIONS)
-@example(rewrite_digest=True, mutation=("cell", 15, b"nan"))  # a coordinate of nan
-@example(rewrite_digest=True, mutation=("drop line", 10, b""))  # windows: window 0 a point short
-@example(rewrite_digest=True, mutation=("drop line", 11, b""))  # clouds: cloud 0 a point short
-def test_mutated_windows_and_clouds_never_reach_the_report(primed, tmp_path_factory, stage, rewrite_digest, mutation):
-    check(*rerun_mutated(primed, tmp_path_factory, 0, stage, rewrite_digest, mutation), rewrite_digest)
+@given(digest=DIGESTS, mutation=MUTATIONS)
+@example(digest="rewritten", mutation=("cell", 15, b"nan"))  # a coordinate of nan
+@example(digest="rewritten", mutation=("drop line", 10, b""))  # windows: window 0 a point short
+@example(digest="rewritten", mutation=("drop line", 11, b""))  # clouds: cloud 0 a point short
+def test_mutated_windows_and_clouds_never_reach_the_report(primed, tmp_path_factory, stage, digest, mutation):
+    check_never_read(*rerun_mutated(primed, tmp_path_factory, 0, stage, digest, mutation), digest)
 
 
 @pytest.mark.filterwarnings("ignore::topowin.classify.UndefinedMetricWarning")
@@ -143,11 +173,14 @@ def test_mutated_windows_and_clouds_never_reach_the_report(primed, tmp_path_fact
     "stage, mutation",
     [
         ("windows", ("cell", 201, b"7")),  # the label of train window 0 on its point-1 row
+        ("windows", ("cell", 402, b"1e200")),  # line 4's f0: the clouds built from it would overflow
         ("clouds", ("cell", 3, b"1e200")),  # a coordinate at which its cloud's distances overflow
     ],
-    ids=["windows-row-disagrees", "clouds-overflow"],
+    ids=["windows-row-disagrees", "windows-overflow", "clouds-overflow"],
 )
-def test_served_file_the_run_cannot_use_is_recomputed(primed, tmp_path_factory, dimension, stage, mutation):
-    status, fresh = rerun_mutated(primed, tmp_path_factory, dimension, stage, True, mutation)
-    assert status == ("computed", "unreadable")
-    assert fresh
+def test_file_the_run_could_not_use_is_never_read(primed, tmp_path_factory, dimension, stage, mutation):
+    # Each file passes its rewritten digest and is left as it is; the run
+    # builds the stage again from the data.
+    status, fresh, restored = rerun_mutated(primed, tmp_path_factory, dimension, stage, "rewritten", mutation)
+    assert status == ("computed", None)
+    assert fresh and not restored
