@@ -28,6 +28,7 @@ from .pipeline import (
     cut_windows,
     default_runs_root,
     describe_run,
+    labels_by_split,
     run,
     standardize,
     write_report,
@@ -233,8 +234,8 @@ def _cmd_classify(args) -> int:
     cfg, _ = _config(args)
     out = _out_dir(args)
     matrix = io.read_distmat_csv(_require(args.matrix, "--matrix"))
-    windows = io.read_windows_csv(_require(args.windows, "--windows"))
-    print(write_report(classify_windows(matrix, windows, cfg), out))
+    labels = labels_by_split(io.read_windows_csv(_require(args.windows, "--windows")))
+    print(write_report(classify_windows(matrix, labels, cfg), out))
     return EXIT_OK
 
 
@@ -245,9 +246,9 @@ def _cmd_sweep_k(args) -> int:
         raise ValueError("--ks needs at least one k")
     out = _out_dir(args)
     matrix = io.read_distmat_csv(_require(args.matrix, "--matrix"))
-    windows = io.read_windows_csv(_require(args.windows, "--windows"))
-    train_labels = io.window_labels(windows, cfg.train_split)
-    test_labels = io.window_labels(windows, cfg.test_split)
+    labels = labels_by_split(io.read_windows_csv(_require(args.windows, "--windows")))
+    train_labels = io.window_labels(labels, cfg.train_split)
+    test_labels = io.window_labels(labels, cfg.test_split)
     entries = sweep_k(matrix, train_labels, test_labels, ks, cfg.tie_break)
     io.write_sweep_csv(entries, out / "sweep.csv")
     print(render_sweep_table(entries))

@@ -395,10 +395,11 @@ def read_windows_csv(path: Path) -> dict[str, Windows]:
     }
 
 
-def window_labels(windows_by_split: Mapping[str, Windows], split: str) -> list[int]:
-    if split not in windows_by_split:
-        raise DataError(f"no split named '{split}' in windows file (have {sorted(windows_by_split)})")
-    return windows_by_split[split].labels.tolist()
+def window_labels(labels_by_split: Mapping[str, np.ndarray], split: str) -> list[int]:
+    """One split's window labels, from each split's label array."""
+    if split not in labels_by_split:
+        raise DataError(f"no split named '{split}' in windows file (have {sorted(labels_by_split)})")
+    return labels_by_split[split].tolist()
 
 
 # --- clouds ----------------------------------------------------------------

@@ -13,14 +13,19 @@ changing (say) only k reuses everything up to the distance matrix and
 recomputes only the classification.  Each stage writes one artifact under
 ``<runs_root>/<run_id>/<stage>/<key>.<ext>``, next to the latest run's
 provenance, and the artifact's SHA-256 beside it in ``<key>.<ext>.sha256``,
-taken from the bytes as they were written.  Only the diagrams, the
-distances and the report are served from cache, and only when their bytes
-still hash to that digest.  The ingest, windows, standardize and clouds
-stages cost less to compute than to read back, so a run computes them from
-the data whenever a later stage needs them; their artifacts are written for
-the CLI stage commands and are rewritten only when missing or when they
-fail their digest.  Provenance gives the reason an existing artifact was
-replaced.
+taken from the bytes as they were written.
+
+A run serves the report from cache if it can, else the distance matrix,
+else the diagrams, and computes every stage after the one it served.  A
+stage is served when its artifact still hashes to its digest and its
+reader accepts it.  The ingest, windows, standardize and clouds stages cost
+less to compute than to read back, so they are never served: the series
+and windows are cut from the data whenever the report is not served (it
+needs the windows' labels), and the standardization and clouds are
+computed when the diagrams are.  Their artifacts are written for the CLI
+stage commands, and a computed stage rewrites its artifact only when it is
+missing or fails its digest.  Provenance gives the reason an existing
+artifact was replaced.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -345,11 +349,15 @@ def compute_distances(diagrams_by_split: dict, cfg: PipelineConfig) -> DistanceM
     )
 
 
-def classify_windows(
-    matrix: DistanceMatrix, windows_by_split: dict, cfg: PipelineConfig
-) -> EvaluationReport:
-    train_labels = io.window_labels(windows_by_split, cfg.train_split)
-    test_labels = io.window_labels(windows_by_split, cfg.test_split)
+def labels_by_split(windows_by_split: dict) -> dict:
+    """Each split's window labels: all the classification reads of its windows."""
+    return {split: wins.labels for split, wins in windows_by_split.items()}
+
+
+def classify_windows(matrix: DistanceMatrix, labels: dict, cfg: PipelineConfig) -> EvaluationReport:
+    """The k-NN report from the matrix and each split's window labels."""
+    train_labels = io.window_labels(labels, cfg.train_split)
+    test_labels = io.window_labels(labels, cfg.test_split)
     predictions = predict_all(matrix, train_labels, KnnConfig(k=cfg.k, tie_break=cfg.tie_break))
     return evaluate(predictions, test_labels)
 
@@ -384,104 +392,8 @@ def _miss_reason(path: Path) -> str | None:
         return "corrupt"
 
 
-@dataclass(frozen=True)
-class _Stage:
-    params: dict  # what the stage key hashes besides the upstream stage's key
-    filename: str
-    inputs: tuple[str, ...]  # stages whose values ``compute`` takes
-    compute: Callable  # (*inputs) -> value
-    write: Callable  # (value, path) -> SHA-256 of the bytes written
-    read: Callable | None = None  # (path) -> value; None: never served, always computed
-
-
-class _StageRunner:
-    """Resolves stage values on demand.  A stage with a reader and a cached
-    artifact that passes its digest and its reader is read; any other stage
-    is computed from its inputs, which are resolved the same way first.  A
-    computed stage writes its artifact unless the one there passes its
-    digest, so a stage without a reader leaves a verified artifact as it is.
-    A stage nothing asks for is never touched.  A value is dropped once
-    every stage that lists it in ``inputs`` has resolved it, so a cold run
-    frees the series before the clouds are built, the clouds before the
-    distances and the diagrams before the classification.
-
-    ``stages`` lists the stages in pipeline order: each key chains the one
-    before it, so all keys are known before any stage runs.  ``kept`` names
-    the computed stages whose verified artifact was left as it was."""
-
-    def __init__(self, run_dir: Path, use_cache: bool, stages: dict[str, _Stage]) -> None:
-        self.run_dir = run_dir
-        self.use_cache = use_cache
-        self.stages = stages
-        self.keys: dict[str, str] = {}
-        parent = None
-        for stage, spec in stages.items():
-            self.keys[stage] = parent = io.stage_key(stage, parent, spec.params)
-        self.values: dict[str, object] = {}
-        # Per stage, how many stages that list it have yet to resolve it.
-        self.readers = Counter(s for spec in stages.values() for s in spec.inputs)
-        self.artifacts: dict[str, StageArtifact] = {}
-        self.kept: set[str] = set()
-
-    def path(self, stage: str) -> Path:
-        return self.run_dir / stage / f"{self.keys[stage]}.{self.stages[stage].filename}"
-
-    def get(self, stage: str):
-        if stage in self.values:
-            return self.values[stage]
-        spec, path = self.stages[stage], self.path(stage)
-        spent, reason = 0.0, None
-        if self.use_cache and path.exists() and (reason := _miss_reason(path)) is None:
-            if spec.read is None:
-                self.kept.add(stage)
-            else:
-                started = time.perf_counter()
-                try:
-                    return self._done(stage, spec.read(path), "cached", started)
-                except (DataError, ValueError):
-                    # An artifact its reader rejects is a cache miss too.
-                    spent, reason = time.perf_counter() - started, "unreadable"
-        # Inputs are resolved before a stage's clock starts and outside its
-        # error prefix, so each stage times and names only its own work.
-        args = [self._input(s) for s in spec.inputs]
-        started = time.perf_counter() - spent
-        try:
-            value = spec.compute(*args)
-        except (DataError, NumericalError, ValueError) as exc:
-            # Re-raise as the base class: subclasses such as
-            # UnicodeDecodeError take other constructor arguments.
-            base = next(t for t in (DataError, NumericalError, ValueError) if isinstance(exc, t))
-            raise base(f"stage '{stage}': {exc}") from exc
-        if stage not in self.kept:
-            io.write_text(_digest_path(path), spec.write(value, path) + "\n")
-        return self._done(stage, value, "computed", started, reason)
-
-    def _input(self, stage: str):
-        """``get(stage)`` for a stage that lists it in ``inputs``; the last
-        such stage takes the value out of ``values``."""
-        value = self.get(stage)
-        self.readers[stage] -= 1
-        if not self.readers[stage]:
-            del self.values[stage]
-        return value
-
-    def _done(self, stage: str, value, status: str, started: float, reason: str | None = None):
-        self.values[stage] = value
-        duration = round(time.perf_counter() - started, 6)
-        key, path = self.keys[stage], self.path(stage)
-        self.artifacts[stage] = StageArtifact(stage, key, path, status, duration, reason)
-        return value
-
-    def provenance(self) -> list[StageArtifact]:
-        """Every stage in pipeline order.  One that was neither read nor
-        computed is ``cached`` if it has a reader and its artifact exists,
-        else ``skipped``."""
-        out = []
-        for stage, spec in self.stages.items():
-            key, path = self.keys[stage], self.path(stage)
-            status = "cached" if spec.read is not None and path.exists() else "skipped"
-            out.append(self.artifacts.get(stage) or StageArtifact(stage, key, path, status, 0.0))
-        return out
+# The stages a run reads back from cache; it computes every other one.
+_SERVED = ("diagrams", "distances", "classify")
 
 
 def run(
@@ -493,16 +405,17 @@ def run(
 ) -> EvaluationReport:
     """Run the pipeline and return the evaluation report.
 
-    Every stage key is computed up front from the data hash and the config.
-    A served stage is read only if a stage that has to compute needs it, so
-    a fully cached run reads just the report.  ``use_cache=False``
-    recomputes and writes everything.  A computed stage writes only its
-    value; the ``distmat`` JSON sidecar is the CLI's.  A file whose target already holds the same bytes
-    is not rewritten, so a fully cached rerun, like a ``use_cache=False`` one
-    over an existing run, replaces only ``provenance.json``.  ``workers`` is
-    checked (>= 1) and otherwise unused: every stage runs in this process.
-    It stays only for ``perfbench/worker.py`` and ``record_reference.py``,
-    which pass it.
+    Every stage key is computed up front from the data hash and the config;
+    the stages are then served or computed as the module docstring says.
+    ``use_cache=False`` serves nothing and writes every artifact.  A
+    computed stage writes only its value; the ``distmat`` JSON sidecar is
+    the CLI's.  A file whose target already holds the same bytes is not
+    rewritten, so a fully cached rerun, like a ``use_cache=False`` one over
+    an existing run, replaces only ``provenance.json``.  The series is
+    dropped before the clouds, the clouds before the distances and the
+    diagrams before the classification.  ``workers`` is checked (>= 1) and
+    otherwise unused: every stage runs in this process.  It stays only for
+    ``perfbench/worker.py`` and ``record_reference.py``, which pass it.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -514,99 +427,127 @@ def run(
     cfg_dict = cfg.to_dict()
     aug_cfg = augment_config(cfg)
     counts = {r.name: window_count(r.stop - r.start, cfg.window.w, cfg.window.s) for r in cfg.splits.boundaries}
-    # Row bytes to row text, kept from the series write to the windows write
-    # when the windows (the series' own rows) are still to be written, so
-    # their writer formats no row again.  The windows stage is always
-    # resolved before the series it is cut from, so ``kept`` already says
-    # whether its artifact stays.  The writers must not refer to ``runner``:
-    # that cycle would keep a run's values alive after it returns.
-    memo: dict | None = None
+    # Per stage in pipeline order: what its key hashes besides the key of
+    # the stage before it, and its artifact's file name.
+    stages = {
+        "ingest": ({"data": data_hash, "schema": cfg_dict["schema"]}, "series.csv"),
+        "windows": (
+            {"splits": cfg_dict["splits"], "w": cfg.window.w, "s": cfg.window.s, "rule": cfg.window.label_rule},
+            "windows.csv",
+        ),
+        "standardize": (
+            {"splits": cfg_dict["splits"], "mode": cfg.standardize_mode, "train": cfg.train_split},
+            "params.json",
+        ),
+        "clouds": (
+            {"offset": [repr(v) for v in aug_cfg.offset], "anchors": [[repr(v) for v in a] for a in aug_cfg.anchors]},
+            "clouds.csv",
+        ),
+        "diagrams": (
+            {
+                "dimension": cfg.dimension,
+                "essential_policy": cfg.essential_policy,
+                "maxscale": None if cfg.maxscale is None else repr(float(cfg.maxscale)),
+            },
+            "diagrams.csv",
+        ),
+        "distances": ({"p": repr(float(cfg.p)), "train": cfg.train_split, "test": cfg.test_split}, "distmat.csv"),
+        "classify": ({"k": cfg.k, "tie_break": cfg.tie_break}, "report.json"),
+    }
+    keys, parent = {}, None
+    for stage, (params, _) in stages.items():
+        keys[stage] = parent = io.stage_key(stage, parent, params)
+    paths = {stage: run_dir / stage / f"{keys[stage]}.{name}" for stage, (_, name) in stages.items()}
+    done: dict[str, StageArtifact] = {}  # the stages read or computed
+    misses: dict[str, tuple | None] = {}  # see ``miss``
 
-    def write_series(series: TimeSeries, path: Path) -> str:
-        nonlocal memo
-        memo = None if "windows" in kept else {}
-        return io.write_series_csv(series, path, memo)
+    def miss(stage: str) -> tuple | None:
+        """None when ``stage``'s artifact stays as it is: caching is on and
+        it passes its digest.  Else ``(reason, seconds)``: why an existing
+        artifact is replaced (None if there is none to replace) and the
+        time spent reading it.  Each artifact is checked once."""
+        if stage not in misses:
+            there = use_cache and paths[stage].exists()
+            reason = _miss_reason(paths[stage]) if there else None
+            misses[stage] = None if there and reason is None else (reason, 0.0)
+        return misses[stage]
 
-    def write_windows(wins: dict, path: Path) -> str:
-        nonlocal memo
-        digest = io.write_windows_csv(wins, cfg.schema.features, path, memo)
-        memo = None
-        return digest
+    def serve(stage: str, read: Callable):
+        """``stage``'s value read from its artifact, or None on a miss."""
+        if miss(stage) is not None:
+            return None
+        started = time.perf_counter()
+        try:
+            value = read(paths[stage])
+        except (DataError, ValueError):
+            # An artifact its reader rejects is a cache miss too.
+            misses[stage] = ("unreadable", time.perf_counter() - started)
+            return None
+        done[stage] = StageArtifact(stage, keys[stage], paths[stage], "cached", round(time.perf_counter() - started, 6))
+        return value
 
-    runner = _StageRunner(
-        run_dir,
-        use_cache,
-        {
-            "ingest": _Stage(
-                {"data": data_hash, "schema": cfg_dict["schema"]},
-                "series.csv",
-                (),
-                lambda: load_csv(data, cfg.schema),
-                write_series,
-            ),
-            "windows": _Stage(
-                {"splits": cfg_dict["splits"], "w": cfg.window.w, "s": cfg.window.s, "rule": cfg.window.label_rule},
-                "windows.csv",
-                ("ingest",),
-                lambda series: cut_windows(series, cfg),
-                write_windows,
-            ),
-            "standardize": _Stage(
-                {"splits": cfg_dict["splits"], "mode": cfg.standardize_mode, "train": cfg.train_split},
-                "params.json",
-                ("ingest",),
-                lambda series: standardize(series, cfg),
-                io.write_params_json,
-            ),
-            "clouds": _Stage(
-                {
-                    "offset": [repr(v) for v in aug_cfg.offset],
-                    "anchors": [[repr(v) for v in a] for a in aug_cfg.anchors],
-                },
-                "clouds.csv",
-                ("windows", "standardize"),
-                lambda wins, params: build_clouds(wins, params, cfg),
-                io.write_clouds_csv,
-            ),
-            "diagrams": _Stage(
-                {
-                    "dimension": cfg.dimension,
-                    "essential_policy": cfg.essential_policy,
-                    "maxscale": None if cfg.maxscale is None else repr(float(cfg.maxscale)),
-                },
-                "diagrams.csv",
-                ("clouds",),
-                lambda clouds: compute_diagrams(clouds, cfg),
-                io.write_diagrams_csv,
-                lambda path: io.read_diagrams_csv(path, counts, cfg.dimension),
-            ),
-            "distances": _Stage(
-                {
-                    "p": repr(float(cfg.p)),
-                    "train": cfg.train_split,
-                    "test": cfg.test_split,
-                },
-                "distmat.csv",
-                ("diagrams",),
-                lambda diagrams: compute_distances(diagrams, cfg),
-                io.write_distmat_csv,
-                io.read_distmat_csv,
-            ),
-            "classify": _Stage(
-                {"k": cfg.k, "tie_break": cfg.tie_break},
-                "report.json",
-                ("distances", "windows"),
-                lambda matrix, wins: classify_windows(matrix, wins, cfg),
-                io.write_report_json,
-                io.read_report_json,
-            ),
-        },
-    )
-    kept = runner.kept
-    report = runner.get("classify")
+    def compute(stage: str, fn: Callable, write: Callable, *args):
+        """``fn(*args)``, its errors named by ``stage``; ``write(value, path)``
+        writes the artifact unless ``miss`` says it stays."""
+        replaced = miss(stage)
+        reason, spent = replaced or (None, 0.0)
+        started = time.perf_counter() - spent
+        try:
+            value = fn(*args)
+        except (DataError, NumericalError, ValueError) as exc:
+            # Re-raise as the base class: subclasses such as
+            # UnicodeDecodeError take other constructor arguments.
+            base = next(t for t in (DataError, NumericalError, ValueError) if isinstance(exc, t))
+            raise base(f"stage '{stage}': {exc}") from exc
+        if replaced is not None:
+            io.write_text(_digest_path(paths[stage]), write(value, paths[stage]) + "\n")
+        duration = round(time.perf_counter() - started, 6)
+        done[stage] = StageArtifact(stage, keys[stage], paths[stage], "computed", duration, reason)
+        return value
+
+    def cut() -> tuple[TimeSeries, dict]:
+        """The series loaded from the data, and its windows.  When both
+        artifacts are written, the windows' writer reuses the row text of
+        the series' writer."""
+        memo = {} if miss("ingest") and miss("windows") else None
+        series = compute("ingest", lambda: load_csv(data, cfg.schema), lambda s, path: io.write_series_csv(s, path, memo))
+        windows = compute(
+            "windows", cut_windows, lambda w, path: io.write_windows_csv(w, cfg.schema.features, path, memo), series, cfg
+        )
+        return series, windows
+
+    report = serve("classify", io.read_report_json)
+    if report is None:
+        windows = None
+        matrix = serve("distances", io.read_distmat_csv)
+        if matrix is None:
+            diagrams = serve("diagrams", lambda path: io.read_diagrams_csv(path, counts, cfg.dimension))
+            if diagrams is None:
+                series, windows = cut()
+                fitted = compute("standardize", standardize, io.write_params_json, series, cfg)
+                del series
+                clouds = compute("clouds", build_clouds, io.write_clouds_csv, windows, fitted, cfg)
+                del fitted
+                diagrams = compute("diagrams", compute_diagrams, io.write_diagrams_csv, clouds, cfg)
+                del clouds
+            matrix = compute("distances", compute_distances, io.write_distmat_csv, diagrams, cfg)
+            del diagrams
+        if windows is None:
+            windows = cut()[1]
+        # The windows go last, although only their labels are classified:
+        # freeing their points before the diagrams raised the peak RSS of
+        # perfbench's occ-warm workload by 0.1-0.5 MiB (5 batches, 2-core
+        # x86-64 Linux), more than that metric's bound.
+        report = compute("classify", classify_windows, io.write_report_json, matrix, labels_by_split(windows), cfg)
+        del matrix, windows
 
     # Stable convenience copies of the final report.
     write_report(report, run_dir)
+    # A stage neither read nor computed is cached if it is served and its
+    # artifact exists, else skipped.
+    for stage in stages.keys() - done.keys():
+        status = "cached" if stage in _SERVED and paths[stage].exists() else "skipped"
+        done[stage] = StageArtifact(stage, keys[stage], paths[stage], status, 0.0)
     io.write_json(
         run_dir / PROVENANCE_FILE,
         {
@@ -615,7 +556,7 @@ def run(
             "data": str(data),
             "data_sha256": data_hash,
             "seed": cfg.seed,
-            "stages": [a.to_dict() for a in runner.provenance()],
+            "stages": [done[stage].to_dict() for stage in stages],
             "report": str(run_dir / "report.json"),
         },
     )

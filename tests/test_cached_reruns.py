@@ -144,6 +144,6 @@ def test_cached_reruns_match_a_fresh_run(
             for j, train in enumerate(diagrams["train"]):
                 want = wasserstein_by_enumeration(test.pairs, train.pairs, p=configs[name].p)
                 assert values[i, j] == pytest.approx(want, rel=1e-12, abs=1e-15)
-        train_labels = io.window_labels(io.read_windows_csv(records["windows"]["path"]), "train")
+        train_labels = io.read_windows_csv(records["windows"]["path"])["train"].labels.tolist()
         votes = [knn_vote_by_counting(row, train_labels, configs[name].k, tie_break) for row in values]
         assert predictions[name] == votes

@@ -405,6 +405,19 @@ class TestCacheReads:
         run(rerun, data, runs_root=tmp_path / "fresh")
         assert report.read_bytes() == artifact(tmp_path / "fresh" / cfg.run_id, "report").read_bytes()
 
+    def test_changing_p_reads_only_the_diagrams(self, warm, monkeypatch, tmp_path):
+        cfg, data, root = warm
+        called = recording_reads(monkeypatch)
+        rerun = dataclasses.replace(cfg, p=2.0)
+        run(rerun, data, runs_root=root)
+        assert called == [("read_diagrams_csv", "diagrams")]
+        computed = dict.fromkeys(STAGES, "computed")
+        assert statuses(cfg, root) == dict(computed, standardize="skipped", clouds="skipped", diagrams="cached")
+        assert reasons(cfg, root) == {}
+        report = Path(describe_run(cfg.run_id, root)["stages"][-1]["path"])
+        run(rerun, data, runs_root=tmp_path / "fresh")
+        assert report.read_bytes() == artifact(tmp_path / "fresh" / cfg.run_id, "report").read_bytes()
+
     def test_standardize_artifact_is_the_params(self, small_run):
         cfg, _, root = small_run
         keys = {s["stage"]: s["key"] for s in describe_run(cfg.run_id, root)["stages"]}
@@ -963,24 +976,60 @@ class TestArtifactsRewriteToTheirBytes:
         assert (tmp_path / path.name).read_bytes() == path.read_bytes()
 
 
+# Per stage function: the objects of its value that a run must free.
+HELD = {
+    "load_csv": lambda series: [series, series.values],
+    "cut_windows": lambda windows: [wins.points for wins in windows.values()],
+    "build_clouds": lambda clouds: list(clouds.values()),
+    "compute_diagrams": lambda diagrams: [d.deaths for d in diagrams.values()],
+}
+
+
+def holding(monkeypatch, producers):
+    """Wrap each of ``producers`` in ``topowin.pipeline``; the returned list
+    collects weak references to the ``HELD`` objects of what they return."""
+    refs = []
+
+    def wrap(produce, held):
+        def producing(*args):
+            value = produce(*args)
+            refs.extend(map(weakref.ref, held(value)))
+            return value
+
+        return producing
+
+    for name in producers:
+        monkeypatch.setattr(topowin.pipeline, name, wrap(getattr(topowin.pipeline, name), HELD[name]))
+    return refs
+
+
+def alive_when(monkeypatch, consumer, refs):
+    """Wrap ``consumer``; the returned list gets, per call, how many of
+    ``refs`` are alive as it starts."""
+    consume, alive = getattr(topowin.pipeline, consumer), []
+
+    def consuming(*args):
+        alive.append(sum(ref() is not None for ref in refs))
+        return consume(*args)
+
+    monkeypatch.setattr(topowin.pipeline, consumer, consuming)
+    return alive
+
+
 class TestRunFreesItsValues:
-    def test_no_reference_cycle_outlives_a_cold_run(self, small_run, tmp_path):
-        # A cycle through the stage runner would hold every stage value
-        # until the next collection, raising the next run's peak memory.
+    def test_no_reference_cycle_outlives_a_cold_run(self, small_run, tmp_path, monkeypatch):
+        # A cycle through a run's values would hold them until the next
+        # collection, raising the next run's peak memory.
         cfg, data, _ = small_run
-
-        def runners():
-            return [o for o in gc.get_objects() if isinstance(o, topowin.pipeline._StageRunner)]
-
+        refs = holding(monkeypatch, HELD)
         gc.collect()
         gc.disable()
         try:
-            before = runners()  # any an earlier test still holds
             run(cfg, data, runs_root=tmp_path, use_cache=False)
-            left = [o for o in runners() if not any(o is b for b in before)]
+            alive = sum(ref() is not None for ref in refs)
         finally:
             gc.enable()
-        assert left == []
+        assert refs and alive == 0
 
     @pytest.mark.parametrize(
         "producer, consumer",
@@ -989,23 +1038,18 @@ class TestRunFreesItsValues:
     )
     def test_value_is_freed_before_a_later_stage_starts(self, small_run, tmp_path, monkeypatch, producer, consumer):
         cfg, data, _ = small_run
-        produce, consume = getattr(topowin.pipeline, producer), getattr(topowin.pipeline, consumer)
-        refs, alive = [], []
-
-        def producing(*args):
-            value = produce(*args)
-            # The series and its values, or every cloud of every split.
-            objects = [c for clouds in value.values() for c in clouds] if isinstance(value, dict) else [value, value.values]
-            refs.extend(map(weakref.ref, objects))
-            return value
-
-        def consuming(*args):
-            alive.append(sum(ref() is not None for ref in refs))
-            return consume(*args)
-
-        monkeypatch.setattr(topowin.pipeline, producer, producing)
-        monkeypatch.setattr(topowin.pipeline, consumer, consuming)
+        refs = holding(monkeypatch, [producer])
+        alive = alive_when(monkeypatch, consumer, refs)
         run(cfg, data, runs_root=tmp_path)
+        assert refs and alive == [0]
+
+    def test_changing_p_cuts_the_windows_after_the_distances(self, warm, monkeypatch):
+        # The served diagrams need no series or windows; the report's labels
+        # are cut from the data once the matrix is computed.
+        cfg, data, root = warm
+        refs = holding(monkeypatch, ["load_csv", "cut_windows"])
+        alive = alive_when(monkeypatch, "compute_distances", refs)
+        run(dataclasses.replace(cfg, p=2.0), data, runs_root=root)
         assert refs and alive == [0]
 
 
