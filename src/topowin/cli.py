@@ -19,6 +19,7 @@ from .distance import DistanceMatrix
 from .errors import DataError, NumericalError
 from .ingest import load_csv
 from .pipeline import (
+    CLI_FIELDS,
     PipelineConfig,
     augment_config,
     build_clouds,
@@ -29,6 +30,7 @@ from .pipeline import (
     default_runs_root,
     describe_run,
     labels_by_split,
+    parse_fields,
     run,
     standardize,
     write_report,
@@ -50,10 +52,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-# The flags that override a config field: field -> (flags, argparse
-# settings).  A command takes only those of the fields its stages read.
+# The flags that override a config field: the name of a ``PipelineConfig``
+# field or of ``CLI_FIELDS`` -> (flags, argparse settings).  A command takes
+# only those of the fields its stages read.
 _OVERRIDES = {
-    "data": (["--data"], dict(type=Path, help="input CSV (overrides the config's data)")),
+    "data": (["--data"], dict(help="input CSV (overrides the config's data)")),
     "window": (["-w", "--window"], dict(type=int, help="window length")),
     "stride": (["-s", "--stride"], dict(type=int, help="window stride")),
     "label_rule": (["--label-rule"], dict(choices=LABEL_RULES)),
@@ -148,7 +151,7 @@ def _config(args) -> tuple[PipelineConfig, str | None]:
             payload[field] = value[0] if field == "anchors" and value in (["origin"], ["none"]) else value
     cfg = PipelineConfig.from_dict(payload)
     augment_config(cfg)
-    return cfg, payload.get("data")
+    return cfg, parse_fields(payload, CLI_FIELDS)["data"]
 
 
 def _out_dir(args) -> Path:
@@ -165,9 +168,8 @@ def _require(value, flag: str):
 
 def _cmd_ingest(args) -> int:
     cfg, data = _config(args)
-    data = _require(data, "--data")
     out = _out_dir(args)
-    series = load_csv(Path(data), cfg.schema)
+    series = load_csv(Path(_require(data, "--data")), cfg.schema)
     params = standardize(series, cfg)
     io.write_series_csv(series, out / "series.csv")
     io.write_params_json(params, out / "params.json")
@@ -177,9 +179,8 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_windows(args) -> int:
     cfg, _ = _config(args)
-    series_path = _require(args.series, "--series")
     out = _out_dir(args)
-    series = io.read_series_csv(series_path)
+    series = io.read_series_csv(_require(args.series, "--series"))
     windows = cut_windows(series, cfg)
     io.write_windows_csv(windows, series.channel_names, out / "windows.csv")
     counts = ", ".join(f"{name}: {len(wins)}" for name, wins in windows.items())
@@ -233,8 +234,9 @@ def _cmd_distmat(args) -> int:
 def _cmd_classify(args) -> int:
     cfg, _ = _config(args)
     out = _out_dir(args)
-    matrix = io.read_distmat_csv(_require(args.matrix, "--matrix"))
     labels = labels_by_split(io.read_windows_csv(_require(args.windows, "--windows")))
+    train, test = (len(io.window_labels(labels, split)) for split in (cfg.train_split, cfg.test_split))
+    matrix = io.read_distmat_csv(_require(args.matrix, "--matrix"), (test, train))
     print(write_report(classify_windows(matrix, labels, cfg), out))
     return EXIT_OK
 
@@ -245,10 +247,10 @@ def _cmd_sweep_k(args) -> int:
     if not ks:
         raise ValueError("--ks needs at least one k")
     out = _out_dir(args)
-    matrix = io.read_distmat_csv(_require(args.matrix, "--matrix"))
     labels = labels_by_split(io.read_windows_csv(_require(args.windows, "--windows")))
     train_labels = io.window_labels(labels, cfg.train_split)
     test_labels = io.window_labels(labels, cfg.test_split)
+    matrix = io.read_distmat_csv(_require(args.matrix, "--matrix"), (len(test_labels), len(train_labels)))
     entries = sweep_k(matrix, train_labels, test_labels, ks, cfg.tie_break)
     io.write_sweep_csv(entries, out / "sweep.csv")
     print(render_sweep_table(entries))
@@ -332,17 +334,21 @@ def main(argv=None) -> int:
             warnings.showwarning = _show_warning
             return _COMMANDS[args.command](args)
     except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _fail("data error", exc, EXIT_DATA)
     except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _fail("numerical error", exc, EXIT_NUMERICAL)
     except (ValueError, KeyError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail("usage error", exc, EXIT_USAGE)
     except OSError as exc:
-        print(f"file error: {exc}", file=sys.stderr)
-        return EXIT_FILE
+        return _fail("file error", exc, EXIT_FILE)
+
+
+def _fail(category: str, exc: Exception, code: int) -> int:
+    """Print ``exc`` as one stderr line, a line break in a value it quotes
+    escaped, and return ``code``."""
+    message = str(exc).replace("\r", "\\r").replace("\n", "\\n")
+    print(f"{category}: {message}", file=sys.stderr)
+    return code
 
 
 def entry() -> None:

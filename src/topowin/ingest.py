@@ -344,7 +344,7 @@ def load_csv(path: str | Path, schema: CsvSchema) -> TimeSeries:
     blank cells are skipped.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"no such file: {path}")
     raw = path.read_bytes()
     if not raw.isascii():

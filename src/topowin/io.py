@@ -529,7 +529,9 @@ def write_distmat_csv(matrix: DistanceMatrix, path: Path) -> str:
     return write_text(path, _csv_chunks(["window", *range(n_cols)], lines(), rows))
 
 
-def read_distmat_csv(path: Path) -> DistanceMatrix:
+def read_distmat_csv(path: Path, shape: tuple[int, int] | None = None) -> DistanceMatrix:
+    """The matrix of a ``write_distmat_csv`` file; a matrix of another
+    (test, train) ``shape`` than one given is a ``DataError``."""
     values = []
 
     def start(header: list[str]):
@@ -548,7 +550,10 @@ def read_distmat_csv(path: Path) -> DistanceMatrix:
 
     _read_csv(path, "window,<train windows...>", start)
     with _naming(path):
-        return DistanceMatrix(values)
+        matrix = DistanceMatrix(values)
+        if shape is not None and matrix.values.shape != shape:
+            raise ValueError(f"a matrix of shape {matrix.values.shape} where {shape} (test x train windows) is due")
+        return matrix
 
 
 # --- evaluation report -------------------------------------------------------

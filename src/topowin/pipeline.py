@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -68,28 +68,131 @@ CACHE_ROOT_ENV = "TOPOWIN_CACHE_DIR"
 PROVENANCE_FILE = "provenance.json"
 
 
+def _json(kind, value, ok: Callable = lambda v: True):
+    """``value`` itself if it is a JSON value of type ``kind`` (a bool is no
+    number) for which ``ok`` holds; else a ``TypeError``."""
+    if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+        raise TypeError(value)
+    return value
+
+
+def _number(value):
+    """An int or a float as given (an int stays an int); an int too large
+    for a float raises ``OverflowError``."""
+    float(_json((int, float), value))
+    return value
+
+
+_integer = partial(_json, int)
+_string = partial(_json, str)
+
+
+def _point_spec(value, item: Callable = _number):
+    """A comma list as the CLI gives it, or a JSON list of ``item``s."""
+    return value if isinstance(value, str) else [item(v) for v in _json(list, value)]
+
+
+def _split(row):
+    """A split row: exactly ``[name, start, stop]``, a string and two integers."""
+    name, start, stop = _json(list, row, ok=lambda r: len(r) == 3)
+    return _string(name), _integer(start), _integer(stop)
+
+
+def _key(parse: Callable, expected: str, default=MISSING, nullable: bool = False):
+    """A config field read from its JSON value by ``parse``, which raises
+    ``TypeError`` or ``OverflowError`` on a value of the wrong type: "config
+    field '<name>' must be <expected>, got <value>".  A ``ValueError`` it
+    raises is the field's own message.  A missing field is ``default``, or
+    required if there is none; a null is None if ``nullable``, else of the
+    wrong type."""
+    return field(default=default, metadata={"parse": parse, "expected": expected, "nullable": nullable})
+
+
+_SCHEMA = {
+    "timestamp": _key(_string, "a string"),
+    "features": _key(lambda v: tuple(map(_string, _json(list, v))), "a list of strings"),
+    "label": _key(_string, "a string"),
+    "delimiter": _key(partial(_json, str, ok=lambda c: len(c) == 1), "one character", ","),
+}
+# The input CSV's path: a config key that only the CLI reads.
+CLI_FIELDS = {"data": _key(_string, "a string", None, nullable=True)}
+
+
+def parse_fields(payload: dict, keys: dict, prefix: str = "") -> dict:
+    """Each of ``keys`` (name -> dataclass field) read from ``payload``: by
+    its ``_key`` parser if it has one, else as given."""
+    values = {}
+    for name, key in keys.items():
+        label = prefix + name
+        if name in payload:
+            value = payload[name]
+        elif name == "stride":  # defaults to the window
+            value = values["window"]
+        elif key.default is MISSING:
+            raise ValueError(f"config field '{label}' is required")
+        else:
+            value = key.default
+        meta = key.metadata
+        if not meta or (value is None and meta["nullable"]):
+            values[name] = value
+        elif value is None:
+            # A null reads "must be a number, got null" for every number field.
+            expected = "a number" if meta["parse"] is _integer else meta["expected"]
+            raise ValueError(f"config field '{label}' must be {expected}, got null")
+        else:
+            try:
+                values[name] = meta["parse"](value)
+            except (TypeError, OverflowError):
+                raise ValueError(f"config field '{label}' must be {meta['expected']}, got {value!r}") from None
+    return values
+
+
+# Checked by ``__post_init__`` too: no config may lead a run out of its runs root.
+_RUN_ID = _key(
+    partial(_json, str, ok=lambda r: r not in ("", ".", "..") and not {"/", "\\"} & set(r)),
+    "one directory name (not empty, '.' or '..'; no '/' or '\\')",
+)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    run_id: str
-    schema: CsvSchema
-    splits: SplitSpec
-    window: WindowConfig
-    standardize_mode: str = "fit_on_combined"
-    offset: object = "auto"  # "auto" or explicit vector
-    anchors: object = "origin"  # "origin", "none", or explicit vectors
-    dimension: int = 0
+    """One experiment: a field per key of the config file.  ``from_dict``
+    reads a ``_key`` field with its parser and takes any other as given,
+    null included, for ``__post_init__`` to check."""
+
+    run_id: str = _RUN_ID
+    schema: CsvSchema = _key(
+        lambda v: CsvSchema(**parse_fields(_json(dict, v), _SCHEMA, "schema.")),
+        "an object with timestamp, features and label",
+    )
+    splits: SplitSpec = _key(
+        lambda rows: SplitSpec(tuple(map(_split, _json(list, rows)))),
+        "a list of [name, start, stop] with a string name and integer bounds",
+    )
+    window: int = _key(_integer, "an integer")
+    stride: int = _key(_integer, "an integer")
+    label_rule: str = "any_positive"
+    standardize: str = "fit_on_combined"
+    offset: object = _key(_point_spec, '"auto", a list of numbers, a comma list or null', "auto", nullable=True)
+    anchors: object = _key(
+        partial(_point_spec, item=_point_spec),
+        '"origin", "none", a comma list, a list of points or null',
+        "origin",
+        nullable=True,
+    )
+    dimension: int = _key(_integer, "an integer", 0)
     essential_policy: str = "dropped"
-    maxscale: float | None = None
-    p: float = 1.0
-    k: int = 1
+    maxscale: float | None = _key(_number, "a number or null", None, nullable=True)
+    p: float = _key(lambda v: float(_number(v)), "a number", 1.0)
+    k: int = _key(_integer, "an integer", 1)
     tie_break: str = "nearest_neighbor_label"
     train_split: str = "train"
     test_split: str = "test"
-    seed: int = 0
+    seed: int = _key(_integer, "an integer", 0)
 
     def __post_init__(self) -> None:
-        one_directory = partial(_json, str, ok=lambda r: r not in ("", ".", "..") and not {"/", "\\"} & set(r))
-        _field("run_id", self.run_id, one_directory, "one directory name (not empty, '.' or '..'; no '/' or '\\')")
+        parse_fields({"run_id": self.run_id}, {"run_id": _RUN_ID})
+        WindowConfig(self.window, self.stride, self.label_rule)  # validate
         if self.dimension not in (0, 1):
             raise ValueError(f"homology dimension must be 0 or 1, got {self.dimension}")
         if self.dimension == 1 and self.maxscale is None:
@@ -102,8 +205,8 @@ class PipelineConfig:
             math.isfinite(self.maxscale) and self.maxscale > 0
         ):
             raise ValueError(f"maxscale must be positive and finite, got {self.maxscale!r}")
-        if self.standardize_mode not in STANDARDIZE_MODES:
-            raise ValueError(f"standardize mode must be one of {STANDARDIZE_MODES}, got '{self.standardize_mode}'")
+        if self.standardize not in STANDARDIZE_MODES:
+            raise ValueError(f"standardize mode must be one of {STANDARDIZE_MODES}, got '{self.standardize}'")
         names = self.splits.names()
         if self.train_split not in names or self.test_split not in names:
             raise ValueError(
@@ -116,140 +219,21 @@ class PipelineConfig:
         WassersteinConfig(p=self.p, dimension=self.dimension)
 
     def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "schema": {
-                "timestamp": self.schema.timestamp,
-                "features": list(self.schema.features),
-                "label": self.schema.label,
-                "delimiter": self.schema.delimiter,
-            },
-            "splits": [[r.name, r.start, r.stop] for r in self.splits.boundaries],
-            "window": self.window.w,
-            "stride": self.window.s,
-            "label_rule": self.window.label_rule,
-            "standardize": self.standardize_mode,
-            "offset": _plain(self.offset),
-            "anchors": _plain(self.anchors),
-            "dimension": self.dimension,
-            "essential_policy": self.essential_policy,
-            "maxscale": self.maxscale,
-            "p": self.p,
-            "k": self.k,
-            "tie_break": self.tie_break,
-            "train_split": self.train_split,
-            "test_split": self.test_split,
-            "seed": self.seed,
-        }
+        return {key.name: _plain(getattr(self, key.name)) for key in fields(self)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PipelineConfig":
-        def number(field, parse, default, expected="a number"):
-            value = payload.get(field, default)
-            # A null reads "must be a number, got null" for every number field.
-            return _field(field, value, parse, "a number" if value is None else expected)
-
-        def integer(field, default):
-            return number(field, _integer, default, "an integer")
-
-        def nullable(field, default, parse, expected):
-            value = payload.get(field, default)
-            return None if value is None else _field(field, value, parse, f"{expected} or null")
-
-        for field in ("run_id", "schema", "splits", "window"):
-            if field not in payload:
-                raise ValueError(f"config field '{field}' is required")
-
-        expected = "an object with timestamp, features and label"
-        columns = _field("schema", payload["schema"], partial(_json, dict), expected)
-
-        def column(key, parse, expected, default=None):
-            if key not in columns and default is None:
-                raise ValueError(f"config field 'schema.{key}' is required")
-            return _field(f"schema.{key}", columns.get(key, default), parse, expected)
-
-        schema = CsvSchema(
-            column("timestamp", _string, "a string"),
-            column("features", lambda v: tuple(map(_string, _json(list, v))), "a list of strings"),
-            column("label", _string, "a string"),
-            column("delimiter", partial(_json, str, ok=lambda c: len(c) == 1), "one character", ","),
-        )
-        splits = _field(
-            "splits",
-            payload["splits"],
-            lambda rows: tuple(map(_split, _json(list, rows))),
-            "a list of [name, start, stop] with a string name and integer bounds",
-        )
-        window = WindowConfig(
-            w=integer("window", payload["window"]),
-            s=integer("stride", payload["window"]),
-            label_rule=payload.get("label_rule", "any_positive"),
-        )
-        return cls(
-            run_id=payload["run_id"],
-            schema=schema,
-            splits=SplitSpec(splits),
-            window=window,
-            standardize_mode=payload.get("standardize", "fit_on_combined"),
-            offset=nullable("offset", "auto", _point_spec, '"auto", a list of numbers, a comma list'),
-            anchors=nullable(
-                "anchors",
-                "origin",
-                partial(_point_spec, item=_point_spec),
-                '"origin", "none", a comma list, a list of points',
-            ),
-            dimension=integer("dimension", 0),
-            essential_policy=payload.get("essential_policy", "dropped"),
-            maxscale=nullable("maxscale", None, _number, "a number"),
-            p=number("p", lambda v: float(_number(v)), 1.0),
-            k=integer("k", 1),
-            tie_break=payload.get("tie_break", "nearest_neighbor_label"),
-            train_split=payload.get("train_split", "train"),
-            test_split=payload.get("test_split", "test"),
-            seed=integer("seed", 0),
-        )
+        return cls(**parse_fields(payload, {key.name: key for key in fields(cls)}))
 
 
-def _json(kind, value, ok: Callable = lambda v: True):
-    """``value`` itself if it is a JSON value of type ``kind`` (a bool is no
-    number) for which ``ok`` holds; else a ``TypeError``."""
-    if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
-        raise TypeError(value)
-    return value
-
-
-_number = partial(_json, (int, float))  # an int stays an int
-_integer = partial(_json, int)
-_string = partial(_json, str)
-
-
-def _point_spec(value, item: Callable = _number):
-    """A comma list as the CLI gives it, or a JSON list of ``item``s."""
-    return value if isinstance(value, str) else [item(v) for v in _json(list, value)]
-
-
-def _plain(spec):
-    """An offset or anchors spec as JSON: each sequence but a string a list."""
-    return spec if spec is None or isinstance(spec, (str, int, float)) else [_plain(v) for v in spec]
-
-
-def _split(row):
-    """A split row: exactly ``[name, start, stop]``, a string and two integers."""
-    name, start, stop = _json(list, row)
-    return _string(name), _integer(start), _integer(stop)
-
-
-def _field(name: str, value, parse: Callable, expected: str):
-    """``parse(value)`` for config field ``name``; a null or ill-typed value,
-    or one missing a key, raises ``ValueError`` naming the field."""
-    if value is None:
-        raise ValueError(f"config field '{name}' must be {expected}, got null")
-    try:
-        return parse(value)
-    except KeyError as exc:
-        raise ValueError(f"config field '{name}.{exc.args[0]}' is required") from None
-    except (TypeError, ValueError, AttributeError, IndexError):
-        raise ValueError(f"config field '{name}' must be {expected}, got {value!r}") from None
+def _plain(value):
+    """A field's value as the JSON it is read from: a schema as its object, a
+    split spec as its rows, each other sequence but a string a list."""
+    if isinstance(value, CsvSchema):
+        return {name: _plain(getattr(value, name)) for name in _SCHEMA}
+    if isinstance(value, SplitSpec):
+        return [[r.name, r.start, r.stop] for r in value.boundaries]
+    return value if value is None or isinstance(value, (str, int, float)) else [_plain(v) for v in value]
 
 
 @dataclass(frozen=True)
@@ -289,7 +273,7 @@ def default_runs_root(out: str | Path | None = None) -> Path:
 
 
 def standardize(series: TimeSeries, cfg: PipelineConfig) -> StandardizationParams:
-    return fit_standardizer(series, cfg.splits, cfg.standardize_mode, cfg.train_split)
+    return fit_standardizer(series, cfg.splits, cfg.standardize, cfg.train_split)
 
 
 def _each(values: dict, fn, name: str = "split '{}'") -> dict:
@@ -307,7 +291,8 @@ def _each(values: dict, fn, name: str = "split '{}'") -> dict:
 def cut_windows(series: TimeSeries, cfg: PipelineConfig) -> dict:
     """The labeled windows of every split, one ``Windows`` each, cut from the
     series as it was read: standardizing is the clouds stage's work."""
-    return _each(split_series(series, cfg.splits), lambda part: make_windows(part, cfg.window))
+    window = WindowConfig(cfg.window, cfg.stride, cfg.label_rule)
+    return _each(split_series(series, cfg.splits), lambda part: make_windows(part, window))
 
 
 def augment_config(cfg: PipelineConfig) -> AugmentConfig:
@@ -420,23 +405,23 @@ def run(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     data = Path(data)
-    if not data.exists():
+    if not data.is_file():
         raise DataError(f"stage 'ingest': no such data file: {data}")
     run_dir = default_runs_root(runs_root) / cfg.run_id
     data_hash = io.sha256_file(data)
     cfg_dict = cfg.to_dict()
     aug_cfg = augment_config(cfg)
-    counts = {r.name: window_count(r.stop - r.start, cfg.window.w, cfg.window.s) for r in cfg.splits.boundaries}
+    counts = {r.name: window_count(r.stop - r.start, cfg.window, cfg.stride) for r in cfg.splits.boundaries}
     # Per stage in pipeline order: what its key hashes besides the key of
     # the stage before it, and its artifact's file name.
     stages = {
         "ingest": ({"data": data_hash, "schema": cfg_dict["schema"]}, "series.csv"),
         "windows": (
-            {"splits": cfg_dict["splits"], "w": cfg.window.w, "s": cfg.window.s, "rule": cfg.window.label_rule},
+            {"splits": cfg_dict["splits"], "w": cfg.window, "s": cfg.stride, "rule": cfg.label_rule},
             "windows.csv",
         ),
         "standardize": (
-            {"splits": cfg_dict["splits"], "mode": cfg.standardize_mode, "train": cfg.train_split},
+            {"splits": cfg_dict["splits"], "mode": cfg.standardize, "train": cfg.train_split},
             "params.json",
         ),
         "clouds": (
@@ -519,7 +504,8 @@ def run(
     report = serve("classify", io.read_report_json)
     if report is None:
         windows = None
-        matrix = serve("distances", io.read_distmat_csv)
+        shape = (counts[cfg.test_split], counts[cfg.train_split])
+        matrix = serve("distances", lambda path: io.read_distmat_csv(path, shape))
         if matrix is None:
             diagrams = serve("diagrams", lambda path: io.read_diagrams_csv(path, counts, cfg.dimension))
             if diagrams is None:
@@ -566,8 +552,7 @@ def run(
 def describe_run(run_id: str, runs_root: str | Path | None = None) -> dict:
     """Provenance of the most recent run under this id: config, per-stage
     content hashes, computed/cached status and timings."""
-    root = default_runs_root(runs_root)
-    path = root / run_id / PROVENANCE_FILE
+    path = default_runs_root(runs_root) / run_id / PROVENANCE_FILE
     if not path.exists():
         raise DataError(f"unknown run '{run_id}' (no {path})")
     return io.read_json(path)

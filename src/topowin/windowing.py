@@ -104,7 +104,8 @@ def make_windows(series: TimeSeries, cfg: WindowConfig) -> Windows:
     n = series.length
     if n < cfg.w:
         raise DataError(f"series has {n} rows, shorter than window length {cfg.w}")
-    starts = np.arange(window_count(n, cfg.w, cfg.s)) * cfg.s
+    # A stride past the series' end gives one window, however large it is.
+    starts = np.arange(0, n - cfg.w + 1, min(cfg.s, n))
     rows = starts[:, None] + np.arange(cfg.w)
     time_ranges = series.timestamps[np.stack([starts, starts + cfg.w - 1], axis=1)]
     return Windows(series.values[rows], _label_windows(series.labels[rows], cfg.label_rule), time_ranges)

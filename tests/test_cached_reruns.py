@@ -3,7 +3,9 @@
 A warm run, a ``use_cache=False`` run over an existing run, a rerun that
 changes only ``k`` over a cached matrix and one that changes only ``p``
 over cached diagrams must each leave the same ``distmat.csv`` and
-``report.json`` bytes as a fresh run of their config in an empty cache.
+``report.json`` bytes as a fresh run of their config in an empty cache, and
+so must the CLI stage chain ``ingest`` -> ``windows`` -> ``diagrams`` ->
+``distmat`` -> ``classify``.
 No run reads the series, windows, parameters or clouds it wrote: those
 readers raise.  In both dimensions, every distance must equal the matching
 enumeration of ``tests/oracles.py``, and every prediction the counting vote
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 from topowin import PipelineConfig, describe_run, io, pipeline, run
 from topowin.classify import TIE_BREAKS
+from topowin.cli import main
 from topowin.persistence import ESSENTIAL_POLICIES
 from conftest import make_series
 from oracles import knn_vote_by_counting, wasserstein_by_enumeration
@@ -85,6 +88,22 @@ def written(records: dict[str, dict]) -> tuple[bytes, bytes]:
     return tuple(Path(records[stage]["path"]).read_bytes() for stage in ("distances", "classify"))
 
 
+def cli_chain(cfg: PipelineConfig, data: Path, base: Path) -> tuple[bytes, bytes]:
+    """The bytes of the matrix and the report the CLI stage commands write
+    for ``cfg``, one after the other, into ``base / "out"``."""
+    config, out = base / "config.json", base / "out"
+    io.write_json(config, {**cfg.to_dict(), "data": str(data)})
+    for argv in (
+        ["ingest"],
+        ["windows", "--series", out / "series.csv"],
+        ["diagrams", "--windows", out / "windows.csv", "--params", out / "params.json"],
+        ["distmat", "--diagrams", out / "diagrams.csv", "--windows", out / "windows.csv"],
+        ["classify", "--matrix", out / "distmat.csv", "--windows", out / "windows.csv"],
+    ):
+        assert main([*map(str, argv), "--config", str(config), "--out", str(out)]) == 0
+    return (out / "distmat.csv").read_bytes(), (out / "report.json").read_bytes()
+
+
 # A report of few test windows often has a 0/0 metric.
 @pytest.mark.filterwarnings("ignore::topowin.classify.UndefinedMetricWarning")
 @settings(max_examples=36, deadline=None)
@@ -98,9 +117,11 @@ def written(records: dict[str, dict]) -> tuple[bytes, bytes]:
     maxscale=st.sampled_from([0.5, 1.5, 3.0]),
     offset=st.one_of(st.just("auto"), st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2)),
     anchors=st.sampled_from(["origin", "none"]),
+    # The CLI chain on about one example in three, which keeps the test's time.
+    chained=st.sampled_from([True, False, False]),
 )
 def test_cached_reruns_match_a_fresh_run(
-    tmp_path_factory, seed, dimension, p, policy, tie_break, k, maxscale, offset, anchors
+    tmp_path_factory, seed, dimension, p, policy, tie_break, k, maxscale, offset, anchors, chained
 ):
     base = tmp_path_factory.mktemp("rerun")
     data = base / "series.csv"
@@ -137,6 +158,8 @@ def test_cached_reruns_match_a_fresh_run(
             assert written(records) == written(fresh[name])
             assert {stage: records[stage]["status"] for stage in want} == want
 
+    if chained:
+        assert cli_chain(cfg, data, base / "chain") == written(fresh["cfg"])
     for name, records in fresh.items():
         diagrams = io.read_diagrams_csv(records["diagrams"]["path"], {"train": N_TRAIN, "test": N_TEST}, dimension)
         values = io.read_distmat_csv(records["distances"]["path"]).values

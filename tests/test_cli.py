@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import shutil
@@ -9,9 +10,9 @@ import numpy as np
 import pytest
 
 from topowin import DistanceMatrix, describe_run, io
-from topowin.cli import main, write_distances
+from topowin.cli import _OVERRIDES, main, write_distances
 from topowin.io import read_json, write_json
-from topowin.pipeline import PipelineConfig
+from topowin.pipeline import CLI_FIELDS, PipelineConfig
 from conftest import synthetic_config_dict
 
 
@@ -95,6 +96,10 @@ def test_flag_the_command_does_not_use_is_a_usage_error(command, flag, tmp_path,
     assert main(argv) == 1
     assert f"usage error: unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_each_override_flag_sets_a_config_field():
+    assert _OVERRIDES.keys() <= {key.name for key in dataclasses.fields(PipelineConfig)} | CLI_FIELDS.keys()
 
 
 # (command, config fields, a flag it takes, the config fields that flag sets)
@@ -260,6 +265,14 @@ class TestStageCommands:
         code = main(["ingest", "--config", str(config_path), "--data", str(missing), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ingest", "run"])
+    def test_data_path_naming_a_directory(self, command, tmp_path, config_path, capsys):
+        # Both commands read the data file the same way: a directory is no file.
+        out = tmp_path / "o"
+        assert main([command, "--config", str(config_path), "--data", str(tmp_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "windows"])
     def test_split_shorter_than_the_window_is_named(self, command, tmp_path, synth_csv, capsys):
@@ -628,12 +641,14 @@ class TestConfigErrors:
             ("offset", True),
             ("anchors", 5),
             ("anchors", [5]),
+            ("data", 5),
+            ("data", ["a"]),
         ],
         ids=[
             "run_id-int", "run_id-parent", "run_id-slash", "run_id-backslash", "run_id-dotdot", "run_id-empty",
             "delimiter-two-chars", "delimiter-int", "features-string", "features-int", "timestamp-int",
             "label-list", "split-four-cells", "split-int-name", "offset-int", "offset-nested", "offset-bool",
-            "anchors-int", "anchors-int-point",
+            "anchors-int", "anchors-int-point", "data-int", "data-list",
         ],
     )
     def test_ill_formed_field_is_a_usage_error_before_any_output(self, tmp_path, synth_csv, name, value, capsys):
@@ -710,6 +725,30 @@ class TestNumberingErrors:
         argv = ["classify", "--config", str(config), "--out", str(out)]
         assert main([*argv, "--matrix", str(inputs["matrix"]), "--windows", str(inputs["windows"])]) == 2
         assert capsys.readouterr().err == f"data error: {damaged}: line {line}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["classify", "sweep-k"])
+    @pytest.mark.parametrize("cut", ["row", "column"])
+    def test_matrix_that_does_not_fit_the_windows(self, small_run, tmp_path, command, cut, capsys):
+        cfg, _, root = small_run
+        config = tmp_path / "small.json"
+        write_json(config, cfg.to_dict())
+        (matrix,) = (root / cfg.run_id).glob("distances/*.distmat.csv")
+        (windows,) = (root / cfg.run_id).glob("windows/*.windows.csv")
+        damaged = tmp_path / matrix.name
+        lines = matrix.read_text(encoding="utf-8").splitlines()
+        rows = len(lines) - 1
+        cols = len(lines[0].split(",")) - 1
+        if cut == "row":
+            kept, shape = lines[:-1], (rows - 1, cols)
+        else:
+            kept, shape = [line.rsplit(",", 1)[0] for line in lines], (rows, cols - 1)
+        damaged.write_text("\n".join(kept) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = [command, "--config", str(config), "--out", str(out), "--matrix", str(damaged), "--windows", str(windows)]
+        assert main([*argv, *(["--ks", "1,3"] if command == "sweep-k" else [])]) == 2
+        due = f"{(rows, cols)} (test x train windows) is due"
+        assert capsys.readouterr().err == f"data error: {damaged}: a matrix of shape {shape} where {due}\n"
         assert not out.exists()
 
     def test_diagrams_rejects_windows_with_deleted_test_windows(self, tmp_path, config_path, synth_csv, capsys):

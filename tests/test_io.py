@@ -167,7 +167,7 @@ class TestBytesMatchCsvWriter:
         # digest, so it is not written, and the windows are written without a memo.
         cfg = PipelineConfig.from_dict(synthetic_config_dict("memo", synth_csv, n_windows=30))
         run(cfg, synth_csv, runs_root=tmp_path)
-        cfg = dataclasses.replace(cfg, window=dataclasses.replace(cfg.window, s=3))  # overlapping
+        cfg = dataclasses.replace(cfg, stride=3)  # overlapping
         writes, memos, write_series_csv, write_windows_csv = [], [], io.write_series_csv, io.write_windows_csv
         monkeypatch.setattr(io, "write_series_csv", lambda *args: (writes.append(args), write_series_csv(*args))[1])
         monkeypatch.setattr(
@@ -194,7 +194,7 @@ class TestBytesMatchCsvWriter:
         memos, write_series_csv, write_windows_csv = [], io.write_series_csv, io.write_windows_csv
         monkeypatch.setattr(io, "write_series_csv", lambda s, p, memo=None: (memos.append(memo), write_series_csv(s, p, memo))[1])
         monkeypatch.setattr(io, "write_windows_csv", lambda *args: pytest.fail("windows that pass their digest were written"))
-        run(dataclasses.replace(cfg, standardize_mode="fit_on_train"), synth_csv, runs_root=tmp_path)
+        run(dataclasses.replace(cfg, standardize="fit_on_train"), synth_csv, runs_root=tmp_path)
         stages = {s["stage"]: s for s in describe_run(cfg.run_id, tmp_path)["stages"]}
         assert (stages["ingest"]["status"], stages["windows"]["status"]) == ("computed", "computed")
         assert memos == [None]

@@ -116,6 +116,16 @@ class TestConfig:
         assert {name: payload[name] for name in spec} == spec
         assert PipelineConfig.from_dict(payload) == cfg
 
+    @pytest.mark.parametrize("run_id", ["../x", "a/b", "a\\b", "..", ".", "", 5, None])
+    def test_directly_built_config_checks_its_run_id(self, synth_csv, run_id):
+        # Not only from_dict: a run_id that is not one directory name would
+        # send the run's files outside its runs root.
+        message = re.escape("config field 'run_id' must be one directory name")
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(config_for(synth_csv), run_id=run_id)
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig(**{**vars(config_for(synth_csv)), "run_id": run_id})
+
     @pytest.mark.parametrize("field", ["window", "stride", "k", "p", "dimension", "seed"])
     def test_null_number_field_names_the_field(self, synth_csv, field):
         payload = synthetic_config_dict("synth", synth_csv)
@@ -147,6 +157,9 @@ class TestConfig:
             ("p", True),
             ("p", "2"),
             ("maxscale", True),
+            ("p", 10**400),  # an int no float holds
+            ("maxscale", -(10**400)),
+            ("offset", [10**400, 0, 0]),
         ],
     )
     def test_ill_typed_field_names_the_field(self, synth_csv, field, value):
@@ -277,6 +290,11 @@ class TestRun:
     def test_missing_data_file(self, synth_csv, tmp_path):
         with pytest.raises(DataError, match="stage 'ingest'"):
             run(config_for(synth_csv), tmp_path / "absent.csv", runs_root=tmp_path / "runs")
+
+    def test_data_path_naming_a_directory(self, synth_csv, tmp_path):
+        with pytest.raises(DataError, match="stage 'ingest': no such data file"):
+            run(config_for(synth_csv), tmp_path, runs_root=tmp_path / "runs")
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize(
         "exc, base",
@@ -435,7 +453,7 @@ class TestCacheReads:
 
     def test_changing_window_reads_no_artifact(self, warm, monkeypatch, tmp_path):
         cfg, data, root = warm
-        cfg = dataclasses.replace(cfg, window=dataclasses.replace(cfg.window, w=5))
+        cfg = dataclasses.replace(cfg, window=5)
         called = recording_reads(monkeypatch)
         run(cfg, data, runs_root=root)
         assert called == []
@@ -446,7 +464,7 @@ class TestCacheReads:
 
     def test_standardize_only_rerun_keeps_the_windows(self, warm, replaced):
         cfg, data, root = warm
-        cfg = dataclasses.replace(cfg, standardize_mode="fit_on_train")
+        cfg = dataclasses.replace(cfg, standardize="fit_on_train")
         run(cfg, data, runs_root=root)
         assert statuses(cfg, root) == dict.fromkeys(STAGES, "computed")
         # The series and windows are cut again, and their artifacts left as they were.
@@ -1266,7 +1284,7 @@ class TestCloudsStage:
         assert len(windows) == sum(r.stop - r.start for r in cfg.splits.boundaries)
         for line in windows:
             split, window, point, _, _, _, *cells = line.split(",")
-            row = starts[split] + int(window) * cfg.window.s + int(point)
+            row = starts[split] + int(window) * cfg.stride + int(point)
             assert cells == series[row].split(",")[1:-1]
 
     def test_overflowing_coordinate_is_a_data_error_in_clouds(self, tmp_path, capsys):

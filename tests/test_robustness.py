@@ -1,35 +1,44 @@
-"""Mutated cached artifacts never reach a run's report.
+"""Mutated cached artifacts never reach a run's report, and no config value
+crashes the CLI.
 
-A cached run's ``diagrams.csv``, ``clouds.csv`` or ``windows.csv`` is
-mutated: bytes flipped, cut off or inserted, a line dropped, or one cell
-replaced by ``nan``, ``inf``, ``-0``, ``1e309`` or a quoted value.  The
-cached stages after the mutated one up to the diagrams are dropped, so a
-rerun that changes only ``p`` needs the mutated stage: it recomputes the
-distances from the diagrams and the classification with the windows'
-labels.
+A cached run's ``diagrams.csv``, ``clouds.csv``, ``windows.csv``,
+``distmat.csv`` or ``report.json`` is mutated: bytes flipped, cut off or
+inserted, a line dropped, or one cell replaced by ``nan``, ``inf``, ``-0``,
+``1e309`` or a quoted value.  A rerun then needs the mutated file: one that
+changes only ``p`` for the diagrams, windows and clouds (the cached stages
+after the mutated one up to the diagrams are dropped), one that changes
+only ``k`` for the matrix (the cached reports are dropped), and a warm
+rerun for the report.
 
-- The diagrams are served from cache.  With the ``.sha256`` beside them
-  left as it is, or deleted, the rerun recomputes them with reason
-  ``corrupt`` or ``unverified``, and its report is byte for byte a fresh
-  run's.  With the ``.sha256`` rewritten to
-  match, they are served or recomputed with reason ``unreadable``, and no
-  exception escapes ``run``.
+- The diagrams, the matrix and the report are served from cache.  With the
+  ``.sha256`` beside them left as it is, or deleted, the rerun recomputes
+  them with reason ``corrupt`` or ``unverified``, and its report is byte
+  for byte a fresh run's.  With the ``.sha256`` rewritten to match, they
+  are served or recomputed with reason ``unreadable``, and no exception
+  escapes ``run``.
 - The windows and clouds are never read by a run: it computes them from
   the data, so its report is always a fresh run's.  A file that fails its
   digest (reason ``corrupt``) or has none (``unverified``) is rewritten to
   the fresh bytes; one whose ``.sha256`` was rewritten to match is left as
   it is.
+
+A config with any JSON value in any one key is refused with a
+``ValueError`` or ``KeyError``, and ``topowin run`` over it exits with one
+stderr line and no traceback.
 """
 
 import dataclasses
 import shutil
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from topowin import PipelineConfig, describe_run, io, run
+from topowin import PipelineConfig, describe_run, io, pipeline, run
+from topowin.cli import main
 from conftest import synthetic_config_dict, synthetic_two_class_series
 
 N_WINDOWS = 10  # 6 train and 4 test windows; 100 dimension-0 and 7 dimension-1 points
@@ -68,10 +77,22 @@ def stages(cfg: PipelineConfig, root: Path) -> dict[str, dict]:
     return {s["stage"]: s for s in describe_run(cfg.run_id, root)["stages"]}
 
 
+# Per mutated stage: its file, the cached stages a rerun must not find so
+# that it needs that file, and the rerun: its change to the config in RERUNS.
+TARGETS = {
+    "windows": ("windows.csv", ("clouds", "diagrams"), "p"),
+    "clouds": ("clouds.csv", ("diagrams",), "p"),
+    "diagrams": ("diagrams.csv", (), "p"),
+    "distances": ("distmat.csv", ("classify",), "k"),
+    "classify": ("report.json", (), "warm"),
+}
+RERUNS = {"p": {"p": 2.0}, "k": {"k": 3}, "warm": {}}
+
+
 @pytest.fixture(scope="module")
 def primed(tmp_path_factory):
-    """Per dimension: the data, a p = 1 config, the runs root of its run, and
-    the report bytes of a fresh p = 2 run."""
+    """Per dimension: the data, a p = 1, k = 5 config, the runs root of its
+    run, and the report bytes of a fresh run with each rerun's change."""
     base = tmp_path_factory.mktemp("robust")
     data = base / "series.csv"
     io.write_series_csv(synthetic_two_class_series(n_windows=N_WINDOWS), data)
@@ -81,28 +102,27 @@ def primed(tmp_path_factory):
         payload.update(dimension=dimension, maxscale=3.0)
         cfg = PipelineConfig.from_dict(payload)
         run(cfg, data, runs_root=base / f"primed-{dimension}")
-        other = dataclasses.replace(cfg, p=2.0)
-        run(other, data, runs_root=base / f"fresh-{dimension}")
-        report = Path(stages(other, base / f"fresh-{dimension}")["classify"]["path"]).read_bytes()
-        out[dimension] = (data, cfg, base / f"primed-{dimension}", report)
+        reports = {}
+        for name, change in RERUNS.items():
+            other = dataclasses.replace(cfg, **change)
+            run(other, data, runs_root=base / f"fresh-{name}-{dimension}")
+            reports[name] = Path(stages(other, base / f"fresh-{name}-{dimension}")["classify"]["path"]).read_bytes()
+        out[dimension] = (data, cfg, base / f"primed-{dimension}", reports)
     return out
 
 
-# The cached stages a rerun must not find, so that it needs the mutated one.
-DROPPED = {"windows": ("clouds", "diagrams"), "clouds": ("diagrams",), "diagrams": ()}
-
-
 def rerun_mutated(primed, tmp_path_factory, dimension, stage, digest, mutation):
-    """The mutated stage's (status, reason) in a p = 2 rerun of a copy of the
-    primed run, whether its report is the fresh run's, and whether the
-    mutated file was rewritten to its original bytes (and, if so, its
-    digest too) or left mutated.  ``digest`` is what became of the
-    ``.sha256`` beside the mutated file: ``"kept"``, ``"rewritten"`` to
+    """The mutated stage's (status, reason) in a rerun of a copy of the
+    primed run (see ``TARGETS``), whether its report is the fresh run's,
+    and whether the mutated file was rewritten to its original bytes (and,
+    if so, its digest too) or left mutated.  ``digest`` is what became of
+    the ``.sha256`` beside the mutated file: ``"kept"``, ``"rewritten"`` to
     match it or ``"deleted"``."""
-    data, cfg, primed_root, fresh_report = primed[dimension]
+    data, cfg, primed_root, fresh_reports = primed[dimension]
+    name, dropped, rerun = TARGETS[stage]
     root = tmp_path_factory.mktemp("mutated") / "runs"
     shutil.copytree(primed_root, root)
-    (path,) = (root / cfg.run_id / stage).glob(f"*.{stage}.csv")
+    (path,) = (root / cfg.run_id / stage).glob(f"*.{name}")
     digest_path = path.with_name(f"{path.name}.sha256")
     original = path.read_bytes()
     mutated = mutate(original, *mutation)
@@ -113,17 +133,17 @@ def rerun_mutated(primed, tmp_path_factory, dimension, stage, digest, mutation):
         digest_path.write_text(io.sha256_bytes(mutated) + "\n", encoding="utf-8")
     elif digest == "deleted":
         digest_path.unlink()
-    for dropped in DROPPED[stage]:
-        shutil.rmtree(root / cfg.run_id / dropped)
+    for later in dropped:
+        shutil.rmtree(root / cfg.run_id / later)
 
-    other = dataclasses.replace(cfg, p=2.0)
+    other = dataclasses.replace(cfg, **RERUNS[rerun])
     run(other, data, runs_root=root)
     record = stages(other, root)[stage]
     report = Path(stages(other, root)["classify"]["path"]).read_bytes()
     now = path.read_bytes()
     assert now in (original, mutated)
     assert digest_path.read_text(encoding="utf-8") == io.sha256_bytes(now) + "\n"
-    return (record["status"], record.get("reason")), report == fresh_report, now == original
+    return (record["status"], record.get("reason")), report == fresh_reports[rerun], now == original
 
 
 def check(status, fresh, restored, digest):
@@ -157,6 +177,15 @@ def test_mutated_diagrams_never_reach_the_report(primed, tmp_path_factory, dimen
 
 
 @pytest.mark.filterwarnings("ignore::topowin.classify.UndefinedMetricWarning")
+@pytest.mark.parametrize("stage", ["distances", "classify"])
+@settings(max_examples=30, deadline=None)
+@given(dimension=st.sampled_from([0, 1]), digest=DIGESTS, mutation=MUTATIONS)
+@example(dimension=0, digest="rewritten", mutation=("drop line", 4, b""))  # distmat: a test row short
+def test_mutated_matrix_and_report_never_reach_the_report(primed, tmp_path_factory, stage, dimension, digest, mutation):
+    check(*rerun_mutated(primed, tmp_path_factory, dimension, stage, digest, mutation), digest)
+
+
+@pytest.mark.filterwarnings("ignore::topowin.classify.UndefinedMetricWarning")
 @pytest.mark.parametrize("stage", ["windows", "clouds"])
 @settings(max_examples=40, deadline=None)
 @given(digest=DIGESTS, mutation=MUTATIONS)
@@ -184,3 +213,66 @@ def test_file_the_run_could_not_use_is_never_read(primed, tmp_path_factory, dime
     status, fresh, restored = rerun_mutated(primed, tmp_path_factory, dimension, stage, "rewritten", mutation)
     assert status == ("computed", None)
     assert fresh and not restored
+
+
+# --- config values -----------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+# Every key the config file's table knows: PipelineConfig's fields, the
+# schema's keys and the CLI's data path.
+CONFIG_KEYS = [
+    *(key.name for key in dataclasses.fields(PipelineConfig)),
+    *(f"schema.{name}" for name in pipeline._SCHEMA),
+    *pipeline.CLI_FIELDS,
+]
+
+
+@pytest.fixture(scope="module")
+def config_data(tmp_path_factory):
+    data = tmp_path_factory.mktemp("config-data") / "series.csv"
+    io.write_series_csv(synthetic_two_class_series(n_windows=N_WINDOWS), data)
+    return data
+
+
+# A run over a mutated config may have a 0/0 metric.
+@pytest.mark.filterwarnings("ignore::topowin.classify.UndefinedMetricWarning")
+@settings(max_examples=100, deadline=None)
+@given(key=st.sampled_from(CONFIG_KEYS), value=JSON_VALUES)
+@example(key="data", value=5)
+@example(key="data", value=["a"])
+@example(key="data", value="")  # the current directory, not a data file
+@example(key="p", value=10**400)  # an int no float holds
+@example(key="maxscale", value=-(10**400))
+@example(key="offset", value=[10**400, 0, 0])
+@example(key="stride", value=2**63)  # past int64: one window per split
+@example(key="label_rule", value="any\npositive")  # a line break in the value the message quotes
+def test_any_json_value_in_any_config_key(config_data, tmp_path_factory, key, value):
+    """A config with one key set to any JSON value: ``from_dict`` and the
+    offset and anchors raise only ``ValueError`` or ``KeyError``, and
+    ``topowin run`` succeeds or exits with its code and one stderr line,
+    leaving no runs directory after a usage error."""
+    payload = synthetic_config_dict("fuzzed", config_data, n_windows=N_WINDOWS)
+    parent, name = ("schema", key[len("schema.") :]) if key.startswith("schema.") else (None, key)
+    (payload[parent] if parent else payload)[name] = value
+    try:
+        pipeline.augment_config(PipelineConfig.from_dict(payload))
+    except (ValueError, KeyError):
+        pass
+
+    base = tmp_path_factory.mktemp("fuzzed")
+    config, out = base / "fuzzed.json", base / "runs"
+    io.write_json(config, payload)
+    stderr, stdout = StringIO(), StringIO()
+    with redirect_stderr(stderr), redirect_stdout(stdout):
+        code = main(["run", "--config", str(config), "--out", str(out)])
+    if code != 0:
+        # 4 is a file error: say, a run_id too long for a directory name.
+        assert code in (1, 2, 3, 4)
+        assert stderr.getvalue().count("\n") == 1 and stderr.getvalue().endswith("\n")
+        assert "Traceback" not in stderr.getvalue()
+    if code == 1:
+        assert not out.exists()

@@ -43,6 +43,11 @@ class TestMakeWindows:
             assert sorted(seen.tolist()) == list(range(len(wins) * w))
             assert len(set(seen.tolist())) == len(seen)
 
+    @pytest.mark.parametrize("s", [13, 2**63, 10**30])
+    def test_stride_past_the_end_gives_one_window(self, s):
+        wins = make_windows(make_series(np.arange(12.0)), WindowConfig(w=10, s=s))
+        np.testing.assert_array_equal(wins.points[:, :, 0], [np.arange(10.0)])
+
     def test_short_series_error(self):
         series = make_series(np.arange(5.0))
         with pytest.raises(DataError, match="shorter than window"):
