@@ -25,6 +25,7 @@ from .distance import DistanceMatrix
 from .errors import DataError
 
 TIE_BREAKS = ("nearest_neighbor_label", "lowest_class_id")
+_DIGITS = 4  # decimals of a metric in the printed tables
 
 # Cells of the (rows, labels, classes) one-hot array of one block of a vote;
 # its int64 counts keep a block's temporaries to a few MiB.
@@ -214,24 +215,24 @@ def sweep_k(
     return [KSweepEntry(k, r.accuracy, r.sensitivity, r.specificity) for k, r in zip(ks, reports)]
 
 
-def _fmt(value: Fraction | None, digits: int = 4) -> str:
-    return "-" if value is None else f"{round_half_up(value, digits):.{digits}f}"
+def _fmt(value: Fraction | None) -> str:
+    return "-" if value is None else f"{round_half_up(value, _DIGITS):.{_DIGITS}f}"
 
 
-def render_report_table(report: EvaluationReport, digits: int = 4) -> str:
+def render_report_table(report: EvaluationReport) -> str:
     """Aligned one-row metrics table (per-class precision and F1 columns)."""
     classes = report.classes
     headers = ["Accuracy", "Sensitivity", "Specificity"]
     headers += [f"Precision({c})" for c in classes] + [f"F1({c})" for c in classes]
     values = [report.accuracy, report.sensitivity, report.specificity]
     values += [report.precision[c] for c in classes] + [report.f1[c] for c in classes]
-    return _aligned([headers, [_fmt(v, digits) for v in values]])
+    return _aligned([headers, [_fmt(v) for v in values]])
 
 
-def render_sweep_table(entries: Sequence[KSweepEntry], digits: int = 4) -> str:
+def render_sweep_table(entries: Sequence[KSweepEntry]) -> str:
     """k values across the top, one row per metric."""
     metrics = ("accuracy", "sensitivity", "specificity")
-    rows = [[m] + [_fmt(getattr(e, m), digits) for e in entries] for m in metrics]
+    rows = [[m] + [_fmt(getattr(e, m)) for e in entries] for m in metrics]
     return _aligned([["k"] + [str(e.k) for e in entries], *rows])
 
 

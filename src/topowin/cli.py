@@ -278,9 +278,13 @@ def _cmd_plot_diagram(args) -> int:
     path = _require(args.diagram, "--diagram")
     keyed, points = io.read_diagram_points(path)
     suffix = ""
+    if not keyed and (args.split is not None or args.index is not None):
+        raise ValueError(f"{path} holds one diagram; --split and --index select in a long-format file")
     if keyed:
         splits = sorted({p[0] for p in points})
         split = args.split or next(iter(splits), "")
+        if {"/", "\\"} & set(split):  # the split is part of the output file names
+            raise ValueError(f"split '{split}' holds a '/' or '\\', so it cannot name an output file")
         if split not in splits:
             raise ValueError(f"no rows for split '{split}'; the file holds splits {splits}")
         rows = [p for p in points if p[0] == split]

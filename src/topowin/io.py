@@ -5,7 +5,7 @@ round-trip), JSON keys are sorted, CSV rows follow a fixed order.  Reading
 then rewriting an artifact reproduces it byte for byte, and reading a
 malformed one is a ``DataError`` naming its file (and line).  The series
 artifact has the input's shape and is read by the input's own loader,
-``ingest.load_csv``; the other CSV readers share ``_read_csv``.  One row
+``ingest.load_csv``; the other CSV readers loop over ``_csv_rows``.  One row
 formatter, ``_row_cells``, writes the float cells of the series, windows,
 clouds and distance-matrix rows; ``csv`` formats only header rows and split
 names.  The windows are the series' own rows, so a run hands the series and
@@ -149,15 +149,13 @@ def _csv_chunks(header: Sequence, lines: Iterable[str], rows: int | None = None)
         yield "".join(chunk)
 
 
-def _read_csv(
-    path: str | Path, columns: str, start: Callable[[list[str]], Callable | None], end: Callable | None = None
-) -> list[str]:
-    """The header of ``path``, once ``start(header)``'s row parser (None for
-    a header that is not ``columns``) has taken each nonblank data row, and
-    then ``end()`` has run.  A wrong field count, or a ``ValueError``,
-    ``IndexError`` or ``OverflowError`` from the parser or ``end`` (a cell it
-    refuses, a row it cannot place), is a ``DataError`` naming the file and
-    the line (the last line for ``end``)."""
+@contextmanager
+def _csv_rows(path: str | Path):
+    """``(header, rows)`` of the CSV file ``path``: its first row and an
+    iterator over its nonblank data rows, each of the header's width.  A
+    ``ValueError``, ``IndexError``, ``OverflowError`` or ``csv.Error`` raised
+    in the block (a row of another width, a cell or a row refused, a check
+    after the last row) is a ``DataError`` naming the file and the line."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
@@ -167,19 +165,18 @@ def _read_csv(
             header = next(reader, None)
             if header is None:
                 raise DataError(f"{path}: empty file")
-            if (parse := start(header)) is None:
-                raise ValueError(f"expected columns {columns}")
-            for row in filter(None, reader):
-                if len(row) != len(header):
-                    raise ValueError(f"{len(row)} fields, the header {len(header)}")
-                parse(row)
-            if end is not None:
-                end()
+            yield header, _rows(reader, len(header))
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
         except (ValueError, IndexError, OverflowError, csv.Error) as exc:
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    return header
+
+
+def _rows(reader: Iterator[list[str]], width: int) -> Iterator[list[str]]:
+    for row in filter(None, reader):
+        if len(row) != width:
+            raise ValueError(f"{len(row)} fields, the header {width}")
+        yield row
 
 
 @contextmanager
@@ -205,43 +202,46 @@ def _read_windowed(path: Path, fixed: list[str], window: Callable) -> dict[str, 
     not finite, or a window with another point count than its split's window
     0 (at the line after it), is a ``DataError`` naming its line."""
     splits: dict[str, tuple[list, list]] = {}  # split -> (coordinate rows, window(row)s)
-    current, points = None, 0  # the split and window cells of the window being read, its points so far
-    cells: list[str] = []  # the window cells (after point) of the window being read
-
-    def close() -> None:
-        """The window just read must have as many points as each before it in its split."""
-        if current and len(splits[current[0]][0]) != points * len(splits[current[0]][1]):
-            raise ValueError(f"split '{current[0]}' window {current[1]} has {points} points, not as many as window 0")
-
-    def parse(row: list[str]) -> None:
-        nonlocal current, points, cells
-        point = int(row[2])
-        if row[:2] != current or point != points:
-            if point != 0:
-                raise ValueError(f"point {point} of split '{row[0]}' window {row[1]} is out of order")
-            close()
-            windows = splits.setdefault(row[0], ([], []))[1]
-            if (index := int(row[1])) != len(windows):
-                raise ValueError(f"split '{row[0]}' window {index} where window {len(windows)} is due")
-            current, points, cells = row[:2], 0, row[3 : len(fixed)]
-            windows.append(window(row))
-        elif row[3 : len(fixed)] != cells:
-            raise ValueError(
-                f"point {point} of split '{row[0]}' window {row[1]} has {','.join(fixed[3:])} cells"
-                f" {','.join(row[3 : len(fixed)])}, not its point 0's {','.join(cells)}"
-            )
-        coords = list(map(float, row[len(fixed) :]))
-        if not all(map(math.isfinite, coords)):
-            raise ValueError(f"point {point} of split '{row[0]}' window {row[1]} has a coordinate that is not finite")
-        splits[row[0]][0].append(coords)
-        points += 1
-
-    columns = f"{','.join(fixed)},..."
-    d = len(_read_csv(path, columns, lambda header: parse if header[: len(fixed)] == fixed else None, close)) - len(fixed)
+    # The window being read: its split and window cells, its points so far, its cells after point.
+    current, points, cells = None, 0, []
+    n = len(fixed)
+    with _csv_rows(path) as (header, rows):
+        if header[:n] != fixed:
+            raise ValueError(f"expected columns {','.join(fixed)},...")
+        for row in rows:
+            point = int(row[2])
+            if row[:2] != current or point != points:
+                if point != 0:
+                    raise ValueError(f"point {point} of split '{row[0]}' window {row[1]} is out of order")
+                _check_points(splits, current, points)
+                windows = splits.setdefault(row[0], ([], []))[1]
+                if (index := int(row[1])) != len(windows):
+                    raise ValueError(f"split '{row[0]}' window {index} where window {len(windows)} is due")
+                current, points, cells = row[:2], 0, row[3:n]
+                windows.append(window(row))
+            elif row[3:n] != cells:
+                raise ValueError(
+                    f"point {point} of split '{row[0]}' window {row[1]} has {','.join(fixed[3:])} cells"
+                    f" {','.join(row[3:n])}, not its point 0's {','.join(cells)}"
+                )
+            coords = list(map(float, row[n:]))
+            if not all(map(math.isfinite, coords)):
+                raise ValueError(f"point {point} of split '{row[0]}' window {row[1]} has a coordinate that is not finite")
+            splits[row[0]][0].append(coords)
+            points += 1
+        _check_points(splits, current, points)
+    d = len(header) - n
     return {
         split: (np.array(rows, dtype=float).reshape(len(windows), len(rows) // len(windows), d), windows)
         for split, (rows, windows) in splits.items()
     }
+
+
+def _check_points(splits: dict[str, tuple[list, list]], window: list[str] | None, points: int) -> None:
+    """The window just read, ``[split, window]`` (None before the first), must
+    have ``points`` as many as each window before it in its split."""
+    if window and len(splits[window[0]][0]) != points * len(splits[window[0]][1]):
+        raise ValueError(f"split '{window[0]}' window {window[1]} has {points} points, not as many as window 0")
 
 
 def _windowed_lines(arrays_by_split: Mapping[str, tuple], memo: dict | None = None) -> Iterator[str]:
@@ -438,13 +438,27 @@ def write_diagrams_csv(diagrams_by_split: Mapping[str, Diagrams], path: Path) ->
     return write_text(path, _csv_chunks(_DIAGRAM_COLUMNS, lines()))
 
 
-def _diagram_point(birth: str, death: str) -> tuple[float, float]:
-    """The cells of a diagram point as floats; a point that is not finite
-    0 <= birth <= death is a ``ValueError``."""
+def _diagram_row(row: list[str], counts: Mapping[str, int] | None = None, dims: tuple[int, ...] = (0, 1)) -> tuple:
+    """A ``split,window,dim,birth,death`` row as ``(split, window, dim, birth,
+    death)``.  A negative window, a dimension not in ``dims``, a point that
+    is not finite 0 <= birth <= death, or a dimension-0 point born off 0 is
+    a ``ValueError``; given ``counts``, so are a split outside it and a
+    window past its split's count."""
+    split, window, dim, birth, death = row
+    index = int(window)
+    if counts is not None and split not in counts:
+        raise ValueError(f"split '{split}' is not among the windows' splits {sorted(counts)}")
+    if index < 0 or counts is not None and index >= counts[split]:
+        count = "" if counts is None else f" ({counts[split]} windows)"
+        raise ValueError(f"window {index} is outside split '{split}'{count}")
+    if (k := int(dim)) not in dims:
+        raise ValueError(f"dimension {dim}, not {' or '.join(map(str, dims))}")
     b, d = float(birth), float(death)
     if not 0 <= b <= d < math.inf:
         raise ValueError(f"invalid diagram point ({b}, {d}): need finite 0 <= birth <= death")
-    return b, d
+    if k == 0 and b != 0.0:
+        raise ValueError(f"dimension-0 point born at {b!r}, not 0")
+    return split, index, k, b, d
 
 
 def read_diagrams_csv(
@@ -455,28 +469,18 @@ def read_diagrams_csv(
 ) -> dict[str, Diagrams]:
     """Each split's ``counts[split]`` diagrams as one ``Diagrams``, each
     window's points in file order, so a file the writer wrote reads back bit
-    for bit.  A row of a split, window or dimension outside ``counts`` and
-    ``dim``, not finite 0 <= birth <= death, or of dimension 0 born off 0, is
-    a ``DataError`` naming its line; so is a dimension-0 window without rows
-    (a cut window has a pair), while a dimension-1 one is an empty diagram.
+    for bit.  A row ``_diagram_row`` refuses, with ``counts`` and dimension
+    ``dim``, is a ``DataError`` naming its line; so is a dimension-0 window
+    without rows (a cut window has a pair), while a dimension-1 one is empty.
     ``essential_policy`` is unused, kept for ``perfbench/micro.py``."""
     points: dict[tuple[str, int], list] = {}
-
-    def parse(row: list[str]) -> None:
-        split, window, row_dim, birth, death = row
-        index = int(window)
-        if split not in counts:
-            raise ValueError(f"split '{split}' is not among the windows' splits {sorted(counts)}")
-        if not 0 <= index < counts[split]:
-            raise ValueError(f"window {index} is outside split '{split}' ({counts[split]} windows)")
-        if int(row_dim) != dim:
-            raise ValueError(f"dimension {row_dim}, not {dim}")
-        b, d = _diagram_point(birth, death)
-        if dim == 0 and b != 0.0:
-            raise ValueError(f"dimension-0 point born at {b!r}, not 0")
-        points.setdefault((split, index), []).append((b, d))
-
-    _read_csv(path, ",".join(_DIAGRAM_COLUMNS), lambda header: parse if header == _DIAGRAM_COLUMNS else None)
+    dims = (dim,)
+    with _csv_rows(path) as (header, rows):
+        if header != _DIAGRAM_COLUMNS:
+            raise ValueError(f"expected columns {','.join(_DIAGRAM_COLUMNS)}")
+        for row in rows:
+            split, index, _, b, d = _diagram_row(row, counts, dims)
+            points.setdefault((split, index), []).append((b, d))
     out = {}
     for split, count in counts.items():
         rows = [points.get((split, i), ()) for i in range(count)]
@@ -489,18 +493,14 @@ def read_diagrams_csv(
 def read_diagram_points(path: Path) -> tuple[bool, list[tuple]]:
     """Points of a single diagram file, ``(False, [(dim, birth, death), ...])``,
     or of a long-format one, ``(True, [(split, window, dim, birth, death), ...])``.
-    A point that is not finite 0 <= birth <= death is a ``DataError`` naming
-    its line."""
-    points: list[tuple] = []
-
-    def start(header: list[str]):
-        if header[:3] == ["dim", "birth", "death"]:
-            return lambda r: points.append((int(r[0]), *_diagram_point(r[1], r[2])))
+    A row that ``_diagram_row`` refuses is a ``DataError`` naming its line;
+    a single diagram's row is read as one of window 0 of a split ''."""
+    with _csv_rows(path) as (header, rows):
+        if header == ["dim", "birth", "death"]:
+            return False, [_diagram_row(["", "0", *row])[2:] for row in rows]
         if header == _DIAGRAM_COLUMNS:
-            return lambda r: points.append((r[0], int(r[1]), int(r[2]), *_diagram_point(r[3], r[4])))
-
-    header = _read_csv(path, "dim,birth,death,... or " + ",".join(_DIAGRAM_COLUMNS), start)
-    return header == _DIAGRAM_COLUMNS, points
+            return True, [_diagram_row(row) for row in rows]
+        raise ValueError(f"expected columns dim,birth,death or {','.join(_DIAGRAM_COLUMNS)}")
 
 
 def diagram_set_hash(diagrams_by_split: Mapping[str, Diagrams]) -> str:
@@ -533,22 +533,18 @@ def read_distmat_csv(path: Path, shape: tuple[int, int] | None = None) -> Distan
     """The matrix of a ``write_distmat_csv`` file; a matrix of another
     (test, train) ``shape`` than one given is a ``DataError``."""
     values = []
-
-    def start(header: list[str]):
-        if header[:1] == ["window"]:
-            for j, cell in enumerate(header[1:]):
-                if int(cell) != j:
-                    raise ValueError(f"column of train window {cell} where window {j} is due")
-            return parse
-
-    def parse(row: list[str]) -> None:
-        if int(row[0]) != len(values):
-            raise ValueError(f"row of test window {row[0]} where window {len(values)} is due")
-        values.append(entries := np.array(row[1:], dtype=float))
-        if not ((entries >= 0) & np.isfinite(entries)).all():
-            raise ValueError("distance entries must be finite and nonnegative")
-
-    _read_csv(path, "window,<train windows...>", start)
+    with _csv_rows(path) as (header, rows):
+        if header[:1] != ["window"]:
+            raise ValueError("expected columns window,<train windows...>")
+        for j, cell in enumerate(header[1:]):
+            if int(cell) != j:
+                raise ValueError(f"column of train window {cell} where window {j} is due")
+        for row in rows:
+            if int(row[0]) != len(values):
+                raise ValueError(f"row of test window {row[0]} where window {len(values)} is due")
+            values.append(entries := np.array(row[1:], dtype=float))
+            if not ((entries >= 0) & np.isfinite(entries)).all():
+                raise ValueError("distance entries must be finite and nonnegative")
     with _naming(path):
         matrix = DistanceMatrix(values)
         if shape is not None and matrix.values.shape != shape:

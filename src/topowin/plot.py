@@ -18,13 +18,13 @@ def _scale(value: float, limit: float) -> float:
     return _MARGIN + (value / limit) * inner
 
 
-def render_diagram_svg(rows: Sequence[tuple[int, float, float]], title: str = "persistence diagram") -> str:
+def render_diagram_svg(rows: Sequence[tuple[int, float, float]]) -> str:
     limit = max([1e-9] + [max(b, d) for _, b, d in rows]) * 1.05
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
         f'viewBox="0 0 {_SIZE} {_SIZE}">',
         f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
-        f'<text x="{_SIZE / 2}" y="24" text-anchor="middle" font-size="14">{title}</text>',
+        f'<text x="{_SIZE / 2}" y="24" text-anchor="middle" font-size="14">persistence diagram</text>',
     ]
     x0, y0 = _MARGIN, _SIZE - _MARGIN
     x1, y1 = _SIZE - _MARGIN, _MARGIN
@@ -47,22 +47,16 @@ def render_diagram_svg(rows: Sequence[tuple[int, float, float]], title: str = "p
     for dim, birth, death in rows:
         cx = _scale(birth, limit)
         cy = _SIZE - _scale(death, limit)
-        color = _DIM_COLORS.get(dim, "#2ca02c")
         parts.append(
-            f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="4" fill="{color}" fill-opacity="0.8">'
+            f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="4" fill="{_DIM_COLORS[dim]}" fill-opacity="0.8">'
             f"<title>dim {dim}: ({birth!r}, {death!r})</title></circle>"
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def write_diagram_plot(
-    rows: Sequence[tuple[int, float, float]],
-    out_svg: Path,
-    out_csv: Path,
-    title: str = "persistence diagram",
-) -> None:
-    io.write_text(out_svg, render_diagram_svg(rows, title))
+def write_diagram_plot(rows: Sequence[tuple[int, float, float]], out_svg: Path, out_csv: Path) -> None:
+    io.write_text(out_svg, render_diagram_svg(rows))
     lines = ["dim,birth,death\n"]
     lines += (f"{dim},{float(birth)!r},{float(death)!r}\n" for dim, birth, death in rows)
     io.write_text(Path(out_csv), "".join(lines))

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from topowin import DistanceMatrix, describe_run, io
+from topowin import Diagrams, DistanceMatrix, describe_run, io
 from topowin.cli import _OVERRIDES, main, write_distances
 from topowin.io import read_json, write_json
 from topowin.pipeline import CLI_FIELDS, PipelineConfig
@@ -966,8 +966,17 @@ class TestPlotDiagram:
             ("dim,birth,death\n0,0.0,1.0\n0,2.0,1.0\n", 3, "invalid diagram point (2.0, 1.0)"),
             ("dim,birth,death\n0,-1,nan\n", 2, "invalid diagram point (-1.0, nan)"),
             ("split,window,dim,birth,death\ntest,0,0,0.0,inf\n", 2, "invalid diagram point (0.0, inf)"),
+            # The rule distmat reads diagrams.csv by, less the window counts.
+            ("split,window,dim,birth,death\ntrain,-1,0,0.0,1.0\n", 2, "window -1 is outside split 'train'\n"),
+            ("split,window,dim,birth,death\ntrain,0,0,0.0,1.0\ntrain,0,-1,0.0,1.0\n", 3, "dimension -1, not 0 or 1\n"),
+            ("split,window,dim,birth,death\ntrain,0,2,0.0,1.0\n", 2, "dimension 2, not 0 or 1\n"),
+            ("split,window,dim,birth,death\ntrain,0,0,0.5,1.0\n", 2, "dimension-0 point born at 0.5, not 0\n"),
+            ("dim,birth,death\n0,0.0,1.0\n-1,0.0,1.0\n", 3, "dimension -1, not 0 or 1\n"),
         ],
-        ids=["birth-after-death", "negative-nan", "long-format-infinite"],
+        ids=[
+            "birth-after-death", "negative-nan", "long-format-infinite", "negative-window", "negative-dimension",
+            "dimension-2", "dim0-born-off-0", "single-negative-dimension",
+        ],
     )
     def test_invalid_point_is_a_data_error_naming_its_line(self, tmp_path, capsys, text, line, message):
         src = tmp_path / "diag.csv"
@@ -976,3 +985,36 @@ class TestPlotDiagram:
         assert main(["plot-diagram", "--diagram", str(src), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"data error: {src}: line {line}: {message}")
         assert not out.exists()
+
+    def test_single_diagram_header_is_exact(self, tmp_path, capsys):
+        src = tmp_path / "diag.csv"
+        src.write_text("dim,birth,death,extra\n0,0.0,1.0,x\n", encoding="utf-8")
+        out = tmp_path / "plots"
+        assert main(["plot-diagram", "--diagram", str(src), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {src}: line 1: expected columns dim,birth,death or ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("select", [["--split", "a"], ["--index", "0"], ["--split", "a", "--index", "0"]])
+    def test_selection_in_a_single_diagram_file_is_a_usage_error(self, tmp_path, capsys, select):
+        src = tmp_path / "diag.csv"
+        src.write_text("dim,birth,death\n0,0.0,1.0\n", encoding="utf-8")
+        out = tmp_path / "plots"
+        assert main(["plot-diagram", "--diagram", str(src), *select, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"usage error: {src} holds one diagram; --split and --index select in a long-format file\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("split", ["/../../../escaped", "..\\escaped", "a/b"])
+    @pytest.mark.parametrize("given", [False, True], ids=["from-file", "by-split"])
+    def test_split_with_a_path_separator_is_a_usage_error(self, tmp_path, capsys, split, given):
+        src = tmp_path / "in" / "diagrams.csv"
+        src.parent.mkdir()
+        io.write_diagrams_csv({split: Diagrams.from_pairs(0, [[(0.0, 1.0)]])}, src)
+        if given:  # beside a split that could be plotted
+            src.write_text(read_lines(src) + "train,0,0,0.0,2.0\n", encoding="utf-8")
+        out = tmp_path / "trav" / "out"
+        select = ["--split", split] if given else []
+        assert main(["plot-diagram", "--diagram", str(src), *select, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"usage error: split '{split}' holds a '/' or '\\', so it cannot name an output file\n"
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == ["in", "in/diagrams.csv"]

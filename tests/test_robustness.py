@@ -1,5 +1,5 @@
 """Mutated cached artifacts never reach a run's report, and no config value
-crashes the CLI.
+or mutated input file crashes the CLI.
 
 A cached run's ``diagrams.csv``, ``clouds.csv``, ``windows.csv``,
 ``distmat.csv`` or ``report.json`` is mutated: bytes flipped, cut off or
@@ -25,6 +25,11 @@ rerun for the report.
 A config with any JSON value in any one key is refused with a
 ``ValueError`` or ``KeyError``, and ``topowin run`` over it exits with one
 stderr line and no traceback.
+
+Each stage command and ``plot-diagram``, fed one mutated input file of the
+README stage chain, succeeds or exits with one stderr line and no
+traceback: a data or numerical error, or, for ``plot-diagram`` only, a
+usage error.
 """
 
 import dataclasses
@@ -276,3 +281,77 @@ def test_any_json_value_in_any_config_key(config_data, tmp_path_factory, key, va
         assert "Traceback" not in stderr.getvalue()
     if code == 1:
         assert not out.exists()
+
+
+# --- stage commands over mutated inputs ---------------------------------------
+
+# Per command: its input flags, each naming a file of the stage chain, and
+# any other flag; the config and --out are added for every command but
+# plot-diagram, which reads no config.
+COMMAND_INPUTS = {
+    "windows": ["--series", "series.csv"],
+    "diagrams": ["--windows", "windows.csv", "--params", "params.json"],
+    "distmat": ["--diagrams", "diagrams.csv", "--windows", "windows.csv"],
+    "classify": ["--matrix", "distmat.csv", "--windows", "windows.csv"],
+    "sweep-k": ["--matrix", "distmat.csv", "--windows", "windows.csv", "--ks", "1,3"],
+    "plot-diagram": ["--diagram", "diagrams.csv", "--split", "train", "--index", "0"],
+}
+# (command, the input it is fed mutated): every input file of every command.
+COMMAND_CASES = [(command, name) for command, flags in COMMAND_INPUTS.items() for name in flags[1::2] if "." in name]
+
+
+def quiet_main(argv: list[str]) -> tuple[int, str]:
+    """``main(argv)``'s exit code and stderr, its stdout dropped."""
+    stderr = StringIO()
+    with redirect_stderr(stderr), redirect_stdout(StringIO()):
+        code = main(argv)
+    return code, stderr.getvalue()
+
+
+@pytest.fixture(scope="module")
+def stage_chain(tmp_path_factory):
+    """Per dimension: a config and the directory of the README stage chain
+    ``ingest -> windows -> diagrams -> distmat`` run over it."""
+    base = tmp_path_factory.mktemp("chain")
+    data = base / "series-in.csv"
+    io.write_series_csv(synthetic_two_class_series(n_windows=N_WINDOWS), data)
+    out = {}
+    for dimension in (0, 1):
+        payload = synthetic_config_dict("chain", data, n_windows=N_WINDOWS)
+        payload.update(dimension=dimension, maxscale=3.0)
+        config, chain = base / f"chain-{dimension}.json", base / f"chain-{dimension}"
+        io.write_json(config, payload)
+        common = ["--config", str(config), "--out", str(chain)]
+        assert quiet_main(["ingest", *common]) == (0, "")
+        for command in ("windows", "diagrams", "distmat"):
+            flags = [str(chain / flag) if "." in flag else flag for flag in COMMAND_INPUTS[command]]
+            assert quiet_main([command, *common, *flags]) == (0, "")
+        out[dimension] = config, chain
+    return out
+
+
+# A mutated input may give a 0/0 metric.
+@pytest.mark.filterwarnings("ignore::topowin.classify.UndefinedMetricWarning")
+@settings(max_examples=300, deadline=None)
+@given(dimension=st.sampled_from([0, 1]), case=st.sampled_from(COMMAND_CASES), mutation=MUTATIONS)
+@example(dimension=0, case=("distmat", "diagrams.csv"), mutation=("flip", 40, b"\x80"))  # bytes not UTF-8
+def test_mutated_input_to_a_stage_command(stage_chain, tmp_path_factory, dimension, case, mutation):
+    """A stage command fed one mutated input file succeeds or exits 1, 2 or
+    3 with one stderr line and no traceback.  The config and flags are
+    valid, so only ``plot-diagram``, whose selection the file may no longer
+    hold, may answer with a usage error."""
+    config, chain = stage_chain[dimension]
+    command, name = case
+    original = (chain / name).read_bytes()
+    mutated = mutate(original, *mutation)
+    if mutated == original:
+        reject()
+    base = tmp_path_factory.mktemp("mutated-input")
+    (base / name).write_bytes(mutated)
+    flags = [str((base if flag == name else chain) / flag) if "." in flag else flag for flag in COMMAND_INPUTS[command]]
+    common = [] if command == "plot-diagram" else ["--config", str(config)]
+    code, stderr = quiet_main([command, *common, "--out", str(base / "out"), *flags])
+    if code != 0:
+        assert code in ((1, 2) if command == "plot-diagram" else (2, 3)), stderr
+        assert stderr.count("\n") == 1 and stderr.endswith("\n")
+        assert "Traceback" not in stderr
