@@ -29,9 +29,9 @@ from .pipeline import (
     cut_windows,
     default_runs_root,
     describe_run,
-    labels_by_split,
     parse_fields,
     run,
+    split_labels,
     standardize,
     write_report,
 )
@@ -166,6 +166,14 @@ def _require(value, flag: str):
     return value
 
 
+def _naming(path: Path, fn, *args):
+    """``fn(*args)``; a ``DataError`` it raises names the input ``path``."""
+    try:
+        return fn(*args)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def _cmd_ingest(args) -> int:
     cfg, data = _config(args)
     out = _out_dir(args)
@@ -180,8 +188,9 @@ def _cmd_ingest(args) -> int:
 def _cmd_windows(args) -> int:
     cfg, _ = _config(args)
     out = _out_dir(args)
-    series = io.read_series_csv(_require(args.series, "--series"))
-    windows = cut_windows(series, cfg)
+    path = _require(args.series, "--series")
+    series = io.read_series_csv(path)
+    windows = _naming(path, cut_windows, series, cfg)
     io.write_windows_csv(windows, series.channel_names, out / "windows.csv")
     counts = ", ".join(f"{name}: {len(wins)}" for name, wins in windows.items())
     print(f"wrote {out / 'windows.csv'} ({counts})")
@@ -231,13 +240,19 @@ def _cmd_distmat(args) -> int:
     return EXIT_OK
 
 
+def _labels_and_matrix(args, cfg: PipelineConfig) -> tuple:
+    """The train and test windows' labels from ``--windows``, and the
+    ``--matrix`` read at their shape."""
+    path = _require(args.windows, "--windows")
+    train, test = _naming(path, split_labels, io.read_windows_csv(path), cfg)
+    return train, test, io.read_distmat_csv(_require(args.matrix, "--matrix"), (len(test), len(train)))
+
+
 def _cmd_classify(args) -> int:
     cfg, _ = _config(args)
     out = _out_dir(args)
-    labels = labels_by_split(io.read_windows_csv(_require(args.windows, "--windows")))
-    train, test = (len(io.window_labels(labels, split)) for split in (cfg.train_split, cfg.test_split))
-    matrix = io.read_distmat_csv(_require(args.matrix, "--matrix"), (test, train))
-    print(write_report(classify_windows(matrix, labels, cfg), out))
+    train, test, matrix = _labels_and_matrix(args, cfg)
+    print(write_report(classify_windows(matrix, train, test, cfg), out))
     return EXIT_OK
 
 
@@ -247,11 +262,8 @@ def _cmd_sweep_k(args) -> int:
     if not ks:
         raise ValueError("--ks needs at least one k")
     out = _out_dir(args)
-    labels = labels_by_split(io.read_windows_csv(_require(args.windows, "--windows")))
-    train_labels = io.window_labels(labels, cfg.train_split)
-    test_labels = io.window_labels(labels, cfg.test_split)
-    matrix = io.read_distmat_csv(_require(args.matrix, "--matrix"), (len(test_labels), len(train_labels)))
-    entries = sweep_k(matrix, train_labels, test_labels, ks, cfg.tie_break)
+    train, test, matrix = _labels_and_matrix(args, cfg)
+    entries = sweep_k(matrix, train, test, ks, cfg.tie_break)
     io.write_sweep_csv(entries, out / "sweep.csv")
     print(render_sweep_table(entries))
     return EXIT_OK
@@ -282,7 +294,7 @@ def _cmd_plot_diagram(args) -> int:
         raise ValueError(f"{path} holds one diagram; --split and --index select in a long-format file")
     if keyed:
         splits = sorted({p[0] for p in points})
-        split = args.split or next(iter(splits), "")
+        split = next(iter(splits), "") if args.split is None else args.split
         if {"/", "\\"} & set(split):  # the split is part of the output file names
             raise ValueError(f"split '{split}' holds a '/' or '\\', so it cannot name an output file")
         if split not in splits:

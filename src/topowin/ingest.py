@@ -114,16 +114,6 @@ class SplitSpec:
     def names(self) -> tuple[str, ...]:
         return tuple(r.name for r in self.boundaries)
 
-    def range_named(self, name: str) -> SplitRange:
-        for r in self.boundaries:
-            if r.name == name:
-                return r
-        raise ValueError(f"no split named '{name}' (have {list(self.names())})")
-
-    def used_indices(self) -> np.ndarray:
-        """All row indices covered by some range, ascending."""
-        return np.concatenate([np.arange(r.start, r.stop) for r in self.boundaries])
-
     def validate_against(self, series: TimeSeries) -> None:
         last = self.boundaries[-1]
         if last.stop > series.length:
@@ -362,32 +352,33 @@ def load_csv(path: str | Path, schema: CsvSchema) -> TimeSeries:
     )
 
 
-def _fit_rows(series: TimeSeries, split: SplitSpec, mode: str, train_name: str) -> np.ndarray:
-    split.validate_against(series)
-    if mode == "fit_on_combined":
-        return split.used_indices()
-    r = split.range_named(train_name)
-    return np.arange(r.start, r.stop)
-
-
 def fit_standardizer(
     series: TimeSeries,
     split: SplitSpec,
     mode: str = "fit_on_combined",
     train_name: str = "train",
 ) -> StandardizationParams:
-    """Fit per-channel mean and population SD over the selected split rows.
+    """Fit per-channel mean and population SD over the rows of the fitted
+    ranges, taken in order.
 
-    ``fit_on_combined`` uses every row covered by the split spec;
-    ``fit_on_train`` uses only the range named ``train_name``.  A channel
-    with zero variance over the fitted rows is an error.
+    ``fit_on_combined`` fits every range of the split spec; ``fit_on_train``
+    only the range named ``train_name``.  A channel with zero variance over
+    the fitted rows is an error.
     """
     if mode not in STANDARDIZE_MODES:
         raise ValueError(f"mode must be one of {STANDARDIZE_MODES}, got '{mode}'")
-    idx = _fit_rows(series, split, mode, train_name)
-    if idx.size == 0:
-        raise DataError("empty row selection for standardization")
-    sel = series.values[idx]
+    split.validate_against(series)
+    ranges = [r for r in split.boundaries if mode == "fit_on_combined" or r.name == train_name]
+    if not ranges:
+        raise ValueError(f"no split named '{train_name}' (have {list(split.names())})")
+    start, stop = ranges[0].start, ranges[-1].stop
+    # Ranges with no gap between them are one slice, a view: a copy of the
+    # rows here would set a cold run's peak memory.
+    gapless = sum(r.stop - r.start for r in ranges) == stop - start
+    sel = series.values[start:stop] if gapless else np.concatenate([series.values[r.start : r.stop] for r in ranges])
+    # C order, as an index array gives it: the reduction's order, and so its
+    # last bits, follow the layout.
+    sel = np.ascontiguousarray(sel)
     means = sel.mean(axis=0)
     sds = sel.std(axis=0)  # ddof=0: population variance
     zero = np.flatnonzero(sds <= 0.0)

@@ -395,13 +395,6 @@ def read_windows_csv(path: Path) -> dict[str, Windows]:
     }
 
 
-def window_labels(labels_by_split: Mapping[str, np.ndarray], split: str) -> list[int]:
-    """One split's window labels, from each split's label array."""
-    if split not in labels_by_split:
-        raise DataError(f"no split named '{split}' in windows file (have {sorted(labels_by_split)})")
-    return labels_by_split[split].tolist()
-
-
 # --- clouds ----------------------------------------------------------------
 
 def write_clouds_csv(clouds_by_split: Mapping[str, np.ndarray], path: Path) -> str:

@@ -323,26 +323,29 @@ def compute_diagrams(clouds_by_split: dict, cfg: PipelineConfig) -> dict:
     return _each(clouds_by_split, dim1)
 
 
-def compute_distances(diagrams_by_split: dict, cfg: PipelineConfig) -> DistanceMatrix:
+def train_and_test(values_by_split: dict, cfg: PipelineConfig, what: str) -> tuple:
+    """The config's train and test values from ``{split: value}``; a split
+    missing from it is a ``DataError`` that calls the dict ``what``."""
     for name in (cfg.train_split, cfg.test_split):
-        if name not in diagrams_by_split:
-            raise DataError(f"no split named '{name}' in diagrams")
-    return distance_matrix(
-        diagrams_by_split[cfg.test_split],
-        diagrams_by_split[cfg.train_split],
-        WassersteinConfig(p=cfg.p, dimension=cfg.dimension),
-    )
+        if name not in values_by_split:
+            raise DataError(f"no split named '{name}' in {what} (have {sorted(values_by_split)})")
+    return values_by_split[cfg.train_split], values_by_split[cfg.test_split]
 
 
-def labels_by_split(windows_by_split: dict) -> dict:
-    """Each split's window labels: all the classification reads of its windows."""
-    return {split: wins.labels for split, wins in windows_by_split.items()}
+def compute_distances(diagrams_by_split: dict, cfg: PipelineConfig) -> DistanceMatrix:
+    train, test = train_and_test(diagrams_by_split, cfg, "diagrams")
+    return distance_matrix(test, train, WassersteinConfig(p=cfg.p, dimension=cfg.dimension))
 
 
-def classify_windows(matrix: DistanceMatrix, labels: dict, cfg: PipelineConfig) -> EvaluationReport:
-    """The k-NN report from the matrix and each split's window labels."""
-    train_labels = io.window_labels(labels, cfg.train_split)
-    test_labels = io.window_labels(labels, cfg.test_split)
+def split_labels(windows_by_split: dict, cfg: PipelineConfig) -> tuple[list[int], list[int]]:
+    """The train and test windows' labels: all the classification reads of
+    the windows."""
+    train, test = train_and_test(windows_by_split, cfg, "windows")
+    return train.labels.tolist(), test.labels.tolist()
+
+
+def classify_windows(matrix: DistanceMatrix, train_labels: list, test_labels: list, cfg: PipelineConfig) -> EvaluationReport:
+    """The k-NN report from the matrix and the train and test windows' labels."""
     predictions = predict_all(matrix, train_labels, KnnConfig(k=cfg.k, tie_break=cfg.tie_break))
     return evaluate(predictions, test_labels)
 
@@ -524,7 +527,7 @@ def run(
         # freeing their points before the diagrams raised the peak RSS of
         # perfbench's occ-warm workload by 0.1-0.5 MiB (5 batches, 2-core
         # x86-64 Linux), more than that metric's bound.
-        report = compute("classify", classify_windows, io.write_report_json, matrix, labels_by_split(windows), cfg)
+        report = compute("classify", classify_windows, io.write_report_json, matrix, *split_labels(windows, cfg), cfg)
         del matrix, windows
 
     # Stable convenience copies of the final report.

@@ -286,12 +286,37 @@ class TestStageCommands:
         else:
             assert main(["ingest", "--config", str(config), "--out", str(tmp_path / "ingest")]) == 0
             capsys.readouterr()
-            argv = ["windows", "--config", str(config), "--series", str(tmp_path / "ingest" / "series.csv")]
-            argv += ["--out", str(tmp_path / "windows")]
-            prefix = ""
+            series = tmp_path / "ingest" / "series.csv"
+            argv = ["windows", "--config", str(config), "--series", str(series), "--out", str(tmp_path / "windows")]
+            prefix = f"{series}: "
         assert main(argv) == 2
         message = "split 'test': series has 5 rows, shorter than window length 10"
         assert capsys.readouterr().err == f"data error: {prefix}{message}\n"
+
+    def test_series_cut_short_is_named(self, tmp_path, config_path, synth_csv, capsys):
+        stages = tmp_path / "stages"
+        assert main(["ingest", "--config", str(config_path), "--data", str(synth_csv), "--out", str(stages)]) == 0
+        series = stages / "series.csv"
+        lines = series.read_text(encoding="utf-8").splitlines(keepends=True)
+        series.write_text("".join(lines[:-50]), encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["windows", "--config", str(config_path), "--series", str(series), "--out", str(out)]) == 2
+        name, _, stop = read_json(config_path)["splits"][-1]
+        message = f"split '{name}' ends at {stop} but series has {len(lines) - 51} rows"
+        assert capsys.readouterr().err == f"data error: {series}: {message}\n"
+        assert not out.exists()
+
+    def test_unreadable_series_is_named_once(self, tmp_path, config_path, synth_csv, capsys):
+        stages = tmp_path / "stages"
+        assert main(["ingest", "--config", str(config_path), "--data", str(synth_csv), "--out", str(stages)]) == 0
+        series = stages / "series.csv"
+        series.write_text(series.read_text(encoding="utf-8") + "x,1,2,3,0\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["windows", "--config", str(config_path), "--series", str(series), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {series}: 1 malformed row(s): ")
+        assert err.count(str(series)) == 1
 
     @pytest.mark.parametrize("command", ["run", "ingest"])
     def test_non_utf8_data_exit_code(self, command, tmp_path, config_path, synth_csv, capsys):
@@ -751,6 +776,31 @@ class TestNumberingErrors:
         assert capsys.readouterr().err == f"data error: {damaged}: a matrix of shape {shape} where {due}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, edit, message",
+        [
+            ("classify", ("test,", lambda line: None), "no split named 'test' in windows (have ['train'])"),
+            ("sweep-k", ("test,", lambda line: None), "no split named 'test' in windows (have ['train'])"),
+            # classify's reader errors are test_classify_is_a_data_error's.
+            ("sweep-k", renumbered("test", 1, 2), "line {line}: split 'test' window 2 where window 1 is due"),
+        ],
+        ids=["classify-split-missing", "sweep-k-split-missing", "sweep-k-window-out-of-order"],
+    )
+    def test_windows_file_is_named_once(self, small_run, tmp_path, command, edit, message, capsys):
+        cfg, _, root = small_run
+        config = tmp_path / "small.json"
+        write_json(config, cfg.to_dict())
+        (matrix,) = (root / cfg.run_id).glob("distances/*.distmat.csv")
+        (windows,) = (root / cfg.run_id).glob("windows/*.windows.csv")
+        damaged = tmp_path / windows.name
+        shutil.copyfile(windows, damaged)
+        line = edit_rows(damaged, *edit)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(config), "--out", str(out), "--matrix", str(matrix), "--windows", str(damaged)]
+        assert main([*argv, *(["--ks", "1,3"] if command == "sweep-k" else [])]) == 2
+        assert capsys.readouterr().err == f"data error: {damaged}: {message.format(line=line)}\n"
+        assert not out.exists()
+
     def test_diagrams_rejects_windows_with_deleted_test_windows(self, tmp_path, config_path, synth_csv, capsys):
         # Read as windows 0 2 4 5 ..., the file would give clouds and diagrams
         # different numbers for the same windows.
@@ -940,6 +990,21 @@ class TestPlotDiagram:
         assert main(["plot-diagram", "--diagram", str(src), *select, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not list(out.glob("*.svg"))
+
+    def test_empty_split_is_taken_as_given(self, tmp_path, capsys):
+        src = tmp_path / "diagrams.csv"
+        src.write_text("split,window,dim,birth,death\na,0,0,0.0,1.0\nb,0,0,0.0,2.0\n", encoding="utf-8")
+        out = tmp_path / "plots"
+        assert main(["plot-diagram", "--diagram", str(src), "--split", "", "--index", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "usage error: no rows for split ''; the file holds splits ['a', 'b']\n"
+        assert not out.exists()
+
+    def test_split_named_empty_is_plotted(self, tmp_path):
+        src = tmp_path / "diagrams.csv"
+        src.write_text("split,window,dim,birth,death\n,0,0,0.0,1.0\nb,0,0,0.0,2.0\n", encoding="utf-8")
+        out = tmp_path / "plots"
+        assert main(["plot-diagram", "--diagram", str(src), "--split", "", "--index", "0", "--out", str(out)]) == 0
+        assert read_lines(out / "diagram--0.csv") == "dim,birth,death\n0,0.0,1.0\n"
 
     def test_dim1_window_without_rows_is_an_empty_plot(self, tmp_path, capsys):
         src = tmp_path / "diagrams.csv"

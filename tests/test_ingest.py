@@ -5,14 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from topowin import (
     CsvSchema,
     DataError,
     NumericalError,
-    SplitRange,
     SplitSpec,
     StandardizationParams,
     TimeSeries,
@@ -394,16 +393,6 @@ class TestLoadCsvEncodingAndLabels:
 
 
 class TestSplitSpec:
-    def test_named_lookup_and_partition(self):
-        spec = SplitSpec((("test2", 0, 4), ("train", 4, 10), ("test1", 10, 12)))
-        assert spec.range_named("train") == SplitRange("train", 4, 10)
-        used = spec.used_indices()
-        assert used.tolist() == list(range(12))
-
-    def test_gap_between_ranges_allowed(self):
-        spec = SplitSpec((("train", 0, 8), ("test", 10, 14)))
-        assert set(spec.used_indices().tolist()) == set(range(8)) | set(range(10, 14))
-
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
             SplitSpec((("a", 0, 5), ("b", 4, 8)))
@@ -420,14 +409,6 @@ class TestSplitSpec:
         with pytest.raises(ValueError):
             SplitSpec((("a", 3, 3),))
 
-    def test_partition_property(self):
-        spec = SplitSpec((("a", 2, 5), ("b", 5, 9), ("c", 9, 11)))
-        counts = {}
-        for idx in spec.used_indices().tolist():
-            counts[idx] = counts.get(idx, 0) + 1
-        assert all(v == 1 for v in counts.values())
-        assert sorted(counts) == list(range(2, 11))
-
     def test_validate_against_short_series(self):
         series = make_series(np.arange(6.0))
         with pytest.raises(DataError, match="ends at 8"):
@@ -442,6 +423,56 @@ class TestSplitSpec:
         for part in parts.values():
             for name in ("timestamps", "values", "labels"):
                 assert np.shares_memory(getattr(part, name), getattr(series, name))
+
+
+@st.composite
+def fit_cases(draw):
+    """A series of 1-6 channels at a scale from 1e-3 to 1e9, in C or Fortran
+    order, and a split spec of 1-4 ranges of at least 2 rows, with gaps
+    before, between and after them; one range is named train."""
+    spec, at = [], draw(st.integers(0, 5))
+    count = draw(st.integers(1, 4))
+    train = draw(st.integers(0, count - 1))
+    for i in range(count):
+        stop = at + draw(st.integers(2, 40))
+        spec.append(("train" if i == train else f"s{i}", at, stop))
+        at = stop + draw(st.integers(0, 5))
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = 10.0 ** draw(st.floats(-3, 9)) * (rng.normal(size=(at, d)) + rng.uniform(-5, 5, size=d))
+    return np.asfortranarray(values) if draw(st.booleans()) else values, spec
+
+
+def spec_case(*spec):
+    """A fit case over the given split spec, of random rows in three channels."""
+    return np.random.default_rng(len(spec)).normal(size=(spec[-1][2] + 2, 3)), list(spec)
+
+
+class TestStandardizerParity:
+    """The fit over the slices of the split ranges equals, bit for bit, the
+    fit over the rows an index array selects: the formula it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(fit_cases())
+    @example(spec_case(("test2", 0, 4), ("train", 4, 10), ("test1", 10, 12)))
+    @example(spec_case(("train", 0, 8), ("test", 10, 14)))
+    @example(spec_case(("a", 2, 5), ("train", 5, 9), ("c", 9, 11)))
+    def test_matches_the_index_array_fit(self, case):
+        values, spec = case
+        series = make_series(values)
+        for mode in ("fit_on_combined", "fit_on_train"):
+            fitted = [r for r in spec if mode == "fit_on_combined" or r[0] == "train"]
+            idx = np.concatenate([np.arange(start, stop) for _, start, stop in fitted])
+            params = fit_standardizer(series, SplitSpec(tuple(spec)), mode=mode)
+            assert params.means.tobytes() == values[idx].mean(axis=0).tobytes()
+            assert params.standard_deviations.tobytes() == values[idx].std(axis=0).tobytes()
+
+    def test_unknown_train_split(self):
+        series = make_series(np.arange(6.0))
+        spec = SplitSpec((("train", 0, 3), ("test", 3, 6)))
+        with pytest.raises(ValueError) as info:
+            fit_standardizer(series, spec, mode="fit_on_train", train_name="nope")
+        assert str(info.value) == "no split named 'nope' (have ['train', 'test'])"
 
 
 class TestStandardizer:

@@ -35,8 +35,10 @@ from topowin.persistence import ESSENTIAL_POLICIES
 from topowin.pipeline import (
     build_clouds,
     compute_diagrams,
+    compute_distances,
     cut_windows,
     default_runs_root,
+    split_labels,
     standardize,
 )
 from conftest import synthetic_config_dict, synthetic_two_class_series
@@ -1032,6 +1034,20 @@ def alive_when(monkeypatch, consumer, refs):
 
     monkeypatch.setattr(topowin.pipeline, consumer, consuming)
     return alive
+
+
+class TestTrainAndTest:
+    @pytest.mark.parametrize("pick, what", [(compute_distances, "diagrams"), (split_labels, "windows")])
+    def test_a_missing_split_is_named_with_what_holds_it(self, small_run, pick, what):
+        cfg, _, _ = small_run
+        with pytest.raises(DataError) as info:
+            pick({"train": None, "other": None}, cfg)
+        assert str(info.value) == f"no split named 'test' in {what} (have ['other', 'train'])"
+
+    def test_split_labels_are_the_train_then_the_test_labels(self, small_run):
+        cfg, data, _ = small_run
+        windows = cut_windows(load_csv(data, cfg.schema), cfg)
+        assert split_labels(windows, cfg) == (windows["train"].labels.tolist(), windows["test"].labels.tolist())
 
 
 class TestRunFreesItsValues:
