@@ -31,7 +31,7 @@ from .persistence import (
     rips_persistence_dim0_batch,
     rips_persistence_dim1,
 )
-from .pipeline import PipelineConfig, StageArtifact, describe_run, run
+from .pipeline import PipelineConfig, describe_run, run
 from .pointcloud import (
     AugmentConfig,
     augment,
@@ -59,7 +59,6 @@ __all__ = [
     "PipelineConfig",
     "SplitRange",
     "SplitSpec",
-    "StageArtifact",
     "StandardizationParams",
     "TimeSeries",
     "WassersteinConfig",

@@ -200,8 +200,14 @@ def _cmd_windows(args) -> int:
 def _cmd_diagrams(args) -> int:
     cfg, _ = _config(args)
     out = _out_dir(args)
-    windows = io.read_windows_csv(_require(args.windows, "--windows"))
-    clouds = build_clouds(windows, io.read_params_json(_require(args.params, "--params")), cfg)
+    windows_path = _require(args.windows, "--windows")
+    windows = io.read_windows_csv(windows_path)
+    params_path = _require(args.params, "--params")
+    params = io.read_params_json(params_path)
+    d = len(cfg.schema.features)
+    if params.dimension != d:
+        raise DataError(f"{params_path}: standardizer has {params.dimension} channels, config has {d}")
+    clouds = _naming(windows_path, build_clouds, windows, params, cfg)
     diagrams = compute_diagrams(clouds, cfg)
     io.write_clouds_csv(clouds, out / "clouds.csv")
     io.write_diagrams_csv(diagrams, out / "diagrams.csv")
@@ -232,8 +238,9 @@ def _cmd_distmat(args) -> int:
     out = _out_dir(args)
     windows = io.read_windows_csv(_require(args.windows, "--windows"))
     counts = {name: len(wins) for name, wins in windows.items()}
-    diagrams = io.read_diagrams_csv(_require(args.diagrams, "--diagrams"), counts, cfg.dimension)
-    matrix = compute_distances(diagrams, cfg)
+    path = _require(args.diagrams, "--diagrams")
+    diagrams = io.read_diagrams_csv(path, counts, cfg.dimension)
+    matrix = _naming(path, compute_distances, diagrams, cfg)
     write_distances(matrix, diagrams, cfg, out / "distmat.csv")
     rows, cols = matrix.values.shape
     print(f"wrote {out / 'distmat.csv'} ({rows} x {cols})")

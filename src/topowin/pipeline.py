@@ -236,30 +236,6 @@ def _plain(value):
     return value if value is None or isinstance(value, (str, int, float)) else [_plain(v) for v in value]
 
 
-@dataclass(frozen=True)
-class StageArtifact:
-    stage: str
-    key: str
-    path: Path
-    status: str  # "computed", "cached" or "skipped"
-    duration_s: float
-    # Why an existing artifact was recomputed: "unverified", "corrupt" or
-    # "unreadable" (see ``_miss_reason``); None for any other stage.
-    reason: str | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "stage": self.stage,
-            "key": self.key,
-            "path": str(self.path),
-            "status": self.status,
-            "duration_s": self.duration_s,
-        }
-        if self.reason is not None:
-            out["reason"] = self.reason
-        return out
-
-
 def default_runs_root(out: str | Path | None = None) -> Path:
     if out is not None:
         return Path(out)
@@ -446,8 +422,16 @@ def run(
     for stage, (params, _) in stages.items():
         keys[stage] = parent = io.stage_key(stage, parent, params)
     paths = {stage: run_dir / stage / f"{keys[stage]}.{name}" for stage, (_, name) in stages.items()}
-    done: dict[str, StageArtifact] = {}  # the stages read or computed
+    done: dict[str, dict] = {}  # the provenance entries of the stages read or computed
     misses: dict[str, tuple | None] = {}  # see ``miss``
+
+    def record(stage: str, status: str, seconds: float, reason: str | None = None) -> None:
+        """``stage``'s provenance entry as ``provenance.json`` holds it.
+        ``status`` is "computed", "cached" or "skipped"; ``reason``, why an
+        existing artifact was recomputed (see ``miss``), is left out when
+        there is none."""
+        entry = dict(stage=stage, key=keys[stage], path=str(paths[stage]), status=status, duration_s=round(seconds, 6))
+        done[stage] = entry if reason is None else {**entry, "reason": reason}
 
     def miss(stage: str) -> tuple | None:
         """None when ``stage``'s artifact stays as it is: caching is on and
@@ -471,7 +455,7 @@ def run(
             # An artifact its reader rejects is a cache miss too.
             misses[stage] = ("unreadable", time.perf_counter() - started)
             return None
-        done[stage] = StageArtifact(stage, keys[stage], paths[stage], "cached", round(time.perf_counter() - started, 6))
+        record(stage, "cached", time.perf_counter() - started)
         return value
 
     def compute(stage: str, fn: Callable, write: Callable, *args):
@@ -489,8 +473,7 @@ def run(
             raise base(f"stage '{stage}': {exc}") from exc
         if replaced is not None:
             io.write_text(_digest_path(paths[stage]), write(value, paths[stage]) + "\n")
-        duration = round(time.perf_counter() - started, 6)
-        done[stage] = StageArtifact(stage, keys[stage], paths[stage], "computed", duration, reason)
+        record(stage, "computed", time.perf_counter() - started, reason)
         return value
 
     def cut() -> tuple[TimeSeries, dict]:
@@ -536,7 +519,7 @@ def run(
     # artifact exists, else skipped.
     for stage in stages.keys() - done.keys():
         status = "cached" if stage in _SERVED and paths[stage].exists() else "skipped"
-        done[stage] = StageArtifact(stage, keys[stage], paths[stage], status, 0.0)
+        record(stage, status, 0.0)
     io.write_json(
         run_dir / PROVENANCE_FILE,
         {
@@ -545,7 +528,7 @@ def run(
             "data": str(data),
             "data_sha256": data_hash,
             "seed": cfg.seed,
-            "stages": [done[stage].to_dict() for stage in stages],
+            "stages": [done[stage] for stage in stages],
             "report": str(run_dir / "report.json"),
         },
     )

@@ -820,6 +820,62 @@ class TestNumberingErrors:
         assert not out.exists()
 
 
+def without_test_rows(path):
+    edit_rows(path, "test,", lambda line: None)
+
+
+def without_last_channel(path):
+    """Drop the last column of a stage CSV, or the last mean and SD of a params file."""
+    if path.suffix == ".json":
+        payload = read_json(path)
+        write_json(path, {**payload, **{key: payload[key][:-1] for key in ("means", "standard_deviations")}})
+    else:
+        lines = path.read_text(encoding="utf-8").split("\n")
+        path.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines), encoding="utf-8")
+
+
+class TestMisfitInputs:
+    """A stage input that reads well but does not fit the config is a data
+    error naming that input, and the command writes nothing."""
+
+    @pytest.mark.parametrize(
+        "command, edits, named, message",
+        [
+            (
+                "distmat",
+                {"windows": without_test_rows, "diagrams": without_test_rows},
+                "diagrams",
+                "no split named 'test' in diagrams (have ['train'])",
+            ),
+            ("diagrams", {"params": without_last_channel}, "params", "standardizer has 2 channels, config has 3"),
+            (
+                "diagrams",
+                {"windows": without_last_channel},
+                "windows",
+                "split 'train': window dimension 2 does not match config dimension 3",
+            ),
+        ],
+        ids=["distmat-split-missing", "diagrams-params-channels", "diagrams-windows-channels"],
+    )
+    def test_the_input_that_does_not_fit_is_named(self, small_run, tmp_path, command, edits, named, message, capsys):
+        cfg, _, root = small_run
+        config = tmp_path / "small.json"
+        write_json(config, cfg.to_dict())
+        names = {"windows": "windows/*.windows.csv", "params": "standardize/*.params.json", "diagrams": "diagrams/*.diagrams.csv"}
+        inputs = {option: next((root / cfg.run_id).glob(name)) for option, name in names.items()}
+        for option, edit in edits.items():
+            damaged = tmp_path / inputs[option].name
+            shutil.copyfile(inputs[option], damaged)
+            edit(damaged)
+            inputs[option] = damaged
+        out = tmp_path / "out"
+        argv = [command, "--config", str(config), "--out", str(out), "--windows", str(inputs["windows"])]
+        argv += ["--diagrams", str(inputs["diagrams"])] if command == "distmat" else ["--params", str(inputs["params"])]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"data error: {inputs[named]}: {message}\n"
+        assert not out.exists()
+
+
 class TestStageCommandsLeaveNoOutDirOnError:
     @pytest.mark.parametrize("command", STAGE_ARGV)
     @pytest.mark.parametrize(

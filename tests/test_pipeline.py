@@ -4,6 +4,7 @@ import json
 import multiprocessing.process
 import re
 import shutil
+import time
 import weakref
 from pathlib import Path
 from types import SimpleNamespace
@@ -761,6 +762,29 @@ class TestMissReasons:
             "classify: computed",
         ]
         assert all(re.fullmatch(r"\w+: \w+ key=[0-9a-f]{16} \([0-9.e-]+s\)", line) for line in lines[-7:])
+
+    def test_a_rejected_read_counts_in_the_computed_stage(self, small_run, tmp_path, monkeypatch):
+        # The seconds spent reading an artifact its reader rejects are part
+        # of the stage that is then computed.
+        cfg, data, _ = small_run
+        root = tmp_path / "runs"
+
+        def rejecting(path, shape):
+            time.sleep(0.2)
+            raise DataError("rejected")
+
+        entries = []
+        for rerun in (cfg, cfg, dataclasses.replace(cfg, k=cfg.k + 2)):  # cold, warm, another k
+            if rerun is not cfg:
+                monkeypatch.setattr(io, "read_distmat_csv", rejecting)
+            run(rerun, data, runs_root=root)
+            entries += describe_run(cfg.run_id, root)["stages"]
+        assert reasons(cfg, root) == {"distances": "unreadable"}
+        distances = entries[-2]
+        assert (distances["stage"], distances["status"]) == ("distances", "computed")
+        assert distances["duration_s"] >= 0.2
+        fields = {"stage", "key", "path", "status", "duration_s"}
+        assert [set(entry) ^ fields for entry in entries] == [set()] * 19 + [{"reason"}, set()]
 
 
 def set_cell(path, line, column, text):
