@@ -40,7 +40,7 @@ from .pointcloud import (
     resolve_anchors,
     resolve_offset,
 )
-from .windowing import LabeledWindow, WindowConfig, Windows, make_windows, window_count, window_label
+from .windowing import LabeledWindow, WindowConfig, Windows, make_windows, window_count
 
 __version__ = "0.1.0"
 
@@ -87,5 +87,4 @@ __all__ = [
     "sweep_k",
     "wasserstein",
     "window_count",
-    "window_label",
 ]

@@ -127,6 +127,10 @@ def _safe_ratio(num: int, den: int, what: str) -> Fraction:
     return Fraction(num, den)
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class EvaluationReport:
     """Confusion matrix C (C[i][j] = true class i predicted as class j)
@@ -147,9 +151,15 @@ class EvaluationReport:
 
     @classmethod
     def from_confusion(cls, classes: Sequence[int], confusion: Sequence[Sequence[int]]) -> "EvaluationReport":
-        classes = tuple(int(c) for c in classes)
+        """Classes must be distinct integers and counts nonnegative integers:
+        a bool, float or string is a ``DataError``, not converted."""
+        classes, C = tuple(classes), tuple(map(tuple, confusion))
+        if not (all(map(_is_integer, classes)) and len(set(classes)) == len(classes)):
+            raise DataError(f"classes must be distinct integers, got {list(classes)}")
+        if not all(_is_integer(x) and x >= 0 for row in C for x in row):
+            raise DataError(f"confusion counts must be nonnegative integers, got {[list(row) for row in C]}")
+        classes, C = tuple(map(int, classes)), tuple(tuple(map(int, row)) for row in C)
         n = len(classes)
-        C = tuple(tuple(int(x) for x in row) for row in confusion)
         if n == 0 or len(C) != n or any(len(row) != n for row in C):
             raise DataError(f"confusion matrix must be {n} x {n} over classes {classes}")
         total = sum(sum(row) for row in C)

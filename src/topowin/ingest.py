@@ -127,7 +127,7 @@ class StandardizationParams:
     """Per-channel means and population standard deviations."""
 
     means: np.ndarray  # (d,)
-    standard_deviations: np.ndarray  # (d,), all > 0
+    standard_deviations: np.ndarray  # (d,), all finite and > 0
     mode: str = "fit_on_combined"
 
     def __post_init__(self) -> None:
@@ -137,6 +137,9 @@ class StandardizationParams:
             raise ValueError(f"mode must be one of {STANDARDIZE_MODES}, got '{self.mode}'")
         if self.means.shape != self.standard_deviations.shape or self.means.ndim != 1:
             raise ValueError("means and standard deviations must be 1-D and the same length")
+        finite = np.isfinite(self.means) & np.isfinite(self.standard_deviations)
+        if not finite.all():
+            raise NumericalError(f"non-finite mean or standard deviation for channel {int(finite.argmin())}")
         if np.any(self.standard_deviations <= 0):
             bad = int(np.argmax(self.standard_deviations <= 0))
             raise NumericalError(f"non-positive standard deviation for channel {bad}")

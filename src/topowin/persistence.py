@@ -58,9 +58,6 @@ class PersistenceDiagram:
             if b < 0 or d < b:
                 raise ValueError(f"invalid diagram point ({b}, {d}): need 0 <= birth <= death")
 
-    def __len__(self) -> int:
-        return len(self.pairs)
-
 
 def stack_points(items, what: str = "clouds") -> np.ndarray:
     """``items`` as one (count, n, d) float64 array: an array (or the points
@@ -129,15 +126,14 @@ def _mst_deaths(dist: np.ndarray) -> np.ndarray:
 _ROWS_AT_A_TIME = 128  # windows whose points ``Diagrams.rows`` converts at a time
 
 
-class Diagrams(Sequence):
+class Diagrams:
     """A split's persistence diagrams of homology dimension ``dim`` as arrays.
 
     Row i of the read-only (windows, width) float arrays ``births`` and
     ``deaths`` holds window i's ``counts[i]`` points at its end, in
     ``diagrams.csv`` row order, and zeros before them; in dimension 0 every
     birth is 0.  A point that is not finite 0 <= birth <= death is a
-    ``ValueError``.  Only indexing builds window i's ``PersistenceDiagram``;
-    the sequence equals the list of its diagrams."""
+    ``ValueError``.  Only indexing builds window i's ``PersistenceDiagram``."""
 
     __slots__ = ("dim", "births", "deaths", "counts")
 
@@ -160,22 +156,13 @@ class Diagrams(Sequence):
     def __len__(self) -> int:
         return len(self.counts)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
+    def __getitem__(self, index: int) -> PersistenceDiagram:
         start = self.deaths.shape[1] - int(self.counts[index])
         pairs = zip(self.births[index, start:].tolist(), self.deaths[index, start:].tolist())
         return PersistenceDiagram(self.dim, tuple(pairs))
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[PersistenceDiagram]:
         return (PersistenceDiagram(self.dim, tuple(pairs)) for pairs in self.rows())
-
-    def __eq__(self, other):
-        if isinstance(other, (Diagrams, list)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None
 
     def rows(self) -> Iterator[list[tuple[float, float]]]:
         """Each window's own (birth, death) points as floats, without its

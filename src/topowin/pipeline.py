@@ -201,9 +201,7 @@ class PipelineConfig:
             raise ValueError(f"essential policy must be one of {ESSENTIAL_POLICIES}, got '{self.essential_policy}'")
         if self.essential_policy == "capped" and self.maxscale is None:
             raise ValueError("capped essential policy needs a maxscale")
-        if (self.dimension == 1 or self.essential_policy == "capped") and not (
-            math.isfinite(self.maxscale) and self.maxscale > 0
-        ):
+        if self.maxscale is not None and not (math.isfinite(self.maxscale) and self.maxscale > 0):
             raise ValueError(f"maxscale must be positive and finite, got {self.maxscale!r}")
         if self.standardize not in STANDARDIZE_MODES:
             raise ValueError(f"standardize mode must be one of {STANDARDIZE_MODES}, got '{self.standardize}'")

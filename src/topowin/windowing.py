@@ -11,7 +11,7 @@ through ``windows.csv``; only indexing one builds a ``LabeledWindow``.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,12 +47,12 @@ class LabeledWindow:
     time_range: tuple[float, float]
 
 
-class Windows(Sequence):
+class Windows:
     """A split's windows as arrays.  Window i's position is its only number:
     it holds source rows s*i .. s*i+w-1 as row i of the read-only
     (count, w, d) float64 ``points``, its class label ``labels[i]`` (int64)
     and the timestamps of its first and last rows ``time_ranges[i]``.  Only
-    indexing builds window i's ``LabeledWindow``; a slice is a ``Windows``."""
+    indexing builds window i's ``LabeledWindow``."""
 
     __slots__ = ("points", "labels", "time_ranges")
 
@@ -63,24 +63,17 @@ class Windows(Sequence):
     def __len__(self) -> int:
         return len(self.labels)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Windows(self.points[index], self.labels[index], self.time_ranges[index])
+    def __getitem__(self, index: int) -> LabeledWindow:
         return LabeledWindow(self.points[index], int(self.labels[index]), tuple(self.time_ranges[index].tolist()))
 
-
-def window_label(labels: Sequence[int], rule: str) -> int:
-    """Collapse the per-row labels of one window to a single class label.
-    ``any_positive``: 1 if any row is labeled 1, else 0.  ``majority``: the
-    most frequent label; among tied labels the earliest in the window wins."""
-    row = np.asarray(labels, dtype=np.int64).reshape(1, -1)
-    if row.size == 0:
-        raise DataError("cannot label an empty window")
-    return int(_label_windows(row, rule)[0])
+    def __iter__(self) -> Iterator[LabeledWindow]:
+        return map(self.__getitem__, range(len(self)))
 
 
 def _label_windows(labels: np.ndarray, rule: str) -> np.ndarray:
-    """``window_label`` of every row of a (windows, w) array of per-row labels."""
+    """The class label of every row of a (windows, w) array of per-row labels.
+    ``any_positive``: 1 if any row is labeled 1, else 0.  ``majority``: the
+    most frequent label; among tied labels the earliest in the window wins."""
     if rule == "any_positive":
         return (labels == 1).any(axis=1).astype(np.int64)
     if rule == "majority":

@@ -22,6 +22,11 @@ def windows_of(windows):
     )
 
 
+def windows_slice(windows, part):
+    """The windows of a ``Windows`` that the slice ``part`` picks, as a ``Windows``."""
+    return Windows(windows.points[part], windows.labels[part], windows.time_ranges[part])
+
+
 def by_shape(clouds):
     """Position lists of ``clouds`` per shape, in order of first appearance."""
     groups = {}

@@ -611,6 +611,15 @@ class TestRunCommand:
         assert "usage error: maxscale must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("maxscale", [math.nan, math.inf, 0, -1])
+    def test_config_maxscale_is_checked_where_no_stage_uses_it(self, tmp_path, config_path, maxscale, capsys):
+        # Dimension 0 with the dropped policy: the config file's own value.
+        config = tmp_path / "maxscale.json"
+        write_json(config, dict(read_json(config_path), maxscale=maxscale))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "runs")]) == 1
+        assert capsys.readouterr().err == f"usage error: maxscale must be positive and finite, got {maxscale!r}\n"
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize("maxscale", ["inf", "0"])
     def test_capped_policy_with_bad_maxscale_fails_before_any_stage(self, tmp_path, config_path, maxscale, capsys):
         capped = tmp_path / "capped.json"
@@ -834,6 +843,11 @@ def without_last_channel(path):
         path.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines), encoding="utf-8")
 
 
+def with_infinite_first_sd(path):
+    payload = read_json(path)
+    write_json(path, {**payload, "standard_deviations": ["inf", *payload["standard_deviations"][1:]]})
+
+
 class TestMisfitInputs:
     """A stage input that reads well but does not fit the config is a data
     error naming that input, and the command writes nothing."""
@@ -850,12 +864,18 @@ class TestMisfitInputs:
             ("diagrams", {"params": without_last_channel}, "params", "standardizer has 2 channels, config has 3"),
             (
                 "diagrams",
+                {"params": with_infinite_first_sd},
+                "params",
+                "non-finite mean or standard deviation for channel 0",
+            ),
+            (
+                "diagrams",
                 {"windows": without_last_channel},
                 "windows",
                 "split 'train': window dimension 2 does not match config dimension 3",
             ),
         ],
-        ids=["distmat-split-missing", "diagrams-params-channels", "diagrams-windows-channels"],
+        ids=["distmat-split-missing", "diagrams-params-channels", "diagrams-params-infinite-sd", "diagrams-windows-channels"],
     )
     def test_the_input_that_does_not_fit_is_named(self, small_run, tmp_path, command, edits, named, message, capsys):
         cfg, _, root = small_run

@@ -341,8 +341,8 @@ class TestDim1Matching:
         grid = [(grid_dim1(rng), grid_dim1(rng)) for _ in range(6400)]
         pairs = list(product(rips, rips)) + grid
         assert len(pairs) >= 10_000
-        assert {len(d) for d in rips} >= {0, 1, 5} and max(len(d) for d in rips) >= 8
-        assert any(len(a) != len(b) and min(len(a), len(b)) == 0 for a, b in grid)
+        assert {len(d.pairs) for d in rips} >= {0, 1, 5} and max(len(d.pairs) for d in rips) >= 8
+        assert any(len(a.pairs) != len(b.pairs) and min(len(a.pairs), len(b.pairs)) == 0 for a, b in grid)
         for p in (1.0, 2.0):
             cfg = WassersteinConfig(p=p, dimension=1)
             bad = []

@@ -27,7 +27,7 @@ from topowin.ingest import StandardizationParams, TimeSeries
 from topowin.persistence import Diagrams, PersistenceDiagram, rips_persistence_dim0
 from topowin.pipeline import cut_windows
 from topowin.windowing import LabeledWindow, WindowConfig, Windows, make_windows
-from conftest import synthetic_config_dict, windows_of
+from conftest import synthetic_config_dict, windows_of, windows_slice
 
 # Values whose shortest round-trip form is easy to get wrong: a signed zero,
 # the smallest subnormal, the switch to exponent notation at 1e16 and 1e-5,
@@ -355,7 +355,7 @@ class TestReadBack:
         diags = diagrams()
         io.write_diagrams_csv(diags, tmp_path / "d.csv")
         again = io.read_diagrams_csv(tmp_path / "d.csv", {s: len(d) for s, d in diags.items()}, 1)
-        assert again == diags
+        assert {split: list(view) for split, view in again.items()} == {split: list(view) for split, view in diags.items()}
         for split, view in again.items():
             assert view.dim == 1 and view.counts.tolist() == [4, 0, 2]
             for name in ("births", "deaths", "counts"):
@@ -479,7 +479,7 @@ class TestSpecialFloats:
         assert [r[2] for r in rows] == self.WANT[::-1]
 
     def test_windows(self, tmp_path):
-        io.write_windows_csv({"test": windows()["test"][:1]}, ("a", "b"), tmp_path / "w.csv")
+        io.write_windows_csv({"test": windows_slice(windows()["test"], slice(1))}, ("a", "b"), tmp_path / "w.csv")
         with (tmp_path / "w.csv").open(encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         assert [c for r in rows for c in r[6:]] == self.WANT
@@ -987,7 +987,7 @@ class TestPositionsAreTheOnlyNumbers:
 
     def test_each_split_counts_from_0(self, tmp_path):
         path = tmp_path / "w.csv"
-        wins = {"x": simple_windows()["a"], "y": simple_windows()["a"][:1]}
+        wins = {"x": simple_windows()["a"], "y": windows_slice(simple_windows()["a"], slice(1))}
         io.write_windows_csv(wins, ("c0", "c1"), path)
         assert [row.split(",")[:2] for row in path.read_text(encoding="utf-8").splitlines()[1::3]] == [
             ["x", "0"], ["x", "1"], ["y", "0"]
@@ -1029,8 +1029,11 @@ class TestMalformedJson:
             ({"means": None}, "means and standard deviations must be 1-D and the same length"),
             ({"mode": "sideways"}, "mode must be one of"),
             ({"standard_deviations": ["0.0"]}, "non-positive standard deviation for channel 0"),
+            ({"standard_deviations": ["inf"]}, "non-finite mean or standard deviation for channel 0"),
+            ({"standard_deviations": ["nan"]}, "non-finite mean or standard deviation for channel 0"),
+            ({"means": ["-inf"]}, "non-finite mean or standard deviation for channel 0"),
         ],
-        ids=["mean", "null-means", "mode", "zero-sd"],
+        ids=["mean", "null-means", "mode", "zero-sd", "infinite-sd", "nan-sd", "infinite-mean"],
     )
     def test_bad_params_name_the_file(self, tmp_path, change, message):
         path = tmp_path / "p.json"
@@ -1048,4 +1051,22 @@ class TestMalformedJson:
         path = tmp_path / "r.json"
         io.write_json(path, {"classes": [0, 1], "confusion": [[1, 0]]})
         with pytest.raises(DataError, match=re.escape(f"{path}: confusion matrix must be 2 x 2")):
+            io.read_report_json(path)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"confusion": [[-20, 0], [2.5, 20]]}, "confusion counts must be nonnegative integers, got [[-20, 0], [2.5, 20]]"),
+            ({"confusion": [["3", 0], [0, 1]]}, "confusion counts must be nonnegative integers, got [['3', 0], [0, 1]]"),
+            ({"confusion": [[True, 0], [0, 1]]}, "confusion counts must be nonnegative integers, got [[True, 0], [0, 1]]"),
+            ({"classes": [0, 0]}, "classes must be distinct integers, got [0, 0]"),
+            ({"classes": [0, 1.0]}, "classes must be distinct integers, got [0, 1.0]"),
+            ({"classes": [False, True]}, "classes must be distinct integers, got [False, True]"),
+        ],
+        ids=["negative-and-float-count", "string-count", "bool-count", "duplicate-classes", "float-class", "bool-classes"],
+    )
+    def test_values_no_writer_writes_are_refused_not_converted(self, tmp_path, change, message):
+        path = tmp_path / "r.json"
+        io.write_json(path, {"classes": [0, 1], "confusion": [[2, 1], [0, 3]], **change})
+        with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
             io.read_report_json(path)

@@ -60,7 +60,7 @@ class TestDim0:
         rng = np.random.default_rng(3)
         for n in range(1, 12):
             pts = rng.normal(size=(n, 3))
-            assert len(rips_persistence_dim0(pts)) == n - 1
+            assert len(rips_persistence_dim0(pts).pairs) == n - 1
 
     def test_births_all_zero_and_sorted_by_death(self):
         rng = np.random.default_rng(4)
@@ -154,7 +154,7 @@ class TestDim0Batch:
         clouds = [random_cloud(rng, n, d) for n in (1, 2, 11, 15) for d in range(1, 13) for _ in range(3)]
         clouds = [clouds[i] for i in rng.permutation(len(clouds))]
         batched = dim0_per_shape(clouds, **policy)
-        assert batched == [rips_persistence_dim0(c, **policy) for c in clouds]
+        assert list(batched) == [rips_persistence_dim0(c, **policy) for c in clouds]
         cap = [policy["maxscale"]] if policy else []
         assert [deaths(diag) for diag in batched] == [dim0_deaths_by_prim_loop(c) + cap for c in clouds]
 
@@ -178,15 +178,15 @@ class TestDim0Batch:
                 assert chunk == 1 or chunk * n * n * d <= _CHUNK_FLOATS
 
     def test_empty_list(self):
-        assert rips_persistence_dim0_batch([]) == []
+        assert list(rips_persistence_dim0_batch([])) == []
 
     def test_accepts_augmented_clouds_in_input_order(self):
         from topowin import AugmentConfig, WindowConfig, augment, make_windows
         from conftest import synthetic_two_class_series
 
-        wins = make_windows(synthetic_two_class_series(), WindowConfig(10, 10))[:20]
-        clouds = [augment(w, AugmentConfig.defaults(3)) for w in wins]
-        assert rips_persistence_dim0_batch(clouds) == [rips_persistence_dim0(c) for c in clouds]
+        wins = make_windows(synthetic_two_class_series(), WindowConfig(10, 10))
+        clouds = [augment(wins[i], AugmentConfig.defaults(3)) for i in range(20)]
+        assert list(rips_persistence_dim0_batch(clouds)) == [rips_persistence_dim0(c) for c in clouds]
 
     @pytest.mark.parametrize("bad_at", [0, 2])
     def test_empty_cloud_rejected_anywhere(self, bad_at):
@@ -209,7 +209,8 @@ class TestDim0Batch:
     def test_one_stack_of_a_list_or_the_array_as_it_is(self):
         clouds = [col(0.0, 1.0, 3.0), col(5.0, 5.0, 5.5), col(0.0, 2.0, 2.5)]
         batched = rips_persistence_dim0_batch(clouds)
-        assert batched == rips_persistence_dim0_batch(np.array(clouds)) == [rips_persistence_dim0(c) for c in clouds]
+        from_array = rips_persistence_dim0_batch(np.array(clouds))
+        assert list(batched) == list(from_array) == [rips_persistence_dim0(c) for c in clouds]
         assert batched.counts.tolist() == [2, 2, 2] and batched.deaths.shape == (3, 2)
 
     @pytest.mark.parametrize(
@@ -246,7 +247,7 @@ class TestDim0Batch:
             pts = rng.integers(-2, 3, size=(n, d)) if grid else rng.normal(size=(n, d))
             clouds.append(pts.astype(float))
         batched = dim0_per_shape(clouds)
-        assert batched == [rips_persistence_dim0(c) for c in clouds]
+        assert list(batched) == [rips_persistence_dim0(c) for c in clouds]
         assert [deaths(diag) for diag in batched] == [dim0_deaths_by_prim_loop(c) for c in clouds]
 
 
@@ -268,17 +269,16 @@ class TestDiagrams:
         want = [[1.0, 2.0], [], [0.0, 0.5, 2.0, 2.0], [0.5]]
         assert view.deaths.tolist() == [[0.0] * (width - len(d) - len(cap)) + d + cap for d in want]
 
-    def test_len_indexing_and_equality(self):
+    def test_len_indexing_and_iteration(self):
         view = dim0_per_shape(self.CLOUDS)
         diagrams = [rips_persistence_dim0(c) for c in self.CLOUDS]
         assert len(view) == 4
         assert [view[i] for i in range(4)] == diagrams
         assert view[-1] == diagrams[-1] and view[1] == PersistenceDiagram(0, ())
-        assert view[1:3] == diagrams[1:3] and view[::-1] == diagrams[::-1]
         assert list(view) == diagrams
-        assert view == diagrams and diagrams == view and view != diagrams[:3]
-        assert view == dim0_per_shape(self.CLOUDS)
-        assert view != dim0_per_shape(self.CLOUDS, "capped", 9.0)
+        assert list(dim0_per_shape(self.CLOUDS, "capped", 9.0)) == [
+            PersistenceDiagram(0, (*diag.pairs, (0.0, 9.0))) for diag in diagrams
+        ]
         with pytest.raises(IndexError):
             view[4]
 
@@ -322,7 +322,7 @@ class TestDiagrams:
         assert view.births.tolist() == [[0.5, 0.25], [0.0, 0.0], [0.0, 1.5]]
         assert view.deaths.tolist() == [[1.0, 2.0], [0.0, 0.0], [0.0, 1.75]]
         assert [tuple(row) for row in view.rows()] == pairs
-        assert view == [PersistenceDiagram(1, p) for p in pairs] and view[-1].dim == 1
+        assert list(view) == [PersistenceDiagram(1, p) for p in pairs] and view[-1].dim == 1
 
 
 class TestDim0Overflow:

@@ -42,7 +42,7 @@ from topowin.pipeline import (
     split_labels,
     standardize,
 )
-from conftest import synthetic_config_dict, synthetic_two_class_series
+from conftest import synthetic_config_dict, synthetic_two_class_series, windows_slice
 
 
 class TwoArgumentDataError(DataError):
@@ -188,14 +188,12 @@ class TestConfig:
 
     @pytest.mark.parametrize("maxscale", [float("inf"), float("-inf"), float("nan"), 0, 0.0, -1.0])
     @pytest.mark.parametrize(
-        "extra", [{"dimension": 1}, {"essential_policy": "capped"}], ids=["dim1", "capped"]
+        "extra", [{"dimension": 1}, {"essential_policy": "capped"}, {}], ids=["dim1", "capped", "dim0-dropped"]
     )
     def test_maxscale_must_be_positive_and_finite(self, synth_csv, extra, maxscale):
+        # Checked whenever it is given, also where no stage uses it.
         with pytest.raises(ValueError, match="^maxscale must be positive and finite"):
             config_for(synth_csv, maxscale=maxscale, **extra)
-
-    def test_unused_maxscale_is_not_checked(self, synth_csv):
-        assert config_for(synth_csv, maxscale=float("inf")).maxscale == float("inf")
 
     def test_missing_split_name(self, synth_csv):
         with pytest.raises(ValueError, match="train split"):
@@ -573,7 +571,7 @@ class TestTruncatedArtifacts:
             assert ",1," in diagrams.read_text(encoding="utf-8")
         else:
             wins = io.read_windows_csv(windows)
-            wins[cfg.train_split] = wins[cfg.train_split][:-2]
+            wins[cfg.train_split] = windows_slice(wins[cfg.train_split], slice(-2))
             windows = tmp_path / "fewer.windows.csv"
             io.write_windows_csv(wins, cfg.schema.features, windows)
         code = main([
@@ -717,6 +715,22 @@ class TestMissReasons:
         assert reasons(cfg, root) == {stage: "unreadable"}
         assert statuses(cfg, root)[stage] == "computed"
         assert path.read_bytes() == original
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"confusion": [[-20, 0], [2.5, 20]]}, {"confusion": [["3", 0], [0, True]]}, {"classes": [1, 1]}],
+        ids=["negative-and-float", "string-and-bool", "duplicate-classes"],
+    )
+    def test_report_with_values_no_writer_writes(self, warm, change):
+        # Vouched for by its digest, but not a report a run could write.
+        cfg, data, root = warm
+        path, stable = artifact(root / cfg.run_id, "report"), root / cfg.run_id / "report.json"
+        original, fresh = path.read_bytes(), stable.read_bytes()
+        io.write_json(path, {**io.read_json(path), **change})
+        path.with_name(f"{path.name}.sha256").write_text(io.sha256_file(path) + "\n", encoding="utf-8")
+        run(cfg, data, runs_root=root)
+        assert (statuses(cfg, root)["classify"], reasons(cfg, root)) == ("computed", {"classify": "unreadable"})
+        assert path.read_bytes() == original and stable.read_bytes() == fresh
 
     @pytest.mark.parametrize("kind", ["series", "windows", "params", "clouds"])
     def test_a_stage_never_read_keeps_bytes_that_match_their_digest(self, warm, kind, tmp_path):

@@ -24,7 +24,8 @@ rerun for the report.
 
 A config with any JSON value in any one key is refused with a
 ``ValueError`` or ``KeyError``, and ``topowin run`` over it exits with one
-stderr line and no traceback.
+stderr line and no traceback, or succeeds and writes ``provenance.json``
+and ``report.json`` as strict JSON.
 
 Each stage command and ``plot-diagram``, fed one mutated input file of the
 README stage chain, succeeds or exits with one stderr line and no
@@ -33,6 +34,8 @@ usage error.
 """
 
 import dataclasses
+import json
+import math
 import shutil
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -252,14 +255,16 @@ def config_data(tmp_path_factory):
 @example(key="data", value="")  # the current directory, not a data file
 @example(key="p", value=10**400)  # an int no float holds
 @example(key="maxscale", value=-(10**400))
+@example(key="maxscale", value=math.nan)  # dimension 0, dropped: no stage uses it
 @example(key="offset", value=[10**400, 0, 0])
 @example(key="stride", value=2**63)  # past int64: one window per split
 @example(key="label_rule", value="any\npositive")  # a line break in the value the message quotes
 def test_any_json_value_in_any_config_key(config_data, tmp_path_factory, key, value):
     """A config with one key set to any JSON value: ``from_dict`` and the
     offset and anchors raise only ``ValueError`` or ``KeyError``, and
-    ``topowin run`` succeeds or exits with its code and one stderr line,
-    leaving no runs directory after a usage error."""
+    ``topowin run`` succeeds, writing ``provenance.json`` and ``report.json``
+    as strict JSON (no ``NaN`` or ``Infinity``), or exits with its code and
+    one stderr line, leaving no runs directory after a usage error."""
     payload = synthetic_config_dict("fuzzed", config_data, n_windows=N_WINDOWS)
     parent, name = ("schema", key[len("schema.") :]) if key.startswith("schema.") else (None, key)
     (payload[parent] if parent else payload)[name] = value
@@ -279,8 +284,16 @@ def test_any_json_value_in_any_config_key(config_data, tmp_path_factory, key, va
         assert code in (1, 2, 3, 4)
         assert stderr.getvalue().count("\n") == 1 and stderr.getvalue().endswith("\n")
         assert "Traceback" not in stderr.getvalue()
+    if code == 0:
+        (run_dir,) = out.iterdir()
+        for name in ("provenance.json", "report.json"):
+            json.loads((run_dir / name).read_text(encoding="utf-8"), parse_constant=refuse_constant)
     if code == 1:
         assert not out.exists()
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 # --- stage commands over mutated inputs ---------------------------------------
