@@ -365,8 +365,8 @@ def fit_standardizer(
     ranges, taken in order.
 
     ``fit_on_combined`` fits every range of the split spec; ``fit_on_train``
-    only the range named ``train_name``.  A channel with zero variance over
-    the fitted rows is an error.
+    only the range named ``train_name``.  A channel with zero variance, or
+    a mean or SD that overflows, over the fitted rows is an error naming it.
     """
     if mode not in STANDARDIZE_MODES:
         raise ValueError(f"mode must be one of {STANDARDIZE_MODES}, got '{mode}'")
@@ -382,12 +382,29 @@ def fit_standardizer(
     # C order, as an index array gives it: the reduction's order, and so its
     # last bits, follow the layout.
     sel = np.ascontiguousarray(sel)
-    means = sel.mean(axis=0)
-    sds = sel.std(axis=0)  # ddof=0: population variance
-    zero = np.flatnonzero(sds <= 0.0)
-    if zero.size:
-        names = ", ".join(series.channel_names[i] for i in zero)
-        raise NumericalError(f"zero-variance channel(s) over fitted rows: {names}")
+    # A sum that overflows is the non-finite error below, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = sel.mean(axis=0)
+        # ``sel.std(axis=0)``, one (rows, d) temporary included, but with each
+        # channel's deviations divided by 2**(k - 1), the power of two at or
+        # below the largest (2**k is no float at k = 1024): exact, and the
+        # squares stay normal, so the SD scales with the channel's unit bit
+        # for bit and equals ``std``'s wherever ``std``'s squares are normal.
+        # Float operations only: an integer one (negating k) runs numpy code
+        # a run does not otherwise run, whose pages show in peak RSS.
+        _, k = np.frexp(np.maximum(sel.max(axis=0) - means, means - sel.min(axis=0)))
+        scale = np.ldexp(0.5, k)
+        dev = sel - means
+        dev /= scale
+        dev *= dev
+        sds = np.sqrt(dev.sum(axis=0) / len(sel)) * scale
+    for message, bad in (
+        ("channel(s) with a non-finite mean or standard deviation", ~(np.isfinite(means) & np.isfinite(sds))),
+        ("zero-variance channel(s)", sds <= 0.0),
+    ):
+        if bad.any():
+            names = ", ".join(series.channel_names[i] for i in np.flatnonzero(bad))
+            raise NumericalError(f"{message} over fitted rows: {names}")
     return StandardizationParams(means=means, standard_deviations=sds, mode=mode)
 
 

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 from pathlib import Path
 
@@ -6,6 +7,16 @@ import pytest
 
 from topowin import CsvSchema, Diagrams, PipelineConfig, TimeSeries, Windows, rips_persistence_dim0_batch, run
 from topowin.io import write_series_csv
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_script(name):
+    """The module ``scripts/<name>.py``, imported from its file."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def deaths(diagram):

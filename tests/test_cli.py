@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 import os
 import shutil
@@ -13,7 +14,7 @@ from topowin import Diagrams, DistanceMatrix, describe_run, io
 from topowin.cli import _OVERRIDES, main, write_distances
 from topowin.io import read_json, write_json
 from topowin.pipeline import CLI_FIELDS, PipelineConfig
-from conftest import synthetic_config_dict
+from conftest import ROOT, load_script, synthetic_config_dict
 
 
 @pytest.fixture
@@ -28,10 +29,34 @@ def read_lines(path):
     return Path(path).read_text(encoding="utf-8")
 
 
+def chain_to_distmat(config_path, data, out):
+    """The README stage chain ingest -> windows -> diagrams -> distmat into ``out``."""
+    for argv in (
+        ["ingest", "--data", data],
+        ["windows", "--series", out / "series.csv"],
+        ["diagrams", "--windows", out / "windows.csv", "--params", out / "params.json"],
+        ["distmat", "--diagrams", out / "diagrams.csv", "--windows", out / "windows.csv"],
+    ):
+        assert main([*map(str, argv), "--config", str(config_path), "--out", str(out)]) == 0
+
+
 class TestUsage:
     def test_no_arguments_prints_usage_nonzero(self, capsys):
         assert main([]) == 1
         assert "usage" in capsys.readouterr().err.lower()
+
+    def test_console_script_target(self, monkeypatch, capsys):
+        # The function pyproject.toml installs as each console script: with no
+        # command it prints usage and exits 1.
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+        monkeypatch.setattr(sys, "argv", ["topowin"])
+        for target in project["scripts"].values():
+            module, _, function = target.partition(":")
+            with pytest.raises(SystemExit) as exit_:
+                getattr(importlib.import_module(module), function)()
+            assert exit_.value.code == 1
+            assert "usage" in capsys.readouterr().err.lower()
 
     def test_unknown_flag(self, capsys):
         assert main(["run", "--bogus"]) == 1
@@ -231,15 +256,7 @@ class TestStageCommands:
 
     def test_sweep_k(self, tmp_path, config_path, synth_csv, capsys):
         out = tmp_path / "stages"
-        for cmd in (
-            ["ingest", "--config", str(config_path), "--data", str(synth_csv), "--out", str(out)],
-            ["windows", "--config", str(config_path), "--series", str(out / "series.csv"), "--out", str(out)],
-            ["diagrams", "--config", str(config_path), "--windows", str(out / "windows.csv"),
-             "--params", str(out / "params.json"), "--out", str(out)],
-            ["distmat", "--config", str(config_path), "--diagrams", str(out / "diagrams.csv"),
-             "--windows", str(out / "windows.csv"), "--out", str(out)],
-        ):
-            assert main(cmd) == 0
+        chain_to_distmat(config_path, synth_csv, out)
         assert main([
             "sweep-k",
             "--config", str(config_path),
@@ -251,6 +268,22 @@ class TestStageCommands:
         text = read_lines(out / "sweep.csv")
         assert text.splitlines()[0] == "k,accuracy,sensitivity,specificity"
         assert len(text.splitlines()) == 4
+
+    def test_sweep_k_over_every_k(self, tmp_path, config_path, synth_csv, capsys):
+        out = tmp_path / "stages"
+        chain_to_distmat(config_path, synth_csv, out)
+        n = len(io.read_windows_csv(out / "windows.csv")["train"])
+        assert n == 60
+        assert main([
+            "sweep-k",
+            "--config", str(config_path),
+            "--matrix", str(out / "distmat.csv"),
+            "--windows", str(out / "windows.csv"),
+            "--ks", ",".join(map(str, range(1, n + 1))),
+            "--out", str(tmp_path / "sweep"),
+        ]) == 0
+        rows = read_lines(tmp_path / "sweep" / "sweep.csv").splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [str(k) for k in range(1, n + 1)]
 
     def test_ingest_idempotent(self, tmp_path, config_path, synth_csv):
         out = tmp_path / "stages"
@@ -352,6 +385,16 @@ class TestStageCommands:
         assert code == 3
         assert "numerical error" in capsys.readouterr().err
 
+    def test_fit_that_overflows_is_one_line_naming_the_channel(self, tmp_path, config_path, capsys):
+        # f0's sum over the fitted rows overflows, so its mean and SD do.
+        data = tmp_path / "huge.csv"
+        rows = "".join(f"{i},{1.6e308 if i % 2 else 1.7e308!r},{i}.0,{i}.5,{i // 10 % 2}\n" for i in range(1000))
+        data.write_text("timestamp,f0,f1,f2,label\n" + rows, encoding="utf-8")
+        argv = ["run", "--config", str(config_path), "--data", str(data), "--out", str(tmp_path / "runs")]
+        assert main(argv) == 3
+        message = "channel(s) with a non-finite mean or standard deviation over fitted rows: f0"
+        assert capsys.readouterr().err == f"numerical error: stage 'standardize': {message}\n"
+
 
     @pytest.mark.parametrize("command", ["run", "diagrams"])
     def test_dim0_distance_overflow_is_a_numerical_error(self, command, tmp_path, capsys):
@@ -451,13 +494,14 @@ class TestStagesMatchRun:
     @pytest.mark.parametrize(
         "extra", [{}, {"dimension": 1, "maxscale": 8.0, "k": 3}], ids=["dim0", "dim1"]
     )
-    def test_stage_outputs_equal_run_artifacts(self, tmp_path, synth_csv, extra):
+    def test_stage_outputs_equal_run_artifacts(self, tmp_path, synth_csv, extra, capsys):
         payload = synthetic_config_dict("match", synth_csv, n_windows=30)
         payload.update(extra)
         config = tmp_path / "match.json"
         write_json(config, payload)
         root, out = tmp_path / "runs", tmp_path / "stages"
         assert main(["run", "--config", str(config), "--out", str(root)]) == 0
+        table = capsys.readouterr().out
         for command, *argv in (
             ["ingest", "--data", synth_csv],
             ["windows", "--series", out / "series.csv"],
@@ -467,6 +511,8 @@ class TestStagesMatchRun:
         ):
             argv = [command, "--config", str(config), "--out", str(out), *map(str, argv)]
             assert main(argv) == 0
+            printed = capsys.readouterr().out
+        assert printed == table  # classify's, the last
         run_dir = root / "match"
         for name, pattern in {
             "series.csv": "ingest/*.series.csv",
@@ -503,6 +549,15 @@ class TestRunCommand:
         assert "Accuracy" in out
         assert "classify: computed" in out
         assert (root / "cli-synth" / "report.json").exists()
+
+    def test_readme_quickstart(self, tmp_path, monkeypatch, capsys):
+        # scripts/make_synthetic.py, then the run from the root it wrote.
+        assert load_script("make_synthetic").main(["--root", str(tmp_path)]) == 0
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("TOPOWIN_CACHE_DIR", raising=False)  # the runs root is ./runs
+        capsys.readouterr()
+        assert main(["run", "--config", "configs/synthetic.json", "--describe"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("1.0000")  # the table row: accuracy first
 
     def test_run_cached_then_no_cache_identical(self, tmp_path, config_path, capsys):
         root = tmp_path / "runs"
@@ -564,6 +619,7 @@ class TestRunCommand:
             ("p", True),
             ("p", "2"),
             ("maxscale", True),
+            ("data", 5),
         ],
     )
     def test_ill_typed_field_is_a_usage_error(self, tmp_path, synth_csv, field, value, capsys):
@@ -572,7 +628,8 @@ class TestRunCommand:
         path = tmp_path / "bad-field.json"
         write_json(path, payload)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "runs")]) == 1
-        assert f"config field '{field}'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: config field '{field}'") and err.count("\n") == 1, err
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("dimension", [["--dimension", "0"], ["--dimension", "1", "--maxscale", "3"]])
@@ -1093,13 +1150,21 @@ class TestPlotDiagram:
     def test_unreadable_file(self, tmp_path, capsys):
         assert main(["plot-diagram", "--diagram", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "p")]) == 2
 
-    def test_plot_twin_lossless_roundtrip(self, tmp_path):
+    def test_plot_twin_lossless_roundtrip(self, tmp_path, small_run):
         src = tmp_path / "diag.csv"
         rows = "dim,birth,death\n0,0.0,0.7071067811865476\n1,1.0,1.4142135623730951\n"
         src.write_text(rows, encoding="utf-8")
         out = tmp_path / "plots"
         assert main(["plot-diagram", "--diagram", str(src), "--out", str(out)]) == 0
         assert read_lines(out / "diagram.csv") == rows
+        # A run's diagrams.csv: the twin of one window plots to the same bytes.
+        cfg, _, root = small_run
+        (diagrams,) = (root / cfg.run_id).glob("diagrams/*.diagrams.csv")
+        argv = ["plot-diagram", "--diagram", str(diagrams), "--split", "train", "--index", "0", "--out", str(out)]
+        assert main(argv) == 0
+        assert main(["plot-diagram", "--diagram", str(out / "diagram-train-0.csv"), "--out", str(tmp_path / "re")]) == 0
+        for name in ("svg", "csv"):
+            assert (out / f"diagram-train-0.{name}").read_bytes() == (tmp_path / "re" / f"diagram.{name}").read_bytes()
 
     @pytest.mark.parametrize(
         "text, line, message",

@@ -1,26 +1,15 @@
 """The fetch scripts' normalization logic, exercised on synthetic raw
 archives (the real downloads need network access)."""
 
-import importlib.util
 import json
 import zipfile
 from datetime import datetime, timedelta
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from topowin import PipelineConfig, run
-
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-
-
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
+from conftest import load_script
 
 occupancy = load_script("fetch_occupancy")
 arem = load_script("fetch_arem")

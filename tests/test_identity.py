@@ -1,16 +1,13 @@
 """The identity referee's comparison of two output directories (no git,
 no subprocess: ``compare_dirs`` on files written here)."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "identity.py"
-spec = importlib.util.spec_from_file_location("identity", SCRIPT)
-identity = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(identity)
+from conftest import load_script
+
+identity = load_script("identity")
 
 
 def provenance(root, duration, key="abc"):

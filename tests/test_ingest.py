@@ -502,6 +502,23 @@ class TestStandardizer:
         with pytest.raises(NumericalError, match="zero-variance.*c0"):
             fit_standardizer(series, SplitSpec((("train", 0, 3),)))
 
+    @pytest.mark.parametrize(
+        "column, sd, standardized",
+        [([1e200, -1e200] * 3, 1e200, [1.0, -1.0] * 3), ([0.0, 5e-324, 1e-323], 5e-324, [-1.0, 0.0, 1.0])],
+        ids=["squares-overflow", "subnormal"],
+    )
+    def test_sd_whose_squares_leave_the_normal_range(self, column, sd, standardized):
+        series = make_series(column)
+        params = fit_standardizer(series, SplitSpec((("train", 0, len(column)),)))
+        assert params.standard_deviations[0] == sd
+        assert apply_standardizer(series, params).values[:, 0].tolist() == standardized
+
+    def test_overflowing_mean_names_the_channel(self):
+        series = make_series([[1.0, 1.7e308], [2.0, 1.6e308]] * 3)
+        with pytest.raises(NumericalError) as exc:
+            fit_standardizer(series, SplitSpec((("train", 0, 6),)))
+        assert str(exc.value) == "channel(s) with a non-finite mean or standard deviation over fitted rows: c1"
+
     def test_series_equal_to_mean_gives_zeros(self):
         series = make_series([[2.0], [2.0], [2.0]])
         params = StandardizationParams(means=np.array([2.0]), standard_deviations=np.array([1.0]))

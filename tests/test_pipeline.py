@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import math
 import multiprocessing.process
 import re
 import shutil
@@ -11,6 +12,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import topowin.pipeline
 from topowin import (
@@ -1401,3 +1404,52 @@ class TestDiagramsSkippingAWindow:
         diagrams = io.read_diagrams_csv(path, {"train": 18, "test": 12}, cfg1.dimension)
         assert [len(diagrams[name]) for name in ("train", "test")] == [18, 12]
         assert all(not d.pairs for ds in diagrams.values() for d in ds)
+
+
+UNIT_SERIES = synthetic_two_class_series(n_windows=10)
+
+
+def unit_run(base, e):
+    """Run the 10-window synthetic config over ``UNIT_SERIES`` with channel
+    f0 scaled by 2**e, in its own runs root under ``base``; the run's
+    directory."""
+    values = UNIT_SERIES.values.copy()
+    values[:, 0] = np.ldexp(values[:, 0], e)
+    data = base / "series.csv"
+    io.write_series_csv(dataclasses.replace(UNIT_SERIES, values=values), data)
+    cfg = PipelineConfig.from_dict(synthetic_config_dict("unit", data, n_windows=10))
+    run(cfg, data, runs_root=base / "runs")
+    return base / "runs" / cfg.run_id
+
+
+@pytest.fixture(scope="module")
+def unit_run_at_0(tmp_path_factory):
+    return unit_run(tmp_path_factory.mktemp("unit-0"), 0)
+
+
+def normal_exponents():
+    """The e at which f0 scaled by 2**e, its sum over the rows, its mean and
+    its SD all stay normal floats."""
+    f0 = UNIT_SERIES.values[:, 0]
+    smallest = min(np.abs(f0[f0 != 0]).min(), abs(f0.mean()), f0.std())
+    largest = np.abs(f0).sum()
+    return -1022 - math.floor(math.log2(smallest)), 1023 - math.ceil(math.log2(largest))
+
+
+class TestChannelUnit:
+    """Scaling a channel by a power of two scales its mean and SD by exactly
+    that power and leaves every artifact after the standardize stage
+    byte-identical."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(e=st.integers(*normal_exponents()))
+    @example(e=-520)  # the squared deviations would be subnormal and lose bits
+    @example(e=510)  # the squared deviations would overflow
+    def test_a_power_of_two_changes_only_the_params(self, unit_run_at_0, tmp_path_factory, e):
+        run_dir = unit_run(tmp_path_factory.mktemp("unit"), e)
+        params, want = (io.read_params_json(artifact(d, "params")) for d in (run_dir, unit_run_at_0))
+        scale = np.array([e, 0, 0])
+        assert params.means.tobytes() == np.ldexp(want.means, scale).tobytes()
+        assert params.standard_deviations.tobytes() == np.ldexp(want.standard_deviations, scale).tobytes()
+        for kind in ("clouds", "diagrams", "distmat", "report"):
+            assert artifact(run_dir, kind).read_bytes() == artifact(unit_run_at_0, kind).read_bytes(), kind
